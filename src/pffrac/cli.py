@@ -21,7 +21,6 @@ import argparse
 import configparser
 import io
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -110,8 +109,12 @@ def _parse_bcs(spec: str):
     return tuple(bcs)
 
 
-def setup_from_config(cfg: dict) -> presets.RunSetup:
-    """Materialize mesh, material and schedules from a config dict."""
+def setup_from_config(cfg: dict, built: presets.RunSetup | None = None) -> presets.RunSetup:
+    """Materialize mesh, material and schedules from a config dict.
+
+    ``built`` is a preset the caller has already built; it stands in for
+    building the preset again when it is the preset and scale ``cfg`` names.
+    """
     run_sec = cfg.get("run", {})
     preset = run_sec.get("preset", "").strip()
     mesh_path = run_sec.get("mesh", "").strip()
@@ -120,7 +123,9 @@ def setup_from_config(cfg: dict) -> presets.RunSetup:
 
     scale = float(run_sec.get("scale", "1.0"))
     if preset:
-        setup = presets.load_preset(preset, scale)
+        if built is None or (built.name, built.scale) != (preset, scale):
+            built = presets.load_preset(preset, scale)
+        setup = built
         mesh = setup.mesh
     else:
         mesh = parse_gmsh(Path(mesh_path).read_text())
@@ -306,10 +311,10 @@ def _write_run_json(out_dir: Path, cfg: dict, history: RunHistory, elapsed: floa
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def run_to_dir(cfg: dict, out_dir) -> RunHistory:
+def run_to_dir(cfg: dict, out_dir, built: presets.RunSetup | None = None) -> RunHistory:
     """Execute a config into an output directory, writing all run artifacts;
     returns the in-memory history (also used by the acceptance suite)."""
-    setup = setup_from_config(cfg)
+    setup = setup_from_config(cfg, built)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_sec = cfg.get("output", {})
@@ -332,7 +337,6 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
         setup.mesh,
         reaction=(setup.reaction_set, setup.reaction_dir) if setup.reaction_set else None,
         compat_box1=out_sec.get("compat_box1_lb", "false").lower() == "true",
-        store_intermediate_fields=False,
         on_accept=writer,
     )
     elapsed = time.perf_counter() - t0
@@ -345,12 +349,13 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
 
 
 def cmd_run(args) -> int:
+    built = None
     try:
         if args.config:
             cfg = _read_config_file(args.config)
         elif args.preset:
-            cfg = config_from_setup(presets.load_preset(args.preset, args.scale))
-            cfg["run"]["scale"] = _fmt(args.scale)
+            built = presets.load_preset(args.preset, args.scale)
+            cfg = config_from_setup(built)
         else:
             raise ValueError("need --preset or --config")
         if args.k_back is not None:
@@ -364,7 +369,7 @@ def cmd_run(args) -> int:
         if args.compat_box1_lb:
             cfg.setdefault("output", {})["compat_box1_lb"] = "true"
         _apply_overrides(cfg, args.set)
-        history = run_to_dir(cfg, args.out)
+        history = run_to_dir(cfg, args.out, built)
     except (ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -469,19 +474,6 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _limit_threads() -> None:
-    n = os.environ.get("PF_THREADS")
-    if not n:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(n))
-    except (ImportError, ValueError):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="pffrac", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -509,7 +501,6 @@ def main(argv=None) -> int:
     p_exp.set_defaults(func=cmd_export)
 
     args = parser.parse_args(argv)
-    _limit_threads()
     return args.func(args)
 
 

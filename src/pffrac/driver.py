@@ -126,8 +126,6 @@ class IntermediateRecord:
     lb: float
     ub: float
     reaction: float = 0.0
-    u: np.ndarray | None = None
-    a: np.ndarray | None = None
 
 
 @dataclass
@@ -192,7 +190,6 @@ def run(
     reaction: tuple | None = None,
     compat_box1: bool = False,
     store_guesses: bool = False,
-    store_intermediate_fields: bool = False,
     on_accept=None,
 ) -> RunHistory:
     """Execute the load program with energy-bound backtracking.
@@ -263,7 +260,7 @@ def run(
         b = consumed.get(failed_at, 0)
         if not report.passed and bt.k_max > 0 and b < bt.k_max:
             history.intermediates.append(
-                _intermediate(res, report, program, kernels, p, reaction, b, u_d_next, store_intermediate_fields)
+                _intermediate(res, report, program, kernels, p, reaction, b, u_d_next)
             )
             while not report.passed and b < bt.k_max and n > 0:
                 n -= 1
@@ -280,7 +277,7 @@ def run(
                     return history
                 guess_u, guess_a = res.u, res.a
                 history.intermediates.append(
-                    _intermediate(res, report, program, kernels, p, reaction, b, u_d_next, store_intermediate_fields)
+                    _intermediate(res, report, program, kernels, p, reaction, b, u_d_next)
                 )
             consumed[failed_at] = b
 
@@ -334,7 +331,6 @@ def _intermediate(
     reaction,
     b: int,
     u_d_next,
-    keep_fields: bool,
 ) -> IntermediateRecord:
     rec = IntermediateRecord(
         target_step=report.step + 1,
@@ -348,7 +344,4 @@ def _intermediate(
     if reaction is not None:
         tag, direction = reaction
         rec.reaction = reaction_force(res.u, u_d_next, res.a, kernels, p, tag, direction)
-    if keep_fields:
-        rec.u = res.u.copy()
-        rec.a = res.a.copy()
     return rec

@@ -6,14 +6,20 @@ damage has one dof per node.  The total displacement field is always the sum
 ``U + U_D`` of the free vector U (zero on constrained dofs) and the Dirichlet
 lifting U_D (prescribed values on constrained dofs, zero elsewhere).
 
-Assembly is vectorized over elements with a fixed element-order reduction
-(``np.add.at`` / duplicate-summing COO), so identical inputs produce bitwise
-identical residuals and matrices.
+Assembly is vectorized over elements.  Vectors and matrices are summed by
+``np.bincount`` in element order, so identical inputs produce bitwise
+identical residuals and matrices.  Each matrix has a sparsity pattern built
+once, on its first assembly, and kept on the kernels: the CSC index arrays
+plus the data slot of every element entry, so assembling is a single
+``bincount`` into the data array.  The displacement pattern covers the free
+dofs of one ``DofMap``; the damage pattern covers all nodes and comes with the
+element blocks that do not depend on the state (gradient stiffness and P1
+mass products).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,10 +46,8 @@ __all__ = [
     "strain_voigt",
     "beta_at_qp",
     "internal_force_u",
-    "residual_u",
-    "residual_beta",
-    "tangent_u",
-    "tangent_beta",
+    "residual_and_tangent_u",
+    "residual_and_tangent_beta",
     "reaction_force",
 ]
 
@@ -115,6 +119,10 @@ class ElementKernels:
     wj: np.ndarray
     measures: np.ndarray
     udofs: np.ndarray
+    # assembly data built on first use: [(dofmap, pattern)] for the
+    # displacement tangent, and the damage pattern with its constant blocks
+    u_patterns: list = field(default_factory=list, repr=False)
+    damage: "DamageBlocks | None" = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -188,12 +196,13 @@ def build_kernels(mesh: Mesh) -> ElementKernels:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DofMap:
     """Free/constrained partition of the displacement dofs.
 
     The constrained dofs carry the lifting values U_D per load step; the
-    free system is solved by row/column elimination.
+    free system is solved by row/column elimination.  Frozen, because the
+    tangent pattern built for it is cached.
     """
 
     dim: int
@@ -249,152 +258,150 @@ def _degradation_weights(kernels: ElementKernels, a: np.ndarray, p: MaterialPara
     return np.einsum("eq,eq->e", kernels.wj, r_qp)
 
 
+def _nodal_sum(edofs: np.ndarray, f_e: np.ndarray, n: int) -> np.ndarray:
+    """Sum element vectors into a global vector, in element order."""
+    return np.bincount(edofs.ravel(), weights=f_e.ravel(), minlength=n)
+
+
+def _force(eps, a, kernels: ElementKernels, p: MaterialParams):
+    """Unconstrained internal force and the degradation weights."""
+    sig_p, sig_m = sigma_split(eps, p)
+    sp_v = stress_voigt_from_tensor(sig_p, kernels.dim)
+    sm_v = stress_voigt_from_tensor(sig_m, kernels.dim)
+    rw = _degradation_weights(kernels, a, p)
+    sig_eff = rw[:, None] * sp_v + kernels.measures[:, None] * sm_v
+    f_e = np.einsum("evd,ev->ed", kernels.b_u, sig_eff)
+    return _nodal_sum(kernels.udofs, f_e, kernels.dim * kernels.mesh.n_nodes), rw
+
+
 def internal_force_u(u, u_d, a, kernels: ElementKernels, p: MaterialParams) -> np.ndarray:
     """Unconstrained internal force vector over all displacement dofs."""
     eps = strain_tensor_from_voigt(strain_voigt(kernels, u + u_d), kernels.dim)
-    sig_p, sig_m = sigma_split(eps, p)
-    sp_v = stress_voigt_from_tensor(sig_p, kernels.dim)
-    sm_v = stress_voigt_from_tensor(sig_m, kernels.dim)
-    rw = _degradation_weights(kernels, a, p)
-    sig_eff = rw[:, None] * sp_v + kernels.measures[:, None] * sm_v
-    f_e = np.einsum("evd,ev->ed", kernels.b_u, sig_eff)
-    out = np.zeros(kernels.dim * kernels.mesh.n_nodes)
-    np.add.at(out, kernels.udofs.ravel(), f_e.ravel())
-    return out
+    return _force(eps, a, kernels, p)[0]
 
 
-def residual_u(u, u_d, a, kernels, p, dofmap: DofMap) -> np.ndarray:
-    """Displacement residual restricted to the free dofs (zero external
-    load: Dirichlet-driven problems only)."""
-    return internal_force_u(u, u_d, a, kernels, p)[dofmap.free]
+@dataclass(frozen=True)
+class SparsityPattern:
+    """CSC structure of an element-assembled n x n matrix.
+
+    ``slot`` gives the position in the data array of each element-matrix
+    entry, in ``k_e.ravel()`` order; entries on dofs left out of the system
+    go one past the end and are dropped.  The pattern is symmetric, so its
+    CSC and CSR index arrays coincide.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def from_element_dofs(cls, edofs: np.ndarray, n: int, keep_map=None) -> "SparsityPattern":
+        """Pattern of the entries coupling the dofs of each element.
+
+        ``keep_map`` renumbers dofs into the system (-1 for dofs left out).
+        """
+        nd = edofs.shape[1]
+        rows = np.broadcast_to(edofs[:, :, None], (edofs.shape[0], nd, nd)).ravel()
+        cols = np.broadcast_to(edofs[:, None, :], (edofs.shape[0], nd, nd)).ravel()
+        if keep_map is not None:
+            rows, cols = keep_map[rows], keep_map[cols]
+        keep = (rows >= 0) & (cols >= 0)
+        keys, inverse = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+        slot = np.full(rows.size, keys.size, dtype=np.intp)
+        slot[keep] = inverse
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        # let scipy choose the index dtype once, so assembly never converts
+        proto = sp.csc_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
+        return cls(n=n, indptr=proto.indptr, indices=proto.indices, slot=slot)
+
+    def assemble(self, k_e: np.ndarray) -> sp.csc_matrix:
+        """Sum element matrices (n_e, nd, nd) into a CSC matrix."""
+        nnz = self.indices.size
+        data = np.bincount(self.slot, weights=k_e.ravel(), minlength=nnz + 1)[:nnz]
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
-def residual_beta(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams) -> np.ndarray:
-    """Damage residual over all damage dofs (one per node)."""
-    eps = strain_tensor_from_voigt(strain_voigt(kernels, u + u_d), kernels.dim)
-    psi_p, _ = psi_split(eps, p)
+@dataclass(frozen=True)
+class DamageBlocks:
+    """State-independent parts of the damage system, per kernels."""
 
-    beta_qp = beta_at_qp(kernels, a)
-    _, dr_qp = degradation(beta_qp, p)
-    gap_qp = (a - a_n)[kernels.elements] @ kernels.shape_qp.T
-    pen_qp = np.minimum(gap_qp, 0.0) / p.eps_pen
-    if p.dissipation == AT2:
-        diss_qp = (p.gc / p.ell) * beta_qp
-    else:
-        diss_qp = (p.kappa * p.gc / p.ell) * np.ones_like(beta_qp)
-
-    s_qp = dr_qp * psi_p[:, None] + diss_qp + pen_qp
-    f_e = np.einsum("eq,qi->ei", kernels.wj * s_qp, kernels.shape_qp)
-
-    bb = np.einsum("edi,edj->eij", kernels.b_beta, kernels.b_beta)
-    a_e = a[kernels.elements]
-    f_e += (p.gc * p.ell) * kernels.measures[:, None] * np.einsum("eij,ej->ei", bb, a_e)
-
-    out = np.zeros(kernels.mesh.n_nodes)
-    np.add.at(out, kernels.elements.ravel(), f_e.ravel())
-    return out
+    pattern: SparsityPattern
+    grad: np.ndarray  # (n_e, nen, nen): |e| B^T B, the gradient stiffness over gc*ell
+    mass: np.ndarray  # (nqp, nen*nen): N_q N_q^T, the P1 mass product per point
 
 
-def _assemble(rows, cols, vals, n, keep_map=None) -> sp.csr_matrix:
-    """COO->CSR assembly; duplicate entries sum in canonical order."""
-    rows = rows.ravel()
-    cols = cols.ravel()
-    vals = vals.ravel()
-    if keep_map is not None:
-        r = keep_map[rows]
-        c = keep_map[cols]
-        keep = (r >= 0) & (c >= 0)
-        rows, cols, vals = r[keep], c[keep], vals[keep]
-        n = int(keep_map.max()) + 1
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+def u_pattern(kernels: ElementKernels, dofmap: DofMap) -> SparsityPattern:
+    """Displacement-tangent pattern over the free dofs of ``dofmap``.
 
-
-def _tangent_u_from_parts(cp, cm, rw, kernels, dofmap) -> sp.csr_matrix:
-    c_e = rw[:, None, None] * cp + kernels.measures[:, None, None] * cm
-    k_e = np.einsum("evi,evj->eij", kernels.b_u, c_e @ kernels.b_u)
-
-    nd = kernels.udofs.shape[1]
-    rows = np.repeat(kernels.udofs, nd, axis=1)
-    cols = np.tile(kernels.udofs, (1, nd))
-
+    Cached on the kernels per DofMap object; holding the DofMap keeps its
+    identity from being reused by another.
+    """
+    for owner, pattern in kernels.u_patterns:
+        if owner is dofmap:
+            return pattern
     keep_map = -np.ones(dofmap.n_dofs, dtype=np.int64)
     keep_map[dofmap.free] = np.arange(dofmap.free.size)
-    return _assemble(rows, cols, k_e, dofmap.n_dofs, keep_map=keep_map)
+    pattern = SparsityPattern.from_element_dofs(kernels.udofs, dofmap.free.size, keep_map)
+    kernels.u_patterns.append((dofmap, pattern))
+    return pattern
 
 
-def tangent_u(u, u_d, a, kernels: ElementKernels, p: MaterialParams, dofmap: DofMap) -> sp.csr_matrix:
-    """Consistent displacement tangent over the free dofs (sparse, SPD for
-    damage below one and k > 0)."""
-    eps = strain_tensor_from_voigt(strain_voigt(kernels, u + u_d), kernels.dim)
-    cp, cm = tangent_split(eps, p)
-    rw = _degradation_weights(kernels, a, p)
-    return _tangent_u_from_parts(cp, cm, rw, kernels, dofmap)
+def damage_blocks(kernels: ElementKernels) -> DamageBlocks:
+    """Damage pattern and constant element blocks, built on first use."""
+    if kernels.damage is None:
+        bb = np.einsum("edi,edj->eij", kernels.b_beta, kernels.b_beta)
+        n = kernels.shape_qp
+        kernels.damage = DamageBlocks(
+            pattern=SparsityPattern.from_element_dofs(kernels.elements, kernels.mesh.n_nodes),
+            grad=kernels.measures[:, None, None] * bb,
+            mass=(n[:, :, None] * n[:, None, :]).reshape(n.shape[0], -1),
+        )
+    return kernels.damage
 
 
 def residual_and_tangent_u(u, u_d, a, kernels: ElementKernels, p: MaterialParams, dofmap: DofMap):
-    """Residual and tangent in one pass (shared strain evaluation and
-    spectral decomposition; the Newton loops' hot path)."""
-    eps = strain_tensor_from_voigt(strain_voigt(kernels, u + u_d), kernels.dim)
-    sig_p, sig_m = sigma_split(eps, p)
-    sp_v = stress_voigt_from_tensor(sig_p, kernels.dim)
-    sm_v = stress_voigt_from_tensor(sig_m, kernels.dim)
-    rw = _degradation_weights(kernels, a, p)
-    sig_eff = rw[:, None] * sp_v + kernels.measures[:, None] * sm_v
-    f_e = np.einsum("evd,ev->ed", kernels.b_u, sig_eff)
-    full = np.zeros(kernels.dim * kernels.mesh.n_nodes)
-    np.add.at(full, kernels.udofs.ravel(), f_e.ravel())
+    """Displacement residual and consistent tangent over the free dofs (zero
+    external load: Dirichlet-driven problems only).
 
+    The strain and its spectral split are shared by both; the tangent is a
+    CSC matrix, SPD for damage below one and k > 0.
+    """
+    eps = strain_tensor_from_voigt(strain_voigt(kernels, u + u_d), kernels.dim)
+    full, rw = _force(eps, a, kernels, p)
     cp, cm = tangent_split(eps, p)
-    return full[dofmap.free], _tangent_u_from_parts(cp, cm, rw, kernels, dofmap)
-
-
-def _tangent_beta_from_parts(psi_p, gap_qp, kernels, p) -> sp.csr_matrix:
-    active = (gap_qp < 0.0).astype(np.float64)
-    coeff_qp = 2.0 * psi_p[:, None] + active / p.eps_pen
-    if p.dissipation == AT2:
-        coeff_qp = coeff_qp + p.gc / p.ell
-
-    k_e = np.einsum("eq,qi,qj->eij", kernels.wj * coeff_qp, kernels.shape_qp, kernels.shape_qp)
-    bb = np.einsum("edi,edj->eij", kernels.b_beta, kernels.b_beta)
-    k_e = k_e + (p.gc * p.ell) * kernels.measures[:, None, None] * bb
-
-    nen = kernels.elements.shape[1]
-    rows = np.repeat(kernels.elements, nen, axis=1)
-    cols = np.tile(kernels.elements, (1, nen))
-    return _assemble(rows, cols, k_e, kernels.mesh.n_nodes)
-
-
-def tangent_beta(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams) -> sp.csr_matrix:
-    """Damage tangent: tensile-energy/dissipation mass + gradient stiffness
-    + active-set penalty mass (generalized derivative of the negative part)."""
-    eps = strain_tensor_from_voigt(strain_voigt(kernels, u + u_d), kernels.dim)
-    psi_p, _ = psi_split(eps, p)
-    gap_qp = (a - a_n)[kernels.elements] @ kernels.shape_qp.T
-    return _tangent_beta_from_parts(psi_p, gap_qp, kernels, p)
+    c_e = rw[:, None, None] * cp + kernels.measures[:, None, None] * cm
+    k_e = np.einsum("evi,evj->eij", kernels.b_u, c_e @ kernels.b_u)
+    return full[dofmap.free], u_pattern(kernels, dofmap).assemble(k_e)
 
 
 def residual_and_tangent_beta(psi_p, a, a_n, kernels: ElementKernels, p: MaterialParams):
-    """Damage residual and tangent from a precomputed tensile energy density
-    (constant per element at fixed displacement, the beta-Newton hot path)."""
+    """Damage residual and tangent over all damage dofs (one per node), from
+    the tensile energy density per element (constant at fixed displacement).
+
+    The tangent is the tensile-energy/dissipation mass plus the gradient
+    stiffness plus the active-set penalty mass (generalized derivative of the
+    negative part); a CSC matrix.
+    """
+    blk = damage_blocks(kernels)
     beta_qp = beta_at_qp(kernels, a)
     _, dr_qp = degradation(beta_qp, p)
     gap_qp = (a - a_n)[kernels.elements] @ kernels.shape_qp.T
     pen_qp = np.minimum(gap_qp, 0.0) / p.eps_pen
+    coeff_qp = 2.0 * psi_p[:, None] + (gap_qp < 0.0) / p.eps_pen
     if p.dissipation == AT2:
         diss_qp = (p.gc / p.ell) * beta_qp
+        coeff_qp = coeff_qp + p.gc / p.ell
     else:
         diss_qp = (p.kappa * p.gc / p.ell) * np.ones_like(beta_qp)
 
     s_qp = dr_qp * psi_p[:, None] + diss_qp + pen_qp
-    f_e = np.einsum("eq,qi->ei", kernels.wj * s_qp, kernels.shape_qp)
-    bb = np.einsum("edi,edj->eij", kernels.b_beta, kernels.b_beta)
-    a_e = a[kernels.elements]
-    f_e += (p.gc * p.ell) * kernels.measures[:, None] * np.einsum("eij,ej->ei", bb, a_e)
-    out = np.zeros(kernels.mesh.n_nodes)
-    np.add.at(out, kernels.elements.ravel(), f_e.ravel())
-
-    return out, _tangent_beta_from_parts(psi_p, gap_qp, kernels, p)
+    f_e = (kernels.wj * s_qp) @ kernels.shape_qp
+    f_e += (p.gc * p.ell) * np.einsum("eij,ej->ei", blk.grad, a[kernels.elements])
+    k_e = (kernels.wj * coeff_qp) @ blk.mass
+    k_e += (p.gc * p.ell) * blk.grad.reshape(k_e.shape)
+    return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes), blk.pattern.assemble(k_e)
 
 
 def reaction_force(u, u_d, a, kernels: ElementKernels, p: MaterialParams, set_tag: str, direction) -> float:

@@ -44,10 +44,12 @@ AT1 = "AT1"
 # repeated-eigenvalue limit formula.
 _GAP_REL = 1e-9
 
-# Voigt component order (xx, yy, zz, yz, xz, xy); 2-D uses rows/cols (0, 1, 5).
-_VOIGT_I = np.array([0, 1, 2, 1, 0, 0])
-_VOIGT_J = np.array([0, 1, 2, 2, 2, 1])
-_PLANE_IDX = np.array([0, 1, 5])
+# Tensor indices (i_k, j_k) of the Voigt components k, per dimension:
+# (xx, yy, xy) in 2-D, (xx, yy, zz, yz, xz, xy) in 3-D.
+_VOIGT_I = {2: np.array([0, 1, 0]), 3: np.array([0, 1, 2, 1, 0, 0])}
+_VOIGT_J = {2: np.array([0, 1, 1]), 3: np.array([0, 1, 2, 2, 2, 1])}
+# Eigenvector pairs (a, b) with a shear term; the in-plane pair only in 2-D.
+_PAIRS = {2: (np.array([0]), np.array([1])), 3: (np.array([0, 0, 1]), np.array([1, 2, 2]))}
 
 
 @dataclass(frozen=True)
@@ -244,58 +246,51 @@ def stress(eps: np.ndarray, beta, p: MaterialParams) -> np.ndarray:
     return np.asarray(r)[..., None, None] * sig_p + sig_m
 
 
-def _voigt_from_c4(c4: np.ndarray, d: int) -> np.ndarray:
-    cv = c4[..., _VOIGT_I[:, None], _VOIGT_J[:, None], _VOIGT_I[None, :], _VOIGT_J[None, :]]
-    if d == 2:
-        cv = cv[..., _PLANE_IDX[:, None], _PLANE_IDX[None, :]]
-    return cv
-
-
 def tangent_split(eps: np.ndarray, p: MaterialParams):
     """Tangents of the split stresses: (d sigma0_+/d eps, d sigma0_-/d eps).
 
     Both in engineering-shear Voigt form (3x3 over (xx, yy, xy) in 2-D,
-    6x6 over (xx, yy, zz, yz, xz, xy) in 3-D), built from eigenprojection
-    derivatives.  Near-repeated eigenvalues (gap below 1e-9*(1+|eps|)) use
-    the coalesced-pair limit of the shear coefficient.
+    6x6 over (xx, yy, zz, yz, xz, xy) in 3-D), built directly from the
+    eigenpairs (Miehe, Welschinger & Hofacker 2010, IJNME 83:1273):
+
+        C = M^T D M + sum_{a<b} 1/2 g_ab P_ab P_ab^T,
+
+    with M_a[k] = n_a[i_k] n_a[j_k] the Voigt form of n_a (x) n_a,
+    P_ab[k] = n_a[i_k] n_b[j_k] + n_b[i_k] n_a[j_k], the normal block
+    D = lam h h^T + 2 mu diag(h) (h the branch indicator of each principal
+    strain) and the shear coefficient g_ab = (f_a - f_b) / (w_a - w_b) of the
+    principal stresses f.  In plane strain the out-of-plane direction e_z is
+    exact and has no in-plane component, so only the in-plane modes and their
+    one pair remain.  Near-repeated eigenvalues (gap below
+    1e-9*(1+|eps|)) use the coalesced-pair limit g_ab = 2 mu h.
     """
     eps = _check_sym(eps)
     d = eps.shape[-1]
     w, v = _eig_embedded(eps)
     fp, fm, hp, hm = _split_stress_coeffs(w, p)
-    lam, mu = p.lam, p.mu
 
-    # normal blocks: D_ab = d f_a / d w_b
-    idx = np.arange(3)
-    dp = lam * hp[..., :, None] * hp[..., None, :]
-    dp[..., idx, idx] += 2.0 * mu * hp
-    dm = lam * hm[..., :, None] * hm[..., None, :]
-    dm[..., idx, idx] += 2.0 * mu * hm
+    vi = v[..., _VOIGT_I[d], :d]  # (..., nv, modes): n_a[i_k]
+    vj = v[..., _VOIGT_J[d], :d]
+    m = vi * vj
+    a, b = _PAIRS[d]
+    pab = vi[..., a] * vj[..., b] + vi[..., b] * vj[..., a]
+    q = np.concatenate([m, pab], axis=-1)
+    qt = np.swapaxes(q, -1, -2)
 
-    def _transform(d_ab):
-        # sum_ab D_ab M_a (x) M_b, staged for a cheap contraction path
-        w_akl = np.einsum("...ab,...kb,...lb->...akl", d_ab, v, v)
-        return np.einsum("...ia,...ja,...akl->...ijkl", v, v, w_akl)
-
-    c4p = _transform(dp)
-    c4m = _transform(dm)
-
+    dw = w[..., a] - w[..., b]
     gap_tol = _GAP_REL * (1.0 + np.linalg.norm(eps, axis=(-2, -1)))
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        dw = w[..., a] - w[..., b]
-        small = np.abs(dw) < gap_tol
-        safe = np.where(small, 1.0, dw)
-        # coalesced limit: the lam coupling cancels, leaving 2 mu per branch
-        hbp = (0.5 * (w[..., a] + w[..., b]) > 0.0).astype(np.float64)
-        gp = np.where(small, 2.0 * mu * hbp, (fp[..., a] - fp[..., b]) / safe)
-        gm = np.where(small, 2.0 * mu * (1.0 - hbp), (fm[..., a] - fm[..., b]) / safe)
-        pab = np.einsum("...i,...j->...ij", v[..., :, a], v[..., :, b])
-        pab = pab + np.swapaxes(pab, -1, -2)
-        pp = np.einsum("...ij,...kl->...ijkl", pab, pab)
-        c4p = c4p + 0.5 * gp[..., None, None, None, None] * pp
-        c4m = c4m + 0.5 * gm[..., None, None, None, None] * pp
+    small = np.abs(dw) < gap_tol[..., None]
+    safe = np.where(small, 1.0, dw)
+    # coalesced limit: the lam coupling cancels, leaving 2 mu per branch
+    hbp = (0.5 * (w[..., a] + w[..., b]) > 0.0).astype(np.float64)
 
-    return _voigt_from_c4(c4p, d), _voigt_from_c4(c4m, d)
+    def branch(f, h, h_pair):
+        g = np.where(small, 2.0 * p.mu * h_pair, (f[..., a] - f[..., b]) / safe)
+        coef = np.concatenate([2.0 * p.mu * h[..., :d], 0.5 * g], axis=-1)
+        mh = m @ h[..., :d, None]
+        return (q * coef[..., None, :]) @ qt + p.lam * mh * np.swapaxes(mh, -1, -2)
+
+    return branch(fp, hp, hbp), branch(fm, hm, 1.0 - hbp)
 
 
 def tangent(eps: np.ndarray, beta, p: MaterialParams) -> np.ndarray:

@@ -78,6 +78,16 @@ class AltResult:
     clamp_max: float = 0.0
 
 
+def _eliminate(mat, pinned: np.ndarray) -> None:
+    """Decouple the pinned dofs of a CSC tangent in place: zero their rows
+    and columns and put 1 on their diagonal (which the assembled pattern
+    stores), so that with a zeroed right-hand side their increment is 0."""
+    rows = mat.indices
+    cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+    drop = pinned[rows] | pinned[cols]
+    mat.data[drop] = rows[drop] == cols[drop]
+
+
 def _box_newton(x0, system_fn, merit_fn, tol, max_newton, label, bounds=None):
     """Line-search-safeguarded (projected) Newton on a convex piecewise-smooth
     energy, optionally subject to box constraints.
@@ -85,8 +95,9 @@ def _box_newton(x0, system_fn, merit_fn, tol, max_newton, label, bounds=None):
     ``system_fn(x)`` returns the (residual, tangent) pair in one evaluation.
     Every applied increment must pass an Armijo test on the energy, so the
     iteration is strictly non-increasing; with bounds, dofs pinned at a bound
-    with an outward-pushing gradient are frozen out of the Newton system and
-    trial states follow the projection arc.  Returns (x, iterations).
+    with an outward-pushing gradient are eliminated from the Newton system
+    (unit rows and columns, zero right-hand side) and trial states follow the
+    projection arc.  Returns (x, iterations).
     Convergence: the applied increment max norm drops to ``tol``, or no
     energy descent is achievable along the Newton direction (nonsmooth
     minimizer).
@@ -105,22 +116,17 @@ def _box_newton(x0, system_fn, merit_fn, tol, max_newton, label, bounds=None):
         r, mat = system_fn(x)
         if bounds is not None:
             pinned = ((x <= lo) & (r > 0.0)) | ((x >= hi) & (r < 0.0))
-            free = np.flatnonzero(~pinned)
-        else:
-            free = None
-
-        dx = np.zeros_like(x)
-        try:
-            if free is None:
-                dx = factor_solve(mat, -r)
-                slope = float(np.dot(r, dx))  # -r^T K^{-1} r <= 0 for SPD tangents
-            elif free.size:
-                dx[free] = factor_solve(mat[free][:, free], -r[free])
-                slope = float(np.dot(r[free], dx[free]))
-            else:
+            if pinned.all():
                 return x, k  # every dof pinned at a bound
+            if pinned.any():
+                r = np.where(pinned, 0.0, r)
+                _eliminate(mat, pinned)
+
+        try:
+            dx = factor_solve(mat, -r)
         except LinearSolveError as exc:
             raise StepFailure(f"{label} linear solve failed: {exc}") from exc
+        slope = float(np.dot(r, dx))  # -r^T K^{-1} r <= 0 for SPD tangents
 
         e0 = merit_fn(x)
         t = 1.0

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from pffrac.fem import DofMap, build_kernels
+from pffrac.fem import DofMap, build_kernels, element_psi_split, residual_and_tangent_beta
 from pffrac.material import MaterialParams
 from pffrac.mesh import generate_structured
+
+# Property tests draw the same examples on every run, with no time limit.
+settings.register_profile("pffrac", derandomize=True, deadline=None)
+settings.load_profile("pffrac")
 
 
 @pytest.fixture
@@ -36,3 +41,9 @@ def random_state(mesh, rng, mag=1e-3):
     a_n = rng.uniform(0.0, 0.5, mesh.n_nodes)
     a = np.clip(a_n + rng.uniform(-0.2, 0.4, mesh.n_nodes), 0.0, 1.0)
     return u, a, a_n
+
+
+def damage_system(u, u_d, a, a_n, kernels, p):
+    """Damage residual and tangent at the displacement u + u_d."""
+    psi_p, _ = element_psi_split(kernels, u + u_d, p)
+    return residual_and_tangent_beta(psi_p, a, a_n, kernels, p)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from pffrac import presets
 from pffrac.cli import config_from_setup, main, setup_from_config
 from pffrac.mesh import generate_structured, select_nodes, write_gmsh
 from pffrac.presets import load_preset
@@ -141,6 +142,25 @@ class TestCmdRun:
         run_log = json.loads((out / "run.json").read_text())
         assert run_log["config"]["backtrack"]["k_back"] == "0"
         assert run_log["config"]["program"]["n_steps"] == "2"
+
+    def test_preset_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = presets.load_preset
+
+        def counting(name, scale=1.0):
+            calls.append((name, scale))
+            return real(name, scale)
+
+        monkeypatch.setattr(presets, "load_preset", counting)
+        argv = ["run", "--preset", "sent", "--scale", "0.1", "--steps", "1", "--k-back", "0"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert calls == [("sent", 0.1)]
+        # an override of the scale builds the preset it names
+        calls.clear()
+        assert main(argv + ["--set", "run.scale=0.05", "--out", str(tmp_path / "b")]) == 0
+        assert calls == [("sent", 0.1), ("sent", 0.05)]
+        snap = (tmp_path / "b" / "snapshots" / "step_000000.vtk").read_text()
+        assert f"POINTS {real('sent', 0.05).mesh.n_nodes} double" in snap
 
 
 class TestCheckEnergy:

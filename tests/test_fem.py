@@ -1,25 +1,24 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import random_state
+from conftest import damage_system, random_state
 from pffrac.energetics import dis, erg, grad_term, penalty_energy
 from pffrac.fem import (
     DofMap,
     TET_RULE,
     TRI_RULE,
+    beta_at_qp,
     build_kernels,
+    damage_blocks,
     internal_force_u,
     reaction_force,
-    residual_and_tangent_beta,
     residual_and_tangent_u,
-    residual_beta,
-    residual_u,
     strain_voigt,
-    tangent_beta,
-    tangent_u,
+    u_pattern,
 )
-from pffrac.material import elastic_tensor, psi_split, strain_tensor_from_voigt
+from pffrac.material import degradation, elastic_tensor, psi_split, strain_tensor_from_voigt, tangent_split
 from pffrac.mesh import generate_structured
 
 
@@ -81,7 +80,7 @@ class TestResidualU:
     def test_zero_state(self, two_elem, sent_params):
         mesh, kern, dm = two_elem
         z = np.zeros(2 * mesh.n_nodes)
-        r = residual_u(z, z, np.ones(mesh.n_nodes) * 0.3, kern, sent_params, dm)
+        r = residual_and_tangent_u(z, z, np.ones(mesh.n_nodes) * 0.3, kern, sent_params, dm)[0]
         assert np.all(r == 0.0)
 
     def test_undamaged_compressive_is_linear(self, sent_params):
@@ -95,7 +94,7 @@ class TestResidualU:
         u_d[1::2] = -1e-3 * mesh.nodes[:, 1]  # uniform compression
         u = np.zeros_like(u_d)
         a = np.zeros(mesh.n_nodes)
-        r = residual_u(u, u_d, a, kern, sent_params, dm)
+        r = residual_and_tangent_u(u, u_d, a, kern, sent_params, dm)[0]
         assert np.allclose(r, k_el @ u_d, rtol=1e-12, atol=1e-12)
 
     def test_fd_gradient_of_erg(self, two_elem, sent_params, rng):
@@ -103,7 +102,7 @@ class TestResidualU:
         for _ in range(5):
             u, a, _ = random_state(mesh, rng)
             u_d = 1e-4 * rng.normal(size=u.size)
-            r = residual_u(u, u_d, a, kern, sent_params, dm)
+            r = residual_and_tangent_u(u, u_d, a, kern, sent_params, dm)[0]
             h = 1e-7
             fd = np.zeros_like(r)
             for i in range(u.size):
@@ -119,7 +118,7 @@ class TestResidualBeta:
         mesh, kern, _ = two_elem
         z = np.zeros(2 * mesh.n_nodes)
         a = np.zeros(mesh.n_nodes)
-        r = residual_beta(z, z, a, a, kern, sent_params)
+        r = damage_system(z, z, a, a, kern, sent_params)[0]
         assert np.all(r == 0.0)
 
     def test_uniform_state_scalar_defect(self, sent_params):
@@ -131,7 +130,7 @@ class TestResidualBeta:
         u_d[1::2] = 2e-3 * mesh.nodes[:, 1]
         beta = 0.17
         a = np.full(mesh.n_nodes, beta)
-        r = residual_beta(np.zeros_like(u_d), u_d, a, np.zeros(mesh.n_nodes), kern, sent_params)
+        r = damage_system(np.zeros_like(u_d), u_d, a, np.zeros(mesh.n_nodes), kern, sent_params)[0]
         eps = strain_tensor_from_voigt(np.array([0.0, 2e-3, 0.0]), 2)
         psi_p, _ = psi_split(eps, sent_params)
         defect = -2 * (1 - beta) * psi_p + sent_params.gc / sent_params.ell * beta
@@ -142,12 +141,12 @@ class TestResidualBeta:
         u, a, a_n = random_state(mesh, rng)
         a = a_n - 0.1  # uniformly violating
         u_d = np.zeros_like(u)
-        r_pen = residual_beta(u, u_d, a, a_n, kern, sent_params)
+        r_pen = damage_system(u, u_d, a, a_n, kern, sent_params)[0]
         p_free = type(sent_params)(
             lam=sent_params.lam, mu=sent_params.mu, gc=sent_params.gc,
             ell=sent_params.ell, k=sent_params.k, eps_pen=1e30,
         )
-        r_nopen = residual_beta(u, u_d, a, a_n, kern, p_free)
+        r_nopen = damage_system(u, u_d, a, a_n, kern, p_free)[0]
         gap_qp = (a - a_n)[kern.elements] @ kern.shape_qp.T
         pen_e = np.einsum("eq,qi->ei", kern.wj * np.minimum(gap_qp, 0.0), kern.shape_qp)
         expect = np.zeros(mesh.n_nodes)
@@ -173,7 +172,7 @@ class TestResidualBeta:
             gap_qp = (a - a_n)[kern.elements] @ kern.shape_qp.T
             if np.abs(gap_qp).min() <= 1e-6:  # keep away from the penalty kink
                 a = a + 2e-6
-            r = residual_beta(u, u_d, a, a_n, kern, p)
+            r = damage_system(u, u_d, a, a_n, kern, p)[0]
             h = 1e-7
             fd = np.zeros_like(r)
             for i in range(a.size):
@@ -191,7 +190,7 @@ class TestTangents:
         dm = DofMap.from_constraints(mesh, [])
         u_d = np.zeros(2 * mesh.n_nodes)
         u_d[1::2] = -1e-3 * mesh.nodes[:, 1]
-        k = tangent_u(np.zeros_like(u_d), u_d, np.zeros(mesh.n_nodes), kern, sent_params, dm)
+        k = residual_and_tangent_u(np.zeros_like(u_d), u_d, np.zeros(mesh.n_nodes), kern, sent_params, dm)[1]
         k_el = dense_elastic_stiffness(mesh, kern, sent_params)
         assert np.allclose(k.toarray(), k_el, rtol=1e-12)
 
@@ -199,7 +198,7 @@ class TestTangents:
         mesh, kern, dm = two_elem
         u, a, _ = random_state(mesh, rng)
         u_d = np.zeros_like(u)
-        k = tangent_u(u, u_d, a, kern, sent_params, dm).toarray()
+        k = residual_and_tangent_u(u, u_d, a, kern, sent_params, dm)[1].toarray()
         h = 1e-7
         fd = np.zeros_like(k)
         for i in range(u.size):
@@ -207,8 +206,8 @@ class TestTangents:
             up[i] += h
             um[i] -= h
             fd[:, i] = (
-                residual_u(up, u_d, a, kern, sent_params, dm)
-                - residual_u(um, u_d, a, kern, sent_params, dm)
+                residual_and_tangent_u(up, u_d, a, kern, sent_params, dm)[0]
+                - residual_and_tangent_u(um, u_d, a, kern, sent_params, dm)[0]
             ) / (2 * h)
         assert np.abs(k - fd).max() <= 1e-4 * np.abs(k).max()
         assert np.abs(k - k.T).max() <= 1e-10 * np.abs(k).max()
@@ -218,14 +217,14 @@ class TestTangents:
         kern = build_kernels(mesh)
         dm_free = DofMap.from_constraints(mesh, [])
         u, a = np.zeros(2 * mesh.n_nodes), np.full(mesh.n_nodes, 0.4)
-        k = tangent_u(u, u, a, kern, sent_params, dm_free)
+        k = residual_and_tangent_u(u, u, a, kern, sent_params, dm_free)[1]
         for c in range(2):
             v = np.zeros(2 * mesh.n_nodes)
             v[c::2] = 1.0
             assert np.abs(k @ v).max() < 1e-9  # translations before constraints
         bottom = mesh.node_sets["ymin"]
         dm = DofMap.from_constraints(mesh, [(bottom, 0), (bottom, 1)])
-        k_c = tangent_u(u, u, a, kern, sent_params, dm)
+        k_c = residual_and_tangent_u(u, u, a, kern, sent_params, dm)[1]
         spla.splu(k_c.tocsc())  # factorization succeeds -> SPD at desk scale
 
     def test_tangent_beta_fd(self, two_elem, sent_params, rng):
@@ -235,7 +234,7 @@ class TestTangents:
         gap_qp = (a - a_n)[kern.elements] @ kern.shape_qp.T
         if np.abs(gap_qp).min() <= 1e-6:
             a = a + 2e-6
-        k = tangent_beta(u, u_d, a, a_n, kern, sent_params).toarray()
+        k = damage_system(u, u_d, a, a_n, kern, sent_params)[1].toarray()
         h = 1e-7
         fd = np.zeros_like(k)
         for i in range(a.size):
@@ -243,8 +242,8 @@ class TestTangents:
             ap[i] += h
             am[i] -= h
             fd[:, i] = (
-                residual_beta(u, u_d, ap, a_n, kern, sent_params)
-                - residual_beta(u, u_d, am, a_n, kern, sent_params)
+                damage_system(u, u_d, ap, a_n, kern, sent_params)[0]
+                - damage_system(u, u_d, am, a_n, kern, sent_params)[0]
             ) / (2 * h)
         assert np.abs(k - fd).max() <= 1e-4 * np.abs(k).max()
 
@@ -253,8 +252,8 @@ class TestTangents:
         z = np.zeros(2 * mesh.n_nodes)
         a_n = np.full(mesh.n_nodes, 0.5)
         a = np.full(mesh.n_nodes, 0.2)  # gap negative everywhere
-        k_act = tangent_beta(z, z, a, a_n, kern, sent_params).toarray()
-        k_off = tangent_beta(z, z, a, a, kern, sent_params).toarray()
+        k_act = damage_system(z, z, a, a_n, kern, sent_params)[1].toarray()
+        k_off = damage_system(z, z, a, a, kern, sent_params)[1].toarray()
         mass = np.einsum("eq,qi,qj->eij", kern.wj, kern.shape_qp, kern.shape_qp)
         m = np.zeros((mesh.n_nodes, mesh.n_nodes))
         for e in range(mesh.n_elements):
@@ -263,18 +262,61 @@ class TestTangents:
                     m[gi, gj] += mass[e, i, j]
         assert np.allclose(k_act - k_off, m / sent_params.eps_pen, rtol=1e-12)
 
-    def test_combined_evaluations_match(self, two_elem, sent_params, rng):
-        mesh, kern, dm = two_elem
+    def test_pattern_assembly_matches_coo_reference(self, sent_params, rng):
+        # cached-pattern assembly against COO->CSR built here, per DofMap
+        mesh = generate_structured(2, [1.0, 1.0], [3, 3])
+        kern = build_kernels(mesh)
+        p = sent_params
         u, a, a_n = random_state(mesh, rng)
         u_d = 1e-4 * rng.normal(size=u.size)
-        r1, k1 = residual_and_tangent_u(u, u_d, a, kern, sent_params, dm)
-        assert np.array_equal(r1, residual_u(u, u_d, a, kern, sent_params, dm))
-        assert np.array_equal(k1.toarray(), tangent_u(u, u_d, a, kern, sent_params, dm).toarray())
+
         eps = strain_tensor_from_voigt(strain_voigt(kern, u + u_d), 2)
-        psi_p, _ = psi_split(eps, sent_params)
-        r2, k2 = residual_and_tangent_beta(psi_p, a, a_n, kern, sent_params)
-        assert np.array_equal(r2, residual_beta(u, u_d, a, a_n, kern, sent_params))
-        assert np.array_equal(k2.toarray(), tangent_beta(u, u_d, a, a_n, kern, sent_params).toarray())
+        cp, cm = tangent_split(eps, p)
+        rw = np.einsum("eq,eq->e", kern.wj, degradation(beta_at_qp(kern, a), p)[0])
+        c_e = rw[:, None, None] * cp + kern.measures[:, None, None] * cm
+        k_e = np.einsum("evi,evw,ewj->eij", kern.b_u, c_e, kern.b_u)
+        rows = np.repeat(kern.udofs, 6, axis=1).ravel()
+        cols = np.tile(kern.udofs, (1, 6)).ravel()
+        full = sp.coo_matrix((k_e.ravel(), (rows, cols)), shape=(u.size, u.size)).tocsr()
+
+        def check(dm):
+            k = residual_and_tangent_u(u, u_d, a, kern, p, dm)[1]
+            ref = full[dm.free][:, dm.free].toarray()
+            assert k.format == "csc"
+            assert np.abs(k.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+            return k
+
+        bottom = mesh.node_sets["ymin"]
+        dm_a = DofMap.from_constraints(mesh, [(bottom, 0), (bottom, 1)])
+        dm_b = DofMap.from_constraints(mesh, [(bottom, 0), (bottom, 1)])
+        dm_c = DofMap.from_constraints(mesh, [(bottom, 1)])
+        k1, k2 = check(dm_a), check(dm_a)
+        # reused across calls: both matrices index the one cached pattern
+        pat = u_pattern(kern, dm_a)
+        assert np.shares_memory(k1.indices, pat.indices)
+        assert np.shares_memory(k2.indices, pat.indices)
+        # equal but distinct DofMaps, and different ones, never share
+        check(dm_b)
+        check(dm_c)
+        assert u_pattern(kern, dm_b) is not pat
+        assert u_pattern(kern, dm_c).n == dm_c.free.size != pat.n
+        assert [id(d) for d, _ in kern.u_patterns] == [id(dm_a), id(dm_b), id(dm_c)]
+
+        psi_p, _ = psi_split(eps, p)
+        gap_qp = (a - a_n)[kern.elements] @ kern.shape_qp.T
+        coeff = 2.0 * psi_p[:, None] + (gap_qp < 0.0) / p.eps_pen + p.gc / p.ell
+        bb = np.einsum("edi,edj->eij", kern.b_beta, kern.b_beta)
+        kb_e = np.einsum("eq,qi,qj->eij", kern.wj * coeff, kern.shape_qp, kern.shape_qp)
+        kb_e += p.gc * p.ell * kern.measures[:, None, None] * bb
+        rows = np.repeat(kern.elements, 3, axis=1).ravel()
+        cols = np.tile(kern.elements, (1, 3)).ravel()
+        ref_b = sp.coo_matrix((kb_e.ravel(), (rows, cols)), shape=(a.size, a.size)).toarray()
+        kb1 = damage_system(u, u_d, a, a_n, kern, p)[1]
+        kb2 = damage_system(u, u_d, a, a_n, kern, p)[1]
+        assert kb1.format == "csc"
+        assert np.abs(kb1.toarray() - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
+        assert damage_blocks(kern) is kern.damage
+        assert np.shares_memory(kb1.indices, kb2.indices)
 
 
 class TestDeterminismAndReaction:
@@ -282,12 +324,14 @@ class TestDeterminismAndReaction:
         mesh, kern, dm = two_elem
         u, a, a_n = random_state(mesh, rng)
         u_d = 1e-4 * rng.normal(size=u.size)
-        r1 = residual_u(u, u_d, a, kern, sent_params, dm)
-        r2 = residual_u(u, u_d, a, kern, sent_params, dm)
+        r1, k1 = residual_and_tangent_u(u, u_d, a, kern, sent_params, dm)
+        r2, k2 = residual_and_tangent_u(u, u_d, a, kern, sent_params, dm)
         assert np.array_equal(r1, r2)
-        b1 = residual_beta(u, u_d, a, a_n, kern, sent_params)
-        b2 = residual_beta(u, u_d, a, a_n, kern, sent_params)
+        assert np.array_equal(k1.data, k2.data)
+        b1, kb1 = damage_system(u, u_d, a, a_n, kern, sent_params)
+        b2, kb2 = damage_system(u, u_d, a, a_n, kern, sent_params)
         assert np.array_equal(b1, b2)
+        assert np.array_equal(kb1.data, kb2.data)
 
     def test_reaction_zero_state(self, sent_params):
         mesh = generate_structured(2, [1.0, 1.0], [2, 2])

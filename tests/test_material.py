@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pffrac.material import (
+    _GAP_REL,
     MaterialParams,
+    _eig_embedded,
+    _split_stress_coeffs,
     degradation,
     elastic_tensor,
     psi_split,
@@ -12,6 +17,7 @@ from pffrac.material import (
     stress,
     stress_voigt_from_tensor,
     tangent,
+    tangent_split,
 )
 
 
@@ -251,3 +257,111 @@ class TestTangent:
         batch = tangent(eps, beta, sent_params)
         for i in range(7):
             assert np.allclose(batch[i], tangent(eps[i], beta[i], sent_params))
+
+
+def tangent_split_c4(eps, p):
+    """Reference split tangents through fourth-order tensors: sum
+    D_ab M_a (x) M_b and 1/2 g_ab P_ab (x) P_ab as 3x3x3x3 arrays over all
+    three eigenpairs of the embedding, then read out the Voigt entries."""
+    eps = np.asarray(eps, dtype=np.float64)
+    d = eps.shape[-1]
+    w, v = _eig_embedded(eps)
+    fp, fm, hp, hm = _split_stress_coeffs(w, p)
+    idx = np.arange(3)
+    dp = p.lam * hp[..., :, None] * hp[..., None, :]
+    dp[..., idx, idx] += 2.0 * p.mu * hp
+    dm = p.lam * hm[..., :, None] * hm[..., None, :]
+    dm[..., idx, idx] += 2.0 * p.mu * hm
+    c4p = np.einsum("...ab,...ia,...ja,...kb,...lb->...ijkl", dp, v, v, v, v)
+    c4m = np.einsum("...ab,...ia,...ja,...kb,...lb->...ijkl", dm, v, v, v, v)
+
+    gap_tol = _GAP_REL * (1.0 + np.linalg.norm(eps, axis=(-2, -1)))
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        dw = w[..., a] - w[..., b]
+        small = np.abs(dw) < gap_tol
+        safe = np.where(small, 1.0, dw)
+        hbp = (0.5 * (w[..., a] + w[..., b]) > 0.0).astype(np.float64)
+        gp = np.where(small, 2.0 * p.mu * hbp, (fp[..., a] - fp[..., b]) / safe)
+        gm = np.where(small, 2.0 * p.mu * (1.0 - hbp), (fm[..., a] - fm[..., b]) / safe)
+        pab = np.einsum("...i,...j->...ij", v[..., :, a], v[..., :, b])
+        pab = pab + np.swapaxes(pab, -1, -2)
+        pp = np.einsum("...ij,...kl->...ijkl", pab, pab)
+        c4p = c4p + 0.5 * gp[..., None, None, None, None] * pp
+        c4m = c4m + 0.5 * gm[..., None, None, None, None] * pp
+
+    vi = np.array([0, 1, 2, 1, 0, 0])
+    vj = np.array([0, 1, 2, 2, 2, 1])
+    if d == 2:
+        vi, vj = vi[[0, 1, 5]], vj[[0, 1, 5]]
+    return tuple(c[..., vi[:, None], vj[:, None], vi[None, :], vj[None, :]] for c in (c4p, c4m))
+
+
+# fixed parameters: hypothesis runs one test body per example, so no
+# function-scoped fixtures
+P_SENT = MaterialParams.from_lame_kn(121.1538, 80.7692, gc=2.7, ell=0.0175, k=1e-4, eps_pen=1e-6)
+_STRAIN = st.floats(-1e-2, 1e-2, allow_subnormal=False)
+
+
+@st.composite
+def principal_strains(draw, d):
+    """Principal strains of four kinds: zero, arbitrary, sign-mixed, and
+    with a pair closer than the coalescence gap."""
+    kind = draw(st.sampled_from(("zero", "any", "mixed", "coalesced")))
+    if kind == "zero":
+        return np.zeros(d)
+    w = np.array([draw(_STRAIN) for _ in range(d)])
+    if kind == "mixed":
+        w[0] = draw(st.floats(1e-6, 1e-2))
+        w[1] = -draw(st.floats(1e-6, 1e-2))
+    elif kind == "coalesced":
+        w[1] = w[0] + draw(st.floats(0.0, 0.5 * _GAP_REL))
+    return w
+
+
+@st.composite
+def strains(draw, separated=False):
+    """A 2-D or 3-D strain tensor with the drawn principal strains in a
+    random orientation.  ``separated`` keeps every principal strain, and
+    every gap between two of them, at least 1e-4 (off the split kinks)."""
+    d = draw(st.sampled_from((2, 3)))
+    if separated:
+        base = draw(st.floats(1e-4, 3e-3))
+        signs = [draw(st.sampled_from((-1.0, 1.0))) for _ in range(d)]
+        w = np.array([s * base * (k + 1) for k, s in enumerate(signs)])
+    else:
+        w = draw(principal_strains(d))
+    m = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(d * d)]).reshape(d, d)
+    q, _ = np.linalg.qr(m + 3.0 * np.eye(d))
+    eps = (q * w) @ q.T
+    return 0.5 * (eps + eps.T)
+
+
+class TestTangentProperties:
+    @given(strains())
+    def test_matches_fourth_order_oracle(self, eps):
+        got = tangent_split(eps, P_SENT)
+        want = tangent_split_c4(eps, P_SENT)
+        scale = max(np.abs(want[0]).max(), np.abs(want[1]).max())
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * scale
+
+    @given(strains())
+    def test_symmetric(self, eps):
+        for c in tangent_split(eps, P_SENT):
+            assert np.abs(c - c.T).max() <= 1e-12 * (np.abs(c).max() + 1e-300)
+
+    @given(strains(separated=True), st.floats(0.0, 1.0))
+    def test_fd_consistent(self, eps, beta):
+        d = eps.shape[-1]
+        nv = 3 if d == 2 else 6
+        c = tangent(eps, beta, P_SENT)
+        h = 1e-8
+        fd = np.zeros((nv, nv))
+        for j in range(nv):
+            dv = np.zeros(nv)
+            dv[j] = h
+            de = strain_tensor_from_voigt(dv, d)
+            ds = stress(eps + de, beta, P_SENT) - stress(eps - de, beta, P_SENT)
+            fd[:, j] = stress_voigt_from_tensor(ds / (2 * h), d)
+        assert np.abs(c - fd).max() <= 1e-5 * np.abs(c).max()

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from pffrac.energetics import total_functional
-from pffrac.fem import DofMap, build_kernels, internal_force_u, residual_beta, residual_u
+from conftest import damage_system, random_state
+from pffrac.fem import DofMap, build_kernels, internal_force_u, residual_and_tangent_u
 from pffrac.material import MaterialParams, psi_split, strain_tensor_from_voigt
 from pffrac.mesh import generate_structured
-from pffrac.solver import SolverConfig, StepFailure, alternate_minimize, newton_beta, newton_u
+from pffrac.linsolve import factor_solve
+from pffrac.solver import SolverConfig, StepFailure, _eliminate, alternate_minimize, newton_beta, newton_u
 
 
 def make_patch(divisions=2, constrain_x=True):
@@ -58,7 +60,7 @@ class TestNewtonU:
         cfg = SolverConfig(tol_u=1e-12)
         u, iters = newton_u(np.zeros_like(u_d), u_d, np.zeros(mesh.n_nodes), kern, sent_params, cfg, dm)
         assert iters <= 2
-        r = residual_u(u, u_d, np.zeros(mesh.n_nodes), kern, sent_params, dm)
+        r, _ = residual_and_tangent_u(u, u_d, np.zeros(mesh.n_nodes), kern, sent_params, dm)
         assert np.abs(r).max() <= 1e-9
 
     def test_tensile_branch_matches_dense_minimization(self, sent_params, rng):
@@ -73,16 +75,32 @@ class TestNewtonU:
         h = 1e-8
         n_free = dm.free.size
         kmat = np.zeros((n_free, n_free))
-        rhs = -residual_u(np.zeros_like(u_d), u_d, a, kern, sent_params, dm)
+        rhs = -residual_and_tangent_u(np.zeros_like(u_d), u_d, a, kern, sent_params, dm)[0]
         for j in range(n_free):
             up = np.zeros_like(u_d)
             up[dm.free[j]] = h
-            kmat[:, j] = (residual_u(up, u_d, a, kern, sent_params, dm) + rhs) / h
+            kmat[:, j] = (residual_and_tangent_u(up, u_d, a, kern, sent_params, dm)[0] + rhs) / h
         dense = np.linalg.solve(kmat, rhs)
         assert np.abs(u[dm.free] - dense).max() <= 1e-8 * (1 + np.abs(dense).max())
 
 
 class TestNewtonBeta:
+    def test_elimination_matches_reduced_solve(self, sent_params, rng):
+        # pinned dofs decoupled in place: their increment is exactly zero and
+        # the rest solves the reduced system of the free dofs
+        mesh, kern, _ = make_patch(divisions=3)
+        u, a, a_n = random_state(mesh, rng)
+        r, mat = damage_system(u, np.zeros_like(u), a, a_n, kern, sent_params)
+        reduced = mat.tocsr()
+        pinned = rng.uniform(size=a.size) < 0.4
+        free = np.flatnonzero(~pinned)
+        want = factor_solve(reduced[free][:, free], -r[free])
+        _eliminate(mat, pinned)
+        dx = factor_solve(mat, -np.where(pinned, 0.0, r))
+        assert np.all(dx[pinned] == 0.0)
+        assert np.abs(dx[free] - want).max() <= 1e-12 * np.abs(want).max()
+        assert mat.nnz == reduced.nnz  # the pattern is kept
+
     def test_unloaded_stationary(self, sent_params):
         mesh, kern, _ = make_patch()
         z = np.zeros(2 * mesh.n_nodes)
@@ -171,8 +189,9 @@ class TestAlternateMinimize:
         cfg = SolverConfig(tol_u=1e-10, tol_a=1e-10)
         res = alternate_minimize(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, cfg, dm)
         force_scale = 1.0 + np.abs(internal_force_u(res.u, u_d, res.a, kern, sent_params)).max()
-        assert np.abs(residual_u(res.u, u_d, res.a, kern, sent_params, dm)).max() <= 1e-8 * force_scale
-        r_b = residual_beta(res.u, u_d, res.a, a0, kern, sent_params)
+        r_u, _ = residual_and_tangent_u(res.u, u_d, res.a, kern, sent_params, dm)
+        assert np.abs(r_u).max() <= 1e-8 * force_scale
+        r_b = damage_system(res.u, u_d, res.a, a0, kern, sent_params)[0]
         slack = 1e-6
         grown = (res.a > a0 + slack) & (res.a < 1.0 - slack)
         assert np.abs(r_b[grown]).max() <= 1e-6
