@@ -24,6 +24,7 @@ __all__ = [
     "EnergyReport",
     "erg",
     "grad_term",
+    "stored_energy",
     "dis",
     "dissipation_increment",
     "penalty_energy",
@@ -71,6 +72,11 @@ def grad_term(a, kernels: ElementKernels, p: MaterialParams) -> float:
     """Damage-gradient energy (gc*ell/2) * integral |grad beta|^2."""
     g = np.einsum("edi,ei->ed", kernels.b_beta, a[kernels.elements])
     return 0.5 * p.gc * p.ell * _fsum(kernels.measures * np.einsum("ed,ed->e", g, g))
+
+
+def stored_energy(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:
+    """Stored energy E: degraded bulk energy plus damage-gradient energy."""
+    return erg(u1, u2, a, kernels, p) + grad_term(a, kernels, p)
 
 
 def dis(a, kernels: ElementKernels, p: MaterialParams) -> float:
@@ -169,8 +175,8 @@ def check_two_sided(
     the step pair (n, n+1)."""
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    e_next = erg(u_next, u_d_next, a_next, kernels, p) + grad_term(a_next, kernels, p)
-    e_curr = erg(u_n, u_d_n, a_n, kernels, p) + grad_term(a_n, kernels, p)
+    e_next = stored_energy(u_next, u_d_next, a_next, kernels, p)
+    e_curr = stored_energy(u_n, u_d_n, a_n, kernels, p)
     d_inc = dissipation_increment(a_n, a_next, kernels, p)
     delta = e_next - e_curr + d_inc
     ub = upper_bound(u_n, u_d_n, u_d_next, a_n, kernels, p)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .linsolve import BandOrdering
 from .material import (
     AT2,
     MaterialParams,
@@ -287,13 +288,15 @@ class SparsityPattern:
     ``slot`` gives the position in the data array of each element-matrix
     entry, in ``k_e.ravel()`` order; entries on dofs left out of the system
     go one past the end and are dropped.  The pattern is symmetric, so its
-    CSC and CSR index arrays coincide.
+    CSC and CSR index arrays coincide.  ``ordering`` is the band ordering
+    every matrix assembled on the pattern is factored with.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     slot: np.ndarray
+    ordering: BandOrdering
 
     @classmethod
     def from_element_dofs(cls, edofs: np.ndarray, n: int, keep_map=None) -> "SparsityPattern":
@@ -314,7 +317,13 @@ class SparsityPattern:
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         # let scipy choose the index dtype once, so assembly never converts
         proto = sp.csc_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
-        return cls(n=n, indptr=proto.indptr, indices=proto.indices, slot=slot)
+        return cls(
+            n=n,
+            indptr=proto.indptr,
+            indices=proto.indices,
+            slot=slot,
+            ordering=BandOrdering.from_structure(proto.indptr, proto.indices),
+        )
 
     def assemble(self, k_e: np.ndarray) -> sp.csc_matrix:
         """Sum element matrices (n_e, nd, nd) into a CSC matrix."""

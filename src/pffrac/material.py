@@ -178,8 +178,9 @@ def spectral_split(eps: np.ndarray) -> SplitState:
     w, v = _eig_embedded(eps)
     wp = np.maximum(w, 0.0)
     wm = np.minimum(w, 0.0)
-    eps_p = np.einsum("...ia,...a,...ja->...ij", v, wp, v)
-    eps_m = np.einsum("...ia,...a,...ja->...ij", v, wm, v)
+    vt = np.swapaxes(v, -1, -2)
+    eps_p = (v * wp[..., None, :]) @ vt
+    eps_m = (v * wm[..., None, :]) @ vt
     return SplitState(eigvals=w, eigvecs=v, eps_plus=eps_p, eps_minus=eps_m)
 
 
@@ -227,8 +228,9 @@ def sigma_split(eps: np.ndarray, p: MaterialParams):
     d = eps.shape[-1]
     w, v = _eig_embedded(eps)
     fp, fm, _, _ = _split_stress_coeffs(w, p)
-    sig_p = np.einsum("...ia,...a,...ja->...ij", v, fp, v)
-    sig_m = np.einsum("...ia,...a,...ja->...ij", v, fm, v)
+    vt = np.swapaxes(v, -1, -2)
+    sig_p = (v * fp[..., None, :]) @ vt
+    sig_m = (v * fm[..., None, :]) @ vt
     return sig_p[..., :d, :d], sig_m[..., :d, :d]
 
 

@@ -26,9 +26,11 @@ from .energetics import erg, functional_from_psi, total_functional
 from .fem import (
     DofMap,
     ElementKernels,
+    damage_blocks,
     element_psi_split,
     residual_and_tangent_beta,
     residual_and_tangent_u,
+    u_pattern,
 )
 from .linsolve import LinearSolveError, factor_solve
 from .material import MaterialParams
@@ -88,11 +90,12 @@ def _eliminate(mat, pinned: np.ndarray) -> None:
     mat.data[drop] = rows[drop] == cols[drop]
 
 
-def _box_newton(x0, system_fn, merit_fn, tol, max_newton, label, bounds=None):
+def _box_newton(x0, system_fn, merit_fn, tol, max_newton, label, ordering, bounds=None):
     """Line-search-safeguarded (projected) Newton on a convex piecewise-smooth
     energy, optionally subject to box constraints.
 
-    ``system_fn(x)`` returns the (residual, tangent) pair in one evaluation.
+    ``system_fn(x)`` returns the (residual, tangent) pair in one evaluation;
+    every tangent is on the sparsity pattern whose band ``ordering`` factors it.
     Every applied increment must pass an Armijo test on the energy, so the
     iteration is strictly non-increasing; with bounds, dofs pinned at a bound
     with an outward-pushing gradient are eliminated from the Newton system
@@ -123,7 +126,7 @@ def _box_newton(x0, system_fn, merit_fn, tol, max_newton, label, bounds=None):
                 _eliminate(mat, pinned)
 
         try:
-            dx = factor_solve(mat, -r)
+            dx = factor_solve(mat, -r, ordering)
         except LinearSolveError as exc:
             raise StepFailure(f"{label} linear solve failed: {exc}") from exc
         slope = float(np.dot(r, dx))  # -r^T K^{-1} r <= 0 for SPD tangents
@@ -178,6 +181,7 @@ def newton_u(
             cfg.tol_u,
             cfg.max_newton,
             "newton_u",
+            u_pattern(kernels, dofmap).ordering,
         )
     except StepFailure as exc:
         exc.u, exc.a = u, a_fixed
@@ -215,6 +219,7 @@ def newton_beta(
             cfg.tol_a,
             cfg.max_newton,
             "newton_beta",
+            damage_blocks(kernels).pattern.ordering,
             bounds=(0.0, 1.0) if cfg.clamp_damage else None,
         )
     except StepFailure as exc:

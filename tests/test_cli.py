@@ -186,5 +186,28 @@ class TestCheckEnergy:
         (out / "snapshots" / "step_000003.vtk").unlink()
         assert main(["check-energy", str(out)]) == 2
 
+    @pytest.mark.parametrize("every, kinds", [(2, (0, 2, 2)), (3, (1, 1, 2))])
+    def test_sparse_snapshots(self, tmp_path, capsys, every, kinds):
+        out = tmp_path / "out"
+        argv = ["run", "--preset", "sent", "--scale", "0.1", "--steps", "4"]
+        assert main(argv + ["--set", f"output.snapshot_every={every}", "--out", str(out)]) == 0
+        written = sorted(int(f.stem[5:]) for f in (out / "snapshots").glob("*.vtk"))
+        assert written == sorted({0, 4, *range(every, 5, every)})
+        capsys.readouterr()
+        assert main(["check-energy", str(out)]) == 0
+        full, partial, skipped = kinds
+        assert (
+            f"{full} fully checked, {partial} checked for E and sum_D only, "
+            f"{skipped} without snapshot" in capsys.readouterr().out
+        )
+        # a step checked without its predecessor still catches a wrong sum_D
+        path = out / "energy.csv"
+        rows = path.read_text().splitlines()
+        parts = rows[1 + every].split(",")
+        parts[2] = "%.17g" % (float(parts[2]) * (1.0 + 1e-6) + 1e-9)
+        rows[1 + every] = ",".join(parts)
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["check-energy", str(out)]) == 1
+
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2

@@ -18,8 +18,12 @@ from pffrac.fem import (
     strain_voigt,
     u_pattern,
 )
-from pffrac.material import degradation, elastic_tensor, psi_split, strain_tensor_from_voigt, tangent_split
+from pffrac import solver
+from pffrac.driver import build_dofmap, lifting_for_step
+from pffrac.linsolve import factor_solve
+from pffrac.material import MaterialParams, degradation, elastic_tensor, psi_split, strain_tensor_from_voigt, tangent_split
 from pffrac.mesh import generate_structured
+from pffrac.presets import load_preset
 
 
 def dense_elastic_stiffness(mesh, kernels, p, factor=1.0):
@@ -358,3 +362,76 @@ class TestDeterminismAndReaction:
         f = internal_force_u(u, np.zeros_like(u), a, kern, sent_params)
         total = f[1::2].sum()
         assert abs(total) <= 1e-8 * np.abs(f).max()
+
+
+@pytest.fixture(scope="module")
+def sent_tangent():
+    """Kernels, dof map and displacement system of sent@0.1 at step 1."""
+    setup = load_preset("sent", 0.1)
+    kern = build_kernels(setup.mesh)
+    dm = build_dofmap(setup.mesh, setup.program)
+    u_d = lifting_for_step(setup.program, 1, setup.mesh)
+    z = np.zeros(u_d.size)
+    r, k = residual_and_tangent_u(z, u_d, np.zeros(setup.mesh.n_nodes), kern, setup.params, dm)
+    return kern, dm, r, k
+
+
+class TestBandOrdering:
+    def test_sent_bandwidth(self, sent_tangent):
+        kern, dm, _, k = sent_tangent
+        pat = u_pattern(kern, dm)
+        cols = np.repeat(np.arange(pat.n), np.diff(pat.indptr))
+        assert np.abs(pat.indices - cols).max() == 471  # natural dof order
+        assert pat.ordering.bandwidth <= 32
+
+    def test_factor_solve_bitwise_repeatable(self, sent_tangent):
+        kern, dm, r, k = sent_tangent
+        o = u_pattern(kern, dm).ordering
+        x = factor_solve(k, -r, o)
+        assert np.array_equal(x, factor_solve(k, -r, o))
+        assert np.array_equal(x, factor_solve(k.copy(), -r.copy()))
+        assert np.linalg.norm(k @ x + r) <= 1e-10 * np.linalg.norm(r)
+
+    def test_one_ordering_per_pattern(self, monkeypatch):
+        # every Newton solve gets its pattern's ordering, built once, also
+        # on damage tangents with pinned dofs eliminated
+        p = MaterialParams.from_lame_kn(
+            121.1538, 80.7692, gc=2.7, ell=0.0175, dissipation="AT1", kappa=1.0, eps_pen=1e-6
+        )
+        mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+        ymin, ymax = mesh.node_sets["ymin"], mesh.node_sets["ymax"]
+        dm = DofMap.from_constraints(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
+        kern = build_kernels(mesh)
+        solves, eliminated = [], []
+        real_solve, real_eliminate = solver.factor_solve, solver._eliminate
+
+        def spy_solve(a, b, ordering):
+            solves.append((a.indices, a.indptr, ordering))
+            return real_solve(a, b, ordering)
+
+        def spy_eliminate(mat, pinned):
+            eliminated.append(int(pinned.sum()))
+            real_eliminate(mat, pinned)
+
+        monkeypatch.setattr(solver, "factor_solve", spy_solve)
+        monkeypatch.setattr(solver, "_eliminate", spy_eliminate)
+        # only the upper half is stretched: its damage reaches 1 while the
+        # lower half stays below the AT1 threshold, pinned at 0
+        u_d = np.zeros(2 * mesh.n_nodes)
+        u_d[1::2] = 0.1 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
+        z = np.zeros(mesh.n_nodes)
+        cfg = solver.SolverConfig()
+        u, _ = solver.newton_u(np.zeros_like(u_d), u_d, z, kern, p, cfg, dm)
+        n_u = len(solves)
+        a, _, _ = solver.newton_beta(z, np.zeros_like(u), u_d, z, kern, p, cfg)
+        assert a.max() == 1.0 and a.min() == 0.0
+        assert n_u >= 1 and len(solves) > n_u and any(eliminated)
+
+        pat_u, pat_b = u_pattern(kern, dm), damage_blocks(kern).pattern
+        for pat, calls in ((pat_u, solves[:n_u]), (pat_b, solves[n_u:])):
+            for indices, indptr, ordering in calls:
+                assert ordering is pat.ordering
+                assert np.shares_memory(indices, pat.indices)
+                assert np.shares_memory(indptr, pat.indptr)
+        solver.newton_u(u, 1.1 * u_d, z, kern, p, cfg, dm)
+        assert u_pattern(kern, dm) is pat_u and solves[-1][2] is pat_u.ordering

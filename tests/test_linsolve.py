@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pffrac.linsolve import LinearSolveError, factor_solve
+from pffrac.linsolve import BandOrdering, LinearSolveError, factor_solve
+
+
+def random_sparse_spd(rng, n, density):
+    """Symmetric, strictly diagonally dominant (so SPD) sparse matrix."""
+    m = sp.random(n, n, density=density, random_state=rng, format="csr")
+    m = m + m.T
+    return sp.csc_matrix(m + sp.diags(abs(m).sum(axis=1).A1 + 1.0))
 
 
 def test_identity():
@@ -48,3 +55,45 @@ def test_deterministic(rng):
 def test_shape_mismatch():
     with pytest.raises(LinearSolveError):
         factor_solve(sp.eye(3, format="csr"), np.ones(2))
+
+
+@pytest.mark.parametrize("n, density", [(1, 1.0), (7, 0.3), (60, 0.05), (200, 0.01), (300, 0.002)])
+def test_banded_matches_dense_solve(rng, n, density):
+    # the sparsest cases have several disconnected components
+    a = random_sparse_spd(rng, n, density)
+    b = rng.normal(size=n)
+    want = np.linalg.solve(a.toarray(), b)
+    o = BandOrdering.from_structure(a.indptr, a.indices)
+    for x in (factor_solve(a, b), factor_solve(a, b, o)):
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_ordering_band_storage(rng):
+    # every stored upper entry lands on its band slot, and the band holds
+    # the reordered upper triangle exactly
+    a = random_sparse_spd(rng, 40, 0.1)
+    o = BandOrdering.from_structure(a.indptr, a.indices)
+    assert np.array_equal(np.sort(o.perm), np.arange(40))
+    assert np.array_equal(o.perm[o.inv], np.arange(40))
+    ap = a.toarray()[np.ix_(o.perm, o.perm)]
+    i, j = np.nonzero(np.triu(ap))
+    assert o.bandwidth == (j - i).max()
+    flat = np.zeros((o.bandwidth + 1) * o.n)
+    flat[o.slot] = a.data[o.upper]
+    ab = flat.reshape((o.bandwidth + 1, o.n), order="F")
+    for d in range(o.bandwidth + 1):
+        assert np.array_equal(ab[o.bandwidth - d, d:], np.diagonal(ap, d))
+
+
+def test_indefinite_nonsingular_raises():
+    a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(LinearSolveError, match="indefinite/singular"):
+        factor_solve(a, np.array([1.0, 0.0]))
+
+
+def test_structure_mismatch_raises(rng):
+    a = random_sparse_spd(rng, 20, 0.2)
+    o = BandOrdering.from_structure(a.indptr, a.indices)
+    other = random_sparse_spd(rng, 20, 0.2)
+    with pytest.raises(LinearSolveError, match="structure"):
+        factor_solve(other, np.ones(20), o)
