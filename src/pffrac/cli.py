@@ -6,7 +6,8 @@ run          execute a load program (preset or config file), writing
              load_disp.csv, energy.csv, run.json and per-step VTK snapshots
 check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run and compare against energy.csv; with
-             snapshot_every > 1 only the steps with snapshots are checked
+             snapshot_every > 1 only the steps with snapshots are
+             recomputed, and a failure energy.csv records on any step stands
 export       print a preset as a forkable INI config
 
 Configs are flat INI sections ([run], [material], [program], [solver],
@@ -425,6 +426,8 @@ def cmd_check_energy(args) -> int:
 
         if step % every and step != n_steps:
             counts["skipped"] += 1  # the run wrote no snapshot for this step
+            if not passed_csv:
+                failing.append(step)
             continue
         snap = out_dir / "snapshots" / f"step_{step:06d}.vtk"
         if not snap.exists():
@@ -471,11 +474,11 @@ def cmd_check_energy(args) -> int:
         for name, got, want in checks:
             if not _rel_close(got, want):
                 mismatches.append(f"step {step}: {name} csv={got!r} recomputed={want!r}")
-        if report is not None:
-            if passed_csv != report.passed:
-                mismatches.append(f"step {step}: passed flag csv={passed_csv} recomputed={report.passed}")
-            if not report.passed:
-                failing.append(step)
+        if report is not None and passed_csv != report.passed:
+            mismatches.append(f"step {step}: passed flag csv={passed_csv} recomputed={report.passed}")
+        # without the previous state the recorded verdict cannot be re-checked, but stands
+        if not (passed_csv if report is None else report.passed):
+            failing.append(step)
         prev = (step, u, a)
 
     if mismatches:

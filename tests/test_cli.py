@@ -200,14 +200,24 @@ class TestCheckEnergy:
             f"{full} fully checked, {partial} checked for E and sum_D only, "
             f"{skipped} without snapshot" in capsys.readouterr().out
         )
-        # a step checked without its predecessor still catches a wrong sum_D
         path = out / "energy.csv"
-        rows = path.read_text().splitlines()
-        parts = rows[1 + every].split(",")
-        parts[2] = "%.17g" % (float(parts[2]) * (1.0 + 1e-6) + 1e-9)
-        rows[1 + every] = ",".join(parts)
-        path.write_text("\n".join(rows) + "\n")
-        assert main(["check-energy", str(out)]) == 1
+        clean = path.read_text().splitlines()
+
+        def rerun_with(step, column, value):
+            rows = list(clean)
+            parts = rows[1 + step].split(",")
+            parts[column] = value(parts[column])
+            rows[1 + step] = ",".join(parts)
+            path.write_text("\n".join(rows) + "\n")
+            capsys.readouterr()
+            return main(["check-energy", str(out)])
+
+        # a step checked without its predecessor still catches a wrong sum_D
+        assert rerun_with(every, 2, lambda v: "%.17g" % (float(v) * (1.0 + 1e-6) + 1e-9)) == 1
+        # a failure the run recorded on a step that is not fully checked stands
+        for step in (every, 1):
+            assert rerun_with(step, 6, lambda v: "0") == 1
+            assert f"two-sided inequality fails at steps: {step}" in capsys.readouterr().err
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
