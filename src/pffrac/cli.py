@@ -12,9 +12,10 @@ export       print a preset as a forkable INI config
 
 Configs are flat INI sections ([run], [material], [program], [solver],
 [backtrack], [reaction], [output]); any value can be overridden on the
-command line with ``--set section.key=value``.  Moduli are given in kN/mm^2
-in configs and converted once on load.  Exit codes: 0 ok, 1 audit mismatch,
-2 bad config/missing inputs, 3 solver failure (partial outputs retained).
+command line with ``--set section.key=value``, and a section or key that no
+run reads is a config error.  Moduli are given in kN/mm^2 in configs and
+converted once on load.  Exit codes: 0 ok, 1 audit mismatch, 2 bad
+config/missing inputs, 3 solver failure (partial outputs retained).
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ __all__ = ["main", "cmd_run", "cmd_check_energy", "config_from_setup", "setup_fr
 
 _COMP = {"x": 0, "y": 1, "z": 2, "0": 0, "1": 1, "2": 2}
 _COMP_NAME = "xyz"
+
+# Every config key that setup_from_config and run_to_dir read, by section.
+_CONFIG_KEYS = {
+    "run": {"preset", "mesh", "scale"},
+    "material": {"lam_kn", "mu_kn", "e_kn", "nu", "gc", "ell", "k", "dissipation", "eps_pen", "kappa"},
+    "program": {"n_steps", "dw", "bc"},
+    "solver": {"tol_u", "tol_a", "max_newton", "max_alt"},
+    "backtrack": {"k_back", "eta"},
+    "reaction": {"set", "direction"},
+    "output": {"snapshot_every", "save_intermediates"},
+}
 
 
 def _fmt(x: float) -> str:
@@ -82,7 +94,6 @@ def config_from_setup(setup: presets.RunSetup) -> dict:
             "tol_a": _fmt(setup.solver.tol_a),
             "max_newton": str(setup.solver.max_newton),
             "max_alt": str(setup.solver.max_alt),
-            "clamp_damage": str(setup.solver.clamp_damage).lower(),
         },
         "backtrack": {
             "k_back": str(setup.backtrack.k_max),
@@ -116,7 +127,15 @@ def setup_from_config(cfg: dict, built: presets.RunSetup | None = None) -> prese
 
     ``built`` is a preset the caller has already built; it stands in for
     building the preset again when it is the preset and scale ``cfg`` names.
+    A section or key that no run reads is rejected, so that a setting the
+    config means to change cannot be silently ignored.
     """
+    for section, values in cfg.items():
+        if section not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config section [{section}]")
+        unknown = sorted(set(values) - _CONFIG_KEYS[section])
+        if unknown:
+            raise ValueError("unknown config key " + ", ".join(f"{section}.{k}" for k in unknown))
     run_sec = cfg.get("run", {})
     preset = run_sec.get("preset", "").strip()
     mesh_path = run_sec.get("mesh", "").strip()
@@ -166,17 +185,19 @@ def setup_from_config(cfg: dict, built: presets.RunSetup | None = None) -> prese
             bcs=_parse_bcs(prog_sec["bc"]) if "bc" in prog_sec else base_bcs,
         )
 
+    # keys the config leaves out keep the preset's (or the default) values
+    sol = setup.solver if setup is not None else SolverConfig()
     sol_sec = cfg.get("solver", {})
     solver = SolverConfig(
-        tol_u=float(sol_sec.get("tol_u", "1e-5")),
-        tol_a=float(sol_sec.get("tol_a", "1e-5")),
-        max_newton=int(sol_sec.get("max_newton", "100")),
-        max_alt=int(sol_sec.get("max_alt", "1000")),
-        clamp_damage=sol_sec.get("clamp_damage", "true").strip().lower() != "false",
+        tol_u=float(sol_sec.get("tol_u", sol.tol_u)),
+        tol_a=float(sol_sec.get("tol_a", sol.tol_a)),
+        max_newton=int(sol_sec.get("max_newton", sol.max_newton)),
+        max_alt=int(sol_sec.get("max_alt", sol.max_alt)),
     )
+    bt = setup.backtrack if setup is not None else BacktrackConfig()
     bt_sec = cfg.get("backtrack", {})
     backtrack = BacktrackConfig(
-        k_max=int(bt_sec.get("k_back", "50")), eta=float(bt_sec.get("eta", "1e-5"))
+        k_max=int(bt_sec.get("k_back", bt.k_max)), eta=float(bt_sec.get("eta", bt.eta))
     )
 
     rx_sec = cfg.get("reaction", {})
@@ -297,7 +318,6 @@ def _write_run_json(out_dir: Path, cfg: dict, history: RunHistory, elapsed: floa
         ],
         "k_exhausted_steps": history.k_exhausted_steps,
         "irreversibility_steps": history.irreversibility_steps,
-        "max_clamp": max((r.clamp_max for r in history.steps), default=0.0),
         "solver_counters": {
             "alternations": sum(r.alt_iters for r in history.steps),
             "newton_u": sum(r.newton_iters_u for r in history.steps),
@@ -338,7 +358,6 @@ def run_to_dir(cfg: dict, out_dir, built: presets.RunSetup | None = None) -> Run
         setup.params,
         setup.mesh,
         reaction=(setup.reaction_set, setup.reaction_dir) if setup.reaction_set else None,
-        compat_box1=out_sec.get("compat_box1_lb", "false").lower() == "true",
         on_accept=writer,
     )
     elapsed = time.perf_counter() - t0
@@ -368,8 +387,6 @@ def cmd_run(args) -> int:
             cfg.setdefault("program", {})["n_steps"] = str(args.steps)
         if args.save_intermediates:
             cfg.setdefault("output", {})["save_intermediates"] = "true"
-        if args.compat_box1_lb:
-            cfg.setdefault("output", {})["compat_box1_lb"] = "true"
         _apply_overrides(cfg, args.set)
         history = run_to_dir(cfg, args.out, built)
     except (ValueError, KeyError, OSError) as exc:
@@ -397,7 +414,10 @@ def cmd_check_energy(args) -> int:
     try:
         with open(out_dir / "run.json") as fh:
             cfg = json.load(fh)["config"]
-        setup = setup_from_config(cfg)
+        # the audit takes no solver or output setting from the setup, so a
+        # run.json from an older version, echoing solver or output keys that
+        # runs no longer accept, is still audited
+        setup = setup_from_config({s: v for s, v in cfg.items() if s not in ("solver", "output")})
         rows = (out_dir / "energy.csv").read_text().strip().splitlines()[1:]
         every = max(1, int(cfg.get("output", {}).get("snapshot_every", "1")))
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -407,7 +427,6 @@ def cmd_check_energy(args) -> int:
     mesh = setup.mesh
     kernels = build_kernels(mesh)
     p = setup.params
-    compat = cfg.get("output", {}).get("compat_box1_lb", "false") == "true"
     eta = setup.backtrack.eta
 
     n_steps = setup.program.n_steps
@@ -449,10 +468,7 @@ def cmd_check_energy(args) -> int:
             # both ends of the step pair: the whole two-sided inequality
             counts["full"] += 1
             u_d_prev = lifting_for_step(setup.program, step - 1, mesh)
-            report = check_two_sided(
-                step - 1, prev[1], u_d_prev, prev[2], u, u_d, a, kernels, p, eta,
-                compat_box1=compat,
-            )
+            report = check_two_sided(step - 1, prev[1], u_d_prev, prev[2], u, u_d, a, kernels, p, eta)
             sum_d += report.d_inc
             checks = [
                 ("E", e_csv, report.e_next),
@@ -519,7 +535,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--steps", type=int, default=None, help="override n_steps")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--save-intermediates", action="store_true")
-    p_run.add_argument("--compat-box1-lb", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_chk = sub.add_parser("check-energy", help="audit a run directory")

@@ -34,9 +34,6 @@ __all__ = [
     "run",
 ]
 
-# A run aborts when the post-convergence damage clamp ever exceeds this.
-CLAMP_ABORT = 1e-3
-
 # Reported D_inc below -1e-8*(1 + dis(A_n)) flags an irreversibility
 # violation (penalty factor too large for the step).
 _DISS_REL_TOL = 1e-8
@@ -98,11 +95,8 @@ class StepRecord:
     alt_iters: int = 0
     newton_iters_u: int = 0
     newton_iters_beta: int = 0
-    clamp_max: float = 0.0
     irreversibility_violation: bool = False
     functional_trace: list = field(default_factory=list)
-    guess_u: np.ndarray | None = None
-    guess_a: np.ndarray | None = None
 
 
 @dataclass
@@ -188,8 +182,6 @@ def run(
     p: MaterialParams,
     mesh: Mesh,
     reaction: tuple | None = None,
-    compat_box1: bool = False,
-    store_guesses: bool = False,
     on_accept=None,
 ) -> RunHistory:
     """Execute the load program with energy-bound backtracking.
@@ -201,8 +193,10 @@ def run(
     on_accept : callable, optional
         ``on_accept(history)`` invoked after every acceptance (incremental
         output writers).
-    store_guesses : bool
-        Keep the initial-guess vectors of each accepted solve (replay audit).
+
+    Every solve goes through the module-level ``alternate_minimize`` and
+    starts from the running guess: the last solve's state, discarded or not.
+    A solver failure ends the run with ``aborted`` set and the history so far.
     """
     kernels = build_kernels(mesh)
     dofmap = build_dofmap(mesh, program)
@@ -242,12 +236,10 @@ def run(
             kernels,
             p,
             bt.eta,
-            compat_box1=compat_box1,
         )
         return res, report, u_d_next
 
     while n < program.n_steps:
-        pre_guess = (guess_u.copy(), guess_a.copy()) if store_guesses else (None, None)
         try:
             res, report, u_d_next = _solve(n)
         except StepFailure as exc:
@@ -268,7 +260,6 @@ def run(
                 history.backtracks.append(
                     BacktrackEvent(failed_step=failed_at, resolved_step=n + 1, b=b)
                 )
-                pre_guess = (guess_u.copy(), guess_a.copy()) if store_guesses else (None, None)
                 try:
                     res, report, u_d_next = _solve(n)
                 except StepFailure as exc:
@@ -281,13 +272,6 @@ def run(
                 )
             consumed[failed_at] = b
 
-        if res.clamp_max > CLAMP_ABORT:
-            history.aborted = True
-            history.abort_reason = (
-                f"damage clamp {res.clamp_max:.3e} exceeded {CLAMP_ABORT:.0e} at step {n + 1}"
-            )
-            return history
-
         record = StepRecord(
             step=n + 1,
             w=program.w(n + 1),
@@ -297,13 +281,10 @@ def run(
             alt_iters=res.alt_iters,
             newton_iters_u=res.newton_iters_u,
             newton_iters_beta=res.newton_iters_beta,
-            clamp_max=res.clamp_max,
             irreversibility_violation=bool(
                 report.d_inc < -_DISS_REL_TOL * (1.0 + dis(history.steps[n].a, kernels, p))
             ),
             functional_trace=list(res.functional_trace),
-            guess_u=pre_guess[0],
-            guess_a=pre_guess[1],
         )
         if reaction is not None:
             tag, direction = reaction

@@ -119,13 +119,14 @@ def total_functional(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams)
     )
 
 
-def functional_from_psi(psi_p, psi_m, a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
+def functional_from_psi(psi_p, psi_m, a, a_n, dis_n, kernels: ElementKernels, p: MaterialParams) -> float:
     """``total_functional`` at fixed displacement, from precomputed element
-    energy densities (avoids re-evaluating the spectral split)."""
+    energy densities (avoids re-evaluating the spectral split) and the
+    anchor's dissipation ``dis_n = dis(a_n)``."""
     return (
         erg_from_psi(psi_p, psi_m, a, kernels, p)
         + grad_term(a, kernels, p)
-        + dissipation_increment(a_n, a, kernels, p)
+        + (dis(a, kernels, p) - dis_n)
         + penalty_energy(a, a_n, kernels, p)
     )
 
@@ -135,27 +136,10 @@ def upper_bound(u_n, u_d_n, u_d_next, a_n, kernels: ElementKernels, p: MaterialP
     return erg(u_n, u_d_next, a_n, kernels, p) - erg(u_n, u_d_n, a_n, kernels, p)
 
 
-def lower_bound(
-    u_next,
-    u_d_n,
-    u_d_next,
-    a_next,
-    kernels: ElementKernels,
-    p: MaterialParams,
-    compat_box1: bool = False,
-) -> float:
-    """LB: lifting increment evaluated on the next state.
-
-    ``compat_box1`` switches the second term to the alternative input pairing
-    (both liftings summed, no free vector) kept for cross-checking; the
-    default pairing is the proved bound.
-    """
-    e1 = erg(u_next, u_d_next, a_next, kernels, p)
-    if compat_box1:
-        e2 = erg(u_d_next, u_d_n, a_next, kernels, p)
-    else:
-        e2 = erg(u_next, u_d_n, a_next, kernels, p)
-    return e1 - e2
+def lower_bound(u_next, u_d_n, u_d_next, a_next, kernels: ElementKernels, p: MaterialParams) -> float:
+    """LB: lifting increment evaluated on the next state, the proved pairing
+    erg(u_next, u_d_next) - erg(u_next, u_d_n) at damage a_next."""
+    return erg(u_next, u_d_next, a_next, kernels, p) - erg(u_next, u_d_n, a_next, kernels, p)
 
 
 def check_two_sided(
@@ -169,7 +153,6 @@ def check_two_sided(
     kernels: ElementKernels,
     p: MaterialParams,
     eta: float,
-    compat_box1: bool = False,
 ) -> EnergyReport:
     """Evaluate the two-sided inequality LB - eta <= dE + D <= UB + eta for
     the step pair (n, n+1)."""
@@ -180,7 +163,7 @@ def check_two_sided(
     d_inc = dissipation_increment(a_n, a_next, kernels, p)
     delta = e_next - e_curr + d_inc
     ub = upper_bound(u_n, u_d_n, u_d_next, a_n, kernels, p)
-    lb = lower_bound(u_next, u_d_n, u_d_next, a_next, kernels, p, compat_box1=compat_box1)
+    lb = lower_bound(u_next, u_d_n, u_d_next, a_next, kernels, p)
     passed = (lb - eta <= delta) and (delta <= ub + eta)
     return EnergyReport(
         step=step,

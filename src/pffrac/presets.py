@@ -140,8 +140,8 @@ def _sent(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        solver=SolverConfig(tol_u=1e-5, tol_a=1e-5),
-        backtrack=BacktrackConfig(k_max=50, eta=1e-5),
+        solver=SolverConfig(),
+        backtrack=BacktrackConfig(),
         reaction_set="top",
         reaction_dir=np.array([0.0, 1.0]),
     )
@@ -170,8 +170,8 @@ def _sens(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        solver=SolverConfig(tol_u=1e-5, tol_a=1e-5),
-        backtrack=BacktrackConfig(k_max=50, eta=1e-5),
+        solver=SolverConfig(),
+        backtrack=BacktrackConfig(),
         reaction_set="top",
         reaction_dir=np.array([1.0, 0.0]),
     )
@@ -221,8 +221,8 @@ def _lshape(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        solver=SolverConfig(tol_u=1e-5, tol_a=1e-5),
-        backtrack=BacktrackConfig(k_max=50, eta=1e-5),
+        solver=SolverConfig(),
+        backtrack=BacktrackConfig(),
         reaction_set="load",
         reaction_dir=np.array([0.0, 1.0, 0.0]),
     )
@@ -276,8 +276,8 @@ def _bend3d(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        solver=SolverConfig(tol_u=1e-5, tol_a=1e-5),
-        backtrack=BacktrackConfig(k_max=50, eta=1e-5),
+        solver=SolverConfig(),
+        backtrack=BacktrackConfig(),
         reaction_set="load",
         reaction_dir=np.array([0.0, 0.0, 1.0]),
     )

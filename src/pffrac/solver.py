@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import erg, functional_from_psi, total_functional
+from .energetics import dis, erg, functional_from_psi, total_functional
 from .fem import (
     DofMap,
     ElementKernels,
@@ -49,7 +49,6 @@ class SolverConfig:
     tol_a: float = 1e-5
     max_newton: int = 100
     max_alt: int = 1000
-    clamp_damage: bool = True
 
     def __post_init__(self):
         if self.tol_u <= 0.0 or self.tol_a <= 0.0:
@@ -77,7 +76,6 @@ class AltResult:
     newton_iters_u: int
     newton_iters_beta: int
     functional_trace: list = field(default_factory=list)
-    clamp_max: float = 0.0
 
 
 def _eliminate(mat, pinned: np.ndarray) -> None:
@@ -200,35 +198,32 @@ def newton_beta(
     cfg: SolverConfig,
 ):
     """Semi-smooth Newton on the penalized damage residual at fixed
-    displacement.
+    displacement, bound-constrained to [0, 1].
 
-    Returns (a, iterations, clamp_magnitude).  With ``cfg.clamp_damage`` the
-    simple bounds [0, 1] are enforced inside the solve (projected active-set
-    Newton, so the discrete overshoot of the unconstrained minimizer above 1
-    near a localized crack never enters the state) and the reported clamp
-    magnitude is zero; without it the solve is unconstrained and the clamp
-    magnitude reports the violation of [0, 1] for the driver's safety check.
+    Returns (a, iterations).  The bounds are enforced inside the solve
+    (projected active-set Newton), so the discrete overshoot of the
+    unconstrained minimizer above 1 near a localized crack never enters the
+    state.
     """
-    # the displacement is frozen, so the split energy densities are reusable
+    # the displacement is frozen, so the split energy densities are reusable;
+    # the anchor is fixed, so is its dissipation
     psi_p, psi_m = element_psi_split(kernels, u_fixed + u_d, p)
+    dis_n = dis(a_n, kernels, p)
     try:
         a, iters = _box_newton(
             a0,
             lambda x: residual_and_tangent_beta(psi_p, x, a_n, kernels, p),
-            lambda x: functional_from_psi(psi_p, psi_m, x, a_n, kernels, p),
+            lambda x: functional_from_psi(psi_p, psi_m, x, a_n, dis_n, kernels, p),
             cfg.tol_a,
             cfg.max_newton,
             "newton_beta",
             damage_blocks(kernels).pattern.ordering,
-            bounds=(0.0, 1.0) if cfg.clamp_damage else None,
+            bounds=(0.0, 1.0),
         )
     except StepFailure as exc:
         exc.u, exc.a = u_fixed, a0
         raise
-    clamp = 0.0
-    if a.size:
-        clamp = float(np.max(np.maximum(a - 1.0, 0.0) + np.maximum(-a, 0.0)))
-    return a, iters, clamp
+    return a, iters
 
 
 def alternate_minimize(
@@ -253,15 +248,13 @@ def alternate_minimize(
 
     iters_u = 0
     iters_b = 0
-    clamp_max = 0.0
     trace: list = []
 
     for i in range(1, cfg.max_alt + 1):
         u_new, nu = newton_u(u, u_d_next, a, kernels, p, cfg, dofmap)
-        a_new, nb, clamp = newton_beta(a, u_new, u_d_next, a_n, kernels, p, cfg)
+        a_new, nb = newton_beta(a, u_new, u_d_next, a_n, kernels, p, cfg)
         iters_u += nu
         iters_b += nb
-        clamp_max = max(clamp_max, clamp)
         trace.append(total_functional(u_new, u_d_next, a_new, a_n, kernels, p))
 
         du = float(np.max(np.abs(u_new - u))) if u.size else 0.0
@@ -275,6 +268,5 @@ def alternate_minimize(
                 newton_iters_u=iters_u,
                 newton_iters_beta=iters_b,
                 functional_trace=trace,
-                clamp_max=clamp_max,
             )
     raise StepFailure(f"alternate_minimize: no convergence in {cfg.max_alt} alternations", u=u, a=a)

@@ -1,11 +1,12 @@
 import configparser
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from pffrac import presets
-from pffrac.cli import config_from_setup, main, setup_from_config
+from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, run_to_dir, setup_from_config
 from pffrac.mesh import generate_structured, select_nodes, write_gmsh
 from pffrac.presets import load_preset
 from pffrac.vtkio import read_field_snapshot, write_field_snapshot
@@ -72,12 +73,16 @@ class TestVtk:
 
 class TestConfigPlumbing:
     def test_export_parses_as_ini(self, capsys):
-        assert main(["export", "--preset", "sent", "--scale", "0.1"]) == 0
-        out = capsys.readouterr().out
-        parser = configparser.ConfigParser()
-        parser.read_string(out)
-        assert parser["run"]["preset"] == "sent"
-        assert float(parser["material"]["gc"]) == 2.7
+        # every key an export writes is one a run reads
+        for name in presets.PRESET_NAMES:
+            assert main(["export", "--preset", name, "--scale", "0.02"]) == 0
+            parser = configparser.ConfigParser()
+            parser.read_string(capsys.readouterr().out)
+            assert parser["run"]["preset"] == name
+            back = setup_from_config({s: dict(parser.items(s)) for s in parser.sections()})
+            setup = load_preset(name, 0.02)
+            assert back.params == setup.params and back.program == setup.program
+            assert back.solver == setup.solver and back.backtrack == setup.backtrack
 
     def test_setup_roundtrip(self):
         setup = load_preset("sent", 0.1)
@@ -86,7 +91,84 @@ class TestConfigPlumbing:
         assert back.params == setup.params
         assert back.program == setup.program
         assert back.backtrack == setup.backtrack
+        assert back.solver == setup.solver
         assert back.reaction_set == setup.reaction_set
+        # keys a config leaves out keep the preset's values
+        cfg["solver"] = {"max_alt": "7"}
+        del cfg["backtrack"]
+        back = setup_from_config(cfg)
+        assert back.solver == dataclasses.replace(setup.solver, max_alt=7)
+        assert back.backtrack == setup.backtrack
+
+    def test_every_config_key_is_read(self, patch_config, tmp_path):
+        # each key the format accepts changes the setup or the outputs of a
+        # run, so the accepted keys and the readers cannot drift apart
+        parser = configparser.ConfigParser()
+        parser.read(patch_config)
+        lame = {s: dict(parser.items(s)) for s in parser.sections()}
+        lame["material"].update(dissipation="AT2", kappa="0.3")
+        lame["program"]["n_steps"] = "2"
+        lame["solver"] = {"tol_u": "1e-5", "tol_a": "1e-5", "max_newton": "100", "max_alt": "1000"}
+        lame["output"] = {"snapshot_every": "1", "save_intermediates": "false"}
+        young = {s: dict(v) for s, v in lame.items()}
+        del young["material"]["lam_kn"], young["material"]["mu_kn"]
+        young["material"].update(e_kn="210", nu="0.3")
+        preset = config_from_setup(load_preset("sent", 0.02))
+        other = generate_structured(2, [1.0, 1.0], [4, 3])
+        other.node_sets["pin"] = select_nodes(other, lambda x: np.abs(x).sum(axis=1), 1e-9)
+        other_msh = tmp_path / "other.msh"
+        other_msh.write_text(write_gmsh(other))
+
+        changes = {
+            ("run", "preset"): (preset, "sens"),
+            ("run", "mesh"): (lame, str(other_msh)),
+            ("run", "scale"): (preset, "0.03"),
+            ("material", "lam_kn"): (lame, "100"),
+            ("material", "mu_kn"): (lame, "70"),
+            ("material", "e_kn"): (young, "200"),
+            ("material", "nu"): (young, "0.25"),
+            ("material", "gc"): (lame, "2.5"),
+            ("material", "ell"): (lame, "0.02"),
+            ("material", "k"): (lame, "1e-3"),
+            ("material", "dissipation"): (lame, "AT1"),
+            ("material", "eps_pen"): (lame, "1e-5"),
+            ("material", "kappa"): (lame, "0.5"),
+            ("program", "n_steps"): (lame, "3"),
+            ("program", "dw"): (lame, "1e-4"),
+            ("program", "bc"): (lame, "ymin:y:0; ymax:y:2; pin:x:0"),
+            ("solver", "tol_u"): (lame, "1e-6"),
+            ("solver", "tol_a"): (lame, "1e-6"),
+            ("solver", "max_newton"): (lame, "50"),
+            ("solver", "max_alt"): (lame, "500"),
+            ("backtrack", "k_back"): (lame, "3"),
+            ("backtrack", "eta"): (lame, "1e-4"),
+            ("reaction", "set"): (lame, "ymin"),
+            ("reaction", "direction"): (lame, "1 0"),
+            ("output", "snapshot_every"): (lame, "2"),
+            ("output", "save_intermediates"): (lame, "true"),
+        }
+        assert set(changes) == {(s, k) for s, keys in _CONFIG_KEYS.items() for k in keys}
+
+        def setup_of(cfg):
+            s = setup_from_config(cfg)
+            return (
+                s.name, s.scale, s.mesh.nodes.tobytes(), s.params, s.program, s.solver,
+                s.backtrack, s.reaction_set, tuple(s.reaction_dir),
+            )
+
+        def outputs_of(cfg, name):
+            out = tmp_path / name
+            run_to_dir(cfg, out)
+            return sorted(str(f.relative_to(out)) for f in out.rglob("*") if f.is_file())
+
+        for (section, key), (base, value) in changes.items():
+            cfg = {s: dict(v) for s, v in base.items()}
+            assert cfg[section].get(key) != value
+            cfg[section][key] = value
+            if section == "output":
+                assert outputs_of(cfg, key) != outputs_of(base, "base_" + key), key
+            else:
+                assert setup_of(cfg) != setup_of(base), key
 
     def test_preset_and_mesh_are_exclusive(self):
         with pytest.raises(ValueError):
@@ -100,6 +182,21 @@ class TestCmdRun:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[run]\npreset = nope\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "item, named",
+        [
+            ("solver.clamp_damage=false", "solver.clamp_damage"),
+            ("output.compat_box1_lb=true", "output.compat_box1_lb"),
+            ("solvr.tol_u=1e-6", "[solvr]"),
+        ],
+    )
+    def test_unread_key_exit_2(self, tmp_path, capsys, item, named):
+        out = tmp_path / "o"
+        argv = ["run", "--preset", "sent", "--scale", "0.02", "--steps", "1", "--set", item, "--out", str(out)]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_patch_run_outputs(self, patch_config, tmp_path):
         out = tmp_path / "out"
@@ -218,6 +315,20 @@ class TestCheckEnergy:
         for step in (every, 1):
             assert rerun_with(step, 6, lambda v: "0") == 1
             assert f"two-sided inequality fails at steps: {step}" in capsys.readouterr().err
+
+    def test_old_run_json_audits(self, patch_config, tmp_path, capsys):
+        # run.json of an older version echoes solver and output keys that a
+        # run now rejects; the audit reads neither section through the setup
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 0
+        path = out / "run.json"
+        log = json.loads(path.read_text())
+        log["config"].setdefault("solver", {})["clamp_damage"] = "true"
+        log["config"].setdefault("output", {})["compat_box1_lb"] = "false"
+        path.write_text(json.dumps(log))
+        capsys.readouterr()
+        assert main(["check-energy", str(out)]) == 0
+        assert "energy audit ok (5 steps: 5 fully checked" in capsys.readouterr().out
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2

@@ -11,9 +11,8 @@ from pffrac.driver import (
     run,
 )
 from pffrac.energetics import check_two_sided
-from pffrac.fem import build_kernels
 from pffrac.mesh import generate_structured
-from pffrac.solver import SolverConfig, alternate_minimize
+from pffrac.solver import SolverConfig
 
 
 def tension_program(n_steps=6, dw=5e-5):
@@ -122,19 +121,56 @@ class TestRun:
         assert "alternate_minimize" in hist.abort_reason
         assert hist.n_accepted < 6
 
-    def test_replay_reproduces_bitwise(self, patch, sent_params):
+    def test_replay_reproduces_bitwise(self, patch, sent_params, monkeypatch):
+        # every solve, the discarded ones included, is a function of its
+        # arguments alone: re-running it from a copy of them gives the same
+        # result bit for bit, and each accepted state is one of those results
+        solves = []
+        real = driver.alternate_minimize
+
+        def spy(*args):
+            saved = [np.copy(x) if isinstance(x, np.ndarray) else x for x in args]
+            res = real(*args)
+            solves.append((saved, res))
+            return res
+
+        fail_once = []
+        real_check = check_two_sided
+
+        def scripted(step, *args, **kw):
+            rep = real_check(step, *args, **kw)
+            if step == 3 and not fail_once:
+                fail_once.append(step)
+                rep.passed = False
+            return rep
+
+        monkeypatch.setattr(driver, "alternate_minimize", spy)
+        monkeypatch.setattr(driver, "check_two_sided", scripted)
         prog = tension_program(n_steps=5, dw=2e-4)
-        cfg = SolverConfig()
-        hist = run(prog, BacktrackConfig(k_max=3), cfg, sent_params, patch, store_guesses=True)
-        kern = build_kernels(patch)
-        dm = build_dofmap(patch, prog)
-        for rec, prev in zip(hist.steps[1:], hist.steps):
-            res = alternate_minimize(
-                rec.guess_u, rec.guess_a, prev.a,
-                lifting_for_step(prog, rec.step, patch), kern, sent_params, cfg, dm,
+        hist = run(prog, BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch)
+        assert hist.n_accepted == 5 and hist.backtracks
+        # steps 1-4, step 3 again as the back step, then steps 4 and 5
+        assert len(solves) == 7
+
+        for args, res in solves:
+            again = real(*args)
+            assert np.array_equal(again.u, res.u)
+            assert np.array_equal(again.a, res.a)
+            assert (again.alt_iters, again.newton_iters_u, again.newton_iters_beta) == (
+                res.alt_iters, res.newton_iters_u, res.newton_iters_beta
             )
-            assert np.array_equal(res.u, rec.u)
-            assert np.array_equal(res.a, rec.a)
+            assert again.functional_trace == res.functional_trace
+        # each accepted state comes from a solve anchored at the damage the
+        # history accepted one step earlier, under that step's own lifting
+        for prev, rec in zip(hist.steps, hist.steps[1:]):
+            found = [
+                args for args, r in solves
+                if np.array_equal(rec.u, r.u) and np.array_equal(rec.a, r.a)
+            ]
+            assert found
+            for args in found:
+                assert np.array_equal(args[2], prev.a)
+                assert np.array_equal(args[3], lifting_for_step(prog, rec.step, patch))
 
 
 class TestBacktrackBookkeeping:

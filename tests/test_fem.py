@@ -423,7 +423,7 @@ class TestBandOrdering:
         cfg = solver.SolverConfig()
         u, _ = solver.newton_u(np.zeros_like(u_d), u_d, z, kern, p, cfg, dm)
         n_u = len(solves)
-        a, _, _ = solver.newton_beta(z, np.zeros_like(u), u_d, z, kern, p, cfg)
+        a, _ = solver.newton_beta(z, np.zeros_like(u), u_d, z, kern, p, cfg)
         assert a.max() == 1.0 and a.min() == 0.0
         assert n_u >= 1 and len(solves) > n_u and any(eliminated)
 

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pffrac import linsolve
+from pffrac.fem import DofMap, build_kernels, residual_and_tangent_u
 from pffrac.linsolve import BandOrdering, LinearSolveError, factor_solve
+from pffrac.mesh import generate_structured
 
 
 def random_sparse_spd(rng, n, density):
@@ -97,3 +100,54 @@ def test_structure_mismatch_raises(rng):
     other = random_sparse_spd(rng, 20, 0.2)
     with pytest.raises(LinearSolveError, match="structure"):
         factor_solve(other, np.ones(20), o)
+
+
+@pytest.fixture
+def patch_system(sent_params):
+    """Displacement tangent and right-hand side of a stretched 4x4 patch whose
+    upper half is fully damaged (degraded to the residual stiffness k)."""
+    mesh = generate_structured(2, [1.0, 1.0], [4, 4])
+    ymin, ymax = mesh.node_sets["ymin"], mesh.node_sets["ymax"]
+    dm = DofMap.from_constraints(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
+    u_d = np.zeros(2 * mesh.n_nodes)
+    u_d[2 * ymax + 1] = 1e-3
+    a = (mesh.nodes[:, 1] > 0.5).astype(float)
+    r, k = residual_and_tangent_u(np.zeros_like(u_d), u_d, a, build_kernels(mesh), sent_params, dm)
+    return k, -r
+
+
+def use_cg(monkeypatch, n):
+    """Send systems of n dofs to the CG branch; the direct branch must not run."""
+
+    def direct(*args):
+        raise AssertionError("direct branch taken")
+
+    monkeypatch.setattr(linsolve, "CG_DOF_THRESHOLD", n - 1)
+    monkeypatch.setattr(linsolve, "_banded_solve", direct)
+
+
+def test_cg_branch_matches_banded(patch_system, monkeypatch):
+    k, b = patch_system
+    want = factor_solve(k, b)
+    use_cg(monkeypatch, b.size)
+    x = factor_solve(k, b)
+    assert np.linalg.norm(k @ x - b) <= 1e-8 * np.linalg.norm(b)
+    assert np.abs(x - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def test_cg_branch_rejects_nonpositive_diagonal(patch_system, monkeypatch):
+    k, b = patch_system
+    bad = k.copy()
+    bad.setdiag(np.r_[0.0, k.diagonal()[1:]])
+    use_cg(monkeypatch, b.size)
+    with pytest.raises(LinearSolveError, match="non-positive diagonal"):
+        factor_solve(bad, b)
+
+
+def test_cg_branch_reports_no_convergence(patch_system, monkeypatch):
+    # a strong skew-symmetric part: positive diagonal, but CG cannot converge
+    k, b = patch_system
+    skew = sp.diags(np.full(b.size - 1, 3.0 * k.diagonal().max()), 1)
+    use_cg(monkeypatch, b.size)
+    with pytest.raises(LinearSolveError, match="CG did not converge"):
+        factor_solve(sp.csc_matrix(k + skew - skew.T), b)
