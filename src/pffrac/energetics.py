@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import ElementKernels, beta_at_qp, strain_voigt
-from .material import AT2, MaterialParams, degradation, psi_split, strain_tensor_from_voigt
+from .fem import ElementKernels, beta_at_qp, degradation_weights, strain_voigt
+from .material import AT2, MaterialParams, StrainSpectrum, psi_split, strain_tensor_from_voigt
 
 __all__ = [
     "EnergyReport",
     "erg",
+    "erg_from_spectrum",
     "grad_term",
     "stored_energy",
     "dis",
@@ -54,11 +55,23 @@ def _fsum(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
+def _bulk(psi_p, psi_m, rw, kernels: ElementKernels) -> float:
+    """Degraded bulk energy: tensile densities weighted by ``rw``, the
+    ``degradation_weights`` of the damage, compressive ones by the measures."""
+    return _fsum(rw * psi_p + kernels.measures * psi_m)
+
+
 def erg_from_psi(psi_p, psi_m, a, kernels: ElementKernels, p: MaterialParams) -> float:
     """Degraded bulk energy from precomputed element energy densities."""
-    r_qp, _ = degradation(beta_at_qp(kernels, a), p)
-    rw = np.einsum("eq,eq->e", kernels.wj, r_qp)
-    return _fsum(rw * psi_p + kernels.measures * psi_m)
+    return _bulk(psi_p, psi_m, degradation_weights(kernels, a, p), kernels)
+
+
+def erg_from_spectrum(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams) -> float:
+    """Degraded bulk energy of the displacement whose per-element strain
+    spectrum is given, at the damage whose ``degradation_weights`` are ``rw``
+    (the displacement merit: the damage is fixed during a displacement solve)."""
+    psi_p, psi_m = psi_split(spectrum, p)
+    return _bulk(psi_p, psi_m, rw, kernels)
 
 
 def erg(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:
@@ -158,12 +171,19 @@ def check_two_sided(
     the step pair (n, n+1)."""
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    e_next = stored_energy(u_next, u_d_next, a_next, kernels, p)
-    e_curr = stored_energy(u_n, u_d_n, a_n, kernels, p)
+    # the four distinct bulk energies: each state under both liftings; E,
+    # UB and LB are formed from them exactly as stored_energy, upper_bound
+    # and lower_bound form them
+    erg_next = erg(u_next, u_d_next, a_next, kernels, p)
+    erg_curr = erg(u_n, u_d_n, a_n, kernels, p)
+    erg_curr_lifted = erg(u_n, u_d_next, a_n, kernels, p)
+    erg_next_unlifted = erg(u_next, u_d_n, a_next, kernels, p)
+    e_next = erg_next + grad_term(a_next, kernels, p)
+    e_curr = erg_curr + grad_term(a_n, kernels, p)
     d_inc = dissipation_increment(a_n, a_next, kernels, p)
     delta = e_next - e_curr + d_inc
-    ub = upper_bound(u_n, u_d_n, u_d_next, a_n, kernels, p)
-    lb = lower_bound(u_next, u_d_n, u_d_next, a_next, kernels, p)
+    ub = erg_curr_lifted - erg_curr
+    lb = erg_next - erg_next_unlifted
     passed = (lb - eta <= delta) and (delta <= ub + eta)
     return EnergyReport(
         step=step,

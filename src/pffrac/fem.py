@@ -28,6 +28,7 @@ from .linsolve import BandOrdering
 from .material import (
     AT2,
     MaterialParams,
+    StrainSpectrum,
     degradation,
     psi_split,
     sigma_split,
@@ -45,7 +46,9 @@ __all__ = [
     "TET_RULE",
     "build_kernels",
     "strain_voigt",
+    "strain_spectrum",
     "beta_at_qp",
+    "degradation_weights",
     "internal_force_u",
     "residual_and_tangent_u",
     "residual_and_tangent_beta",
@@ -242,10 +245,14 @@ def strain_voigt(kernels: ElementKernels, total_disp: np.ndarray) -> np.ndarray:
     return np.einsum("evd,ed->ev", kernels.b_u, elem_disp)
 
 
+def strain_spectrum(kernels: ElementKernels, total_disp: np.ndarray) -> StrainSpectrum:
+    """Spectrum of the per-element strains of U + U_D (constant for P1)."""
+    return StrainSpectrum(strain_tensor_from_voigt(strain_voigt(kernels, total_disp), kernels.dim))
+
+
 def element_psi_split(kernels: ElementKernels, total_disp: np.ndarray, p: MaterialParams):
     """Tensile/compressive energy densities per element (constant for P1)."""
-    eps = strain_tensor_from_voigt(strain_voigt(kernels, total_disp), kernels.dim)
-    return psi_split(eps, p)
+    return psi_split(strain_spectrum(kernels, total_disp), p)
 
 
 def beta_at_qp(kernels: ElementKernels, a: np.ndarray) -> np.ndarray:
@@ -253,7 +260,7 @@ def beta_at_qp(kernels: ElementKernels, a: np.ndarray) -> np.ndarray:
     return a[kernels.elements] @ kernels.shape_qp.T
 
 
-def _degradation_weights(kernels: ElementKernels, a: np.ndarray, p: MaterialParams):
+def degradation_weights(kernels: ElementKernels, a: np.ndarray, p: MaterialParams):
     """Quadrature sum of w*j*R(beta) per element (weights the tensile part)."""
     r_qp, _ = degradation(beta_at_qp(kernels, a), p)
     return np.einsum("eq,eq->e", kernels.wj, r_qp)
@@ -264,21 +271,20 @@ def _nodal_sum(edofs: np.ndarray, f_e: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(edofs.ravel(), weights=f_e.ravel(), minlength=n)
 
 
-def _force(eps, a, kernels: ElementKernels, p: MaterialParams):
-    """Unconstrained internal force and the degradation weights."""
-    sig_p, sig_m = sigma_split(eps, p)
+def _force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams):
+    """Unconstrained internal force from the strain spectrum and the
+    degradation weights."""
+    sig_p, sig_m = sigma_split(spectrum, p)
     sp_v = stress_voigt_from_tensor(sig_p, kernels.dim)
     sm_v = stress_voigt_from_tensor(sig_m, kernels.dim)
-    rw = _degradation_weights(kernels, a, p)
     sig_eff = rw[:, None] * sp_v + kernels.measures[:, None] * sm_v
     f_e = np.einsum("evd,ev->ed", kernels.b_u, sig_eff)
-    return _nodal_sum(kernels.udofs, f_e, kernels.dim * kernels.mesh.n_nodes), rw
+    return _nodal_sum(kernels.udofs, f_e, kernels.dim * kernels.mesh.n_nodes)
 
 
 def internal_force_u(u, u_d, a, kernels: ElementKernels, p: MaterialParams) -> np.ndarray:
     """Unconstrained internal force vector over all displacement dofs."""
-    eps = strain_tensor_from_voigt(strain_voigt(kernels, u + u_d), kernels.dim)
-    return _force(eps, a, kernels, p)[0]
+    return _force(strain_spectrum(kernels, u + u_d), degradation_weights(kernels, a, p), kernels, p)
 
 
 @dataclass(frozen=True)
@@ -370,16 +376,23 @@ def damage_blocks(kernels: ElementKernels) -> DamageBlocks:
     return kernels.damage
 
 
-def residual_and_tangent_u(u, u_d, a, kernels: ElementKernels, p: MaterialParams, dofmap: DofMap):
+def residual_and_tangent_u(
+    u, u_d, a, kernels: ElementKernels, p: MaterialParams, dofmap: DofMap, *, spectrum=None, rw=None
+):
     """Displacement residual and consistent tangent over the free dofs (zero
     external load: Dirichlet-driven problems only).
 
-    The strain and its spectral split are shared by both; the tangent is a
-    CSC matrix, SPD for damage below one and k > 0.
+    One strain spectrum serves both; a caller that already has it (the
+    ``strain_spectrum`` of U + U_D) or the ``degradation_weights`` of the
+    damage passes them in, and the result is the same bit for bit.  The
+    tangent is a CSC matrix, SPD for damage below one and k > 0.
     """
-    eps = strain_tensor_from_voigt(strain_voigt(kernels, u + u_d), kernels.dim)
-    full, rw = _force(eps, a, kernels, p)
-    cp, cm = tangent_split(eps, p)
+    if spectrum is None:
+        spectrum = strain_spectrum(kernels, u + u_d)
+    if rw is None:
+        rw = degradation_weights(kernels, a, p)
+    full = _force(spectrum, rw, kernels, p)
+    cp, cm = tangent_split(spectrum, p)
     c_e = rw[:, None, None] * cp + kernels.measures[:, None, None] * cm
     k_e = np.einsum("evi,evj->eij", kernels.b_u, c_e @ kernels.b_u)
     return full[dofmap.free], u_pattern(kernels, dofmap).assemble(k_e)

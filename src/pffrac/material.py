@@ -25,6 +25,7 @@ import numpy as np
 __all__ = [
     "MaterialParams",
     "SplitState",
+    "StrainSpectrum",
     "spectral_split",
     "psi_split",
     "sigma_split",
@@ -129,52 +130,81 @@ def _check_sym(eps: np.ndarray) -> np.ndarray:
     return eps
 
 
-def _eig_embedded(eps: np.ndarray):
-    """Eigenvalues/-vectors of the 3x3 embedding of a (..., d, d) strain.
+class StrainSpectrum:
+    """Principal strains of a batch of strains, in the 3x3 embedding.
 
-    For plane strain the out-of-plane eigenpair is exactly (0, e_z), kept
-    last, so the zero eigenvalue never suffers eigensolver round-off.
+    ``eps`` is the checked strain batch (..., d, d), ``eigvals`` (..., 3) its
+    principal strains and ``eigvecs`` (..., 3, 3) the principal directions as
+    columns.  In 3-D one ``eigh`` gives both.  In plane strain the in-plane
+    pair has a closed form and the out-of-plane pair is exactly (0, e_z), kept
+    last, so the zero eigenvalue never suffers eigensolver round-off; the
+    vectors are built on first access, since energies need only the values.
+    The split functions accept a spectrum wherever they accept a strain, so
+    a state evaluated for several quantities is decomposed once.
     """
-    d = eps.shape[-1]
-    if d == 3:
-        return np.linalg.eigh(eps)
 
-    a = eps[..., 0, 0]
-    b = eps[..., 1, 1]
-    c = eps[..., 0, 1]
-    m = 0.5 * (a + b)
-    h = 0.5 * (a - b)
-    r = np.hypot(h, c)
-    w1 = m - r
-    w2 = m + r
+    def __init__(self, eps: np.ndarray):
+        eps = _check_sym(eps)
+        self.eps = eps
+        if eps.shape[-1] == 3:
+            self.eigvals, self._eigvecs = np.linalg.eigh(eps)
+            return
+        a = eps[..., 0, 0]
+        b = eps[..., 1, 1]
+        c = eps[..., 0, 1]
+        m = 0.5 * (a + b)
+        h = 0.5 * (a - b)
+        r = np.hypot(h, c)
+        w = np.zeros(eps.shape[:-2] + (3,))
+        w[..., 0] = m - r
+        w[..., 1] = m + r
+        self.eigvals = w
+        self._eigvecs = None
+        self._hcr = (h, c, r)
 
-    # eigenvector of w2; pick the better-conditioned analytic form
-    use_h = h >= 0.0
-    vx = np.where(use_h, r + h, c)
-    vy = np.where(use_h, c, r - h)
-    norm = np.hypot(vx, vy)
-    deg = norm <= 0.0
-    safe = np.where(deg, 1.0, norm)
-    vx = np.where(deg, 1.0, vx / safe)
-    vy = np.where(deg, 0.0, vy / safe)
+    @property
+    def shape(self) -> tuple:
+        """Shape of the strain batch."""
+        return self.eps.shape
 
-    shape = eps.shape[:-2]
-    w = np.zeros(shape + (3,))
-    w[..., 0] = w1
-    w[..., 1] = w2
-    v = np.zeros(shape + (3, 3))
-    v[..., 0, 0] = -vy
-    v[..., 1, 0] = vx
-    v[..., 0, 1] = vx
-    v[..., 1, 1] = vy
-    v[..., 2, 2] = 1.0
-    return w, v
+    @property
+    def eigvecs(self) -> np.ndarray:
+        if self._eigvecs is None:
+            h, c, r = self._hcr
+            # eigenvector of w2; pick the better-conditioned analytic form
+            use_h = h >= 0.0
+            vx = np.where(use_h, r + h, c)
+            vy = np.where(use_h, c, r - h)
+            norm = np.hypot(vx, vy)
+            deg = norm <= 0.0
+            safe = np.where(deg, 1.0, norm)
+            vx = np.where(deg, 1.0, vx / safe)
+            vy = np.where(deg, 0.0, vy / safe)
+
+            v = np.zeros(self.eps.shape[:-2] + (3, 3))
+            v[..., 0, 0] = -vy
+            v[..., 1, 0] = vx
+            v[..., 0, 1] = vx
+            v[..., 1, 1] = vy
+            v[..., 2, 2] = 1.0
+            self._eigvecs = v
+        return self._eigvecs
+
+
+def _spectrum(eps) -> StrainSpectrum:
+    """The given spectrum, or the spectrum of the given strain batch."""
+    return eps if isinstance(eps, StrainSpectrum) else StrainSpectrum(eps)
+
+
+def _eig_embedded(eps: np.ndarray):
+    """Eigenvalues/-vectors of the 3x3 embedding of a (..., d, d) strain."""
+    s = StrainSpectrum(eps)
+    return s.eigvals, s.eigvecs
 
 
 def spectral_split(eps: np.ndarray) -> SplitState:
     """Decompose strain into tensile/compressive parts by signed principal
     strains: eps_pm = sum_a <w_a>_pm n_a (x) n_a."""
-    eps = _check_sym(eps)
     w, v = _eig_embedded(eps)
     wp = np.maximum(w, 0.0)
     wm = np.minimum(w, 0.0)
@@ -184,14 +214,14 @@ def spectral_split(eps: np.ndarray) -> SplitState:
     return SplitState(eigvals=w, eigvecs=v, eps_plus=eps_p, eps_minus=eps_m)
 
 
-def psi_split(eps: np.ndarray, p: MaterialParams):
-    """Tensile/compressive elastic energy densities.
+def psi_split(eps, p: MaterialParams):
+    """Tensile/compressive elastic energy densities of a strain batch or its
+    ``StrainSpectrum``.
 
     psi0_pm = lam/2 (tr eps_pm)^2 + mu eps_pm : eps_pm, evaluated from the
     signed principal strains.  Both values are >= 0 (lam >= 0).
     """
-    eps = _check_sym(eps)
-    w, _ = _eig_embedded(eps)
+    w = _spectrum(eps).eigvals
     wp = np.maximum(w, 0.0)
     wm = np.minimum(w, 0.0)
     trp = wp.sum(axis=-1)
@@ -218,15 +248,16 @@ def _split_stress_coeffs(w: np.ndarray, p: MaterialParams):
     return fp, fm, hp, hm
 
 
-def sigma_split(eps: np.ndarray, p: MaterialParams):
-    """Tensile/compressive stresses, the exact gradients of ``psi_split``.
+def sigma_split(eps, p: MaterialParams):
+    """Tensile/compressive stresses, the exact gradients of ``psi_split``, of
+    a strain batch or its ``StrainSpectrum``.
 
     Returned in the input dimension (in-plane block for plane strain; the
     out-of-plane normal stress never enters 2-D assembly).
     """
-    eps = _check_sym(eps)
-    d = eps.shape[-1]
-    w, v = _eig_embedded(eps)
+    s = _spectrum(eps)
+    d = s.eps.shape[-1]
+    w, v = s.eigvals, s.eigvecs
     fp, fm, _, _ = _split_stress_coeffs(w, p)
     vt = np.swapaxes(v, -1, -2)
     sig_p = (v * fp[..., None, :]) @ vt
@@ -248,8 +279,9 @@ def stress(eps: np.ndarray, beta, p: MaterialParams) -> np.ndarray:
     return np.asarray(r)[..., None, None] * sig_p + sig_m
 
 
-def tangent_split(eps: np.ndarray, p: MaterialParams):
-    """Tangents of the split stresses: (d sigma0_+/d eps, d sigma0_-/d eps).
+def tangent_split(eps, p: MaterialParams):
+    """Tangents of the split stresses: (d sigma0_+/d eps, d sigma0_-/d eps),
+    of a strain batch or its ``StrainSpectrum``.
 
     Both in engineering-shear Voigt form (3x3 over (xx, yy, xy) in 2-D,
     6x6 over (xx, yy, zz, yz, xz, xy) in 3-D), built directly from the
@@ -266,9 +298,10 @@ def tangent_split(eps: np.ndarray, p: MaterialParams):
     one pair remain.  Near-repeated eigenvalues (gap below
     1e-9*(1+|eps|)) use the coalesced-pair limit g_ab = 2 mu h.
     """
-    eps = _check_sym(eps)
+    s = _spectrum(eps)
+    eps = s.eps
     d = eps.shape[-1]
-    w, v = _eig_embedded(eps)
+    w, v = s.eigvals, s.eigvecs
     fp, fm, hp, hm = _split_stress_coeffs(w, p)
 
     vi = v[..., _VOIGT_I[d], :d]  # (..., nv, modes): n_a[i_k]

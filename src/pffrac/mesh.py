@@ -109,6 +109,8 @@ class Mesh:
         if np.any(meas <= 0.0):
             bad = int(np.argmin(meas))
             raise MeshError(f"element {bad} has non-positive measure {meas[bad]}")
+        if not self.side_sets:
+            return  # the facet map only serves the side-set check
         faces = self.boundary_facets()
         for name, facets in self.side_sets.items():
             for facet in facets:

@@ -22,18 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import dis, erg, functional_from_psi, total_functional
+from .energetics import dis, erg_from_spectrum, functional_from_psi
 from .fem import (
     DofMap,
     ElementKernels,
     damage_blocks,
-    element_psi_split,
+    degradation_weights,
     residual_and_tangent_beta,
     residual_and_tangent_u,
+    strain_spectrum,
     u_pattern,
 )
 from .linsolve import LinearSolveError, factor_solve
-from .material import MaterialParams
+from .material import MaterialParams, psi_split
 
 __all__ = ["SolverConfig", "AltResult", "StepFailure", "newton_u", "newton_beta", "alternate_minimize"]
 
@@ -88,37 +89,43 @@ def _eliminate(mat, pinned: np.ndarray) -> None:
     mat.data[drop] = rows[drop] == cols[drop]
 
 
-def _box_newton(x0, system_fn, merit_fn, tol, max_newton, label, ordering, bounds=None):
+def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bounds=None, start=None):
     """Line-search-safeguarded (projected) Newton on a convex piecewise-smooth
     energy, optionally subject to box constraints.
 
-    ``system_fn(x)`` returns the (residual, tangent) pair in one evaluation;
-    every tangent is on the sparsity pattern whose band ``ordering`` factors it.
+    ``evaluate(x)`` returns the energy of ``x`` and the data ``system_fn``
+    needs of it; ``system_fn(x, data)`` returns the (residual, tangent) pair
+    in one evaluation.  So each point is evaluated once: the accepted trial's
+    energy and data serve the next iteration.  ``start``, when given, is what
+    ``evaluate(x0)`` would return.  Every tangent is on the sparsity pattern
+    whose band ``ordering`` factors it.
     Every applied increment must pass an Armijo test on the energy, so the
     iteration is strictly non-increasing; with bounds, dofs pinned at a bound
     with an outward-pushing gradient are eliminated from the Newton system
     (unit rows and columns, zero right-hand side) and trial states follow the
-    projection arc.  Returns (x, iterations).
+    projection arc.  Returns (x, iterations, energy, data) of the returned
+    point.
     Convergence: the applied increment max norm drops to ``tol``, or no
     energy descent is achievable along the Newton direction (nonsmooth
     minimizer).
     """
     x = np.array(x0, dtype=np.float64, copy=True)
-    if x.size == 0:
-        return x, 1
     if bounds is not None:
         lo, hi = bounds
         x = np.clip(x, lo, hi)
+    e0, data = evaluate(x) if start is None else start
+    if x.size == 0:
+        return x, 1, e0, data
 
     def project(v):
         return np.clip(v, lo, hi) if bounds is not None else v
 
     for k in range(1, max_newton + 1):
-        r, mat = system_fn(x)
+        r, mat = system_fn(x, data)
         if bounds is not None:
             pinned = ((x <= lo) & (r > 0.0)) | ((x >= hi) & (r < 0.0))
             if pinned.all():
-                return x, k  # every dof pinned at a bound
+                return x, k, e0, data  # every dof pinned at a bound
             if pinned.any():
                 r = np.where(pinned, 0.0, r)
                 _eliminate(mat, pinned)
@@ -129,22 +136,20 @@ def _box_newton(x0, system_fn, merit_fn, tol, max_newton, label, ordering, bound
             raise StepFailure(f"{label} linear solve failed: {exc}") from exc
         slope = float(np.dot(r, dx))  # -r^T K^{-1} r <= 0 for SPD tangents
 
-        e0 = merit_fn(x)
         t = 1.0
-        x_new = x
         while t >= _ARMIJO_MIN_STEP:
             trial = project(x + t * dx)
-            if merit_fn(trial) <= e0 + _ARMIJO_C * t * slope:
-                x_new = trial
+            e_trial, d_trial = evaluate(trial)
+            if e_trial <= e0 + _ARMIJO_C * t * slope:
                 break
             t *= 0.5
         else:
             # no descent along the Newton direction: kink minimizer reached
-            return x, k
-        step = float(np.max(np.abs(x_new - x)))
-        x = x_new
+            return x, k, e0, data
+        step = float(np.max(np.abs(trial - x)))
+        x, e0, data = trial, e_trial, d_trial
         if step <= tol:
-            return x, k
+            return x, k, e0, data
     raise StepFailure(f"{label}: no convergence in {max_newton} iterations")
 
 
@@ -156,36 +161,49 @@ def newton_u(
     p: MaterialParams,
     cfg: SolverConfig,
     dofmap: DofMap,
+    spectrum=None,
 ):
     """Damped Newton on the displacement residual at fixed damage.
 
-    Returns (u, iterations).  The free vector keeps zeros on constrained
-    dofs; the merit function is the degraded bulk energy.
+    Returns (u, iterations, spectrum): the free vector keeps zeros on
+    constrained dofs, and ``spectrum`` is the ``strain_spectrum`` of the
+    returned u + u_d.  A caller that has the spectrum of u0 + u_d (u0 zero
+    on the constrained dofs) passes it in.  The merit function is the degraded bulk energy; each displacement
+    state is decomposed once, for its merit, residual and tangent alike.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
     u[dofmap.fixed] = 0.0
     free = dofmap.free
+    rw = degradation_weights(kernels, a_fixed, p)  # the damage is fixed
 
     def expand(x):
         full = u.copy()
         full[free] = x
         return full
 
+    def evaluate(x):
+        spec = strain_spectrum(kernels, expand(x) + u_d)
+        return erg_from_spectrum(spec, rw, kernels, p), spec
+
+    start = None if spectrum is None else (erg_from_spectrum(spectrum, rw, kernels, p), spectrum)
     try:
-        x, iters = _box_newton(
+        x, iters, _, spectrum = _box_newton(
             u[free],
-            lambda x: residual_and_tangent_u(expand(x), u_d, a_fixed, kernels, p, dofmap),
-            lambda x: erg(expand(x), u_d, a_fixed, kernels, p),
+            evaluate,
+            lambda x, spec: residual_and_tangent_u(
+                expand(x), u_d, a_fixed, kernels, p, dofmap, spectrum=spec, rw=rw
+            ),
             cfg.tol_u,
             cfg.max_newton,
             "newton_u",
             u_pattern(kernels, dofmap).ordering,
+            start=start,
         )
     except StepFailure as exc:
         exc.u, exc.a = u, a_fixed
         raise
     u[free] = x
-    return u, iters
+    return u, iters, spectrum
 
 
 def newton_beta(
@@ -196,24 +214,30 @@ def newton_beta(
     kernels: ElementKernels,
     p: MaterialParams,
     cfg: SolverConfig,
+    spectrum=None,
 ):
     """Semi-smooth Newton on the penalized damage residual at fixed
     displacement, bound-constrained to [0, 1].
 
-    Returns (a, iterations).  The bounds are enforced inside the solve
+    Returns (a, iterations, functional): ``functional`` is the penalized
+    incremental functional ``total_functional(u_fixed, u_d, a, a_n)`` of the
+    returned state, bit for bit.  A caller that has the ``strain_spectrum``
+    of u_fixed + u_d passes it in.  The bounds are enforced inside the solve
     (projected active-set Newton), so the discrete overshoot of the
     unconstrained minimizer above 1 near a localized crack never enters the
     state.
     """
     # the displacement is frozen, so the split energy densities are reusable;
     # the anchor is fixed, so is its dissipation
-    psi_p, psi_m = element_psi_split(kernels, u_fixed + u_d, p)
+    if spectrum is None:
+        spectrum = strain_spectrum(kernels, u_fixed + u_d)
+    psi_p, psi_m = psi_split(spectrum, p)
     dis_n = dis(a_n, kernels, p)
     try:
-        a, iters = _box_newton(
+        a, iters, merit, _ = _box_newton(
             a0,
-            lambda x: residual_and_tangent_beta(psi_p, x, a_n, kernels, p),
-            lambda x: functional_from_psi(psi_p, psi_m, x, a_n, dis_n, kernels, p),
+            lambda x: (functional_from_psi(psi_p, psi_m, x, a_n, dis_n, kernels, p), None),
+            lambda x, _: residual_and_tangent_beta(psi_p, x, a_n, kernels, p),
             cfg.tol_a,
             cfg.max_newton,
             "newton_beta",
@@ -223,7 +247,7 @@ def newton_beta(
     except StepFailure as exc:
         exc.u, exc.a = u_fixed, a0
         raise
-    return a, iters
+    return a, iters, merit
 
 
 def alternate_minimize(
@@ -249,13 +273,14 @@ def alternate_minimize(
     iters_u = 0
     iters_b = 0
     trace: list = []
+    spectrum = None  # of u + u_d_next, once a solve has computed it
 
     for i in range(1, cfg.max_alt + 1):
-        u_new, nu = newton_u(u, u_d_next, a, kernels, p, cfg, dofmap)
-        a_new, nb = newton_beta(a, u_new, u_d_next, a_n, kernels, p, cfg)
+        u_new, nu, spectrum = newton_u(u, u_d_next, a, kernels, p, cfg, dofmap, spectrum)
+        a_new, nb, functional = newton_beta(a, u_new, u_d_next, a_n, kernels, p, cfg, spectrum)
         iters_u += nu
         iters_b += nb
-        trace.append(total_functional(u_new, u_d_next, a_new, a_n, kernels, p))
+        trace.append(functional)
 
         du = float(np.max(np.abs(u_new - u))) if u.size else 0.0
         da = float(np.max(np.abs(a_new - a))) if a.size else 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state
+from pffrac import energetics
 from pffrac.energetics import (
     check_two_sided,
     dis,
@@ -12,6 +13,7 @@ from pffrac.energetics import (
     grad_term,
     lower_bound,
     penalty_energy,
+    stored_energy,
     upper_bound,
 )
 from pffrac.fem import build_kernels, element_psi_split
@@ -181,6 +183,34 @@ class TestCheckTwoSided:
         rep = check_two_sided(0, u, ud1, a_n, u, ud2, a, kern, sent_params, eta=1e-5)
         assert rep.passed == (rep.lb - rep.eta <= rep.delta <= rep.ub + rep.eta)
         assert rep.delta == pytest.approx(rep.e_next - rep.e_curr + rep.d_inc, rel=1e-12)
+
+    def test_four_bulk_energies_per_check(self, patch, sent_params, rng, monkeypatch):
+        # E, UB and LB share the bulk energies of the two states under the
+        # two liftings: 4 evaluations, and the report is bit for bit the one
+        # built from stored_energy, upper_bound and lower_bound
+        mesh, kern = patch
+        u_n, a_n, _ = random_state(mesh, rng)
+        u_next, a_next, _ = random_state(mesh, rng)
+        ud1 = np.zeros(2 * mesh.n_nodes)
+        ud2 = ud1.copy()
+        ud2[1::2] = 1e-3 * mesh.nodes[:, 1]
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return erg(*args)
+
+        monkeypatch.setattr(energetics, "erg", spy)
+        rep = check_two_sided(0, u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, eta=1e-5)
+        assert len(calls) == 4
+        monkeypatch.undo()
+        e_next = stored_energy(u_next, ud2, a_next, kern, sent_params)
+        e_curr = stored_energy(u_n, ud1, a_n, kern, sent_params)
+        d_inc = dissipation_increment(a_n, a_next, kern, sent_params)
+        assert (rep.e_next, rep.e_curr, rep.d_inc) == (e_next, e_curr, d_inc)
+        assert rep.delta == e_next - e_curr + d_inc
+        assert rep.ub == upper_bound(u_n, ud1, ud2, a_n, kern, sent_params)
+        assert rep.lb == lower_bound(u_next, ud1, ud2, a_next, kern, sent_params)
 
     def test_eta_must_be_positive(self, patch, sent_params):
         mesh, kern = patch

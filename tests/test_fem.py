@@ -421,9 +421,9 @@ class TestBandOrdering:
         u_d[1::2] = 0.1 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
         z = np.zeros(mesh.n_nodes)
         cfg = solver.SolverConfig()
-        u, _ = solver.newton_u(np.zeros_like(u_d), u_d, z, kern, p, cfg, dm)
+        u, _, _ = solver.newton_u(np.zeros_like(u_d), u_d, z, kern, p, cfg, dm)
         n_u = len(solves)
-        a, _ = solver.newton_beta(z, np.zeros_like(u), u_d, z, kern, p, cfg)
+        a, _, _ = solver.newton_beta(z, np.zeros_like(u), u_d, z, kern, p, cfg)
         assert a.max() == 1.0 and a.min() == 0.0
         assert n_u >= 1 and len(solves) > n_u and any(eliminated)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pffrac.material import (
     _GAP_REL,
     MaterialParams,
+    StrainSpectrum,
     _eig_embedded,
     _split_stress_coeffs,
     degradation,
@@ -107,6 +108,24 @@ class TestSpectralSplit:
             sp = spectral_split(eps)
             sn = spectral_split(-eps)
             assert np.allclose(sn.eps_plus, -sp.eps_minus, atol=1e-15)
+
+
+class TestStrainSpectrum:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_shared_spectrum_matches_strain_path(self, rng, sent_params, dim):
+        # one spectrum read by all three split functions, in the order a
+        # Newton iterate reads them (energy first, so the plane-strain
+        # vectors are built late), equals each strain-taking call bit for bit
+        eps = np.stack([rand_strain(rng, dim) for _ in range(20)] + [np.zeros((dim, dim))])
+        eps[1] = np.diag(np.full(dim, 1e-3))  # repeated principal strains
+        spec = StrainSpectrum(eps)
+        assert spec.shape == eps.shape
+        for fn in (psi_split, sigma_split, tangent_split):
+            for got, want in zip(fn(spec, sent_params), fn(eps, sent_params)):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+        w, v = _eig_embedded(eps)
+        assert np.array_equal(spec.eigvals, w) and np.array_equal(spec.eigvecs, v)
 
 
 class TestPsiSplit:

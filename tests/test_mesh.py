@@ -168,6 +168,24 @@ def test_validate_rejects_interior_facet():
         mesh.validate()
 
 
+def test_validate_builds_facet_map_only_for_side_sets(monkeypatch):
+    calls = []
+    real = Mesh.boundary_facets
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Mesh, "boundary_facets", spy)
+    mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+    mesh.validate()
+    assert calls == []
+    bottom = mesh.node_sets["ymin"]
+    mesh.side_sets = {"bottom": [(int(bottom[0]), int(bottom[1]))]}
+    mesh.validate()
+    assert calls == [mesh]
+
+
 def test_duplicated_nodes_not_merged():
     mesh = generate_structured(2, [1.0, 1.0], [1, 1])
     nodes = np.vstack([mesh.nodes, mesh.nodes[0]])
