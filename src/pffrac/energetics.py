@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import ElementKernels, beta_at_qp, degradation_weights, strain_voigt
-from .material import AT2, MaterialParams, StrainSpectrum, psi_split, strain_tensor_from_voigt
+from .fem import ElementKernels, beta_at_qp, degradation_weights, strain_spectrum
+from .material import AT2, MaterialParams, StrainSpectrum, psi_split
 
 __all__ = [
     "EnergyReport",
@@ -29,9 +29,6 @@ __all__ = [
     "dis",
     "dissipation_increment",
     "penalty_energy",
-    "total_functional",
-    "upper_bound",
-    "lower_bound",
     "check_two_sided",
 ]
 
@@ -61,11 +58,6 @@ def _bulk(psi_p, psi_m, rw, kernels: ElementKernels) -> float:
     return _fsum(rw * psi_p + kernels.measures * psi_m)
 
 
-def erg_from_psi(psi_p, psi_m, a, kernels: ElementKernels, p: MaterialParams) -> float:
-    """Degraded bulk energy from precomputed element energy densities."""
-    return _bulk(psi_p, psi_m, degradation_weights(kernels, a, p), kernels)
-
-
 def erg_from_spectrum(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams) -> float:
     """Degraded bulk energy of the displacement whose per-element strain
     spectrum is given, at the damage whose ``degradation_weights`` are ``rw``
@@ -76,9 +68,7 @@ def erg_from_spectrum(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: 
 
 def erg(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:
     """Degraded bulk energy of the displacement u1 + u2 with damage a."""
-    eps = strain_tensor_from_voigt(strain_voigt(kernels, u1 + u2), kernels.dim)
-    psi_p, psi_m = psi_split(eps, p)
-    return erg_from_psi(psi_p, psi_m, a, kernels, p)
+    return erg_from_spectrum(strain_spectrum(kernels, u1 + u2), degradation_weights(kernels, a, p), kernels, p)
 
 
 def grad_term(a, kernels: ElementKernels, p: MaterialParams) -> float:
@@ -120,39 +110,18 @@ def penalty_energy(a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
     return 0.5 / p.eps_pen * _fsum(per_e)
 
 
-def total_functional(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
-    """Penalized incremental functional: stored energy + incremental
-    dissipation + irreversibility penalty (the quantity the alternating
-    minimization descends on)."""
-    return (
-        erg(u, u_d, a, kernels, p)
-        + grad_term(a, kernels, p)
-        + dissipation_increment(a_n, a, kernels, p)
-        + penalty_energy(a, a_n, kernels, p)
-    )
-
-
 def functional_from_psi(psi_p, psi_m, a, a_n, dis_n, kernels: ElementKernels, p: MaterialParams) -> float:
-    """``total_functional`` at fixed displacement, from precomputed element
-    energy densities (avoids re-evaluating the spectral split) and the
-    anchor's dissipation ``dis_n = dis(a_n)``."""
+    """Penalized incremental functional at fixed displacement: stored energy
+    + incremental dissipation + irreversibility penalty (the quantity the
+    alternating minimization descends on).  Takes the element energy
+    densities of the displacement and the anchor's dissipation
+    ``dis_n = dis(a_n)``, both fixed during a damage solve."""
     return (
-        erg_from_psi(psi_p, psi_m, a, kernels, p)
+        _bulk(psi_p, psi_m, degradation_weights(kernels, a, p), kernels)
         + grad_term(a, kernels, p)
         + (dis(a, kernels, p) - dis_n)
         + penalty_energy(a, a_n, kernels, p)
     )
-
-
-def upper_bound(u_n, u_d_n, u_d_next, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
-    """UB: lifting increment evaluated on the current state."""
-    return erg(u_n, u_d_next, a_n, kernels, p) - erg(u_n, u_d_n, a_n, kernels, p)
-
-
-def lower_bound(u_next, u_d_n, u_d_next, a_next, kernels: ElementKernels, p: MaterialParams) -> float:
-    """LB: lifting increment evaluated on the next state, the proved pairing
-    erg(u_next, u_d_next) - erg(u_next, u_d_n) at damage a_next."""
-    return erg(u_next, u_d_next, a_next, kernels, p) - erg(u_next, u_d_n, a_next, kernels, p)
 
 
 def check_two_sided(
@@ -171,9 +140,9 @@ def check_two_sided(
     the step pair (n, n+1)."""
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    # the four distinct bulk energies: each state under both liftings; E,
-    # UB and LB are formed from them exactly as stored_energy, upper_bound
-    # and lower_bound form them
+    # the four distinct bulk energies: each state under both liftings.  UB
+    # is the lifting increment on the current state, LB the one on the next
+    # state (the proved pairing), both at that state's damage
     erg_next = erg(u_next, u_d_next, a_next, kernels, p)
     erg_curr = erg(u_n, u_d_n, a_n, kernels, p)
     erg_curr_lifted = erg(u_n, u_d_next, a_n, kernels, p)

@@ -30,7 +30,6 @@ from .material import (
     MaterialParams,
     StrainSpectrum,
     degradation,
-    psi_split,
     sigma_split,
     strain_tensor_from_voigt,
     stress_voigt_from_tensor,
@@ -248,11 +247,6 @@ def strain_voigt(kernels: ElementKernels, total_disp: np.ndarray) -> np.ndarray:
 def strain_spectrum(kernels: ElementKernels, total_disp: np.ndarray) -> StrainSpectrum:
     """Spectrum of the per-element strains of U + U_D (constant for P1)."""
     return StrainSpectrum(strain_tensor_from_voigt(strain_voigt(kernels, total_disp), kernels.dim))
-
-
-def element_psi_split(kernels: ElementKernels, total_disp: np.ndarray, p: MaterialParams):
-    """Tensile/compressive energy densities per element (constant for P1)."""
-    return psi_split(strain_spectrum(kernels, total_disp), p)
 
 
 def beta_at_qp(kernels: ElementKernels, a: np.ndarray) -> np.ndarray:

@@ -24,18 +24,13 @@ import numpy as np
 
 __all__ = [
     "MaterialParams",
-    "SplitState",
     "StrainSpectrum",
-    "spectral_split",
     "psi_split",
     "sigma_split",
     "degradation",
-    "stress",
-    "tangent",
     "tangent_split",
     "strain_tensor_from_voigt",
     "stress_voigt_from_tensor",
-    "elastic_tensor",
 ]
 
 AT2 = "AT2"
@@ -112,16 +107,6 @@ class MaterialParams:
         return cls(lam=lam, mu=mu, **kw)
 
 
-@dataclass
-class SplitState:
-    """Spectral decomposition of a strain state (3x3 embedding)."""
-
-    eigvals: np.ndarray  # (..., 3)
-    eigvecs: np.ndarray  # (..., 3, 3), columns are principal directions
-    eps_plus: np.ndarray  # (..., 3, 3)
-    eps_minus: np.ndarray  # (..., 3, 3)
-
-
 def _check_sym(eps: np.ndarray) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     d = eps.shape[-1]
@@ -196,24 +181,6 @@ def _spectrum(eps) -> StrainSpectrum:
     return eps if isinstance(eps, StrainSpectrum) else StrainSpectrum(eps)
 
 
-def _eig_embedded(eps: np.ndarray):
-    """Eigenvalues/-vectors of the 3x3 embedding of a (..., d, d) strain."""
-    s = StrainSpectrum(eps)
-    return s.eigvals, s.eigvecs
-
-
-def spectral_split(eps: np.ndarray) -> SplitState:
-    """Decompose strain into tensile/compressive parts by signed principal
-    strains: eps_pm = sum_a <w_a>_pm n_a (x) n_a."""
-    w, v = _eig_embedded(eps)
-    wp = np.maximum(w, 0.0)
-    wm = np.minimum(w, 0.0)
-    vt = np.swapaxes(v, -1, -2)
-    eps_p = (v * wp[..., None, :]) @ vt
-    eps_m = (v * wm[..., None, :]) @ vt
-    return SplitState(eigvals=w, eigvecs=v, eps_plus=eps_p, eps_minus=eps_m)
-
-
 def psi_split(eps, p: MaterialParams):
     """Tensile/compressive elastic energy densities of a strain batch or its
     ``StrainSpectrum``.
@@ -272,13 +239,6 @@ def degradation(beta, p: MaterialParams):
     return one_m * one_m + p.k, -2.0 * one_m
 
 
-def stress(eps: np.ndarray, beta, p: MaterialParams) -> np.ndarray:
-    """Degraded stress R(beta) sigma0_+ + sigma0_-."""
-    sig_p, sig_m = sigma_split(eps, p)
-    r, _ = degradation(beta, p)
-    return np.asarray(r)[..., None, None] * sig_p + sig_m
-
-
 def tangent_split(eps, p: MaterialParams):
     """Tangents of the split stresses: (d sigma0_+/d eps, d sigma0_-/d eps),
     of a strain batch or its ``StrainSpectrum``.
@@ -326,36 +286,6 @@ def tangent_split(eps, p: MaterialParams):
         return (q * coef[..., None, :]) @ qt + p.lam * mh * np.swapaxes(mh, -1, -2)
 
     return branch(fp, hp, hbp), branch(fm, hm, 1.0 - hbp)
-
-
-def tangent(eps: np.ndarray, beta, p: MaterialParams) -> np.ndarray:
-    """Consistent tangent d sigma / d eps at fixed beta, in Voigt form.
-
-    R(beta) * (tensile tangent) + (compressive tangent); see
-    ``tangent_split`` for conventions and the repeated-eigenvalue handling.
-    """
-    cp, cm = tangent_split(eps, p)
-    r, _ = degradation(beta, p)
-    return np.asarray(r)[..., None, None] * cp + cm
-
-
-def elastic_tensor(dim: int, p: MaterialParams) -> np.ndarray:
-    """Undegraded isotropic elasticity matrix in engineering Voigt form."""
-    lam, mu = p.lam, p.mu
-    if dim == 2:
-        c = np.array(
-            [
-                [lam + 2 * mu, lam, 0.0],
-                [lam, lam + 2 * mu, 0.0],
-                [0.0, 0.0, mu],
-            ]
-        )
-    else:
-        c = np.zeros((6, 6))
-        c[:3, :3] = lam
-        c[np.arange(3), np.arange(3)] = lam + 2 * mu
-        c[np.arange(3, 6), np.arange(3, 6)] = mu
-    return c
 
 
 def strain_tensor_from_voigt(v: np.ndarray, dim: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Unstructured simplex meshes: Gmsh ASCII I/O, structured generators, node selection.
+"""Unstructured simplex meshes: Gmsh ASCII reader, tensor-product grid generator, node selection.
 
 Meshes are immutable after construction (plain numpy arrays, never mutated by
 the solvers) and hold 3-node triangles (2-D) or 4-node tetrahedra (3-D) with
@@ -17,8 +17,6 @@ __all__ = [
     "Mesh",
     "MeshError",
     "parse_gmsh",
-    "write_gmsh",
-    "generate_structured",
     "generate_grid",
     "select_nodes",
 ]
@@ -279,93 +277,35 @@ def parse_gmsh(text: str) -> Mesh:
     return mesh
 
 
-def write_gmsh(mesh: Mesh) -> str:
-    """Serialize a Mesh back to Gmsh ASCII v2.2.
-
-    Node sets are written as physical point elements and side sets as
-    physical facet elements, so ``parse_gmsh(write_gmsh(m))`` restores
-    coordinates bitwise and connectivity and sets exactly.
-    """
-    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat"]
-
-    names = []  # (dim, tag, name)
-    tag_of: dict = {}
-    tag = 1
-    for name in mesh.node_sets:
-        names.append((0, tag, name))
-        tag_of[("node", name)] = tag
-        tag += 1
-    for name in mesh.side_sets:
-        names.append((mesh.dim - 1, tag, name))
-        tag_of[("side", name)] = tag
-        tag += 1
-    if names:
-        out.append("$PhysicalNames")
-        out.append(str(len(names)))
-        for pdim, ptag, name in names:
-            out.append(f'{pdim} {ptag} "{name}"')
-        out.append("$EndPhysicalNames")
-
-    out.append("$Nodes")
-    out.append(str(mesh.n_nodes))
-    for i, xyz in enumerate(mesh.nodes):
-        coords = list(xyz) + [0.0] * (3 - mesh.dim)
-        out.append(f"{i + 1} " + " ".join("%.17g" % c for c in coords))
-    out.append("$EndNodes")
-
-    eid = 1
-    elem_lines = []
-    for name, nids in mesh.node_sets.items():
-        ptag = tag_of[("node", name)]
-        for nid in nids:
-            elem_lines.append(f"{eid} {_GMSH_POINT} 2 {ptag} {ptag} {int(nid) + 1}")
-            eid += 1
-    facet_type = _GMSH_TRI if mesh.dim == 3 else _GMSH_LINE
-    for name, facets in mesh.side_sets.items():
-        ptag = tag_of[("side", name)]
-        for facet in facets:
-            conn = " ".join(str(int(c) + 1) for c in facet)
-            elem_lines.append(f"{eid} {facet_type} 2 {ptag} {ptag} {conn}")
-            eid += 1
-    domain_type = _GMSH_TET if mesh.dim == 3 else _GMSH_TRI
-    for conn in mesh.elements:
-        nodes = " ".join(str(int(c) + 1) for c in conn)
-        elem_lines.append(f"{eid} {domain_type} 2 0 0 {nodes}")
-        eid += 1
-
-    out.append("$Elements")
-    out.append(str(len(elem_lines)))
-    out.extend(elem_lines)
-    out.append("$EndElements")
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# Structured generators
+# Tensor-product grids
 # ---------------------------------------------------------------------------
 
-# Kuhn decomposition of the unit cube into 6 tets along the v0-v7 diagonal,
-# vertex offsets ordered (dx, dy, dz) -> index dx + 2*dy + 4*dz.
-_CUBE_TETS = [
-    (0, 1, 3, 7),
-    (0, 3, 2, 7),
-    (0, 2, 6, 7),
-    (0, 6, 4, 7),
-    (0, 4, 5, 7),
-    (0, 5, 1, 7),
-]
+# Simplices of one grid cell, as indices into the cell's corners numbered
+# dx + 2*dy + 4*dz by their (dx, dy, dz) offsets: two triangles along the
+# 0-3 diagonal of a square, six tets along the 0-7 diagonal of a cube (Kuhn
+# decomposition).
+_CELL_SIMPLICES = {
+    2: np.array([(0, 1, 3), (0, 3, 2)]),
+    3: np.array([(0, 1, 3, 7), (0, 3, 2, 7), (0, 2, 6, 7), (0, 6, 4, 7), (0, 4, 5, 7), (0, 5, 1, 7)]),
+}
 
 
 def generate_grid(axes, keep=None) -> Mesh:
     """Tensor-product simplex mesh from per-axis coordinate arrays.
+
+    Nodes are numbered with the last axis fastest; cells are visited in the
+    same order and each contributes its simplices in table order.
 
     Parameters
     ----------
     axes : sequence of 1-D arrays
         Strictly increasing grid coordinates per axis (2 or 3 axes).
     keep : callable, optional
-        ``keep(center) -> bool`` cell filter over cell-center coordinates;
-        cells mapping to False are omitted (unused nodes dropped).
+        Vectorized cell filter, the convention of ``select_nodes``: maps the
+        (n_cells, dim) array of cell-center coordinates to an (n_cells,)
+        boolean mask; cells mapping to False are omitted (unused nodes
+        dropped).
 
     Returns
     -------
@@ -380,69 +320,25 @@ def generate_grid(axes, keep=None) -> Mesh:
         if a.size < 2 or np.any(np.diff(a) <= 0):
             raise MeshError("axis coordinates must be strictly increasing")
 
-    if dim == 2:
-        xs, ys = axes
-        nx, ny = xs.size, ys.size
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        coords = np.column_stack([X.ravel(), Y.ravel()])
-
-        def nid(i, j):
-            return i * ny + j
-
-        elements = []
-        for i in range(nx - 1):
-            for j in range(ny - 1):
-                if keep is not None:
-                    cx = 0.5 * (xs[i] + xs[i + 1])
-                    cy = 0.5 * (ys[j] + ys[j + 1])
-                    if not keep(np.array([cx, cy])):
-                        continue
-                n00, n10 = nid(i, j), nid(i + 1, j)
-                n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-                elements.append([n00, n10, n11])
-                elements.append([n00, n11, n01])
-    else:
-        xs, ys, zs = axes
-        nx, ny, nz = xs.size, ys.size, zs.size
-        X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-        coords = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-
-        def nid(i, j, k):
-            return (i * ny + j) * nz + k
-
-        elements = []
-        for i in range(nx - 1):
-            for j in range(ny - 1):
-                for k in range(nz - 1):
-                    if keep is not None:
-                        c = np.array(
-                            [
-                                0.5 * (xs[i] + xs[i + 1]),
-                                0.5 * (ys[j] + ys[j + 1]),
-                                0.5 * (zs[k] + zs[k + 1]),
-                            ]
-                        )
-                        if not keep(c):
-                            continue
-                    corner = [
-                        nid(i + dx, j + dy, k + dz)
-                        for dz in (0, 1)
-                        for dy in (0, 1)
-                        for dx in (0, 1)
-                    ]
-                    # corner[] is ordered dx + 2*dy + 4*dz
-                    for tet in _CUBE_TETS:
-                        elements.append([corner[v] for v in tet])
-
-    elements = np.asarray(elements, dtype=np.int64)
+    shape = tuple(a.size for a in axes)
+    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    ids = np.arange(coords.shape[0]).reshape(shape)
+    # (n_cells, 2**dim) corner ids: corner c is offset by bit ax of c on axis ax
+    offsets = [[c >> ax & 1 for ax in range(dim)] for c in range(2**dim)]
+    corners = np.stack(
+        [ids[tuple(slice(o, o + n - 1) for o, n in zip(off, shape))].ravel() for off in offsets], axis=-1
+    )
     if keep is not None:
-        used = np.unique(elements)
-        remap = -np.ones(coords.shape[0], dtype=np.int64)
-        remap[used] = np.arange(used.size)
-        coords = coords[used]
-        elements = remap[elements]
+        centers = [0.5 * (a[:-1] + a[1:]) for a in axes]
+        cells = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, dim)
+        corners = corners[np.asarray(keep(cells), dtype=bool)]
+    elements = corners[:, _CELL_SIMPLICES[dim]].reshape(-1, dim + 1)
 
-    elements = _fix_orientation(coords, elements, dim)
+    used = np.unique(elements)
+    remap = -np.ones(coords.shape[0], dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    coords = coords[used]
+    elements = _fix_orientation(coords, remap[elements], dim)
 
     node_sets = {}
     labels = [("xmin", "xmax"), ("ymin", "ymax"), ("zmin", "zmax")][:dim]
@@ -459,31 +355,6 @@ def generate_grid(axes, keep=None) -> Mesh:
     mesh = Mesh(dim=dim, nodes=coords, elements=elements, node_sets=node_sets)
     mesh.validate()
     return mesh
-
-
-def generate_structured(dim: int, extents, divisions) -> Mesh:
-    """Uniform structured mesh of a box: 2 triangles per 2-D cell,
-    6 tetrahedra per 3-D cell.
-
-    Parameters
-    ----------
-    dim : int
-        2 or 3.
-    extents : sequence of float
-        Per-axis lengths (mm), all > 0.
-    divisions : sequence of int
-        Per-axis cell counts, all >= 1.
-    """
-    extents = [float(e) for e in extents]
-    divisions = [int(d) for d in divisions]
-    if len(extents) != dim or len(divisions) != dim:
-        raise MeshError("extents/divisions length must equal dim")
-    if any(e <= 0 for e in extents):
-        raise MeshError("extents must be positive")
-    if any(d < 1 for d in divisions):
-        raise MeshError("divisions must be >= 1")
-    axes = [np.linspace(0.0, e, d + 1) for e, d in zip(extents, divisions)]
-    return generate_grid(axes)
 
 
 def select_nodes(mesh: Mesh, predicate, tol: float = 1e-8) -> np.ndarray:

@@ -196,7 +196,7 @@ def _lshape(scale: float) -> RunSetup:
     zs = _segment(0.0, 100.0, min(50.0, 2.0 * h_fine))
 
     def keep(c):
-        return c[0] <= 250.0 or c[1] >= 250.0
+        return (c[:, 0] <= 250.0) | (c[:, 1] >= 250.0)
 
     mesh = generate_grid([xs, ys, zs], keep=keep)
     mesh.node_sets["clamp"] = select_nodes(mesh, lambda x: x[:, 1], _SET_TOL)
@@ -245,7 +245,7 @@ def _bend3d(scale: float) -> RunSetup:
     xs = _segment(0.0, 100.0, 100.0 / max(2, int(round(100.0 / (2.0 * h_fine)))))
 
     def keep(c):
-        return not (abs(c[1] - 420.0) <= 5.0 and c[2] > -50.0)
+        return ~((np.abs(c[:, 1] - 420.0) <= 5.0) & (c[:, 2] > -50.0))
 
     mesh = generate_grid([xs, ys, zs], keep=keep)
     mesh.node_sets["load"] = select_nodes(

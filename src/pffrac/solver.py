@@ -220,9 +220,9 @@ def newton_beta(
     displacement, bound-constrained to [0, 1].
 
     Returns (a, iterations, functional): ``functional`` is the penalized
-    incremental functional ``total_functional(u_fixed, u_d, a, a_n)`` of the
-    returned state, bit for bit.  A caller that has the ``strain_spectrum``
-    of u_fixed + u_d passes it in.  The bounds are enforced inside the solve
+    incremental functional (``functional_from_psi``) of the returned state
+    (u_fixed + u_d, a) with anchor a_n.  A caller that has the
+    ``strain_spectrum`` of u_fixed + u_d passes it in.  The bounds are enforced inside the solve
     (projected active-set Newton), so the discrete overshoot of the
     unconstrained minimizer above 1 near a localized crack never enters the
     state.

@@ -15,10 +15,12 @@ from .mesh import Mesh
 __all__ = ["write_field_snapshot", "read_field_snapshot"]
 
 _CELL_TYPE = {2: 5, 3: 10}  # VTK_TRIANGLE, VTK_TETRA
+_XYZ = "%.17g %.17g %.17g\n"
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _block(row: str, values: np.ndarray) -> str:
+    """One ``row`` (a %-format line) per row of the 2-D array ``values``."""
+    return (row * values.shape[0]) % tuple(values.ravel().tolist())
 
 
 def write_field_snapshot(disp: np.ndarray, damage: np.ndarray, mesh: Mesh, path) -> None:
@@ -28,33 +30,29 @@ def write_field_snapshot(disp: np.ndarray, damage: np.ndarray, mesh: Mesh, path)
     if damage.shape != (mesh.n_nodes,):
         raise ValueError("damage must have one value per node")
 
+    # coordinates and displacement padded to three components
+    xyz = np.zeros((2, mesh.n_nodes, 3))
+    xyz[0, :, : mesh.dim] = mesh.nodes
+    xyz[1, :, : mesh.dim] = disp
     nen = mesh.dim + 1
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "pffrac field snapshot",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
-    ]
-    for xyz in mesh.nodes:
-        coords = list(xyz) + [0.0] * (3 - mesh.dim)
-        lines.append(" ".join(_fmt(c) for c in coords))
-    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (nen + 1)}")
-    for conn in mesh.elements:
-        lines.append(f"{nen} " + " ".join(str(int(c)) for c in conn))
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    lines.extend([str(_CELL_TYPE[mesh.dim])] * mesh.n_elements)
-    lines.append(f"POINT_DATA {mesh.n_nodes}")
-    lines.append("VECTORS displacement double")
-    for row in disp:
-        vec = list(row) + [0.0] * (3 - mesh.dim)
-        lines.append(" ".join(_fmt(c) for c in vec))
-    lines.append("SCALARS damage double 1")
-    lines.append("LOOKUP_TABLE default")
-    for val in damage:
-        lines.append(_fmt(val))
+    n_e = mesh.n_elements
+    text = "".join(
+        [
+            "# vtk DataFile Version 3.0\npffrac field snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+            f"POINTS {mesh.n_nodes} double\n",
+            _block(_XYZ, xyz[0]),
+            f"CELLS {n_e} {n_e * (nen + 1)}\n",
+            _block(f"{nen}" + " %d" * nen + "\n", mesh.elements),
+            f"CELL_TYPES {n_e}\n",
+            f"{_CELL_TYPE[mesh.dim]}\n" * n_e,
+            f"POINT_DATA {mesh.n_nodes}\nVECTORS displacement double\n",
+            _block(_XYZ, xyz[1]),
+            "SCALARS damage double 1\nLOOKUP_TABLE default\n",
+            _block("%.17g\n", damage[:, None]),
+        ]
+    )
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def read_field_snapshot(path, dim: int):

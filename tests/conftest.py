@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pffrac.fem import DofMap, build_kernels, element_psi_split, residual_and_tangent_beta
-from pffrac.material import MaterialParams
-from pffrac.mesh import generate_structured
+from pffrac.fem import DofMap, build_kernels, residual_and_tangent_beta, strain_spectrum
+from pffrac.material import MaterialParams, psi_split
+from pffrac.mesh import generate_grid
 
 # Property tests draw the same examples on every run, with no time limit.
 settings.register_profile("pffrac", derandomize=True, deadline=None)
 settings.load_profile("pffrac")
+
+
+def box_mesh(extents, divisions):
+    """Uniform grid mesh of the box [0, extents] with the given number of
+    cells per axis."""
+    return generate_grid([np.linspace(0.0, e, d + 1) for e, d in zip(extents, divisions)])
 
 
 @pytest.fixture
@@ -28,7 +34,7 @@ def sent_params():
 def two_elem():
     """Unit square split into two triangles, with kernels and an
     unconstrained dof map (for gradient checks)."""
-    mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+    mesh = box_mesh([1.0, 1.0], [1, 1])
     kernels = build_kernels(mesh)
     dofmap = DofMap.from_constraints(mesh, [])
     return mesh, kernels, dofmap
@@ -45,5 +51,5 @@ def random_state(mesh, rng, mag=1e-3):
 
 def damage_system(u, u_d, a, a_n, kernels, p):
     """Damage residual and tangent at the displacement u + u_d."""
-    psi_p, _ = element_psi_split(kernels, u + u_d, p)
+    psi_p, _ = psi_split(strain_spectrum(kernels, u + u_d), p)
     return residual_and_tangent_beta(psi_p, a, a_n, kernels, p)

@@ -1,0 +1,117 @@
+"""Reference implementations that the tests compare the program against.
+
+They are test code: no run path calls them.  Each is a plain, from-scratch
+form of something the program computes in a fused or cached way (the
+functional trace, the two-sided bounds, the undegraded tangent) or a writer
+for the fixtures the program reads (Gmsh meshes).
+"""
+
+import numpy as np
+
+from pffrac.energetics import dissipation_increment, erg, grad_term, penalty_energy
+from pffrac.fem import ElementKernels
+from pffrac.material import MaterialParams
+from pffrac.mesh import _GMSH_LINE, _GMSH_POINT, _GMSH_TET, _GMSH_TRI, Mesh
+
+
+def total_functional(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
+    """Penalized incremental functional: stored energy + incremental
+    dissipation + irreversibility penalty (the quantity the alternating
+    minimization descends on)."""
+    return (
+        erg(u, u_d, a, kernels, p)
+        + grad_term(a, kernels, p)
+        + dissipation_increment(a_n, a, kernels, p)
+        + penalty_energy(a, a_n, kernels, p)
+    )
+
+
+def upper_bound(u_n, u_d_n, u_d_next, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
+    """UB: lifting increment evaluated on the current state."""
+    return erg(u_n, u_d_next, a_n, kernels, p) - erg(u_n, u_d_n, a_n, kernels, p)
+
+
+def lower_bound(u_next, u_d_n, u_d_next, a_next, kernels: ElementKernels, p: MaterialParams) -> float:
+    """LB: lifting increment evaluated on the next state, the proved pairing
+    erg(u_next, u_d_next) - erg(u_next, u_d_n) at damage a_next."""
+    return erg(u_next, u_d_next, a_next, kernels, p) - erg(u_next, u_d_n, a_next, kernels, p)
+
+
+def elastic_tensor(dim: int, p: MaterialParams) -> np.ndarray:
+    """Undegraded isotropic elasticity matrix in engineering Voigt form."""
+    lam, mu = p.lam, p.mu
+    if dim == 2:
+        c = np.array(
+            [
+                [lam + 2 * mu, lam, 0.0],
+                [lam, lam + 2 * mu, 0.0],
+                [0.0, 0.0, mu],
+            ]
+        )
+    else:
+        c = np.zeros((6, 6))
+        c[:3, :3] = lam
+        c[np.arange(3), np.arange(3)] = lam + 2 * mu
+        c[np.arange(3, 6), np.arange(3, 6)] = mu
+    return c
+
+
+def write_gmsh(mesh: Mesh) -> str:
+    """Serialize a Mesh back to Gmsh ASCII v2.2.
+
+    Node sets are written as physical point elements and side sets as
+    physical facet elements, so ``parse_gmsh(write_gmsh(m))`` restores
+    coordinates bitwise and connectivity and sets exactly.
+    """
+    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat"]
+
+    names = []  # (dim, tag, name)
+    tag_of: dict = {}
+    tag = 1
+    for name in mesh.node_sets:
+        names.append((0, tag, name))
+        tag_of[("node", name)] = tag
+        tag += 1
+    for name in mesh.side_sets:
+        names.append((mesh.dim - 1, tag, name))
+        tag_of[("side", name)] = tag
+        tag += 1
+    if names:
+        out.append("$PhysicalNames")
+        out.append(str(len(names)))
+        for pdim, ptag, name in names:
+            out.append(f'{pdim} {ptag} "{name}"')
+        out.append("$EndPhysicalNames")
+
+    out.append("$Nodes")
+    out.append(str(mesh.n_nodes))
+    for i, xyz in enumerate(mesh.nodes):
+        coords = list(xyz) + [0.0] * (3 - mesh.dim)
+        out.append(f"{i + 1} " + " ".join("%.17g" % c for c in coords))
+    out.append("$EndNodes")
+
+    eid = 1
+    elem_lines = []
+    for name, nids in mesh.node_sets.items():
+        ptag = tag_of[("node", name)]
+        for nid in nids:
+            elem_lines.append(f"{eid} {_GMSH_POINT} 2 {ptag} {ptag} {int(nid) + 1}")
+            eid += 1
+    facet_type = _GMSH_TRI if mesh.dim == 3 else _GMSH_LINE
+    for name, facets in mesh.side_sets.items():
+        ptag = tag_of[("side", name)]
+        for facet in facets:
+            conn = " ".join(str(int(c) + 1) for c in facet)
+            elem_lines.append(f"{eid} {facet_type} 2 {ptag} {ptag} {conn}")
+            eid += 1
+    domain_type = _GMSH_TET if mesh.dim == 3 else _GMSH_TRI
+    for conn in mesh.elements:
+        nodes = " ".join(str(int(c) + 1) for c in conn)
+        elem_lines.append(f"{eid} {domain_type} 2 0 0 {nodes}")
+        eid += 1
+
+    out.append("$Elements")
+    out.append(str(len(elem_lines)))
+    out.extend(elem_lines)
+    out.append("$EndElements")
+    return "\n".join(out) + "\n"

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import box_mesh
+from oracles import write_gmsh
 from pffrac import presets
 from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, run_to_dir, setup_from_config
-from pffrac.mesh import generate_structured, select_nodes, write_gmsh
+from pffrac.mesh import select_nodes
 from pffrac.presets import load_preset
 from pffrac.vtkio import read_field_snapshot, write_field_snapshot
 
@@ -15,7 +17,7 @@ from pffrac.vtkio import read_field_snapshot, write_field_snapshot
 @pytest.fixture
 def patch_config(tmp_path, rng):
     """Explicit-mesh config of a small elastic tension patch."""
-    mesh = generate_structured(2, [1.0, 1.0], [3, 3])
+    mesh = box_mesh([1.0, 1.0], [3, 3])
     mesh.node_sets["pin"] = select_nodes(mesh, lambda x: np.abs(x).sum(axis=1), 1e-9)
     msh = tmp_path / "patch.msh"
     msh.write_text(write_gmsh(mesh))
@@ -51,7 +53,7 @@ direction = 0 1
 
 class TestVtk:
     def test_zero_state_snapshot(self, tmp_path):
-        mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+        mesh = box_mesh([1.0, 1.0], [1, 1])
         path = tmp_path / "snap.vtk"
         write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path)
         text = path.read_text()
@@ -61,7 +63,7 @@ class TestVtk:
         assert "SCALARS damage double 1" in text
 
     def test_roundtrip_bitwise(self, tmp_path, rng):
-        mesh = generate_structured(3, [1.0, 1.0, 1.0], [1, 1, 1])
+        mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
         disp = rng.normal(size=3 * mesh.n_nodes) * 1e-3
         damage = rng.uniform(0, 1, mesh.n_nodes)
         path = tmp_path / "snap.vtk"
@@ -114,7 +116,7 @@ class TestConfigPlumbing:
         del young["material"]["lam_kn"], young["material"]["mu_kn"]
         young["material"].update(e_kn="210", nu="0.3")
         preset = config_from_setup(load_preset("sent", 0.02))
-        other = generate_structured(2, [1.0, 1.0], [4, 3])
+        other = box_mesh([1.0, 1.0], [4, 3])
         other.node_sets["pin"] = select_nodes(other, lambda x: np.abs(x).sum(axis=1), 1e-9)
         other_msh = tmp_path / "other.msh"
         other_msh.write_text(write_gmsh(other))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import box_mesh
 import pffrac.driver as driver
 from pffrac.driver import (
     BacktrackConfig,
@@ -11,7 +12,6 @@ from pffrac.driver import (
     run,
 )
 from pffrac.energetics import check_two_sided
-from pffrac.mesh import generate_structured
 from pffrac.solver import SolverConfig
 
 
@@ -29,7 +29,7 @@ def tension_program(n_steps=6, dw=5e-5):
 
 @pytest.fixture
 def patch():
-    return generate_structured(2, [1.0, 1.0], [3, 3])
+    return box_mesh([1.0, 1.0], [3, 3])
 
 
 class TestLifting:

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import damage_system, random_state
+from conftest import box_mesh, damage_system, random_state
+from oracles import elastic_tensor
 from pffrac.energetics import dis, erg, grad_term, penalty_energy
 from pffrac.fem import (
     DofMap,
@@ -21,8 +22,7 @@ from pffrac.fem import (
 from pffrac import solver
 from pffrac.driver import build_dofmap, lifting_for_step
 from pffrac.linsolve import factor_solve
-from pffrac.material import MaterialParams, degradation, elastic_tensor, psi_split, strain_tensor_from_voigt, tangent_split
-from pffrac.mesh import generate_structured
+from pffrac.material import MaterialParams, degradation, psi_split, strain_tensor_from_voigt, tangent_split
 from pffrac.presets import load_preset
 
 
@@ -51,12 +51,12 @@ class TestKernels:
             assert np.allclose(rule.points.sum(axis=1), 1.0)
 
     def test_wj_sums_to_element_measure(self):
-        mesh = generate_structured(2, [2.0, 1.0], [3, 2])
+        mesh = box_mesh([2.0, 1.0], [3, 2])
         k = build_kernels(mesh)
         assert np.allclose(k.wj.sum(axis=1), mesh.element_measures())
 
     def test_translation_invariance(self):
-        mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+        mesh = box_mesh([1.0, 1.0], [1, 1])
         k0 = build_kernels(mesh)
         mesh.nodes = mesh.nodes + np.array([3.7, -1.2])
         k1 = build_kernels(mesh)
@@ -65,7 +65,7 @@ class TestKernels:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_patch_constant_strain(self, rng, dim):
         # affine displacement u = M x reproduces sym(M) exactly
-        mesh = generate_structured(dim, [1.0] * dim, [2] * dim)
+        mesh = box_mesh([1.0] * dim, [2] * dim)
         kern = build_kernels(mesh)
         m = 1e-3 * rng.normal(size=(dim, dim))
         disp = (mesh.nodes @ m.T).reshape(-1)
@@ -74,7 +74,7 @@ class TestKernels:
         assert np.abs(eps - expect).max() < 1e-15
 
     def test_rigid_translation_annihilated(self):
-        mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+        mesh = box_mesh([1.0, 1.0], [2, 2])
         kern = build_kernels(mesh)
         disp = np.tile([0.3, -0.7], mesh.n_nodes)
         assert np.abs(strain_voigt(kern, disp)).max() < 1e-15
@@ -90,7 +90,7 @@ class TestResidualU:
     def test_undamaged_compressive_is_linear(self, sent_params):
         # beta = 0 and compressive strains: residual equals the independently
         # assembled elastic stiffness times the displacement
-        mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+        mesh = box_mesh([1.0, 1.0], [2, 2])
         kern = build_kernels(mesh)
         dm = DofMap.from_constraints(mesh, [])
         k_el = dense_elastic_stiffness(mesh, kern, sent_params)
@@ -128,7 +128,7 @@ class TestResidualBeta:
     def test_uniform_state_scalar_defect(self, sent_params):
         # uniform strain and damage: total residual equals volume times the
         # pointwise stationarity defect
-        mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+        mesh = box_mesh([1.0, 1.0], [1, 1])
         kern = build_kernels(mesh)
         u_d = np.zeros(2 * mesh.n_nodes)
         u_d[1::2] = 2e-3 * mesh.nodes[:, 1]
@@ -189,7 +189,7 @@ class TestResidualBeta:
 
 class TestTangents:
     def test_tangent_u_elastic_limit(self, sent_params):
-        mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+        mesh = box_mesh([1.0, 1.0], [2, 2])
         kern = build_kernels(mesh)
         dm = DofMap.from_constraints(mesh, [])
         u_d = np.zeros(2 * mesh.n_nodes)
@@ -217,7 +217,7 @@ class TestTangents:
         assert np.abs(k - k.T).max() <= 1e-10 * np.abs(k).max()
 
     def test_tangent_u_spd_and_rigid_modes(self, sent_params):
-        mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+        mesh = box_mesh([1.0, 1.0], [2, 2])
         kern = build_kernels(mesh)
         dm_free = DofMap.from_constraints(mesh, [])
         u, a = np.zeros(2 * mesh.n_nodes), np.full(mesh.n_nodes, 0.4)
@@ -268,7 +268,7 @@ class TestTangents:
 
     def test_pattern_assembly_matches_coo_reference(self, sent_params, rng):
         # cached-pattern assembly against COO->CSR built here, per DofMap
-        mesh = generate_structured(2, [1.0, 1.0], [3, 3])
+        mesh = box_mesh([1.0, 1.0], [3, 3])
         kern = build_kernels(mesh)
         p = sent_params
         u, a, a_n = random_state(mesh, rng)
@@ -338,21 +338,21 @@ class TestDeterminismAndReaction:
         assert np.array_equal(kb1.data, kb2.data)
 
     def test_reaction_zero_state(self, sent_params):
-        mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+        mesh = box_mesh([1.0, 1.0], [2, 2])
         kern = build_kernels(mesh)
         z = np.zeros(2 * mesh.n_nodes)
         f = reaction_force(z, z, np.zeros(mesh.n_nodes), kern, sent_params, "ymax", [0.0, 1.0])
         assert f == 0.0
 
     def test_reaction_unknown_tag(self, sent_params):
-        mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+        mesh = box_mesh([1.0, 1.0], [1, 1])
         kern = build_kernels(mesh)
         z = np.zeros(2 * mesh.n_nodes)
         with pytest.raises(KeyError):
             reaction_force(z, z, np.zeros(mesh.n_nodes), kern, sent_params, "nope", [0.0, 1.0])
 
     def test_equal_and_opposite_reactions(self, sent_params, rng):
-        mesh = generate_structured(2, [1.0, 1.0], [3, 3])
+        mesh = box_mesh([1.0, 1.0], [3, 3])
         kern = build_kernels(mesh)
         u = 1e-4 * rng.normal(size=2 * mesh.n_nodes)
         a = rng.uniform(0, 0.5, mesh.n_nodes)
@@ -398,7 +398,7 @@ class TestBandOrdering:
         p = MaterialParams.from_lame_kn(
             121.1538, 80.7692, gc=2.7, ell=0.0175, dissipation="AT1", kappa=1.0, eps_pen=1e-6
         )
-        mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+        mesh = box_mesh([1.0, 1.0], [2, 2])
         ymin, ymax = mesh.node_sets["ymin"], mesh.node_sets["ymax"]
         dm = DofMap.from_constraints(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
         kern = build_kernels(mesh)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import box_mesh
 from pffrac import linsolve
 from pffrac.fem import DofMap, build_kernels, residual_and_tangent_u
 from pffrac.linsolve import BandOrdering, LinearSolveError, factor_solve
-from pffrac.mesh import generate_structured
 
 
 def random_sparse_spd(rng, n, density):
@@ -106,7 +106,7 @@ def test_structure_mismatch_raises(rng):
 def patch_system(sent_params):
     """Displacement tangent and right-hand side of a stretched 4x4 patch whose
     upper half is fully damaged (degraded to the residual stiffness k)."""
-    mesh = generate_structured(2, [1.0, 1.0], [4, 4])
+    mesh = box_mesh([1.0, 1.0], [4, 4])
     ymin, ymax = mesh.node_sets["ymin"], mesh.node_sets["ymax"]
     dm = DofMap.from_constraints(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
     u_d = np.zeros(2 * mesh.n_nodes)

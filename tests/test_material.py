@@ -3,21 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import elastic_tensor
 from pffrac.material import (
     _GAP_REL,
     MaterialParams,
     StrainSpectrum,
-    _eig_embedded,
     _split_stress_coeffs,
     degradation,
-    elastic_tensor,
     psi_split,
     sigma_split,
-    spectral_split,
     strain_tensor_from_voigt,
-    stress,
     stress_voigt_from_tensor,
-    tangent,
     tangent_split,
 )
 
@@ -25,6 +21,24 @@ from pffrac.material import (
 def rand_strain(rng, dim, mag=1e-3):
     e = rng.normal(size=(dim, dim))
     return 0.5 * (e + e.T) * mag
+
+
+def degraded(split, eps, beta, p):
+    """R(beta) times the tensile part plus the compressive part of a split
+    pair: the degraded stress for ``sigma_split``, its tangent at fixed beta
+    for ``tangent_split``."""
+    plus, minus = split(eps, p)
+    r, _ = degradation(beta, p)
+    return np.asarray(r)[..., None, None] * plus + minus
+
+
+def tension_compression(s):
+    """eps_pm = sum_a <w_a>_pm n_a (x) n_a from a ``StrainSpectrum``, in the
+    3x3 embedding."""
+    v, vt = s.eigvecs, np.swapaxes(s.eigvecs, -1, -2)
+    eps_p = (v * np.maximum(s.eigvals, 0.0)[..., None, :]) @ vt
+    eps_m = (v * np.minimum(s.eigvals, 0.0)[..., None, :]) @ vt
+    return eps_p, eps_m
 
 
 def fd_grad_psi(eps, p, which, h=1e-7):
@@ -66,48 +80,58 @@ class TestParams:
 
 
 class TestSpectralSplit:
+    """The tension/compression split by signed principal strains, on the
+    eigenpairs of a ``StrainSpectrum``."""
+
     def test_zero(self):
-        s = spectral_split(np.zeros((2, 2)))
-        assert np.all(s.eps_plus == 0.0) and np.all(s.eps_minus == 0.0)
+        s = StrainSpectrum(np.zeros((2, 2)))
+        assert np.all(s.eigvals == 0.0)
+        eps_p, eps_m = tension_compression(s)
+        assert np.all(eps_p == 0.0) and np.all(eps_m == 0.0)
 
     def test_diagonal_plane_strain(self):
-        s = spectral_split(np.diag([2.0, -3.0]))
+        s = StrainSpectrum(np.diag([2.0, -3.0]))
         assert sorted(s.eigvals) == pytest.approx([-3.0, 0.0, 2.0])
-        assert np.allclose(np.sort(np.diag(s.eps_plus)), [0.0, 0.0, 2.0])
-        assert np.allclose(np.sort(np.diag(s.eps_minus)), [-3.0, 0.0, 0.0])
+        eps_p, eps_m = tension_compression(s)
+        assert np.allclose(np.sort(np.diag(eps_p)), [0.0, 0.0, 2.0])
+        assert np.allclose(np.sort(np.diag(eps_m)), [-3.0, 0.0, 0.0])
 
     def test_pure_shear_oracle(self):
         eps = np.array([[0.0, 0.5], [0.5, 0.0]])
-        s = spectral_split(eps)
+        s = StrainSpectrum(eps)
         # independent 2x2 eigensolver
         w, v = np.linalg.eigh(eps)
         assert np.sort(s.eigvals) == pytest.approx([-0.5, 0.0, 0.5])
         m = v[:, 1]  # eigenvector of +0.5
         expect = 0.5 * np.outer(m, m)
-        assert np.allclose(s.eps_plus[:2, :2], expect, atol=1e-14)
+        assert np.allclose(tension_compression(s)[0][:2, :2], expect, atol=1e-14)
 
     def test_reconstruction_and_orthogonality(self, rng):
+        # v diag(w) v^T rebuilds the embedded strain, in plane strain (closed
+        # form) and in 3-D (eigh)
         for dim in (2, 3):
             for _ in range(20):
                 eps = rand_strain(rng, dim)
-                s = spectral_split(eps)
+                s = StrainSpectrum(eps)
                 full = np.zeros((3, 3))
                 full[:dim, :dim] = eps
                 scale = 1.0 + np.linalg.norm(eps)
-                err = np.abs(s.eps_plus + s.eps_minus - full).max()
+                v = s.eigvecs
+                err = np.abs((v * s.eigvals[..., None, :]) @ v.swapaxes(-1, -2) - full).max()
                 assert err <= 1e-12 * scale
                 # exact in the eigenbasis; round-off-level after reconstruction
                 assert np.all(np.maximum(s.eigvals, 0) * np.minimum(s.eigvals, 0) == 0.0)
-                assert abs(np.tensordot(s.eps_plus, s.eps_minus)) <= 1e-13 * scale**2
-                gram = s.eigvecs.swapaxes(-1, -2) @ s.eigvecs
+                eps_p, eps_m = tension_compression(s)
+                assert abs(np.tensordot(eps_p, eps_m)) <= 1e-13 * scale**2
+                gram = v.swapaxes(-1, -2) @ v
                 assert np.abs(gram - np.eye(3)).max() < 1e-12
 
     def test_flip_symmetry(self, rng):
         for _ in range(10):
             eps = rand_strain(rng, 3)
-            sp = spectral_split(eps)
-            sn = spectral_split(-eps)
-            assert np.allclose(sn.eps_plus, -sp.eps_minus, atol=1e-15)
+            sp = tension_compression(StrainSpectrum(eps))
+            sn = tension_compression(StrainSpectrum(-eps))
+            assert np.allclose(sn[0], -sp[1], atol=1e-15)
 
 
 class TestStrainSpectrum:
@@ -124,8 +148,6 @@ class TestStrainSpectrum:
             for got, want in zip(fn(spec, sent_params), fn(eps, sent_params)):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
-        w, v = _eig_embedded(eps)
-        assert np.array_equal(spec.eigvals, w) and np.array_equal(spec.eigvecs, v)
 
 
 class TestPsiSplit:
@@ -194,14 +216,14 @@ class TestDegradation:
 class TestStress:
     def test_undamaged_tension(self, sent_params):
         eps = np.diag([2e-3, 1e-3])
-        sig = stress(eps, 0.0, sent_params)
+        sig = degraded(sigma_split, eps, 0.0, sent_params)
         lam, mu = sent_params.lam, sent_params.mu
         expect = (1 + sent_params.k) * (lam * eps.trace() * np.eye(2) + 2 * mu * eps)
         assert np.allclose(sig, expect, rtol=1e-12)
 
     def test_fully_damaged_compression(self, sent_params):
         eps = np.diag([-2e-3, -1e-3, -3e-3])
-        sig = stress(eps, 1.0, sent_params)
+        sig = degraded(sigma_split, eps, 1.0, sent_params)
         lam, mu = sent_params.lam, sent_params.mu
         expect = lam * eps.trace() * np.eye(3) + 2 * mu * eps
         assert np.allclose(sig, expect, rtol=1e-12)
@@ -211,7 +233,7 @@ class TestStress:
         r, _ = degradation(beta, sent_params)
         for _ in range(5):
             eps = rand_strain(rng, 2)
-            sig = stress(eps, beta, sent_params)
+            sig = degraded(sigma_split, eps, beta, sent_params)
             fd = r * fd_grad_psi(eps, sent_params, 0) + fd_grad_psi(eps, sent_params, 1)
             assert np.abs(sig - fd).max() <= 1e-6 * np.abs(sig).max()
 
@@ -225,33 +247,33 @@ class TestTangent:
             v = np.zeros(nv)
             v[j] = h
             de = strain_tensor_from_voigt(v, d)
-            ds = stress(eps + de, beta, p) - stress(eps - de, beta, p)
+            ds = degraded(sigma_split, eps + de, beta, p) - degraded(sigma_split, eps - de, beta, p)
             c[:, j] = stress_voigt_from_tensor(ds / (2 * h), d)
         return c
 
     def test_undamaged_tension_is_scaled_elastic(self, sent_params):
         eps = np.diag([3e-3, 1e-3, 2e-3])
-        c = tangent(eps, 0.0, sent_params)
+        c = degraded(tangent_split, eps, 0.0, sent_params)
         expect = (1 + sent_params.k) * elastic_tensor(3, sent_params)
         assert np.allclose(c, expect, rtol=1e-10)
 
     def test_zero_strain_compression_branch(self, sent_params):
         # convention: at zero strain the tangent is the full elastic tensor
         for dim in (2, 3):
-            c = tangent(np.zeros((dim, dim)), 0.0, sent_params)
+            c = degraded(tangent_split, np.zeros((dim, dim)), 0.0, sent_params)
             assert np.allclose(c, elastic_tensor(dim, sent_params), rtol=1e-12)
 
     def test_zero_strain_fd_validation(self, rng, sent_params):
         # zero strain sits on the branch kink, so a central difference sees
         # the branch average; the compression-side convention is validated
         # by one-sided differences along negative-definite directions
-        c = tangent(np.zeros((2, 2)), 0.0, sent_params)
+        c = degraded(tangent_split, np.zeros((2, 2)), 0.0, sent_params)
         h = 1e-7
         for _ in range(5):
             m = rng.normal(size=(2, 2))
             d = -(m @ m.T) - 1e-3 * np.eye(2)  # negative definite direction
             d /= np.linalg.norm(d)
-            ds = stress(h * d, 0.0, sent_params) / h
+            ds = degraded(sigma_split, h * d, 0.0, sent_params) / h
             dv = stress_voigt_from_tensor(ds, 2)
             gv = np.array([d[0, 0], d[1, 1], 2 * d[0, 1]])
             assert np.abs(c @ gv - dv).max() <= 1e-4 * np.abs(dv).max()
@@ -260,22 +282,22 @@ class TestTangent:
         for dim in (2, 3):
             for _ in range(4):
                 eps = rand_strain(rng, dim)
-                c = tangent(eps, 0.3, sent_params)
+                c = degraded(tangent_split, eps, 0.3, sent_params)
                 fd = self.fd_tangent(eps, 0.3, sent_params)
                 assert np.abs(c - fd).max() <= 1e-5 * np.abs(c).max()
 
     def test_symmetry(self, rng, sent_params):
         for dim in (2, 3):
             eps = rand_strain(rng, dim)
-            c = tangent(eps, 0.42, sent_params)
+            c = degraded(tangent_split, eps, 0.42, sent_params)
             assert np.abs(c - c.T).max() <= 1e-10 * (1.0 + np.abs(c).max())
 
     def test_batched_matches_single(self, rng, sent_params):
         eps = np.stack([rand_strain(rng, 2) for _ in range(7)])
         beta = rng.uniform(0, 1, 7)
-        batch = tangent(eps, beta, sent_params)
+        batch = degraded(tangent_split, eps, beta, sent_params)
         for i in range(7):
-            assert np.allclose(batch[i], tangent(eps[i], beta[i], sent_params))
+            assert np.allclose(batch[i], degraded(tangent_split, eps[i], beta[i], sent_params))
 
 
 def tangent_split_c4(eps, p):
@@ -284,7 +306,8 @@ def tangent_split_c4(eps, p):
     three eigenpairs of the embedding, then read out the Voigt entries."""
     eps = np.asarray(eps, dtype=np.float64)
     d = eps.shape[-1]
-    w, v = _eig_embedded(eps)
+    s = StrainSpectrum(eps)
+    w, v = s.eigvals, s.eigvecs
     fp, fm, hp, hm = _split_stress_coeffs(w, p)
     idx = np.arange(3)
     dp = p.lam * hp[..., :, None] * hp[..., None, :]
@@ -374,13 +397,13 @@ class TestTangentProperties:
     def test_fd_consistent(self, eps, beta):
         d = eps.shape[-1]
         nv = 3 if d == 2 else 6
-        c = tangent(eps, beta, P_SENT)
+        c = degraded(tangent_split, eps, beta, P_SENT)
         h = 1e-8
         fd = np.zeros((nv, nv))
         for j in range(nv):
             dv = np.zeros(nv)
             dv[j] = h
             de = strain_tensor_from_voigt(dv, d)
-            ds = stress(eps + de, beta, P_SENT) - stress(eps - de, beta, P_SENT)
+            ds = degraded(sigma_split, eps + de, beta, P_SENT) - degraded(sigma_split, eps - de, beta, P_SENT)
             fd[:, j] = stress_voigt_from_tensor(ds / (2 * h), d)
         assert np.abs(c - fd).max() <= 1e-5 * np.abs(c).max()

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from pffrac.mesh import (
-    Mesh,
-    MeshError,
-    generate_grid,
-    generate_structured,
-    parse_gmsh,
-    select_nodes,
-    write_gmsh,
-)
+from conftest import box_mesh
+from oracles import write_gmsh
+from pffrac import presets
+from pffrac.mesh import Mesh, MeshError, _fix_orientation, generate_grid, parse_gmsh, select_nodes
 
 TWO_TRI_SQUARE = """$MeshFormat
 2.2 0 8
@@ -51,7 +46,7 @@ class TestParseGmsh:
     def test_physical_tags_to_node_sets(self):
         # 3x3 grid written back with top/bottom sets, reparsed, and checked
         # against the coordinate predicate
-        base = generate_structured(2, [1.0, 1.0], [2, 2])
+        base = box_mesh([1.0, 1.0], [2, 2])
         base.node_sets = {
             "bottom": select_nodes(base, lambda x: x[:, 1], 1e-9),
             "top": select_nodes(base, lambda x: x[:, 1] - 1.0, 1e-9),
@@ -62,7 +57,7 @@ class TestParseGmsh:
             assert np.array_equal(mesh.node_sets[tag], expect)
 
     def test_side_sets_are_boundary_facets(self):
-        base = generate_structured(2, [1.0, 1.0], [2, 2])
+        base = box_mesh([1.0, 1.0], [2, 2])
         top = select_nodes(base, lambda x: x[:, 1] - 1.0, 1e-9)
         base.side_sets = {"top": [(int(top[i]), int(top[i + 1])) for i in range(len(top) - 1)]}
         mesh = parse_gmsh(write_gmsh(base))
@@ -70,7 +65,7 @@ class TestParseGmsh:
         mesh.validate()
 
     def test_roundtrip_bitwise(self, rng):
-        mesh = generate_structured(2, [1.25, 0.75], [3, 2])
+        mesh = box_mesh([1.25, 0.75], [3, 2])
         mesh.nodes += 1e-9 * rng.normal(size=mesh.nodes.shape)  # irrational-ish coords
         mesh.node_sets = {"left": select_nodes(mesh, lambda x: x[:, 0], 1e-6)}
         back = parse_gmsh(write_gmsh(mesh))
@@ -94,74 +89,77 @@ class TestParseGmsh:
 
 class TestGenerators:
     def test_single_cell_2d(self):
-        mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+        mesh = box_mesh([1.0, 1.0], [1, 1])
         assert (mesh.n_nodes, mesh.n_elements) == (4, 2)
         assert mesh.measure() == pytest.approx(1.0, rel=1e-15)
 
     def test_partition_of_unity_2d(self):
-        mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+        mesh = box_mesh([1.0, 1.0], [2, 2])
         assert (mesh.n_nodes, mesh.n_elements) == (9, 8)
         assert mesh.measure() == pytest.approx(1.0, rel=1e-12)
 
     def test_single_cell_3d_volume_oracle(self):
-        mesh = generate_structured(3, [1.0, 1.0, 1.0], [1, 1, 1])
+        mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
         assert (mesh.n_nodes, mesh.n_elements) == (8, 6)
         total = sum(tet_volume(mesh.nodes, conn) for conn in mesh.elements)
         assert total == pytest.approx(1.0, rel=1e-12)
         assert all(tet_volume(mesh.nodes, conn) > 0 for conn in mesh.elements)
 
     def test_domain_measure(self):
-        mesh = generate_structured(3, [2.0, 1.0, 0.5], [3, 2, 2])
+        mesh = box_mesh([2.0, 1.0, 0.5], [3, 2, 2])
         assert mesh.measure() == pytest.approx(1.0, rel=1e-12)
 
     def test_auto_node_sets(self):
-        mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+        mesh = box_mesh([1.0, 1.0], [2, 2])
         assert len(mesh.node_sets["ymax"]) == 3
         assert np.allclose(mesh.nodes[mesh.node_sets["ymax"], 1], 1.0)
 
     def test_bad_extent(self):
         with pytest.raises(MeshError):
-            generate_structured(2, [0.0, 1.0], [1, 1])
+            generate_grid([[0.0, 0.0], [0.0, 1.0]])  # zero extent
         with pytest.raises(MeshError):
-            generate_structured(2, [1.0, 1.0], [0, 1])
+            generate_grid([[0.0], [0.0, 1.0]])  # no cell
+        with pytest.raises(MeshError):
+            generate_grid([[0.0, 1.0]])  # one axis
 
     def test_filtered_grid_drops_cells(self):
         axes = [np.linspace(0, 1, 3), np.linspace(0, 1, 3)]
-        mesh = generate_grid(axes, keep=lambda c: c[0] < 0.5 or c[1] < 0.5)
+        mesh = generate_grid(axes, keep=lambda c: (c[:, 0] < 0.5) | (c[:, 1] < 0.5))
         assert mesh.n_elements == 6  # one quadrant removed
         assert mesh.measure() == pytest.approx(0.75, rel=1e-12)
+        assert mesh.n_nodes == 8  # the far corner node is dropped
 
 
 class TestSelectNodes:
     def test_top_corners(self):
-        mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+        mesh = box_mesh([1.0, 1.0], [1, 1])
         ids = select_nodes(mesh, lambda x: x[:, 1] - 1.0, 1e-9)
         assert len(ids) == 2
         assert np.allclose(mesh.nodes[ids, 1], 1.0)
 
     def test_origin_only(self):
-        mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+        mesh = box_mesh([1.0, 1.0], [1, 1])
         ids = select_nodes(mesh, lambda x: x[:, 0] + x[:, 1], 1e-9)
         assert len(ids) == 1
         assert np.allclose(mesh.nodes[ids[0]], [0.0, 0.0])
 
     def test_mid_row(self):
-        mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+        mesh = box_mesh([1.0, 1.0], [2, 2])
         ids = select_nodes(mesh, lambda x: x[:, 1] - 0.5, 1e-9)
         assert len(ids) == 3
 
     def test_empty_is_valid(self):
-        mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+        mesh = box_mesh([1.0, 1.0], [1, 1])
         assert select_nodes(mesh, lambda x: x[:, 0] - 7.0, 1e-9).size == 0
 
     def test_tol_must_be_positive(self):
-        mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+        mesh = box_mesh([1.0, 1.0], [1, 1])
         with pytest.raises(ValueError):
             select_nodes(mesh, lambda x: x[:, 0], 0.0)
 
 
 def test_validate_rejects_interior_facet():
-    mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+    mesh = box_mesh([1.0, 1.0], [1, 1])
     # the diagonal is shared by both triangles
     mesh.side_sets = {"bad": [(0, 3)]}
     with pytest.raises(MeshError, match="owned by 2"):
@@ -177,7 +175,7 @@ def test_validate_builds_facet_map_only_for_side_sets(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(Mesh, "boundary_facets", spy)
-    mesh = generate_structured(2, [1.0, 1.0], [2, 2])
+    mesh = box_mesh([1.0, 1.0], [2, 2])
     mesh.validate()
     assert calls == []
     bottom = mesh.node_sets["ymin"]
@@ -187,8 +185,156 @@ def test_validate_builds_facet_map_only_for_side_sets(monkeypatch):
 
 
 def test_duplicated_nodes_not_merged():
-    mesh = generate_structured(2, [1.0, 1.0], [1, 1])
+    mesh = box_mesh([1.0, 1.0], [1, 1])
     nodes = np.vstack([mesh.nodes, mesh.nodes[0]])
     dup = Mesh(dim=2, nodes=nodes, elements=mesh.elements)
     back = parse_gmsh(write_gmsh(dup))
     assert back.n_nodes == 5
+
+
+# Kuhn decomposition of the unit cube into 6 tets along the v0-v7 diagonal,
+# vertex offsets ordered (dx, dy, dz) -> index dx + 2*dy + 4*dz.
+CUBE_TETS = [
+    (0, 1, 3, 7),
+    (0, 3, 2, 7),
+    (0, 2, 6, 7),
+    (0, 6, 4, 7),
+    (0, 4, 5, 7),
+    (0, 5, 1, 7),
+]
+
+
+def loop_grid(axes, keep=None) -> Mesh:
+    """Reference ``generate_grid``: one Python loop per dimension over the
+    cells, ``keep(center) -> bool`` called on each cell center."""
+    axes = [np.asarray(a, dtype=np.float64) for a in axes]
+    dim = len(axes)
+    if dim not in (2, 3):
+        raise MeshError("generate_grid needs 2 or 3 axes")
+    for a in axes:
+        if a.size < 2 or np.any(np.diff(a) <= 0):
+            raise MeshError("axis coordinates must be strictly increasing")
+
+    if dim == 2:
+        xs, ys = axes
+        nx, ny = xs.size, ys.size
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        coords = np.column_stack([X.ravel(), Y.ravel()])
+
+        def nid(i, j):
+            return i * ny + j
+
+        elements = []
+        for i in range(nx - 1):
+            for j in range(ny - 1):
+                if keep is not None:
+                    cx = 0.5 * (xs[i] + xs[i + 1])
+                    cy = 0.5 * (ys[j] + ys[j + 1])
+                    if not keep(np.array([cx, cy])):
+                        continue
+                n00, n10 = nid(i, j), nid(i + 1, j)
+                n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
+                elements.append([n00, n10, n11])
+                elements.append([n00, n11, n01])
+    else:
+        xs, ys, zs = axes
+        nx, ny, nz = xs.size, ys.size, zs.size
+        X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
+        coords = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+
+        def nid(i, j, k):
+            return (i * ny + j) * nz + k
+
+        elements = []
+        for i in range(nx - 1):
+            for j in range(ny - 1):
+                for k in range(nz - 1):
+                    if keep is not None:
+                        c = np.array(
+                            [
+                                0.5 * (xs[i] + xs[i + 1]),
+                                0.5 * (ys[j] + ys[j + 1]),
+                                0.5 * (zs[k] + zs[k + 1]),
+                            ]
+                        )
+                        if not keep(c):
+                            continue
+                    corner = [
+                        nid(i + dx, j + dy, k + dz)
+                        for dz in (0, 1)
+                        for dy in (0, 1)
+                        for dx in (0, 1)
+                    ]
+                    # corner[] is ordered dx + 2*dy + 4*dz
+                    for tet in CUBE_TETS:
+                        elements.append([corner[v] for v in tet])
+
+    elements = np.asarray(elements, dtype=np.int64)
+    if keep is not None:
+        used = np.unique(elements)
+        remap = -np.ones(coords.shape[0], dtype=np.int64)
+        remap[used] = np.arange(used.size)
+        coords = coords[used]
+        elements = remap[elements]
+
+    elements = _fix_orientation(coords, elements, dim)
+
+    node_sets = {}
+    labels = [("xmin", "xmax"), ("ymin", "ymax"), ("zmin", "zmax")][:dim]
+    for ax, (lo_name, hi_name) in enumerate(labels):
+        span = axes[ax][-1] - axes[ax][0]
+        tol = 1e-12 * max(1.0, span)
+        node_sets[lo_name] = np.flatnonzero(
+            np.abs(coords[:, ax] - axes[ax][0]) <= tol
+        ).astype(np.int64)
+        node_sets[hi_name] = np.flatnonzero(
+            np.abs(coords[:, ax] - axes[ax][-1]) <= tol
+        ).astype(np.int64)
+
+    mesh = Mesh(dim=dim, nodes=coords, elements=elements, node_sets=node_sets)
+    mesh.validate()
+    return mesh
+
+
+def loop_grid_vectorized_keep(axes, keep=None) -> Mesh:
+    """``loop_grid`` driven by a vectorized ``keep``, one cell at a time."""
+    if keep is None:
+        return loop_grid(axes)
+    return loop_grid(axes, keep=lambda c: bool(keep(c[None, :])[0]))
+
+
+def assert_same_mesh(got: Mesh, want: Mesh):
+    """Bitwise equal nodes, elements in the same order, equal node sets."""
+    assert got.dim == want.dim
+    assert got.nodes.shape == want.nodes.shape and got.nodes.tobytes() == want.nodes.tobytes()
+    assert got.elements.shape == want.elements.shape
+    assert got.elements.tobytes() == want.elements.tobytes()
+    assert list(got.node_sets) == list(want.node_sets)
+    for name, ids in want.node_sets.items():
+        assert np.array_equal(got.node_sets[name], ids), name
+
+
+class TestGridOracle:
+    def test_random_axes(self, rng):
+        for trial in range(30):
+            dim = 2 + trial % 2
+            axes = [np.cumsum(rng.uniform(0.05, 1.0, rng.integers(2, 7))) - 0.5 for _ in range(dim)]
+            assert_same_mesh(generate_grid(axes), loop_grid(axes))
+            # drop the cells on one side of a random plane through the box
+            # center, so cells, and with them some nodes, go missing
+            normal = rng.normal(size=dim)
+            mid = np.array([0.5 * (a[0] + a[-1]) for a in axes])
+
+            def keep(c):
+                return (c - mid) @ normal <= 0.25 * np.abs(normal).sum()
+
+            assert_same_mesh(generate_grid(axes, keep=keep), loop_grid_vectorized_keep(axes, keep=keep))
+
+    @pytest.mark.parametrize(
+        "name,scale",
+        [("sent", 0.1), ("sent", 0.2), ("sens", 0.05), ("lshape", 0.2), ("bend3d", 0.2), ("bend3d", 0.3)],
+    )
+    def test_preset_meshes(self, monkeypatch, name, scale):
+        got = presets.load_preset(name, scale).mesh
+        monkeypatch.setattr(presets, "generate_grid", loop_grid_vectorized_keep)
+        assert_same_mesh(got, presets.load_preset(name, scale).mesh)
