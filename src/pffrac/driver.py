@@ -15,8 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import EnergyReport, check_two_sided, dis
-from .fem import DofMap, ElementKernels, build_kernels, reaction_force
+from .energetics import EnergyReport, check_two_sided, dis, erg_from_spectrum
+from .fem import (
+    DofMap,
+    ElementKernels,
+    build_kernels,
+    degradation_weights,
+    reaction_force,
+    strain_spectrum,
+)
 from .material import MaterialParams
 from .mesh import Mesh
 from .solver import AltResult, SolverConfig, StepFailure, alternate_minimize
@@ -84,13 +91,18 @@ class BacktrackConfig:
 
 @dataclass
 class StepRecord:
-    """Accepted state of one load step."""
+    """Accepted state of one load step.
+
+    ``bulk_energy`` is erg(u, u_d, a) under this step's lifting, the
+    current-state bulk energy of the next step's two-sided check.
+    """
 
     step: int
     w: float
     u: np.ndarray
     a: np.ndarray
     report: EnergyReport | None
+    bulk_energy: float
     reaction: float = 0.0
     alt_iters: int = 0
     newton_iters_u: int = 0
@@ -204,12 +216,13 @@ def run(
 
     u0 = np.zeros(dofmap.n_dofs)
     a0 = np.zeros(mesh.n_nodes)
-    history.steps.append(StepRecord(step=0, w=0.0, u=u0, a=a0, report=None))
+    u_d0 = lifting_for_step(program, 0, mesh)
+    spectrum0 = strain_spectrum(kernels, u0 + u_d0)
+    bulk0 = erg_from_spectrum(spectrum0, degradation_weights(kernels, a0, p), kernels, p)
+    history.steps.append(StepRecord(step=0, w=0.0, u=u0, a=a0, report=None, bulk_energy=bulk0))
     if reaction is not None:
         tag, direction = reaction
-        history.steps[0].reaction = reaction_force(
-            u0, lifting_for_step(program, 0, mesh), a0, kernels, p, tag, direction
-        )
+        history.steps[0].reaction = reaction_force(u0, u_d0, a0, kernels, p, tag, direction, spectrum0)
 
     guess_u = u0
     guess_a = a0
@@ -236,6 +249,8 @@ def run(
             kernels,
             p,
             bt.eta,
+            spectrum_next=res.spectrum,
+            erg_curr=history.steps[step_n].bulk_energy,
         )
         return res, report, u_d_next
 
@@ -278,6 +293,7 @@ def run(
             u=res.u.copy(),
             a=res.a.copy(),
             report=report,
+            bulk_energy=report.erg_next,
             alt_iters=res.alt_iters,
             newton_iters_u=res.newton_iters_u,
             newton_iters_beta=res.newton_iters_beta,
@@ -288,7 +304,9 @@ def run(
         )
         if reaction is not None:
             tag, direction = reaction
-            record.reaction = reaction_force(res.u, u_d_next, res.a, kernels, p, tag, direction)
+            record.reaction = reaction_force(
+                res.u, u_d_next, res.a, kernels, p, tag, direction, res.spectrum
+            )
 
         if n + 1 < len(history.steps):
             history.steps[n + 1] = record
@@ -324,5 +342,5 @@ def _intermediate(
     )
     if reaction is not None:
         tag, direction = reaction
-        rec.reaction = reaction_force(res.u, u_d_next, res.a, kernels, p, tag, direction)
+        rec.reaction = reaction_force(res.u, u_d_next, res.a, kernels, p, tag, direction, res.spectrum)
     return rec

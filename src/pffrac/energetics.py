@@ -35,7 +35,11 @@ __all__ = [
 
 @dataclass
 class EnergyReport:
-    """Per-step energy audit of the two-sided inequality."""
+    """Per-step energy audit of the two-sided inequality.
+
+    ``erg_next`` is the degraded bulk energy of the next state, the ERG part
+    of ``e_next``.
+    """
 
     step: int
     e_next: float
@@ -46,6 +50,7 @@ class EnergyReport:
     ub: float
     eta: float
     passed: bool
+    erg_next: float
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -135,16 +140,28 @@ def check_two_sided(
     kernels: ElementKernels,
     p: MaterialParams,
     eta: float,
+    *,
+    spectrum_next: StrainSpectrum | None = None,
+    erg_curr: float | None = None,
 ) -> EnergyReport:
     """Evaluate the two-sided inequality LB - eta <= dE + D <= UB + eta for
-    the step pair (n, n+1)."""
+    the step pair (n, n+1).
+
+    A caller that has the ``strain_spectrum`` of u_next + u_d_next, or the
+    bulk energy ``erg(u_n, u_d_n, a_n)`` (the previous report's
+    ``erg_next``), passes it in; the report is the same bit for bit.
+    """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     # the four distinct bulk energies: each state under both liftings.  UB
     # is the lifting increment on the current state, LB the one on the next
     # state (the proved pairing), both at that state's damage
-    erg_next = erg(u_next, u_d_next, a_next, kernels, p)
-    erg_curr = erg(u_n, u_d_n, a_n, kernels, p)
+    if spectrum_next is None:
+        erg_next = erg(u_next, u_d_next, a_next, kernels, p)
+    else:
+        erg_next = erg_from_spectrum(spectrum_next, degradation_weights(kernels, a_next, p), kernels, p)
+    if erg_curr is None:
+        erg_curr = erg(u_n, u_d_n, a_n, kernels, p)
     erg_curr_lifted = erg(u_n, u_d_next, a_n, kernels, p)
     erg_next_unlifted = erg(u_next, u_d_n, a_next, kernels, p)
     e_next = erg_next + grad_term(a_next, kernels, p)
@@ -164,4 +181,5 @@ def check_two_sided(
         ub=ub,
         eta=eta,
         passed=bool(passed),
+        erg_next=erg_next,
     )

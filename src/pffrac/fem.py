@@ -11,10 +11,11 @@ Assembly is vectorized over elements.  Vectors and matrices are summed by
 identical residuals and matrices.  Each matrix has a sparsity pattern built
 once, on its first assembly, and kept on the kernels: the CSC index arrays
 plus the data slot of every element entry, so assembling is a single
-``bincount`` into the data array.  The displacement pattern covers the free
-dofs of one ``DofMap``; the damage pattern covers all nodes and comes with the
-element blocks that do not depend on the state (gradient stiffness and P1
-mass products).
+``bincount`` into the data array.  The damage pattern covers all nodes (it
+is the node graph) and comes with the element blocks that do not depend on
+the state (gradient stiffness and P1 mass products); the displacement pattern
+covers the free dofs of one ``DofMap`` and is derived from the damage
+pattern.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .linsolve import BandOrdering
+from .linsolve import BandOrdering, concat_ranges, pseudo_peripheral_rcm
 from .material import (
     AT2,
     MaterialParams,
@@ -276,9 +277,12 @@ def _force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialPar
     return _nodal_sum(kernels.udofs, f_e, kernels.dim * kernels.mesh.n_nodes)
 
 
-def internal_force_u(u, u_d, a, kernels: ElementKernels, p: MaterialParams) -> np.ndarray:
-    """Unconstrained internal force vector over all displacement dofs."""
-    return _force(strain_spectrum(kernels, u + u_d), degradation_weights(kernels, a, p), kernels, p)
+def internal_force_u(u, u_d, a, kernels: ElementKernels, p: MaterialParams, spectrum=None) -> np.ndarray:
+    """Unconstrained internal force vector over all displacement dofs
+    (``spectrum``, when given, is the ``strain_spectrum`` of u + u_d)."""
+    if spectrum is None:
+        spectrum = strain_spectrum(kernels, u + u_d)
+    return _force(spectrum, degradation_weights(kernels, a, p), kernels, p)
 
 
 @dataclass(frozen=True)
@@ -299,31 +303,89 @@ class SparsityPattern:
     ordering: BandOrdering
 
     @classmethod
-    def from_element_dofs(cls, edofs: np.ndarray, n: int, keep_map=None) -> "SparsityPattern":
-        """Pattern of the entries coupling the dofs of each element.
-
-        ``keep_map`` renumbers dofs into the system (-1 for dofs left out).
-        """
+    def from_element_dofs(cls, edofs: np.ndarray, n: int) -> "SparsityPattern":
+        """Pattern of the entries coupling the dofs of each element."""
         nd = edofs.shape[1]
         rows = np.broadcast_to(edofs[:, :, None], (edofs.shape[0], nd, nd)).ravel()
         cols = np.broadcast_to(edofs[:, None, :], (edofs.shape[0], nd, nd)).ravel()
-        if keep_map is not None:
-            rows, cols = keep_map[rows], keep_map[cols]
-        keep = (rows >= 0) & (cols >= 0)
-        keys, inverse = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
-        slot = np.full(rows.size, keys.size, dtype=np.intp)
-        slot[keep] = inverse
+        keys, slot = np.unique(cols * n + rows, return_inverse=True)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls._from_csc(n, indptr, keys % n, slot.astype(np.intp, copy=False))
+
+    @classmethod
+    def from_node_pattern(
+        cls, nodes: "SparsityPattern", elements: np.ndarray, dofmap: "DofMap"
+    ) -> "SparsityPattern":
+        """Pattern over the free dofs of ``dofmap`` (``dim`` interleaved
+        components per node), derived from ``nodes``, the pattern of the
+        same elements with one dof per node: the same as
+        ``from_element_dofs`` on the element dofs with the fixed dofs left
+        out, without its sort over every element-matrix entry.
+
+        The column of free dof (j, c) holds the free components of j's
+        neighbours, in node order.  An element entry's slot is the column
+        start plus the offset of the row node's block in the column (from
+        the node-pair slot) plus the row component's rank among the node's
+        free components.  It is computed one local row node at a time, so
+        each temporary is a fixed multiple of the element count.  The band
+        ordering is the node-level pseudo-peripheral RCM expanded to free
+        dofs (node by node, in component order) when it gives a strictly
+        narrower band than scipy's dof-level RCM.
+        """
+        dim, n_nodes = dofmap.dim, dofmap.n_nodes
+        free = np.zeros(dofmap.n_dofs, dtype=bool)
+        free[dofmap.free] = True
+        free = free.reshape(n_nodes, dim)
+        width = free.sum(axis=1)  # free components per node
+        first = np.cumsum(width) - width  # free index of each node's first one
+        rank = np.cumsum(free, axis=1) - 1
+        # each node-pattern entry expands to the free components of its row
+        # node; a node column's expanded rows are every free dof column's rows
+        entry_width = width[nodes.indices]
+        expanded = np.zeros(entry_width.size + 1, dtype=np.int64)
+        np.cumsum(entry_width, out=expanded[1:])
+        col_start = expanded[nodes.indptr[:-1]]
+        col_len = expanded[nodes.indptr[1:]] - col_start
+        block = expanded[:-1] - np.repeat(col_start, np.diff(nodes.indptr))
+        rows = concat_ranges(first[nodes.indices], first[nodes.indices] + entry_width)
+
+        col_node = np.repeat(np.arange(n_nodes), width)  # node of each free dof
+        n = col_node.size
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(col_len[col_node], out=indptr[1:])
+        indices = rows[concat_ranges(col_start[col_node], col_start[col_node] + col_len[col_node])]
+
+        nnz = indices.size
+        dof_start = indptr[first[:, None] + rank]  # column start of free dof (node, c)
+        n_e, nen = elements.shape
+        node_slot = nodes.slot.reshape(n_e, nen, nen)
+        slot = np.empty((n_e, nen, dim, nen, dim), dtype=np.intp)
+        col_free = free[elements][:, None, :, :]
+        elem_start = dof_start[elements]
+        for a in range(nen):
+            row = elements[:, a]
+            base = block[node_slot[:, a, :]][:, :, None] + elem_start  # (n_e, nen, dim)
+            slot[:, a] = np.where(
+                free[row][:, :, None, None] & col_free,
+                rank[row][:, :, None, None] + base[:, None],
+                nnz,
+            )
+
+        order = pseudo_peripheral_rcm(nodes.indptr, nodes.indices)
+        perm = concat_ranges(first[order], first[order] + width[order])
+        return cls._from_csc(n, indptr, indices, slot.reshape(-1), perm)
+
+    @classmethod
+    def _from_csc(cls, n, indptr, indices, slot, perm=None) -> "SparsityPattern":
         # let scipy choose the index dtype once, so assembly never converts
-        proto = sp.csc_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
-        return cls(
-            n=n,
-            indptr=proto.indptr,
-            indices=proto.indices,
-            slot=slot,
-            ordering=BandOrdering.from_structure(proto.indptr, proto.indices),
-        )
+        proto = sp.csc_matrix((np.zeros(indices.size), indices, indptr), shape=(n, n))
+        ordering = BandOrdering.from_structure(proto.indptr, proto.indices)
+        if perm is not None:
+            candidate = BandOrdering.from_structure(proto.indptr, proto.indices, perm)
+            if candidate.bandwidth < ordering.bandwidth:
+                ordering = candidate
+        return cls(n=n, indptr=proto.indptr, indices=proto.indices, slot=slot, ordering=ordering)
 
     def assemble(self, k_e: np.ndarray) -> sp.csc_matrix:
         """Sum element matrices (n_e, nd, nd) into a CSC matrix."""
@@ -350,9 +412,7 @@ def u_pattern(kernels: ElementKernels, dofmap: DofMap) -> SparsityPattern:
     for owner, pattern in kernels.u_patterns:
         if owner is dofmap:
             return pattern
-    keep_map = -np.ones(dofmap.n_dofs, dtype=np.int64)
-    keep_map[dofmap.free] = np.arange(dofmap.free.size)
-    pattern = SparsityPattern.from_element_dofs(kernels.udofs, dofmap.free.size, keep_map)
+    pattern = SparsityPattern.from_node_pattern(damage_blocks(kernels).pattern, kernels.elements, dofmap)
     kernels.u_patterns.append((dofmap, pattern))
     return pattern
 
@@ -420,15 +480,18 @@ def residual_and_tangent_beta(psi_p, a, a_n, kernels: ElementKernels, p: Materia
     return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes), blk.pattern.assemble(k_e)
 
 
-def reaction_force(u, u_d, a, kernels: ElementKernels, p: MaterialParams, set_tag: str, direction) -> float:
+def reaction_force(
+    u, u_d, a, kernels: ElementKernels, p: MaterialParams, set_tag: str, direction, spectrum=None
+) -> float:
     """Work-conjugate reaction: directional sum of the unconstrained internal
-    force over the nodes of a tagged set."""
+    force over the nodes of a tagged set (``spectrum`` as for
+    ``internal_force_u``)."""
     mesh = kernels.mesh
     if set_tag not in mesh.node_sets:
         raise KeyError(f"unknown node set {set_tag!r}")
     nodes = mesh.node_sets[set_tag]
     direction = np.asarray(direction, dtype=np.float64)
-    r = internal_force_u(u, u_d, a, kernels, p)
+    r = internal_force_u(u, u_d, a, kernels, p, spectrum)
     total = 0.0
     for c in range(mesh.dim):
         if direction[c] != 0.0:

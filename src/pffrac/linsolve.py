@@ -7,9 +7,11 @@ The ordering depends only on the sparsity structure, so a ``BandOrdering``
 is built once per structure: it holds the permutation and the band-storage
 slot of every stored upper-triangle entry, and each factorization is then a
 zeroed band array, one scatter of the matrix data and one LAPACK call.
-Problems above a size threshold fall back to conjugate gradients with a
-Jacobi preconditioner.  Solutions are residual-checked, and a tangent that
-is not positive definite is reported instead of silently returning garbage.
+Systems whose band would take more than ``BAND_BYTES_BUDGET`` fall back to
+conjugate gradients with a Jacobi preconditioner; the band size is known
+from the ordering, before anything is allocated.  Solutions are
+residual-checked, and a tangent that is not positive definite is reported
+instead of silently returning garbage.
 """
 
 from __future__ import annotations
@@ -20,12 +22,20 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
-__all__ = ["LinearSolveError", "BandOrdering", "factor_solve", "CG_DOF_THRESHOLD"]
+__all__ = [
+    "LinearSolveError",
+    "BandOrdering",
+    "factor_solve",
+    "concat_ranges",
+    "pseudo_peripheral_rcm",
+    "BAND_BYTES_BUDGET",
+]
 
-# Above this dof count the direct factorization is replaced by CG.
-CG_DOF_THRESHOLD = 200_000
+# Band storage, (bandwidth + 1) * n doubles, above which the direct
+# factorization is replaced by CG.
+BAND_BYTES_BUDGET = 2 * 1024**3
 
 _DIRECT_RTOL = 1e-10
 _CG_RTOL = 1e-8
@@ -59,13 +69,21 @@ class BandOrdering:
     def n(self) -> int:
         return self.perm.size
 
+    @property
+    def band_bytes(self) -> int:
+        """Size of the band array a factorization fills."""
+        return (self.bandwidth + 1) * self.n * 8
+
     @classmethod
-    def from_structure(cls, indptr: np.ndarray, indices: np.ndarray) -> "BandOrdering":
-        """Order the CSC structure (indptr, indices) by the graph of its
+    def from_structure(cls, indptr: np.ndarray, indices: np.ndarray, perm=None) -> "BandOrdering":
+        """Band storage of the CSC structure (indptr, indices) under ``perm``,
+        by default scipy's reverse Cuthill-McKee order of the graph of its
         symmetric part."""
         n = indptr.size - 1
-        graph = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-        perm = reverse_cuthill_mckee(graph, symmetric_mode=False).astype(np.intp)
+        if perm is None:
+            graph = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+            perm = reverse_cuthill_mckee(graph, symmetric_mode=False)
+        perm = np.asarray(perm, dtype=np.intp)
         inv = np.empty(n, dtype=np.intp)
         inv[perm] = np.arange(n)
         rows = inv[indices]
@@ -79,6 +97,84 @@ class BandOrdering:
     def matches(self, a: sp.csc_matrix) -> bool:
         """Whether ``a`` has the structure this ordering was built from."""
         return np.array_equal(a.indptr, self.indptr) and np.array_equal(a.indices, self.indices)
+
+
+def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])``."""
+    lens = stops - starts
+    return np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - starts, lens)
+
+
+def _neighbours(indptr, indices, nodes):
+    """Neighbour lists of ``nodes``, concatenated in the order given."""
+    return indices[concat_ranges(indptr[nodes], indptr[nodes + 1])]
+
+
+def _level_structure(indptr, indices, root: int, seen: np.ndarray) -> list:
+    """Breadth-first level sets of the component of ``root``.  ``seen`` is
+    an all-False work array over the nodes, left all-False again."""
+    levels = [np.array([root])]
+    seen[root] = True
+    while True:
+        nxt = _neighbours(indptr, indices, levels[-1])
+        nxt = np.unique(nxt[~seen[nxt]])
+        if not nxt.size:
+            seen[np.concatenate(levels)] = False
+            return levels
+        seen[nxt] = True
+        levels.append(nxt)
+
+
+def _pseudo_peripheral(indptr, indices, degree, root: int, seen: np.ndarray) -> int:
+    """George-Liu pseudo-peripheral node of the component of ``root``:
+    restart from a lowest-degree node of the last level set as long as
+    that lengthens the level structure."""
+    levels = _level_structure(indptr, indices, root, seen)
+    while True:
+        last = levels[-1]
+        x = int(last[np.argmin(degree[last])])
+        lx = _level_structure(indptr, indices, x, seen)
+        if len(lx) <= len(levels):
+            return x
+        levels = lx
+
+
+def pseudo_peripheral_rcm(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Reverse Cuthill-McKee order of a symmetric graph given as a CSC (or
+    CSR) structure, each connected component numbered from a George-Liu
+    pseudo-peripheral node (George & Liu 1979).
+
+    Components are taken in the order of their lowest node, each searched
+    from its lowest-degree node.  Cuthill-McKee numbers the unnumbered
+    neighbours of each numbered node by increasing degree (ties by index);
+    one level of the search is numbered at a time.
+    """
+    n = indptr.size - 1
+    degree = np.diff(indptr)
+    _, labels = connected_components(
+        sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n)), directed=False
+    )
+    by_label = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[by_label], np.arange(labels.max(initial=-1) + 2))
+    numbered = np.zeros(n, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
+    order = []
+    for c in np.argsort(by_label[bounds[:-1]]):
+        members = by_label[bounds[c] : bounds[c + 1]]
+        root = _pseudo_peripheral(indptr, indices, degree, int(members[np.argmin(degree[members])]), seen)
+        numbered[root] = True
+        front = np.array([root])
+        while front.size:
+            order.append(front)
+            nxt = _neighbours(indptr, indices, front)
+            parent = np.repeat(np.arange(front.size), degree[front])
+            fresh = ~numbered[nxt]
+            nxt, parent = nxt[fresh], parent[fresh]
+            first = np.unique(nxt, return_index=True)[1]  # first parent wins
+            nxt, parent = nxt[first], parent[first]
+            front = nxt[np.lexsort((nxt, degree[nxt], parent))]
+            numbered[front] = True
+    return np.concatenate(order)[::-1] if order else np.empty(0, dtype=np.intp)
 
 
 def _banded_solve(a: sp.csc_matrix, b: np.ndarray, o: BandOrdering) -> np.ndarray:
@@ -99,7 +195,8 @@ def factor_solve(a: sp.spmatrix, b: np.ndarray, ordering: BandOrdering | None = 
     """Solve the SPD system a x = b.
 
     ``ordering`` is the band ordering of ``a``'s CSC structure (as kept by
-    an assembly pattern); without one it is computed for this call.
+    an assembly pattern); without one it is computed for this call.  The
+    system goes to CG when the ordering's band exceeds ``BAND_BYTES_BUDGET``.
     Relative residual is bounded by 1e-10 (direct) or 1e-8 (CG fallback);
     violations raise LinearSolveError ("indefinite/singular").
     """
@@ -114,13 +211,13 @@ def factor_solve(a: sp.spmatrix, b: np.ndarray, ordering: BandOrdering | None = 
     if b_norm == 0.0:
         return np.zeros(n)
 
-    if n <= CG_DOF_THRESHOLD:
-        if ordering is None:
-            a = sp.csc_matrix(a, copy=True)
-            a.sum_duplicates()
-            ordering = BandOrdering.from_structure(a.indptr, a.indices)
-        elif not (sp.issparse(a) and a.format == "csc" and ordering.matches(a)):
-            raise LinearSolveError("matrix structure differs from its band ordering")
+    if ordering is None:
+        a = sp.csc_matrix(a, copy=True)
+        a.sum_duplicates()
+        ordering = BandOrdering.from_structure(a.indptr, a.indices)
+    elif not (sp.issparse(a) and a.format == "csc" and ordering.matches(a)):
+        raise LinearSolveError("matrix structure differs from its band ordering")
+    if ordering.band_bytes <= BAND_BYTES_BUDGET:
         x = _banded_solve(a, b, ordering)
         rtol = _DIRECT_RTOL
     else:

@@ -142,7 +142,8 @@ def _fix_orientation(nodes: np.ndarray, elements: np.ndarray, dim: int) -> np.nd
             elements[flip, -1].copy(),
             elements[flip, -2].copy(),
         )
-    if np.any(_signed_measures(nodes, elements, dim) <= 0.0):
+        meas = _signed_measures(nodes, elements, dim)
+    if np.any(meas <= 0.0):
         raise MeshError("degenerate element (zero measure)")
     return elements
 

@@ -203,7 +203,6 @@ def _lshape(scale: float) -> RunSetup:
     mesh.node_sets["load"] = select_nodes(
         mesh, lambda x: np.abs(x[:, 0] - 470.0) + np.abs(x[:, 1] - 250.0), _SET_TOL
     )
-    mesh.validate()
 
     program = LoadProgram(
         n_steps=500,
@@ -257,7 +256,6 @@ def _bend3d(scale: float) -> RunSetup:
     mesh.node_sets["sup_b"] = select_nodes(
         mesh, lambda x: np.abs(x[:, 1] - 820.0) + np.abs(x[:, 2]), _SET_TOL
     )
-    mesh.validate()
 
     program = LoadProgram(
         n_steps=600,

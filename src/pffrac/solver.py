@@ -34,7 +34,7 @@ from .fem import (
     u_pattern,
 )
 from .linsolve import LinearSolveError, factor_solve
-from .material import MaterialParams, psi_split
+from .material import MaterialParams, StrainSpectrum, psi_split
 
 __all__ = ["SolverConfig", "AltResult", "StepFailure", "newton_u", "newton_beta", "alternate_minimize"]
 
@@ -69,13 +69,18 @@ class StepFailure(RuntimeError):
 
 @dataclass
 class AltResult:
-    """Converged state of one incremental solve, with iteration traces."""
+    """Converged state of one incremental solve, with iteration traces.
+
+    ``spectrum`` is the ``strain_spectrum`` of u + u_d_next, from the last
+    displacement solve.
+    """
 
     u: np.ndarray
     a: np.ndarray
     alt_iters: int
     newton_iters_u: int
     newton_iters_beta: int
+    spectrum: StrainSpectrum
     functional_trace: list = field(default_factory=list)
 
 
@@ -292,6 +297,7 @@ def alternate_minimize(
                 alt_iters=i,
                 newton_iters_u=iters_u,
                 newton_iters_beta=iters_b,
+                spectrum=spectrum,
                 functional_trace=trace,
             )
     raise StepFailure(f"alternate_minimize: no convergence in {cfg.max_alt} alternations", u=u, a=a)

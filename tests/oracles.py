@@ -2,11 +2,13 @@
 
 They are test code: no run path calls them.  Each is a plain, from-scratch
 form of something the program computes in a fused or cached way (the
-functional trace, the two-sided bounds, the undegraded tangent) or a writer
-for the fixtures the program reads (Gmsh meshes).
+functional trace, the two-sided bounds, the undegraded tangent, the
+displacement sparsity pattern) or a writer for the fixtures the program
+reads (Gmsh meshes).
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from pffrac.energetics import dissipation_increment, erg, grad_term, penalty_energy
 from pffrac.fem import ElementKernels
@@ -35,6 +37,25 @@ def lower_bound(u_next, u_d_n, u_d_next, a_next, kernels: ElementKernels, p: Mat
     """LB: lifting increment evaluated on the next state, the proved pairing
     erg(u_next, u_d_next) - erg(u_next, u_d_n) at damage a_next."""
     return erg(u_next, u_d_next, a_next, kernels, p) - erg(u_next, u_d_n, a_next, kernels, p)
+
+
+def element_dofs_pattern(edofs: np.ndarray, n: int, keep_map: np.ndarray):
+    """CSC (indptr, indices) of the entries coupling the dofs of each
+    element, renumbered by ``keep_map`` (-1 for dofs left out), and the data
+    slot of every element-matrix entry (one past the end when left out): one
+    sort over all element-matrix entries."""
+    nd = edofs.shape[1]
+    rows = np.broadcast_to(edofs[:, :, None], (edofs.shape[0], nd, nd)).ravel()
+    cols = np.broadcast_to(edofs[:, None, :], (edofs.shape[0], nd, nd)).ravel()
+    rows, cols = keep_map[rows], keep_map[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    keys, inverse = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+    slot = np.full(rows.size, keys.size, dtype=np.intp)
+    slot[keep] = inverse
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    proto = sp.csc_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
+    return proto.indptr, proto.indices, slot
 
 
 def elastic_tensor(dim: int, p: MaterialParams) -> np.ndarray:

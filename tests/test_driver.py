@@ -3,6 +3,7 @@ import pytest
 
 from conftest import box_mesh
 import pffrac.driver as driver
+from pffrac import energetics, fem
 from pffrac.driver import (
     BacktrackConfig,
     DirichletSpec,
@@ -11,7 +12,8 @@ from pffrac.driver import (
     lifting_for_step,
     run,
 )
-from pffrac.energetics import check_two_sided
+from pffrac.energetics import check_two_sided, erg
+from pffrac.fem import build_kernels, reaction_force
 from pffrac.solver import SolverConfig
 
 
@@ -171,6 +173,56 @@ class TestRun:
             for args in found:
                 assert np.array_equal(args[2], prev.a)
                 assert np.array_equal(args[3], lifting_for_step(prog, rec.step, patch))
+
+
+class TestReusedDecomposition:
+    def test_records_match_fresh_evaluation(self, patch, sent_params, monkeypatch):
+        # the check and the reactions reuse the last displacement solve's
+        # spectrum and the previous record's bulk energy: each check
+        # evaluates only its two cross-lifting energies, no reaction
+        # decomposes a strain, and every stored figure is the one a fresh
+        # evaluation gives, bit for bit, across a back step
+        erg_calls, fem_spectra, checks = [], [], []
+        real_spectrum = fem.strain_spectrum
+
+        def spy_erg(*args):
+            erg_calls.append(args)
+            return erg(*args)
+
+        def spy_spectrum(*args):
+            fem_spectra.append(args)
+            return real_spectrum(*args)
+
+        def scripted(step, *args, **kw):
+            checks.append(step)
+            rep = check_two_sided(step, *args, **kw)
+            if step == 2 and checks.count(2) == 1:
+                rep.passed = False
+            return rep
+
+        monkeypatch.setattr(energetics, "erg", spy_erg)
+        monkeypatch.setattr(fem, "strain_spectrum", spy_spectrum)
+        monkeypatch.setattr(driver, "check_two_sided", scripted)
+        prog = tension_program(n_steps=4, dw=2e-4)
+        direction = np.array([0.0, 1.0])
+        hist = run(
+            prog, BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch, reaction=("ymax", direction)
+        )
+        assert hist.backtracks and len(checks) == 6
+        assert len(erg_calls) == 2 * len(checks) and fem_spectra == []
+        monkeypatch.undo()
+
+        kern = build_kernels(patch)
+        for prev, rec in zip([None] + hist.steps[:-1], hist.steps):
+            u_d = lifting_for_step(prog, rec.step, patch)
+            assert rec.bulk_energy == erg(rec.u, u_d, rec.a, kern, sent_params)
+            assert rec.reaction == reaction_force(rec.u, u_d, rec.a, kern, sent_params, "ymax", direction)
+            if prev is not None:
+                want = check_two_sided(
+                    prev.step, prev.u, lifting_for_step(prog, prev.step, patch), prev.a,
+                    rec.u, u_d, rec.a, kern, sent_params, BacktrackConfig().eta,
+                )
+                assert rec.report == want
 
 
 class TestBacktrackBookkeeping:

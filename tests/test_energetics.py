@@ -209,6 +209,33 @@ class TestCheckTwoSided:
         assert rep.ub == upper_bound(u_n, ud1, ud2, a_n, kern, sent_params)
         assert rep.lb == lower_bound(u_next, ud1, ud2, a_next, kern, sent_params)
 
+    def test_precomputed_energies_give_the_same_report(self, patch, sent_params, rng, monkeypatch):
+        # the spectrum of the next state and the current bulk energy, passed
+        # in, leave only the two cross-lifting energies to evaluate
+        mesh, kern = patch
+        u_n, a_n, _ = random_state(mesh, rng)
+        u_next, a_next, _ = random_state(mesh, rng)
+        ud1 = np.zeros(2 * mesh.n_nodes)
+        ud2 = ud1.copy()
+        ud2[1::2] = 1e-3 * mesh.nodes[:, 1]
+        want = check_two_sided(0, u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, eta=1e-5)
+        assert want.erg_next == erg(u_next, ud2, a_next, kern, sent_params)
+        spectrum = strain_spectrum(kern, u_next + ud2)
+        erg_curr = erg(u_n, ud1, a_n, kern, sent_params)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return erg(*args)
+
+        monkeypatch.setattr(energetics, "erg", spy)
+        got = check_two_sided(
+            0, u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, eta=1e-5,
+            spectrum_next=spectrum, erg_curr=erg_curr,
+        )
+        assert len(calls) == 2
+        assert got == want
+
     def test_eta_must_be_positive(self, patch, sent_params):
         mesh, kern = patch
         z = np.zeros(2 * mesh.n_nodes)

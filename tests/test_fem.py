@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import box_mesh, damage_system, random_state
-from oracles import elastic_tensor
+from oracles import elastic_tensor, element_dofs_pattern
 from pffrac.energetics import dis, erg, grad_term, penalty_energy
 from pffrac.fem import (
     DofMap,
@@ -21,7 +23,8 @@ from pffrac.fem import (
 )
 from pffrac import solver
 from pffrac.driver import build_dofmap, lifting_for_step
-from pffrac.linsolve import factor_solve
+from pffrac.linsolve import BandOrdering, factor_solve
+from pffrac.mesh import generate_grid
 from pffrac.material import MaterialParams, degradation, psi_split, strain_tensor_from_voigt, tangent_split
 from pffrac.presets import load_preset
 
@@ -435,3 +438,80 @@ class TestBandOrdering:
                 assert np.shares_memory(indptr, pat.indptr)
         solver.newton_u(u, 1.1 * u_d, z, kern, p, cfg, dm)
         assert u_pattern(kern, dm) is pat_u and solves[-1][2] is pat_u.ordering
+
+
+PATTERN_PRESETS = [
+    ("sent", 0.05), ("sent", 0.1), ("sens", 0.02), ("sens", 0.05),
+    ("lshape", 0.15), ("lshape", 0.2), ("bend3d", 0.1), ("bend3d", 0.15),
+]
+
+
+@pytest.fixture(scope="module", params=PATTERN_PRESETS, ids=lambda c: f"{c[0]}@{c[1]}")
+def preset_pattern(request):
+    """Kernels, dof map and displacement pattern of a preset."""
+    setup = load_preset(*request.param)
+    kern = build_kernels(setup.mesh)
+    dm = build_dofmap(setup.mesh, setup.program)
+    return kern, dm, u_pattern(kern, dm)
+
+
+def assert_oracle_pattern(kern, dm, pat):
+    """The pattern is bitwise the one sorted out of every element entry."""
+    keep_map = -np.ones(dm.n_dofs, dtype=np.int64)
+    keep_map[dm.free] = np.arange(dm.free.size)
+    want = element_dofs_pattern(kern.udofs, dm.free.size, keep_map)
+    assert pat.n == dm.free.size
+    for got, ref in zip((pat.indptr, pat.indices, pat.slot), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+class TestUPattern:
+    def test_preset_matches_element_dof_oracle(self, preset_pattern):
+        assert_oracle_pattern(*preset_pattern)
+
+    def test_random_partial_dofmaps(self, rng):
+        # grids with cells cut away, components fixed at random, nodes with
+        # every or no component fixed, no dof fixed, and one free dof
+        for trial in range(12):
+            dim = 2 + trial % 2
+            axes = [np.cumsum(rng.uniform(0.1, 1.0, rng.integers(2, 6))) for _ in range(dim)]
+            mid = np.array([0.5 * (a[0] + a[-1]) for a in axes])
+            mesh = generate_grid(axes, keep=lambda c: (c - mid) @ rng.normal(size=dim) <= 0.3)
+            kern = build_kernels(mesh)
+            fixed = rng.random((mesh.n_nodes, dim)) < [0.0, 0.3, 0.7, 0.95][trial % 4]
+            fixed[rng.random(mesh.n_nodes) < 0.2] = True
+            if trial == 11:
+                fixed[:] = True
+            fixed[-1, 0] = False
+            dm = DofMap.from_constraints(
+                mesh, [(np.flatnonzero(fixed[:, c]), c) for c in range(dim)]
+            )
+            assert_oracle_pattern(kern, dm, u_pattern(kern, dm))
+
+    def test_band_never_wider_than_scipy_rcm(self, preset_pattern):
+        _, _, pat = preset_pattern
+        scipy_rcm = BandOrdering.from_structure(pat.indptr, pat.indices)
+        assert pat.ordering.bandwidth <= scipy_rcm.bandwidth
+        if pat.ordering.bandwidth == scipy_rcm.bandwidth:  # a tie keeps scipy's
+            assert np.array_equal(pat.ordering.perm, scipy_rcm.perm)
+
+    def test_bend3d_band(self):
+        setup = load_preset("bend3d", 0.2)
+        kern = build_kernels(setup.mesh)
+        pat = u_pattern(kern, build_dofmap(setup.mesh, setup.program))
+        # scipy's dof-level RCM gives 557 here
+        assert pat.ordering.bandwidth <= 380
+
+    def test_build_peak_memory(self):
+        # the element-entry-sized arrays of the build are the slot array it
+        # returns; sorting all element entries peaks at about 8x that
+        setup = load_preset("bend3d", 0.1)
+        kern = build_kernels(setup.mesh)
+        dm = build_dofmap(setup.mesh, setup.program)
+        tracemalloc.start()
+        try:
+            pat = u_pattern(kern, dm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * pat.slot.nbytes

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pffrac"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list:
@@ -32,7 +33,11 @@ def test_detects_unused_import():
     assert unused_imports(src) == ["os (line 1)", "pi (line 3)"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
 

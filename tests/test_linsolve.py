@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from conftest import box_mesh
 from pffrac import linsolve
 from pffrac.fem import DofMap, build_kernels, residual_and_tangent_u
-from pffrac.linsolve import BandOrdering, LinearSolveError, factor_solve
+from pffrac.linsolve import BandOrdering, LinearSolveError, factor_solve, pseudo_peripheral_rcm
 
 
 def random_sparse_spd(rng, n, density):
@@ -88,6 +88,61 @@ def test_ordering_band_storage(rng):
         assert np.array_equal(ab[o.bandwidth - d, d:], np.diagonal(ap, d))
 
 
+def graph(edges, n):
+    """CSC structure of the symmetric graph with the given edges and every
+    diagonal entry, rows sorted."""
+    i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    g = sp.csc_matrix((np.ones(2 * i.size + n), (np.r_[i, j, np.arange(n)], np.r_[j, i, np.arange(n)])), shape=(n, n))
+    g.sum_duplicates()
+    return g
+
+
+def grid_edges(rows, cols):
+    """Edges of the rows x cols grid graph, node id r * cols + c."""
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    return np.r_[
+        np.c_[ids[:, :-1].ravel(), ids[:, 1:].ravel()],
+        np.c_[ids[:-1, :].ravel(), ids[1:, :].ravel()],
+    ]
+
+
+def bandwidth(g, perm=None):
+    return BandOrdering.from_structure(g.indptr, g.indices, perm).bandwidth
+
+
+def test_pseudo_peripheral_rcm_multi_component(rng):
+    # a path, a grid, a lone node and a pair, numbered at random: every node
+    # once, each component a contiguous block
+    parts = [np.c_[np.arange(9), np.arange(1, 10)], grid_edges(4, 6), np.empty((0, 2), int), [[0, 1]]]
+    sizes = [10, 24, 1, 2]
+    offsets = np.cumsum([0] + sizes[:-1])
+    n = sum(sizes)
+    new = rng.permutation(n)
+    edges = np.concatenate([np.asarray(e, dtype=np.int64).reshape(-1, 2) + o for e, o in zip(parts, offsets)])
+    g = graph(new[edges], n)
+    perm = pseudo_peripheral_rcm(g.indptr, g.indices)
+    assert perm.dtype.kind == "i" and np.array_equal(np.sort(perm), np.arange(n))
+    labels = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(new)][perm]
+    assert np.count_nonzero(np.diff(labels)) == len(sizes) - 1
+    assert bandwidth(g, perm) <= 5  # the 4 x 6 grid's, numbered from a corner
+    assert pseudo_peripheral_rcm(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)).size == 0
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 17), (5, 5), (6, 40), (10, 12)])
+def test_pseudo_peripheral_start_is_a_corner(rng, rows, cols):
+    # a grid with one pendant node on its middle node: the lowest-degree
+    # node is the pendant, but the search moves out to a grid corner, and
+    # the band is narrower than scipy's RCM gives
+    n = rows * cols + 1
+    middle = (rows // 2) * cols + cols // 2
+    new = rng.permutation(n)
+    g = graph(new[np.r_[grid_edges(rows, cols), [[middle, n - 1]]]], n)
+    perm = pseudo_peripheral_rcm(g.indptr, g.indices)
+    start = np.argsort(new)[perm[-1]]  # RCM numbers the start node last
+    assert start in {0, cols - 1, (rows - 1) * cols, rows * cols - 1}
+    assert bandwidth(g, perm) < bandwidth(g)
+
+
 def test_indefinite_nonsingular_raises():
     a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(LinearSolveError, match="indefinite/singular"):
@@ -116,20 +171,33 @@ def patch_system(sent_params):
     return k, -r
 
 
-def use_cg(monkeypatch, n):
-    """Send systems of n dofs to the CG branch; the direct branch must not run."""
+def use_cg(monkeypatch, k):
+    """Send systems with the band of k to the CG branch (the budget one byte
+    short of it); the direct branch must not run."""
 
     def direct(*args):
         raise AssertionError("direct branch taken")
 
-    monkeypatch.setattr(linsolve, "CG_DOF_THRESHOLD", n - 1)
+    band = BandOrdering.from_structure(k.indptr, k.indices).band_bytes
+    monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band - 1)
     monkeypatch.setattr(linsolve, "_banded_solve", direct)
+
+
+def test_band_budget_boundary(patch_system, monkeypatch):
+    # a band of exactly the budget is still factored directly
+    k, b = patch_system
+    band = BandOrdering.from_structure(k.indptr, k.indices).band_bytes
+    assert band == (BandOrdering.from_structure(k.indptr, k.indices).bandwidth + 1) * b.size * 8
+    monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band)
+    monkeypatch.setattr(linsolve.spla, "cg", None)
+    x = factor_solve(k, b)
+    assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_cg_branch_matches_banded(patch_system, monkeypatch):
     k, b = patch_system
     want = factor_solve(k, b)
-    use_cg(monkeypatch, b.size)
+    use_cg(monkeypatch, k)
     x = factor_solve(k, b)
     assert np.linalg.norm(k @ x - b) <= 1e-8 * np.linalg.norm(b)
     assert np.abs(x - want).max() <= 1e-8 * np.abs(want).max()
@@ -139,7 +207,7 @@ def test_cg_branch_rejects_nonpositive_diagonal(patch_system, monkeypatch):
     k, b = patch_system
     bad = k.copy()
     bad.setdiag(np.r_[0.0, k.diagonal()[1:]])
-    use_cg(monkeypatch, b.size)
+    use_cg(monkeypatch, k)
     with pytest.raises(LinearSolveError, match="non-positive diagonal"):
         factor_solve(bad, b)
 
@@ -148,6 +216,6 @@ def test_cg_branch_reports_no_convergence(patch_system, monkeypatch):
     # a strong skew-symmetric part: positive diagonal, but CG cannot converge
     k, b = patch_system
     skew = sp.diags(np.full(b.size - 1, 3.0 * k.diagonal().max()), 1)
-    use_cg(monkeypatch, b.size)
+    use_cg(monkeypatch, k)
     with pytest.raises(LinearSolveError, match="CG did not converge"):
         factor_solve(sp.csc_matrix(k + skew - skew.T), b)

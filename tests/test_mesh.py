@@ -3,6 +3,7 @@ import pytest
 
 from conftest import box_mesh
 from oracles import write_gmsh
+from pffrac import mesh as mesh_mod
 from pffrac import presets
 from pffrac.mesh import Mesh, MeshError, _fix_orientation, generate_grid, parse_gmsh, select_nodes
 
@@ -182,6 +183,44 @@ def test_validate_builds_facet_map_only_for_side_sets(monkeypatch):
     mesh.side_sets = {"bottom": [(int(bottom[0]), int(bottom[1]))]}
     mesh.validate()
     assert calls == [mesh]
+
+
+def spy_measures(monkeypatch):
+    """Record the element count of every signed-measure pass."""
+    calls = []
+    real = mesh_mod._signed_measures
+
+    def spy(nodes, elements, dim):
+        calls.append(len(elements))
+        return real(nodes, elements, dim)
+
+    monkeypatch.setattr(mesh_mod, "_signed_measures", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name,scale", [("lshape", 0.15), ("bend3d", 0.1)])
+def test_grid_presets_measure_each_element_twice(monkeypatch, name, scale):
+    # once to orient (no grid element flips), once in generate_grid's
+    # validate; the preset adds node sets only and does not validate again
+    calls = spy_measures(monkeypatch)
+    mesh = presets.load_preset(name, scale).mesh
+    assert calls == [mesh.n_elements, mesh.n_elements]
+
+
+def test_fix_orientation_remeasures_after_a_flip(monkeypatch):
+    mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
+    elements = mesh.elements.copy()
+    elements[2, -2:] = elements[2, -2:][::-1]
+    calls = spy_measures(monkeypatch)
+    fixed = _fix_orientation(mesh.nodes, elements, 3)
+    assert calls == [6, 6]
+    assert np.array_equal(fixed, mesh.elements)
+    assert _fix_orientation(mesh.nodes, mesh.elements, 3).tobytes() == mesh.elements.tobytes()
+    assert len(calls) == 3
+    flat = mesh.elements.copy()
+    flat[0, 3] = flat[0, 2]  # two equal corners: zero volume
+    with pytest.raises(MeshError, match="degenerate"):
+        _fix_orientation(mesh.nodes, flat, 3)
 
 
 def test_duplicated_nodes_not_merged():

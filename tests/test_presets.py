@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pffrac.presets import PRESET_NAMES, load_preset
+from pffrac.presets import load_preset
 
 
 class TestParameterTables:
