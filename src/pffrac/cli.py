@@ -435,7 +435,9 @@ def cmd_check_energy(args) -> int:
     mismatches = []
     counts = {"full": 0, "partial": 0, "skipped": 0}
     a_0 = None
-    prev = None  # (step, u, a) of the last snapshot read
+    # (step, u, a, erg) of the last snapshot read; erg is its bulk energy
+    # when its row was fully checked, reused as the next pair's erg_curr
+    prev = None
     sum_d = 0.0  # cumulative dissipation at the last snapshot read
     for row in rows:
         parts = row.split(",")
@@ -458,7 +460,7 @@ def cmd_check_energy(args) -> int:
 
         if step == 0:
             a_0 = a
-            prev = (step, u, a)
+            prev = (step, u, a, None)
             continue
         if prev is None:
             print("energy.csv does not start at step 0", file=sys.stderr)
@@ -468,7 +470,9 @@ def cmd_check_energy(args) -> int:
             # both ends of the step pair: the whole two-sided inequality
             counts["full"] += 1
             u_d_prev = lifting_for_step(setup.program, step - 1, mesh)
-            report = check_two_sided(step - 1, prev[1], u_d_prev, prev[2], u, u_d, a, kernels, p, eta)
+            report = check_two_sided(
+                step - 1, prev[1], u_d_prev, prev[2], u, u_d, a, kernels, p, eta, erg_curr=prev[3]
+            )
             sum_d += report.d_inc
             checks = [
                 ("E", e_csv, report.e_next),
@@ -495,7 +499,7 @@ def cmd_check_energy(args) -> int:
         # without the previous state the recorded verdict cannot be re-checked, but stands
         if not (passed_csv if report is None else report.passed):
             failing.append(step)
-        prev = (step, u, a)
+        prev = (step, u, a, None if report is None else report.erg_next)
 
     if mismatches:
         for line in mismatches:

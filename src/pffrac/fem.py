@@ -380,11 +380,10 @@ class SparsityPattern:
     def _from_csc(cls, n, indptr, indices, slot, perm=None) -> "SparsityPattern":
         # let scipy choose the index dtype once, so assembly never converts
         proto = sp.csc_matrix((np.zeros(indices.size), indices, indptr), shape=(n, n))
-        ordering = BandOrdering.from_structure(proto.indptr, proto.indices)
-        if perm is not None:
-            candidate = BandOrdering.from_structure(proto.indptr, proto.indices, perm)
-            if candidate.bandwidth < ordering.bandwidth:
-                ordering = candidate
+        if perm is None:
+            ordering = BandOrdering.from_structure(proto.indptr, proto.indices)
+        else:
+            ordering = BandOrdering.narrower(proto.indptr, proto.indices, perm)
         return cls(n=n, indptr=proto.indptr, indices=proto.indices, slot=slot, ordering=ordering)
 
     def assemble(self, k_e: np.ndarray) -> sp.csc_matrix:

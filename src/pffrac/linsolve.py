@@ -76,27 +76,62 @@ class BandOrdering:
 
     @classmethod
     def from_structure(cls, indptr: np.ndarray, indices: np.ndarray, perm=None) -> "BandOrdering":
-        """Band storage of the CSC structure (indptr, indices) under ``perm``,
-        by default scipy's reverse Cuthill-McKee order of the graph of its
-        symmetric part."""
+        """Band storage of the symmetric CSC structure (indptr, indices) under
+        ``perm``, by default scipy's reverse Cuthill-McKee order of its
+        graph."""
         n = indptr.size - 1
         if perm is None:
-            graph = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-            perm = reverse_cuthill_mckee(graph, symmetric_mode=False)
+            perm = _scipy_rcm(indptr, indices)
         perm = np.asarray(perm, dtype=np.intp)
-        inv = np.empty(n, dtype=np.intp)
-        inv[perm] = np.arange(n)
+        inv = _inverse(perm)
         rows = inv[indices]
         cols = inv[np.repeat(np.arange(n), np.diff(indptr))]
         upper = np.flatnonzero(rows <= cols)
         offset = cols[upper] - rows[upper]
-        bandwidth = int(offset.max()) if offset.size else 0
+        bandwidth = int(offset.max(initial=0))
         slot = (bandwidth - offset) + cols[upper] * (bandwidth + 1)
         return cls(indptr, indices, perm, inv, bandwidth, upper, slot)
+
+    @classmethod
+    def narrower(cls, indptr: np.ndarray, indices: np.ndarray, perm) -> "BandOrdering":
+        """Band storage of the CSC structure under ``perm`` when that band is
+        strictly narrower than under scipy's reverse Cuthill-McKee order,
+        else under scipy's.  Only the chosen ordering is built."""
+        rcm = _scipy_rcm(indptr, indices)
+        if _bandwidth(indptr, indices, perm) >= _bandwidth(indptr, indices, rcm):
+            perm = rcm
+        return cls.from_structure(indptr, indices, perm)
 
     def matches(self, a: sp.csc_matrix) -> bool:
         """Whether ``a`` has the structure this ordering was built from."""
         return np.array_equal(a.indptr, self.indptr) and np.array_equal(a.indices, self.indices)
+
+
+def _scipy_rcm(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """scipy's reverse Cuthill-McKee order of a symmetric CSC structure
+    (empty for an empty structure, which scipy rejects).  scipy reads only
+    the index arrays, so the graph's data is a broadcast of one byte."""
+    n = indptr.size - 1
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    graph = sp.csc_matrix((np.broadcast_to(np.int8(1), indices.shape), indices, indptr), shape=(n, n))
+    return reverse_cuthill_mckee(graph, symmetric_mode=True)
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty(perm.size, dtype=np.intp)
+    inv[perm] = np.arange(perm.size)
+    return inv
+
+
+def _bandwidth(indptr: np.ndarray, indices: np.ndarray, perm) -> int:
+    """The ``bandwidth`` of ``BandOrdering.from_structure`` under ``perm``,
+    without its band-storage arrays: the largest offset above the reordered
+    diagonal."""
+    inv = _inverse(np.asarray(perm, dtype=np.intp))
+    offset = np.repeat(inv, np.diff(indptr))
+    offset -= inv[indices]
+    return int(offset.max(initial=0))
 
 
 def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

@@ -40,6 +40,12 @@ AT1 = "AT1"
 # repeated-eigenvalue limit formula.
 _GAP_REL = 1e-9
 
+# _jacobi drops off-diagonal entries up to the unit round-off of the power of
+# two above their matrix's largest entry; its cyclic sweeps converge
+# quadratically (1-5 sweeps in practice), so reaching _MAX_SWEEPS is an error.
+_ROUNDOFF = 2.0**-53
+_MAX_SWEEPS = 32
+
 # Tensor indices (i_k, j_k) of the Voigt components k, per dimension:
 # (xx, yy, xy) in 2-D, (xx, yy, zz, yz, xz, xy) in 3-D.
 _VOIGT_I = {2: np.array([0, 1, 0]), 3: np.array([0, 1, 2, 1, 0, 0])}
@@ -115,24 +121,95 @@ def _check_sym(eps: np.ndarray) -> np.ndarray:
     return eps
 
 
+def _rotate(x: np.ndarray, y: np.ndarray, c, s) -> None:
+    """(x, y) <- (c x - s y, s x + c y), in place."""
+    sx = s * x
+    x *= c
+    x -= s * y
+    y *= c
+    y += sx
+
+
+def _jacobi(eps: np.ndarray, vectors: bool):
+    """Eigenvalues (..., 3) of a batch of symmetric 3x3 matrices, and with
+    ``vectors`` also the eigenvectors (..., 3, 3) as columns, by cyclic Jacobi
+    sweeps vectorised over the batch (Golub & Van Loan, Matrix Computations,
+    sec. 8.5).
+
+    Each matrix is first scaled by the power of two that brings its largest
+    entry into [1/2, 1), which is exact and keeps every square below in
+    range.  A rotation zeroes one off-diagonal entry with the smaller root
+    t = sgn(theta) / (|theta| + sqrt(1 + theta^2)), theta = (a_qq - a_pp) /
+    (2 a_pq), written as e / (d + sgn(d) sqrt(d^2 + e^2)) with d = a_qq - a_pp
+    and e = 2 a_pq, so that a tiny pivot cannot overflow.  Entries within
+    round-off of the scale are dropped instead of rotated: rotating one away
+    would still shift the diagonal by round-off, enough to move an exactly
+    zero principal strain to the tensile side of the split.  Sweeps stop once
+    no entry is left.  Non-finite matrices give non-finite values.  The
+    eigenvalues are unsorted, and the same with or without ``vectors``.
+    """
+    shape = eps.shape[:-2]
+    m = eps.reshape(-1, 3, 3)
+    comps = [m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 1, 2], m[:, 0, 2], m[:, 0, 1]]
+    big = np.abs(comps[0])
+    for x in comps[1:]:
+        big = np.maximum(big, np.abs(x))
+    exp = np.frexp(big)[1]
+    comps = [np.ldexp(x, -exp) for x in comps]
+    diag = comps[:3]
+    off = comps[3:]  # off[r] couples the two indices other than r
+    if vectors:
+        v = [[np.full(m.shape[0], float(i == k)) for k in range(3)] for i in range(3)]
+    for _ in range(_MAX_SWEEPS):
+        if not any(np.any(np.abs(o) > _ROUNDOFF) for o in off):
+            break
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = off[r]
+            apq *= np.abs(apq) > _ROUNDOFF
+            d = diag[q] - diag[p]
+            e = 2.0 * apq
+            den = d + np.copysign(np.sqrt(d * d + e * e), d)
+            t = e / (den + (den == 0.0))  # 0 where d = e = 0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            t *= apq
+            diag[p] -= t
+            diag[q] += t
+            apq[:] = 0.0
+            # the third index r couples to p through off[q], to q through off[p]
+            _rotate(off[q], off[p], c, s)
+            if vectors:
+                for row in v:
+                    _rotate(row[p], row[q], c, s)
+    else:
+        raise RuntimeError(f"Jacobi eigensolver: no convergence in {_MAX_SWEEPS} sweeps")
+    w = np.stack([np.ldexp(x, exp) for x in diag], axis=-1).reshape(shape + (3,))
+    if not vectors:
+        return w
+    return w, np.stack([np.stack(row, axis=-1) for row in v], axis=-2).reshape(shape + (3, 3))
+
+
 class StrainSpectrum:
     """Principal strains of a batch of strains, in the 3x3 embedding.
 
     ``eps`` is the checked strain batch (..., d, d), ``eigvals`` (..., 3) its
     principal strains and ``eigvecs`` (..., 3, 3) the principal directions as
-    columns.  In 3-D one ``eigh`` gives both.  In plane strain the in-plane
-    pair has a closed form and the out-of-plane pair is exactly (0, e_z), kept
-    last, so the zero eigenvalue never suffers eigensolver round-off; the
-    vectors are built on first access, since energies need only the values.
-    The split functions accept a spectrum wherever they accept a strain, so
-    a state evaluated for several quantities is decomposed once.
+    columns.  In 3-D a vectorised Jacobi eigensolver gives the values; the
+    vectors are built on first access, by a second pass that also applies
+    its rotations to them, since energies need only the values.  In plane
+    strain the in-plane pair has a closed form and the out-of-plane pair is
+    exactly (0, e_z), kept last, so the zero eigenvalue never suffers
+    eigensolver round-off.  The split functions accept a spectrum wherever
+    they accept a strain, so a state evaluated for several quantities is
+    decomposed once.
     """
 
     def __init__(self, eps: np.ndarray):
         eps = _check_sym(eps)
         self.eps = eps
+        self._eigvecs = None
         if eps.shape[-1] == 3:
-            self.eigvals, self._eigvecs = np.linalg.eigh(eps)
+            self.eigvals = _jacobi(eps, vectors=False)
             return
         a = eps[..., 0, 0]
         b = eps[..., 1, 1]
@@ -144,7 +221,6 @@ class StrainSpectrum:
         w[..., 0] = m - r
         w[..., 1] = m + r
         self.eigvals = w
-        self._eigvecs = None
         self._hcr = (h, c, r)
 
     @property
@@ -154,7 +230,11 @@ class StrainSpectrum:
 
     @property
     def eigvecs(self) -> np.ndarray:
-        if self._eigvecs is None:
+        if self._eigvecs is None and self.eps.shape[-1] == 3:
+            # the rotations never read the vectors, so this second pass
+            # repeats the values pass bit for bit
+            _, self._eigvecs = _jacobi(self.eps, vectors=True)
+        elif self._eigvecs is None:
             h, c, r = self._hcr
             # eigenvector of w2; pick the better-conditioned analytic form
             use_h = h >= 0.0

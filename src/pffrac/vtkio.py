@@ -55,37 +55,41 @@ def write_field_snapshot(disp: np.ndarray, damage: np.ndarray, mesh: Mesh, path)
         fh.write(text)
 
 
+def _seek(lines: list, i: int, prefix: str) -> int:
+    """Index of the first line from ``i`` on that starts with ``prefix`` (in
+    a snapshot written above, line ``i`` itself)."""
+    while i < len(lines) and not lines[i].startswith(prefix):
+        i += 1
+    if i >= len(lines):
+        raise ValueError(f"snapshot missing {prefix!r} section")
+    return i
+
+
+def _values(lines: list, i: int, n: int, width: int) -> np.ndarray:
+    """The n rows of ``width`` numbers starting at line ``i``, as (n, width)."""
+    values = np.array(" ".join(lines[i : i + n]).split(), dtype=np.float64)
+    if values.size != n * width:
+        raise ValueError(f"snapshot block at line {i + 1} holds {values.size} values, not {n * width}")
+    return values.reshape(n, width)
+
+
 def read_field_snapshot(path, dim: int):
     """Read back (displacement, damage) from a snapshot written above.
 
-    Returns the displacement as a flat dim*n_nodes vector.
+    Returns the displacement as a flat dim*n_nodes vector.  The POINTS,
+    CELLS and CELL_TYPES headers give the length of their blocks, which are
+    skipped unread.
     """
     with open(path) as fh:
-        tokens = fh.read().split("\n")
+        lines = fh.read().split("\n")
 
-    i = 0
-
-    def _seek(prefix: str) -> int:
-        nonlocal i
-        while i < len(tokens) and not tokens[i].startswith(prefix):
-            i += 1
-        if i >= len(tokens):
-            raise ValueError(f"snapshot missing {prefix!r} section")
-        return i
-
-    _seek("POINTS")
-    n_points = int(tokens[i].split()[1])
-    i += 1 + n_points
-
-    _seek("VECTORS displacement")
-    i += 1
-    disp = np.array(
-        [[float(v) for v in tokens[i + k].split()] for k in range(n_points)]
-    )
-    i += n_points
-
-    _seek("SCALARS damage")
-    _seek("LOOKUP_TABLE")
-    i += 1
-    damage = np.array([float(tokens[i + k]) for k in range(n_points)])
+    i = _seek(lines, 0, "POINTS")
+    n_points = int(lines[i].split()[1])
+    i = _seek(lines, i + 1 + n_points, "CELLS")
+    i = _seek(lines, i + 1 + int(lines[i].split()[1]), "CELL_TYPES")
+    i = _seek(lines, i + 1 + int(lines[i].split()[1]), "VECTORS displacement")
+    disp = _values(lines, i + 1, n_points, 3)
+    i = _seek(lines, i + 1 + n_points, "SCALARS damage")
+    i = _seek(lines, i, "LOOKUP_TABLE")
+    damage = _values(lines, i + 1, n_points, 1).ravel()
     return disp[:, :dim].reshape(-1), damage

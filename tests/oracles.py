@@ -1,10 +1,10 @@
 """Reference implementations that the tests compare the program against.
 
 They are test code: no run path calls them.  Each is a plain, from-scratch
-form of something the program computes in a fused or cached way (the
+form of something the program computes in a fused, cached or faster way (the
 functional trace, the two-sided bounds, the undegraded tangent, the
-displacement sparsity pattern) or a writer for the fixtures the program
-reads (Gmsh meshes).
+displacement sparsity pattern, the 3-D principal strains, the snapshot
+reader) or a writer for the fixtures the program reads (Gmsh meshes).
 """
 
 import numpy as np
@@ -56,6 +56,44 @@ def element_dofs_pattern(edofs: np.ndarray, n: int, keep_map: np.ndarray):
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     proto = sp.csc_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
     return proto.indptr, proto.indices, slot
+
+
+def eigh_spectrum(eps: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors (columns) of a batch of
+    symmetric 3x3 strains, by LAPACK (numpy's eigh)."""
+    return np.linalg.eigh(eps)
+
+
+def read_snapshot_by_line(path, dim: int):
+    """(displacement, damage) of a VTK snapshot, found by testing every line
+    for the next section header and converting value by value."""
+    with open(path) as fh:
+        tokens = fh.read().split("\n")
+
+    i = 0
+
+    def _seek(prefix: str) -> int:
+        nonlocal i
+        while i < len(tokens) and not tokens[i].startswith(prefix):
+            i += 1
+        if i >= len(tokens):
+            raise ValueError(f"snapshot missing {prefix!r} section")
+        return i
+
+    _seek("POINTS")
+    n_points = int(tokens[i].split()[1])
+    i += 1 + n_points
+
+    _seek("VECTORS displacement")
+    i += 1
+    disp = np.array([[float(v) for v in tokens[i + k].split()] for k in range(n_points)])
+    i += n_points
+
+    _seek("SCALARS damage")
+    _seek("LOOKUP_TABLE")
+    i += 1
+    damage = np.array([float(tokens[i + k]) for k in range(n_points)])
+    return disp[:, :dim].reshape(-1), damage
 
 
 def elastic_tensor(dim: int, p: MaterialParams) -> np.ndarray:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import box_mesh
-from oracles import write_gmsh
-from pffrac import presets
+from oracles import read_snapshot_by_line, write_gmsh
+from pffrac import cli, energetics, presets
 from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, run_to_dir, setup_from_config
 from pffrac.mesh import select_nodes
 from pffrac.presets import load_preset
@@ -71,6 +71,40 @@ class TestVtk:
         got_disp, got_damage = read_field_snapshot(path, 3)
         assert np.array_equal(got_disp, disp)
         assert np.array_equal(got_damage, damage)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reader_matches_line_oracle(self, tmp_path, rng, dim):
+        mesh = box_mesh([1.0] * dim, [3] * dim)
+        n = dim * mesh.n_nodes
+        disp = rng.normal(size=n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        disp[:4] = [0.0, -0.0, 5e-324, -np.finfo(float).max]
+        damage = rng.uniform(0.0, 1.0, mesh.n_nodes)
+        damage[::4] = 0.0
+        path = tmp_path / "snap.vtk"
+        write_field_snapshot(disp, damage, mesh, path)
+        for got, want in zip(read_field_snapshot(path, dim), read_snapshot_by_line(path, dim)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize(
+        "header", ["POINTS", "CELLS", "CELL_TYPES", "VECTORS displacement", "SCALARS damage", "LOOKUP_TABLE"]
+    )
+    def test_missing_section_raises(self, tmp_path, header):
+        mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
+        path = tmp_path / "snap.vtk"
+        write_field_snapshot(np.zeros(3 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(x for x in lines if not x.startswith(header)) + "\n")
+        with pytest.raises(ValueError, match=f"missing '{header}' section"):
+            read_field_snapshot(path, 3)
+
+    def test_truncated_block_raises(self, tmp_path):
+        mesh = box_mesh([1.0, 1.0], [1, 1])
+        path = tmp_path / "snap.vtk"
+        write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path)
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match="holds 3 values, not 4"):
+            read_field_snapshot(path, 2)
 
 
 class TestConfigPlumbing:
@@ -334,3 +368,47 @@ class TestCheckEnergy:
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize("every, want", [(1, [(False, 4)] + [(True, 3)] * 4), (2, [(False, 4)])])
+    def test_bulk_energy_reused_between_checked_pairs(self, patch_config, tmp_path, monkeypatch, every, want):
+        # a pair after a fully checked one takes that pair's bulk energy of
+        # their shared state, so it decomposes 3 strains instead of 4, and
+        # its report is bit for bit the report without reuse; after a row
+        # checked for E and sum_D only (every=2: steps 2 and 4) nothing is
+        # reused
+        out = tmp_path / "out"
+        set_every = ["--set", f"output.snapshot_every={every}"]
+        assert main(["run", "--config", str(patch_config), "--out", str(out)] + set_every) == 0
+        spectra = []
+        real_spectrum = energetics.strain_spectrum
+
+        def counting(*args):
+            spectra.append(args)
+            return real_spectrum(*args)
+
+        real_check = cli.check_two_sided
+        pairs = []
+
+        def checking(*args, **kw):
+            n0 = len(spectra)
+            report = real_check(*args, **kw)
+            pairs.append((kw.get("erg_curr") is not None, len(spectra) - n0))
+            assert report == real_check(*args)
+            return report
+
+        monkeypatch.setattr(energetics, "strain_spectrum", counting)
+        monkeypatch.setattr(cli, "check_two_sided", checking)
+        assert main(["check-energy", str(out)]) == 0
+        assert pairs == want
+
+
+def test_bend3d_runs_and_audits_without_lapack_eigensolver(tmp_path, monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("LAPACK eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    out = tmp_path / "out"
+    argv = ["run", "--preset", "bend3d", "--scale", "0.1", "--steps", "1", "--k-back", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(["check-energy", str(out)]) == 0

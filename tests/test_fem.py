@@ -504,7 +504,10 @@ class TestUPattern:
 
     def test_build_peak_memory(self):
         # the element-entry-sized arrays of the build are the slot array it
-        # returns; sorting all element entries peaks at about 8x that
+        # returns; sorting all element entries peaks at about 8x that, and
+        # building both candidate band orderings in full, with scipy's RCM
+        # run on a symmetrised copy of the graph, at 3.2x; comparing the
+        # bandwidths first and building one ordering stays at 2.9x
         setup = load_preset("bend3d", 0.1)
         kern = build_kernels(setup.mesh)
         dm = build_dofmap(setup.mesh, setup.program)
@@ -514,4 +517,4 @@ class TestUPattern:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * pat.slot.nbytes
+        assert peak <= 3 * pat.slot.nbytes

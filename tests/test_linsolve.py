@@ -27,6 +27,15 @@ def test_hand_elimination_2x2():
     assert x == pytest.approx([1.0 / 11.0, 7.0 / 11.0], rel=1e-14)
 
 
+def test_empty_structure():
+    indptr, indices = np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32)
+    for o in (
+        BandOrdering.from_structure(indptr, indices),
+        BandOrdering.narrower(indptr, indices, np.zeros(0, dtype=np.intp)),
+    ):
+        assert o.n == 0 and o.bandwidth == 0 and o.upper.size == 0 and o.slot.size == 0
+
+
 def test_singular_raises():
     a = sp.csr_matrix(np.diag([1.0, 0.0]))
     with pytest.raises(LinearSolveError, match="indefinite/singular"):

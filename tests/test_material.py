@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import elastic_tensor
+import pffrac.material
+from oracles import eigh_spectrum, elastic_tensor
 from pffrac.material import (
     _GAP_REL,
     MaterialParams,
     StrainSpectrum,
+    _jacobi,
     _split_stress_coeffs,
     degradation,
     psi_split,
@@ -108,7 +110,7 @@ class TestSpectralSplit:
 
     def test_reconstruction_and_orthogonality(self, rng):
         # v diag(w) v^T rebuilds the embedded strain, in plane strain (closed
-        # form) and in 3-D (eigh)
+        # form) and in 3-D (Jacobi)
         for dim in (2, 3):
             for _ in range(20):
                 eps = rand_strain(rng, dim)
@@ -148,6 +150,131 @@ class TestStrainSpectrum:
             for got, want in zip(fn(spec, sent_params), fn(eps, sent_params)):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
+
+
+def rotated(rng, w):
+    """Strains with the principal strains ``w`` (n, 3) in random orientations."""
+    q, _ = np.linalg.qr(rng.normal(size=w.shape + (3,)))
+    eps = (q * w[:, None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (eps + np.swapaxes(eps, -1, -2))
+
+
+def magnitudes(rng, n):
+    return 10.0 ** rng.uniform(-8.0, 2.0, (n, 1))
+
+
+def assert_matches_eigh(eps):
+    """The 3-D spectrum of a strain batch against LAPACK: sorted principal
+    strains within 8 ulp of each strain's Frobenius norm, directions that
+    rebuild the strain to 1e-14 of that norm and are orthonormal to 1e-14."""
+    s = StrainSpectrum(eps)
+    w_ref, _ = eigh_spectrum(eps)
+    fro = np.linalg.norm(eps, axis=(-2, -1))
+    assert np.all(np.abs(np.sort(s.eigvals, axis=-1) - w_ref).max(axis=-1) <= 8 * 2.0**-52 * fro)
+    v = s.eigvecs
+    rebuilt = (v * s.eigvals[..., None, :]) @ np.swapaxes(v, -1, -2)
+    assert np.all(np.abs(rebuilt - eps).max(axis=(-2, -1)) <= 1e-14 * fro)
+    assert np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(3)).max() <= 1e-14
+
+
+def _double_triple(rng, n):
+    # exact: a rank-one strain (principal strains 3, 0, 0), one with
+    # principal strains 2, 2, 0, and a multiple of the identity; then
+    # rotated pairs and triples (equal up to the rotation's round-off)
+    exact = np.array(
+        [np.ones((3, 3)), [[2.0, 0, 0], [0, 1, 1], [0, 1, 1]], 1e-3 * np.eye(3)]
+    )
+    m = magnitudes(rng, n)
+    pairs = rotated(rng, m * [1.0, 1.0, -0.3])
+    triples = rotated(rng, m * [1.0, 1.0, 1.0])
+    return np.concatenate([exact, pairs, triples])
+
+
+def _uniaxial_poisson(rng, n):
+    nu = rng.uniform(0.0, 0.5, (n, 1))
+    return rotated(rng, magnitudes(rng, n) * np.hstack([np.ones((n, 1)), -nu, -nu]))
+
+
+def _graded(rng, n):
+    # principal strains of random sign down to 1e-12 of the largest, or a
+    # pair split by 1e-12 to 1 of it
+    ratio = 10.0 ** rng.uniform(-12.0, 0.0, (n, 2))
+    sign = rng.choice([-1.0, 1.0], (n, 2))
+    graded = np.hstack([np.ones((n, 1)), sign * ratio])
+    split = np.hstack([np.ones((n, 1)), 1.0 + ratio[:, :1], sign[:, :1] * ratio[:, 1:]])
+    return rotated(rng, magnitudes(rng, 2 * n) * np.vstack([graded, split]))
+
+
+def _negative_definite(rng, n):
+    a = rng.normal(size=(n, 3, 3))
+    return -magnitudes(rng, n)[:, :, None] * (a @ np.swapaxes(a, -1, -2))
+
+
+ADVERSARIAL = {
+    "zero": lambda rng, n: np.zeros((n, 3, 3)),
+    "diagonal": lambda rng, n: np.eye(3) * (magnitudes(rng, n) * rng.normal(size=(n, 3)))[:, None, :],
+    "negative_definite": _negative_definite,
+    "double_triple": _double_triple,
+    "uniaxial_poisson": _uniaxial_poisson,
+    "graded": _graded,
+}
+
+
+@st.composite
+def spread_strains(draw):
+    """A 3-D strain of magnitude 1e-8 to 1e2 with principal strains of any
+    sign, one of them graded or a pair split down to 1e-12 of the largest,
+    in a random orientation."""
+    w = np.array([1.0, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+    kind = draw(st.sampled_from(("any", "graded", "split")))
+    if kind == "graded":
+        w[1] = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-12.0, 0.0))
+    elif kind == "split":
+        w[1] = 1.0 + 10.0 ** draw(st.floats(-12.0, 0.0))
+    m = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(9)]).reshape(3, 3)
+    q, _ = np.linalg.qr(m + 3.0 * np.eye(3))
+    eps = (q * (10.0 ** draw(st.floats(-8.0, 2.0)) * w)) @ q.T
+    return 0.5 * (eps + eps.T)
+
+
+class TestJacobiSpectrum:
+    """The 3-D principal strains and directions of ``StrainSpectrum``, by
+    the vectorised Jacobi eigensolver, against LAPACK."""
+
+    @pytest.mark.parametrize("kind", list(ADVERSARIAL))
+    def test_adversarial_batches(self, rng, kind):
+        assert_matches_eigh(ADVERSARIAL[kind](rng, 400))
+
+    @given(spread_strains())
+    def test_matches_eigh(self, eps):
+        assert_matches_eigh(eps[None])
+
+    def test_values_pass_equals_vectors_pass(self, rng):
+        eps = np.concatenate([f(rng, 50) for f in ADVERSARIAL.values()])
+        assert np.array_equal(StrainSpectrum(eps).eigvals, _jacobi(eps, vectors=True)[0])
+
+    def test_singular_strain_keeps_exact_zero(self, sent_params):
+        # a strain of determinant 0 whose off-diagonal entry is at round-off
+        # of its scale: rotating that entry away would move the zero
+        # principal strain to +1e-37, onto the tensile side of the split
+        eps = np.array([[0.0, 0.0, 2.8e-21], [0.0, 0.0, 1e-4], [2.8e-21, 1e-4, -1e-4]])
+        w = StrainSpectrum(eps).eigvals
+        assert np.count_nonzero(w == 0.0) == 1
+        fp, _, hp, _ = _split_stress_coeffs(w, sent_params)
+        assert hp[w == 0.0].tolist() == [0.0] and fp[w == 0.0].tolist() == [0.0]
+
+    def test_sweep_cap_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(pffrac.material, "_MAX_SWEEPS", 2)
+        with pytest.raises(RuntimeError, match="no convergence"):
+            StrainSpectrum(rotated(rng, rng.normal(size=(20, 3))))
+
+    def test_non_finite_strains_give_non_finite_values(self, rng):
+        eps = rotated(rng, rng.normal(size=(3, 3)))
+        eps[1, 0, 1] = eps[1, 1, 0] = np.nan
+        eps[2, 2, 2] = np.inf
+        s = StrainSpectrum(eps)
+        assert not np.isfinite(s.eigvals[1:]).all(axis=-1).any()
+        assert np.array_equal(s.eigvals[0], StrainSpectrum(eps[0]).eigvals)
 
 
 class TestPsiSplit:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import box_mesh, damage_system, random_state
 from oracles import total_functional
-from pffrac.fem import DofMap, build_kernels, internal_force_u, residual_and_tangent_u
+from pffrac.fem import DofMap, build_kernels, internal_force_u, residual_and_tangent_u, u_pattern
 from pffrac import solver
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split, strain_tensor_from_voigt
 from pffrac.linsolve import factor_solve
@@ -82,6 +82,20 @@ class TestNewtonU:
             kmat[:, j] = (residual_and_tangent_u(up, u_d, a, kern, sent_params, dm)[0] + rhs) / h
         dense = np.linalg.solve(kmat, rhs)
         assert np.abs(u[dm.free] - dense).max() <= 1e-8 * (1 + np.abs(dense).max())
+
+
+    def test_every_dof_fixed(self, sent_params):
+        # an empty displacement system: an empty pattern of bandwidth 0, and
+        # the zero free vector
+        mesh = box_mesh([1.0, 1.0], [2, 2])
+        kern = build_kernels(mesh)
+        every = np.arange(mesh.n_nodes)
+        dm = DofMap.from_constraints(mesh, [(every, 0), (every, 1)])
+        u_d = stretch_lifting(mesh, 1e-3, 2e-3)
+        u, _, _ = newton_u(np.ones(u_d.size), u_d, np.zeros(mesh.n_nodes), kern, sent_params, SolverConfig(), dm)
+        assert np.array_equal(u, np.zeros(u_d.size))
+        pattern = u_pattern(kern, dm)
+        assert pattern.n == 0 and pattern.ordering.bandwidth == 0
 
 
 class TestNewtonBeta:
