@@ -3,7 +3,9 @@
 Subcommands
 -----------
 run          execute a load program (preset or config file), writing
-             load_disp.csv, energy.csv, run.json and per-step VTK snapshots
+             load_disp.csv, energy.csv, intermediates.csv (the solves
+             discarded or redone while backtracking), run.json and per-step
+             VTK snapshots
 check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run and compare against energy.csv; with
              snapshot_every > 1 only the steps with snapshots are
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import presets
 from .driver import BacktrackConfig, DirichletSpec, LoadProgram, RunHistory, lifting_for_step, run
-from .energetics import check_two_sided, dissipation_increment, stored_energy
+from .energetics import check_two_sided, dissipation_increment, erg, grad_term
 from .fem import build_kernels
 from .material import MaterialParams
 from .mesh import parse_gmsh
@@ -43,6 +45,8 @@ __all__ = ["main", "cmd_run", "cmd_check_energy", "config_from_setup", "setup_fr
 
 _COMP = {"x": 0, "y": 1, "z": 2, "0": 0, "1": 1, "2": 2}
 _COMP_NAME = "xyz"
+# Relative tolerance of check-energy between a recorded and a recomputed figure.
+_AUDIT_RTOL = 1e-10
 
 # Every config key that setup_from_config and run_to_dir read, by section.
 _CONFIG_KEYS = {
@@ -52,7 +56,7 @@ _CONFIG_KEYS = {
     "solver": {"tol_u", "tol_a", "max_newton", "max_alt"},
     "backtrack": {"k_back", "eta"},
     "reaction": {"set", "direction"},
-    "output": {"snapshot_every", "save_intermediates"},
+    "output": {"snapshot_every"},
 }
 
 
@@ -103,7 +107,7 @@ def config_from_setup(setup: presets.RunSetup) -> dict:
             "set": setup.reaction_set,
             "direction": " ".join(_fmt(c) for c in setup.reaction_dir),
         },
-        "output": {"snapshot_every": "1", "save_intermediates": "false"},
+        "output": {"snapshot_every": "1"},
     }
 
 
@@ -363,8 +367,7 @@ def run_to_dir(cfg: dict, out_dir, built: presets.RunSetup | None = None) -> Run
     elapsed = time.perf_counter() - t0
 
     writer.write_csvs(history)
-    if out_sec.get("save_intermediates", "false").lower() == "true":
-        writer.write_intermediates(history)
+    writer.write_intermediates(history)
     _write_run_json(out_dir, cfg, history, elapsed)
     return history
 
@@ -385,8 +388,6 @@ def cmd_run(args) -> int:
             cfg.setdefault("backtrack", {})["eta"] = _fmt(args.eta)
         if args.steps is not None:
             cfg.setdefault("program", {})["n_steps"] = str(args.steps)
-        if args.save_intermediates:
-            cfg.setdefault("output", {})["save_intermediates"] = "true"
         _apply_overrides(cfg, args.set)
         history = run_to_dir(cfg, args.out, built)
     except (ValueError, KeyError, OSError) as exc:
@@ -405,8 +406,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _rel_close(a: float, b: float, rtol: float = 1e-10) -> bool:
-    return abs(a - b) <= rtol * (1.0 + max(abs(a), abs(b)))
+def _rel_close(a: float, b: float) -> bool:
+    return abs(a - b) <= _AUDIT_RTOL * (1.0 + max(abs(a), abs(b)))
 
 
 def cmd_check_energy(args) -> int:
@@ -435,8 +436,8 @@ def cmd_check_energy(args) -> int:
     mismatches = []
     counts = {"full": 0, "partial": 0, "skipped": 0}
     a_0 = None
-    # (step, u, a, erg) of the last snapshot read; erg is its bulk energy
-    # when its row was fully checked, reused as the next pair's erg_curr
+    # (step, u, a, erg) of the last snapshot read; erg, its bulk energy
+    # under its own lifting, is the next pair's erg_curr
     prev = None
     sum_d = 0.0  # cumulative dissipation at the last snapshot read
     for row in rows:
@@ -457,10 +458,11 @@ def cmd_check_energy(args) -> int:
         disp, a = read_field_snapshot(snap, mesh.dim)
         u_d = lifting_for_step(setup.program, step, mesh)
         u = disp - u_d
+        bulk = erg(u, u_d, a, kernels, p)
 
         if step == 0:
             a_0 = a
-            prev = (step, u, a, None)
+            prev = (step, u, a, bulk)
             continue
         if prev is None:
             print("energy.csv does not start at step 0", file=sys.stderr)
@@ -471,7 +473,8 @@ def cmd_check_energy(args) -> int:
             counts["full"] += 1
             u_d_prev = lifting_for_step(setup.program, step - 1, mesh)
             report = check_two_sided(
-                step - 1, prev[1], u_d_prev, prev[2], u, u_d, a, kernels, p, eta, erg_curr=prev[3]
+                step - 1, prev[1], u_d_prev, prev[2], u, u_d, a, kernels, p, eta,
+                erg_curr=prev[3], erg_next=bulk,
             )
             sum_d += report.d_inc
             checks = [
@@ -488,7 +491,7 @@ def cmd_check_energy(args) -> int:
             report = None
             sum_d = dissipation_increment(a_0, a, kernels, p)
             checks = [
-                ("E", e_csv, stored_energy(u, u_d, a, kernels, p)),
+                ("E", e_csv, bulk + grad_term(a, kernels, p)),
                 ("sum_D", sumd_csv, sum_d),
             ]
         for name, got, want in checks:
@@ -499,7 +502,7 @@ def cmd_check_energy(args) -> int:
         # without the previous state the recorded verdict cannot be re-checked, but stands
         if not (passed_csv if report is None else report.passed):
             failing.append(step)
-        prev = (step, u, a, None if report is None else report.erg_next)
+        prev = (step, u, a, bulk)
 
     if mismatches:
         for line in mismatches:
@@ -538,7 +541,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--eta", type=float, default=None, help="energy tolerance")
     p_run.add_argument("--steps", type=int, default=None, help="override n_steps")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--save-intermediates", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_chk = sub.add_parser("check-energy", help="audit a run directory")

@@ -18,7 +18,6 @@ import numpy as np
 from .energetics import EnergyReport, check_two_sided, dis, erg_from_spectrum
 from .fem import (
     DofMap,
-    ElementKernels,
     build_kernels,
     degradation_weights,
     reaction_force,
@@ -26,7 +25,7 @@ from .fem import (
 )
 from .material import MaterialParams
 from .mesh import Mesh
-from .solver import AltResult, SolverConfig, StepFailure, alternate_minimize
+from .solver import SolverConfig, StepFailure, alternate_minimize
 
 __all__ = [
     "DirichletSpec",
@@ -108,7 +107,6 @@ class StepRecord:
     newton_iters_u: int = 0
     newton_iters_beta: int = 0
     irreversibility_violation: bool = False
-    functional_trace: list = field(default_factory=list)
 
 
 @dataclass
@@ -131,7 +129,7 @@ class IntermediateRecord:
     delta: float
     lb: float
     ub: float
-    reaction: float = 0.0
+    reaction: float
 
 
 @dataclass
@@ -168,6 +166,8 @@ def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
     for bc in program.bcs:
         if bc.node_set not in mesh.node_sets:
             raise KeyError(f"unknown node set {bc.node_set!r}")
+        if not 0 <= bc.component < mesh.dim:
+            raise ValueError(f"{bc}: a {mesh.dim}-D mesh has no component {bc.component}")
         constraints.append((mesh.node_sets[bc.node_set], bc.component))
     return DofMap.from_constraints(mesh, constraints)
 
@@ -201,7 +201,8 @@ def run(
     Parameters
     ----------
     reaction : (set_tag, direction) or None
-        Work-conjugate reaction recorded per accepted step.
+        Work-conjugate reaction recorded per solve; ``direction`` has one
+        component per mesh dimension.
     on_accept : callable, optional
         ``on_accept(history)`` invoked after every acceptance (incremental
         output writers).
@@ -210,19 +211,26 @@ def run(
     starts from the running guess: the last solve's state, discarded or not.
     A solver failure ends the run with ``aborted`` set and the history so far.
     """
+    if reaction is not None and len(reaction[1]) != mesh.dim:
+        direction = np.asarray(reaction[1]).tolist()
+        raise ValueError(f"reaction direction {direction} needs {mesh.dim} components")
     kernels = build_kernels(mesh)
     dofmap = build_dofmap(mesh, program)
     history = RunHistory()
 
+    def _reaction(spectrum, rw) -> float:
+        if reaction is None:
+            return 0.0
+        return reaction_force(spectrum, rw, kernels, p, *reaction)
+
     u0 = np.zeros(dofmap.n_dofs)
     a0 = np.zeros(mesh.n_nodes)
-    u_d0 = lifting_for_step(program, 0, mesh)
-    spectrum0 = strain_spectrum(kernels, u0 + u_d0)
-    bulk0 = erg_from_spectrum(spectrum0, degradation_weights(kernels, a0, p), kernels, p)
-    history.steps.append(StepRecord(step=0, w=0.0, u=u0, a=a0, report=None, bulk_energy=bulk0))
-    if reaction is not None:
-        tag, direction = reaction
-        history.steps[0].reaction = reaction_force(u0, u_d0, a0, kernels, p, tag, direction, spectrum0)
+    spectrum0 = strain_spectrum(kernels, u0 + lifting_for_step(program, 0, mesh))
+    rw0 = degradation_weights(kernels, a0, p)
+    bulk0 = erg_from_spectrum(spectrum0, rw0, kernels, p)
+    history.steps.append(
+        StepRecord(step=0, w=0.0, u=u0, a=a0, report=None, bulk_energy=bulk0, reaction=_reaction(spectrum0, rw0))
+    )
 
     guess_u = u0
     guess_a = a0
@@ -234,104 +242,79 @@ def run(
     consumed: dict = {}
 
     def _solve(step_n: int):
-        """Solve increment [t_n, t_{n+1}] from the running guess."""
+        """Solve increment [t_n, t_{n+1}] from the running guess, which then
+        becomes the solution; returns it with its check and its reaction."""
+        nonlocal guess_u, guess_a
+        prev = history.steps[step_n]
         u_d_next = lifting_for_step(program, step_n + 1, mesh)
-        anchor = history.steps[step_n].a
-        res = alternate_minimize(guess_u, guess_a, anchor, u_d_next, kernels, p, cfg, dofmap)
+        res = alternate_minimize(guess_u, guess_a, prev.a, u_d_next, kernels, p, cfg, dofmap)
+        guess_u, guess_a = res.u, res.a
+        rw = degradation_weights(kernels, res.a, p)
         report = check_two_sided(
             step_n,
-            history.steps[step_n].u,
+            prev.u,
             lifting_for_step(program, step_n, mesh),
-            history.steps[step_n].a,
+            prev.a,
             res.u,
             u_d_next,
             res.a,
             kernels,
             p,
             bt.eta,
-            spectrum_next=res.spectrum,
-            erg_curr=history.steps[step_n].bulk_energy,
+            erg_curr=prev.bulk_energy,
+            erg_next=erg_from_spectrum(res.spectrum, rw, kernels, p),
         )
-        return res, report, u_d_next
+        return res, report, _reaction(res.spectrum, rw)
 
-    while n < program.n_steps:
-        try:
-            res, report, u_d_next = _solve(n)
-        except StepFailure as exc:
-            history.aborted = True
-            history.abort_reason = str(exc)
-            return history
-        guess_u, guess_a = res.u, res.a
+    try:
+        while n < program.n_steps:
+            res, report, force = _solve(n)
+            failed_at = n + 1
+            b = consumed.get(failed_at, 0)
+            if not report.passed and b < bt.k_max:
+                history.intermediates.append(_intermediate(report, program, b, force))
+                while not report.passed and b < bt.k_max and n > 0:
+                    n -= 1
+                    b += 1
+                    history.backtracks.append(
+                        BacktrackEvent(failed_step=failed_at, resolved_step=n + 1, b=b)
+                    )
+                    res, report, force = _solve(n)
+                    history.intermediates.append(_intermediate(report, program, b, force))
+                consumed[failed_at] = b
 
-        failed_at = n + 1
-        b = consumed.get(failed_at, 0)
-        if not report.passed and bt.k_max > 0 and b < bt.k_max:
-            history.intermediates.append(
-                _intermediate(res, report, program, kernels, p, reaction, b, u_d_next)
+            record = StepRecord(
+                step=n + 1,
+                w=program.w(n + 1),
+                u=res.u.copy(),
+                a=res.a.copy(),
+                report=report,
+                bulk_energy=report.erg_next,
+                reaction=force,
+                alt_iters=res.alt_iters,
+                newton_iters_u=res.newton_iters_u,
+                newton_iters_beta=res.newton_iters_beta,
+                irreversibility_violation=bool(
+                    report.d_inc < -_DISS_REL_TOL * (1.0 + dis(history.steps[n].a, kernels, p))
+                ),
             )
-            while not report.passed and b < bt.k_max and n > 0:
-                n -= 1
-                b += 1
-                history.backtracks.append(
-                    BacktrackEvent(failed_step=failed_at, resolved_step=n + 1, b=b)
-                )
-                try:
-                    res, report, u_d_next = _solve(n)
-                except StepFailure as exc:
-                    history.aborted = True
-                    history.abort_reason = str(exc)
-                    return history
-                guess_u, guess_a = res.u, res.a
-                history.intermediates.append(
-                    _intermediate(res, report, program, kernels, p, reaction, b, u_d_next)
-                )
-            consumed[failed_at] = b
+            if n + 1 < len(history.steps):
+                history.steps[n + 1] = record
+                del history.steps[n + 2 :]  # later states now refer to a replaced chain
+            else:
+                history.steps.append(record)
+            n += 1
 
-        record = StepRecord(
-            step=n + 1,
-            w=program.w(n + 1),
-            u=res.u.copy(),
-            a=res.a.copy(),
-            report=report,
-            bulk_energy=report.erg_next,
-            alt_iters=res.alt_iters,
-            newton_iters_u=res.newton_iters_u,
-            newton_iters_beta=res.newton_iters_beta,
-            irreversibility_violation=bool(
-                report.d_inc < -_DISS_REL_TOL * (1.0 + dis(history.steps[n].a, kernels, p))
-            ),
-            functional_trace=list(res.functional_trace),
-        )
-        if reaction is not None:
-            tag, direction = reaction
-            record.reaction = reaction_force(
-                res.u, u_d_next, res.a, kernels, p, tag, direction, res.spectrum
-            )
-
-        if n + 1 < len(history.steps):
-            history.steps[n + 1] = record
-            del history.steps[n + 2 :]  # later states now refer to a replaced chain
-        else:
-            history.steps.append(record)
-        n += 1
-
-        if on_accept is not None:
-            on_accept(history)
-
+            if on_accept is not None:
+                on_accept(history)
+    except StepFailure as exc:
+        history.aborted = True
+        history.abort_reason = str(exc)
     return history
 
 
-def _intermediate(
-    res: AltResult,
-    report: EnergyReport,
-    program: LoadProgram,
-    kernels: ElementKernels,
-    p: MaterialParams,
-    reaction,
-    b: int,
-    u_d_next,
-) -> IntermediateRecord:
-    rec = IntermediateRecord(
+def _intermediate(report: EnergyReport, program: LoadProgram, b: int, reaction: float) -> IntermediateRecord:
+    return IntermediateRecord(
         target_step=report.step + 1,
         w=program.w(report.step + 1),
         b=b,
@@ -339,8 +322,5 @@ def _intermediate(
         delta=report.delta,
         lb=report.lb,
         ub=report.ub,
+        reaction=reaction,
     )
-    if reaction is not None:
-        tag, direction = reaction
-        rec.reaction = reaction_force(res.u, u_d_next, res.a, kernels, p, tag, direction, res.spectrum)
-    return rec

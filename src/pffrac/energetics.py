@@ -25,7 +25,6 @@ __all__ = [
     "erg",
     "erg_from_spectrum",
     "grad_term",
-    "stored_energy",
     "dis",
     "dissipation_increment",
     "penalty_energy",
@@ -82,11 +81,6 @@ def grad_term(a, kernels: ElementKernels, p: MaterialParams) -> float:
     return 0.5 * p.gc * p.ell * _fsum(kernels.measures * np.einsum("ed,ed->e", g, g))
 
 
-def stored_energy(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:
-    """Stored energy E: degraded bulk energy plus damage-gradient energy."""
-    return erg(u1, u2, a, kernels, p) + grad_term(a, kernels, p)
-
-
 def dis(a, kernels: ElementKernels, p: MaterialParams) -> float:
     """Dissipation state function: quadratic (AT2) or linear (AT1) in beta."""
     beta_qp = beta_at_qp(kernels, a)
@@ -141,27 +135,21 @@ def check_two_sided(
     p: MaterialParams,
     eta: float,
     *,
-    spectrum_next: StrainSpectrum | None = None,
-    erg_curr: float | None = None,
+    erg_curr: float,
+    erg_next: float,
 ) -> EnergyReport:
     """Evaluate the two-sided inequality LB - eta <= dE + D <= UB + eta for
     the step pair (n, n+1).
 
-    A caller that has the ``strain_spectrum`` of u_next + u_d_next, or the
-    bulk energy ``erg(u_n, u_d_n, a_n)`` (the previous report's
-    ``erg_next``), passes it in; the report is the same bit for bit.
+    ``erg_curr`` is the bulk energy ``erg(u_n, u_d_n, a_n)`` of the current
+    state and ``erg_next`` the bulk energy ``erg(u_next, u_d_next, a_next)``
+    of the next one, each under its own lifting.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    # the four distinct bulk energies: each state under both liftings.  UB
+    # the other two bulk energies: each state under the other lifting.  UB
     # is the lifting increment on the current state, LB the one on the next
     # state (the proved pairing), both at that state's damage
-    if spectrum_next is None:
-        erg_next = erg(u_next, u_d_next, a_next, kernels, p)
-    else:
-        erg_next = erg_from_spectrum(spectrum_next, degradation_weights(kernels, a_next, p), kernels, p)
-    if erg_curr is None:
-        erg_curr = erg(u_n, u_d_n, a_n, kernels, p)
     erg_curr_lifted = erg(u_n, u_d_next, a_n, kernels, p)
     erg_next_unlifted = erg(u_next, u_d_n, a_next, kernels, p)
     e_next = erg_next + grad_term(a_next, kernels, p)

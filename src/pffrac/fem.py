@@ -49,7 +49,6 @@ __all__ = [
     "strain_spectrum",
     "beta_at_qp",
     "degradation_weights",
-    "internal_force_u",
     "residual_and_tangent_u",
     "residual_and_tangent_beta",
     "reaction_force",
@@ -277,14 +276,6 @@ def _force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialPar
     return _nodal_sum(kernels.udofs, f_e, kernels.dim * kernels.mesh.n_nodes)
 
 
-def internal_force_u(u, u_d, a, kernels: ElementKernels, p: MaterialParams, spectrum=None) -> np.ndarray:
-    """Unconstrained internal force vector over all displacement dofs
-    (``spectrum``, when given, is the ``strain_spectrum`` of u + u_d)."""
-    if spectrum is None:
-        spectrum = strain_spectrum(kernels, u + u_d)
-    return _force(spectrum, degradation_weights(kernels, a, p), kernels, p)
-
-
 @dataclass(frozen=True)
 class SparsityPattern:
     """CSC structure of an element-assembled n x n matrix.
@@ -430,20 +421,15 @@ def damage_blocks(kernels: ElementKernels) -> DamageBlocks:
 
 
 def residual_and_tangent_u(
-    u, u_d, a, kernels: ElementKernels, p: MaterialParams, dofmap: DofMap, *, spectrum=None, rw=None
+    spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams, dofmap: DofMap
 ):
     """Displacement residual and consistent tangent over the free dofs (zero
-    external load: Dirichlet-driven problems only).
+    external load: Dirichlet-driven problems only), of the displacement
+    U + U_D whose ``strain_spectrum`` is ``spectrum`` at the damage whose
+    ``degradation_weights`` are ``rw``.
 
-    One strain spectrum serves both; a caller that already has it (the
-    ``strain_spectrum`` of U + U_D) or the ``degradation_weights`` of the
-    damage passes them in, and the result is the same bit for bit.  The
-    tangent is a CSC matrix, SPD for damage below one and k > 0.
+    The tangent is a CSC matrix, SPD for damage below one and k > 0.
     """
-    if spectrum is None:
-        spectrum = strain_spectrum(kernels, u + u_d)
-    if rw is None:
-        rw = degradation_weights(kernels, a, p)
     full = _force(spectrum, rw, kernels, p)
     cp, cm = tangent_split(spectrum, p)
     c_e = rw[:, None, None] * cp + kernels.measures[:, None, None] * cm
@@ -480,17 +466,17 @@ def residual_and_tangent_beta(psi_p, a, a_n, kernels: ElementKernels, p: Materia
 
 
 def reaction_force(
-    u, u_d, a, kernels: ElementKernels, p: MaterialParams, set_tag: str, direction, spectrum=None
+    spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams, set_tag: str, direction
 ) -> float:
     """Work-conjugate reaction: directional sum of the unconstrained internal
-    force over the nodes of a tagged set (``spectrum`` as for
-    ``internal_force_u``)."""
+    force over the nodes of a tagged set, for the state given as for
+    ``residual_and_tangent_u``."""
     mesh = kernels.mesh
     if set_tag not in mesh.node_sets:
         raise KeyError(f"unknown node set {set_tag!r}")
     nodes = mesh.node_sets[set_tag]
     direction = np.asarray(direction, dtype=np.float64)
-    r = internal_force_u(u, u_d, a, kernels, p, spectrum)
+    r = _force(spectrum, rw, kernels, p)
     total = 0.0
     for c in range(mesh.dim):
         if direction[c] != 0.0:

@@ -226,12 +226,12 @@ def _banded_solve(a: sp.csc_matrix, b: np.ndarray, o: BandOrdering) -> np.ndarra
     return y[o.inv]
 
 
-def factor_solve(a: sp.spmatrix, b: np.ndarray, ordering: BandOrdering | None = None) -> np.ndarray:
+def factor_solve(a: sp.csc_matrix, b: np.ndarray, ordering: BandOrdering) -> np.ndarray:
     """Solve the SPD system a x = b.
 
     ``ordering`` is the band ordering of ``a``'s CSC structure (as kept by
-    an assembly pattern); without one it is computed for this call.  The
-    system goes to CG when the ordering's band exceeds ``BAND_BYTES_BUDGET``.
+    an assembly pattern).  The system goes to CG when the ordering's band
+    exceeds ``BAND_BYTES_BUDGET``.
     Relative residual is bounded by 1e-10 (direct) or 1e-8 (CG fallback);
     violations raise LinearSolveError ("indefinite/singular").
     """
@@ -246,11 +246,7 @@ def factor_solve(a: sp.spmatrix, b: np.ndarray, ordering: BandOrdering | None = 
     if b_norm == 0.0:
         return np.zeros(n)
 
-    if ordering is None:
-        a = sp.csc_matrix(a, copy=True)
-        a.sum_duplicates()
-        ordering = BandOrdering.from_structure(a.indptr, a.indices)
-    elif not (sp.issparse(a) and a.format == "csc" and ordering.matches(a)):
+    if not (sp.issparse(a) and a.format == "csc" and ordering.matches(a)):
         raise LinearSolveError("matrix structure differs from its band ordering")
     if ordering.band_bytes <= BAND_BYTES_BUDGET:
         x = _banded_solve(a, b, ordering)

@@ -199,9 +199,8 @@ class StrainSpectrum:
     its rotations to them, since energies need only the values.  In plane
     strain the in-plane pair has a closed form and the out-of-plane pair is
     exactly (0, e_z), kept last, so the zero eigenvalue never suffers
-    eigensolver round-off.  The split functions accept a spectrum wherever
-    they accept a strain, so a state evaluated for several quantities is
-    decomposed once.
+    eigensolver round-off.  The split functions take a spectrum, so a state
+    evaluated for several quantities is decomposed once.
     """
 
     def __init__(self, eps: np.ndarray):
@@ -256,19 +255,14 @@ class StrainSpectrum:
         return self._eigvecs
 
 
-def _spectrum(eps) -> StrainSpectrum:
-    """The given spectrum, or the spectrum of the given strain batch."""
-    return eps if isinstance(eps, StrainSpectrum) else StrainSpectrum(eps)
-
-
-def psi_split(eps, p: MaterialParams):
-    """Tensile/compressive elastic energy densities of a strain batch or its
-    ``StrainSpectrum``.
+def psi_split(s: StrainSpectrum, p: MaterialParams):
+    """Tensile/compressive elastic energy densities of the strain batch whose
+    spectrum is ``s``.
 
     psi0_pm = lam/2 (tr eps_pm)^2 + mu eps_pm : eps_pm, evaluated from the
     signed principal strains.  Both values are >= 0 (lam >= 0).
     """
-    w = _spectrum(eps).eigvals
+    w = s.eigvals
     wp = np.maximum(w, 0.0)
     wm = np.minimum(w, 0.0)
     trp = wp.sum(axis=-1)
@@ -295,14 +289,13 @@ def _split_stress_coeffs(w: np.ndarray, p: MaterialParams):
     return fp, fm, hp, hm
 
 
-def sigma_split(eps, p: MaterialParams):
+def sigma_split(s: StrainSpectrum, p: MaterialParams):
     """Tensile/compressive stresses, the exact gradients of ``psi_split``, of
-    a strain batch or its ``StrainSpectrum``.
+    the strain batch whose spectrum is ``s``.
 
     Returned in the input dimension (in-plane block for plane strain; the
     out-of-plane normal stress never enters 2-D assembly).
     """
-    s = _spectrum(eps)
     d = s.eps.shape[-1]
     w, v = s.eigvals, s.eigvecs
     fp, fm, _, _ = _split_stress_coeffs(w, p)
@@ -319,9 +312,9 @@ def degradation(beta, p: MaterialParams):
     return one_m * one_m + p.k, -2.0 * one_m
 
 
-def tangent_split(eps, p: MaterialParams):
+def tangent_split(s: StrainSpectrum, p: MaterialParams):
     """Tangents of the split stresses: (d sigma0_+/d eps, d sigma0_-/d eps),
-    of a strain batch or its ``StrainSpectrum``.
+    of the strain batch whose spectrum is ``s``.
 
     Both in engineering-shear Voigt form (3x3 over (xx, yy, xy) in 2-D,
     6x6 over (xx, yy, zz, yz, xz, xy) in 3-D), built directly from the
@@ -338,7 +331,6 @@ def tangent_split(eps, p: MaterialParams):
     one pair remain.  Near-repeated eigenvalues (gap below
     1e-9*(1+|eps|)) use the coalesced-pair limit g_ab = 2 mu h.
     """
-    s = _spectrum(eps)
     eps = s.eps
     d = eps.shape[-1]
     w, v = s.eigvals, s.eigvecs

@@ -38,6 +38,8 @@ __all__ = ["RunSetup", "PRESET_NAMES", "load_preset"]
 PRESET_NAMES = ("sent", "sens", "lshape", "bend3d")
 
 _SET_TOL = 1e-8
+# Element size (mm) of the slit band at scale 1, unless ell/2 is smaller.
+_SLIT_REF_H = 0.005
 
 
 @dataclass
@@ -91,11 +93,11 @@ def _cut_slit(mesh: Mesh, y0: float, x_lo: float, x_hi: float) -> Mesh:
     return Mesh(dim=2, nodes=nodes, elements=elements)
 
 
-def _square_with_slit(scale: float, ell: float, ref_h: float = 0.005) -> Mesh:
+def _square_with_slit(scale: float, ell: float) -> Mesh:
     """Unit square, horizontal mid-edge slit from the left edge to the
     center, refined in a band around the slit line."""
     length = 1.0
-    h_fine = min(min(ref_h, ell / 2.0) / scale, 0.1)
+    h_fine = min(min(_SLIT_REF_H, ell / 2.0) / scale, 0.1)
     h_coarse = min(5.0 * h_fine, 0.125)
     band = max(0.1, 3.0 * h_fine)
 

@@ -166,43 +166,39 @@ def newton_u(
     p: MaterialParams,
     cfg: SolverConfig,
     dofmap: DofMap,
-    spectrum=None,
+    spectrum: StrainSpectrum,
 ):
-    """Damped Newton on the displacement residual at fixed damage.
+    """Damped Newton on the displacement residual at fixed damage, started
+    from u0 with its constrained dofs set to zero; ``spectrum`` is the
+    ``strain_spectrum`` of that start plus u_d.
 
     Returns (u, iterations, spectrum): the free vector keeps zeros on
     constrained dofs, and ``spectrum`` is the ``strain_spectrum`` of the
-    returned u + u_d.  A caller that has the spectrum of u0 + u_d (u0 zero
-    on the constrained dofs) passes it in.  The merit function is the degraded bulk energy; each displacement
-    state is decomposed once, for its merit, residual and tangent alike.
+    returned u + u_d.  The merit function is the degraded bulk energy; each
+    displacement state is decomposed once, for its merit, residual and
+    tangent alike.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
     u[dofmap.fixed] = 0.0
     free = dofmap.free
     rw = degradation_weights(kernels, a_fixed, p)  # the damage is fixed
 
-    def expand(x):
+    def evaluate(x):
         full = u.copy()
         full[free] = x
-        return full
-
-    def evaluate(x):
-        spec = strain_spectrum(kernels, expand(x) + u_d)
+        spec = strain_spectrum(kernels, full + u_d)
         return erg_from_spectrum(spec, rw, kernels, p), spec
 
-    start = None if spectrum is None else (erg_from_spectrum(spectrum, rw, kernels, p), spectrum)
     try:
         x, iters, _, spectrum = _box_newton(
             u[free],
             evaluate,
-            lambda x, spec: residual_and_tangent_u(
-                expand(x), u_d, a_fixed, kernels, p, dofmap, spectrum=spec, rw=rw
-            ),
+            lambda x, spec: residual_and_tangent_u(spec, rw, kernels, p, dofmap),
             cfg.tol_u,
             cfg.max_newton,
             "newton_u",
             u_pattern(kernels, dofmap).ordering,
-            start=start,
+            start=(erg_from_spectrum(spectrum, rw, kernels, p), spectrum),
         )
     except StepFailure as exc:
         exc.u, exc.a = u, a_fixed
@@ -214,28 +210,24 @@ def newton_u(
 def newton_beta(
     a0: np.ndarray,
     u_fixed: np.ndarray,
-    u_d: np.ndarray,
     a_n: np.ndarray,
     kernels: ElementKernels,
     p: MaterialParams,
     cfg: SolverConfig,
-    spectrum=None,
+    spectrum: StrainSpectrum,
 ):
     """Semi-smooth Newton on the penalized damage residual at fixed
-    displacement, bound-constrained to [0, 1].
+    displacement, bound-constrained to [0, 1].  ``spectrum`` is the
+    ``strain_spectrum`` of the displacement: u_fixed plus its lifting.
 
     Returns (a, iterations, functional): ``functional`` is the penalized
     incremental functional (``functional_from_psi``) of the returned state
-    (u_fixed + u_d, a) with anchor a_n.  A caller that has the
-    ``strain_spectrum`` of u_fixed + u_d passes it in.  The bounds are enforced inside the solve
-    (projected active-set Newton), so the discrete overshoot of the
-    unconstrained minimizer above 1 near a localized crack never enters the
-    state.
+    with anchor a_n.  The bounds are enforced inside the solve (projected
+    active-set Newton), so the discrete overshoot of the unconstrained
+    minimizer above 1 near a localized crack never enters the state.
     """
     # the displacement is frozen, so the split energy densities are reusable;
     # the anchor is fixed, so is its dissipation
-    if spectrum is None:
-        spectrum = strain_spectrum(kernels, u_fixed + u_d)
     psi_p, psi_m = psi_split(spectrum, p)
     dis_n = dis(a_n, kernels, p)
     try:
@@ -278,11 +270,11 @@ def alternate_minimize(
     iters_u = 0
     iters_b = 0
     trace: list = []
-    spectrum = None  # of u + u_d_next, once a solve has computed it
+    spectrum = strain_spectrum(kernels, u + u_d_next)
 
     for i in range(1, cfg.max_alt + 1):
         u_new, nu, spectrum = newton_u(u, u_d_next, a, kernels, p, cfg, dofmap, spectrum)
-        a_new, nb, functional = newton_beta(a, u_new, u_d_next, a_n, kernels, p, cfg, spectrum)
+        a_new, nb, functional = newton_beta(a, u_new, a_n, kernels, p, cfg, spectrum)
         iters_u += nu
         iters_b += nb
         trace.append(functional)

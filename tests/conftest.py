@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import settings
 
-from pffrac.fem import DofMap, build_kernels, residual_and_tangent_beta, strain_spectrum
+from pffrac.fem import (
+    DofMap,
+    build_kernels,
+    degradation_weights,
+    residual_and_tangent_beta,
+    residual_and_tangent_u,
+    strain_spectrum,
+)
+from pffrac.linsolve import BandOrdering, factor_solve
 from pffrac.material import MaterialParams, psi_split
 from pffrac.mesh import generate_grid
 
@@ -53,3 +62,24 @@ def damage_system(u, u_d, a, a_n, kernels, p):
     """Damage residual and tangent at the displacement u + u_d."""
     psi_p, _ = psi_split(strain_spectrum(kernels, u + u_d), p)
     return residual_and_tangent_beta(psi_p, a, a_n, kernels, p)
+
+
+def displacement_system(u, u_d, a, kernels, p, dofmap):
+    """Displacement residual and tangent at the displacement u + u_d and the
+    damage a."""
+    spectrum = strain_spectrum(kernels, u + u_d)
+    return residual_and_tangent_u(spectrum, degradation_weights(kernels, a, p), kernels, p, dofmap)
+
+
+def internal_force(u, u_d, a, kernels, p):
+    """Unconstrained internal force at the displacement u + u_d and the
+    damage a: the displacement residual when no dof is constrained."""
+    return displacement_system(u, u_d, a, kernels, p, DofMap.from_constraints(kernels.mesh, []))[0]
+
+
+def rcm_solve(a, b):
+    """``factor_solve`` of the matrix a under scipy's reverse Cuthill-McKee
+    ordering of its CSC structure."""
+    a = sp.csc_matrix(a, copy=True)
+    a.sum_duplicates()
+    return factor_solve(a, b, BandOrdering.from_structure(a.indptr, a.indices))

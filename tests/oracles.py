@@ -2,15 +2,16 @@
 
 They are test code: no run path calls them.  Each is a plain, from-scratch
 form of something the program computes in a fused, cached or faster way (the
-functional trace, the two-sided bounds, the undegraded tangent, the
-displacement sparsity pattern, the 3-D principal strains, the snapshot
-reader) or a writer for the fixtures the program reads (Gmsh meshes).
+functional trace, the stored energy, the two-sided bounds and check, the
+undegraded tangent, the displacement sparsity pattern, the 3-D principal
+strains, the snapshot reader) or a writer for the fixtures the program reads
+(Gmsh meshes).
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from pffrac.energetics import dissipation_increment, erg, grad_term, penalty_energy
+from pffrac.energetics import check_two_sided, dissipation_increment, erg, grad_term, penalty_energy
 from pffrac.fem import ElementKernels
 from pffrac.material import MaterialParams
 from pffrac.mesh import _GMSH_LINE, _GMSH_POINT, _GMSH_TET, _GMSH_TRI, Mesh
@@ -25,6 +26,21 @@ def total_functional(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams)
         + grad_term(a, kernels, p)
         + dissipation_increment(a_n, a, kernels, p)
         + penalty_energy(a, a_n, kernels, p)
+    )
+
+
+def stored_energy(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:
+    """Stored energy E: degraded bulk energy plus damage-gradient energy."""
+    return erg(u1, u2, a, kernels, p) + grad_term(a, kernels, p)
+
+
+def fresh_check(step, u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels: ElementKernels, p: MaterialParams, eta):
+    """``check_two_sided`` of the step pair (n, n+1) with the bulk energy of
+    each state under its own lifting evaluated here."""
+    return check_two_sided(
+        step, u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels, p, eta,
+        erg_curr=erg(u_n, u_d_n, a_n, kernels, p),
+        erg_next=erg(u_next, u_d_next, a_next, kernels, p),
     )
 
 

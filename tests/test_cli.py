@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import box_mesh
-from oracles import read_snapshot_by_line, write_gmsh
-from pffrac import cli, energetics, presets
+from oracles import fresh_check, read_snapshot_by_line, write_gmsh
+from pffrac import cli, driver, energetics, presets
 from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, run_to_dir, setup_from_config
 from pffrac.mesh import select_nodes
 from pffrac.presets import load_preset
@@ -145,7 +145,7 @@ class TestConfigPlumbing:
         lame["material"].update(dissipation="AT2", kappa="0.3")
         lame["program"]["n_steps"] = "2"
         lame["solver"] = {"tol_u": "1e-5", "tol_a": "1e-5", "max_newton": "100", "max_alt": "1000"}
-        lame["output"] = {"snapshot_every": "1", "save_intermediates": "false"}
+        lame["output"] = {"snapshot_every": "1"}
         young = {s: dict(v) for s, v in lame.items()}
         del young["material"]["lam_kn"], young["material"]["mu_kn"]
         young["material"].update(e_kn="210", nu="0.3")
@@ -181,7 +181,6 @@ class TestConfigPlumbing:
             ("reaction", "set"): (lame, "ymin"),
             ("reaction", "direction"): (lame, "1 0"),
             ("output", "snapshot_every"): (lame, "2"),
-            ("output", "save_intermediates"): (lame, "true"),
         }
         assert set(changes) == {(s, k) for s, keys in _CONFIG_KEYS.items() for k in keys}
 
@@ -233,6 +232,52 @@ class TestCmdRun:
         assert main(argv) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "item, named",
+        [
+            ("program.bc=bottom:y:0; top:y:1; top:z:0; pin:x:0", "node_set='top', component=2"),
+            ("reaction.direction=1", "reaction direction [1.0]"),
+            ("reaction.direction=0 1 0", "reaction direction [0.0, 1.0, 0.0]"),
+        ],
+        ids=["bc_z", "direction_1", "direction_3"],
+    )
+    def test_component_beyond_mesh_dim_exit_2(self, tmp_path, capsys, item, named):
+        argv = ["run", "--preset", "sent", "--scale", "0.05", "--steps", "1", "--set", item]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_intermediates_csv(self, patch_config, tmp_path, monkeypatch):
+        # always written: the header alone when no back step happened, else
+        # one row per solve of a back-step round, the last of which is the
+        # re-solve the run accepted
+        parser = configparser.ConfigParser()
+        parser.read(patch_config)
+        cfg = {s: dict(parser.items(s)) for s in parser.sections()}
+        header = "target_step,w,b,passed,delta,LB,UB,reaction"
+        hist = run_to_dir(cfg, tmp_path / "plain")
+        assert not hist.backtracks
+        assert (tmp_path / "plain" / "intermediates.csv").read_text().splitlines() == [header]
+
+        real_check, failed = driver.check_two_sided, []
+
+        def scripted(step, *args, **kw):
+            rep = real_check(step, *args, **kw)
+            if step == 2 and not failed:
+                failed.append(step)
+                rep.passed = False
+            return rep
+
+        monkeypatch.setattr(driver, "check_two_sided", scripted)
+        hist = run_to_dir(cfg, tmp_path / "back")
+        lines = (tmp_path / "back" / "intermediates.csv").read_text().splitlines()
+        assert lines[0] == header
+        rows = [line.split(",") for line in lines[1:]]
+        assert [
+            (int(r[0]), float(r[1]), int(r[2]), r[3] == "1", *map(float, r[4:])) for r in rows
+        ] == [(i.target_step, i.w, i.b, i.passed, i.delta, i.lb, i.ub, i.reaction) for i in hist.intermediates]
+        assert [(i.target_step, i.b, i.passed) for i in hist.intermediates] == [(3, 0, False), (2, 1, True)]
+        assert hist.intermediates[-1].reaction == hist.steps[2].reaction != 0.0
 
     def test_patch_run_outputs(self, patch_config, tmp_path):
         out = tmp_path / "out"
@@ -369,13 +414,14 @@ class TestCheckEnergy:
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
 
-    @pytest.mark.parametrize("every, want", [(1, [(False, 4)] + [(True, 3)] * 4), (2, [(False, 4)])])
+    @pytest.mark.parametrize("every, want", [(1, (5, 16)), (2, (1, 6))])
     def test_bulk_energy_reused_between_checked_pairs(self, patch_config, tmp_path, monkeypatch, every, want):
-        # a pair after a fully checked one takes that pair's bulk energy of
-        # their shared state, so it decomposes 3 strains instead of 4, and
-        # its report is bit for bit the report without reuse; after a row
-        # checked for E and sum_D only (every=2: steps 2 and 4) nothing is
-        # reused
+        # each snapshot's bulk energy is computed once, when it is read, and
+        # a check takes those of its two states: it decomposes only its two
+        # cross-lifting strains, so a fully checked pair costs 3 and the
+        # audit one per snapshot plus two per check (every=2: snapshots 0,
+        # 2, 4 and 5, and only the pair (4, 5) fully checked); each report is
+        # bit for bit the one with both bulk energies evaluated afresh
         out = tmp_path / "out"
         set_every = ["--set", f"output.snapshot_every={every}"]
         assert main(["run", "--config", str(patch_config), "--out", str(out)] + set_every) == 0
@@ -387,19 +433,23 @@ class TestCheckEnergy:
             return real_spectrum(*args)
 
         real_check = cli.check_two_sided
-        pairs = []
+        per_check = []
 
         def checking(*args, **kw):
             n0 = len(spectra)
             report = real_check(*args, **kw)
-            pairs.append((kw.get("erg_curr") is not None, len(spectra) - n0))
-            assert report == real_check(*args)
+            n1 = len(spectra)
+            per_check.append(n1 - n0)
+            assert report == fresh_check(*args)
+            del spectra[n1:]  # the fresh evaluation is not the audit's
             return report
 
         monkeypatch.setattr(energetics, "strain_spectrum", counting)
         monkeypatch.setattr(cli, "check_two_sided", checking)
         assert main(["check-energy", str(out)]) == 0
-        assert pairs == want
+        n_checks, n_spectra = want
+        assert per_check == [2] * n_checks
+        assert len(spectra) == n_spectra
 
 
 def test_bend3d_runs_and_audits_without_lapack_eigensolver(tmp_path, monkeypatch):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import box_mesh
+from oracles import fresh_check
 import pffrac.driver as driver
-from pffrac import energetics, fem
 from pffrac.driver import (
     BacktrackConfig,
     DirichletSpec,
@@ -13,7 +13,8 @@ from pffrac.driver import (
     run,
 )
 from pffrac.energetics import check_two_sided, erg
-from pffrac.fem import build_kernels, reaction_force
+from pffrac.fem import build_kernels, degradation_weights, reaction_force, strain_spectrum
+from pffrac.material import StrainSpectrum
 from pffrac.solver import SolverConfig
 
 
@@ -177,21 +178,30 @@ class TestRun:
 
 class TestReusedDecomposition:
     def test_records_match_fresh_evaluation(self, patch, sent_params, monkeypatch):
-        # the check and the reactions reuse the last displacement solve's
-        # spectrum and the previous record's bulk energy: each check
-        # evaluates only its two cross-lifting energies, no reaction
-        # decomposes a strain, and every stored figure is the one a fresh
-        # evaluation gives, bit for bit, across a back step
-        erg_calls, fem_spectra, checks = [], [], []
-        real_spectrum = fem.strain_spectrum
+        # each solved state is decomposed once, by the solver: outside it
+        # the driver decomposes only the initial state and, per check, the
+        # two cross-lifting energies; each solve's reaction is computed
+        # once, plus the initial one; and every stored figure is the one a
+        # fresh evaluation gives, bit for bit, across a back step
+        counts = {"outside": 0, "solves": 0, "reactions": 0}
+        checks, inside = [], []
+        real_init, real_solve, real_reaction = StrainSpectrum.__init__, driver.alternate_minimize, reaction_force
 
-        def spy_erg(*args):
-            erg_calls.append(args)
-            return erg(*args)
+        def spectrum_init(self, eps):
+            counts["outside"] += not inside
+            real_init(self, eps)
 
-        def spy_spectrum(*args):
-            fem_spectra.append(args)
-            return real_spectrum(*args)
+        def solve(*args):
+            counts["solves"] += 1
+            inside.append(True)
+            try:
+                return real_solve(*args)
+            finally:
+                inside.pop()
+
+        def reaction(*args):
+            counts["reactions"] += 1
+            return real_reaction(*args)
 
         def scripted(step, *args, **kw):
             checks.append(step)
@@ -200,25 +210,29 @@ class TestReusedDecomposition:
                 rep.passed = False
             return rep
 
-        monkeypatch.setattr(energetics, "erg", spy_erg)
-        monkeypatch.setattr(fem, "strain_spectrum", spy_spectrum)
+        monkeypatch.setattr(StrainSpectrum, "__init__", spectrum_init)
+        monkeypatch.setattr(driver, "alternate_minimize", solve)
+        monkeypatch.setattr(driver, "reaction_force", reaction)
         monkeypatch.setattr(driver, "check_two_sided", scripted)
         prog = tension_program(n_steps=4, dw=2e-4)
         direction = np.array([0.0, 1.0])
         hist = run(
             prog, BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch, reaction=("ymax", direction)
         )
-        assert hist.backtracks and len(checks) == 6
-        assert len(erg_calls) == 2 * len(checks) and fem_spectra == []
+        assert hist.backtracks and len(checks) == counts["solves"] == 6
+        assert counts["reactions"] == 1 + counts["solves"]
+        assert counts["outside"] == 1 + 2 * len(checks)
         monkeypatch.undo()
 
         kern = build_kernels(patch)
         for prev, rec in zip([None] + hist.steps[:-1], hist.steps):
             u_d = lifting_for_step(prog, rec.step, patch)
+            spectrum = strain_spectrum(kern, rec.u + u_d)
+            rw = degradation_weights(kern, rec.a, sent_params)
             assert rec.bulk_energy == erg(rec.u, u_d, rec.a, kern, sent_params)
-            assert rec.reaction == reaction_force(rec.u, u_d, rec.a, kern, sent_params, "ymax", direction)
+            assert rec.reaction == reaction_force(spectrum, rw, kern, sent_params, "ymax", direction)
             if prev is not None:
-                want = check_two_sided(
+                want = fresh_check(
                     prev.step, prev.u, lifting_for_step(prog, prev.step, patch), prev.a,
                     rec.u, u_d, rec.a, kern, sent_params, BacktrackConfig().eta,
                 )

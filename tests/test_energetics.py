@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import box_mesh, random_state
-from oracles import lower_bound, total_functional, upper_bound
+from oracles import fresh_check, lower_bound, stored_energy, total_functional, upper_bound
 from pffrac import energetics
 from pffrac.energetics import (
     check_two_sided,
@@ -12,10 +12,9 @@ from pffrac.energetics import (
     functional_from_psi,
     grad_term,
     penalty_energy,
-    stored_energy,
 )
 from pffrac.fem import build_kernels, strain_spectrum
-from pffrac.material import MaterialParams, psi_split
+from pffrac.material import MaterialParams, StrainSpectrum, psi_split
 
 
 def dense_erg(u1, u2, a, mesh, kernels, p):
@@ -25,7 +24,7 @@ def dense_erg(u1, u2, a, mesh, kernels, p):
     for e in range(mesh.n_elements):
         v = kernels.b_u[e] @ disp[e]
         eps = np.array([[v[0], 0.5 * v[2]], [0.5 * v[2], v[1]]])
-        psi_p, psi_m = psi_split(eps, p)
+        psi_p, psi_m = psi_split(StrainSpectrum(eps), p)
         for q in range(kernels.shape_qp.shape[0]):
             beta = kernels.shape_qp[q] @ a[kernels.elements[e]]
             r = (1 - beta) ** 2 + p.k
@@ -157,7 +156,7 @@ class TestCheckTwoSided:
         mesh, kern = patch
         u, a, a_n = random_state(mesh, rng)
         u_d = np.zeros(2 * mesh.n_nodes)
-        rep = check_two_sided(3, u, u_d, a_n, u, u_d, a_n, kern, sent_params, eta=1e-5)
+        rep = fresh_check(3, u, u_d, a_n, u, u_d, a_n, kern, sent_params, 1e-5)
         assert rep.lb == 0.0 and rep.ub == 0.0
         assert rep.passed and abs(rep.delta) <= 1e-5
 
@@ -167,7 +166,7 @@ class TestCheckTwoSided:
         u_d = np.zeros(2 * mesh.n_nodes)
         # same lifting so both bounds vanish; growing damage makes delta > 0
         a_big = np.clip(a_n + 0.3, 0, 1)
-        rep = check_two_sided(0, u, u_d, a_n, u, u_d, a_big, kern, sent_params, eta=1e-9)
+        rep = fresh_check(0, u, u_d, a_n, u, u_d, a_big, kern, sent_params, 1e-9)
         assert rep.delta > rep.ub + rep.eta
         assert not rep.passed
 
@@ -177,20 +176,23 @@ class TestCheckTwoSided:
         ud1 = np.zeros(2 * mesh.n_nodes)
         ud2 = ud1.copy()
         ud2[1::2] = 1e-3 * mesh.nodes[:, 1]
-        rep = check_two_sided(0, u, ud1, a_n, u, ud2, a, kern, sent_params, eta=1e-5)
+        rep = fresh_check(0, u, ud1, a_n, u, ud2, a, kern, sent_params, 1e-5)
         assert rep.passed == (rep.lb - rep.eta <= rep.delta <= rep.ub + rep.eta)
         assert rep.delta == pytest.approx(rep.e_next - rep.e_curr + rep.d_inc, rel=1e-12)
 
     def test_four_bulk_energies_per_check(self, patch, sent_params, rng, monkeypatch):
         # E, UB and LB share the bulk energies of the two states under the
-        # two liftings: 4 evaluations, and the report is bit for bit the one
-        # built from stored_energy, upper_bound and lower_bound
+        # two liftings: the two under their own liftings are passed in, the
+        # other two evaluated, and the report is bit for bit the one built
+        # from stored_energy, upper_bound and lower_bound
         mesh, kern = patch
         u_n, a_n, _ = random_state(mesh, rng)
         u_next, a_next, _ = random_state(mesh, rng)
         ud1 = np.zeros(2 * mesh.n_nodes)
         ud2 = ud1.copy()
         ud2[1::2] = 1e-3 * mesh.nodes[:, 1]
+        erg_curr = erg(u_n, ud1, a_n, kern, sent_params)
+        erg_next = erg(u_next, ud2, a_next, kern, sent_params)
         calls = []
 
         def spy(*args):
@@ -198,50 +200,25 @@ class TestCheckTwoSided:
             return erg(*args)
 
         monkeypatch.setattr(energetics, "erg", spy)
-        rep = check_two_sided(0, u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, eta=1e-5)
-        assert len(calls) == 4
+        rep = check_two_sided(
+            0, u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, 1e-5, erg_curr=erg_curr, erg_next=erg_next
+        )
+        assert len(calls) == 2
         monkeypatch.undo()
         e_next = stored_energy(u_next, ud2, a_next, kern, sent_params)
         e_curr = stored_energy(u_n, ud1, a_n, kern, sent_params)
         d_inc = dissipation_increment(a_n, a_next, kern, sent_params)
-        assert (rep.e_next, rep.e_curr, rep.d_inc) == (e_next, e_curr, d_inc)
+        assert (rep.e_next, rep.e_curr, rep.d_inc, rep.erg_next) == (e_next, e_curr, d_inc, erg_next)
         assert rep.delta == e_next - e_curr + d_inc
         assert rep.ub == upper_bound(u_n, ud1, ud2, a_n, kern, sent_params)
         assert rep.lb == lower_bound(u_next, ud1, ud2, a_next, kern, sent_params)
-
-    def test_precomputed_energies_give_the_same_report(self, patch, sent_params, rng, monkeypatch):
-        # the spectrum of the next state and the current bulk energy, passed
-        # in, leave only the two cross-lifting energies to evaluate
-        mesh, kern = patch
-        u_n, a_n, _ = random_state(mesh, rng)
-        u_next, a_next, _ = random_state(mesh, rng)
-        ud1 = np.zeros(2 * mesh.n_nodes)
-        ud2 = ud1.copy()
-        ud2[1::2] = 1e-3 * mesh.nodes[:, 1]
-        want = check_two_sided(0, u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, eta=1e-5)
-        assert want.erg_next == erg(u_next, ud2, a_next, kern, sent_params)
-        spectrum = strain_spectrum(kern, u_next + ud2)
-        erg_curr = erg(u_n, ud1, a_n, kern, sent_params)
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return erg(*args)
-
-        monkeypatch.setattr(energetics, "erg", spy)
-        got = check_two_sided(
-            0, u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, eta=1e-5,
-            spectrum_next=spectrum, erg_curr=erg_curr,
-        )
-        assert len(calls) == 2
-        assert got == want
 
     def test_eta_must_be_positive(self, patch, sent_params):
         mesh, kern = patch
         z = np.zeros(2 * mesh.n_nodes)
         a = np.zeros(mesh.n_nodes)
         with pytest.raises(ValueError):
-            check_two_sided(0, z, z, a, z, z, a, kern, sent_params, eta=0.0)
+            fresh_check(0, z, z, a, z, z, a, kern, sent_params, 0.0)
 
 
 def test_penalty_energy_zero_iff_admissible(patch, sent_params, rng):

@@ -75,3 +75,81 @@ def test_every_public_def_has_a_caller_in_the_package():
     # public API that only tests call is test code: it belongs in tests/
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_public_defs(sources) == []
+
+
+def _params(fn: ast.FunctionDef, method: bool):
+    """Positional parameter names (without self/cls of a method) and the
+    names of the defaulted ones."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    defaulted = positional[len(positional) - len(fn.args.defaults) :]
+    defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list):
+        positional = positional[1:]
+    return positional, defaulted
+
+
+def unpassed_defaults(sources: dict, exempt=()) -> list:
+    """Defaulted parameters of the functions and methods in ``sources``
+    (file name -> source) that no call in them passes.  A call is matched by
+    the name it calls (``Class(...)`` calls ``__init__``), positionally or by
+    keyword; a call with ``*args`` or ``**kwargs`` passes everything."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defs = []  # (label, name, positional, defaulted)
+    classes = set()
+    for file, tree in trees.items():
+        stem = file.removesuffix(".py")
+
+        def visit(node, prefix, method):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    classes.add(child.name)
+                    visit(child, f"{prefix}{child.name}.", True)
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    positional, defaulted = _params(child, method)
+                    if defaulted:
+                        defs.append((f"{prefix}{child.name}", child.name, positional, defaulted))
+                    visit(child, f"{prefix}{child.name}.", False)
+
+        visit(tree, f"{stem}.", False)
+
+    passed: dict = {}
+    for tree in trees.values():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in classes:
+                name = "__init__"
+            splat = any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
+            passed.setdefault(name, []).append((len(call.args), {k.arg for k in call.keywords}, splat))
+
+    missing = []
+    for label, name, positional, defaulted in defs:
+        if label in exempt:
+            continue
+        for param in defaulted:
+            index = positional.index(param) if param in positional else None
+            if not any(
+                splat or param in keywords or (index is not None and n_args > index)
+                for n_args, keywords, splat in passed.get(name, [])
+            ):
+                missing.append(f"{label}({param})")
+    return sorted(missing)
+
+
+def test_detects_unpassed_default():
+    srcs = {
+        "a.py": (
+            "def f(x, y=1, *, z=2):\n    pass\n"
+            "class C:\n    def __init__(self, v=0):\n        pass\n"
+            "    def m(self, w=3):\n        pass\n"
+        ),
+        "b.py": "from .a import f, C\nf(1, z=3)\nC(5)\nC().m()\n",
+    }
+    assert unpassed_defaults(srcs) == ["a.C.m(w)", "a.f(y)"]
+
+
+def test_every_default_is_passed_by_the_package():
+    # a default that no caller overrides is a setting nothing uses; the
+    # command-line entry point's argv is left to its external callers
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unpassed_defaults(sources, exempt={"cli.main"}) == []

@@ -29,7 +29,7 @@ def degraded(split, eps, beta, p):
     """R(beta) times the tensile part plus the compressive part of a split
     pair: the degraded stress for ``sigma_split``, its tangent at fixed beta
     for ``tangent_split``."""
-    plus, minus = split(eps, p)
+    plus, minus = split(StrainSpectrum(eps), p)
     r, _ = degradation(beta, p)
     return np.asarray(r)[..., None, None] * plus + minus
 
@@ -53,8 +53,8 @@ def fd_grad_psi(eps, p, which, h=1e-7):
             de = np.zeros((d, d))
             de[i, j] += 0.5 * scale
             de[j, i] += 0.5 * scale
-            f1 = psi_split(eps + de, p)[which]
-            f0 = psi_split(eps - de, p)[which]
+            f1 = psi_split(StrainSpectrum(eps + de), p)[which]
+            f0 = psi_split(StrainSpectrum(eps - de), p)[which]
             g[i, j] = (f1 - f0) / (2.0 * scale)
     return g
 
@@ -141,13 +141,14 @@ class TestStrainSpectrum:
     def test_shared_spectrum_matches_strain_path(self, rng, sent_params, dim):
         # one spectrum read by all three split functions, in the order a
         # Newton iterate reads them (energy first, so the plane-strain
-        # vectors are built late), equals each strain-taking call bit for bit
+        # vectors are built late), equals a fresh spectrum per call bit for
+        # bit
         eps = np.stack([rand_strain(rng, dim) for _ in range(20)] + [np.zeros((dim, dim))])
         eps[1] = np.diag(np.full(dim, 1e-3))  # repeated principal strains
         spec = StrainSpectrum(eps)
         assert spec.shape == eps.shape
         for fn in (psi_split, sigma_split, tangent_split):
-            for got, want in zip(fn(spec, sent_params), fn(eps, sent_params)):
+            for got, want in zip(fn(spec, sent_params), fn(StrainSpectrum(eps), sent_params)):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
 
@@ -279,45 +280,45 @@ class TestJacobiSpectrum:
 
 class TestPsiSplit:
     def test_zero(self, sent_params):
-        assert psi_split(np.zeros((3, 3)), sent_params) == (0.0, 0.0)
+        assert psi_split(StrainSpectrum(np.zeros((3, 3))), sent_params) == (0.0, 0.0)
 
     def test_uniaxial_value(self):
         # lam/2 + mu times e^2, in the units of the moduli
         p = MaterialParams(lam=121.1538, mu=80.7692, gc=2.7, ell=0.0175)
         eps = np.diag([1e-3, 0.0, 0.0])
-        plus, minus = psi_split(eps, p)
+        plus, minus = psi_split(StrainSpectrum(eps), p)
         assert plus == pytest.approx(1.413461e-4, rel=1e-6)
         assert minus == 0.0
 
     def test_sign_swap(self, rng, sent_params):
         for _ in range(10):
             eps = rand_strain(rng, 2)
-            pp, pm = psi_split(eps, sent_params)
-            np_, nm = psi_split(-eps, sent_params)
+            pp, pm = psi_split(StrainSpectrum(eps), sent_params)
+            np_, nm = psi_split(StrainSpectrum(-eps), sent_params)
             assert np_ == pytest.approx(pm, rel=1e-12, abs=1e-300)
             assert nm == pytest.approx(pp, rel=1e-12, abs=1e-300)
 
     def test_nonnegative(self, rng, sent_params):
         for dim in (2, 3):
             eps = rand_strain(rng, dim, mag=1.0)
-            pp, pm = psi_split(eps, sent_params)
+            pp, pm = psi_split(StrainSpectrum(eps), sent_params)
             assert pp >= 0.0 and pm >= 0.0
 
 
 class TestSigmaSplit:
     def test_zero(self, sent_params):
-        sp, sm = sigma_split(np.zeros((2, 2)), sent_params)
+        sp, sm = sigma_split(StrainSpectrum(np.zeros((2, 2))), sent_params)
         assert np.all(sp == 0.0) and np.all(sm == 0.0)
 
     def test_negative_definite_has_no_tensile_part(self, sent_params):
-        sp, _ = sigma_split(np.diag([-1e-3, -2e-3, -5e-4]), sent_params)
+        sp, _ = sigma_split(StrainSpectrum(np.diag([-1e-3, -2e-3, -5e-4])), sent_params)
         assert np.all(sp == 0.0)
 
     def test_fd_gradient_of_psi(self, rng, sent_params):
         for dim in (2, 3):
             for _ in range(5):
                 eps = rand_strain(rng, dim)
-                sp, sm = sigma_split(eps, sent_params)
+                sp, sm = sigma_split(StrainSpectrum(eps), sent_params)
                 scale = np.abs(sp).max() + np.abs(sm).max()
                 assert np.abs(sp - fd_grad_psi(eps, sent_params, 0)).max() <= 1e-6 * scale
                 assert np.abs(sm - fd_grad_psi(eps, sent_params, 1)).max() <= 1e-6 * scale
@@ -508,7 +509,7 @@ def strains(draw, separated=False):
 class TestTangentProperties:
     @given(strains())
     def test_matches_fourth_order_oracle(self, eps):
-        got = tangent_split(eps, P_SENT)
+        got = tangent_split(StrainSpectrum(eps), P_SENT)
         want = tangent_split_c4(eps, P_SENT)
         scale = max(np.abs(want[0]).max(), np.abs(want[1]).max())
         for g, w in zip(got, want):
@@ -517,7 +518,7 @@ class TestTangentProperties:
 
     @given(strains())
     def test_symmetric(self, eps):
-        for c in tangent_split(eps, P_SENT):
+        for c in tangent_split(StrainSpectrum(eps), P_SENT):
             assert np.abs(c - c.T).max() <= 1e-12 * (np.abs(c).max() + 1e-300)
 
     @given(strains(separated=True), st.floats(0.0, 1.0))
