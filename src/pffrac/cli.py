@@ -33,7 +33,15 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .driver import BacktrackConfig, DirichletSpec, LoadProgram, RunHistory, lifting_for_step, run
+from .driver import (
+    BacktrackConfig,
+    DirichletSpec,
+    LoadProgram,
+    RunHistory,
+    check_run_inputs,
+    lifting_for_step,
+    run,
+)
 from .energetics import check_two_sided, dissipation_increment, erg, grad_term
 from .fem import build_kernels
 from .material import MaterialParams
@@ -226,6 +234,14 @@ def setup_from_config(cfg: dict, built: presets.RunSetup | None = None) -> prese
     )
 
 
+def _snapshot_every(cfg: dict) -> int:
+    """Steps between snapshots; a value below 1 is a config error."""
+    every = int(cfg.get("output", {}).get("snapshot_every", "1"))
+    if every < 1:
+        raise ValueError(f"output.snapshot_every must be >= 1, got {every}")
+    return every
+
+
 def _read_config_file(path) -> dict:
     parser = configparser.ConfigParser()
     try:
@@ -268,7 +284,7 @@ class _RunWriter:
         self.out = out_dir
         self.mesh = mesh
         self.program = program
-        self.every = max(1, snapshot_every)
+        self.every = snapshot_every
         (out_dir / "snapshots").mkdir(parents=True, exist_ok=True)
 
     def snapshot_path(self, step: int) -> Path:
@@ -339,14 +355,15 @@ def _write_run_json(out_dir: Path, cfg: dict, history: RunHistory, elapsed: floa
 
 def run_to_dir(cfg: dict, out_dir, built: presets.RunSetup | None = None) -> RunHistory:
     """Execute a config into an output directory, writing all run artifacts;
-    returns the in-memory history (also used by the acceptance suite)."""
+    returns the in-memory history (also used by the acceptance suite).  A
+    config error is raised before the directory is created."""
     setup = setup_from_config(cfg, built)
+    reaction = (setup.reaction_set, setup.reaction_dir) if setup.reaction_set else None
+    every = _snapshot_every(cfg)
+    check_run_inputs(setup.mesh, setup.program, reaction)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_sec = cfg.get("output", {})
-    writer = _RunWriter(
-        out_dir, setup.mesh, setup.program, int(out_sec.get("snapshot_every", "1"))
-    )
+    writer = _RunWriter(out_dir, setup.mesh, setup.program, every)
     write_field_snapshot(
         np.zeros(setup.mesh.dim * setup.mesh.n_nodes),
         np.zeros(setup.mesh.n_nodes),
@@ -361,7 +378,7 @@ def run_to_dir(cfg: dict, out_dir, built: presets.RunSetup | None = None) -> Run
         setup.solver,
         setup.params,
         setup.mesh,
-        reaction=(setup.reaction_set, setup.reaction_dir) if setup.reaction_set else None,
+        reaction=reaction,
         on_accept=writer,
     )
     elapsed = time.perf_counter() - t0
@@ -419,8 +436,9 @@ def cmd_check_energy(args) -> int:
         # run.json from an older version, echoing solver or output keys that
         # runs no longer accept, is still audited
         setup = setup_from_config({s: v for s, v in cfg.items() if s not in ("solver", "output")})
+        check_run_inputs(setup.mesh, setup.program, None)
         rows = (out_dir / "energy.csv").read_text().strip().splitlines()[1:]
-        every = max(1, int(cfg.get("output", {}).get("snapshot_every", "1")))
+        every = _snapshot_every(cfg)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"cannot load run outputs: {exc}", file=sys.stderr)
         return 2

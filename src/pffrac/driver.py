@@ -36,6 +36,7 @@ __all__ = [
     "IntermediateRecord",
     "RunHistory",
     "build_dofmap",
+    "check_run_inputs",
     "lifting_for_step",
     "run",
 ]
@@ -160,28 +161,38 @@ class RunHistory:
         return [r.step for r in self.steps[1:] if r.irreversibility_violation]
 
 
-def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
-    """Dof partition induced by the program's Dirichlet specs."""
-    constraints = []
+def check_run_inputs(mesh: Mesh, program: LoadProgram, reaction: tuple | None) -> None:
+    """Raise KeyError for a Dirichlet spec or reaction set naming a node set
+    the mesh lacks, and ValueError for a component or reaction direction that
+    does not fit the mesh dimension."""
     for bc in program.bcs:
         if bc.node_set not in mesh.node_sets:
             raise KeyError(f"unknown node set {bc.node_set!r}")
         if not 0 <= bc.component < mesh.dim:
             raise ValueError(f"{bc}: a {mesh.dim}-D mesh has no component {bc.component}")
-        constraints.append((mesh.node_sets[bc.node_set], bc.component))
-    return DofMap.from_constraints(mesh, constraints)
+    if reaction is None:
+        return
+    set_tag, direction = reaction
+    if set_tag not in mesh.node_sets:
+        raise KeyError(f"unknown node set {set_tag!r}")
+    if len(direction) != mesh.dim:
+        raise ValueError(f"reaction direction {np.asarray(direction).tolist()} needs {mesh.dim} components")
+
+
+def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
+    """Dof partition induced by the program's Dirichlet specs, which
+    ``check_run_inputs`` has accepted."""
+    return DofMap.from_constraints(mesh, [(mesh.node_sets[bc.node_set], bc.component) for bc in program.bcs])
 
 
 def lifting_for_step(program: LoadProgram, n: int, mesh: Mesh) -> np.ndarray:
     """Dirichlet lifting vector at step n: prescribed values on constrained
-    dofs, zero on free dofs."""
+    dofs, zero on free dofs, for a program ``check_run_inputs`` has accepted."""
     if not 0 <= n <= program.n_steps:
         raise ValueError(f"step {n} outside 0..{program.n_steps}")
     u_d = np.zeros(mesh.dim * mesh.n_nodes)
     w = program.w(n)
     for bc in program.bcs:
-        if bc.node_set not in mesh.node_sets:
-            raise KeyError(f"unknown node set {bc.node_set!r}")
         dofs = mesh.dim * mesh.node_sets[bc.node_set] + bc.component
         u_d[dofs] = bc.scale * w
     return u_d
@@ -211,9 +222,7 @@ def run(
     starts from the running guess: the last solve's state, discarded or not.
     A solver failure ends the run with ``aborted`` set and the history so far.
     """
-    if reaction is not None and len(reaction[1]) != mesh.dim:
-        direction = np.asarray(reaction[1]).tolist()
-        raise ValueError(f"reaction direction {direction} needs {mesh.dim} components")
+    check_run_inputs(mesh, program, reaction)
     kernels = build_kernels(mesh)
     dofmap = build_dofmap(mesh, program)
     history = RunHistory()

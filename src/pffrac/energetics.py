@@ -47,7 +47,6 @@ class EnergyReport:
     delta: float
     lb: float
     ub: float
-    eta: float
     passed: bool
     erg_next: float
 
@@ -167,7 +166,6 @@ def check_two_sided(
         delta=delta,
         lb=lb,
         ub=ub,
-        eta=eta,
         passed=bool(passed),
         erg_next=erg_next,
     )

@@ -114,11 +114,9 @@ class ElementKernels:
     """
 
     mesh: Mesh
-    quad: QuadratureRule
     shape_qp: np.ndarray
     b_u: np.ndarray
     b_beta: np.ndarray
-    detj: np.ndarray
     wj: np.ndarray
     measures: np.ndarray
     udofs: np.ndarray
@@ -188,11 +186,9 @@ def build_kernels(mesh: Mesh) -> ElementKernels:
     )
     return ElementKernels(
         mesh=mesh,
-        quad=quad,
         shape_qp=quad.points,
         b_u=b_u,
         b_beta=b_beta,
-        detj=detj,
         wj=wj,
         measures=wj.sum(axis=1),
         udofs=udofs,
@@ -472,8 +468,6 @@ def reaction_force(
     force over the nodes of a tagged set, for the state given as for
     ``residual_and_tangent_u``."""
     mesh = kernels.mesh
-    if set_tag not in mesh.node_sets:
-        raise KeyError(f"unknown node set {set_tag!r}")
     nodes = mesh.node_sets[set_tag]
     direction = np.asarray(direction, dtype=np.float64)
     r = _force(spectrum, rw, kernels, p)

@@ -2,9 +2,9 @@
 
 Meshes are immutable after construction (plain numpy arrays, never mutated by
 the solvers) and hold 3-node triangles (2-D) or 4-node tetrahedra (3-D) with
-named node sets and boundary side sets.  Slits in notched specimens are
-represented by duplicated nodes along the notch line; coincident nodes are
-never merged.
+named node sets, the only boundary tags that loads, constraints and outputs
+read.  Slits in notched specimens are represented by duplicated nodes along
+the notch line; coincident nodes are never merged.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class MeshError(ValueError):
 
 @dataclass
 class Mesh:
-    """Simplex mesh with tagged boundary entities.
+    """Simplex mesh with named node sets.
 
     Attributes
     ----------
@@ -46,15 +46,12 @@ class Mesh:
         Node indices per simplex; orientation gives positive signed measure.
     node_sets : dict[str, np.ndarray]
         Named sets of node ids (sorted).
-    side_sets : dict[str, list[tuple]]
-        Named lists of boundary facets (ordered node tuples).
     """
 
     dim: int
     nodes: np.ndarray
     elements: np.ndarray
     node_sets: dict = field(default_factory=dict)
-    side_sets: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -78,23 +75,6 @@ class Mesh:
         """Signed areas (2-D) / volumes (3-D) of all elements."""
         return _signed_measures(self.nodes, self.elements, self.dim)
 
-    def measure(self) -> float:
-        """Total mesh area/volume."""
-        return float(np.sum(self.element_measures()))
-
-    def boundary_facets(self) -> dict:
-        """Map sorted facet node tuple -> list of owning element ids.
-
-        A facet on the geometric boundary belongs to exactly one element.
-        """
-        faces: dict = {}
-        nen = self.dim + 1
-        for e, conn in enumerate(self.elements):
-            for drop in range(nen):
-                facet = tuple(sorted(int(c) for i, c in enumerate(conn) if i != drop))
-                faces.setdefault(facet, []).append(e)
-        return faces
-
     def validate(self) -> None:
         """Check structural invariants; raise MeshError on violation."""
         if not np.all(np.isfinite(self.nodes)):
@@ -107,17 +87,6 @@ class Mesh:
         if np.any(meas <= 0.0):
             bad = int(np.argmin(meas))
             raise MeshError(f"element {bad} has non-positive measure {meas[bad]}")
-        if not self.side_sets:
-            return  # the facet map only serves the side-set check
-        faces = self.boundary_facets()
-        for name, facets in self.side_sets.items():
-            for facet in facets:
-                owners = faces.get(tuple(sorted(int(n) for n in facet)), [])
-                if len(owners) != 1:
-                    raise MeshError(
-                        f"side set '{name}' facet {facet} owned by "
-                        f"{len(owners)} elements (expected 1)"
-                    )
 
 
 def _signed_measures(nodes: np.ndarray, elements: np.ndarray, dim: int) -> np.ndarray:
@@ -156,10 +125,11 @@ def parse_gmsh(text: str) -> Mesh:
     """Parse a Gmsh ASCII v2.2 file.
 
     Only element types 2 (tri3) and 4 (tet4) are retained as domain
-    elements; lines/triangles of codimension one become side sets and
-    points become node sets, keyed by their physical name (or ``phys<tag>``
-    when no ``$PhysicalNames`` section names them).  Elements with
-    non-positive measure are reoriented by swapping two nodes.
+    elements.  Physical groups of points and of codimension-one facets
+    (lines in 2-D, triangles in 3-D) become node sets holding every node
+    they touch, keyed by their physical name (or ``phys<tag>`` when no
+    ``$PhysicalNames`` section names them).  Elements with non-positive
+    measure are reoriented by swapping two nodes.
     """
     lines = text.splitlines()
     i = 0
@@ -246,7 +216,6 @@ def parse_gmsh(text: str) -> Mesh:
 
     elements = []
     node_sets: dict = {}
-    side_sets: dict = {}
 
     def _set_name(pdim: int, ptag: int) -> str:
         return phys_names.get((pdim, ptag), f"phys{ptag}")
@@ -256,9 +225,7 @@ def parse_gmsh(text: str) -> Mesh:
         if etype == domain_type:
             elements.append(conn)
         elif etype == facet_type and phys:
-            name = _set_name(dim - 1, phys)
-            side_sets.setdefault(name, []).append(tuple(conn))
-            node_sets.setdefault(name, set()).update(conn)
+            node_sets.setdefault(_set_name(dim - 1, phys), set()).update(conn)
         elif etype == _GMSH_POINT and phys:
             node_sets.setdefault(_set_name(0, phys), set()).update(conn)
         # other element types are outside the supported subset: skipped
@@ -272,7 +239,6 @@ def parse_gmsh(text: str) -> Mesh:
         nodes=coords[:, :dim],
         elements=elems,
         node_sets={k: np.array(sorted(v), dtype=np.int64) for k, v in node_sets.items()},
-        side_sets=side_sets,
     )
     mesh.validate()
     return mesh

@@ -131,13 +131,17 @@ def elastic_tensor(dim: int, p: MaterialParams) -> np.ndarray:
     return c
 
 
-def write_gmsh(mesh: Mesh) -> str:
+def write_gmsh(mesh: Mesh, facet_groups=None) -> str:
     """Serialize a Mesh back to Gmsh ASCII v2.2.
 
-    Node sets are written as physical point elements and side sets as
-    physical facet elements, so ``parse_gmsh(write_gmsh(m))`` restores
-    coordinates bitwise and connectivity and sets exactly.
+    Node sets are written as physical point elements, so
+    ``parse_gmsh(write_gmsh(m))`` restores coordinates bitwise and
+    connectivity and node sets exactly.  ``facet_groups`` maps further
+    physical names to lists of facets (node-id tuples: lines in 2-D,
+    triangles in 3-D), written as physical facet elements; ``parse_gmsh``
+    reads each back as the node set of every node its facets touch.
     """
+    facet_groups = facet_groups or {}
     out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat"]
 
     names = []  # (dim, tag, name)
@@ -147,9 +151,9 @@ def write_gmsh(mesh: Mesh) -> str:
         names.append((0, tag, name))
         tag_of[("node", name)] = tag
         tag += 1
-    for name in mesh.side_sets:
+    for name in facet_groups:
         names.append((mesh.dim - 1, tag, name))
-        tag_of[("side", name)] = tag
+        tag_of[("facet", name)] = tag
         tag += 1
     if names:
         out.append("$PhysicalNames")
@@ -173,8 +177,8 @@ def write_gmsh(mesh: Mesh) -> str:
             elem_lines.append(f"{eid} {_GMSH_POINT} 2 {ptag} {ptag} {int(nid) + 1}")
             eid += 1
     facet_type = _GMSH_TRI if mesh.dim == 3 else _GMSH_LINE
-    for name, facets in mesh.side_sets.items():
-        ptag = tag_of[("side", name)]
+    for name, facets in facet_groups.items():
+        ptag = tag_of[("facet", name)]
         for facet in facets:
             conn = " ".join(str(int(c) + 1) for c in facet)
             elem_lines.append(f"{eid} {facet_type} 2 {ptag} {ptag} {conn}")

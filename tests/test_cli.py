@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import box_mesh
+from conftest import box_mesh, facets_on
 from oracles import fresh_check, read_snapshot_by_line, write_gmsh
 from pffrac import cli, driver, energetics, presets
 from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, run_to_dir, setup_from_config
@@ -14,14 +14,15 @@ from pffrac.presets import load_preset
 from pffrac.vtkio import read_field_snapshot, write_field_snapshot
 
 
-@pytest.fixture
-def patch_config(tmp_path, rng):
-    """Explicit-mesh config of a small elastic tension patch."""
+def patch_mesh():
+    """Mesh of a small elastic tension patch, with its origin node as "pin"."""
     mesh = box_mesh([1.0, 1.0], [3, 3])
     mesh.node_sets["pin"] = select_nodes(mesh, lambda x: np.abs(x).sum(axis=1), 1e-9)
-    msh = tmp_path / "patch.msh"
-    msh.write_text(write_gmsh(mesh))
-    cfg = tmp_path / "patch.cfg"
+    return mesh
+
+
+def write_patch_config(msh, cfg):
+    """Write to ``cfg`` the tension-patch config that reads the mesh file ``msh``."""
     cfg.write_text(
         f"""[run]
 mesh = {msh}
@@ -49,6 +50,14 @@ direction = 0 1
 """
     )
     return cfg
+
+
+@pytest.fixture
+def patch_config(tmp_path):
+    """Explicit-mesh config of a small elastic tension patch."""
+    msh = tmp_path / "patch.msh"
+    msh.write_text(write_gmsh(patch_mesh()))
+    return write_patch_config(msh, tmp_path / "patch.cfg")
 
 
 class TestVtk:
@@ -239,13 +248,22 @@ class TestCmdRun:
             ("program.bc=bottom:y:0; top:y:1; top:z:0; pin:x:0", "node_set='top', component=2"),
             ("reaction.direction=1", "reaction direction [1.0]"),
             ("reaction.direction=0 1 0", "reaction direction [0.0, 1.0, 0.0]"),
+            ("program.bc=bottom:y:0; nope:y:1", "unknown node set 'nope'"),
+            ("reaction.set=nope", "unknown node set 'nope'"),
+            ("output.snapshot_every=0", "output.snapshot_every must be >= 1, got 0"),
+            ("output.snapshot_every=-3", "output.snapshot_every must be >= 1, got -3"),
+            ("output.snapshot_every=x", "invalid literal for int() with base 10: 'x'"),
         ],
-        ids=["bc_z", "direction_1", "direction_3"],
+        ids=["bc_z", "direction_1", "direction_3", "bc_set", "reaction_set", "every_0", "every_-3", "every_x"],
     )
     def test_component_beyond_mesh_dim_exit_2(self, tmp_path, capsys, item, named):
+        # a spec that does not fit the mesh, or a snapshot interval below 1,
+        # is a config error found before the output directory is made
+        out = tmp_path / "o"
         argv = ["run", "--preset", "sent", "--scale", "0.05", "--steps", "1", "--set", item]
-        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert main(argv + ["--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_intermediates_csv(self, patch_config, tmp_path, monkeypatch):
         # always written: the header alone when no back step happened, else
@@ -294,6 +312,23 @@ class TestCmdRun:
         assert run_log["accepted_steps"] == 5
         assert not run_log["aborted"]
         assert (out / "snapshots" / "step_000005.vtk").exists()
+
+    def test_facet_group_run_matches_point_set_run(self, patch_config, tmp_path):
+        # the loaded edge given as a physical group of line elements, not of
+        # points, yields the same node set and so the same run, byte for byte
+        mesh = patch_mesh()
+        facets = facets_on(mesh, mesh.node_sets.pop("ymax"))
+        assert len(facets) == 3
+        msh = tmp_path / "lines.msh"
+        msh.write_text(write_gmsh(mesh, {"ymax": facets}))
+        lines_config = write_patch_config(msh, tmp_path / "lines.cfg")
+        points, lines = tmp_path / "points", tmp_path / "lines"
+        assert main(["run", "--config", str(patch_config), "--out", str(points)]) == 0
+        assert main(["run", "--config", str(lines_config), "--out", str(lines)]) == 0
+        names = ["load_disp.csv", "energy.csv"] + [f"snapshots/step_{n:06d}.vtk" for n in range(6)]
+        assert sorted(str(f.relative_to(lines)) for f in (lines / "snapshots").iterdir()) == names[2:]
+        for name in names:
+            assert (lines / name).read_bytes() == (points / name).read_bytes(), name
 
     def test_rerun_bitwise_identical(self, patch_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -410,6 +445,21 @@ class TestCheckEnergy:
         capsys.readouterr()
         assert main(["check-energy", str(out)]) == 0
         assert "energy audit ok (5 steps: 5 fully checked" in capsys.readouterr().out
+
+    def test_bad_run_config_exit_2(self, patch_config, tmp_path, capsys):
+        # the audit reads the config from run.json and rejects what a run would
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 0
+        good = json.loads((out / "run.json").read_text())
+        bad = [("output", "snapshot_every", v) for v in ("0", "-3", "x")]
+        bad += [("program", "bc", "ymin:y:0; nope:y:1"), ("program", "bc", "ymin:z:0")]
+        for section, key, value in bad:
+            log = json.loads(json.dumps(good))
+            log["config"].setdefault(section, {})[key] = value
+            (out / "run.json").write_text(json.dumps(log))
+            capsys.readouterr()
+            assert main(["check-energy", str(out)]) == 2, (section, key, value)
+            assert "cannot load run outputs" in capsys.readouterr().err
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2

@@ -72,6 +72,25 @@ class TestLifting:
         with pytest.raises(KeyError):
             build_dofmap(patch, prog)
 
+    @pytest.mark.parametrize(
+        "bc, reaction, error, match",
+        [
+            (DirichletSpec("nope", 0, 1.0), None, KeyError, "unknown node set 'nope'"),
+            (DirichletSpec("ymax", 2, 1.0), None, ValueError, "a 2-D mesh has no component 2"),
+            (DirichletSpec("ymax", 1, 1.0), ("nope", [0.0, 1.0]), KeyError, "unknown node set 'nope'"),
+            (DirichletSpec("ymax", 1, 1.0), ("ymax", [1.0]), ValueError, r"reaction direction \[1.0\] needs 2"),
+        ],
+        ids=["bc_set", "bc_component", "reaction_set", "reaction_direction"],
+    )
+    def test_run_rejects_inputs_before_any_work(self, patch, sent_params, monkeypatch, bc, reaction, error, match):
+        def refuse(*args):
+            raise AssertionError("kernels built for rejected inputs")
+
+        monkeypatch.setattr(driver, "build_kernels", refuse)
+        prog = LoadProgram(n_steps=2, dw=1e-4, bcs=(DirichletSpec("ymin", 1, 0.0), bc))
+        with pytest.raises(error, match=match):
+            run(prog, BacktrackConfig(), SolverConfig(), sent_params, patch, reaction=reaction)
+
     def test_out_of_range_step(self, patch):
         with pytest.raises(ValueError):
             lifting_for_step(tension_program(n_steps=3), 4, patch)

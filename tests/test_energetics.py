@@ -166,8 +166,9 @@ class TestCheckTwoSided:
         u_d = np.zeros(2 * mesh.n_nodes)
         # same lifting so both bounds vanish; growing damage makes delta > 0
         a_big = np.clip(a_n + 0.3, 0, 1)
-        rep = fresh_check(0, u, u_d, a_n, u, u_d, a_big, kern, sent_params, 1e-9)
-        assert rep.delta > rep.ub + rep.eta
+        eta = 1e-9
+        rep = fresh_check(0, u, u_d, a_n, u, u_d, a_big, kern, sent_params, eta)
+        assert rep.delta > rep.ub + eta
         assert not rep.passed
 
     def test_invariant_of_report(self, patch, sent_params, rng):
@@ -176,8 +177,9 @@ class TestCheckTwoSided:
         ud1 = np.zeros(2 * mesh.n_nodes)
         ud2 = ud1.copy()
         ud2[1::2] = 1e-3 * mesh.nodes[:, 1]
-        rep = fresh_check(0, u, ud1, a_n, u, ud2, a, kern, sent_params, 1e-5)
-        assert rep.passed == (rep.lb - rep.eta <= rep.delta <= rep.ub + rep.eta)
+        eta = 1e-5
+        rep = fresh_check(0, u, ud1, a_n, u, ud2, a, kern, sent_params, eta)
+        assert rep.passed == (rep.lb - eta <= rep.delta <= rep.ub + eta)
         assert rep.delta == pytest.approx(rep.e_next - rep.e_curr + rep.d_inc, rel=1e-12)
 
     def test_four_bulk_energies_per_check(self, patch, sent_params, rng, monkeypatch):

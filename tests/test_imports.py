@@ -43,8 +43,9 @@ def test_no_unused_top_level_imports(path):
 
 
 def unreferenced_public_defs(sources: dict) -> list:
-    """Public top-level functions and classes of the modules in ``sources``
-    (file name -> source) that no module reads as a name or an attribute."""
+    """Public top-level functions and classes, and public methods and
+    properties of top-level classes, of the modules in ``sources`` (file
+    name -> source) that no module reads as a name or an attribute."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     referenced = set()
     for tree in trees.values():
@@ -53,14 +54,18 @@ def unreferenced_public_defs(sources: dict) -> list:
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    return sorted(
-        f"{name}:{node.name}"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in referenced
-    )
+    defs = []  # (label, name)
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{file}:{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{file}:{node.name}.{member.name}", member.name)
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                ]
+    return sorted(label for label, name in defs if not name.startswith("_") and name not in referenced)
 
 
 def test_detects_unreferenced_public_def():
@@ -69,6 +74,22 @@ def test_detects_unreferenced_public_def():
         "b.py": "from .a import used, orphan\nclass Kept:\n    pass\nused()\nx = Kept\n",
     }
     assert unreferenced_public_defs(srcs) == ["a.py:orphan"]
+
+
+def test_detects_unreferenced_public_method_and_property():
+    srcs = {
+        "a.py": (
+            "class C:\n"
+            "    def __init__(self):\n        self._x = 0\n"
+            "    def called(self):\n        return self.size\n"
+            "    def orphan(self):\n        pass\n"
+            "    def _helper(self):\n        pass\n"
+            "    @property\n    def size(self):\n        return 1\n"
+            "    @property\n    def unread(self):\n        return 2\n"
+        ),
+        "b.py": "from .a import C\nC().called()\n",
+    }
+    assert unreferenced_public_defs(srcs) == ["a.py:C.orphan", "a.py:C.unread"]
 
 
 def test_every_public_def_has_a_caller_in_the_package():

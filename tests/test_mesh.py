@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import box_mesh
+from conftest import box_mesh, facets_on
 from oracles import write_gmsh
 from pffrac import mesh as mesh_mod
 from pffrac import presets
@@ -36,13 +36,13 @@ class TestParseGmsh:
         assert mesh.dim == 2
         assert mesh.n_nodes == 4
         assert mesh.n_elements == 2
-        assert mesh.measure() == pytest.approx(1.0, rel=1e-15)
+        assert mesh.element_measures().sum() == pytest.approx(1.0, rel=1e-15)
 
     def test_inverted_triangle_reoriented(self):
         text = TWO_TRI_SQUARE.replace("1 2 2 0 0 1 2 3", "1 2 2 0 0 1 3 2")
         mesh = parse_gmsh(text)
         assert np.all(mesh.element_measures() > 0)
-        assert mesh.measure() == pytest.approx(1.0, rel=1e-15)
+        assert mesh.element_measures().sum() == pytest.approx(1.0, rel=1e-15)
 
     def test_physical_tags_to_node_sets(self):
         # 3x3 grid written back with top/bottom sets, reparsed, and checked
@@ -57,13 +57,19 @@ class TestParseGmsh:
             expect = np.flatnonzero(np.abs(mesh.nodes[:, 1] - y0) <= 1e-9)
             assert np.array_equal(mesh.node_sets[tag], expect)
 
-    def test_side_sets_are_boundary_facets(self):
-        base = box_mesh([1.0, 1.0], [2, 2])
-        top = select_nodes(base, lambda x: x[:, 1] - 1.0, 1e-9)
-        base.side_sets = {"top": [(int(top[i]), int(top[i + 1])) for i in range(len(top) - 1)]}
-        mesh = parse_gmsh(write_gmsh(base))
-        assert len(mesh.side_sets["top"]) == 2
-        mesh.validate()
+    def test_facet_groups_become_node_sets(self):
+        # a physical group of boundary lines (2-D) or triangles (3-D) reads
+        # back as the node set of every node its facets touch
+        for dim in (2, 3):
+            base = box_mesh([1.0] * dim, [2] * dim)
+            top_name = "ymax" if dim == 2 else "zmax"
+            top = base.node_sets.pop(top_name)
+            facets = facets_on(base, top)
+            assert len(facets) == {2: 2, 3: 8}[dim]  # 2 cells along the edge, 4 cells of 2 triangles on the face
+            mesh = parse_gmsh(write_gmsh(base, {"top": facets}))
+            assert np.array_equal(mesh.node_sets["top"], top)
+            assert top_name not in mesh.node_sets
+            assert np.array_equal(mesh.elements, base.elements)
 
     def test_roundtrip_bitwise(self, rng):
         mesh = box_mesh([1.25, 0.75], [3, 2])
@@ -92,12 +98,12 @@ class TestGenerators:
     def test_single_cell_2d(self):
         mesh = box_mesh([1.0, 1.0], [1, 1])
         assert (mesh.n_nodes, mesh.n_elements) == (4, 2)
-        assert mesh.measure() == pytest.approx(1.0, rel=1e-15)
+        assert mesh.element_measures().sum() == pytest.approx(1.0, rel=1e-15)
 
     def test_partition_of_unity_2d(self):
         mesh = box_mesh([1.0, 1.0], [2, 2])
         assert (mesh.n_nodes, mesh.n_elements) == (9, 8)
-        assert mesh.measure() == pytest.approx(1.0, rel=1e-12)
+        assert mesh.element_measures().sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_single_cell_3d_volume_oracle(self):
         mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
@@ -108,7 +114,7 @@ class TestGenerators:
 
     def test_domain_measure(self):
         mesh = box_mesh([2.0, 1.0, 0.5], [3, 2, 2])
-        assert mesh.measure() == pytest.approx(1.0, rel=1e-12)
+        assert mesh.element_measures().sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_auto_node_sets(self):
         mesh = box_mesh([1.0, 1.0], [2, 2])
@@ -127,7 +133,7 @@ class TestGenerators:
         axes = [np.linspace(0, 1, 3), np.linspace(0, 1, 3)]
         mesh = generate_grid(axes, keep=lambda c: (c[:, 0] < 0.5) | (c[:, 1] < 0.5))
         assert mesh.n_elements == 6  # one quadrant removed
-        assert mesh.measure() == pytest.approx(0.75, rel=1e-12)
+        assert mesh.element_measures().sum() == pytest.approx(0.75, rel=1e-12)
         assert mesh.n_nodes == 8  # the far corner node is dropped
 
 
@@ -159,30 +165,35 @@ class TestSelectNodes:
             select_nodes(mesh, lambda x: x[:, 0], 0.0)
 
 
-def test_validate_rejects_interior_facet():
-    mesh = box_mesh([1.0, 1.0], [1, 1])
-    # the diagonal is shared by both triangles
-    mesh.side_sets = {"bad": [(0, 3)]}
-    with pytest.raises(MeshError, match="owned by 2"):
-        mesh.validate()
+class TestValidate:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates(self, value):
+        mesh = box_mesh([1.0, 1.0], [2, 2])
+        nodes = mesh.nodes.copy()
+        nodes[4, 1] = value
+        with pytest.raises(MeshError, match="non-finite node coordinates"):
+            Mesh(dim=2, nodes=nodes, elements=mesh.elements).validate()
 
+    @pytest.mark.parametrize("index", [-1, 9])
+    def test_element_index_out_of_range(self, index):
+        mesh = box_mesh([1.0, 1.0], [2, 2])
+        assert mesh.n_nodes == 9
+        elements = mesh.elements.copy()
+        elements[3, 1] = index
+        with pytest.raises(MeshError, match="element references missing node"):
+            Mesh(dim=2, nodes=mesh.nodes, elements=elements).validate()
 
-def test_validate_builds_facet_map_only_for_side_sets(monkeypatch):
-    calls = []
-    real = Mesh.boundary_facets
-
-    def spy(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(Mesh, "boundary_facets", spy)
-    mesh = box_mesh([1.0, 1.0], [2, 2])
-    mesh.validate()
-    assert calls == []
-    bottom = mesh.node_sets["ymin"]
-    mesh.side_sets = {"bottom": [(int(bottom[0]), int(bottom[1]))]}
-    mesh.validate()
-    assert calls == [mesh]
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_positive_measure(self, dim):
+        mesh = box_mesh([1.0] * dim, [1] * dim)
+        inverted = mesh.elements.copy()
+        inverted[1, -2:] = inverted[1, -2:][::-1]
+        with pytest.raises(MeshError, match="element 1 has non-positive measure -"):
+            Mesh(dim=dim, nodes=mesh.nodes, elements=inverted).validate()
+        flat = mesh.elements.copy()
+        flat[0, -1] = flat[0, -2]  # two equal corners: zero measure
+        with pytest.raises(MeshError, match="element 0 has non-positive measure 0.0"):
+            Mesh(dim=dim, nodes=mesh.nodes, elements=flat).validate()
 
 
 def spy_measures(monkeypatch):
