@@ -13,11 +13,18 @@ check-energy recompute the energy audit from the snapshots of a finished
 export       print a preset as a forkable INI config
 
 Configs are flat INI sections ([run], [material], [program], [solver],
-[backtrack], [reaction], [output]); any value can be overridden on the
-command line with ``--set section.key=value``, and a section or key that no
-run reads is a config error.  Moduli are given in kN/mm^2 in configs and
-converted once on load.  Exit codes: 0 ok, 1 audit mismatch, 2 bad
-config/missing inputs, 3 solver failure (partial outputs retained).
+[backtrack], [reaction], [output]); a section or key that no run reads is a
+config error.  Every config is laid key by key over a base and parsed once:
+the base of a ``run.preset`` config is the preset's export, that of a
+``run.mesh`` config the solver, back-step, optional material and output
+defaults (so it must give the moduli, gc, ell, program and reaction).
+Naming one elasticity pair (lam_kn/mu_kn or e_kn/nu) drops the base's other
+pair.  ``--preset``, ``--scale``, ``--steps``, ``--k-back`` and ``--eta`` are
+the overrides ``run.preset``, ``run.scale``, ``program.n_steps``,
+``backtrack.k_back`` and ``backtrack.eta``, applied before ``--set
+section.key=value``; run.json records the resolved config.  Moduli are in
+kN/mm^2 in configs.  Exit codes: 0 ok, 1 audit mismatch, 2 bad config or
+missing/unreadable inputs, 3 solver failure (partial outputs retained).
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,14 +57,14 @@ from .mesh import parse_gmsh
 from .solver import SolverConfig
 from .vtkio import read_field_snapshot, write_field_snapshot
 
-__all__ = ["main", "cmd_run", "cmd_check_energy", "config_from_setup", "setup_from_config"]
+__all__ = ["main", "cmd_run", "cmd_check_energy", "config_from_setup", "resolve_config"]
 
 _COMP = {"x": 0, "y": 1, "z": 2, "0": 0, "1": 1, "2": 2}
 _COMP_NAME = "xyz"
 # Relative tolerance of check-energy between a recorded and a recomputed figure.
 _AUDIT_RTOL = 1e-10
 
-# Every config key that setup_from_config and run_to_dir read, by section.
+# Every config key that resolve_config reads, by section.
 _CONFIG_KEYS = {
     "run": {"preset", "mesh", "scale"},
     "material": {"lam_kn", "mu_kn", "e_kn", "nu", "gc", "ell", "k", "dissipation", "eps_pen", "kappa"},
@@ -66,6 +74,8 @@ _CONFIG_KEYS = {
     "reaction": {"set", "direction"},
     "output": {"snapshot_every"},
 }
+# The two ways to give the elastic moduli; a config names exactly one.
+_PAIRS = (("lam_kn", "mu_kn"), ("e_kn", "nu"))
 
 
 def _fmt(x: float) -> str:
@@ -76,45 +86,49 @@ def _fmt(x: float) -> str:
 # Config plumbing
 # ---------------------------------------------------------------------------
 
+def _material_section(values: dict) -> dict:
+    return {k: v if isinstance(v, str) else _fmt(v) for k, v in values.items() if v is not None}
+
+
+def _knob_sections(solver: SolverConfig, backtrack: BacktrackConfig) -> dict:
+    return {
+        "solver": {
+            "tol_u": _fmt(solver.tol_u),
+            "tol_a": _fmt(solver.tol_a),
+            "max_newton": str(solver.max_newton),
+            "max_alt": str(solver.max_alt),
+        },
+        "backtrack": {"k_back": str(backtrack.k_max), "eta": _fmt(backtrack.eta)},
+    }
+
+
 def config_from_setup(setup: presets.RunSetup) -> dict:
     """Serialize a run setup to the INI-shaped nested dict."""
     p = setup.params
-    mat = {
-        "lam_kn": _fmt(p.lam / 1e3),
-        "mu_kn": _fmt(p.mu / 1e3),
-        "gc": _fmt(p.gc),
-        "ell": _fmt(p.ell),
-        "k": _fmt(p.k),
-        "dissipation": p.dissipation,
-        "eps_pen": _fmt(p.eps_pen),
-    }
-    if p.kappa is not None:
-        mat["kappa"] = _fmt(p.kappa)
     bc_str = "; ".join(
         f"{bc.node_set}:{_COMP_NAME[bc.component]}:{_fmt(bc.scale)}" for bc in setup.program.bcs
     )
     return {
         "run": {"preset": setup.name, "scale": _fmt(setup.scale)},
-        "material": mat,
-        "program": {
-            "n_steps": str(setup.program.n_steps),
-            "dw": _fmt(setup.program.dw),
-            "bc": bc_str,
-        },
-        "solver": {
-            "tol_u": _fmt(setup.solver.tol_u),
-            "tol_a": _fmt(setup.solver.tol_a),
-            "max_newton": str(setup.solver.max_newton),
-            "max_alt": str(setup.solver.max_alt),
-        },
-        "backtrack": {
-            "k_back": str(setup.backtrack.k_max),
-            "eta": _fmt(setup.backtrack.eta),
-        },
-        "reaction": {
-            "set": setup.reaction_set,
-            "direction": " ".join(_fmt(c) for c in setup.reaction_dir),
-        },
+        "material": _material_section(
+            {"lam_kn": p.lam / 1e3, "mu_kn": p.mu / 1e3, "gc": p.gc, "ell": p.ell, "k": p.k,
+             "dissipation": p.dissipation, "eps_pen": p.eps_pen, "kappa": p.kappa}
+        ),
+        "program": {"n_steps": str(setup.program.n_steps), "dw": _fmt(setup.program.dw), "bc": bc_str},
+        **_knob_sections(setup.solver, setup.backtrack),
+        "reaction": {"set": setup.reaction_set, "direction": " ".join(_fmt(c) for c in setup.reaction_dir)},
+        "output": {"snapshot_every": "1"},
+    }
+
+
+def _mesh_base(mesh_path: str) -> dict:
+    """Base config of a mesh run: the dataclass defaults of the solver, the
+    back steps and the optional material fields, a snapshot every step."""
+    optional = {f.name: f.default for f in fields(MaterialParams) if f.default is not MISSING}
+    return {
+        "run": {"mesh": mesh_path, "scale": "1"},
+        "material": _material_section(optional),
+        **_knob_sections(SolverConfig(), BacktrackConfig()),
         "output": {"snapshot_every": "1"},
     }
 
@@ -134,112 +148,95 @@ def _parse_bcs(spec: str):
     return tuple(bcs)
 
 
-def setup_from_config(cfg: dict, built: presets.RunSetup | None = None) -> presets.RunSetup:
-    """Materialize mesh, material and schedules from a config dict.
+def _reaction(setup: presets.RunSetup) -> tuple | None:
+    """(node set, direction) of the reaction a run records, if it names one."""
+    return (setup.reaction_set, setup.reaction_dir) if setup.reaction_set else None
 
-    ``built`` is a preset the caller has already built; it stands in for
-    building the preset again when it is the preset and scale ``cfg`` names.
-    A section or key that no run reads is rejected, so that a setting the
-    config means to change cannot be silently ignored.
+
+def resolve_config(given: dict) -> tuple[dict, presets.RunSetup, int]:
+    """Lay the keys of ``given`` over its base config and parse the result.
+
+    The base is the full config of the preset that ``run.preset`` names (at
+    ``run.scale``, 1 if not given), or for a ``run.mesh`` config the
+    dataclass defaults (``_mesh_base``).  Naming one elasticity pair drops
+    the base's other pair.  A section or key that no run reads, a missing
+    key or a spec that does not fit the mesh is a config error, raised
+    before any output exists.  Returns the resolved config, the run setup
+    and the snapshot interval.
     """
-    for section, values in cfg.items():
+    for section, values in given.items():
         if section not in _CONFIG_KEYS:
             raise ValueError(f"unknown config section [{section}]")
         unknown = sorted(set(values) - _CONFIG_KEYS[section])
         if unknown:
             raise ValueError("unknown config key " + ", ".join(f"{section}.{k}" for k in unknown))
-    run_sec = cfg.get("run", {})
+    run_sec = given.get("run", {})
     preset = run_sec.get("preset", "").strip()
     mesh_path = run_sec.get("mesh", "").strip()
     if bool(preset) == bool(mesh_path):
         raise ValueError("config needs exactly one of run.preset / run.mesh")
-
-    scale = float(run_sec.get("scale", "1.0"))
     if preset:
-        if built is None or (built.name, built.scale) != (preset, scale):
-            built = presets.load_preset(preset, scale)
-        setup = built
-        mesh = setup.mesh
+        base_setup = presets.load_preset(preset, float(run_sec.get("scale", "1")))
+        mesh, cfg = base_setup.mesh, config_from_setup(base_setup)
     else:
-        mesh = parse_gmsh(Path(mesh_path).read_text())
-        setup = None
+        mesh, cfg = parse_gmsh(Path(mesh_path).read_text()), _mesh_base(mesh_path)
+    for section, values in given.items():
+        base = cfg.setdefault(section, {})
+        if section == "material":
+            for pair, other in zip(_PAIRS, _PAIRS[::-1]):
+                if not values.keys().isdisjoint(pair):
+                    for key in other:
+                        base.pop(key, None)
+        base.update(values)
 
-    mat_sec = cfg.get("material", {})
-    if setup is not None and not mat_sec:
-        params = setup.params
-    else:
-        kw = {
-            "gc": float(mat_sec["gc"]),
-            "ell": float(mat_sec["ell"]),
-            "k": float(mat_sec.get("k", "1e-4")),
-            "dissipation": mat_sec.get("dissipation", "AT2").strip(),
-            "eps_pen": float(mat_sec.get("eps_pen", "1e-6")),
-        }
-        if mat_sec.get("kappa", "").strip():
-            kw["kappa"] = float(mat_sec["kappa"])
-        if "e_kn" in mat_sec:
-            params = MaterialParams.from_young_poisson_kn(
-                float(mat_sec["e_kn"]), float(mat_sec["nu"]), **kw
-            )
-        else:
-            params = MaterialParams.from_lame_kn(
-                float(mat_sec["lam_kn"]), float(mat_sec["mu_kn"]), **kw
-            )
+    def read(section, key, kind=str):
+        try:
+            value = cfg[section][key]
+        except KeyError:
+            raise ValueError(f"missing config key {section}.{key}") from None
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise ValueError(f"{section}.{key}: {exc}") from None
 
-    prog_sec = cfg.get("program", {})
-    if setup is not None and not prog_sec:
-        program = setup.program
-    else:
-        base_bcs = setup.program.bcs if setup is not None else ()
-        program = LoadProgram(
-            n_steps=int(prog_sec.get("n_steps", setup.program.n_steps if setup else 0)),
-            dw=float(prog_sec.get("dw", setup.program.dw if setup else 0.0)),
-            bcs=_parse_bcs(prog_sec["bc"]) if "bc" in prog_sec else base_bcs,
-        )
-
-    # keys the config leaves out keep the preset's (or the default) values
-    sol = setup.solver if setup is not None else SolverConfig()
-    sol_sec = cfg.get("solver", {})
-    solver = SolverConfig(
-        tol_u=float(sol_sec.get("tol_u", sol.tol_u)),
-        tol_a=float(sol_sec.get("tol_a", sol.tol_a)),
-        max_newton=int(sol_sec.get("max_newton", sol.max_newton)),
-        max_alt=int(sol_sec.get("max_alt", sol.max_alt)),
-    )
-    bt = setup.backtrack if setup is not None else BacktrackConfig()
-    bt_sec = cfg.get("backtrack", {})
-    backtrack = BacktrackConfig(
-        k_max=int(bt_sec.get("k_back", bt.k_max)), eta=float(bt_sec.get("eta", bt.eta))
-    )
-
-    rx_sec = cfg.get("reaction", {})
-    rx_set = rx_sec.get("set", setup.reaction_set if setup else "")
-    if "direction" in rx_sec:
-        rx_dir = np.array([float(v) for v in rx_sec["direction"].replace(",", " ").split()])
-    elif setup is not None:
-        rx_dir = setup.reaction_dir
-    else:
-        rx_dir = np.zeros(mesh.dim)
-
-    return presets.RunSetup(
+    mat = cfg["material"]
+    young = not mat.keys().isdisjoint(_PAIRS[1])
+    if young and not mat.keys().isdisjoint(_PAIRS[0]):
+        raise ValueError("config names both material.lam_kn/mu_kn and material.e_kn/nu")
+    kw = {key: read("material", key, float) for key in ("gc", "ell", "k", "eps_pen")}
+    kw["dissipation"] = read("material", "dissipation").strip()
+    if mat.get("kappa", "").strip():
+        kw["kappa"] = read("material", "kappa", float)
+    make = MaterialParams.from_young_poisson_kn if young else MaterialParams.from_lame_kn
+    setup = presets.RunSetup(
         name=preset or Path(mesh_path).stem,
-        scale=scale,
+        scale=read("run", "scale", float),
         mesh=mesh,
-        params=params,
-        program=program,
-        solver=solver,
-        backtrack=backtrack,
-        reaction_set=rx_set,
-        reaction_dir=rx_dir,
+        params=make(*(read("material", key, float) for key in _PAIRS[young]), **kw),
+        program=LoadProgram(
+            n_steps=read("program", "n_steps", int),
+            dw=read("program", "dw", float),
+            bcs=read("program", "bc", _parse_bcs),
+        ),
+        solver=SolverConfig(
+            tol_u=read("solver", "tol_u", float),
+            tol_a=read("solver", "tol_a", float),
+            max_newton=read("solver", "max_newton", int),
+            max_alt=read("solver", "max_alt", int),
+        ),
+        backtrack=BacktrackConfig(
+            k_max=read("backtrack", "k_back", int), eta=read("backtrack", "eta", float)
+        ),
+        reaction_set=read("reaction", "set").strip(),
+        reaction_dir=read(
+            "reaction", "direction", lambda v: np.array([float(x) for x in v.replace(",", " ").split()])
+        ),
     )
-
-
-def _snapshot_every(cfg: dict) -> int:
-    """Steps between snapshots; a value below 1 is a config error."""
-    every = int(cfg.get("output", {}).get("snapshot_every", "1"))
+    every = read("output", "snapshot_every", int)
     if every < 1:
         raise ValueError(f"output.snapshot_every must be >= 1, got {every}")
-    return every
+    check_run_inputs(setup.mesh, setup.program, _reaction(setup))
+    return cfg, setup, every
 
 
 def _read_config_file(path) -> dict:
@@ -253,7 +250,7 @@ def _read_config_file(path) -> dict:
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
-    for item in overrides or ():
+    for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ValueError(f"bad --set {item!r} (want section.key=value)")
         key, value = item.split("=", 1)
@@ -275,6 +272,14 @@ def _config_to_ini(cfg: dict) -> str:
 # Output writers
 # ---------------------------------------------------------------------------
 
+def _snapshot_path(out_dir: Path, step: int, every: int, n_steps: int) -> Path | None:
+    """The snapshot a run writes of ``step``: of every ``every``-th step and
+    of the last one; None for a step it writes none of."""
+    if step % every and step != n_steps:
+        return None
+    return out_dir / "snapshots" / f"step_{step:06d}.vtk"
+
+
 class _RunWriter:
     """Rewrites the CSV outputs and snapshots after every accepted step
     (backtracking replaces already-accepted rows, so files are regenerated
@@ -287,15 +292,13 @@ class _RunWriter:
         self.every = snapshot_every
         (out_dir / "snapshots").mkdir(parents=True, exist_ok=True)
 
-    def snapshot_path(self, step: int) -> Path:
-        return self.out / "snapshots" / f"step_{step:06d}.vtk"
-
     def __call__(self, history: RunHistory) -> None:
         self.write_csvs(history)
         rec = history.steps[-1]
-        if rec.step % self.every == 0 or rec.step == self.program.n_steps:
+        path = _snapshot_path(self.out, rec.step, self.every, self.program.n_steps)
+        if path is not None:
             u_d = lifting_for_step(self.program, rec.step, self.mesh)
-            write_field_snapshot(rec.u + u_d, rec.a, self.mesh, self.snapshot_path(rec.step))
+            write_field_snapshot(rec.u + u_d, rec.a, self.mesh, path)
 
     def write_csvs(self, history: RunHistory) -> None:
         with open(self.out / "load_disp.csv", "w") as fh:
@@ -353,14 +356,12 @@ def _write_run_json(out_dir: Path, cfg: dict, history: RunHistory, elapsed: floa
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def run_to_dir(cfg: dict, out_dir, built: presets.RunSetup | None = None) -> RunHistory:
+def run_to_dir(cfg: dict, out_dir) -> RunHistory:
     """Execute a config into an output directory, writing all run artifacts;
     returns the in-memory history (also used by the acceptance suite).  A
-    config error is raised before the directory is created."""
-    setup = setup_from_config(cfg, built)
-    reaction = (setup.reaction_set, setup.reaction_dir) if setup.reaction_set else None
-    every = _snapshot_every(cfg)
-    check_run_inputs(setup.mesh, setup.program, reaction)
+    config error is raised before the directory is created, and run.json
+    records the resolved config."""
+    cfg, setup, every = resolve_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _RunWriter(out_dir, setup.mesh, setup.program, every)
@@ -368,7 +369,7 @@ def run_to_dir(cfg: dict, out_dir, built: presets.RunSetup | None = None) -> Run
         np.zeros(setup.mesh.dim * setup.mesh.n_nodes),
         np.zeros(setup.mesh.n_nodes),
         setup.mesh,
-        writer.snapshot_path(0),
+        _snapshot_path(out_dir, 0, every, setup.program.n_steps),
     )
 
     t0 = time.perf_counter()
@@ -378,7 +379,7 @@ def run_to_dir(cfg: dict, out_dir, built: presets.RunSetup | None = None) -> Run
         setup.solver,
         setup.params,
         setup.mesh,
-        reaction=reaction,
+        reaction=_reaction(setup),
         on_accept=writer,
     )
     elapsed = time.perf_counter() - t0
@@ -390,23 +391,11 @@ def run_to_dir(cfg: dict, out_dir, built: presets.RunSetup | None = None) -> Run
 
 
 def cmd_run(args) -> int:
-    built = None
+    # each flag is stored under the config key it overrides
+    flags = [f"{key}={value}" for key, value in vars(args).items() if "." in key and value is not None]
     try:
-        if args.config:
-            cfg = _read_config_file(args.config)
-        elif args.preset:
-            built = presets.load_preset(args.preset, args.scale)
-            cfg = config_from_setup(built)
-        else:
-            raise ValueError("need --preset or --config")
-        if args.k_back is not None:
-            cfg.setdefault("backtrack", {})["k_back"] = str(args.k_back)
-        if args.eta is not None:
-            cfg.setdefault("backtrack", {})["eta"] = _fmt(args.eta)
-        if args.steps is not None:
-            cfg.setdefault("program", {})["n_steps"] = str(args.steps)
-        _apply_overrides(cfg, args.set)
-        history = run_to_dir(cfg, args.out, built)
+        given = _read_config_file(args.config) if args.config else {}
+        history = run_to_dir(_apply_overrides(given, flags + (args.set or [])), args.out)
     except (ValueError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -427,18 +416,32 @@ def _rel_close(a: float, b: float) -> bool:
     return abs(a - b) <= _AUDIT_RTOL * (1.0 + max(abs(a), abs(b)))
 
 
+def _energy_row(line: str) -> tuple:
+    """(step, E, sum_D, delta, LB, UB, passed) of an energy.csv row."""
+    parts = line.split(",")
+    if len(parts) != 7:
+        raise ValueError(f"energy.csv row {line!r} has {len(parts)} fields, not 7")
+    return (int(parts[0]), *(float(v) for v in parts[1:6]), parts[6].strip() == "1")
+
+
 def cmd_check_energy(args) -> int:
     out_dir = Path(args.dir)
     try:
         with open(out_dir / "run.json") as fh:
-            cfg = json.load(fh)["config"]
-        # the audit takes no solver or output setting from the setup, so a
-        # run.json from an older version, echoing solver or output keys that
-        # runs no longer accept, is still audited
-        setup = setup_from_config({s: v for s, v in cfg.items() if s not in ("solver", "output")})
-        check_run_inputs(setup.mesh, setup.program, None)
-        rows = (out_dir / "energy.csv").read_text().strip().splitlines()[1:]
-        every = _snapshot_every(cfg)
+            info = json.load(fh)
+        # a run.json from an older version may echo solver or output keys
+        # that runs no longer accept; the audit needs none of them
+        cfg = {
+            section: {
+                k: v for k, v in keys.items() if section not in ("solver", "output") or k in _CONFIG_KEYS[section]
+            }
+            for section, keys in info["config"].items()
+        }
+        _, setup, every = resolve_config(cfg)
+        rows = [_energy_row(line) for line in (out_dir / "energy.csv").read_text().strip().splitlines()[1:]]
+        steps = [row[0] for row in rows]
+        if steps != list(range(info["accepted_steps"] + 1)):
+            raise ValueError(f"energy.csv holds steps {steps}, not 0..{info['accepted_steps']} as run.json")
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"cannot load run outputs: {exc}", file=sys.stderr)
         return 2
@@ -448,8 +451,6 @@ def cmd_check_energy(args) -> int:
     p = setup.params
     eta = setup.backtrack.eta
 
-    n_steps = setup.program.n_steps
-
     failing = []
     mismatches = []
     counts = {"full": 0, "partial": 0, "skipped": 0}
@@ -458,22 +459,18 @@ def cmd_check_energy(args) -> int:
     # under its own lifting, is the next pair's erg_curr
     prev = None
     sum_d = 0.0  # cumulative dissipation at the last snapshot read
-    for row in rows:
-        parts = row.split(",")
-        step = int(parts[0])
-        e_csv, sumd_csv, delta_csv, lb_csv, ub_csv = (float(v) for v in parts[1:6])
-        passed_csv = parts[6].strip() == "1"
-
-        if step % every and step != n_steps:
+    for step, e_csv, sumd_csv, delta_csv, lb_csv, ub_csv, passed_csv in rows:
+        snap = _snapshot_path(out_dir, step, every, setup.program.n_steps)
+        if snap is None:
             counts["skipped"] += 1  # the run wrote no snapshot for this step
             if not passed_csv:
                 failing.append(step)
             continue
-        snap = out_dir / "snapshots" / f"step_{step:06d}.vtk"
-        if not snap.exists():
-            print(f"missing snapshot {snap}", file=sys.stderr)
+        try:
+            disp, a = read_field_snapshot(snap, mesh.dim)
+        except (OSError, ValueError) as exc:
+            print(f"cannot load run outputs: {exc}", file=sys.stderr)
             return 2
-        disp, a = read_field_snapshot(snap, mesh.dim)
         u_d = lifting_for_step(setup.program, step, mesh)
         u = disp - u_d
         bulk = erg(u, u_d, a, kernels, p)
@@ -482,9 +479,6 @@ def cmd_check_energy(args) -> int:
             a_0 = a
             prev = (step, u, a, bulk)
             continue
-        if prev is None:
-            print("energy.csv does not start at step 0", file=sys.stderr)
-            return 2
 
         if prev[0] == step - 1:
             # both ends of the step pair: the whole two-sided inequality
@@ -551,13 +545,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a load program")
-    p_run.add_argument("--preset", choices=presets.PRESET_NAMES)
-    p_run.add_argument("--scale", type=float, default=1.0)
-    p_run.add_argument("--config", help="INI config file (alternative to --preset)")
+    source = p_run.add_mutually_exclusive_group()
+    source.add_argument("--preset", dest="run.preset", choices=presets.PRESET_NAMES, help="run.preset")
+    source.add_argument("--config", help="INI config file")
+    p_run.add_argument("--scale", dest="run.scale", metavar="SCALE", help="run.scale")
     p_run.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    p_run.add_argument("--k-back", type=int, default=None, help="back-step budget K")
-    p_run.add_argument("--eta", type=float, default=None, help="energy tolerance")
-    p_run.add_argument("--steps", type=int, default=None, help="override n_steps")
+    p_run.add_argument("--k-back", dest="backtrack.k_back", metavar="K", help="backtrack.k_back, the back-step budget")
+    p_run.add_argument("--eta", dest="backtrack.eta", metavar="ETA", help="backtrack.eta, the energy tolerance")
+    p_run.add_argument("--steps", dest="program.n_steps", metavar="N", help="program.n_steps")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.set_defaults(func=cmd_run)
 

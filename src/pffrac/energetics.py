@@ -42,7 +42,6 @@ class EnergyReport:
 
     step: int
     e_next: float
-    e_curr: float
     d_inc: float
     delta: float
     lb: float
@@ -161,7 +160,6 @@ def check_two_sided(
     return EnergyReport(
         step=step,
         e_next=e_next,
-        e_curr=e_curr,
         d_inc=d_inc,
         delta=delta,
         lb=lb,

@@ -24,7 +24,7 @@ encoded as the community-standard values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,10 +51,10 @@ class RunSetup:
     mesh: Mesh
     params: MaterialParams
     program: LoadProgram
-    solver: SolverConfig
-    backtrack: BacktrackConfig
     reaction_set: str
     reaction_dir: np.ndarray
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    backtrack: BacktrackConfig = field(default_factory=BacktrackConfig)
 
 
 def _segment(a: float, b: float, h: float) -> np.ndarray:
@@ -142,8 +142,6 @@ def _sent(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        solver=SolverConfig(),
-        backtrack=BacktrackConfig(),
         reaction_set="top",
         reaction_dir=np.array([0.0, 1.0]),
     )
@@ -172,8 +170,6 @@ def _sens(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        solver=SolverConfig(),
-        backtrack=BacktrackConfig(),
         reaction_set="top",
         reaction_dir=np.array([1.0, 0.0]),
     )
@@ -222,8 +218,6 @@ def _lshape(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        solver=SolverConfig(),
-        backtrack=BacktrackConfig(),
         reaction_set="load",
         reaction_dir=np.array([0.0, 1.0, 0.0]),
     )
@@ -276,8 +270,6 @@ def _bend3d(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        solver=SolverConfig(),
-        backtrack=BacktrackConfig(),
         reaction_set="load",
         reaction_dir=np.array([0.0, 0.0, 1.0]),
     )

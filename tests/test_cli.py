@@ -8,10 +8,26 @@ import pytest
 from conftest import box_mesh, facets_on
 from oracles import fresh_check, read_snapshot_by_line, write_gmsh
 from pffrac import cli, driver, energetics, presets
-from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, run_to_dir, setup_from_config
+from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, resolve_config, run_to_dir
+from pffrac.driver import BacktrackConfig
+from pffrac.material import MaterialParams
 from pffrac.mesh import select_nodes
 from pffrac.presets import load_preset
+from pffrac.solver import SolverConfig
 from pffrac.vtkio import read_field_snapshot, write_field_snapshot
+
+
+def resolved_setup(cfg):
+    """The run setup that ``cfg`` resolves to."""
+    return resolve_config(cfg)[1]
+
+
+def setup_fields(s):
+    """A run setup as a comparable tuple."""
+    return (
+        s.name, s.scale, s.mesh.nodes.tobytes(), s.params, s.program, s.solver,
+        s.backtrack, s.reaction_set, tuple(s.reaction_dir),
+    )
 
 
 def patch_mesh():
@@ -124,7 +140,7 @@ class TestConfigPlumbing:
             parser = configparser.ConfigParser()
             parser.read_string(capsys.readouterr().out)
             assert parser["run"]["preset"] == name
-            back = setup_from_config({s: dict(parser.items(s)) for s in parser.sections()})
+            back = resolved_setup({s: dict(parser.items(s)) for s in parser.sections()})
             setup = load_preset(name, 0.02)
             assert back.params == setup.params and back.program == setup.program
             assert back.solver == setup.solver and back.backtrack == setup.backtrack
@@ -132,7 +148,7 @@ class TestConfigPlumbing:
     def test_setup_roundtrip(self):
         setup = load_preset("sent", 0.1)
         cfg = config_from_setup(setup)
-        back = setup_from_config(cfg)
+        back = resolved_setup(cfg)
         assert back.params == setup.params
         assert back.program == setup.program
         assert back.backtrack == setup.backtrack
@@ -141,7 +157,7 @@ class TestConfigPlumbing:
         # keys a config leaves out keep the preset's values
         cfg["solver"] = {"max_alt": "7"}
         del cfg["backtrack"]
-        back = setup_from_config(cfg)
+        back = resolved_setup(cfg)
         assert back.solver == dataclasses.replace(setup.solver, max_alt=7)
         assert back.backtrack == setup.backtrack
 
@@ -194,11 +210,7 @@ class TestConfigPlumbing:
         assert set(changes) == {(s, k) for s, keys in _CONFIG_KEYS.items() for k in keys}
 
         def setup_of(cfg):
-            s = setup_from_config(cfg)
-            return (
-                s.name, s.scale, s.mesh.nodes.tobytes(), s.params, s.program, s.solver,
-                s.backtrack, s.reaction_set, tuple(s.reaction_dir),
-            )
+            return setup_fields(resolved_setup(cfg))
 
         def outputs_of(cfg, name):
             out = tmp_path / name
@@ -214,11 +226,124 @@ class TestConfigPlumbing:
             else:
                 assert setup_of(cfg) != setup_of(base), key
 
+    def test_one_modulus_keeps_its_pair_partner(self):
+        # naming one key of a pair keeps the base's other key of that pair;
+        # naming the other pair drops the base's, and naming both pairs, or
+        # half of one on a base that has the other, is a config error
+        sent = load_preset("sent", 0.02)
+        given = {"run": {"preset": "sent", "scale": "0.02"}}
+        back = resolved_setup({**given, "material": {"lam_kn": "100"}})
+        assert (back.params.lam, back.params.mu) == (100e3, sent.params.mu)
+        back = resolved_setup({**given, "material": {"e_kn": "200", "nu": "0.25"}})
+        assert back.params.mu == pytest.approx(200e3 / 2.5) != sent.params.mu
+        assert dataclasses.replace(back.params, lam=sent.params.lam, mu=sent.params.mu) == sent.params
+        with pytest.raises(ValueError, match="missing config key material.nu"):
+            resolve_config({**given, "material": {"e_kn": "200"}})
+        with pytest.raises(ValueError, match="names both"):
+            resolve_config({**given, "material": {"e_kn": "200", "nu": "0.25", "mu_kn": "70"}})
+
     def test_preset_and_mesh_are_exclusive(self):
         with pytest.raises(ValueError):
-            setup_from_config({"run": {"preset": "sent", "mesh": "x.msh"}})
+            resolve_config({"run": {"preset": "sent", "mesh": "x.msh"}})
         with pytest.raises(ValueError):
-            setup_from_config({"run": {}})
+            resolve_config({"run": {}})
+
+
+class _Stop(Exception):
+    """Raised once a command has resolved its config."""
+
+
+# A value for every config key but run.preset and run.mesh, each different
+# from the one the sent preset holds.
+_PARITY_VALUES = {
+    "run.scale": "0.03",
+    "material.lam_kn": "100",
+    "material.mu_kn": "70",
+    "material.e_kn": "200",
+    "material.nu": "0.25",
+    "material.gc": "3.0",
+    "material.ell": "0.02",
+    "material.k": "1e-3",
+    "material.dissipation": "AT1",
+    "material.eps_pen": "1e-5",
+    "material.kappa": "0.5",
+    "program.n_steps": "3",
+    "program.dw": "2e-4",
+    "program.bc": "bottom:y:0; top:y:2; pin:x:0",
+    "solver.tol_u": "1e-6",
+    "solver.tol_a": "1e-6",
+    "solver.max_newton": "50",
+    "solver.max_alt": "500",
+    "backtrack.k_back": "3",
+    "backtrack.eta": "1e-4",
+    "reaction.set": "bottom",
+    "reaction.direction": "1 0",
+    "output.snapshot_every": "2",
+}
+
+
+class TestOverlay:
+    @pytest.fixture
+    def resolved(self, monkeypatch, capsys, tmp_path):
+        """Run ``main`` on argv up to the resolved config: (exit code or
+        the resolved setup and snapshot interval, standard error)."""
+        real = cli.resolve_config
+
+        def stop(cfg):
+            raise _Stop(real(cfg))
+
+        monkeypatch.setattr(cli, "resolve_config", stop)
+
+        def resolve(argv):
+            capsys.readouterr()
+            try:
+                code = main(argv + ["--out", str(tmp_path / "never")])
+            except _Stop as done:
+                _, setup, every = done.args[0]
+                return (*setup_fields(setup), every), ""
+            return code, capsys.readouterr().err
+
+        return resolve
+
+    @pytest.mark.parametrize("key", sorted(_PARITY_VALUES))
+    def test_flag_and_file_spellings_resolve_alike(self, tmp_path, resolved, key):
+        # a key given with --set and the same key in a config file over the
+        # same preset resolve to the same setup, which is not the preset's
+        section, name = key.split(".")
+        value = _PARITY_VALUES[key]
+        parser = configparser.ConfigParser()
+        parser.read_dict({"run": {"preset": "sent"}})
+        parser.read_dict({section: {name: value}})
+        cfg = tmp_path / "one.cfg"
+        with open(cfg, "w") as fh:
+            parser.write(fh)
+        by_flag = resolved(["run", "--preset", "sent", "--set", f"{key}={value}"])
+        by_file = resolved(["run", "--config", str(cfg)])
+        assert by_flag == by_file
+        if name in ("e_kn", "nu"):
+            # half of a pair the sent preset does not give
+            other = "nu" if name == "e_kn" else "e_kn"
+            assert by_flag == (2, f"config error: missing config key material.{other}\n")
+        else:
+            assert by_flag != resolved(["run", "--preset", "sent"])
+
+    def test_parity_covers_every_key(self):
+        keys = {f"{s}.{k}" for s, names in _CONFIG_KEYS.items() for k in names}
+        assert set(_PARITY_VALUES) == keys - {"run.preset", "run.mesh"}
+
+    def test_flags_are_overrides(self, tmp_path, resolved):
+        # each run flag is its --set spelling, over a preset or a config file
+        flags = ["--scale", "0.03", "--steps", "3", "--k-back", "2", "--eta", "1e-4"]
+        keys = ["run.scale=0.03", "program.n_steps=3", "backtrack.k_back=2", "backtrack.eta=1e-4"]
+        sets = [x for k in keys for x in ("--set", k)]
+        assert resolved(["run", "--preset", "sent"] + flags) == resolved(["run", "--set", "run.preset=sent"] + sets)
+        cfg = tmp_path / "sent.cfg"
+        cfg.write_text("[run]\npreset = sent\n")
+        assert resolved(["run", "--config", str(cfg)] + flags) == resolved(["run", "--preset", "sent"] + sets)
+        # a --set after a flag wins
+        assert resolved(["run", "--preset", "sent", "--steps", "4", "--set", "program.n_steps=3"]) == resolved(
+            ["run", "--preset", "sent", "--steps", "3"]
+        )
 
 
 class TestCmdRun:
@@ -264,6 +389,48 @@ class TestCmdRun:
         assert main(argv + ["--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "drop, named",
+        [("dw = ", "program.dw"), ("bc = ", "program.bc"), ("gc = ", "material.gc"), ("mu_kn = ", "material.mu_kn")],
+    )
+    def test_mesh_config_missing_key_exit_2(self, patch_config, tmp_path, capsys, drop, named):
+        # a mesh run has no preset to take a program, gc or modulus from
+        lines = patch_config.read_text().splitlines()
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("\n".join(x for x in lines if not x.startswith(drop)) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"missing config key {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_and_preset_exclusive(self, patch_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(patch_config), "--preset", "bend3d", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--preset" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mesh_run_json_config_reruns(self, patch_config, tmp_path):
+        # run.json of a mesh run records the defaults the run took; fed back
+        # as a config, it writes the same outputs byte for byte
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["run", "--config", str(patch_config), "--out", str(first)]) == 0
+        cfg = json.loads((first / "run.json").read_text())["config"]
+        defaults = cli._knob_sections(SolverConfig(), BacktrackConfig())
+        assert cfg["solver"] == defaults["solver"]
+        assert cfg["backtrack"] == {"k_back": "5", "eta": "1e-5"}
+        assert cfg["material"]["dissipation"] == MaterialParams.dissipation == "AT2"
+        assert cfg["output"] == {"snapshot_every": "1"}
+        fed = tmp_path / "fed.cfg"
+        fed.write_text(cli._config_to_ini(cfg))
+        assert main(["run", "--config", str(fed), "--out", str(again)]) == 0
+        assert json.loads((again / "run.json").read_text())["config"] == cfg
+        names = ["load_disp.csv", "energy.csv", "intermediates.csv"]
+        names += [f"snapshots/step_{n:06d}.vtk" for n in range(6)]
+        for name in names:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_intermediates_csv(self, patch_config, tmp_path, monkeypatch):
         # always written: the header alone when no back step happened, else
@@ -368,10 +535,14 @@ class TestCmdRun:
         argv = ["run", "--preset", "sent", "--scale", "0.1", "--steps", "1", "--k-back", "0"]
         assert main(argv + ["--out", str(tmp_path / "a")]) == 0
         assert calls == [("sent", 0.1)]
-        # an override of the scale builds the preset it names
+        # an override of the scale is applied before the build: the preset
+        # it names is the only one built
         calls.clear()
         assert main(argv + ["--set", "run.scale=0.05", "--out", str(tmp_path / "b")]) == 0
-        assert calls == [("sent", 0.1), ("sent", 0.05)]
+        assert calls == [("sent", 0.05)]
+        calls.clear()
+        assert main(["check-energy", str(tmp_path / "b")]) == 0
+        assert calls == [("sent", 0.05)]
         snap = (tmp_path / "b" / "snapshots" / "step_000000.vtk").read_text()
         assert f"POINTS {real('sent', 0.05).mesh.n_nodes} double" in snap
 
@@ -460,6 +631,47 @@ class TestCheckEnergy:
             capsys.readouterr()
             assert main(["check-energy", str(out)]) == 2, (section, key, value)
             assert "cannot load run outputs" in capsys.readouterr().err
+
+    @pytest.fixture
+    def patch_run(self, patch_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 0
+        return out
+
+    def audit_of(self, out, capsys):
+        capsys.readouterr()
+        code = main(["check-energy", str(out)])
+        return code, capsys.readouterr().err
+
+    def test_unreadable_outputs_exit_2(self, patch_run, capsys):
+        # an output the audit cannot read is no audit mismatch
+        snap = patch_run / "snapshots" / "step_000003.vtk"
+        kept = snap.read_text()
+        snap.write_text("".join(x for x in kept.splitlines(True) if not x.startswith("CELLS")))
+        code, err = self.audit_of(patch_run, capsys)
+        assert code == 2 and "cannot load run outputs: snapshot missing 'CELLS' section" in err
+        snap.write_text(kept)
+        path = patch_run / "energy.csv"
+        rows = path.read_text().splitlines()
+        rows[2] = rows[2].replace(rows[2].split(",")[1], "abc", 1)
+        path.write_text("\n".join(rows) + "\n")
+        code, err = self.audit_of(patch_run, capsys)
+        assert code == 2 and "cannot load run outputs" in err
+
+    @pytest.mark.parametrize("edit", ["header_only", "drop_step_2", "swap_steps_2_3"])
+    def test_energy_rows_are_the_accepted_steps(self, patch_run, capsys, edit):
+        # energy.csv must hold steps 0..accepted_steps once each, in order
+        path = patch_run / "energy.csv"
+        header, *rows = path.read_text().splitlines()
+        if edit == "header_only":
+            rows = []
+        elif edit == "drop_step_2":
+            del rows[2]
+        else:
+            rows[2], rows[3] = rows[3], rows[2]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        code, err = self.audit_of(patch_run, capsys)
+        assert code == 2 and "cannot load run outputs: energy.csv holds steps" in err
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
