@@ -3,9 +3,11 @@
 Subcommands
 -----------
 run          execute a load program (preset or config file), writing
-             load_disp.csv, energy.csv, intermediates.csv (the solves
-             discarded or redone while backtracking), run.json and per-step
-             VTK snapshots
+             load_disp.csv, energy.csv, intermediates.csv (the solves of
+             back-step rounds), run.json and the VTK snapshots of the
+             accepted steps, all read from the driver's solve records;
+             run.json sums the iteration counts over the accepted chain
+             (solver_counters) and over every solve (all_solves)
 check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run and compare against energy.csv; with
              snapshot_every > 1 only the steps with snapshots are
@@ -280,6 +282,14 @@ def _snapshot_path(out_dir: Path, step: int, every: int, n_steps: int) -> Path |
     return out_dir / "snapshots" / f"step_{step:06d}.vtk"
 
 
+def _drop_snapshots(out_dir: Path, after: int) -> None:
+    """Remove the snapshots of steps past ``after``: an earlier run's before
+    a run starts, and after it those of states a back step replaced."""
+    for path in (out_dir / "snapshots").glob("step_*.vtk"):
+        if int(path.stem[5:]) > after:
+            path.unlink()
+
+
 class _RunWriter:
     """Rewrites the CSV outputs and snapshots after every accepted step
     (backtracking replaces already-accepted rows, so files are regenerated
@@ -304,7 +314,7 @@ class _RunWriter:
         with open(self.out / "load_disp.csv", "w") as fh:
             fh.write("step,w,reaction\n")
             for rec in history.steps:
-                fh.write(f"{rec.step},{_fmt(rec.w)},{_fmt(rec.reaction)}\n")
+                fh.write(f"{rec.step},{_fmt(self.program.w(rec.step))},{_fmt(rec.reaction)}\n")
         with open(self.out / "energy.csv", "w") as fh:
             fh.write("step,E,sum_D,delta,LB,UB,passed\n")
             sum_d = 0.0
@@ -323,10 +333,20 @@ class _RunWriter:
         with open(self.out / "intermediates.csv", "w") as fh:
             fh.write("target_step,w,b,passed,delta,LB,UB,reaction\n")
             for rec in history.intermediates:
+                r = rec.report
                 fh.write(
-                    f"{rec.target_step},{_fmt(rec.w)},{rec.b},{int(rec.passed)},"
-                    f"{_fmt(rec.delta)},{_fmt(rec.lb)},{_fmt(rec.ub)},{_fmt(rec.reaction)}\n"
+                    f"{rec.step},{_fmt(self.program.w(rec.step))},{rec.b},{int(r.passed)},"
+                    f"{_fmt(r.delta)},{_fmt(r.lb)},{_fmt(r.ub)},{_fmt(rec.reaction)}\n"
                 )
+
+
+def _counters(records) -> dict:
+    """Alternations and Newton iterations summed over ``records``."""
+    return {
+        "alternations": sum(r.alt_iters for r in records),
+        "newton_u": sum(r.newton_iters_u for r in records),
+        "newton_beta": sum(r.newton_iters_beta for r in records),
+    }
 
 
 def _write_run_json(out_dir: Path, cfg: dict, history: RunHistory, elapsed: float) -> None:
@@ -336,16 +356,12 @@ def _write_run_json(out_dir: Path, cfg: dict, history: RunHistory, elapsed: floa
         "aborted": history.aborted,
         "abort_reason": history.abort_reason,
         "backtrack_events": [
-            {"failed_step": e.failed_step, "resolved_step": e.resolved_step, "b": e.b}
-            for e in history.backtracks
+            {"failed_step": r.round_of, "resolved_step": r.step, "b": r.b} for r in history.backtracks
         ],
         "k_exhausted_steps": history.k_exhausted_steps,
         "irreversibility_steps": history.irreversibility_steps,
-        "solver_counters": {
-            "alternations": sum(r.alt_iters for r in history.steps),
-            "newton_u": sum(r.newton_iters_u for r in history.steps),
-            "newton_beta": sum(r.newton_iters_beta for r in history.steps),
-        },
+        "solver_counters": _counters(history.steps),
+        "all_solves": {"solves": len(history.solves), **_counters(history.solves)},
         "elapsed_s": elapsed,
     }
     with open(out_dir / "run.json", "w") as fh:
@@ -360,11 +376,13 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
     """Execute a config into an output directory, writing all run artifacts;
     returns the in-memory history (also used by the acceptance suite).  A
     config error is raised before the directory is created, and run.json
-    records the resolved config."""
+    records the resolved config.  Afterwards ``snapshots/`` holds the
+    accepted steps' snapshots only, whatever the directory held before."""
     cfg, setup, every = resolve_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _RunWriter(out_dir, setup.mesh, setup.program, every)
+    _drop_snapshots(out_dir, after=-1)
     write_field_snapshot(
         np.zeros(setup.mesh.dim * setup.mesh.n_nodes),
         np.zeros(setup.mesh.n_nodes),
@@ -384,6 +402,7 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
     )
     elapsed = time.perf_counter() - t0
 
+    _drop_snapshots(out_dir, after=history.n_accepted)
     writer.write_csvs(history)
     writer.write_intermediates(history)
     _write_run_json(out_dir, cfg, history, elapsed)

@@ -7,6 +7,11 @@ increments with the discarded future state as initial guess (both fields),
 until the inequality is met or the back-step budget K is exhausted; forward
 traversal then resumes through the revisited steps, replacing their stored
 states.  K = 0 disables the mechanism entirely (plain staggered stepping).
+
+Every solve leaves one ``SolveRecord`` in ``RunHistory.solves``, in call
+order.  The accepted chain ``RunHistory.steps`` (the initial state, then one
+record per step) and the back-step views ``intermediates`` and
+``backtracks`` are taken from that log; nothing else records a solve.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import EnergyReport, check_two_sided, dis, erg_from_spectrum
+from .energetics import EnergyReport, check_two_sided, erg_from_spectrum
 from .fem import (
     DofMap,
     build_kernels,
@@ -31,19 +36,13 @@ __all__ = [
     "DirichletSpec",
     "LoadProgram",
     "BacktrackConfig",
-    "StepRecord",
-    "BacktrackEvent",
-    "IntermediateRecord",
+    "SolveRecord",
     "RunHistory",
     "build_dofmap",
     "check_run_inputs",
     "lifting_for_step",
     "run",
 ]
-
-# Reported D_inc below -1e-8*(1 + dis(A_n)) flags an irreversibility
-# violation (penalty factor too large for the step).
-_DISS_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,56 +89,38 @@ class BacktrackConfig:
 
 
 @dataclass
-class StepRecord:
-    """Accepted state of one load step.
+class SolveRecord:
+    """One solve of the increment that ends at ``step``; step 0's record is
+    the initial state, with no report.
 
     ``bulk_energy`` is erg(u, u_d, a) under this step's lifting, the
     current-state bulk energy of the next step's two-sided check.
+    ``round_of`` is the target step whose failed check opened the back-step
+    round this solve belongs to (the opening solve and each walk-back
+    re-solve; None outside a round), and ``b`` the back steps that target
+    had consumed at this solve.
     """
 
     step: int
-    w: float
     u: np.ndarray
     a: np.ndarray
     report: EnergyReport | None
     bulk_energy: float
-    reaction: float = 0.0
+    reaction: float
     alt_iters: int = 0
     newton_iters_u: int = 0
     newton_iters_beta: int = 0
-    irreversibility_violation: bool = False
-
-
-@dataclass
-class BacktrackEvent:
-    """One back step: the failing target and the step being re-solved."""
-
-    failed_step: int
-    resolved_step: int
-    b: int
-
-
-@dataclass
-class IntermediateRecord:
-    """A solve produced during backtracking (kept for the zigzag curves)."""
-
-    target_step: int
-    w: float
-    b: int
-    passed: bool
-    delta: float
-    lb: float
-    ub: float
-    reaction: float
+    round_of: int | None = None
+    b: int = 0
 
 
 @dataclass
 class RunHistory:
-    """Accepted states plus backtracking provenance."""
+    """The log of every solve, in call order, and the accepted chain taken
+    from it (``steps[0]`` is the initial state, which is no solve)."""
 
+    solves: list = field(default_factory=list)
     steps: list = field(default_factory=list)
-    backtracks: list = field(default_factory=list)
-    intermediates: list = field(default_factory=list)
     aborted: bool = False
     abort_reason: str = ""
 
@@ -148,17 +129,28 @@ class RunHistory:
         return len(self.steps) - 1  # steps[0] is the initial state
 
     @property
+    def intermediates(self) -> list:
+        """The solves of back-step rounds: each round's failing opening
+        solve, then its walk-back re-solves."""
+        return [r for r in self.solves if r.round_of is not None]
+
+    @property
+    def backtracks(self) -> list:
+        """The walk-back re-solves: one per back step."""
+        return [r for r in self.intermediates if r.step < r.round_of]
+
+    @property
     def k_exhausted_steps(self) -> list:
         """Accepted steps whose two-sided inequality still fails (budget K
         exhausted, or K = 0); derived from the final records so replacements
         during backtracking cannot leave stale flags."""
-        return [r.step for r in self.steps[1:] if r.report is not None and not r.report.passed]
+        return [r.step for r in self.steps[1:] if not r.report.passed]
 
     @property
     def irreversibility_steps(self) -> list:
         """Accepted steps whose incremental dissipation is negative beyond
         the reporting tolerance (penalty factor too large)."""
-        return [r.step for r in self.steps[1:] if r.irreversibility_violation]
+        return [r.step for r in self.steps[1:] if r.report.irreversibility_violation]
 
 
 def check_run_inputs(mesh: Mesh, program: LoadProgram, reaction: tuple | None) -> None:
@@ -220,7 +212,8 @@ def run(
 
     Every solve goes through the module-level ``alternate_minimize`` and
     starts from the running guess: the last solve's state, discarded or not.
-    A solver failure ends the run with ``aborted`` set and the history so far.
+    A solver failure ends the run with ``aborted`` set and the history so
+    far; the failing solve leaves no record.
     """
     check_run_inputs(mesh, program, reaction)
     kernels = build_kernels(mesh)
@@ -238,11 +231,10 @@ def run(
     rw0 = degradation_weights(kernels, a0, p)
     bulk0 = erg_from_spectrum(spectrum0, rw0, kernels, p)
     history.steps.append(
-        StepRecord(step=0, w=0.0, u=u0, a=a0, report=None, bulk_energy=bulk0, reaction=_reaction(spectrum0, rw0))
+        SolveRecord(step=0, u=u0, a=a0, report=None, bulk_energy=bulk0, reaction=_reaction(spectrum0, rw0))
     )
 
-    guess_u = u0
-    guess_a = a0
+    guess = history.steps[0]
     n = 0
     # Back-step budget consumed per failing target step.  The budget is
     # cumulative across failure rounds of the same target: a re-solved
@@ -250,14 +242,13 @@ def run(
     # an unchanged guess, and a per-round counter would cycle forever.
     consumed: dict = {}
 
-    def _solve(step_n: int):
-        """Solve increment [t_n, t_{n+1}] from the running guess, which then
-        becomes the solution; returns it with its check and its reaction."""
-        nonlocal guess_u, guess_a
+    def _solve(step_n: int) -> SolveRecord:
+        """Solve increment [t_n, t_{n+1}] from the running guess, the last
+        solve's state, and log the solve, which becomes the running guess."""
+        nonlocal guess
         prev = history.steps[step_n]
         u_d_next = lifting_for_step(program, step_n + 1, mesh)
-        res = alternate_minimize(guess_u, guess_a, prev.a, u_d_next, kernels, p, cfg, dofmap)
-        guess_u, guess_a = res.u, res.a
+        res = alternate_minimize(guess.u, guess.a, prev.a, u_d_next, kernels, p, cfg, dofmap)
         rw = degradation_weights(kernels, res.a, p)
         report = check_two_sided(
             step_n,
@@ -273,45 +264,39 @@ def run(
             erg_curr=prev.bulk_energy,
             erg_next=erg_from_spectrum(res.spectrum, rw, kernels, p),
         )
-        return res, report, _reaction(res.spectrum, rw)
+        guess = SolveRecord(
+            step=step_n + 1,
+            u=res.u,
+            a=res.a,
+            report=report,
+            bulk_energy=report.erg_next,
+            reaction=_reaction(res.spectrum, rw),
+            alt_iters=res.alt_iters,
+            newton_iters_u=res.newton_iters_u,
+            newton_iters_beta=res.newton_iters_beta,
+        )
+        history.solves.append(guess)
+        return guess
 
     try:
         while n < program.n_steps:
-            res, report, force = _solve(n)
+            rec = _solve(n)
             failed_at = n + 1
             b = consumed.get(failed_at, 0)
-            if not report.passed and b < bt.k_max:
-                history.intermediates.append(_intermediate(report, program, b, force))
-                while not report.passed and b < bt.k_max and n > 0:
+            if not rec.report.passed and b < bt.k_max:
+                rec.round_of, rec.b = failed_at, b
+                while not rec.report.passed and b < bt.k_max and n > 0:
                     n -= 1
                     b += 1
-                    history.backtracks.append(
-                        BacktrackEvent(failed_step=failed_at, resolved_step=n + 1, b=b)
-                    )
-                    res, report, force = _solve(n)
-                    history.intermediates.append(_intermediate(report, program, b, force))
+                    rec = _solve(n)
+                    rec.round_of, rec.b = failed_at, b
                 consumed[failed_at] = b
 
-            record = StepRecord(
-                step=n + 1,
-                w=program.w(n + 1),
-                u=res.u.copy(),
-                a=res.a.copy(),
-                report=report,
-                bulk_energy=report.erg_next,
-                reaction=force,
-                alt_iters=res.alt_iters,
-                newton_iters_u=res.newton_iters_u,
-                newton_iters_beta=res.newton_iters_beta,
-                irreversibility_violation=bool(
-                    report.d_inc < -_DISS_REL_TOL * (1.0 + dis(history.steps[n].a, kernels, p))
-                ),
-            )
             if n + 1 < len(history.steps):
-                history.steps[n + 1] = record
+                history.steps[n + 1] = rec
                 del history.steps[n + 2 :]  # later states now refer to a replaced chain
             else:
-                history.steps.append(record)
+                history.steps.append(rec)
             n += 1
 
             if on_accept is not None:
@@ -320,16 +305,3 @@ def run(
         history.aborted = True
         history.abort_reason = str(exc)
     return history
-
-
-def _intermediate(report: EnergyReport, program: LoadProgram, b: int, reaction: float) -> IntermediateRecord:
-    return IntermediateRecord(
-        target_step=report.step + 1,
-        w=program.w(report.step + 1),
-        b=b,
-        passed=report.passed,
-        delta=report.delta,
-        lb=report.lb,
-        ub=report.ub,
-        reaction=reaction,
-    )

@@ -37,7 +37,8 @@ class EnergyReport:
     """Per-step energy audit of the two-sided inequality.
 
     ``erg_next`` is the degraded bulk energy of the next state, the ERG part
-    of ``e_next``.
+    of ``e_next``.  ``irreversibility_violation`` flags a ``d_inc`` below
+    -1e-8*(1 + dis(a_n)): the penalty factor is too large for the step.
     """
 
     step: int
@@ -48,6 +49,12 @@ class EnergyReport:
     ub: float
     passed: bool
     erg_next: float
+    irreversibility_violation: bool
+
+
+# Relative tolerance below which a negative incremental dissipation is
+# reported as an irreversibility violation.
+_DISS_REL_TOL = 1e-8
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -90,11 +97,7 @@ def dis(a, kernels: ElementKernels, p: MaterialParams) -> float:
 
 
 def dissipation_increment(a_n, a_next, kernels: ElementKernels, p: MaterialParams) -> float:
-    """Incremental dissipation dis(a_next) - dis(a_n).
-
-    A value below -1e-8*(1 + dis(a_n)) indicates an irreversibility
-    violation (penalty factor too large); the driver reports it.
-    """
+    """Incremental dissipation dis(a_next) - dis(a_n)."""
     return dis(a_next, kernels, p) - dis(a_n, kernels, p)
 
 
@@ -152,7 +155,8 @@ def check_two_sided(
     erg_next_unlifted = erg(u_next, u_d_n, a_next, kernels, p)
     e_next = erg_next + grad_term(a_next, kernels, p)
     e_curr = erg_curr + grad_term(a_n, kernels, p)
-    d_inc = dissipation_increment(a_n, a_next, kernels, p)
+    dis_n = dis(a_n, kernels, p)
+    d_inc = dis(a_next, kernels, p) - dis_n
     delta = e_next - e_curr + d_inc
     ub = erg_curr_lifted - erg_curr
     lb = erg_next - erg_next_unlifted
@@ -166,4 +170,5 @@ def check_two_sided(
         ub=ub,
         passed=bool(passed),
         erg_next=erg_next,
+        irreversibility_violation=bool(d_inc < -_DISS_REL_TOL * (1.0 + dis_n)),
     )

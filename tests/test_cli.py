@@ -13,7 +13,7 @@ from pffrac.driver import BacktrackConfig
 from pffrac.material import MaterialParams
 from pffrac.mesh import select_nodes
 from pffrac.presets import load_preset
-from pffrac.solver import SolverConfig
+from pffrac.solver import SolverConfig, StepFailure
 from pffrac.vtkio import read_field_snapshot, write_field_snapshot
 
 
@@ -455,14 +455,69 @@ class TestCmdRun:
 
         monkeypatch.setattr(driver, "check_two_sided", scripted)
         hist = run_to_dir(cfg, tmp_path / "back")
+        w = resolved_setup(cfg).program.w
         lines = (tmp_path / "back" / "intermediates.csv").read_text().splitlines()
         assert lines[0] == header
         rows = [line.split(",") for line in lines[1:]]
         assert [
             (int(r[0]), float(r[1]), int(r[2]), r[3] == "1", *map(float, r[4:])) for r in rows
-        ] == [(i.target_step, i.w, i.b, i.passed, i.delta, i.lb, i.ub, i.reaction) for i in hist.intermediates]
-        assert [(i.target_step, i.b, i.passed) for i in hist.intermediates] == [(3, 0, False), (2, 1, True)]
-        assert hist.intermediates[-1].reaction == hist.steps[2].reaction != 0.0
+        ] == [
+            (i.step, w(i.step), i.b, i.report.passed, i.report.delta, i.report.lb, i.report.ub, i.reaction)
+            for i in hist.intermediates
+        ]
+        assert [(i.step, i.b, i.report.passed) for i in hist.intermediates] == [(3, 0, False), (2, 1, True)]
+        assert hist.intermediates[-1] is hist.steps[2]
+        assert hist.steps[2].reaction != 0.0
+
+    def test_rerun_drops_earlier_snapshots(self, patch_config, tmp_path):
+        # a shorter run into the directory of a longer one leaves only its
+        # own snapshots
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(patch_config), "--out", str(out), "--steps"]
+        assert main(argv + ["3"]) == 0
+        assert main(argv + ["2"]) == 0
+        assert sorted(f.name for f in (out / "snapshots").iterdir()) == [f"step_{n:06d}.vtk" for n in range(3)]
+
+    def test_abort_after_back_step_keeps_accepted_snapshots(self, patch_config, tmp_path, monkeypatch, capsys):
+        # target 4 fails, then target 3's re-solve; target 2's re-solve is
+        # accepted and the next solve fails: step 3's snapshot belongs to the
+        # replaced chain and goes, and run.json counts every solve
+        real_solve, real_check = driver.alternate_minimize, driver.check_two_sided
+        solves, checks = [], []
+
+        def solve(*args):
+            if len(solves) == 6:
+                raise StepFailure("scripted failure")
+            solves.append(real_solve(*args))
+            return solves[-1]
+
+        def scripted(step, *args, **kw):
+            checks.append(step)
+            rep = real_check(step, *args, **kw)
+            if (step == 3 and checks.count(3) == 1) or (step == 2 and checks.count(2) == 2):
+                rep.passed = False
+            return rep
+
+        monkeypatch.setattr(driver, "alternate_minimize", solve)
+        monkeypatch.setattr(driver, "check_two_sided", scripted)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 3
+        monkeypatch.undo()
+        assert sorted(f.name for f in (out / "snapshots").iterdir()) == [f"step_{n:06d}.vtk" for n in range(3)]
+        info = json.loads((out / "run.json").read_text())
+        assert info["accepted_steps"] == 2
+        assert info["backtrack_events"] == [
+            {"failed_step": 4, "resolved_step": 3, "b": 1}, {"failed_step": 4, "resolved_step": 2, "b": 2}
+        ]
+        accepted = [solves[0], solves[5]]
+        assert info["solver_counters"]["alternations"] == sum(r.alt_iters for r in accepted)
+        assert info["all_solves"] == {
+            "solves": 6,
+            "alternations": sum(r.alt_iters for r in solves),
+            "newton_u": sum(r.newton_iters_u for r in solves),
+            "newton_beta": sum(r.newton_iters_beta for r in solves),
+        }
+        assert main(["check-energy", str(out)]) == 0
 
     def test_patch_run_outputs(self, patch_config, tmp_path):
         out = tmp_path / "out"

@@ -15,7 +15,7 @@ from pffrac.driver import (
 from pffrac.energetics import check_two_sided, erg
 from pffrac.fem import build_kernels, degradation_weights, reaction_force, strain_spectrum
 from pffrac.material import StrainSpectrum
-from pffrac.solver import SolverConfig
+from pffrac.solver import SolverConfig, StepFailure
 
 
 def tension_program(n_steps=6, dw=5e-5):
@@ -278,9 +278,9 @@ class TestBacktrackBookkeeping:
         prog = tension_program(n_steps=4)
         hist = run(prog, BacktrackConfig(k_max=5), SolverConfig(), sent_params, patch)
 
-        assert [(e.failed_step, e.resolved_step, e.b) for e in hist.backtracks] == [(3, 2, 1)]
+        assert [(r.round_of, r.step, r.b) for r in hist.backtracks] == [(3, 2, 1)]
         assert len(hist.intermediates) == 2  # the discarded attempt + the re-solve
-        assert [r.target_step for r in hist.intermediates] == [3, 2]
+        assert [r.step for r in hist.intermediates] == [3, 2]
         assert hist.n_accepted == 4
         assert all(r.report.passed for r in hist.steps[1:])
         # step indices remain contiguous after the replacement
@@ -302,8 +302,54 @@ class TestBacktrackBookkeeping:
         # once exhausted the step is accepted with a failed flag
         assert 3 in hist.k_exhausted_steps
         assert hist.n_accepted == 4
-        assert [(e.failed_step, e.b) for e in hist.backtracks] == [(3, 1), (3, 2)]
+        assert [(r.round_of, r.b) for r in hist.backtracks] == [(3, 1), (3, 2)]
         assert not hist.steps[3].report.passed
+
+    def test_one_record_per_solve(self, patch, sent_params, monkeypatch):
+        # a two-step walk-back, a second round of the same target that
+        # exhausts its budget, then an abort: the log holds one record per
+        # completed solve, in call order, with that solve's state and counts,
+        # and the accepted chain and the back-step views are taken from it
+        results, checks = [], []
+        real_solve, real_check = driver.alternate_minimize, check_two_sided
+
+        def solve(*args):
+            if len(results) == 9:
+                raise StepFailure("scripted failure")
+            results.append(real_solve(*args))
+            return results[-1]
+
+        def scripted(step, *args, **kw):
+            checks.append(step)
+            rep = real_check(step, *args, **kw)
+            # target 3 always fails; target 2 fails on its first re-solve
+            if step == 2 or (step == 1 and checks.count(1) == 2):
+                rep.passed = False
+            return rep
+
+        monkeypatch.setattr(driver, "alternate_minimize", solve)
+        monkeypatch.setattr(driver, "check_two_sided", scripted)
+        hist = run(tension_program(n_steps=5), BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch)
+
+        assert hist.aborted and hist.abort_reason == "scripted failure"
+        assert [r.step for r in hist.solves] == [1, 2, 3, 2, 1, 2, 3, 2, 3]
+        assert len(hist.solves) == len(results) == len(checks) == 9
+        for rec, res in zip(hist.solves, results):
+            assert rec.u is res.u and rec.a is res.a
+            assert (rec.alt_iters, rec.newton_iters_u, rec.newton_iters_beta) == (
+                res.alt_iters, res.newton_iters_u, res.newton_iters_beta
+            )
+        assert [(r.round_of, r.b) for r in hist.solves] == [
+            (None, 0), (None, 0), (3, 0), (3, 1), (3, 2), (None, 0), (3, 2), (3, 3), (None, 0)
+        ]
+        assert [(r.step, r.b, r.report.passed) for r in hist.intermediates] == [
+            (3, 0, False), (2, 1, False), (1, 2, True), (3, 2, False), (2, 3, True)
+        ]
+        assert [(r.round_of, r.step, r.b) for r in hist.backtracks] == [(3, 2, 1), (3, 1, 2), (3, 2, 3)]
+        assert [r.step for r in hist.steps] == [0, 1, 2, 3]
+        assert hist.steps[0].report is None and all(r is not hist.steps[0] for r in hist.solves)
+        assert [next(i for i, r in enumerate(hist.solves) if r is s) for s in hist.steps[1:]] == [4, 7, 8]
+        assert hist.k_exhausted_steps == [3]
 
     def test_on_accept_called_per_acceptance(self, patch, sent_params):
         seen = []

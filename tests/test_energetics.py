@@ -216,6 +216,18 @@ class TestCheckTwoSided:
         assert rep.ub == upper_bound(u_n, ud1, ud2, a_n, kern, sent_params)
         assert rep.lb == lower_bound(u_next, ud1, ud2, a_next, kern, sent_params)
 
+    @pytest.mark.parametrize("shift", [0.0, -0.3], ids=["same_damage", "healed"])
+    def test_irreversibility_flag(self, patch, sent_params, rng, shift):
+        # set where the incremental dissipation is negative beyond
+        # 1e-8*(1 + dis(a_n)): healed damage, never an unchanged one
+        mesh, kern = patch
+        u, _, a_n = random_state(mesh, rng)
+        a_next = np.clip(a_n + shift, 0.0, 1.0)
+        u_d = np.zeros(2 * mesh.n_nodes)
+        rep = fresh_check(0, u, u_d, a_n, u, u_d, a_next, kern, sent_params, 1e-5)
+        assert rep.irreversibility_violation == (shift < 0.0)
+        assert rep.irreversibility_violation == (rep.d_inc < -1e-8 * (1.0 + dis(a_n, kern, sent_params)))
+
     def test_eta_must_be_positive(self, patch, sent_params):
         mesh, kern = patch
         z = np.zeros(2 * mesh.n_nodes)
