@@ -504,7 +504,7 @@ def cmd_check_energy(args) -> int:
             counts["full"] += 1
             u_d_prev = lifting_for_step(setup.program, step - 1, mesh)
             report = check_two_sided(
-                step - 1, prev[1], u_d_prev, prev[2], u, u_d, a, kernels, p, eta,
+                prev[1], u_d_prev, prev[2], u, u_d, a, kernels, p, eta,
                 erg_curr=prev[3], erg_next=bulk,
             )
             sum_d += report.d_inc

@@ -251,7 +251,6 @@ def run(
         res = alternate_minimize(guess.u, guess.a, prev.a, u_d_next, kernels, p, cfg, dofmap)
         rw = degradation_weights(kernels, res.a, p)
         report = check_two_sided(
-            step_n,
             prev.u,
             lifting_for_step(program, step_n, mesh),
             prev.a,

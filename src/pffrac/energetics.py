@@ -41,7 +41,6 @@ class EnergyReport:
     -1e-8*(1 + dis(a_n)): the penalty factor is too large for the step.
     """
 
-    step: int
     e_next: float
     d_inc: float
     delta: float
@@ -125,7 +124,6 @@ def functional_from_psi(psi_p, psi_m, a, a_n, dis_n, kernels: ElementKernels, p:
 
 
 def check_two_sided(
-    step: int,
     u_n,
     u_d_n,
     a_n,
@@ -162,7 +160,6 @@ def check_two_sided(
     lb = erg_next - erg_next_unlifted
     passed = (lb - eta <= delta) and (delta <= ub + eta)
     return EnergyReport(
-        step=step,
         e_next=e_next,
         d_inc=d_inc,
         delta=delta,

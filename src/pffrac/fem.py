@@ -6,16 +6,21 @@ damage has one dof per node.  The total displacement field is always the sum
 ``U + U_D`` of the free vector U (zero on constrained dofs) and the Dirichlet
 lifting U_D (prescribed values on constrained dofs, zero elsewhere).
 
-Assembly is vectorized over elements.  Vectors and matrices are summed by
-``np.bincount`` in element order, so identical inputs produce bitwise
-identical residuals and matrices.  Each matrix has a sparsity pattern built
-once, on its first assembly, and kept on the kernels: the CSC index arrays
-plus the data slot of every element entry, so assembling is a single
-``bincount`` into the data array.  The damage pattern covers all nodes (it
-is the node graph) and comes with the element blocks that do not depend on
-the state (gradient stiffness and P1 mass products); the displacement pattern
-covers the free dofs of one ``DofMap`` and is derived from the damage
-pattern.
+Assembly is vectorized over elements.  Vectors are summed by
+``np.bincount`` and matrices by ``np.add.at``, both in element order and
+from zero, so identical inputs produce bitwise identical residuals and
+matrices.  Each matrix has a sparsity pattern built once, on its first
+assembly, and kept on the kernels: the CSC index arrays plus the data slot
+of every element entry, in the CSC index dtype (int32 below 2**31 - 1
+entries).  Assembling adds blocks of consecutive element matrices into the
+data array through their slots, so the displacement tangent is formed one
+block of elements at a time and its temporaries stay at the size of one
+block (``_BLOCK_BYTES``) whatever the mesh size; the damage tangent, whose
+element matrices are small, goes as one block.  The damage pattern covers
+all nodes (it is the node graph) and comes with the element blocks that do
+not depend on the state (gradient stiffness and P1 mass products); the
+displacement pattern covers the free dofs of one ``DofMap`` and is derived
+from the damage pattern.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .linsolve import BandOrdering, concat_ranges, pseudo_peripheral_rcm
+from .linsolve import BandOrdering, concat_ranges, index_dtype, pseudo_peripheral_rcm
 from .material import (
     AT2,
     MaterialParams,
@@ -53,6 +58,12 @@ __all__ = [
     "residual_and_tangent_beta",
     "reaction_force",
 ]
+
+# Bytes of the temporaries of one block of the displacement-tangent
+# assembly: the block's tangent split, material tangents and element
+# matrices, about _BLOCK_DOUBLES[dim] doubles per element.
+_BLOCK_BYTES = 8 * 2**20
+_BLOCK_DOUBLES = {2: 140, 3: 470}
 
 
 @dataclass(frozen=True)
@@ -278,9 +289,12 @@ class SparsityPattern:
 
     ``slot`` gives the position in the data array of each element-matrix
     entry, in ``k_e.ravel()`` order; entries on dofs left out of the system
-    go one past the end and are dropped.  The pattern is symmetric, so its
-    CSC and CSR index arrays coincide.  ``ordering`` is the band ordering
-    every matrix assembled on the pattern is factored with.
+    go one past the end and are dropped.  It has the dtype of the CSC index
+    arrays, ``index_dtype`` of the entry count.  ``assemble`` adds element
+    matrices through it block by block, in element order.  The pattern is
+    symmetric, so its CSC and CSR index arrays coincide.  ``ordering`` is
+    the band ordering every matrix assembled on the pattern is factored
+    with.
     """
 
     n: int
@@ -298,7 +312,7 @@ class SparsityPattern:
         keys, slot = np.unique(cols * n + rows, return_inverse=True)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        return cls._from_csc(n, indptr, keys % n, slot.astype(np.intp, copy=False))
+        return cls._from_csc(n, indptr, keys % n, slot.astype(index_dtype(keys.size)))
 
     @classmethod
     def from_node_pattern(
@@ -347,7 +361,7 @@ class SparsityPattern:
         dof_start = indptr[first[:, None] + rank]  # column start of free dof (node, c)
         n_e, nen = elements.shape
         node_slot = nodes.slot.reshape(n_e, nen, nen)
-        slot = np.empty((n_e, nen, dim, nen, dim), dtype=np.intp)
+        slot = np.empty((n_e, nen, dim, nen, dim), dtype=index_dtype(nnz))
         col_free = free[elements][:, None, :, :]
         elem_start = dof_start[elements]
         for a in range(nen):
@@ -373,11 +387,21 @@ class SparsityPattern:
             ordering = BandOrdering.narrower(proto.indptr, proto.indices, perm)
         return cls(n=n, indptr=proto.indptr, indices=proto.indices, slot=slot, ordering=ordering)
 
-    def assemble(self, k_e: np.ndarray) -> sp.csc_matrix:
-        """Sum element matrices (n_e, nd, nd) into a CSC matrix."""
+    def assemble(self, blocks) -> sp.csc_matrix:
+        """Sum element matrices into a CSC matrix.  ``blocks`` yields the
+        matrices (m, nd, nd) of consecutive elements, from the first to the
+        last; they are added into the data array in that order, so any
+        split into blocks gives the same sums, bit for bit."""
         nnz = self.indices.size
-        data = np.bincount(self.slot, weights=k_e.ravel(), minlength=nnz + 1)[:nnz]
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        data = np.zeros(nnz + 1)
+        lo = 0
+        for k_e in blocks:
+            hi = lo + k_e.size
+            np.add.at(data, self.slot[lo:hi], k_e.ravel())
+            lo = hi
+        if lo != self.slot.size:
+            raise ValueError(f"assembled {lo} element-matrix entries of {self.slot.size}")
+        return sp.csc_matrix((data[:nnz], self.indices, self.indptr), shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -427,10 +451,29 @@ def residual_and_tangent_u(
     The tangent is a CSC matrix, SPD for damage below one and k > 0.
     """
     full = _force(spectrum, rw, kernels, p)
+    return full[dofmap.free], u_pattern(kernels, dofmap).assemble(_tangent_u_blocks(spectrum, rw, kernels, p))
+
+
+def _tangent_u_blocks(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams):
+    """Element matrices of the displacement tangent, one block of
+    ``_BLOCK_BYTES`` of temporaries at a time, from views of the state's
+    spectrum (its eigenvectors are already built by ``_force``).  Each
+    block is formed in its own call, so its temporaries are freed before
+    the next one is formed."""
+    n_e = kernels.b_u.shape[0]
+    size = max(1, _BLOCK_BYTES // (8 * _BLOCK_DOUBLES[kernels.dim]))
+    for lo in range(0, n_e, size):
+        hi = min(lo + size, n_e)
+        yield _element_tangents_u(spectrum.rows(lo, hi), rw[lo:hi], kernels.measures[lo:hi], kernels.b_u[lo:hi], p)
+
+
+def _element_tangents_u(spectrum: StrainSpectrum, rw, measures, b_u, p: MaterialParams):
+    """Element matrices B^T C B of the displacement tangent, with C the
+    split tangent weighted by the degradation weights ``rw`` (tension) and
+    the element measures (compression)."""
     cp, cm = tangent_split(spectrum, p)
-    c_e = rw[:, None, None] * cp + kernels.measures[:, None, None] * cm
-    k_e = np.einsum("evi,evj->eij", kernels.b_u, c_e @ kernels.b_u)
-    return full[dofmap.free], u_pattern(kernels, dofmap).assemble(k_e)
+    c_e = rw[:, None, None] * cp + measures[:, None, None] * cm
+    return np.einsum("evi,evj->eij", b_u, c_e @ b_u)
 
 
 def residual_and_tangent_beta(psi_p, a, a_n, kernels: ElementKernels, p: MaterialParams):
@@ -458,7 +501,7 @@ def residual_and_tangent_beta(psi_p, a, a_n, kernels: ElementKernels, p: Materia
     f_e += (p.gc * p.ell) * np.einsum("eij,ej->ei", blk.grad, a[kernels.elements])
     k_e = (kernels.wj * coeff_qp) @ blk.mass
     k_e += (p.gc * p.ell) * blk.grad.reshape(k_e.shape)
-    return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes), blk.pattern.assemble(k_e)
+    return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes), blk.pattern.assemble([k_e])
 
 
 def reaction_force(

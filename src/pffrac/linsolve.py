@@ -1,8 +1,8 @@
 """Sparse symmetric positive-definite solves for the Newton tangents.
 
-Each tangent is factored by LAPACK banded Cholesky (``dpbtrf``/``dpbtrs``
-through ``scipy.linalg.cholesky_banded``) after a reverse Cuthill-McKee
-reordering, which keeps the band of the P1 finite-element graphs narrow.
+Each tangent is factored by LAPACK banded Cholesky (``dpbtrf``/``dpbtrs``,
+called directly) after a reverse Cuthill-McKee reordering, which keeps the
+band of the P1 finite-element graphs narrow.
 The ordering depends only on the sparsity structure, so a ``BandOrdering``
 is built once per structure: it holds the permutation and the band-storage
 slot of every stored upper-triangle entry, and each factorization is then a
@@ -31,6 +31,7 @@ __all__ = [
     "concat_ranges",
     "pseudo_peripheral_rcm",
     "BAND_BYTES_BUDGET",
+    "index_dtype",
 ]
 
 # Band storage, (bandwidth + 1) * n doubles, above which the direct
@@ -39,6 +40,16 @@ BAND_BYTES_BUDGET = 2 * 1024**3
 
 _DIRECT_RTOL = 1e-10
 _CG_RTOL = 1e-8
+
+# Banded Cholesky factorization and solve, fetched once.
+_PBTRF, _PBTRS = sla.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+
+
+def index_dtype(maxval: int) -> type:
+    """Index dtype for values up to ``maxval``: int32 below 2**31 - 1, else
+    int64 (scipy's choice for the index arrays of a sparse matrix with
+    ``maxval`` entries)."""
+    return np.int32 if maxval < np.iinfo(np.int32).max else np.int64
 
 
 class LinearSolveError(RuntimeError):
@@ -53,8 +64,9 @@ class BandOrdering:
     ``perm[i]`` is the original index of reordered row i and ``inv`` its
     inverse.  ``upper`` lists the data positions of the stored entries that
     fall on or above the reordered diagonal, and ``slot`` their flat index
-    into the column-major ``(bandwidth + 1, n)`` array that
-    ``cholesky_banded`` reads (``ab[bandwidth + i - j, j] = a[i, j]``).
+    into the column-major ``(bandwidth + 1, n)`` array that ``dpbtrf``
+    reads (``ab[bandwidth + i - j, j] = a[i, j]``).  Both take the
+    ``index_dtype`` of the largest value they may hold.
     """
 
     indptr: np.ndarray
@@ -90,6 +102,8 @@ class BandOrdering:
         offset = cols[upper] - rows[upper]
         bandwidth = int(offset.max(initial=0))
         slot = (bandwidth - offset) + cols[upper] * (bandwidth + 1)
+        upper = upper.astype(index_dtype(indices.size))
+        slot = slot.astype(index_dtype((bandwidth + 1) * n))
         return cls(indptr, indices, perm, inv, bandwidth, upper, slot)
 
     @classmethod
@@ -217,12 +231,10 @@ def _banded_solve(a: sp.csc_matrix, b: np.ndarray, o: BandOrdering) -> np.ndarra
     n, bw = o.n, o.bandwidth
     flat = np.zeros((bw + 1) * n)
     flat[o.slot] = a.data[o.upper]
-    ab = flat.reshape((bw + 1, n), order="F")
-    try:
-        c = sla.cholesky_banded(ab, overwrite_ab=True, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"indefinite/singular tangent: {exc}") from exc
-    y = sla.cho_solve_banded((c, False), b[o.perm], overwrite_b=True, check_finite=False)
+    c, info = _PBTRF(flat.reshape((bw + 1, n), order="F"), lower=0, overwrite_ab=1)
+    if info > 0:
+        raise LinearSolveError(f"indefinite/singular tangent: {info}-th leading minor not positive definite")
+    y, _ = _PBTRS(c, b[o.perm], lower=0, overwrite_b=1)
     return y[o.inv]
 
 

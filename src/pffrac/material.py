@@ -227,6 +227,16 @@ class StrainSpectrum:
         """Shape of the strain batch."""
         return self.eps.shape
 
+    def rows(self, lo: int, hi: int) -> "StrainSpectrum":
+        """Spectrum of the strains [lo, hi) along the first axis: views of
+        this spectrum's strains and eigenpairs (the vectors are built here
+        first if they were not yet)."""
+        view = object.__new__(StrainSpectrum)
+        view.eps = self.eps[lo:hi]
+        view.eigvals = self.eigvals[lo:hi]
+        view._eigvecs = self.eigvecs[lo:hi]
+        return view
+
     @property
     def eigvecs(self) -> np.ndarray:
         if self._eigvecs is None and self.eps.shape[-1] == 3:

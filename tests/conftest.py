@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import settings
 
+import pffrac.driver as driver
 from pffrac.fem import (
     DofMap,
     build_kernels,
@@ -82,6 +83,26 @@ def internal_force(u, u_d, a, kernels, p):
     """Unconstrained internal force at the displacement u + u_d and the
     damage a: the displacement residual when no dof is constrained."""
     return displacement_system(u, u_d, a, kernels, p, DofMap.from_constraints(kernels.mesh, []))[0]
+
+
+def scripted_checks(monkeypatch, fail) -> list:
+    """Make ``driver.run`` see a failed energy check on the solves for which
+    ``fail(step, nth)`` holds: ``step`` is the step the solve reached (its
+    record's ``step``) and ``nth`` counts the solves of that step so far,
+    this one included.  Returns the list of solved steps, in call order."""
+    steps = []
+    real = driver.SolveRecord
+
+    def record(**kw):
+        rec = real(**kw)
+        if rec.report is not None:  # not the initial state
+            steps.append(rec.step)
+            if fail(rec.step, steps.count(rec.step)):
+                rec.report.passed = False
+        return rec
+
+    monkeypatch.setattr(driver, "SolveRecord", record)
+    return steps
 
 
 def rcm_solve(a, b):

@@ -34,11 +34,11 @@ def stored_energy(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> floa
     return erg(u1, u2, a, kernels, p) + grad_term(a, kernels, p)
 
 
-def fresh_check(step, u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels: ElementKernels, p: MaterialParams, eta):
+def fresh_check(u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels: ElementKernels, p: MaterialParams, eta):
     """``check_two_sided`` of the step pair (n, n+1) with the bulk energy of
     each state under its own lifting evaluated here."""
     return check_two_sided(
-        step, u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels, p, eta,
+        u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels, p, eta,
         erg_curr=erg(u_n, u_d_n, a_n, kernels, p),
         erg_next=erg(u_next, u_d_next, a_next, kernels, p),
     )

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import box_mesh, facets_on
+from conftest import box_mesh, facets_on, scripted_checks
 from oracles import fresh_check, read_snapshot_by_line, write_gmsh
 from pffrac import cli, driver, energetics, presets
 from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, resolve_config, run_to_dir
@@ -444,16 +444,7 @@ class TestCmdRun:
         assert not hist.backtracks
         assert (tmp_path / "plain" / "intermediates.csv").read_text().splitlines() == [header]
 
-        real_check, failed = driver.check_two_sided, []
-
-        def scripted(step, *args, **kw):
-            rep = real_check(step, *args, **kw)
-            if step == 2 and not failed:
-                failed.append(step)
-                rep.passed = False
-            return rep
-
-        monkeypatch.setattr(driver, "check_two_sided", scripted)
+        scripted_checks(monkeypatch, lambda step, nth: step == 3 and nth == 1)
         hist = run_to_dir(cfg, tmp_path / "back")
         w = resolved_setup(cfg).program.w
         lines = (tmp_path / "back" / "intermediates.csv").read_text().splitlines()
@@ -482,8 +473,8 @@ class TestCmdRun:
         # target 4 fails, then target 3's re-solve; target 2's re-solve is
         # accepted and the next solve fails: step 3's snapshot belongs to the
         # replaced chain and goes, and run.json counts every solve
-        real_solve, real_check = driver.alternate_minimize, driver.check_two_sided
-        solves, checks = [], []
+        real_solve = driver.alternate_minimize
+        solves = []
 
         def solve(*args):
             if len(solves) == 6:
@@ -491,15 +482,8 @@ class TestCmdRun:
             solves.append(real_solve(*args))
             return solves[-1]
 
-        def scripted(step, *args, **kw):
-            checks.append(step)
-            rep = real_check(step, *args, **kw)
-            if (step == 3 and checks.count(3) == 1) or (step == 2 and checks.count(2) == 2):
-                rep.passed = False
-            return rep
-
         monkeypatch.setattr(driver, "alternate_minimize", solve)
-        monkeypatch.setattr(driver, "check_two_sided", scripted)
+        scripted_checks(monkeypatch, lambda step, nth: (step == 4 and nth == 1) or (step == 3 and nth == 2))
         out = tmp_path / "o"
         assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 3
         monkeypatch.undo()

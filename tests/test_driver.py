@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import box_mesh
+from conftest import box_mesh, scripted_checks
 from oracles import fresh_check
 import pffrac.driver as driver
 from pffrac.driver import (
@@ -12,7 +12,7 @@ from pffrac.driver import (
     lifting_for_step,
     run,
 )
-from pffrac.energetics import check_two_sided, erg
+from pffrac.energetics import erg
 from pffrac.fem import build_kernels, degradation_weights, reaction_force, strain_spectrum
 from pffrac.material import StrainSpectrum
 from pffrac.solver import SolverConfig, StepFailure
@@ -156,18 +156,8 @@ class TestRun:
             solves.append((saved, res))
             return res
 
-        fail_once = []
-        real_check = check_two_sided
-
-        def scripted(step, *args, **kw):
-            rep = real_check(step, *args, **kw)
-            if step == 3 and not fail_once:
-                fail_once.append(step)
-                rep.passed = False
-            return rep
-
         monkeypatch.setattr(driver, "alternate_minimize", spy)
-        monkeypatch.setattr(driver, "check_two_sided", scripted)
+        scripted_checks(monkeypatch, lambda step, nth: step == 4 and nth == 1)
         prog = tension_program(n_steps=5, dw=2e-4)
         hist = run(prog, BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch)
         assert hist.n_accepted == 5 and hist.backtracks
@@ -203,7 +193,7 @@ class TestReusedDecomposition:
         # once, plus the initial one; and every stored figure is the one a
         # fresh evaluation gives, bit for bit, across a back step
         counts = {"outside": 0, "solves": 0, "reactions": 0}
-        checks, inside = [], []
+        inside = []
         real_init, real_solve, real_reaction = StrainSpectrum.__init__, driver.alternate_minimize, reaction_force
 
         def spectrum_init(self, eps):
@@ -222,17 +212,10 @@ class TestReusedDecomposition:
             counts["reactions"] += 1
             return real_reaction(*args)
 
-        def scripted(step, *args, **kw):
-            checks.append(step)
-            rep = check_two_sided(step, *args, **kw)
-            if step == 2 and checks.count(2) == 1:
-                rep.passed = False
-            return rep
-
         monkeypatch.setattr(StrainSpectrum, "__init__", spectrum_init)
         monkeypatch.setattr(driver, "alternate_minimize", solve)
         monkeypatch.setattr(driver, "reaction_force", reaction)
-        monkeypatch.setattr(driver, "check_two_sided", scripted)
+        checks = scripted_checks(monkeypatch, lambda step, nth: step == 3 and nth == 1)
         prog = tension_program(n_steps=4, dw=2e-4)
         direction = np.array([0.0, 1.0])
         hist = run(
@@ -252,7 +235,7 @@ class TestReusedDecomposition:
             assert rec.reaction == reaction_force(spectrum, rw, kern, sent_params, "ymax", direction)
             if prev is not None:
                 want = fresh_check(
-                    prev.step, prev.u, lifting_for_step(prog, prev.step, patch), prev.a,
+                    prev.u, lifting_for_step(prog, prev.step, patch), prev.a,
                     rec.u, u_d, rec.a, kern, sent_params, BacktrackConfig().eta,
                 )
                 assert rec.report == want
@@ -263,18 +246,7 @@ class TestBacktrackBookkeeping:
         # fail the first evaluation of the pair (2, 3), pass everything else:
         # the driver must step back once, re-solve step 2 with the discarded
         # state as guess, then traverse forward through step 3 again
-        calls = []
-        real = check_two_sided
-
-        def scripted(step, *args, **kw):
-            rep = real(step, *args, **kw)
-            first_time = not any(c == step for c in calls)
-            calls.append(step)
-            if step == 2 and first_time:
-                rep.passed = False
-            return rep
-
-        monkeypatch.setattr(driver, "check_two_sided", scripted)
+        scripted_checks(monkeypatch, lambda step, nth: step == 3 and nth == 1)
         prog = tension_program(n_steps=4)
         hist = run(prog, BacktrackConfig(k_max=5), SolverConfig(), sent_params, patch)
 
@@ -287,15 +259,7 @@ class TestBacktrackBookkeeping:
         assert [r.step for r in hist.steps] == [0, 1, 2, 3, 4]
 
     def test_k_exhaustion_accepts_with_flag(self, patch, sent_params, monkeypatch):
-        real = check_two_sided
-
-        def always_fail_step2(step, *args, **kw):
-            rep = real(step, *args, **kw)
-            if step == 2:
-                rep.passed = False
-            return rep
-
-        monkeypatch.setattr(driver, "check_two_sided", always_fail_step2)
+        scripted_checks(monkeypatch, lambda step, nth: step == 3)
         prog = tension_program(n_steps=4)
         hist = run(prog, BacktrackConfig(k_max=2), SolverConfig(), sent_params, patch)
         # the budget for target 3 is consumed over repeated failure rounds;
@@ -310,8 +274,8 @@ class TestBacktrackBookkeeping:
         # exhausts its budget, then an abort: the log holds one record per
         # completed solve, in call order, with that solve's state and counts,
         # and the accepted chain and the back-step views are taken from it
-        results, checks = [], []
-        real_solve, real_check = driver.alternate_minimize, check_two_sided
+        results = []
+        real_solve = driver.alternate_minimize
 
         def solve(*args):
             if len(results) == 9:
@@ -319,16 +283,9 @@ class TestBacktrackBookkeeping:
             results.append(real_solve(*args))
             return results[-1]
 
-        def scripted(step, *args, **kw):
-            checks.append(step)
-            rep = real_check(step, *args, **kw)
-            # target 3 always fails; target 2 fails on its first re-solve
-            if step == 2 or (step == 1 and checks.count(1) == 2):
-                rep.passed = False
-            return rep
-
         monkeypatch.setattr(driver, "alternate_minimize", solve)
-        monkeypatch.setattr(driver, "check_two_sided", scripted)
+        # target 3 always fails; target 2 fails on its first re-solve
+        checks = scripted_checks(monkeypatch, lambda step, nth: step == 3 or (step == 2 and nth == 2))
         hist = run(tension_program(n_steps=5), BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch)
 
         assert hist.aborted and hist.abort_reason == "scripted failure"

@@ -156,7 +156,7 @@ class TestCheckTwoSided:
         mesh, kern = patch
         u, a, a_n = random_state(mesh, rng)
         u_d = np.zeros(2 * mesh.n_nodes)
-        rep = fresh_check(3, u, u_d, a_n, u, u_d, a_n, kern, sent_params, 1e-5)
+        rep = fresh_check(u, u_d, a_n, u, u_d, a_n, kern, sent_params, 1e-5)
         assert rep.lb == 0.0 and rep.ub == 0.0
         assert rep.passed and abs(rep.delta) <= 1e-5
 
@@ -167,7 +167,7 @@ class TestCheckTwoSided:
         # same lifting so both bounds vanish; growing damage makes delta > 0
         a_big = np.clip(a_n + 0.3, 0, 1)
         eta = 1e-9
-        rep = fresh_check(0, u, u_d, a_n, u, u_d, a_big, kern, sent_params, eta)
+        rep = fresh_check(u, u_d, a_n, u, u_d, a_big, kern, sent_params, eta)
         assert rep.delta > rep.ub + eta
         assert not rep.passed
 
@@ -178,7 +178,7 @@ class TestCheckTwoSided:
         ud2 = ud1.copy()
         ud2[1::2] = 1e-3 * mesh.nodes[:, 1]
         eta = 1e-5
-        rep = fresh_check(0, u, ud1, a_n, u, ud2, a, kern, sent_params, eta)
+        rep = fresh_check(u, ud1, a_n, u, ud2, a, kern, sent_params, eta)
         assert rep.passed == (rep.lb - eta <= rep.delta <= rep.ub + eta)
         e_curr = stored_energy(u, ud1, a_n, kern, sent_params)
         assert rep.delta == pytest.approx(rep.e_next - e_curr + rep.d_inc, rel=1e-12)
@@ -204,7 +204,7 @@ class TestCheckTwoSided:
 
         monkeypatch.setattr(energetics, "erg", spy)
         rep = check_two_sided(
-            0, u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, 1e-5, erg_curr=erg_curr, erg_next=erg_next
+            u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, 1e-5, erg_curr=erg_curr, erg_next=erg_next
         )
         assert len(calls) == 2
         monkeypatch.undo()
@@ -224,7 +224,7 @@ class TestCheckTwoSided:
         u, _, a_n = random_state(mesh, rng)
         a_next = np.clip(a_n + shift, 0.0, 1.0)
         u_d = np.zeros(2 * mesh.n_nodes)
-        rep = fresh_check(0, u, u_d, a_n, u, u_d, a_next, kern, sent_params, 1e-5)
+        rep = fresh_check(u, u_d, a_n, u, u_d, a_next, kern, sent_params, 1e-5)
         assert rep.irreversibility_violation == (shift < 0.0)
         assert rep.irreversibility_violation == (rep.d_inc < -1e-8 * (1.0 + dis(a_n, kern, sent_params)))
 
@@ -233,7 +233,7 @@ class TestCheckTwoSided:
         z = np.zeros(2 * mesh.n_nodes)
         a = np.zeros(mesh.n_nodes)
         with pytest.raises(ValueError):
-            fresh_check(0, z, z, a, z, z, a, kern, sent_params, 0.0)
+            fresh_check(z, z, a, z, z, a, kern, sent_params, 0.0)
 
 
 def test_penalty_energy_zero_iff_admissible(patch, sent_params, rng):

@@ -21,7 +21,7 @@ from pffrac.fem import (
     strain_voigt,
     u_pattern,
 )
-from pffrac import solver
+from pffrac import fem, solver
 from pffrac.driver import build_dofmap, lifting_for_step
 from pffrac.linsolve import BandOrdering, factor_solve
 from pffrac.mesh import generate_grid
@@ -466,13 +466,15 @@ def preset_pattern(request):
 
 
 def assert_oracle_pattern(kern, dm, pat):
-    """The pattern is bitwise the one sorted out of every element entry."""
+    """The pattern is bitwise the one sorted out of every element entry,
+    with its slots in the pattern's index dtype."""
     keep_map = -np.ones(dm.n_dofs, dtype=np.int64)
     keep_map[dm.free] = np.arange(dm.free.size)
     want = element_dofs_pattern(kern.udofs, dm.free.size, keep_map)
     assert pat.n == dm.free.size
-    for got, ref in zip((pat.indptr, pat.indices, pat.slot), want):
+    for got, ref in zip((pat.indptr, pat.indices), want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert pat.slot.dtype == pat.indices.dtype and np.array_equal(pat.slot, want[2])
 
 
 class TestUPattern:
@@ -527,4 +529,59 @@ class TestUPattern:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * pat.slot.nbytes
+        # the bound is stated in bytes of an intp slot array, whatever the
+        # slot dtype
+        assert peak <= 3 * 8 * pat.slot.size
+
+
+@pytest.fixture(scope="module")
+def bend3d_state():
+    """Kernels, dof map, pattern and a step-1 state of bend3d@0.1 with
+    damage, its spectrum's eigenvectors built."""
+    setup = load_preset("bend3d", 0.1)
+    kern = build_kernels(setup.mesh)
+    dm = build_dofmap(setup.mesh, setup.program)
+    rng = np.random.default_rng(7)
+    u_d = lifting_for_step(setup.program, 1, setup.mesh)
+    spec = strain_spectrum(kern, 1e-3 * rng.normal(size=u_d.size) + u_d)
+    spec.eigvecs
+    rw = degradation_weights(kern, rng.uniform(0.0, 0.9, setup.mesh.n_nodes), setup.params)
+    return kern, dm, u_pattern(kern, dm), spec, rw, setup.params
+
+
+class TestBlockAssembly:
+    def _block_bytes(self, n):
+        return n * 8 * fem._BLOCK_DOUBLES[3]
+
+    def test_blocks_match_one_block_bitwise(self, bend3d_state, monkeypatch):
+        kern, dm, pat, spec, rw, p = bend3d_state
+        n_e = kern.elements.shape[0]
+        monkeypatch.setattr(fem, "_BLOCK_BYTES", self._block_bytes(n_e))
+        r1, k1 = fem.residual_and_tangent_u(spec, rw, kern, p, dm)
+        # the whole-mesh element matrices summed by bincount, in element order
+        cp, cm = tangent_split(spec, p)
+        c_e = rw[:, None, None] * cp + kern.measures[:, None, None] * cm
+        k_e = np.einsum("evi,evj->eij", kern.b_u, c_e @ kern.b_u)
+        data = np.bincount(pat.slot, weights=k_e.ravel(), minlength=pat.indices.size + 1)[:-1]
+        assert np.array_equal(k1.data, data)
+        for size in (1000, 7):
+            assert n_e % size  # a last, shorter block
+            monkeypatch.setattr(fem, "_BLOCK_BYTES", self._block_bytes(size))
+            r, k = fem.residual_and_tangent_u(spec, rw, kern, p, dm)
+            assert np.array_equal(r, r1)
+            assert np.array_equal(k.data, k1.data)
+            assert np.shares_memory(k.indices, pat.indices)
+
+    def test_peak_memory_is_one_block(self, bend3d_state, monkeypatch):
+        # with small blocks, one call allocates the data array, the
+        # whole-mesh residual (about 1.8x the data) and one block; summing
+        # whole-mesh element matrices peaks at about 12x the data
+        kern, dm, pat, spec, rw, p = bend3d_state
+        monkeypatch.setattr(fem, "_BLOCK_BYTES", 2**18)
+        tracemalloc.start()
+        try:
+            fem.residual_and_tangent_u(spec, rw, kern, p, dm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * pat.indices.size + 2**18
