@@ -11,7 +11,9 @@ run          execute a load program (preset or config file), writing
 check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run and compare against energy.csv; with
              snapshot_every > 1 only the steps with snapshots are
-             recomputed, and a failure energy.csv records on any step stands
+             recomputed, and a failure energy.csv records on any step
+             stands; the summary of an aborted run gives its accepted steps
+             and the abort reason
 export       print a preset as a forkable INI config
 
 Configs are flat INI sections ([run], [material], [program], [solver],
@@ -542,10 +544,13 @@ def cmd_check_energy(args) -> int:
     if failing:
         print("two-sided inequality fails at steps: " + ", ".join(map(str, failing)), file=sys.stderr)
         return 1
-    print(
+    summary = (
         f"energy audit ok ({len(rows) - 1} steps: {counts['full']} fully checked, "
         f"{counts['partial']} checked for E and sum_D only, {counts['skipped']} without snapshot)"
     )
+    if info.get("aborted"):
+        summary += f"; the run aborted after {info['accepted_steps']} accepted steps: {info['abort_reason']}"
+    print(summary)
     return 0
 
 

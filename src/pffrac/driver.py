@@ -28,6 +28,7 @@ from .fem import (
     reaction_force,
     strain_spectrum,
 )
+from .linsolve import LinearSolveError
 from .material import MaterialParams
 from .mesh import Mesh
 from .solver import SolverConfig, StepFailure, alternate_minimize
@@ -212,8 +213,11 @@ def run(
 
     Every solve goes through the module-level ``alternate_minimize`` and
     starts from the running guess: the last solve's state, discarded or not.
-    A solver failure ends the run with ``aborted`` set and the history so
-    far; the failing solve leaves no record.
+    A solver failure, or a linear system whose band exceeds
+    ``linsolve.BAND_BYTES_BUDGET`` (refused while its ordering is built, in
+    the first solve), ends the run with ``aborted`` set, the message as
+    ``abort_reason`` and the history so far; the failing solve leaves no
+    record.
     """
     check_run_inputs(mesh, program, reaction)
     kernels = build_kernels(mesh)
@@ -300,7 +304,7 @@ def run(
 
             if on_accept is not None:
                 on_accept(history)
-    except StepFailure as exc:
+    except (StepFailure, LinearSolveError) as exc:
         history.aborted = True
         history.abort_reason = str(exc)
     return history

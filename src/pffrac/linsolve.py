@@ -7,9 +7,9 @@ The ordering depends only on the sparsity structure, so a ``BandOrdering``
 is built once per structure: it holds the permutation and the band-storage
 slot of every stored upper-triangle entry, and each factorization is then a
 zeroed band array, one scatter of the matrix data and one LAPACK call.
-Systems whose band would take more than ``BAND_BYTES_BUDGET`` fall back to
-conjugate gradients with a Jacobi preconditioner; the band size is known
-from the ordering, before anything is allocated.  Solutions are
+This is the only solve path.  A structure whose band would take more than
+``BAND_BYTES_BUDGET`` is refused while its ordering is built, as soon as
+the bandwidth is known and before any band is allocated.  Solutions are
 residual-checked, and a tangent that is not positive definite is reported
 instead of silently returning garbage.
 """
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 __all__ = [
@@ -34,12 +33,11 @@ __all__ = [
     "index_dtype",
 ]
 
-# Band storage, (bandwidth + 1) * n doubles, above which the direct
-# factorization is replaced by CG.
+# Band storage, (bandwidth + 1) * n doubles, above which a structure is
+# refused when its ordering is built.
 BAND_BYTES_BUDGET = 2 * 1024**3
 
 _DIRECT_RTOL = 1e-10
-_CG_RTOL = 1e-8
 
 # Banded Cholesky factorization and solve, fetched once.
 _PBTRF, _PBTRS = sla.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
@@ -53,7 +51,8 @@ def index_dtype(maxval: int) -> type:
 
 
 class LinearSolveError(RuntimeError):
-    """Factorization breakdown or unacceptable solve residual."""
+    """A band over ``BAND_BYTES_BUDGET``, a factorization breakdown or an
+    unacceptable solve residual."""
 
 
 @dataclass(frozen=True)
@@ -81,16 +80,13 @@ class BandOrdering:
     def n(self) -> int:
         return self.perm.size
 
-    @property
-    def band_bytes(self) -> int:
-        """Size of the band array a factorization fills."""
-        return (self.bandwidth + 1) * self.n * 8
-
     @classmethod
     def from_structure(cls, indptr: np.ndarray, indices: np.ndarray, perm=None) -> "BandOrdering":
         """Band storage of the symmetric CSC structure (indptr, indices) under
         ``perm``, by default scipy's reverse Cuthill-McKee order of its
-        graph."""
+        graph.  Raises LinearSolveError as soon as the bandwidth is known,
+        before any band exists, when the band would exceed
+        ``BAND_BYTES_BUDGET``."""
         n = indptr.size - 1
         if perm is None:
             perm = _scipy_rcm(indptr, indices)
@@ -101,6 +97,12 @@ class BandOrdering:
         upper = np.flatnonzero(rows <= cols)
         offset = cols[upper] - rows[upper]
         bandwidth = int(offset.max(initial=0))
+        band_bytes = (bandwidth + 1) * n * 8
+        if band_bytes > BAND_BYTES_BUDGET:
+            raise LinearSolveError(
+                f"band of {band_bytes} bytes (bandwidth {bandwidth}, n {n}) "
+                f"exceeds the budget of {BAND_BYTES_BUDGET} bytes"
+            )
         slot = (bandwidth - offset) + cols[upper] * (bandwidth + 1)
         upper = upper.astype(index_dtype(indices.size))
         slot = slot.astype(index_dtype((bandwidth + 1) * n))
@@ -239,13 +241,12 @@ def _banded_solve(a: sp.csc_matrix, b: np.ndarray, o: BandOrdering) -> np.ndarra
 
 
 def factor_solve(a: sp.csc_matrix, b: np.ndarray, ordering: BandOrdering) -> np.ndarray:
-    """Solve the SPD system a x = b.
+    """Solve the SPD system a x = b by banded Cholesky.
 
     ``ordering`` is the band ordering of ``a``'s CSC structure (as kept by
-    an assembly pattern).  The system goes to CG when the ordering's band
-    exceeds ``BAND_BYTES_BUDGET``.
-    Relative residual is bounded by 1e-10 (direct) or 1e-8 (CG fallback);
-    violations raise LinearSolveError ("indefinite/singular").
+    an assembly pattern); its band is within ``BAND_BYTES_BUDGET``, since
+    it was built.  The relative residual is bounded by 1e-10; a violation
+    raises LinearSolveError ("indefinite/singular").
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
@@ -260,22 +261,10 @@ def factor_solve(a: sp.csc_matrix, b: np.ndarray, ordering: BandOrdering) -> np.
 
     if not (sp.issparse(a) and a.format == "csc" and ordering.matches(a)):
         raise LinearSolveError("matrix structure differs from its band ordering")
-    if ordering.band_bytes <= BAND_BYTES_BUDGET:
-        x = _banded_solve(a, b, ordering)
-        rtol = _DIRECT_RTOL
-    else:
-        diag = a.diagonal()
-        if np.any(diag <= 0.0):
-            raise LinearSolveError("indefinite/singular tangent: non-positive diagonal")
-        m = sp.diags(1.0 / diag)
-        x, info = spla.cg(a, b, rtol=_CG_RTOL, atol=0.0, M=m)
-        if info != 0:
-            raise LinearSolveError(f"CG did not converge (info={info})")
-        rtol = _CG_RTOL
-
+    x = _banded_solve(a, b, ordering)
     res = float(np.linalg.norm(a @ x - b)) / b_norm
-    if not np.isfinite(res) or res > rtol:
+    if not np.isfinite(res) or res > _DIRECT_RTOL:
         raise LinearSolveError(
-            f"indefinite/singular tangent: solve residual {res:.3e} > {rtol:.1e}"
+            f"indefinite/singular tangent: solve residual {res:.3e} > {_DIRECT_RTOL:.1e}"
         )
     return x

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import box_mesh, facets_on, scripted_checks
 from oracles import fresh_check, read_snapshot_by_line, write_gmsh
-from pffrac import cli, driver, energetics, presets
+from pffrac import cli, driver, energetics, linsolve, presets
 from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, resolve_config, run_to_dir
 from pffrac.driver import BacktrackConfig
 from pffrac.material import MaterialParams
@@ -656,6 +656,28 @@ class TestCheckEnergy:
         assert main(["check-energy", str(out)]) == 0
         assert "energy audit ok (5 steps: 5 fully checked" in capsys.readouterr().out
 
+    def test_aborted_run_says_so(self, patch_config, tmp_path, monkeypatch, capsys):
+        # the audit of an aborted run passes on its accepted steps and names
+        # the abort in its summary
+        real_solve = driver.alternate_minimize
+        solves = []
+
+        def solve(*args):
+            if len(solves) == 2:
+                raise StepFailure("scripted failure")
+            solves.append(real_solve(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(driver, "alternate_minimize", solve)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 3
+        capsys.readouterr()
+        assert main(["check-energy", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "energy audit ok (2 steps: 2 fully checked, 0 checked for E and sum_D only, 0 without snapshot)"
+            "; the run aborted after 2 accepted steps: scripted failure\n"
+        )
+
     def test_bad_run_config_exit_2(self, patch_config, tmp_path, capsys):
         # the audit reads the config from run.json and rejects what a run would
         out = tmp_path / "out"
@@ -763,3 +785,24 @@ def test_bend3d_runs_and_audits_without_lapack_eigensolver(tmp_path, monkeypatch
     argv = ["run", "--preset", "bend3d", "--scale", "0.1", "--steps", "1", "--k-back", "0"]
     assert main(argv + ["--out", str(out)]) == 0
     assert main(["check-energy", str(out)]) == 0
+
+
+def test_over_budget_band_aborts_before_any_band(tmp_path, monkeypatch, capsys):
+    # bend3d@0.1's displacement band: bandwidth 119, 2,615,040 bytes; its
+    # damage band (352,512 bytes) still fits one byte below it
+    band = 2_615_040
+
+    def refuse(*args):
+        raise AssertionError("band factored")
+
+    monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band - 1)
+    monkeypatch.setattr(linsolve, "_banded_solve", refuse)
+    out = tmp_path / "out"
+    argv = ["run", "--preset", "bend3d", "--scale", "0.1", "--steps", "1", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"band of {band} bytes (bandwidth 119," in err
+    assert f"budget of {band - 1} bytes" in err
+    info = json.loads((out / "run.json").read_text())
+    assert info["aborted"] and info["accepted_steps"] == 0
+    assert f"band of {band} bytes" in info["abort_reason"]

@@ -145,6 +145,49 @@ def test_every_public_def_has_a_caller_in_the_package():
     assert unreferenced_public_defs(sources) == sorted(_UNREAD_FIELDS_KEPT)
 
 
+def unread_module_names(sources: dict) -> list:
+    """Names, public or private, that module-level assignments of the
+    modules in ``sources`` (file name -> source) bind and that no module
+    reads as a name or an attribute (listing one in ``__all__``, or
+    assigning it again, is no read)."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            unread += [f"{file}:{name}" for name in names if name != "__all__" and name not in read]
+    return sorted(unread)
+
+
+def test_detects_unread_module_name():
+    srcs = {
+        "a.py": (
+            "__all__ = ['LIMIT', 'SPARE']\n"
+            "LIMIT = 1\nSPARE = 2\n_RTOL = 1e-8\n_F, _G = 3, 4\n_kept: int = 5\n"
+            "def f():\n    return _F + _kept\n"
+        ),
+        "b.py": "from . import a\nprint(a.LIMIT)\n_RTOL = 0\n",
+    }
+    assert unread_module_names(srcs) == ["a.py:SPARE", "a.py:_G", "a.py:_RTOL", "b.py:_RTOL"]
+
+
+def test_every_module_name_is_read_in_the_package():
+    # a constant or a fetched function that nothing reads is left behind by
+    # a deleted path
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_module_names(sources) == []
+
+
 def _params(fn: ast.FunctionDef, method: bool):
     """Positional parameter names (without self/cls of a method) and the
     names of the defaulted ones."""

@@ -180,51 +180,21 @@ def patch_system(sent_params):
     return k, -r
 
 
-def use_cg(monkeypatch, k):
-    """Send systems with the band of k to the CG branch (the budget one byte
-    short of it); the direct branch must not run."""
-
-    def direct(*args):
-        raise AssertionError("direct branch taken")
-
-    band = BandOrdering.from_structure(k.indptr, k.indices).band_bytes
-    monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band - 1)
-    monkeypatch.setattr(linsolve, "_banded_solve", direct)
-
-
 def test_band_budget_boundary(patch_system, monkeypatch):
-    # a band of exactly the budget is still factored directly
+    # both constructors check the band: one of exactly the budget is built
+    # and factored, one byte more is refused while the ordering is built
     k, b = patch_system
-    band = BandOrdering.from_structure(k.indptr, k.indices).band_bytes
-    assert band == (BandOrdering.from_structure(k.indptr, k.indices).bandwidth + 1) * b.size * 8
-    monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band)
-    monkeypatch.setattr(linsolve.spla, "cg", None)
-    x = rcm_solve(k, b)
-    assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_cg_branch_matches_banded(patch_system, monkeypatch):
-    k, b = patch_system
-    want = rcm_solve(k, b)
-    use_cg(monkeypatch, k)
-    x = rcm_solve(k, b)
-    assert np.linalg.norm(k @ x - b) <= 1e-8 * np.linalg.norm(b)
-    assert np.abs(x - want).max() <= 1e-8 * np.abs(want).max()
-
-
-def test_cg_branch_rejects_nonpositive_diagonal(patch_system, monkeypatch):
-    k, b = patch_system
-    bad = k.copy()
-    bad.setdiag(np.r_[0.0, k.diagonal()[1:]])
-    use_cg(monkeypatch, k)
-    with pytest.raises(LinearSolveError, match="non-positive diagonal"):
-        rcm_solve(bad, b)
-
-
-def test_cg_branch_reports_no_convergence(patch_system, monkeypatch):
-    # a strong skew-symmetric part: positive diagonal, but CG cannot converge
-    k, b = patch_system
-    skew = sp.diags(np.full(b.size - 1, 3.0 * k.diagonal().max()), 1)
-    use_cg(monkeypatch, k)
-    with pytest.raises(LinearSolveError, match="CG did not converge"):
-        rcm_solve(sp.csc_matrix(k + skew - skew.T), b)
+    perm = pseudo_peripheral_rcm(k.indptr, k.indices)
+    for build in (
+        lambda: BandOrdering.from_structure(k.indptr, k.indices),
+        lambda: BandOrdering.narrower(k.indptr, k.indices, perm),
+    ):
+        monkeypatch.undo()
+        o = build()
+        band = (o.bandwidth + 1) * o.n * 8
+        monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band)
+        x = factor_solve(k, b, build())
+        assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
+        monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band - 1)
+        with pytest.raises(LinearSolveError, match=f"band of {band} bytes .* budget of {band - 1} bytes"):
+            build()
