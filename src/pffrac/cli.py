@@ -9,26 +9,25 @@ run          execute a load program (preset or config file), writing
              run.json sums the iteration counts over the accepted chain
              (solver_counters) and over every solve (all_solves)
 check-energy recompute the energy audit from the snapshots of a finished
-             (or partial) run and compare against energy.csv; with
-             snapshot_every > 1 only the steps with snapshots are
-             recomputed, and a failure energy.csv records on any step
-             stands; the summary of an aborted run gives its accepted steps
-             and the abort reason
+             (or partial) run, the two-sided inequality of every step pair,
+             and compare against energy.csv; the summary of an aborted run
+             gives its accepted steps and the abort reason
 export       print a preset as a forkable INI config
 
 Configs are flat INI sections ([run], [material], [program], [solver],
-[backtrack], [reaction], [output]); a section or key that no run reads is a
-config error.  Every config is laid key by key over a base and parsed once:
-the base of a ``run.preset`` config is the preset's export, that of a
-``run.mesh`` config the solver, back-step, optional material and output
-defaults (so it must give the moduli, gc, ell, program and reaction).
+[backtrack], [reaction]); a section or key that no run reads is a config
+error.  Every config is laid key by key over a base and parsed once: the
+base of a ``run.preset`` config is the preset's export, that of a
+``run.mesh`` config the solver, back-step and optional material defaults
+(so it must give the moduli, gc, ell, program and reaction).
 Naming one elasticity pair (lam_kn/mu_kn or e_kn/nu) drops the base's other
 pair.  ``--preset``, ``--scale``, ``--steps``, ``--k-back`` and ``--eta`` are
 the overrides ``run.preset``, ``run.scale``, ``program.n_steps``,
 ``backtrack.k_back`` and ``backtrack.eta``, applied before ``--set
-section.key=value``; run.json records the resolved config.  Moduli are in
-kN/mm^2 in configs.  Exit codes: 0 ok, 1 audit mismatch, 2 bad config or
-missing/unreadable inputs, 3 solver failure (partial outputs retained).
+section.key=value``; run.json records the resolved config, with ``run.mesh``
+as an absolute path.  Moduli are in kN/mm^2 in configs.  Exit codes: 0 ok,
+1 audit mismatch, 2 bad config or missing/unreadable inputs, 3 solver failure
+(partial outputs retained).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .driver import (
     lifting_for_step,
     run,
 )
-from .energetics import check_two_sided, dissipation_increment, erg, grad_term
+from .energetics import check_two_sided, erg
 from .fem import build_kernels
 from .material import MaterialParams
 from .mesh import parse_gmsh
@@ -76,7 +75,6 @@ _CONFIG_KEYS = {
     "solver": {"tol_u", "tol_a", "max_newton", "max_alt"},
     "backtrack": {"k_back", "eta"},
     "reaction": {"set", "direction"},
-    "output": {"snapshot_every"},
 }
 # The two ways to give the elastic moduli; a config names exactly one.
 _PAIRS = (("lam_kn", "mu_kn"), ("e_kn", "nu"))
@@ -121,19 +119,17 @@ def config_from_setup(setup: presets.RunSetup) -> dict:
         "program": {"n_steps": str(setup.program.n_steps), "dw": _fmt(setup.program.dw), "bc": bc_str},
         **_knob_sections(setup.solver, setup.backtrack),
         "reaction": {"set": setup.reaction_set, "direction": " ".join(_fmt(c) for c in setup.reaction_dir)},
-        "output": {"snapshot_every": "1"},
     }
 
 
-def _mesh_base(mesh_path: str) -> dict:
-    """Base config of a mesh run: the dataclass defaults of the solver, the
-    back steps and the optional material fields, a snapshot every step."""
+def _mesh_base() -> dict:
+    """Base config of a mesh run: scale 1 and the dataclass defaults of the
+    solver, the back steps and the optional material fields."""
     optional = {f.name: f.default for f in fields(MaterialParams) if f.default is not MISSING}
     return {
-        "run": {"mesh": mesh_path, "scale": "1"},
+        "run": {"scale": "1"},
         "material": _material_section(optional),
         **_knob_sections(SolverConfig(), BacktrackConfig()),
-        "output": {"snapshot_every": "1"},
     }
 
 
@@ -157,16 +153,25 @@ def _reaction(setup: presets.RunSetup) -> tuple | None:
     return (setup.reaction_set, setup.reaction_dir) if setup.reaction_set else None
 
 
-def resolve_config(given: dict) -> tuple[dict, presets.RunSetup, int]:
+def _parse(key: str, value: str, kind):
+    """``kind(value)``, with the config key named in a value error."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
     """Lay the keys of ``given`` over its base config and parse the result.
 
     The base is the full config of the preset that ``run.preset`` names (at
     ``run.scale``, 1 if not given), or for a ``run.mesh`` config the
     dataclass defaults (``_mesh_base``).  Naming one elasticity pair drops
-    the base's other pair.  A section or key that no run reads, a missing
-    key or a spec that does not fit the mesh is a config error, raised
-    before any output exists.  Returns the resolved config, the run setup
-    and the snapshot interval.
+    the base's other pair.  The resolved config holds ``run.mesh`` as an
+    absolute path.  A section or key that no run reads, a missing key, a
+    value that does not parse (named by its key) or a spec that does not fit
+    the mesh is a config error, raised before any output exists.  Returns
+    the resolved config and the run setup.
     """
     for section, values in given.items():
         if section not in _CONFIG_KEYS:
@@ -179,11 +184,13 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup, int]:
     mesh_path = run_sec.get("mesh", "").strip()
     if bool(preset) == bool(mesh_path):
         raise ValueError("config needs exactly one of run.preset / run.mesh")
+    scale = _parse("run.scale", run_sec.get("scale", "1"), float)
     if preset:
-        base_setup = presets.load_preset(preset, float(run_sec.get("scale", "1")))
+        base_setup = presets.load_preset(preset, scale)
         mesh, cfg = base_setup.mesh, config_from_setup(base_setup)
     else:
-        mesh, cfg = parse_gmsh(Path(mesh_path).read_text()), _mesh_base(mesh_path)
+        mesh_path = str(Path(mesh_path).resolve())
+        mesh, cfg = parse_gmsh(Path(mesh_path).read_text()), _mesh_base()
     for section, values in given.items():
         base = cfg.setdefault(section, {})
         if section == "material":
@@ -192,16 +199,16 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup, int]:
                     for key in other:
                         base.pop(key, None)
         base.update(values)
+    if mesh_path:
+        # absolute, so that the audit finds the mesh from any directory
+        cfg["run"]["mesh"] = mesh_path
 
     def read(section, key, kind=str):
         try:
             value = cfg[section][key]
         except KeyError:
             raise ValueError(f"missing config key {section}.{key}") from None
-        try:
-            return kind(value)
-        except ValueError as exc:
-            raise ValueError(f"{section}.{key}: {exc}") from None
+        return _parse(f"{section}.{key}", value, kind)
 
     mat = cfg["material"]
     young = not mat.keys().isdisjoint(_PAIRS[1])
@@ -214,7 +221,7 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup, int]:
     make = MaterialParams.from_young_poisson_kn if young else MaterialParams.from_lame_kn
     setup = presets.RunSetup(
         name=preset or Path(mesh_path).stem,
-        scale=read("run", "scale", float),
+        scale=scale,
         mesh=mesh,
         params=make(*(read("material", key, float) for key in _PAIRS[young]), **kw),
         program=LoadProgram(
@@ -236,11 +243,8 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup, int]:
             "reaction", "direction", lambda v: np.array([float(x) for x in v.replace(",", " ").split()])
         ),
     )
-    every = read("output", "snapshot_every", int)
-    if every < 1:
-        raise ValueError(f"output.snapshot_every must be >= 1, got {every}")
     check_run_inputs(setup.mesh, setup.program, _reaction(setup))
-    return cfg, setup, every
+    return cfg, setup
 
 
 def _read_config_file(path) -> dict:
@@ -276,11 +280,8 @@ def _config_to_ini(cfg: dict) -> str:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def _snapshot_path(out_dir: Path, step: int, every: int, n_steps: int) -> Path | None:
-    """The snapshot a run writes of ``step``: of every ``every``-th step and
-    of the last one; None for a step it writes none of."""
-    if step % every and step != n_steps:
-        return None
+def _snapshot_path(out_dir: Path, step: int) -> Path:
+    """The snapshot a run writes of its accepted step ``step``."""
     return out_dir / "snapshots" / f"step_{step:06d}.vtk"
 
 
@@ -293,24 +294,21 @@ def _drop_snapshots(out_dir: Path, after: int) -> None:
 
 
 class _RunWriter:
-    """Rewrites the CSV outputs and snapshots after every accepted step
-    (backtracking replaces already-accepted rows, so files are regenerated
-    from the authoritative history each time)."""
+    """Rewrites the CSV outputs and writes the step's snapshot after every
+    accepted step (backtracking replaces already-accepted rows, so files are
+    regenerated from the authoritative history each time)."""
 
-    def __init__(self, out_dir: Path, mesh, program, snapshot_every: int):
+    def __init__(self, out_dir: Path, mesh, program):
         self.out = out_dir
         self.mesh = mesh
         self.program = program
-        self.every = snapshot_every
         (out_dir / "snapshots").mkdir(parents=True, exist_ok=True)
 
     def __call__(self, history: RunHistory) -> None:
         self.write_csvs(history)
         rec = history.steps[-1]
-        path = _snapshot_path(self.out, rec.step, self.every, self.program.n_steps)
-        if path is not None:
-            u_d = lifting_for_step(self.program, rec.step, self.mesh)
-            write_field_snapshot(rec.u + u_d, rec.a, self.mesh, path)
+        u_d = lifting_for_step(self.program, rec.step, self.mesh)
+        write_field_snapshot(rec.u + u_d, rec.a, self.mesh, _snapshot_path(self.out, rec.step))
 
     def write_csvs(self, history: RunHistory) -> None:
         with open(self.out / "load_disp.csv", "w") as fh:
@@ -380,16 +378,16 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
     config error is raised before the directory is created, and run.json
     records the resolved config.  Afterwards ``snapshots/`` holds the
     accepted steps' snapshots only, whatever the directory held before."""
-    cfg, setup, every = resolve_config(cfg)
+    cfg, setup = resolve_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    writer = _RunWriter(out_dir, setup.mesh, setup.program, every)
+    writer = _RunWriter(out_dir, setup.mesh, setup.program)
     _drop_snapshots(out_dir, after=-1)
     write_field_snapshot(
         np.zeros(setup.mesh.dim * setup.mesh.n_nodes),
         np.zeros(setup.mesh.n_nodes),
         setup.mesh,
-        _snapshot_path(out_dir, 0, every, setup.program.n_steps),
+        _snapshot_path(out_dir, 0),
     )
 
     t0 = time.perf_counter()
@@ -450,15 +448,15 @@ def cmd_check_energy(args) -> int:
     try:
         with open(out_dir / "run.json") as fh:
             info = json.load(fh)
-        # a run.json from an older version may echo solver or output keys
-        # that runs no longer accept; the audit needs none of them
+        # a run.json from an older version may echo solver keys that runs
+        # no longer accept, and its snapshot interval; the audit needs none
+        # of them
         cfg = {
-            section: {
-                k: v for k, v in keys.items() if section not in ("solver", "output") or k in _CONFIG_KEYS[section]
-            }
+            section: {k: v for k, v in keys.items() if section != "solver" or k in _CONFIG_KEYS[section]}
             for section, keys in info["config"].items()
+            if section != "output"
         }
-        _, setup, every = resolve_config(cfg)
+        _, setup = resolve_config(cfg)
         rows = [_energy_row(line) for line in (out_dir / "energy.csv").read_text().strip().splitlines()[1:]]
         steps = [row[0] for row in rows]
         if steps != list(range(info["accepted_steps"] + 1)):
@@ -474,40 +472,23 @@ def cmd_check_energy(args) -> int:
 
     failing = []
     mismatches = []
-    counts = {"full": 0, "partial": 0, "skipped": 0}
-    a_0 = None
-    # (step, u, a, erg) of the last snapshot read; erg, its bulk energy
-    # under its own lifting, is the next pair's erg_curr
+    # (u, u_d, a, erg) of the previous step; erg, its bulk energy under its
+    # own lifting, is the next pair's erg_curr
     prev = None
-    sum_d = 0.0  # cumulative dissipation at the last snapshot read
+    sum_d = 0.0
     for step, e_csv, sumd_csv, delta_csv, lb_csv, ub_csv, passed_csv in rows:
-        snap = _snapshot_path(out_dir, step, every, setup.program.n_steps)
-        if snap is None:
-            counts["skipped"] += 1  # the run wrote no snapshot for this step
-            if not passed_csv:
-                failing.append(step)
-            continue
         try:
-            disp, a = read_field_snapshot(snap, mesh.dim)
+            disp, a = read_field_snapshot(_snapshot_path(out_dir, step), mesh.dim)
         except (OSError, ValueError) as exc:
             print(f"cannot load run outputs: {exc}", file=sys.stderr)
             return 2
         u_d = lifting_for_step(setup.program, step, mesh)
         u = disp - u_d
         bulk = erg(u, u_d, a, kernels, p)
-
-        if step == 0:
-            a_0 = a
-            prev = (step, u, a, bulk)
-            continue
-
-        if prev[0] == step - 1:
-            # both ends of the step pair: the whole two-sided inequality
-            counts["full"] += 1
-            u_d_prev = lifting_for_step(setup.program, step - 1, mesh)
+        if prev is not None:
+            u_n, u_d_n, a_n, bulk_n = prev
             report = check_two_sided(
-                prev[1], u_d_prev, prev[2], u, u_d, a, kernels, p, eta,
-                erg_curr=prev[3], erg_next=bulk,
+                u_n, u_d_n, a_n, u, u_d, a, kernels, p, eta, erg_curr=bulk_n, erg_next=bulk
             )
             sum_d += report.d_inc
             checks = [
@@ -517,25 +498,14 @@ def cmd_check_energy(args) -> int:
                 ("LB", lb_csv, report.lb),
                 ("UB", ub_csv, report.ub),
             ]
-        else:
-            # the previous state is not on disk; dissipation is a state
-            # function, so the cumulative sum is dis(a_m) - dis(a_0)
-            counts["partial"] += 1
-            report = None
-            sum_d = dissipation_increment(a_0, a, kernels, p)
-            checks = [
-                ("E", e_csv, bulk + grad_term(a, kernels, p)),
-                ("sum_D", sumd_csv, sum_d),
-            ]
-        for name, got, want in checks:
-            if not _rel_close(got, want):
-                mismatches.append(f"step {step}: {name} csv={got!r} recomputed={want!r}")
-        if report is not None and passed_csv != report.passed:
-            mismatches.append(f"step {step}: passed flag csv={passed_csv} recomputed={report.passed}")
-        # without the previous state the recorded verdict cannot be re-checked, but stands
-        if not (passed_csv if report is None else report.passed):
-            failing.append(step)
-        prev = (step, u, a, bulk)
+            for name, got, want in checks:
+                if not _rel_close(got, want):
+                    mismatches.append(f"step {step}: {name} csv={got!r} recomputed={want!r}")
+            if passed_csv != report.passed:
+                mismatches.append(f"step {step}: passed flag csv={passed_csv} recomputed={report.passed}")
+            if not report.passed:
+                failing.append(step)
+        prev = (u, u_d, a, bulk)
 
     if mismatches:
         for line in mismatches:
@@ -544,10 +514,7 @@ def cmd_check_energy(args) -> int:
     if failing:
         print("two-sided inequality fails at steps: " + ", ".join(map(str, failing)), file=sys.stderr)
         return 1
-    summary = (
-        f"energy audit ok ({len(rows) - 1} steps: {counts['full']} fully checked, "
-        f"{counts['partial']} checked for E and sum_D only, {counts['skipped']} without snapshot)"
-    )
+    summary = f"energy audit ok ({len(rows) - 1} steps: {len(rows) - 1} fully checked)"
     if info.get("aborted"):
         summary += f"; the run aborted after {info['accepted_steps']} accepted steps: {info['abort_reason']}"
     print(summary)

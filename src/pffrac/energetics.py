@@ -26,7 +26,6 @@ __all__ = [
     "erg_from_spectrum",
     "grad_term",
     "dis",
-    "dissipation_increment",
     "penalty_energy",
     "check_two_sided",
 ]
@@ -93,11 +92,6 @@ def dis(a, kernels: ElementKernels, p: MaterialParams) -> float:
         return 0.5 * p.gc / p.ell * _fsum(per_e)
     per_e = np.einsum("eq,eq->e", kernels.wj, beta_qp)
     return p.kappa * p.gc / p.ell * _fsum(per_e)
-
-
-def dissipation_increment(a_n, a_next, kernels: ElementKernels, p: MaterialParams) -> float:
-    """Incremental dissipation dis(a_next) - dis(a_n)."""
-    return dis(a_next, kernels, p) - dis(a_n, kernels, p)
 
 
 def penalty_energy(a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:

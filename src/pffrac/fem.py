@@ -33,6 +33,7 @@ import scipy.sparse as sp
 from .linsolve import BandOrdering, concat_ranges, index_dtype, pseudo_peripheral_rcm
 from .material import (
     AT2,
+    VOIGT,
     MaterialParams,
     StrainSpectrum,
     degradation,
@@ -166,27 +167,13 @@ def build_kernels(mesh: Mesh) -> ElementKernels:
     grads = np.einsum("id,edD->eiD", _REF_GRADS[dim], jinv)  # (n_e, nen, dim)
 
     n_e = mesh.n_elements
-    nv = 3 if dim == 2 else 6
-    b_u = np.zeros((n_e, nv, nen * dim))
-    for i in range(nen):
-        gx = grads[:, i, 0]
-        gy = grads[:, i, 1]
-        if dim == 2:
-            b_u[:, 0, 2 * i] = gx
-            b_u[:, 1, 2 * i + 1] = gy
-            b_u[:, 2, 2 * i] = gy
-            b_u[:, 2, 2 * i + 1] = gx
-        else:
-            gz = grads[:, i, 2]
-            b_u[:, 0, 3 * i] = gx
-            b_u[:, 1, 3 * i + 1] = gy
-            b_u[:, 2, 3 * i + 2] = gz
-            b_u[:, 3, 3 * i + 1] = gz
-            b_u[:, 3, 3 * i + 2] = gy
-            b_u[:, 4, 3 * i] = gz
-            b_u[:, 4, 3 * i + 2] = gx
-            b_u[:, 5, 3 * i] = gy
-            b_u[:, 5, 3 * i + 1] = gx
+    voigt_i, voigt_j = VOIGT[dim]
+    b_u = np.zeros((n_e, len(voigt_i), nen * dim))
+    # row k maps the element dofs to strain component k, u_i,j + u_j,i (or
+    # u_i,i on the diagonal); element dof dim*a + c is component c of node a
+    for k, (i, j) in enumerate(zip(voigt_i, voigt_j)):
+        b_u[:, k, i::dim] = grads[:, :, j]
+        b_u[:, k, j::dim] = grads[:, :, i]
 
     b_beta = np.swapaxes(grads, 1, 2)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "VOIGT",
     "MaterialParams",
     "StrainSpectrum",
     "psi_split",
@@ -46,10 +47,10 @@ _GAP_REL = 1e-9
 _ROUNDOFF = 2.0**-53
 _MAX_SWEEPS = 32
 
-# Tensor indices (i_k, j_k) of the Voigt components k, per dimension:
-# (xx, yy, xy) in 2-D, (xx, yy, zz, yz, xz, xy) in 3-D.
-_VOIGT_I = {2: np.array([0, 1, 0]), 3: np.array([0, 1, 2, 1, 0, 0])}
-_VOIGT_J = {2: np.array([0, 1, 1]), 3: np.array([0, 1, 2, 2, 2, 1])}
+# The Voigt order, per dimension: the tensor indices (i_k, j_k) of each
+# component k, (xx, yy, xy) in 2-D and (xx, yy, zz, yz, xz, xy) in 3-D.  A
+# strain component off the diagonal is the engineering shear u_i,j + u_j,i.
+VOIGT = {2: ((0, 1, 0), (0, 1, 1)), 3: ((0, 1, 2, 1, 0, 0), (0, 1, 2, 2, 2, 1))}
 # Eigenvector pairs (a, b) with a shear term; the in-plane pair only in 2-D.
 _PAIRS = {2: (np.array([0]), np.array([1])), 3: (np.array([0, 0, 1]), np.array([1, 2, 2]))}
 
@@ -346,8 +347,9 @@ def tangent_split(s: StrainSpectrum, p: MaterialParams):
     w, v = s.eigvals, s.eigvecs
     fp, fm, hp, hm = _split_stress_coeffs(w, p)
 
-    vi = v[..., _VOIGT_I[d], :d]  # (..., nv, modes): n_a[i_k]
-    vj = v[..., _VOIGT_J[d], :d]
+    vi_k, vj_k = VOIGT[d]
+    vi = v[..., vi_k, :d]  # (..., nv, modes): n_a[i_k]
+    vj = v[..., vj_k, :d]
     m = vi * vj
     a, b = _PAIRS[d]
     pab = vi[..., a] * vj[..., b] + vi[..., b] * vj[..., a]
@@ -373,35 +375,16 @@ def tangent_split(s: StrainSpectrum, p: MaterialParams):
 def strain_tensor_from_voigt(v: np.ndarray, dim: int) -> np.ndarray:
     """Engineering-strain Voigt vector(s) to symmetric tensor(s)."""
     v = np.asarray(v, dtype=np.float64)
-    if dim == 2:
-        out = np.zeros(v.shape[:-1] + (2, 2))
-        out[..., 0, 0] = v[..., 0]
-        out[..., 1, 1] = v[..., 1]
-        out[..., 0, 1] = out[..., 1, 0] = 0.5 * v[..., 2]
-    else:
-        out = np.zeros(v.shape[:-1] + (3, 3))
-        out[..., 0, 0] = v[..., 0]
-        out[..., 1, 1] = v[..., 1]
-        out[..., 2, 2] = v[..., 2]
-        out[..., 1, 2] = out[..., 2, 1] = 0.5 * v[..., 3]
-        out[..., 0, 2] = out[..., 2, 0] = 0.5 * v[..., 4]
-        out[..., 0, 1] = out[..., 1, 0] = 0.5 * v[..., 5]
+    out = np.zeros(v.shape[:-1] + (dim, dim))
+    for k, (i, j) in enumerate(zip(*VOIGT[dim])):
+        if i == j:
+            out[..., i, i] = v[..., k]
+        else:
+            out[..., i, j] = out[..., j, i] = 0.5 * v[..., k]
     return out
 
 
 def stress_voigt_from_tensor(t: np.ndarray, dim: int) -> np.ndarray:
     """Symmetric stress tensor(s) to Voigt vector(s)."""
     t = np.asarray(t, dtype=np.float64)
-    if dim == 2:
-        return np.stack([t[..., 0, 0], t[..., 1, 1], t[..., 0, 1]], axis=-1)
-    return np.stack(
-        [
-            t[..., 0, 0],
-            t[..., 1, 1],
-            t[..., 2, 2],
-            t[..., 1, 2],
-            t[..., 0, 2],
-            t[..., 0, 1],
-        ],
-        axis=-1,
-    )
+    return np.stack([t[..., i, j] for i, j in zip(*VOIGT[dim])], axis=-1)

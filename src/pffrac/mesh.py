@@ -140,16 +140,23 @@ def parse_gmsh(text: str) -> Mesh:
     node_id_map: dict = {}
     raw_elements: list = []  # (etype, phys_tag, node_ids)
 
-    def _section_count(header: str, idx: int) -> int:
+    def _entries(header: str, idx: int) -> list:
+        """The entry lines of the section whose name is on line ``idx``."""
         try:
-            return int(lines[idx].split()[0])
+            count = int(lines[idx + 1].split()[0])
         except (IndexError, ValueError) as exc:
             raise MeshError(f"malformed {header} section header") from exc
+        if count < 0:
+            raise MeshError(f"malformed {header} section header")
+        entries = lines[idx + 2 : idx + 2 + count]
+        if len(entries) < count:
+            raise MeshError(f"truncated {header} section: {len(entries)} of {count} entries")
+        return entries
 
     while i < n:
         line = lines[i].strip()
         if line == "$MeshFormat":
-            parts = lines[i + 1].split()
+            parts = lines[i + 1].split() if i + 1 < n else []
             if len(parts) < 3:
                 raise MeshError("malformed $MeshFormat section header")
             if not parts[0].startswith("2."):
@@ -158,25 +165,26 @@ def parse_gmsh(text: str) -> Mesh:
                 raise MeshError("binary Gmsh files are not supported")
             i += 2
         elif line == "$PhysicalNames":
-            count = _section_count("$PhysicalNames", i + 1)
-            for k in range(count):
-                parts = lines[i + 2 + k].split(maxsplit=2)
-                pdim, ptag = int(parts[0]), int(parts[1])
-                phys_names[(pdim, ptag)] = parts[2].strip().strip('"')
-            i += 2 + count
+            entries = _entries("$PhysicalNames", i)
+            for entry in entries:
+                parts = entry.split(maxsplit=2)
+                if len(parts) < 3:
+                    raise MeshError("malformed $PhysicalNames entry")
+                phys_names[(int(parts[0]), int(parts[1]))] = parts[2].strip().strip('"')
+            i += 2 + len(entries)
         elif line == "$Nodes":
-            count = _section_count("$Nodes", i + 1)
-            for k in range(count):
-                parts = lines[i + 2 + k].split()
+            entries = _entries("$Nodes", i)
+            for entry in entries:
+                parts = entry.split()
                 if len(parts) < 4:
                     raise MeshError("malformed $Nodes entry")
                 node_id_map[int(parts[0])] = len(raw_nodes)
                 raw_nodes.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            i += 2 + count
+            i += 2 + len(entries)
         elif line == "$Elements":
-            count = _section_count("$Elements", i + 1)
-            for k in range(count):
-                parts = [int(p) for p in lines[i + 2 + k].split()]
+            entries = _entries("$Elements", i)
+            for entry in entries:
+                parts = [int(p) for p in entry.split()]
                 if len(parts) < 3:
                     raise MeshError("malformed $Elements entry")
                 etype, ntags = parts[1], parts[2]
@@ -184,7 +192,7 @@ def parse_gmsh(text: str) -> Mesh:
                 conn = parts[3 + ntags :]
                 phys = tags[0] if tags else 0
                 raw_elements.append((etype, phys, conn))
-            i += 2 + count
+            i += 2 + len(entries)
         elif line.startswith("$End"):
             i += 1
         elif line.startswith("$"):

@@ -11,7 +11,7 @@ strains, the snapshot reader) or a writer for the fixtures the program reads
 import numpy as np
 import scipy.sparse as sp
 
-from pffrac.energetics import check_two_sided, dissipation_increment, erg, grad_term, penalty_energy
+from pffrac.energetics import check_two_sided, dis, erg, grad_term, penalty_energy
 from pffrac.fem import ElementKernels
 from pffrac.material import MaterialParams
 from pffrac.mesh import _GMSH_LINE, _GMSH_POINT, _GMSH_TET, _GMSH_TRI, Mesh
@@ -24,7 +24,7 @@ def total_functional(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams)
     return (
         erg(u, u_d, a, kernels, p)
         + grad_term(a, kernels, p)
-        + dissipation_increment(a_n, a, kernels, p)
+        + (dis(a, kernels, p) - dis(a_n, kernels, p))
         + penalty_energy(a, a_n, kernels, p)
     )
 

@@ -162,15 +162,14 @@ class TestConfigPlumbing:
         assert back.backtrack == setup.backtrack
 
     def test_every_config_key_is_read(self, patch_config, tmp_path):
-        # each key the format accepts changes the setup or the outputs of a
-        # run, so the accepted keys and the readers cannot drift apart
+        # each key the format accepts changes the setup of a run, so the
+        # accepted keys and the readers cannot drift apart
         parser = configparser.ConfigParser()
         parser.read(patch_config)
         lame = {s: dict(parser.items(s)) for s in parser.sections()}
         lame["material"].update(dissipation="AT2", kappa="0.3")
         lame["program"]["n_steps"] = "2"
         lame["solver"] = {"tol_u": "1e-5", "tol_a": "1e-5", "max_newton": "100", "max_alt": "1000"}
-        lame["output"] = {"snapshot_every": "1"}
         young = {s: dict(v) for s, v in lame.items()}
         del young["material"]["lam_kn"], young["material"]["mu_kn"]
         young["material"].update(e_kn="210", nu="0.3")
@@ -205,26 +204,17 @@ class TestConfigPlumbing:
             ("backtrack", "eta"): (lame, "1e-4"),
             ("reaction", "set"): (lame, "ymin"),
             ("reaction", "direction"): (lame, "1 0"),
-            ("output", "snapshot_every"): (lame, "2"),
         }
         assert set(changes) == {(s, k) for s, keys in _CONFIG_KEYS.items() for k in keys}
 
         def setup_of(cfg):
             return setup_fields(resolved_setup(cfg))
 
-        def outputs_of(cfg, name):
-            out = tmp_path / name
-            run_to_dir(cfg, out)
-            return sorted(str(f.relative_to(out)) for f in out.rglob("*") if f.is_file())
-
         for (section, key), (base, value) in changes.items():
             cfg = {s: dict(v) for s, v in base.items()}
             assert cfg[section].get(key) != value
             cfg[section][key] = value
-            if section == "output":
-                assert outputs_of(cfg, key) != outputs_of(base, "base_" + key), key
-            else:
-                assert setup_of(cfg) != setup_of(base), key
+            assert setup_of(cfg) != setup_of(base), key
 
     def test_one_modulus_keeps_its_pair_partner(self):
         # naming one key of a pair keeps the base's other key of that pair;
@@ -278,7 +268,6 @@ _PARITY_VALUES = {
     "backtrack.eta": "1e-4",
     "reaction.set": "bottom",
     "reaction.direction": "1 0",
-    "output.snapshot_every": "2",
 }
 
 
@@ -286,7 +275,7 @@ class TestOverlay:
     @pytest.fixture
     def resolved(self, monkeypatch, capsys, tmp_path):
         """Run ``main`` on argv up to the resolved config: (exit code or
-        the resolved setup and snapshot interval, standard error)."""
+        the resolved setup, standard error)."""
         real = cli.resolve_config
 
         def stop(cfg):
@@ -299,8 +288,8 @@ class TestOverlay:
             try:
                 code = main(argv + ["--out", str(tmp_path / "never")])
             except _Stop as done:
-                _, setup, every = done.args[0]
-                return (*setup_fields(setup), every), ""
+                _, setup = done.args[0]
+                return setup_fields(setup), ""
             return code, capsys.readouterr().err
 
         return resolve
@@ -356,7 +345,7 @@ class TestCmdRun:
         "item, named",
         [
             ("solver.clamp_damage=false", "solver.clamp_damage"),
-            ("output.compat_box1_lb=true", "output.compat_box1_lb"),
+            ("output.snapshot_every=2", "unknown config section [output]"),
             ("solvr.tol_u=1e-6", "[solvr]"),
         ],
     )
@@ -375,15 +364,14 @@ class TestCmdRun:
             ("reaction.direction=0 1 0", "reaction direction [0.0, 1.0, 0.0]"),
             ("program.bc=bottom:y:0; nope:y:1", "unknown node set 'nope'"),
             ("reaction.set=nope", "unknown node set 'nope'"),
-            ("output.snapshot_every=0", "output.snapshot_every must be >= 1, got 0"),
-            ("output.snapshot_every=-3", "output.snapshot_every must be >= 1, got -3"),
-            ("output.snapshot_every=x", "invalid literal for int() with base 10: 'x'"),
+            ("run.scale=abc", "config error: run.scale: could not convert string to float: 'abc'"),
         ],
-        ids=["bc_z", "direction_1", "direction_3", "bc_set", "reaction_set", "every_0", "every_-3", "every_x"],
+        ids=["bc_z", "direction_1", "direction_3", "bc_set", "reaction_set", "scale_abc"],
     )
     def test_component_beyond_mesh_dim_exit_2(self, tmp_path, capsys, item, named):
-        # a spec that does not fit the mesh, or a snapshot interval below 1,
-        # is a config error found before the output directory is made
+        # a spec that does not fit the mesh, or a value that does not parse
+        # (named by its key), is a config error found before the output
+        # directory is made
         out = tmp_path / "o"
         argv = ["run", "--preset", "sent", "--scale", "0.05", "--steps", "1", "--set", item]
         assert main(argv + ["--out", str(out)]) == 2
@@ -422,7 +410,6 @@ class TestCmdRun:
         assert cfg["solver"] == defaults["solver"]
         assert cfg["backtrack"] == {"k_back": "5", "eta": "1e-5"}
         assert cfg["material"]["dissipation"] == MaterialParams.dissipation == "AT2"
-        assert cfg["output"] == {"snapshot_every": "1"}
         fed = tmp_path / "fed.cfg"
         fed.write_text(cli._config_to_ini(cfg))
         assert main(["run", "--config", str(fed), "--out", str(again)]) == 0
@@ -603,44 +590,14 @@ class TestCheckEnergy:
         path.write_text("\n".join(rows) + "\n")
         assert main(["check-energy", str(out)]) == 1
 
-    def test_missing_snapshot_exit_2(self, patch_config, tmp_path):
+    def test_missing_snapshot_exit_2(self, patch_config, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--config", str(patch_config), "--out", str(out)])
         (out / "snapshots" / "step_000003.vtk").unlink()
-        assert main(["check-energy", str(out)]) == 2
-
-    @pytest.mark.parametrize("every, kinds", [(2, (0, 2, 2)), (3, (1, 1, 2))])
-    def test_sparse_snapshots(self, tmp_path, capsys, every, kinds):
-        out = tmp_path / "out"
-        argv = ["run", "--preset", "sent", "--scale", "0.1", "--steps", "4"]
-        assert main(argv + ["--set", f"output.snapshot_every={every}", "--out", str(out)]) == 0
-        written = sorted(int(f.stem[5:]) for f in (out / "snapshots").glob("*.vtk"))
-        assert written == sorted({0, 4, *range(every, 5, every)})
         capsys.readouterr()
-        assert main(["check-energy", str(out)]) == 0
-        full, partial, skipped = kinds
-        assert (
-            f"{full} fully checked, {partial} checked for E and sum_D only, "
-            f"{skipped} without snapshot" in capsys.readouterr().out
-        )
-        path = out / "energy.csv"
-        clean = path.read_text().splitlines()
-
-        def rerun_with(step, column, value):
-            rows = list(clean)
-            parts = rows[1 + step].split(",")
-            parts[column] = value(parts[column])
-            rows[1 + step] = ",".join(parts)
-            path.write_text("\n".join(rows) + "\n")
-            capsys.readouterr()
-            return main(["check-energy", str(out)])
-
-        # a step checked without its predecessor still catches a wrong sum_D
-        assert rerun_with(every, 2, lambda v: "%.17g" % (float(v) * (1.0 + 1e-6) + 1e-9)) == 1
-        # a failure the run recorded on a step that is not fully checked stands
-        for step in (every, 1):
-            assert rerun_with(step, 6, lambda v: "0") == 1
-            assert f"two-sided inequality fails at steps: {step}" in capsys.readouterr().err
+        assert main(["check-energy", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load run outputs: " in err and "step_000003.vtk" in err
 
     def test_old_run_json_audits(self, patch_config, tmp_path, capsys):
         # run.json of an older version echoes solver and output keys that a
@@ -655,6 +612,37 @@ class TestCheckEnergy:
         capsys.readouterr()
         assert main(["check-energy", str(out)]) == 0
         assert "energy audit ok (5 steps: 5 fully checked" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("every", ["1", "2"])
+    def test_old_output_section_audits(self, patch_run, capsys, every):
+        # run.json of an older version may hold an [output] section with a
+        # snapshot interval; the audit drops it and reads every step's
+        # snapshot, so a directory that lacks one is unreadable
+        path = patch_run / "run.json"
+        log = json.loads(path.read_text())
+        log["config"]["output"] = {"snapshot_every": every}
+        path.write_text(json.dumps(log))
+        if every == "1":
+            assert self.audit_of(patch_run, capsys) == (0, "")
+        else:
+            (patch_run / "snapshots" / "step_000001.vtk").unlink()
+            code, err = self.audit_of(patch_run, capsys)
+            assert code == 2 and "cannot load run outputs: " in err and "step_000001.vtk" in err
+
+    def test_mesh_recorded_absolute(self, tmp_path, monkeypatch, capsys):
+        # a config that names its mesh relative to the working directory
+        # audits from any other directory: run.json holds the absolute path
+        msh = tmp_path / "patch.msh"
+        msh.write_text(write_gmsh(patch_mesh()))
+        write_patch_config("patch.msh", tmp_path / "patch.cfg")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "patch.cfg", "--out", "out"]) == 0
+        assert json.loads((tmp_path / "out" / "run.json").read_text())["config"]["run"]["mesh"] == str(msh)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        capsys.readouterr()
+        assert main(["check-energy", "../out"]) == 0
+        assert "energy audit ok (5 steps: 5 fully checked)" in capsys.readouterr().out
 
     def test_aborted_run_says_so(self, patch_config, tmp_path, monkeypatch, capsys):
         # the audit of an aborted run passes on its accepted steps and names
@@ -674,7 +662,7 @@ class TestCheckEnergy:
         capsys.readouterr()
         assert main(["check-energy", str(out)]) == 0
         assert capsys.readouterr().out == (
-            "energy audit ok (2 steps: 2 fully checked, 0 checked for E and sum_D only, 0 without snapshot)"
+            "energy audit ok (2 steps: 2 fully checked)"
             "; the run aborted after 2 accepted steps: scripted failure\n"
         )
 
@@ -683,8 +671,7 @@ class TestCheckEnergy:
         out = tmp_path / "out"
         assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 0
         good = json.loads((out / "run.json").read_text())
-        bad = [("output", "snapshot_every", v) for v in ("0", "-3", "x")]
-        bad += [("program", "bc", "ymin:y:0; nope:y:1"), ("program", "bc", "ymin:z:0")]
+        bad = [("program", "bc", "ymin:y:0; nope:y:1"), ("program", "bc", "ymin:z:0")]
         for section, key, value in bad:
             log = json.loads(json.dumps(good))
             log["config"].setdefault(section, {})[key] = value
@@ -737,17 +724,12 @@ class TestCheckEnergy:
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
 
-    @pytest.mark.parametrize("every, want", [(1, (5, 16)), (2, (1, 6))])
-    def test_bulk_energy_reused_between_checked_pairs(self, patch_config, tmp_path, monkeypatch, every, want):
+    def test_bulk_energy_reused_between_checked_pairs(self, patch_run, monkeypatch):
         # each snapshot's bulk energy is computed once, when it is read, and
         # a check takes those of its two states: it decomposes only its two
-        # cross-lifting strains, so a fully checked pair costs 3 and the
-        # audit one per snapshot plus two per check (every=2: snapshots 0,
-        # 2, 4 and 5, and only the pair (4, 5) fully checked); each report is
-        # bit for bit the one with both bulk energies evaluated afresh
-        out = tmp_path / "out"
-        set_every = ["--set", f"output.snapshot_every={every}"]
-        assert main(["run", "--config", str(patch_config), "--out", str(out)] + set_every) == 0
+        # cross-lifting strains, so the audit costs one spectrum per
+        # snapshot plus two per step pair; each report is bit for bit the
+        # one with both bulk energies evaluated afresh
         spectra = []
         real_spectrum = energetics.strain_spectrum
 
@@ -769,10 +751,9 @@ class TestCheckEnergy:
 
         monkeypatch.setattr(energetics, "strain_spectrum", counting)
         monkeypatch.setattr(cli, "check_two_sided", checking)
-        assert main(["check-energy", str(out)]) == 0
-        n_checks, n_spectra = want
-        assert per_check == [2] * n_checks
-        assert len(spectra) == n_spectra
+        assert main(["check-energy", str(patch_run)]) == 0
+        assert per_check == [2] * 5
+        assert len(spectra) == 16
 
 
 def test_bend3d_runs_and_audits_without_lapack_eigensolver(tmp_path, monkeypatch):

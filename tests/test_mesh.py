@@ -88,6 +88,21 @@ class TestParseGmsh:
         with pytest.raises(MeshError):
             parse_gmsh("$Nodes\nnot-a-count\n$EndNodes\n")
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n5\n1 0 0 0\n2 1 0 0\n", "$Nodes"),
+            ("$MeshFormat\n", "$MeshFormat"),
+            ("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$PhysicalNames\n1\n1 2\n$EndPhysicalNames\n", "$PhysicalNames"),
+        ],
+        ids=["nodes_short", "ends_at_format", "name_two_fields"],
+    )
+    def test_truncated_section(self, text, named):
+        # a section that ends early is a mesh error naming it, not an
+        # index error
+        with pytest.raises(MeshError, match=f"\\{named} "):
+            parse_gmsh(text)
+
     def test_missing_node_reference(self):
         text = TWO_TRI_SQUARE.replace("2 2 2 0 0 1 3 4", "2 2 2 0 0 1 3 9")
         with pytest.raises(MeshError, match="missing node"):
