@@ -39,7 +39,6 @@ from .material import (
     degradation,
     sigma_split,
     strain_tensor_from_voigt,
-    stress_voigt_from_tensor,
     tangent_split,
 )
 from .mesh import Mesh, MeshError
@@ -263,9 +262,7 @@ def _force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialPar
     """Unconstrained internal force from the strain spectrum and the
     degradation weights."""
     sig_p, sig_m = sigma_split(spectrum, p)
-    sp_v = stress_voigt_from_tensor(sig_p, kernels.dim)
-    sm_v = stress_voigt_from_tensor(sig_m, kernels.dim)
-    sig_eff = rw[:, None] * sp_v + kernels.measures[:, None] * sm_v
+    sig_eff = rw[:, None] * sig_p + kernels.measures[:, None] * sig_m
     f_e = np.einsum("evd,ev->ed", kernels.b_u, sig_eff)
     return _nodal_sum(kernels.udofs, f_e, kernels.dim * kernels.mesh.n_nodes)
 
@@ -460,7 +457,7 @@ def _element_tangents_u(spectrum: StrainSpectrum, rw, measures, b_u, p: Material
     the element measures (compression)."""
     cp, cm = tangent_split(spectrum, p)
     c_e = rw[:, None, None] * cp + measures[:, None, None] * cm
-    return np.einsum("evi,evj->eij", b_u, c_e @ b_u)
+    return np.swapaxes(b_u, 1, 2) @ (c_e @ b_u)
 
 
 def residual_and_tangent_beta(psi_p, a, a_n, kernels: ElementKernels, p: MaterialParams):

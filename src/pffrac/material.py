@@ -14,6 +14,21 @@ via the ``from_*`` helpers.
 Sign conventions at a zero eigenvalue: the positive part takes derivative 0
 and the negative part derivative 1 (compression-side convention), so the
 tangent at zero strain equals the full undegraded elasticity tensor.
+
+Layout of the split kernels.  ``psi_split``, ``sigma_split`` and
+``tangent_split`` work component-wise, as ``_jacobi`` does: the batch of N
+strains is the last, contiguous axis of every working array, and the small
+axes come first, one row per eigen-mode (principal strains, principal
+stresses, branch indicators: (d, N)), per mode and tensor index (principal
+directions: (d, d, N)) or per term and Voigt component (the Voigt dyads of
+the modes and of the eigenvector pairs: (J, nv, N)).  So every numpy call
+runs over N (or a multiple of N) elements, instead of over a trailing axis
+of length 3 per element, and the number of calls per evaluation does not
+grow with the batch.  Sums over the modes are explicit, left to right
+((w0 + w1) + w2), which is what a sum along a length-3 last axis computes,
+so ``psi_split`` gives the same bits as the per-point form.  Stresses are
+returned as Voigt vectors (..., nv) and tangents as Voigt matrices
+(..., nv, nv), both views of their component-first arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +46,6 @@ __all__ = [
     "degradation",
     "tangent_split",
     "strain_tensor_from_voigt",
-    "stress_voigt_from_tensor",
 ]
 
 AT2 = "AT2"
@@ -266,6 +280,48 @@ class StrainSpectrum:
         return self._eigvecs
 
 
+def _add(terms) -> np.ndarray:
+    """Sum of a sequence of arrays, left to right: (t0 + t1) + t2 ..."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def _modes(s: StrainSpectrum) -> np.ndarray:
+    """The principal strains of the modes with an in-plane part, one row per
+    mode: (d, N) over the N strains of the batch.  All three modes in 3-D;
+    in plane strain the e_z mode has strain exactly 0 and no in-plane part,
+    so it is left out."""
+    d = s.eps.shape[-1]
+    return s.eigvals.reshape(-1, 3)[:, :d].T.copy()
+
+
+def _directions(s: StrainSpectrum) -> np.ndarray:
+    """The in-plane parts of the principal directions of the modes of
+    ``_modes``, one row per mode and tensor index: (d, d, N) with
+    v[a, i] = n_a[i]."""
+    d = s.eps.shape[-1]
+    return s.eigvecs.reshape(-1, 3, 3)[:, :d, :d].transpose(2, 1, 0).copy()
+
+
+def _dyads(v: np.ndarray) -> np.ndarray:
+    """Voigt forms of the principal directions ``v`` (``_directions``), one
+    row per term and Voigt component: (J, nv, N).  The first d terms are
+    the modes, M_a[k] = n_a[i_k] n_a[j_k], the Voigt form of n_a (x) n_a;
+    the others are the pairs (a, b) of ``_PAIRS``,
+    P_ab[k] = n_a[i_k] n_b[j_k] + n_b[i_k] n_a[j_k].  Filled in place, so
+    no temporary is larger than one pair's rows."""
+    d = v.shape[0]
+    vi, vj = (v[:, k] for k in VOIGT[d])
+    q = np.empty((d + len(_PAIRS[d][0]),) + vi.shape[1:])
+    np.multiply(vi, vj, out=q[:d])
+    for j, (a, b) in enumerate(zip(*_PAIRS[d]), start=d):
+        np.multiply(vi[a], vj[b], out=q[j])
+        q[j] += vi[b] * vj[a]
+    return q
+
+
 def psi_split(s: StrainSpectrum, p: MaterialParams):
     """Tensile/compressive elastic energy densities of the strain batch whose
     spectrum is ``s``.
@@ -273,47 +329,51 @@ def psi_split(s: StrainSpectrum, p: MaterialParams):
     psi0_pm = lam/2 (tr eps_pm)^2 + mu eps_pm : eps_pm, evaluated from the
     signed principal strains.  Both values are >= 0 (lam >= 0).
     """
-    w = s.eigvals
-    wp = np.maximum(w, 0.0)
-    wm = np.minimum(w, 0.0)
-    trp = wp.sum(axis=-1)
-    trm = wm.sum(axis=-1)
-    psi_p = 0.5 * p.lam * trp * trp + p.mu * (wp * wp).sum(axis=-1)
-    psi_m = 0.5 * p.lam * trm * trm + p.mu * (wm * wm).sum(axis=-1)
-    return psi_p, psi_m
+    w = _modes(s)
+
+    def branch(x):  # x = <w>_pm, squared in place once its trace is taken
+        tr = _add(x)
+        x *= x
+        return (0.5 * p.lam * tr * tr + p.mu * _add(x)).reshape(s.eps.shape[:-2])
+
+    return branch(np.maximum(w, 0.0)), branch(np.minimum(w, 0.0))
 
 
 def _split_stress_coeffs(w: np.ndarray, p: MaterialParams):
-    """Principal stress coefficients of sigma0_pm (gradients of psi0_pm).
+    """Principal stresses of sigma0_pm (gradients of psi0_pm) and the branch
+    indicators, mode axis first like ``w``, the principal strains (d, ...).
 
     f_a^+ = lam tr(eps_+) H(w_a > 0) + 2 mu <w_a>_+ and the mirrored minus
-    part with H(w_a <= 0); H at zero follows the compression-side convention.
+    part with H(w_a <= 0); H at zero follows the compression-side
+    convention.  The indicators are boolean.
     """
     wp = np.maximum(w, 0.0)
     wm = np.minimum(w, 0.0)
-    hp = (w > 0.0).astype(np.float64)
-    hm = 1.0 - hp
-    trp = wp.sum(axis=-1, keepdims=True)
-    trm = wm.sum(axis=-1, keepdims=True)
-    fp = p.lam * trp * hp + 2.0 * p.mu * wp
-    fm = p.lam * trm * hm + 2.0 * p.mu * wm
+    hp = w > 0.0
+    hm = ~hp
+    fp = p.lam * _add(wp) * hp + 2.0 * p.mu * wp
+    fm = p.lam * _add(wm) * hm + 2.0 * p.mu * wm
     return fp, fm, hp, hm
 
 
 def sigma_split(s: StrainSpectrum, p: MaterialParams):
     """Tensile/compressive stresses, the exact gradients of ``psi_split``, of
-    the strain batch whose spectrum is ``s``.
+    the strain batch whose spectrum is ``s``, as Voigt vectors (..., nv):
+    sigma0_pm = sum_a f_a^pm n_a (x) n_a, formed as d x d tensors with the
+    batch axis last and read out in Voigt order.
 
-    Returned in the input dimension (in-plane block for plane strain; the
+    In the input dimension (the in-plane components for plane strain; the
     out-of-plane normal stress never enters 2-D assembly).
     """
     d = s.eps.shape[-1]
-    w, v = s.eigvals, s.eigvecs
-    fp, fm, _, _ = _split_stress_coeffs(w, p)
-    vt = np.swapaxes(v, -1, -2)
-    sig_p = (v * fp[..., None, :]) @ vt
-    sig_m = (v * fm[..., None, :]) @ vt
-    return sig_p[..., :d, :d], sig_m[..., :d, :d]
+    fp, fm, _, _ = _split_stress_coeffs(_modes(s), p)
+    v = _directions(s)
+    shape = s.eps.shape[:-2] + (len(VOIGT[d][0]),)
+
+    def branch(f):
+        return np.einsum("ain,ajn->ijn", f[:, None] * v, v)[VOIGT[d]].T.reshape(shape)
+
+    return branch(fp), branch(fm)
 
 
 def degradation(beta, p: MaterialParams):
@@ -337,39 +397,39 @@ def tangent_split(s: StrainSpectrum, p: MaterialParams):
     P_ab[k] = n_a[i_k] n_b[j_k] + n_b[i_k] n_a[j_k], the normal block
     D = lam h h^T + 2 mu diag(h) (h the branch indicator of each principal
     strain) and the shear coefficient g_ab = (f_a - f_b) / (w_a - w_b) of the
-    principal stresses f.  In plane strain the out-of-plane direction e_z is
-    exact and has no in-plane component, so only the in-plane modes and their
-    one pair remain.  Near-repeated eigenvalues (gap below
-    1e-9*(1+|eps|)) use the coalesced-pair limit g_ab = 2 mu h.
+    principal stresses f.  That is
+    C = lam (M h)(M h)^T + sum_j c_j Q_j Q_j^T over the modes (Q_j = M_a,
+    c_j = 2 mu h_a) and the pairs (Q_j = P_ab, c_j = g_ab / 2), the sum over
+    j taken by one einsum with the batch axis innermost.  In plane strain
+    the out-of-plane direction e_z is exact and has no in-plane component,
+    so only the in-plane modes and their one pair remain.  Near-repeated
+    eigenvalues (gap below 1e-9*(1+|eps|)) use the coalesced-pair limit
+    g_ab = 2 mu h.
     """
-    eps = s.eps
-    d = eps.shape[-1]
-    w, v = s.eigvals, s.eigvecs
+    w = _modes(s)
     fp, fm, hp, hm = _split_stress_coeffs(w, p)
+    q = _dyads(_directions(s))
+    m = q[: len(w)]
+    a, b = _PAIRS[s.eps.shape[-1]]
 
-    vi_k, vj_k = VOIGT[d]
-    vi = v[..., vi_k, :d]  # (..., nv, modes): n_a[i_k]
-    vj = v[..., vj_k, :d]
-    m = vi * vj
-    a, b = _PAIRS[d]
-    pab = vi[..., a] * vj[..., b] + vi[..., b] * vj[..., a]
-    q = np.concatenate([m, pab], axis=-1)
-    qt = np.swapaxes(q, -1, -2)
-
-    dw = w[..., a] - w[..., b]
-    gap_tol = _GAP_REL * (1.0 + np.linalg.norm(eps, axis=(-2, -1)))
-    small = np.abs(dw) < gap_tol[..., None]
+    # |eps| from the principal strains, which the modes hold in full
+    gap_tol = _GAP_REL * (1.0 + np.sqrt(_add(w * w)))
+    wa, wb = w[a], w[b]
+    dw = wa - wb
+    small = np.abs(dw) < gap_tol
     safe = np.where(small, 1.0, dw)
     # coalesced limit: the lam coupling cancels, leaving 2 mu per branch
-    hbp = (0.5 * (w[..., a] + w[..., b]) > 0.0).astype(np.float64)
+    hbp = 0.5 * (wa + wb) > 0.0
 
     def branch(f, h, h_pair):
-        g = np.where(small, 2.0 * p.mu * h_pair, (f[..., a] - f[..., b]) / safe)
-        coef = np.concatenate([2.0 * p.mu * h[..., :d], 0.5 * g], axis=-1)
-        mh = m @ h[..., :d, None]
-        return (q * coef[..., None, :]) @ qt + p.lam * mh * np.swapaxes(mh, -1, -2)
+        g = np.where(small, 2.0 * p.mu * h_pair, (f[a] - f[b]) / safe)
+        coef = np.concatenate([2.0 * p.mu * h, 0.5 * g])
+        mh = np.einsum("an,akn->kn", h, m)
+        c = np.einsum("jkn,jln->kln", coef[:, None] * q, q)
+        c += (p.lam * mh)[:, None] * mh
+        return c.transpose(2, 0, 1).reshape(s.eps.shape[:-2] + c.shape[:2])
 
-    return branch(fp, hp, hbp), branch(fm, hm, 1.0 - hbp)
+    return branch(fp, hp, hbp), branch(fm, hm, ~hbp)
 
 
 def strain_tensor_from_voigt(v: np.ndarray, dim: int) -> np.ndarray:
@@ -382,9 +442,3 @@ def strain_tensor_from_voigt(v: np.ndarray, dim: int) -> np.ndarray:
         else:
             out[..., i, j] = out[..., j, i] = 0.5 * v[..., k]
     return out
-
-
-def stress_voigt_from_tensor(t: np.ndarray, dim: int) -> np.ndarray:
-    """Symmetric stress tensor(s) to Voigt vector(s)."""
-    t = np.asarray(t, dtype=np.float64)
-    return np.stack([t[..., i, j] for i, j in zip(*VOIGT[dim])], axis=-1)

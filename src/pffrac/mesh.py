@@ -141,7 +141,8 @@ def parse_gmsh(text: str) -> Mesh:
     raw_elements: list = []  # (etype, phys_tag, node_ids)
 
     def _entries(header: str, idx: int) -> list:
-        """The entry lines of the section whose name is on line ``idx``."""
+        """The entry lines of the section whose name is on line ``idx``, as
+        (1-based line number, line) pairs."""
         try:
             count = int(lines[idx + 1].split()[0])
         except (IndexError, ValueError) as exc:
@@ -151,7 +152,14 @@ def parse_gmsh(text: str) -> Mesh:
         entries = lines[idx + 2 : idx + 2 + count]
         if len(entries) < count:
             raise MeshError(f"truncated {header} section: {len(entries)} of {count} entries")
-        return entries
+        return list(enumerate(entries, start=idx + 3))
+
+    def _numbers(header: str, lineno: int, entry: str, fields: list, convert) -> list:
+        """``fields`` of the entry line ``entry``, each converted by ``convert``."""
+        try:
+            return [convert(f) for f in fields]
+        except ValueError:
+            raise MeshError(f"non-numeric field in {header} section, line {lineno}: {entry.strip()!r}") from None
 
     while i < n:
         line = lines[i].strip()
@@ -166,25 +174,26 @@ def parse_gmsh(text: str) -> Mesh:
             i += 2
         elif line == "$PhysicalNames":
             entries = _entries("$PhysicalNames", i)
-            for entry in entries:
+            for lineno, entry in entries:
                 parts = entry.split(maxsplit=2)
                 if len(parts) < 3:
                     raise MeshError("malformed $PhysicalNames entry")
-                phys_names[(int(parts[0]), int(parts[1]))] = parts[2].strip().strip('"')
+                pdim, ptag = _numbers("$PhysicalNames", lineno, entry, parts[:2], int)
+                phys_names[(pdim, ptag)] = parts[2].strip().strip('"')
             i += 2 + len(entries)
         elif line == "$Nodes":
             entries = _entries("$Nodes", i)
-            for entry in entries:
+            for lineno, entry in entries:
                 parts = entry.split()
                 if len(parts) < 4:
                     raise MeshError("malformed $Nodes entry")
-                node_id_map[int(parts[0])] = len(raw_nodes)
-                raw_nodes.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                node_id_map[_numbers("$Nodes", lineno, entry, parts[:1], int)[0]] = len(raw_nodes)
+                raw_nodes.append(_numbers("$Nodes", lineno, entry, parts[1:4], float))
             i += 2 + len(entries)
         elif line == "$Elements":
             entries = _entries("$Elements", i)
-            for entry in entries:
-                parts = [int(p) for p in entry.split()]
+            for lineno, entry in entries:
+                parts = _numbers("$Elements", lineno, entry, entry.split(), int)
                 if len(parts) < 3:
                     raise MeshError("malformed $Elements entry")
                 etype, ntags = parts[1], parts[2]

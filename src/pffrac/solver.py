@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import dis, erg_from_spectrum, functional_from_psi
+from .energetics import bulk_merit, dis, functional_from_psi
 from .fem import (
     DofMap,
     ElementKernels,
@@ -187,7 +187,7 @@ def newton_u(
         full = u.copy()
         full[free] = x
         spec = strain_spectrum(kernels, full + u_d)
-        return erg_from_spectrum(spec, rw, kernels, p), spec
+        return bulk_merit(spec, rw, kernels, p), spec
 
     try:
         x, iters, _, spectrum = _box_newton(
@@ -198,7 +198,7 @@ def newton_u(
             cfg.max_newton,
             "newton_u",
             u_pattern(kernels, dofmap).ordering,
-            start=(erg_from_spectrum(spectrum, rw, kernels, p), spectrum),
+            start=(bulk_merit(spectrum, rw, kernels, p), spectrum),
         )
     except StepFailure as exc:
         exc.u, exc.a = u, a_fixed

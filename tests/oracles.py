@@ -2,19 +2,30 @@
 
 They are test code: no run path calls them.  Each is a plain, from-scratch
 form of something the program computes in a fused, cached or faster way (the
-functional trace, the stored energy, the two-sided bounds and check, the
-undegraded tangent, the displacement sparsity pattern, the 3-D principal
-strains, the snapshot reader) or a writer for the fixtures the program reads
-(Gmsh meshes).
+total functional and the damage merit, the stored energy, the two-sided
+bounds and check, the split energies, stresses and tangents, the undegraded
+tangent, the displacement sparsity pattern, the 3-D principal strains, the
+snapshot reader) or a writer for the fixtures the program reads (Gmsh
+meshes).
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from pffrac.energetics import check_two_sided, dis, erg, grad_term, penalty_energy
-from pffrac.fem import ElementKernels
-from pffrac.material import MaterialParams
+from pffrac.energetics import check_two_sided, dis, erg, grad_term
+from pffrac.fem import ElementKernels, beta_at_qp, strain_spectrum
+from pffrac.material import _GAP_REL, AT2, VOIGT, MaterialParams, StrainSpectrum, degradation, psi_split
 from pffrac.mesh import _GMSH_LINE, _GMSH_POINT, _GMSH_TET, _GMSH_TRI, Mesh
+
+
+def penalty_energy(a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
+    """Irreversibility penalty (1/(2 eps)) * integral [beta - beta_n]_-^2,
+    the potential whose gradient is the penalty residual term, summed
+    exactly."""
+    neg = np.minimum(beta_at_qp(kernels, a - a_n), 0.0)
+    return 0.5 / p.eps_pen * math.fsum((kernels.wj * neg * neg).ravel().tolist())
 
 
 def total_functional(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
@@ -27,6 +38,27 @@ def total_functional(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams)
         + (dis(a, kernels, p) - dis(a_n, kernels, p))
         + penalty_energy(a, a_n, kernels, p)
     )
+
+
+def damage_merit(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
+    """The damage solve's merit, from scratch: the total functional with
+    each term's integrand summed plainly, the terms at the quadrature points
+    (R(beta) psi0_+, the dissipation density, the penalty) in one
+    ``np.sum`` of w*j times their sum, the element-constant ones (psi0_-
+    and the gradient energy density) in one ``np.sum`` of |e| times their
+    sum, less ``dis(a_n)``."""
+    psi_p, psi_m = psi_split(strain_spectrum(kernels, u + u_d), p)
+    beta = beta_at_qp(kernels, a)
+    gap = np.minimum(beta_at_qp(kernels, a - a_n), 0.0)
+    r, _ = degradation(beta, p)
+    if p.dissipation == AT2:
+        density = (0.5 * p.gc / p.ell) * (beta * beta)
+    else:
+        density = (p.kappa * p.gc / p.ell) * beta
+    at_qp = r * psi_p[:, None] + density + (0.5 / p.eps_pen) * (gap * gap)
+    grad = np.einsum("edi,ei->ed", kernels.b_beta, a[kernels.elements])
+    per_e = psi_m + (0.5 * p.gc * p.ell) * np.einsum("ed,ed->e", grad, grad)
+    return float(np.sum(kernels.wj * at_qp) + np.sum(kernels.measures * per_e)) - dis(a_n, kernels, p)
 
 
 def stored_energy(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:
@@ -78,6 +110,78 @@ def eigh_spectrum(eps: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors (columns) of a batch of
     symmetric 3x3 strains, by LAPACK (numpy's eigh)."""
     return np.linalg.eigh(eps)
+
+
+def split_coeffs_dense(w: np.ndarray, p: MaterialParams):
+    """Principal stresses f^pm and branch indicators h^pm (as 0.0/1.0) of
+    the principal strains ``w`` (..., 3): f_a^+ = lam tr(eps_+) H(w_a > 0)
+    + 2 mu <w_a>_+, the minus part mirrored with H(w_a <= 0)."""
+    wp = np.maximum(w, 0.0)
+    wm = np.minimum(w, 0.0)
+    hp = (w > 0.0).astype(np.float64)
+    hm = 1.0 - hp
+    fp = p.lam * wp.sum(axis=-1, keepdims=True) * hp + 2.0 * p.mu * wp
+    fm = p.lam * wm.sum(axis=-1, keepdims=True) * hm + 2.0 * p.mu * wm
+    return fp, fm, hp, hm
+
+
+def psi_split_dense(s: StrainSpectrum, p: MaterialParams):
+    """Split energy densities lam/2 (tr eps_pm)^2 + mu eps_pm : eps_pm, with
+    every sum over the three principal strains taken along their axis."""
+    wp = np.maximum(s.eigvals, 0.0)
+    wm = np.minimum(s.eigvals, 0.0)
+    trp = wp.sum(axis=-1)
+    trm = wm.sum(axis=-1)
+    return (
+        0.5 * p.lam * trp * trp + p.mu * (wp * wp).sum(axis=-1),
+        0.5 * p.lam * trm * trm + p.mu * (wm * wm).sum(axis=-1),
+    )
+
+
+def sigma_split_dense(s: StrainSpectrum, p: MaterialParams):
+    """Split stresses sum_a f_a^pm n_a (x) n_a as 3x3 tensors over all three
+    eigenpairs of the embedding, read out in the Voigt order of the input
+    dimension."""
+    d = s.eps.shape[-1]
+    v = s.eigvecs
+    fp, fm, _, _ = split_coeffs_dense(s.eigvals, p)
+    vt = np.swapaxes(v, -1, -2)
+    return tuple(((v * f[..., None, :]) @ vt)[(...,) + VOIGT[d]] for f in (fp, fm))
+
+
+def tangent_split_c4(eps, p: MaterialParams):
+    """Reference split tangents through fourth-order tensors: sum
+    D_ab M_a (x) M_b and 1/2 g_ab P_ab (x) P_ab as 3x3x3x3 arrays over all
+    three eigenpairs of the embedding, then read out the Voigt entries."""
+    eps = np.asarray(eps, dtype=np.float64)
+    d = eps.shape[-1]
+    s = StrainSpectrum(eps)
+    w, v = s.eigvals, s.eigvecs
+    fp, fm, hp, hm = split_coeffs_dense(w, p)
+    idx = np.arange(3)
+    dp = p.lam * hp[..., :, None] * hp[..., None, :]
+    dp[..., idx, idx] += 2.0 * p.mu * hp
+    dm = p.lam * hm[..., :, None] * hm[..., None, :]
+    dm[..., idx, idx] += 2.0 * p.mu * hm
+    c4p = np.einsum("...ab,...ia,...ja,...kb,...lb->...ijkl", dp, v, v, v, v)
+    c4m = np.einsum("...ab,...ia,...ja,...kb,...lb->...ijkl", dm, v, v, v, v)
+
+    gap_tol = _GAP_REL * (1.0 + np.linalg.norm(eps, axis=(-2, -1)))
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        dw = w[..., a] - w[..., b]
+        small = np.abs(dw) < gap_tol
+        safe = np.where(small, 1.0, dw)
+        hbp = (0.5 * (w[..., a] + w[..., b]) > 0.0).astype(np.float64)
+        gp = np.where(small, 2.0 * p.mu * hbp, (fp[..., a] - fp[..., b]) / safe)
+        gm = np.where(small, 2.0 * p.mu * (1.0 - hbp), (fm[..., a] - fm[..., b]) / safe)
+        pab = np.einsum("...i,...j->...ij", v[..., :, a], v[..., :, b])
+        pab = pab + np.swapaxes(pab, -1, -2)
+        pp = np.einsum("...ij,...kl->...ijkl", pab, pab)
+        c4p = c4p + 0.5 * gp[..., None, None, None, None] * pp
+        c4m = c4m + 0.5 * gm[..., None, None, None, None] * pp
+
+    vi, vj = (np.array(x) for x in VOIGT[d])
+    return tuple(c[..., vi[:, None], vj[:, None], vi[None, :], vj[None, :]] for c in (c4p, c4m))
 
 
 def read_snapshot_by_line(path, dim: int):

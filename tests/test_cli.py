@@ -392,6 +392,23 @@ class TestCmdRun:
         assert f"missing config key {named}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_numeric_mesh_field_exit_2(self, tmp_path, capsys):
+        # a mesh file with a field that does not convert is a config error
+        # naming the section and the line, found before the output
+        # directory is made
+        lines = write_gmsh(patch_mesh()).splitlines()
+        at = lines.index("$Nodes") + 3  # the second node, on 1-based line at + 1
+        lines[at] = lines[at].split()[0] + " 1 x 0"
+        msh = tmp_path / "bad.msh"
+        msh.write_text("\n".join(lines) + "\n")
+        cfg = write_patch_config(msh, tmp_path / "bad.cfg")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"non-numeric field in $Nodes section, line {at + 1}" in err
+        assert "could not convert" not in err
+        assert not out.exists()
+
     def test_config_and_preset_exclusive(self, patch_config, tmp_path, capsys):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import box_mesh, random_state
-from oracles import fresh_check, lower_bound, stored_energy, total_functional, upper_bound
+from oracles import damage_merit, fresh_check, lower_bound, stored_energy, total_functional, upper_bound
 from pffrac import energetics
 from pffrac.energetics import (
     check_two_sided,
@@ -10,10 +12,10 @@ from pffrac.energetics import (
     erg,
     functional_from_psi,
     grad_term,
-    penalty_energy,
 )
 from pffrac.fem import build_kernels, strain_spectrum
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split
+from pffrac.mesh import Mesh
 
 
 def dense_erg(u1, u2, a, mesh, kernels, p):
@@ -182,6 +184,23 @@ class TestCheckTwoSided:
         e_curr = stored_energy(u, ud1, a_n, kern, sent_params)
         assert rep.delta == pytest.approx(rep.e_next - e_curr + rep.d_inc, rel=1e-12)
 
+    @pytest.mark.parametrize("divisions", [[12, 10], [4, 3, 3]], ids=["2d", "3d"])
+    def test_element_order_invariant_bitwise(self, sent_params, rng, divisions):
+        # every energy of the check is summed exactly, so the same mesh with
+        # its element rows permuted gives the same report, bit for bit
+        mesh = box_mesh([1.0] * len(divisions), divisions)
+        shuffled = Mesh(mesh.dim, mesh.nodes, mesh.elements[rng.permutation(mesh.n_elements)], mesh.node_sets)
+        u, a, a_n = random_state(mesh, rng)
+        u_next = u + 1e-4 * rng.normal(size=u.size)
+        ud_n = np.zeros_like(u)
+        ud_next = ud_n.copy()
+        ud_next[1 :: mesh.dim] = 1e-3 * mesh.nodes[:, 1]
+        reports = [
+            fresh_check(u, ud_n, a_n, u_next, ud_next, a, build_kernels(m), sent_params, 1e-5)
+            for m in (mesh, shuffled)
+        ]
+        assert reports[0] == reports[1]
+
     def test_four_bulk_energies_per_check(self, patch, sent_params, rng, monkeypatch):
         # E, UB and LB share the bulk energies of the two states under the
         # two liftings: the two under their own liftings are passed in, the
@@ -236,18 +255,32 @@ class TestCheckTwoSided:
 
 
 def test_penalty_energy_zero_iff_admissible(patch, sent_params, rng):
+    # the damage merit's penalty term: no term at all where the damage has
+    # not decreased (the merit does not see eps_pen), a positive one that
+    # grows as eps_pen shrinks where it has
     mesh, kern = patch
+    u, _, _ = random_state(mesh, rng)
+    psi_p, psi_m = psi_split(strain_spectrum(kern, u), sent_params)
+    stiff = dataclasses.replace(sent_params, eps_pen=0.1 * sent_params.eps_pen)
+
+    def merit(a, p):
+        return functional_from_psi(psi_p, psi_m, a, a_n, dis(a_n, kern, p), kern, p)
+
     a_n = rng.uniform(0, 0.5, mesh.n_nodes)
-    assert penalty_energy(a_n + 0.1, a_n, kern, sent_params) == 0.0
-    assert penalty_energy(a_n - 0.1, a_n, kern, sent_params) > 0.0
+    assert merit(a_n + 0.1, stiff) == merit(a_n + 0.1, sent_params)
+    assert merit(a_n - 0.1, stiff) > merit(a_n - 0.1, sent_params)
 
 
 def test_damage_merit_takes_anchor_dissipation(patch, sent_params, rng):
     # the anchor's dissipation passed in gives the same merit, bit for bit,
-    # as the functional with the incremental dissipation evaluated on the call
+    # as the plainly summed functional with the incremental dissipation
+    # evaluated on the call; it is the exactly summed functional up to
+    # round-off
     mesh, kern = patch
     u, a, a_n = random_state(mesh, rng)
     psi_p, psi_m = psi_split(strain_spectrum(kern, u), sent_params)
-    want = total_functional(u, np.zeros_like(u), a, a_n, kern, sent_params)
+    want = damage_merit(u, np.zeros_like(u), a, a_n, kern, sent_params)
     got = functional_from_psi(psi_p, psi_m, a, a_n, dis(a_n, kern, sent_params), kern, sent_params)
     assert got == want
+    exact = total_functional(u, np.zeros_like(u), a, a_n, kern, sent_params)
+    assert abs(got - exact) <= 1e-13 * abs(exact)

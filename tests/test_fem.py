@@ -6,8 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import box_mesh, damage_system, displacement_system, internal_force, random_state
-from oracles import elastic_tensor, element_dofs_pattern
-from pffrac.energetics import dis, erg, grad_term, penalty_energy
+from oracles import elastic_tensor, element_dofs_pattern, penalty_energy
+from pffrac.energetics import dis, erg, grad_term
 from pffrac.fem import (
     DofMap,
     TET_RULE,
@@ -558,10 +558,11 @@ class TestBlockAssembly:
         n_e = kern.elements.shape[0]
         monkeypatch.setattr(fem, "_BLOCK_BYTES", self._block_bytes(n_e))
         r1, k1 = fem.residual_and_tangent_u(spec, rw, kern, p, dm)
-        # the whole-mesh element matrices summed by bincount, in element order
+        # the whole-mesh element matrices B^T (C B) summed by bincount, in
+        # element order
         cp, cm = tangent_split(spec, p)
         c_e = rw[:, None, None] * cp + kern.measures[:, None, None] * cm
-        k_e = np.einsum("evi,evj->eij", kern.b_u, c_e @ kern.b_u)
+        k_e = np.swapaxes(kern.b_u, 1, 2) @ (c_e @ kern.b_u)
         data = np.bincount(pat.slot, weights=k_e.ravel(), minlength=pat.indices.size + 1)[:-1]
         assert np.array_equal(k1.data, data)
         for size in (1000, 7):

@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pffrac.material
-from oracles import eigh_spectrum, elastic_tensor
+from oracles import eigh_spectrum, elastic_tensor, psi_split_dense, sigma_split_dense, tangent_split_c4
 from pffrac.material import (
     _GAP_REL,
+    VOIGT,
     MaterialParams,
     StrainSpectrum,
     _jacobi,
@@ -15,7 +16,6 @@ from pffrac.material import (
     psi_split,
     sigma_split,
     strain_tensor_from_voigt,
-    stress_voigt_from_tensor,
     tangent_split,
 )
 
@@ -27,11 +27,11 @@ def rand_strain(rng, dim, mag=1e-3):
 
 def degraded(split, eps, beta, p):
     """R(beta) times the tensile part plus the compressive part of a split
-    pair: the degraded stress for ``sigma_split``, its tangent at fixed beta
-    for ``tangent_split``."""
+    pair: the degraded Voigt stress for ``sigma_split``, its tangent at
+    fixed beta for ``tangent_split``."""
     plus, minus = split(StrainSpectrum(eps), p)
     r, _ = degradation(beta, p)
-    return np.asarray(r)[..., None, None] * plus + minus
+    return r.reshape(r.shape + (1,) * (plus.ndim - r.ndim)) * plus + minus
 
 
 def tension_compression(s):
@@ -44,7 +44,8 @@ def tension_compression(s):
 
 
 def fd_grad_psi(eps, p, which, h=1e-7):
-    """Central finite differences of one branch of psi_split."""
+    """Central finite differences of one branch of psi_split, as a Voigt
+    stress (the derivative by each engineering strain component)."""
     d = eps.shape[-1]
     scale = h * (1.0 + np.linalg.norm(eps))
     g = np.zeros((d, d))
@@ -56,7 +57,7 @@ def fd_grad_psi(eps, p, which, h=1e-7):
             f1 = psi_split(StrainSpectrum(eps + de), p)[which]
             f0 = psi_split(StrainSpectrum(eps - de), p)[which]
             g[i, j] = (f1 - f0) / (2.0 * scale)
-    return g
+    return g[VOIGT[d]]
 
 
 class TestParams:
@@ -324,6 +325,85 @@ class TestSigmaSplit:
                 assert np.abs(sm - fd_grad_psi(eps, sent_params, 1)).max() <= 1e-6 * scale
 
 
+def plane_rotated(rng, w):
+    """Plane strains with the in-plane principal strains ``w`` (n, 2) in
+    random orientations."""
+    t = rng.uniform(0.0, np.pi, len(w))
+    q = np.stack([np.stack([np.cos(t), -np.sin(t)], -1), np.stack([np.sin(t), np.cos(t)], -1)], -2)
+    eps = (q * w[:, None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (eps + np.swapaxes(eps, -1, -2))
+
+
+def kernel_batch(rng, dim, kind, n=40):
+    """A batch of strains of one kind: zero; repeated principal strains
+    (exactly equal on the diagonal, then rotated pairs within the
+    coalescence gap); mixed signs; pure compression."""
+    if kind == "zero":
+        return np.zeros((n, dim, dim))
+    mag = 10.0 ** rng.uniform(-6.0, -2.0, (n, 1))
+    if kind == "repeated":
+        w = mag * rng.choice([-1.0, 1.0], (n, 1)) * np.ones((n, dim))
+        w[n // 2 :, 1] += 0.25 * _GAP_REL * rng.uniform(0.0, 1.0, n - n // 2)
+        if dim == 3:
+            w[: n // 4, 2] *= -0.3  # a repeated pair and a third value
+        exact = np.eye(dim) * w[: n // 2, None, :]
+        return np.concatenate([exact, (plane_rotated if dim == 2 else rotated)(rng, w[n // 2 :])])
+    w = mag * rng.uniform(0.1, 1.0, (n, dim))
+    if kind == "mixed":
+        w[:, 1:] *= -1.0
+        w[n // 2 :, 0] = 0.0  # one zero principal strain on the kink
+    else:
+        w = -w
+    return (plane_rotated if dim == 2 else rotated)(rng, w)
+
+
+KERNEL_KINDS = ("zero", "repeated", "mixed", "compression")
+
+
+class TestComponentKernels:
+    """The component-wise split kernels against their dense definitions."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_tangent_matches_dense(self, rng, sent_params, dim, kind):
+        eps = kernel_batch(rng, dim, kind)
+        got = tangent_split(StrainSpectrum(eps), sent_params)
+        want = tangent_split_c4(eps, sent_params)
+        scale = np.maximum(np.abs(want[0]).max(axis=(-2, -1)), np.abs(want[1]).max(axis=(-2, -1)))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (len(eps), 3 * dim - 3, 3 * dim - 3)
+            assert np.all(np.abs(g - w).max(axis=(-2, -1)) <= 1e-12 * scale)
+        if kind == "zero":
+            # the compression-side convention: the full elastic tensor
+            assert np.array_equal(got[0], np.zeros_like(got[0]))
+            assert np.allclose(got[1], elastic_tensor(dim, sent_params), rtol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_sigma_matches_dense(self, rng, sent_params, dim, kind):
+        eps = kernel_batch(rng, dim, kind)
+        got = sigma_split(StrainSpectrum(eps), sent_params)
+        want = sigma_split_dense(StrainSpectrum(eps), sent_params)
+        scale = np.maximum(np.abs(want[0]).max(axis=-1), np.abs(want[1]).max(axis=-1))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (len(eps), 3 * dim - 3)
+            assert np.all(np.abs(g - w).max(axis=-1) <= 1e-12 * scale)
+        if kind == "compression":
+            assert np.all(got[0] == 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_psi_bitwise_dense(self, rng, sent_params, dim):
+        # the per-mode sums (w0 + w1) + w2 are the sums along the axis
+        eps = np.concatenate(
+            [kernel_batch(rng, dim, kind) for kind in KERNEL_KINDS]
+            + [np.stack([rand_strain(rng, dim, mag) for mag in 10.0 ** rng.uniform(-8, 2, 200)])]
+        )
+        spec = StrainSpectrum(eps)
+        for got, want in zip(psi_split(spec, sent_params), psi_split_dense(spec, sent_params)):
+            assert got.shape == want.shape == eps.shape[:1]
+            assert np.array_equal(got, want)
+
+
 class TestDegradation:
     @pytest.mark.parametrize(
         "beta,r,dr",
@@ -347,14 +427,14 @@ class TestStress:
         sig = degraded(sigma_split, eps, 0.0, sent_params)
         lam, mu = sent_params.lam, sent_params.mu
         expect = (1 + sent_params.k) * (lam * eps.trace() * np.eye(2) + 2 * mu * eps)
-        assert np.allclose(sig, expect, rtol=1e-12)
+        assert np.allclose(sig, expect[VOIGT[2]], rtol=1e-12)
 
     def test_fully_damaged_compression(self, sent_params):
         eps = np.diag([-2e-3, -1e-3, -3e-3])
         sig = degraded(sigma_split, eps, 1.0, sent_params)
         lam, mu = sent_params.lam, sent_params.mu
         expect = lam * eps.trace() * np.eye(3) + 2 * mu * eps
-        assert np.allclose(sig, expect, rtol=1e-12)
+        assert np.allclose(sig, expect[VOIGT[3]], rtol=1e-12)
 
     def test_fd_oracle_with_degradation(self, rng, sent_params):
         beta = 0.3
@@ -376,7 +456,7 @@ class TestTangent:
             v[j] = h
             de = strain_tensor_from_voigt(v, d)
             ds = degraded(sigma_split, eps + de, beta, p) - degraded(sigma_split, eps - de, beta, p)
-            c[:, j] = stress_voigt_from_tensor(ds / (2 * h), d)
+            c[:, j] = ds / (2 * h)
         return c
 
     def test_undamaged_tension_is_scaled_elastic(self, sent_params):
@@ -401,8 +481,7 @@ class TestTangent:
             m = rng.normal(size=(2, 2))
             d = -(m @ m.T) - 1e-3 * np.eye(2)  # negative definite direction
             d /= np.linalg.norm(d)
-            ds = degraded(sigma_split, h * d, 0.0, sent_params) / h
-            dv = stress_voigt_from_tensor(ds, 2)
+            dv = degraded(sigma_split, h * d, 0.0, sent_params) / h
             gv = np.array([d[0, 0], d[1, 1], 2 * d[0, 1]])
             assert np.abs(c @ gv - dv).max() <= 1e-4 * np.abs(dv).max()
 
@@ -426,44 +505,6 @@ class TestTangent:
         batch = degraded(tangent_split, eps, beta, sent_params)
         for i in range(7):
             assert np.allclose(batch[i], degraded(tangent_split, eps[i], beta[i], sent_params))
-
-
-def tangent_split_c4(eps, p):
-    """Reference split tangents through fourth-order tensors: sum
-    D_ab M_a (x) M_b and 1/2 g_ab P_ab (x) P_ab as 3x3x3x3 arrays over all
-    three eigenpairs of the embedding, then read out the Voigt entries."""
-    eps = np.asarray(eps, dtype=np.float64)
-    d = eps.shape[-1]
-    s = StrainSpectrum(eps)
-    w, v = s.eigvals, s.eigvecs
-    fp, fm, hp, hm = _split_stress_coeffs(w, p)
-    idx = np.arange(3)
-    dp = p.lam * hp[..., :, None] * hp[..., None, :]
-    dp[..., idx, idx] += 2.0 * p.mu * hp
-    dm = p.lam * hm[..., :, None] * hm[..., None, :]
-    dm[..., idx, idx] += 2.0 * p.mu * hm
-    c4p = np.einsum("...ab,...ia,...ja,...kb,...lb->...ijkl", dp, v, v, v, v)
-    c4m = np.einsum("...ab,...ia,...ja,...kb,...lb->...ijkl", dm, v, v, v, v)
-
-    gap_tol = _GAP_REL * (1.0 + np.linalg.norm(eps, axis=(-2, -1)))
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        dw = w[..., a] - w[..., b]
-        small = np.abs(dw) < gap_tol
-        safe = np.where(small, 1.0, dw)
-        hbp = (0.5 * (w[..., a] + w[..., b]) > 0.0).astype(np.float64)
-        gp = np.where(small, 2.0 * p.mu * hbp, (fp[..., a] - fp[..., b]) / safe)
-        gm = np.where(small, 2.0 * p.mu * (1.0 - hbp), (fm[..., a] - fm[..., b]) / safe)
-        pab = np.einsum("...i,...j->...ij", v[..., :, a], v[..., :, b])
-        pab = pab + np.swapaxes(pab, -1, -2)
-        pp = np.einsum("...ij,...kl->...ijkl", pab, pab)
-        c4p = c4p + 0.5 * gp[..., None, None, None, None] * pp
-        c4m = c4m + 0.5 * gm[..., None, None, None, None] * pp
-
-    vi = np.array([0, 1, 2, 1, 0, 0])
-    vj = np.array([0, 1, 2, 2, 2, 1])
-    if d == 2:
-        vi, vj = vi[[0, 1, 5]], vj[[0, 1, 5]]
-    return tuple(c[..., vi[:, None], vj[:, None], vi[None, :], vj[None, :]] for c in (c4p, c4m))
 
 
 # fixed parameters: hypothesis runs one test body per example, so no
@@ -533,5 +574,5 @@ class TestTangentProperties:
             dv[j] = h
             de = strain_tensor_from_voigt(dv, d)
             ds = degraded(sigma_split, eps + de, beta, P_SENT) - degraded(sigma_split, eps - de, beta, P_SENT)
-            fd[:, j] = stress_voigt_from_tensor(ds / (2 * h), d)
+            fd[:, j] = ds / (2 * h)
         assert np.abs(c - fd).max() <= 1e-5 * np.abs(c).max()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,26 @@ class TestParseGmsh:
         # index error
         with pytest.raises(MeshError, match=f"\\{named} "):
             parse_gmsh(text)
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("2 1 0 0", "2 1 x 0", "$Nodes section, line 7: '2 1 x 0'"),
+            ("3 1 1 0", "3.5 1 1 0", "$Nodes section, line 8: '3.5 1 1 0'"),
+            ("2 2 2 0 0 1 3 4", "2 2 2 0 0 1 3 four", "$Elements section, line 14: '2 2 2 0 0 1 3 four'"),
+            (
+                "$Nodes",
+                '$PhysicalNames\n1\n1 two "top"\n$EndPhysicalNames\n$Nodes',
+                """$PhysicalNames section, line 6: '1 two "top"'""",
+            ),
+        ],
+        ids=["node_coordinate", "node_id", "element_node", "physical_tag"],
+    )
+    def test_non_numeric_field(self, old, new, named):
+        # a field that does not convert is a mesh error naming the section
+        # and the 1-based line, not a bare conversion error
+        with pytest.raises(MeshError, match="non-numeric field in " + re.escape(named)):
+            parse_gmsh(TWO_TRI_SQUARE.replace(old, new))
 
     def test_missing_node_reference(self):
         text = TWO_TRI_SQUARE.replace("2 2 2 0 0 1 3 4", "2 2 2 0 0 1 3 9")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import box_mesh, damage_system, displacement_system, internal_force, random_state, rcm_solve
-from oracles import total_functional
+from oracles import damage_merit, total_functional
 from pffrac.fem import DofMap, build_kernels, damage_blocks, strain_spectrum, u_pattern
 from pffrac import solver
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split, strain_tensor_from_voigt
@@ -243,7 +243,7 @@ class TestAlternateMinimize:
         u_d = np.zeros(2 * mesh.n_nodes)
         u_d[1::2] = 0.04 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
         counts = {"spectrum": 0, "merit": 0}
-        real_init, real_merit = StrainSpectrum.__init__, solver.erg_from_spectrum
+        real_init, real_merit = StrainSpectrum.__init__, solver.bulk_merit
 
         def spectrum_init(self, eps):
             counts["spectrum"] += 1
@@ -254,7 +254,7 @@ class TestAlternateMinimize:
             return real_merit(*args)
 
         monkeypatch.setattr(StrainSpectrum, "__init__", spectrum_init)
-        monkeypatch.setattr(solver, "erg_from_spectrum", merit)
+        monkeypatch.setattr(solver, "bulk_merit", merit)
         a0 = np.zeros(mesh.n_nodes)
         res = alternate_minimize(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm)
         # each displacement solve evaluates the merit of its start once and
@@ -265,7 +265,7 @@ class TestAlternateMinimize:
 
     def test_trace_is_total_functional(self, sent_params, monkeypatch):
         # the damage solve's merit of its result is the trace entry, equal
-        # bit for bit to the functional evaluated from scratch
+        # bit for bit to the plainly summed merit evaluated from scratch
         mesh, kern, dm = make_patch(divisions=3)
         u_d = np.zeros(2 * mesh.n_nodes)
         u_d[1::2] = 0.04 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
@@ -282,7 +282,7 @@ class TestAlternateMinimize:
         res = alternate_minimize(np.zeros(2 * mesh.n_nodes), a_n, a_n, u_d, kern, sent_params, SolverConfig(), dm)
         assert len(res.functional_trace) == len(states) == res.alt_iters > 1
         for f, (u, ud, a, an) in zip(res.functional_trace, states):
-            assert f == total_functional(u, ud, a, an, kern, sent_params)
+            assert f == damage_merit(u, ud, a, an, kern, sent_params)
 
     def test_failure_carries_best_state(self, sent_params):
         mesh, kern, dm = make_patch(divisions=3)
