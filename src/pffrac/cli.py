@@ -477,8 +477,11 @@ def cmd_check_energy(args) -> int:
     prev = None
     sum_d = 0.0
     for step, e_csv, sumd_csv, delta_csv, lb_csv, ub_csv, passed_csv in rows:
+        path = _snapshot_path(out_dir, step)
         try:
-            disp, a = read_field_snapshot(_snapshot_path(out_dir, step), mesh.dim)
+            disp, a = read_field_snapshot(path, mesh.dim)
+            if a.size != mesh.n_nodes:
+                raise ValueError(f"{path} holds {a.size} nodes, not the mesh's {mesh.n_nodes}")
         except (OSError, ValueError) as exc:
             print(f"cannot load run outputs: {exc}", file=sys.stderr)
             return 2

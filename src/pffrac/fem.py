@@ -38,7 +38,6 @@ from .material import (
     StrainSpectrum,
     degradation,
     sigma_split,
-    strain_tensor_from_voigt,
     tangent_split,
 )
 from .mesh import Mesh, MeshError
@@ -239,7 +238,7 @@ def strain_voigt(kernels: ElementKernels, total_disp: np.ndarray) -> np.ndarray:
 
 def strain_spectrum(kernels: ElementKernels, total_disp: np.ndarray) -> StrainSpectrum:
     """Spectrum of the per-element strains of U + U_D (constant for P1)."""
-    return StrainSpectrum(strain_tensor_from_voigt(strain_voigt(kernels, total_disp), kernels.dim))
+    return StrainSpectrum(strain_voigt(kernels, total_disp).T)
 
 
 def beta_at_qp(kernels: ElementKernels, a: np.ndarray) -> np.ndarray:
@@ -441,7 +440,7 @@ def residual_and_tangent_u(
 def _tangent_u_blocks(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams):
     """Element matrices of the displacement tangent, one block of
     ``_BLOCK_BYTES`` of temporaries at a time, from views of the state's
-    spectrum (its eigenvectors are already built by ``_force``).  Each
+    spectrum (its directions are already built by ``_force``).  Each
     block is formed in its own call, so its temporaries are freed before
     the next one is formed."""
     n_e = kernels.b_u.shape[0]

@@ -1,11 +1,13 @@
 """Pointwise constitutive kernels for the tension/compression-split damage model.
 
-Strain and stress tensors are plain symmetric numpy arrays of shape
-``(..., d, d)`` with ``d`` in {2, 3}; leading axes broadcast, so the same
-functions serve single quadrature points and whole-mesh batches.  Plane
-strain is handled by embedding 2x2 strains into 3x3 with an exactly zero
-out-of-plane eigenvalue (eigenvector e_z), so the split formulas are
-dimension-uniform.
+Strains come in as engineering Voigt rows, component first: an (nv, N)
+array over a batch of N strains, nv = 3 in 2-D (xx, yy, xy) and 6 in 3-D
+(xx, yy, zz, yz, xz, xy), the shear rows holding u_i,j + u_j,i.  A
+``StrainSpectrum`` decomposes them once, in that layout, and the split
+kernels read its principal strains and directions.  Plane strain needs no
+3x3 embedding: the out-of-plane principal strain is exactly zero and its
+direction e_z has no in-plane component, so it adds nothing to any split
+quantity and only the in-plane pair is kept.
 
 Units: moduli in N/mm^2, ``gc`` in N/mm, lengths in mm (energies then come
 out in N*mm).  Inputs given in kN/mm^2 are converted once, at construction,
@@ -17,18 +19,19 @@ tangent at zero strain equals the full undegraded elasticity tensor.
 
 Layout of the split kernels.  ``psi_split``, ``sigma_split`` and
 ``tangent_split`` work component-wise, as ``_jacobi`` does: the batch of N
-strains is the last, contiguous axis of every working array, and the small
-axes come first, one row per eigen-mode (principal strains, principal
-stresses, branch indicators: (d, N)), per mode and tensor index (principal
+strains is the last axis of every working array, and the small axes come
+first, one row per eigen-mode (principal strains, principal stresses,
+branch indicators: (d, N)), per mode and tensor index (principal
 directions: (d, d, N)) or per term and Voigt component (the Voigt dyads of
 the modes and of the eigenvector pairs: (J, nv, N)).  So every numpy call
 runs over N (or a multiple of N) elements, instead of over a trailing axis
 of length 3 per element, and the number of calls per evaluation does not
 grow with the batch.  Sums over the modes are explicit, left to right
 ((w0 + w1) + w2), which is what a sum along a length-3 last axis computes,
-so ``psi_split`` gives the same bits as the per-point form.  Stresses are
-returned as Voigt vectors (..., nv) and tangents as Voigt matrices
-(..., nv, nv), both views of their component-first arrays.
+so ``psi_split`` gives the same bits as the per-point form.  Energies are
+returned per strain (N,), stresses as Voigt vectors (N, nv) and tangents
+as Voigt matrices (N, nv, nv), the last two views of their component-first
+arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "sigma_split",
     "degradation",
     "tangent_split",
-    "strain_tensor_from_voigt",
 ]
 
 AT2 = "AT2"
@@ -128,14 +130,6 @@ class MaterialParams:
         return cls(lam=lam, mu=mu, **kw)
 
 
-def _check_sym(eps: np.ndarray) -> np.ndarray:
-    eps = np.asarray(eps, dtype=np.float64)
-    d = eps.shape[-1]
-    if eps.ndim < 2 or eps.shape[-2] != d or d not in (2, 3):
-        raise ValueError("strain must have shape (..., d, d) with d in {2, 3}")
-    return eps
-
-
 def _rotate(x: np.ndarray, y: np.ndarray, c, s) -> None:
     """(x, y) <- (c x - s y, s x + c y), in place."""
     sx = s * x
@@ -145,11 +139,12 @@ def _rotate(x: np.ndarray, y: np.ndarray, c, s) -> None:
     y += sx
 
 
-def _jacobi(eps: np.ndarray, vectors: bool):
-    """Eigenvalues (..., 3) of a batch of symmetric 3x3 matrices, and with
-    ``vectors`` also the eigenvectors (..., 3, 3) as columns, by cyclic Jacobi
-    sweeps vectorised over the batch (Golub & Van Loan, Matrix Computations,
-    sec. 8.5).
+def _jacobi(voigt: np.ndarray, vectors: bool):
+    """Eigenvalues (3, N) of a batch of symmetric 3x3 matrices given as their
+    engineering Voigt rows (6, N), and with ``vectors`` also the
+    eigenvectors (3, 3, N), v[a, i] the component i of the vector of value
+    a, by cyclic Jacobi sweeps vectorised over the batch (Golub & Van Loan,
+    Matrix Computations, sec. 8.5).
 
     Each matrix is first scaled by the power of two that brings its largest
     entry into [1/2, 1), which is exact and keeps every square below in
@@ -163,20 +158,20 @@ def _jacobi(eps: np.ndarray, vectors: bool):
     no entry is left.  Non-finite matrices give non-finite values.  The
     eigenvalues are unsorted, and the same with or without ``vectors``.
     """
-    shape = eps.shape[:-2]
-    m = eps.reshape(-1, 3, 3)
-    comps = [m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 1, 2], m[:, 0, 2], m[:, 0, 1]]
-    big = np.abs(comps[0])
-    for x in comps[1:]:
-        big = np.maximum(big, np.abs(x))
-    exp = np.frexp(big)[1]
-    comps = [np.ldexp(x, -exp) for x in comps]
+    # row-major whatever the layout of ``voigt``, so that every row below
+    # is contiguous
+    comps = np.empty(voigt.shape)
+    comps[:3] = voigt[:3]
+    np.multiply(0.5, voigt[3:], out=comps[3:])
+    exp = np.frexp(np.max(np.abs(comps), axis=0))[1]
+    comps = np.ldexp(comps, -exp)
     diag = comps[:3]
     off = comps[3:]  # off[r] couples the two indices other than r
     if vectors:
-        v = [[np.full(m.shape[0], float(i == k)) for k in range(3)] for i in range(3)]
+        v = np.zeros((3, 3, comps.shape[1]))
+        v[[0, 1, 2], [0, 1, 2]] = 1.0
     for _ in range(_MAX_SWEEPS):
-        if not any(np.any(np.abs(o) > _ROUNDOFF) for o in off):
+        if not np.any(np.abs(off) > _ROUNDOFF):
             break
         for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             apq = off[r]
@@ -194,73 +189,74 @@ def _jacobi(eps: np.ndarray, vectors: bool):
             # the third index r couples to p through off[q], to q through off[p]
             _rotate(off[q], off[p], c, s)
             if vectors:
-                for row in v:
-                    _rotate(row[p], row[q], c, s)
+                _rotate(v[p], v[q], c, s)
     else:
         raise RuntimeError(f"Jacobi eigensolver: no convergence in {_MAX_SWEEPS} sweeps")
-    w = np.stack([np.ldexp(x, exp) for x in diag], axis=-1).reshape(shape + (3,))
-    if not vectors:
-        return w
-    return w, np.stack([np.stack(row, axis=-1) for row in v], axis=-2).reshape(shape + (3, 3))
+    w = np.ldexp(diag, exp)
+    return (w, v) if vectors else w
+
+
+def _plane(voigt: np.ndarray):
+    """Mean m, half-difference h, shear c and radius r of the Mohr circle of
+    plane strains in Voigt rows (3, N): the principal strains are m -+ r."""
+    a, b, c = voigt[0], voigt[1], 0.5 * voigt[2]
+    m = 0.5 * (a + b)
+    h = 0.5 * (a - b)
+    return m, h, c, np.hypot(h, c)
 
 
 class StrainSpectrum:
-    """Principal strains of a batch of strains, in the 3x3 embedding.
+    """Principal strains and directions of a batch of strains.
 
-    ``eps`` is the checked strain batch (..., d, d), ``eigvals`` (..., 3) its
-    principal strains and ``eigvecs`` (..., 3, 3) the principal directions as
-    columns.  In 3-D a vectorised Jacobi eigensolver gives the values; the
-    vectors are built on first access, by a second pass that also applies
-    its rotations to them, since energies need only the values.  In plane
-    strain the in-plane pair has a closed form and the out-of-plane pair is
-    exactly (0, e_z), kept last, so the zero eigenvalue never suffers
+    ``voigt`` holds the engineering Voigt strains component first, (nv, N)
+    (see the module notes).  ``modes`` (d, N) holds the principal strains
+    and ``directions`` (d, d, N) the principal directions,
+    directions[a, i] = n_a[i].  In 3-D a vectorised Jacobi eigensolver gives
+    the values; the directions are built on first access, by a second pass
+    that also applies its rotations to them, since energies need only the
+    values.  In plane strain the in-plane pair has a closed form; the
+    out-of-plane pair, exactly (0, e_z), adds nothing to the split and is
+    not held, so the zero out-of-plane principal strain never suffers
     eigensolver round-off.  The split functions take a spectrum, so a state
     evaluated for several quantities is decomposed once.
     """
 
-    def __init__(self, eps: np.ndarray):
-        eps = _check_sym(eps)
-        self.eps = eps
-        self._eigvecs = None
-        if eps.shape[-1] == 3:
-            self.eigvals = _jacobi(eps, vectors=False)
+    def __init__(self, voigt: np.ndarray):
+        voigt = np.asarray(voigt, dtype=np.float64)
+        if voigt.ndim != 2 or len(voigt) not in (3, 6):
+            raise ValueError("strain must be engineering Voigt rows (nv, N) with nv in {3, 6}")
+        self._voigt = voigt
+        self._vectors = None
+        if len(voigt) == 6:
+            self.modes = _jacobi(voigt, vectors=False)
             return
-        a = eps[..., 0, 0]
-        b = eps[..., 1, 1]
-        c = eps[..., 0, 1]
-        m = 0.5 * (a + b)
-        h = 0.5 * (a - b)
-        r = np.hypot(h, c)
-        w = np.zeros(eps.shape[:-2] + (3,))
-        w[..., 0] = m - r
-        w[..., 1] = m + r
-        self.eigvals = w
-        self._hcr = (h, c, r)
+        m, _, _, r = _plane(voigt)
+        self.modes = np.stack((m - r, m + r))
 
     @property
     def shape(self) -> tuple:
-        """Shape of the strain batch."""
-        return self.eps.shape
+        """Shape of the strain batch, (N,)."""
+        return self.modes.shape[1:]
 
     def rows(self, lo: int, hi: int) -> "StrainSpectrum":
-        """Spectrum of the strains [lo, hi) along the first axis: views of
-        this spectrum's strains and eigenpairs (the vectors are built here
-        first if they were not yet)."""
+        """Spectrum of the strains [lo, hi) of the batch: views of this
+        spectrum's principal strains and directions (the directions are
+        built here first if they were not yet)."""
         view = object.__new__(StrainSpectrum)
-        view.eps = self.eps[lo:hi]
-        view.eigvals = self.eigvals[lo:hi]
-        view._eigvecs = self.eigvecs[lo:hi]
+        view._vectors = self.directions[..., lo:hi]
+        view.modes = self.modes[:, lo:hi]
         return view
 
     @property
-    def eigvecs(self) -> np.ndarray:
-        if self._eigvecs is None and self.eps.shape[-1] == 3:
+    def directions(self) -> np.ndarray:
+        if self._vectors is None and len(self._voigt) == 6:
             # the rotations never read the vectors, so this second pass
             # repeats the values pass bit for bit
-            _, self._eigvecs = _jacobi(self.eps, vectors=True)
-        elif self._eigvecs is None:
-            h, c, r = self._hcr
-            # eigenvector of w2; pick the better-conditioned analytic form
+            _, self._vectors = _jacobi(self._voigt, vectors=True)
+        elif self._vectors is None:
+            _, h, c, r = _plane(self._voigt)
+            # direction of the larger mode; pick the better-conditioned
+            # analytic form
             use_h = h >= 0.0
             vx = np.where(use_h, r + h, c)
             vy = np.where(use_h, c, r - h)
@@ -269,15 +265,8 @@ class StrainSpectrum:
             safe = np.where(deg, 1.0, norm)
             vx = np.where(deg, 1.0, vx / safe)
             vy = np.where(deg, 0.0, vy / safe)
-
-            v = np.zeros(self.eps.shape[:-2] + (3, 3))
-            v[..., 0, 0] = -vy
-            v[..., 1, 0] = vx
-            v[..., 0, 1] = vx
-            v[..., 1, 1] = vy
-            v[..., 2, 2] = 1.0
-            self._eigvecs = v
-        return self._eigvecs
+            self._vectors = np.stack((np.stack((-vy, vx)), np.stack((vx, vy))))
+        return self._vectors
 
 
 def _add(terms) -> np.ndarray:
@@ -288,25 +277,8 @@ def _add(terms) -> np.ndarray:
     return total
 
 
-def _modes(s: StrainSpectrum) -> np.ndarray:
-    """The principal strains of the modes with an in-plane part, one row per
-    mode: (d, N) over the N strains of the batch.  All three modes in 3-D;
-    in plane strain the e_z mode has strain exactly 0 and no in-plane part,
-    so it is left out."""
-    d = s.eps.shape[-1]
-    return s.eigvals.reshape(-1, 3)[:, :d].T.copy()
-
-
-def _directions(s: StrainSpectrum) -> np.ndarray:
-    """The in-plane parts of the principal directions of the modes of
-    ``_modes``, one row per mode and tensor index: (d, d, N) with
-    v[a, i] = n_a[i]."""
-    d = s.eps.shape[-1]
-    return s.eigvecs.reshape(-1, 3, 3)[:, :d, :d].transpose(2, 1, 0).copy()
-
-
 def _dyads(v: np.ndarray) -> np.ndarray:
-    """Voigt forms of the principal directions ``v`` (``_directions``), one
+    """Voigt forms of the principal directions ``v`` (d, d, N), one
     row per term and Voigt component: (J, nv, N).  The first d terms are
     the modes, M_a[k] = n_a[i_k] n_a[j_k], the Voigt form of n_a (x) n_a;
     the others are the pairs (a, b) of ``_PAIRS``,
@@ -329,12 +301,12 @@ def psi_split(s: StrainSpectrum, p: MaterialParams):
     psi0_pm = lam/2 (tr eps_pm)^2 + mu eps_pm : eps_pm, evaluated from the
     signed principal strains.  Both values are >= 0 (lam >= 0).
     """
-    w = _modes(s)
+    w = s.modes
 
     def branch(x):  # x = <w>_pm, squared in place once its trace is taken
         tr = _add(x)
         x *= x
-        return (0.5 * p.lam * tr * tr + p.mu * _add(x)).reshape(s.eps.shape[:-2])
+        return 0.5 * p.lam * tr * tr + p.mu * _add(x)
 
     return branch(np.maximum(w, 0.0)), branch(np.minimum(w, 0.0))
 
@@ -358,20 +330,18 @@ def _split_stress_coeffs(w: np.ndarray, p: MaterialParams):
 
 def sigma_split(s: StrainSpectrum, p: MaterialParams):
     """Tensile/compressive stresses, the exact gradients of ``psi_split``, of
-    the strain batch whose spectrum is ``s``, as Voigt vectors (..., nv):
+    the strain batch whose spectrum is ``s``, as Voigt vectors (N, nv):
     sigma0_pm = sum_a f_a^pm n_a (x) n_a, formed as d x d tensors with the
     batch axis last and read out in Voigt order.
 
     In the input dimension (the in-plane components for plane strain; the
     out-of-plane normal stress never enters 2-D assembly).
     """
-    d = s.eps.shape[-1]
-    fp, fm, _, _ = _split_stress_coeffs(_modes(s), p)
-    v = _directions(s)
-    shape = s.eps.shape[:-2] + (len(VOIGT[d][0]),)
+    fp, fm, _, _ = _split_stress_coeffs(s.modes, p)
+    v = s.directions
 
     def branch(f):
-        return np.einsum("ain,ajn->ijn", f[:, None] * v, v)[VOIGT[d]].T.reshape(shape)
+        return np.einsum("ain,ajn->ijn", f[:, None] * v, v)[VOIGT[len(v)]].T
 
     return branch(fp), branch(fm)
 
@@ -406,11 +376,11 @@ def tangent_split(s: StrainSpectrum, p: MaterialParams):
     eigenvalues (gap below 1e-9*(1+|eps|)) use the coalesced-pair limit
     g_ab = 2 mu h.
     """
-    w = _modes(s)
+    w = s.modes
     fp, fm, hp, hm = _split_stress_coeffs(w, p)
-    q = _dyads(_directions(s))
+    q = _dyads(s.directions)
     m = q[: len(w)]
-    a, b = _PAIRS[s.eps.shape[-1]]
+    a, b = _PAIRS[len(w)]
 
     # |eps| from the principal strains, which the modes hold in full
     gap_tol = _GAP_REL * (1.0 + np.sqrt(_add(w * w)))
@@ -427,18 +397,7 @@ def tangent_split(s: StrainSpectrum, p: MaterialParams):
         mh = np.einsum("an,akn->kn", h, m)
         c = np.einsum("jkn,jln->kln", coef[:, None] * q, q)
         c += (p.lam * mh)[:, None] * mh
-        return c.transpose(2, 0, 1).reshape(s.eps.shape[:-2] + c.shape[:2])
+        return c.transpose(2, 0, 1)
 
     return branch(fp, hp, hbp), branch(fm, hm, ~hbp)
 
-
-def strain_tensor_from_voigt(v: np.ndarray, dim: int) -> np.ndarray:
-    """Engineering-strain Voigt vector(s) to symmetric tensor(s)."""
-    v = np.asarray(v, dtype=np.float64)
-    out = np.zeros(v.shape[:-1] + (dim, dim))
-    for k, (i, j) in enumerate(zip(*VOIGT[dim])):
-        if i == j:
-            out[..., i, i] = v[..., k]
-        else:
-            out[..., i, j] = out[..., j, i] = 0.5 * v[..., k]
-    return out

@@ -65,6 +65,15 @@ def _seek(lines: list, i: int, prefix: str) -> int:
     return i
 
 
+def _count(lines: list, i: int) -> int:
+    """The count that the section header at line ``i`` gives after its
+    keyword."""
+    parts = lines[i].split()
+    if len(parts) < 2 or not parts[1].isdigit():
+        raise ValueError(f"snapshot header {lines[i]!r} at line {i + 1} gives no count")
+    return int(parts[1])
+
+
 def _values(lines: list, i: int, n: int, width: int) -> np.ndarray:
     """The n rows of ``width`` numbers starting at line ``i``, as (n, width)."""
     values = np.array(" ".join(lines[i : i + n]).split(), dtype=np.float64)
@@ -78,18 +87,22 @@ def read_field_snapshot(path, dim: int):
 
     Returns the displacement as a flat dim*n_nodes vector.  The POINTS,
     CELLS and CELL_TYPES headers give the length of their blocks, which are
-    skipped unread.
+    skipped unread.  A snapshot that does not parse raises ``ValueError``
+    naming ``path``.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
 
-    i = _seek(lines, 0, "POINTS")
-    n_points = int(lines[i].split()[1])
-    i = _seek(lines, i + 1 + n_points, "CELLS")
-    i = _seek(lines, i + 1 + int(lines[i].split()[1]), "CELL_TYPES")
-    i = _seek(lines, i + 1 + int(lines[i].split()[1]), "VECTORS displacement")
-    disp = _values(lines, i + 1, n_points, 3)
-    i = _seek(lines, i + 1 + n_points, "SCALARS damage")
-    i = _seek(lines, i, "LOOKUP_TABLE")
-    damage = _values(lines, i + 1, n_points, 1).ravel()
+    try:
+        i = _seek(lines, 0, "POINTS")
+        n_points = _count(lines, i)
+        i = _seek(lines, i + 1 + n_points, "CELLS")
+        i = _seek(lines, i + 1 + _count(lines, i), "CELL_TYPES")
+        i = _seek(lines, i + 1 + _count(lines, i), "VECTORS displacement")
+        disp = _values(lines, i + 1, n_points, 3)
+        i = _seek(lines, i + 1 + n_points, "SCALARS damage")
+        i = _seek(lines, i, "LOOKUP_TABLE")
+        damage = _values(lines, i + 1, n_points, 1).ravel()
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None
     return disp[:, :dim].reshape(-1), damage

@@ -5,8 +5,10 @@ form of something the program computes in a fused, cached or faster way (the
 total functional and the damage merit, the stored energy, the two-sided
 bounds and check, the split energies, stresses and tangents, the undegraded
 tangent, the displacement sparsity pattern, the 3-D principal strains, the
-snapshot reader) or a writer for the fixtures the program reads (Gmsh
-meshes).
+snapshot reader), a writer for the fixtures the program reads (Gmsh
+meshes), or a conversion between the strain tensors the tests build and the
+Voigt rows the program takes, including the 3x3 embedding of a spectrum
+that the dense references work in.
 """
 
 import math
@@ -106,6 +108,50 @@ def element_dofs_pattern(edofs: np.ndarray, n: int, keep_map: np.ndarray):
     return proto.indptr, proto.indices, slot
 
 
+def voigt_rows(eps) -> np.ndarray:
+    """Engineering Voigt rows (nv, N) of the symmetric strain tensors
+    ``eps`` (..., d, d), N the product of the leading axes: the input of
+    ``StrainSpectrum``."""
+    eps = np.asarray(eps, dtype=np.float64)
+    d = eps.shape[-1]
+    i, j = (np.array(x) for x in VOIGT[d])
+    return (np.where(i == j, 1.0, 2.0) * eps.reshape(-1, d, d)[:, i, j]).T
+
+
+def strain_tensor_from_voigt(v: np.ndarray, dim: int) -> np.ndarray:
+    """Engineering-strain Voigt vector(s) (..., nv) to symmetric tensor(s)."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.zeros(v.shape[:-1] + (dim, dim))
+    for k, (i, j) in enumerate(zip(*VOIGT[dim])):
+        if i == j:
+            out[..., i, i] = v[..., k]
+        else:
+            out[..., i, j] = out[..., j, i] = 0.5 * v[..., k]
+    return out
+
+
+def split_of(split, eps, p: MaterialParams):
+    """``split`` (``psi_split``, ``sigma_split`` or ``tangent_split``) of the
+    strain tensors ``eps`` (..., d, d), each output shaped by the leading
+    axes of ``eps``."""
+    lead = np.shape(eps)[:-2]
+    return tuple(x.reshape(lead + x.shape[1:]) for x in split(StrainSpectrum(voigt_rows(eps)), p))
+
+
+def embedding(s: StrainSpectrum):
+    """Principal strains (N, 3) and directions (N, 3, 3), as columns, of the
+    spectrum ``s`` in the 3x3 embedding: in plane strain the in-plane pair
+    is followed by the out-of-plane pair (0, e_z)."""
+    d, n = s.modes.shape
+    w = np.zeros((n, 3))
+    w[:, :d] = s.modes.T
+    v = np.zeros((n, 3, 3))
+    v[:, :d, :d] = s.directions.transpose(2, 1, 0)
+    if d == 2:
+        v[:, 2, 2] = 1.0
+    return w, v
+
+
 def eigh_spectrum(eps: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors (columns) of a batch of
     symmetric 3x3 strains, by LAPACK (numpy's eigh)."""
@@ -127,9 +173,11 @@ def split_coeffs_dense(w: np.ndarray, p: MaterialParams):
 
 def psi_split_dense(s: StrainSpectrum, p: MaterialParams):
     """Split energy densities lam/2 (tr eps_pm)^2 + mu eps_pm : eps_pm, with
-    every sum over the three principal strains taken along their axis."""
-    wp = np.maximum(s.eigvals, 0.0)
-    wm = np.minimum(s.eigvals, 0.0)
+    every sum over the three principal strains of the embedding taken along
+    their axis."""
+    w, _ = embedding(s)
+    wp = np.maximum(w, 0.0)
+    wm = np.minimum(w, 0.0)
     trp = wp.sum(axis=-1)
     trm = wm.sum(axis=-1)
     return (
@@ -142,21 +190,22 @@ def sigma_split_dense(s: StrainSpectrum, p: MaterialParams):
     """Split stresses sum_a f_a^pm n_a (x) n_a as 3x3 tensors over all three
     eigenpairs of the embedding, read out in the Voigt order of the input
     dimension."""
-    d = s.eps.shape[-1]
-    v = s.eigvecs
-    fp, fm, _, _ = split_coeffs_dense(s.eigvals, p)
+    w, v = embedding(s)
+    fp, fm, _, _ = split_coeffs_dense(w, p)
     vt = np.swapaxes(v, -1, -2)
-    return tuple(((v * f[..., None, :]) @ vt)[(...,) + VOIGT[d]] for f in (fp, fm))
+    return tuple(((v * f[..., None, :]) @ vt)[(...,) + VOIGT[len(s.modes)]] for f in (fp, fm))
 
 
 def tangent_split_c4(eps, p: MaterialParams):
     """Reference split tangents through fourth-order tensors: sum
     D_ab M_a (x) M_b and 1/2 g_ab P_ab (x) P_ab as 3x3x3x3 arrays over all
-    three eigenpairs of the embedding, then read out the Voigt entries."""
+    three eigenpairs of the embedding, then read out the Voigt entries, for
+    the strain tensors ``eps`` (..., d, d)."""
     eps = np.asarray(eps, dtype=np.float64)
     d = eps.shape[-1]
-    s = StrainSpectrum(eps)
-    w, v = s.eigvals, s.eigvecs
+    w, v = embedding(StrainSpectrum(voigt_rows(eps)))
+    w = w.reshape(eps.shape[:-2] + (3,))
+    v = v.reshape(eps.shape[:-2] + (3, 3))
     fp, fm, hp, hm = split_coeffs_dense(w, p)
     idx = np.arange(3)
     dp = p.lam * hp[..., :, None] * hp[..., None, :]

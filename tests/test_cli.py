@@ -723,6 +723,26 @@ class TestCheckEnergy:
         code, err = self.audit_of(patch_run, capsys)
         assert code == 2 and "cannot load run outputs" in err
 
+    @pytest.mark.parametrize("edit", ["bare_points_header", "one_node_fewer"])
+    def test_malformed_snapshot_exit_2(self, patch_run, capsys, edit):
+        # a snapshot that does not parse, or that holds another node count
+        # than the run's mesh, is unreadable output and no audit mismatch
+        snap = patch_run / "snapshots" / "step_000002.vtk"
+        lines = snap.read_text().splitlines()
+        i = next(k for k, x in enumerate(lines) if x.startswith("POINTS"))
+        if edit == "bare_points_header":
+            lines[i] = "POINTS"
+        else:
+            n = int(lines[i].split()[1])
+            lines[i] = f"POINTS {n - 1} double"
+            last = {i + n}  # the last coordinate row, then the last value rows
+            last.add(lines.index("VECTORS displacement double") + n)
+            last.add(lines.index("LOOKUP_TABLE default") + n)
+            lines = [x for k, x in enumerate(lines) if k not in last]
+        snap.write_text("\n".join(lines) + "\n")
+        code, err = self.audit_of(patch_run, capsys)
+        assert code == 2 and err.startswith("cannot load run outputs: ") and str(snap) in err
+
     @pytest.mark.parametrize("edit", ["header_only", "drop_step_2", "swap_steps_2_3"])
     def test_energy_rows_are_the_accepted_steps(self, patch_run, capsys, edit):
         # energy.csv must hold steps 0..accepted_steps once each, in order

@@ -196,9 +196,9 @@ class TestReusedDecomposition:
         inside = []
         real_init, real_solve, real_reaction = StrainSpectrum.__init__, driver.alternate_minimize, reaction_force
 
-        def spectrum_init(self, eps):
+        def spectrum_init(self, voigt):
             counts["outside"] += not inside
-            real_init(self, eps)
+            real_init(self, voigt)
 
         def solve(*args):
             counts["solves"] += 1

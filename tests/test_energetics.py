@@ -24,8 +24,7 @@ def dense_erg(u1, u2, a, mesh, kernels, p):
     disp = (u1 + u2)[kernels.udofs]
     for e in range(mesh.n_elements):
         v = kernels.b_u[e] @ disp[e]
-        eps = np.array([[v[0], 0.5 * v[2]], [0.5 * v[2], v[1]]])
-        psi_p, psi_m = psi_split(StrainSpectrum(eps), p)
+        [psi_p], [psi_m] = psi_split(StrainSpectrum(v[:, None]), p)
         for q in range(kernels.shape_qp.shape[0]):
             beta = kernels.shape_qp[q] @ a[kernels.elements[e]]
             r = (1 - beta) ** 2 + p.k

@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import box_mesh, damage_system, displacement_system, internal_force, random_state
-from oracles import elastic_tensor, element_dofs_pattern, penalty_energy
+from oracles import elastic_tensor, element_dofs_pattern, penalty_energy, strain_tensor_from_voigt
 from pffrac.energetics import dis, erg, grad_term
 from pffrac.fem import (
     DofMap,
@@ -30,7 +32,6 @@ from pffrac.material import (
     StrainSpectrum,
     degradation,
     psi_split,
-    strain_tensor_from_voigt,
     tangent_split,
 )
 from pffrac.presets import load_preset
@@ -145,8 +146,7 @@ class TestResidualBeta:
         beta = 0.17
         a = np.full(mesh.n_nodes, beta)
         r = damage_system(np.zeros_like(u_d), u_d, a, np.zeros(mesh.n_nodes), kern, sent_params)[0]
-        eps = strain_tensor_from_voigt(np.array([0.0, 2e-3, 0.0]), 2)
-        psi_p, _ = psi_split(StrainSpectrum(eps), sent_params)
+        [psi_p], _ = psi_split(StrainSpectrum(np.array([[0.0], [2e-3], [0.0]])), sent_params)
         defect = -2 * (1 - beta) * psi_p + sent_params.gc / sent_params.ell * beta
         assert r.sum() == pytest.approx(mesh.element_measures().sum() * defect, rel=1e-12)
 
@@ -284,7 +284,7 @@ class TestTangents:
         u, a, a_n = random_state(mesh, rng)
         u_d = 1e-4 * rng.normal(size=u.size)
 
-        spec = StrainSpectrum(strain_tensor_from_voigt(strain_voigt(kern, u + u_d), 2))
+        spec = StrainSpectrum(strain_voigt(kern, u + u_d).T)
         cp, cm = tangent_split(spec, p)
         rw = np.einsum("eq,eq->e", kern.wj, degradation(beta_at_qp(kern, a), p)[0])
         c_e = rw[:, None, None] * cp + kern.measures[:, None, None] * cm
@@ -537,14 +537,14 @@ class TestUPattern:
 @pytest.fixture(scope="module")
 def bend3d_state():
     """Kernels, dof map, pattern and a step-1 state of bend3d@0.1 with
-    damage, its spectrum's eigenvectors built."""
+    damage, its spectrum's directions built."""
     setup = load_preset("bend3d", 0.1)
     kern = build_kernels(setup.mesh)
     dm = build_dofmap(setup.mesh, setup.program)
     rng = np.random.default_rng(7)
     u_d = lifting_for_step(setup.program, 1, setup.mesh)
     spec = strain_spectrum(kern, 1e-3 * rng.normal(size=u_d.size) + u_d)
-    spec.eigvecs
+    spec.directions
     rw = degradation_weights(kern, rng.uniform(0.0, 0.9, setup.mesh.n_nodes), setup.params)
     return kern, dm, u_pattern(kern, dm), spec, rw, setup.params
 
@@ -586,3 +586,21 @@ class TestBlockAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * pat.indices.size + 2**18
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_spectrum_sizes_the_material_spans(rng, dim):
+    # the benchmark's span tracer sizes each material.* span by the leading
+    # dimension of the call's first argument: the strains of a state's
+    # spectrum, or of one block of it
+    loader = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracing)
+    mesh = box_mesh([1.0] * dim, [2] * dim)
+    kern = build_kernels(mesh)
+    spec = strain_spectrum(kern, 1e-3 * rng.normal(size=dim * mesh.n_nodes))
+    assert tracing._rows((spec,)) == mesh.n_elements
+    assert tracing._rows((spec.rows(3, 8),)) == 5

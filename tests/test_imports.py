@@ -5,6 +5,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pffrac"
 TESTS = Path(__file__).resolve().parent
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def unused_imports(source: str) -> list:
@@ -35,8 +36,8 @@ def test_detects_unused_import():
 
 @pytest.mark.parametrize(
     "path",
-    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
-    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(SCRIPTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}",
 )
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -4,7 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pffrac.material
-from oracles import eigh_spectrum, elastic_tensor, psi_split_dense, sigma_split_dense, tangent_split_c4
+from oracles import (
+    eigh_spectrum,
+    elastic_tensor,
+    embedding,
+    psi_split_dense,
+    sigma_split_dense,
+    split_of,
+    strain_tensor_from_voigt,
+    tangent_split_c4,
+    voigt_rows,
+)
 from pffrac.material import (
     _GAP_REL,
     VOIGT,
@@ -15,7 +25,6 @@ from pffrac.material import (
     degradation,
     psi_split,
     sigma_split,
-    strain_tensor_from_voigt,
     tangent_split,
 )
 
@@ -29,17 +38,18 @@ def degraded(split, eps, beta, p):
     """R(beta) times the tensile part plus the compressive part of a split
     pair: the degraded Voigt stress for ``sigma_split``, its tangent at
     fixed beta for ``tangent_split``."""
-    plus, minus = split(StrainSpectrum(eps), p)
+    plus, minus = split_of(split, eps, p)
     r, _ = degradation(beta, p)
     return r.reshape(r.shape + (1,) * (plus.ndim - r.ndim)) * plus + minus
 
 
 def tension_compression(s):
     """eps_pm = sum_a <w_a>_pm n_a (x) n_a from a ``StrainSpectrum``, in the
-    3x3 embedding."""
-    v, vt = s.eigvecs, np.swapaxes(s.eigvecs, -1, -2)
-    eps_p = (v * np.maximum(s.eigvals, 0.0)[..., None, :]) @ vt
-    eps_m = (v * np.minimum(s.eigvals, 0.0)[..., None, :]) @ vt
+    3x3 embedding, (N, 3, 3)."""
+    w, v = embedding(s)
+    vt = np.swapaxes(v, -1, -2)
+    eps_p = (v * np.maximum(w, 0.0)[..., None, :]) @ vt
+    eps_m = (v * np.minimum(w, 0.0)[..., None, :]) @ vt
     return eps_p, eps_m
 
 
@@ -54,8 +64,8 @@ def fd_grad_psi(eps, p, which, h=1e-7):
             de = np.zeros((d, d))
             de[i, j] += 0.5 * scale
             de[j, i] += 0.5 * scale
-            f1 = psi_split(StrainSpectrum(eps + de), p)[which]
-            f0 = psi_split(StrainSpectrum(eps - de), p)[which]
+            f1 = split_of(psi_split, eps + de, p)[which]
+            f0 = split_of(psi_split, eps - de, p)[which]
             g[i, j] = (f1 - f0) / (2.0 * scale)
     return g[VOIGT[d]]
 
@@ -87,27 +97,27 @@ class TestSpectralSplit:
     eigenpairs of a ``StrainSpectrum``."""
 
     def test_zero(self):
-        s = StrainSpectrum(np.zeros((2, 2)))
-        assert np.all(s.eigvals == 0.0)
+        s = StrainSpectrum(voigt_rows(np.zeros((2, 2))))
+        assert np.all(s.modes == 0.0)
         eps_p, eps_m = tension_compression(s)
         assert np.all(eps_p == 0.0) and np.all(eps_m == 0.0)
 
     def test_diagonal_plane_strain(self):
-        s = StrainSpectrum(np.diag([2.0, -3.0]))
-        assert sorted(s.eigvals) == pytest.approx([-3.0, 0.0, 2.0])
-        eps_p, eps_m = tension_compression(s)
+        s = StrainSpectrum(voigt_rows(np.diag([2.0, -3.0])))
+        assert sorted(embedding(s)[0][0]) == pytest.approx([-3.0, 0.0, 2.0])
+        (eps_p,), (eps_m,) = tension_compression(s)
         assert np.allclose(np.sort(np.diag(eps_p)), [0.0, 0.0, 2.0])
         assert np.allclose(np.sort(np.diag(eps_m)), [-3.0, 0.0, 0.0])
 
     def test_pure_shear_oracle(self):
         eps = np.array([[0.0, 0.5], [0.5, 0.0]])
-        s = StrainSpectrum(eps)
+        s = StrainSpectrum(voigt_rows(eps))
         # independent 2x2 eigensolver
         w, v = np.linalg.eigh(eps)
-        assert np.sort(s.eigvals) == pytest.approx([-0.5, 0.0, 0.5])
+        assert np.sort(embedding(s)[0][0]) == pytest.approx([-0.5, 0.0, 0.5])
         m = v[:, 1]  # eigenvector of +0.5
         expect = 0.5 * np.outer(m, m)
-        assert np.allclose(tension_compression(s)[0][:2, :2], expect, atol=1e-14)
+        assert np.allclose(tension_compression(s)[0][0, :2, :2], expect, atol=1e-14)
 
     def test_reconstruction_and_orthogonality(self, rng):
         # v diag(w) v^T rebuilds the embedded strain, in plane strain (closed
@@ -115,16 +125,16 @@ class TestSpectralSplit:
         for dim in (2, 3):
             for _ in range(20):
                 eps = rand_strain(rng, dim)
-                s = StrainSpectrum(eps)
+                s = StrainSpectrum(voigt_rows(eps))
                 full = np.zeros((3, 3))
                 full[:dim, :dim] = eps
                 scale = 1.0 + np.linalg.norm(eps)
-                v = s.eigvecs
-                err = np.abs((v * s.eigvals[..., None, :]) @ v.swapaxes(-1, -2) - full).max()
+                w, v = embedding(s)
+                err = np.abs((v * w[..., None, :]) @ v.swapaxes(-1, -2) - full).max()
                 assert err <= 1e-12 * scale
                 # exact in the eigenbasis; round-off-level after reconstruction
-                assert np.all(np.maximum(s.eigvals, 0) * np.minimum(s.eigvals, 0) == 0.0)
-                eps_p, eps_m = tension_compression(s)
+                assert np.all(np.maximum(w, 0) * np.minimum(w, 0) == 0.0)
+                (eps_p,), (eps_m,) = tension_compression(s)
                 assert abs(np.tensordot(eps_p, eps_m)) <= 1e-13 * scale**2
                 gram = v.swapaxes(-1, -2) @ v
                 assert np.abs(gram - np.eye(3)).max() < 1e-12
@@ -132,8 +142,8 @@ class TestSpectralSplit:
     def test_flip_symmetry(self, rng):
         for _ in range(10):
             eps = rand_strain(rng, 3)
-            sp = tension_compression(StrainSpectrum(eps))
-            sn = tension_compression(StrainSpectrum(-eps))
+            sp = tension_compression(StrainSpectrum(voigt_rows(eps)))
+            sn = tension_compression(StrainSpectrum(voigt_rows(-eps)))
             assert np.allclose(sn[0], -sp[1], atol=1e-15)
 
 
@@ -146,12 +156,30 @@ class TestStrainSpectrum:
         # bit
         eps = np.stack([rand_strain(rng, dim) for _ in range(20)] + [np.zeros((dim, dim))])
         eps[1] = np.diag(np.full(dim, 1e-3))  # repeated principal strains
-        spec = StrainSpectrum(eps)
-        assert spec.shape == eps.shape
+        spec = StrainSpectrum(voigt_rows(eps))
+        assert spec.shape == eps.shape[:1]
         for fn in (psi_split, sigma_split, tangent_split):
-            for got, want in zip(fn(spec, sent_params), fn(StrainSpectrum(eps), sent_params)):
+            for got, want in zip(fn(spec, sent_params), fn(StrainSpectrum(voigt_rows(eps)), sent_params)):
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_block_views_match_sliced_rows(self, rng, sent_params, dim):
+        # a block of a state's spectrum, as the tangent assembly reads it
+        # (views of the batch's principal strains and directions), gives
+        # the bits of a spectrum of the block's Voigt rows alone
+        eps = np.stack([rand_strain(rng, dim) for _ in range(20)] + [np.zeros((dim, dim))])
+        eps[1] = np.diag(np.full(dim, 1e-3))
+        voigt = voigt_rows(eps)
+        spec = StrainSpectrum(voigt)
+        for lo, hi in ((0, 7), (7, 20), (20, 21), (0, 21)):
+            view = spec.rows(lo, hi)
+            assert view.shape == (hi - lo,)
+            for fn in (psi_split, sigma_split, tangent_split):
+                for got, want in zip(fn(view, sent_params), fn(StrainSpectrum(voigt[:, lo:hi]), sent_params)):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 def rotated(rng, w):
@@ -169,12 +197,11 @@ def assert_matches_eigh(eps):
     """The 3-D spectrum of a strain batch against LAPACK: sorted principal
     strains within 8 ulp of each strain's Frobenius norm, directions that
     rebuild the strain to 1e-14 of that norm and are orthonormal to 1e-14."""
-    s = StrainSpectrum(eps)
+    w, v = embedding(StrainSpectrum(voigt_rows(eps)))
     w_ref, _ = eigh_spectrum(eps)
     fro = np.linalg.norm(eps, axis=(-2, -1))
-    assert np.all(np.abs(np.sort(s.eigvals, axis=-1) - w_ref).max(axis=-1) <= 8 * 2.0**-52 * fro)
-    v = s.eigvecs
-    rebuilt = (v * s.eigvals[..., None, :]) @ np.swapaxes(v, -1, -2)
+    assert np.all(np.abs(np.sort(w, axis=-1) - w_ref).max(axis=-1) <= 8 * 2.0**-52 * fro)
+    rebuilt = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
     assert np.all(np.abs(rebuilt - eps).max(axis=(-2, -1)) <= 1e-14 * fro)
     assert np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(3)).max() <= 1e-14
 
@@ -252,15 +279,15 @@ class TestJacobiSpectrum:
         assert_matches_eigh(eps[None])
 
     def test_values_pass_equals_vectors_pass(self, rng):
-        eps = np.concatenate([f(rng, 50) for f in ADVERSARIAL.values()])
-        assert np.array_equal(StrainSpectrum(eps).eigvals, _jacobi(eps, vectors=True)[0])
+        voigt = voigt_rows(np.concatenate([f(rng, 50) for f in ADVERSARIAL.values()]))
+        assert np.array_equal(StrainSpectrum(voigt).modes, _jacobi(voigt, vectors=True)[0])
 
     def test_singular_strain_keeps_exact_zero(self, sent_params):
         # a strain of determinant 0 whose off-diagonal entry is at round-off
         # of its scale: rotating that entry away would move the zero
         # principal strain to +1e-37, onto the tensile side of the split
         eps = np.array([[0.0, 0.0, 2.8e-21], [0.0, 0.0, 1e-4], [2.8e-21, 1e-4, -1e-4]])
-        w = StrainSpectrum(eps).eigvals
+        w = StrainSpectrum(voigt_rows(eps)).modes
         assert np.count_nonzero(w == 0.0) == 1
         fp, _, hp, _ = _split_stress_coeffs(w, sent_params)
         assert hp[w == 0.0].tolist() == [0.0] and fp[w == 0.0].tolist() == [0.0]
@@ -268,58 +295,58 @@ class TestJacobiSpectrum:
     def test_sweep_cap_raises(self, rng, monkeypatch):
         monkeypatch.setattr(pffrac.material, "_MAX_SWEEPS", 2)
         with pytest.raises(RuntimeError, match="no convergence"):
-            StrainSpectrum(rotated(rng, rng.normal(size=(20, 3))))
+            StrainSpectrum(voigt_rows(rotated(rng, rng.normal(size=(20, 3)))))
 
     def test_non_finite_strains_give_non_finite_values(self, rng):
         eps = rotated(rng, rng.normal(size=(3, 3)))
         eps[1, 0, 1] = eps[1, 1, 0] = np.nan
         eps[2, 2, 2] = np.inf
-        s = StrainSpectrum(eps)
-        assert not np.isfinite(s.eigvals[1:]).all(axis=-1).any()
-        assert np.array_equal(s.eigvals[0], StrainSpectrum(eps[0]).eigvals)
+        s = StrainSpectrum(voigt_rows(eps))
+        assert not np.isfinite(s.modes[:, 1:]).all(axis=0).any()
+        assert np.array_equal(s.modes[:, :1], StrainSpectrum(voigt_rows(eps[0])).modes)
 
 
 class TestPsiSplit:
     def test_zero(self, sent_params):
-        assert psi_split(StrainSpectrum(np.zeros((3, 3))), sent_params) == (0.0, 0.0)
+        assert split_of(psi_split, np.zeros((3, 3)), sent_params) == (0.0, 0.0)
 
     def test_uniaxial_value(self):
         # lam/2 + mu times e^2, in the units of the moduli
         p = MaterialParams(lam=121.1538, mu=80.7692, gc=2.7, ell=0.0175)
         eps = np.diag([1e-3, 0.0, 0.0])
-        plus, minus = psi_split(StrainSpectrum(eps), p)
+        plus, minus = split_of(psi_split, eps, p)
         assert plus == pytest.approx(1.413461e-4, rel=1e-6)
         assert minus == 0.0
 
     def test_sign_swap(self, rng, sent_params):
         for _ in range(10):
             eps = rand_strain(rng, 2)
-            pp, pm = psi_split(StrainSpectrum(eps), sent_params)
-            np_, nm = psi_split(StrainSpectrum(-eps), sent_params)
+            pp, pm = split_of(psi_split, eps, sent_params)
+            np_, nm = split_of(psi_split, -eps, sent_params)
             assert np_ == pytest.approx(pm, rel=1e-12, abs=1e-300)
             assert nm == pytest.approx(pp, rel=1e-12, abs=1e-300)
 
     def test_nonnegative(self, rng, sent_params):
         for dim in (2, 3):
             eps = rand_strain(rng, dim, mag=1.0)
-            pp, pm = psi_split(StrainSpectrum(eps), sent_params)
+            pp, pm = split_of(psi_split, eps, sent_params)
             assert pp >= 0.0 and pm >= 0.0
 
 
 class TestSigmaSplit:
     def test_zero(self, sent_params):
-        sp, sm = sigma_split(StrainSpectrum(np.zeros((2, 2))), sent_params)
+        sp, sm = split_of(sigma_split, np.zeros((2, 2)), sent_params)
         assert np.all(sp == 0.0) and np.all(sm == 0.0)
 
     def test_negative_definite_has_no_tensile_part(self, sent_params):
-        sp, _ = sigma_split(StrainSpectrum(np.diag([-1e-3, -2e-3, -5e-4])), sent_params)
+        sp, _ = split_of(sigma_split, np.diag([-1e-3, -2e-3, -5e-4]), sent_params)
         assert np.all(sp == 0.0)
 
     def test_fd_gradient_of_psi(self, rng, sent_params):
         for dim in (2, 3):
             for _ in range(5):
                 eps = rand_strain(rng, dim)
-                sp, sm = sigma_split(StrainSpectrum(eps), sent_params)
+                sp, sm = split_of(sigma_split, eps, sent_params)
                 scale = np.abs(sp).max() + np.abs(sm).max()
                 assert np.abs(sp - fd_grad_psi(eps, sent_params, 0)).max() <= 1e-6 * scale
                 assert np.abs(sm - fd_grad_psi(eps, sent_params, 1)).max() <= 1e-6 * scale
@@ -367,7 +394,7 @@ class TestComponentKernels:
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_tangent_matches_dense(self, rng, sent_params, dim, kind):
         eps = kernel_batch(rng, dim, kind)
-        got = tangent_split(StrainSpectrum(eps), sent_params)
+        got = tangent_split(StrainSpectrum(voigt_rows(eps)), sent_params)
         want = tangent_split_c4(eps, sent_params)
         scale = np.maximum(np.abs(want[0]).max(axis=(-2, -1)), np.abs(want[1]).max(axis=(-2, -1)))
         for g, w in zip(got, want):
@@ -382,8 +409,8 @@ class TestComponentKernels:
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_sigma_matches_dense(self, rng, sent_params, dim, kind):
         eps = kernel_batch(rng, dim, kind)
-        got = sigma_split(StrainSpectrum(eps), sent_params)
-        want = sigma_split_dense(StrainSpectrum(eps), sent_params)
+        got = sigma_split(StrainSpectrum(voigt_rows(eps)), sent_params)
+        want = sigma_split_dense(StrainSpectrum(voigt_rows(eps)), sent_params)
         scale = np.maximum(np.abs(want[0]).max(axis=-1), np.abs(want[1]).max(axis=-1))
         for g, w in zip(got, want):
             assert g.shape == w.shape == (len(eps), 3 * dim - 3)
@@ -398,7 +425,7 @@ class TestComponentKernels:
             [kernel_batch(rng, dim, kind) for kind in KERNEL_KINDS]
             + [np.stack([rand_strain(rng, dim, mag) for mag in 10.0 ** rng.uniform(-8, 2, 200)])]
         )
-        spec = StrainSpectrum(eps)
+        spec = StrainSpectrum(voigt_rows(eps))
         for got, want in zip(psi_split(spec, sent_params), psi_split_dense(spec, sent_params)):
             assert got.shape == want.shape == eps.shape[:1]
             assert np.array_equal(got, want)
@@ -550,7 +577,7 @@ def strains(draw, separated=False):
 class TestTangentProperties:
     @given(strains())
     def test_matches_fourth_order_oracle(self, eps):
-        got = tangent_split(StrainSpectrum(eps), P_SENT)
+        got = split_of(tangent_split, eps, P_SENT)
         want = tangent_split_c4(eps, P_SENT)
         scale = max(np.abs(want[0]).max(), np.abs(want[1]).max())
         for g, w in zip(got, want):
@@ -559,7 +586,7 @@ class TestTangentProperties:
 
     @given(strains())
     def test_symmetric(self, eps):
-        for c in tangent_split(StrainSpectrum(eps), P_SENT):
+        for c in split_of(tangent_split, eps, P_SENT):
             assert np.abs(c - c.T).max() <= 1e-12 * (np.abs(c).max() + 1e-300)
 
     @given(strains(separated=True), st.floats(0.0, 1.0))

@@ -5,7 +5,7 @@ from conftest import box_mesh, damage_system, displacement_system, internal_forc
 from oracles import damage_merit, total_functional
 from pffrac.fem import DofMap, build_kernels, damage_blocks, strain_spectrum, u_pattern
 from pffrac import solver
-from pffrac.material import MaterialParams, StrainSpectrum, psi_split, strain_tensor_from_voigt
+from pffrac.material import MaterialParams, StrainSpectrum, psi_split
 from pffrac.linsolve import factor_solve
 from pffrac.solver import SolverConfig, StepFailure, _eliminate, alternate_minimize, newton_beta
 
@@ -145,8 +145,7 @@ class TestNewtonBeta:
         a, _, _ = newton_beta_at(
             np.zeros(mesh.n_nodes), np.zeros_like(u_d), u_d, np.zeros(mesh.n_nodes), kern, sent_params, cfg
         )
-        eps = strain_tensor_from_voigt(np.array([0.0, w, 0.0]), 2)
-        psi_p, _ = psi_split(StrainSpectrum(eps), sent_params)
+        [psi_p], _ = psi_split(StrainSpectrum(np.array([[0.0], [w], [0.0]])), sent_params)
         beta = 2 * psi_p / (2 * psi_p + sent_params.gc / sent_params.ell)
         assert np.abs(a - beta).max() <= 1e-8
 
@@ -166,8 +165,7 @@ class TestNewtonBeta:
         )
         mesh, kern, _ = make_patch()
         u_d = stretch_lifting(mesh, 0.0, 1e-4)  # 2*psi+ << kappa*gc/ell
-        eps = strain_tensor_from_voigt(np.array([0.0, 1e-4, 0.0]), 2)
-        psi_p, _ = psi_split(StrainSpectrum(eps), p)
+        [psi_p], _ = psi_split(StrainSpectrum(np.array([[0.0], [1e-4], [0.0]])), p)
         assert 2 * psi_p < p.kappa * p.gc / p.ell
         a, _, _ = newton_beta_at(
             np.zeros(mesh.n_nodes), np.zeros(2 * mesh.n_nodes), u_d, np.zeros(mesh.n_nodes), kern, p, SolverConfig()
@@ -245,9 +243,9 @@ class TestAlternateMinimize:
         counts = {"spectrum": 0, "merit": 0}
         real_init, real_merit = StrainSpectrum.__init__, solver.bulk_merit
 
-        def spectrum_init(self, eps):
+        def spectrum_init(self, voigt):
             counts["spectrum"] += 1
-            real_init(self, eps)
+            real_init(self, voigt)
 
         def merit(*args):
             counts["merit"] += 1
