@@ -118,7 +118,6 @@ def main(argv=None) -> int:
     setup = build(args.preset, args.scale, args.steps, args.set)
     n_steps = setup.program.n_steps
     at = [int(x) for x in args.at.split(",")] if args.at else sorted(set(range(10, n_steps + 1, 10)) | {n_steps})
-    reaction = (setup.reaction_set, setup.reaction_dir) if setup.reaction_set else None
     rng = np.random.default_rng(args.seed)
     n_e = setup.mesh.n_elements
     orders = [("native", np.arange(n_e))] + [(f"perm {k}", rng.permutation(n_e)) for k in range(1, args.members + 1)]
@@ -126,14 +125,7 @@ def main(argv=None) -> int:
     members = []
     for name, perm in orders:
         t0 = time.perf_counter()
-        history = run(
-            setup.program,
-            setup.backtrack,
-            setup.solver,
-            setup.params,
-            permuted(setup.mesh, perm),
-            reaction=reaction,
-        )
+        history = run(setup.program, setup.backtrack, setup.solver, setup.params, permuted(setup.mesh, perm))
         members.append({"order": name, "seconds": time.perf_counter() - t0, "signature": signature(history, at)})
         print(_line(members[-1]), flush=True)
 

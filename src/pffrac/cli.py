@@ -3,9 +3,10 @@
 Subcommands
 -----------
 run          execute a load program (preset or config file), writing
-             load_disp.csv, energy.csv, intermediates.csv (the solves of
-             back-step rounds), run.json and the VTK snapshots of the
-             accepted steps, all read from the driver's solve records;
+             load_disp.csv (w and the reaction, the force conjugate to w,
+             of every accepted step), energy.csv, intermediates.csv (the
+             solves of back-step rounds), run.json and the VTK snapshots of
+             the accepted steps, all read from the driver's solve records;
              run.json sums the iteration counts over the accepted chain
              (solver_counters) and over every solve (all_solves)
 check-energy recompute the energy audit from the snapshots of a finished
@@ -15,11 +16,13 @@ check-energy recompute the energy audit from the snapshots of a finished
 export       print a preset as a forkable INI config
 
 Configs are flat INI sections ([run], [material], [program], [solver],
-[backtrack], [reaction]); a section or key that no run reads is a config
-error.  Every config is laid key by key over a base and parsed once: the
-base of a ``run.preset`` config is the preset's export, that of a
-``run.mesh`` config the solver, back-step and optional material defaults
-(so it must give the moduli, gc, ell, program and reaction).
+[backtrack]); a section or key that no run reads is a config error, and
+so is a float value (a bc scale too) that is not finite.  Every config is
+laid key by key over a base and parsed once: the base of a ``run.preset``
+config is the preset's export, that of a ``run.mesh`` config the solver,
+back-step and optional material defaults (so it must give the moduli, gc,
+ell and program).  The reaction a run records is the force conjugate to w,
+which the program's Dirichlet specs define.
 Naming one elasticity pair (lam_kn/mu_kn or e_kn/nu) drops the base's other
 pair.  ``--preset``, ``--scale``, ``--steps``, ``--k-back`` and ``--eta`` are
 the overrides ``run.preset``, ``run.scale``, ``program.n_steps``,
@@ -36,6 +39,7 @@ import argparse
 import configparser
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, fields
@@ -74,7 +78,6 @@ _CONFIG_KEYS = {
     "program": {"n_steps", "dw", "bc"},
     "solver": {"tol_u", "tol_a", "max_newton", "max_alt"},
     "backtrack": {"k_back", "eta"},
-    "reaction": {"set", "direction"},
 }
 # The two ways to give the elastic moduli; a config names exactly one.
 _PAIRS = (("lam_kn", "mu_kn"), ("e_kn", "nu"))
@@ -118,7 +121,6 @@ def config_from_setup(setup: presets.RunSetup) -> dict:
         ),
         "program": {"n_steps": str(setup.program.n_steps), "dw": _fmt(setup.program.dw), "bc": bc_str},
         **_knob_sections(setup.solver, setup.backtrack),
-        "reaction": {"set": setup.reaction_set, "direction": " ".join(_fmt(c) for c in setup.reaction_dir)},
     }
 
 
@@ -143,14 +145,17 @@ def _parse_bcs(spec: str):
         if len(parts) != 3 or parts[1].strip().lower() not in _COMP:
             raise ValueError(f"bad bc spec {chunk!r} (want set:comp:scale)")
         bcs.append(
-            DirichletSpec(parts[0].strip(), _COMP[parts[1].strip().lower()], float(parts[2]))
+            DirichletSpec(parts[0].strip(), _COMP[parts[1].strip().lower()], _finite(parts[2]))
         )
     return tuple(bcs)
 
 
-def _reaction(setup: presets.RunSetup) -> tuple | None:
-    """(node set, direction) of the reaction a run records, if it names one."""
-    return (setup.reaction_set, setup.reaction_dir) if setup.reaction_set else None
+def _finite(value: str) -> float:
+    """The float a config value gives, which must be finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value.strip()!r} is not a finite number")
+    return x
 
 
 def _parse(key: str, value: str, kind):
@@ -169,9 +174,10 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
     dataclass defaults (``_mesh_base``).  Naming one elasticity pair drops
     the base's other pair.  The resolved config holds ``run.mesh`` as an
     absolute path.  A section or key that no run reads, a missing key, a
-    value that does not parse (named by its key) or a spec that does not fit
-    the mesh is a config error, raised before any output exists.  Returns
-    the resolved config and the run setup.
+    value that does not parse or a float that is not finite (named by its
+    key) or a spec that does not fit the mesh is a config error, raised
+    before any output exists.  Returns the resolved config and the run
+    setup.
     """
     for section, values in given.items():
         if section not in _CONFIG_KEYS:
@@ -184,7 +190,7 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
     mesh_path = run_sec.get("mesh", "").strip()
     if bool(preset) == bool(mesh_path):
         raise ValueError("config needs exactly one of run.preset / run.mesh")
-    scale = _parse("run.scale", run_sec.get("scale", "1"), float)
+    scale = _parse("run.scale", run_sec.get("scale", "1"), _finite)
     if preset:
         base_setup = presets.load_preset(preset, scale)
         mesh, cfg = base_setup.mesh, config_from_setup(base_setup)
@@ -214,36 +220,32 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
     young = not mat.keys().isdisjoint(_PAIRS[1])
     if young and not mat.keys().isdisjoint(_PAIRS[0]):
         raise ValueError("config names both material.lam_kn/mu_kn and material.e_kn/nu")
-    kw = {key: read("material", key, float) for key in ("gc", "ell", "k", "eps_pen")}
+    kw = {key: read("material", key, _finite) for key in ("gc", "ell", "k", "eps_pen")}
     kw["dissipation"] = read("material", "dissipation").strip()
     if mat.get("kappa", "").strip():
-        kw["kappa"] = read("material", "kappa", float)
+        kw["kappa"] = read("material", "kappa", _finite)
     make = MaterialParams.from_young_poisson_kn if young else MaterialParams.from_lame_kn
     setup = presets.RunSetup(
         name=preset or Path(mesh_path).stem,
         scale=scale,
         mesh=mesh,
-        params=make(*(read("material", key, float) for key in _PAIRS[young]), **kw),
+        params=make(*(read("material", key, _finite) for key in _PAIRS[young]), **kw),
         program=LoadProgram(
             n_steps=read("program", "n_steps", int),
-            dw=read("program", "dw", float),
+            dw=read("program", "dw", _finite),
             bcs=read("program", "bc", _parse_bcs),
         ),
         solver=SolverConfig(
-            tol_u=read("solver", "tol_u", float),
-            tol_a=read("solver", "tol_a", float),
+            tol_u=read("solver", "tol_u", _finite),
+            tol_a=read("solver", "tol_a", _finite),
             max_newton=read("solver", "max_newton", int),
             max_alt=read("solver", "max_alt", int),
         ),
         backtrack=BacktrackConfig(
-            k_max=read("backtrack", "k_back", int), eta=read("backtrack", "eta", float)
-        ),
-        reaction_set=read("reaction", "set").strip(),
-        reaction_dir=read(
-            "reaction", "direction", lambda v: np.array([float(x) for x in v.replace(",", " ").split()])
+            k_max=read("backtrack", "k_back", int), eta=read("backtrack", "eta", _finite)
         ),
     )
-    check_run_inputs(setup.mesh, setup.program, _reaction(setup))
+    check_run_inputs(setup.mesh, setup.program)
     return cfg, setup
 
 
@@ -397,7 +399,6 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
         setup.solver,
         setup.params,
         setup.mesh,
-        reaction=_reaction(setup),
         on_accept=writer,
     )
     elapsed = time.perf_counter() - t0
@@ -449,12 +450,12 @@ def cmd_check_energy(args) -> int:
         with open(out_dir / "run.json") as fh:
             info = json.load(fh)
         # a run.json from an older version may echo solver keys that runs
-        # no longer accept, and its snapshot interval; the audit needs none
-        # of them
+        # no longer accept, its snapshot interval and its reaction set and
+        # direction; the audit needs none of them
         cfg = {
             section: {k: v for k, v in keys.items() if section != "solver" or k in _CONFIG_KEYS[section]}
             for section, keys in info["config"].items()
-            if section != "output"
+            if section not in ("output", "reaction")
         }
         _, setup = resolve_config(cfg)
         rows = [_energy_row(line) for line in (out_dir / "energy.csv").read_text().strip().splitlines()[1:]]

@@ -42,6 +42,7 @@ __all__ = [
     "build_dofmap",
     "check_run_inputs",
     "lifting_for_step",
+    "load_vector",
     "run",
 ]
 
@@ -154,22 +155,14 @@ class RunHistory:
         return [r.step for r in self.steps[1:] if r.report.irreversibility_violation]
 
 
-def check_run_inputs(mesh: Mesh, program: LoadProgram, reaction: tuple | None) -> None:
-    """Raise KeyError for a Dirichlet spec or reaction set naming a node set
-    the mesh lacks, and ValueError for a component or reaction direction that
-    does not fit the mesh dimension."""
+def check_run_inputs(mesh: Mesh, program: LoadProgram) -> None:
+    """Raise KeyError for a Dirichlet spec naming a node set the mesh lacks,
+    and ValueError for a component that does not fit the mesh dimension."""
     for bc in program.bcs:
         if bc.node_set not in mesh.node_sets:
             raise KeyError(f"unknown node set {bc.node_set!r}")
         if not 0 <= bc.component < mesh.dim:
             raise ValueError(f"{bc}: a {mesh.dim}-D mesh has no component {bc.component}")
-    if reaction is None:
-        return
-    set_tag, direction = reaction
-    if set_tag not in mesh.node_sets:
-        raise KeyError(f"unknown node set {set_tag!r}")
-    if len(direction) != mesh.dim:
-        raise ValueError(f"reaction direction {np.asarray(direction).tolist()} needs {mesh.dim} components")
 
 
 def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
@@ -178,17 +171,21 @@ def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
     return DofMap.from_constraints(mesh, [(mesh.node_sets[bc.node_set], bc.component) for bc in program.bcs])
 
 
+def load_vector(program: LoadProgram, mesh: Mesh) -> np.ndarray:
+    """The lifting per unit w, g: each spec's scale on its constrained dofs,
+    a later spec overwriting an earlier one, and zero on free dofs, for a
+    program ``check_run_inputs`` has accepted."""
+    g = np.zeros(mesh.dim * mesh.n_nodes)
+    for bc in program.bcs:
+        g[mesh.dim * mesh.node_sets[bc.node_set] + bc.component] = bc.scale
+    return g
+
+
 def lifting_for_step(program: LoadProgram, n: int, mesh: Mesh) -> np.ndarray:
-    """Dirichlet lifting vector at step n: prescribed values on constrained
-    dofs, zero on free dofs, for a program ``check_run_inputs`` has accepted."""
+    """Dirichlet lifting vector at step n, ``w(n) * load_vector``."""
     if not 0 <= n <= program.n_steps:
         raise ValueError(f"step {n} outside 0..{program.n_steps}")
-    u_d = np.zeros(mesh.dim * mesh.n_nodes)
-    w = program.w(n)
-    for bc in program.bcs:
-        dofs = mesh.dim * mesh.node_sets[bc.node_set] + bc.component
-        u_d[dofs] = bc.scale * w
-    return u_d
+    return program.w(n) * load_vector(program, mesh)
 
 
 def run(
@@ -197,16 +194,15 @@ def run(
     cfg: SolverConfig,
     p: MaterialParams,
     mesh: Mesh,
-    reaction: tuple | None = None,
     on_accept=None,
 ) -> RunHistory:
     """Execute the load program with energy-bound backtracking.
 
+    Each record's ``reaction`` is the force conjugate to w,
+    ``reaction_force`` against the program's ``load_vector``.
+
     Parameters
     ----------
-    reaction : (set_tag, direction) or None
-        Work-conjugate reaction recorded per solve; ``direction`` has one
-        component per mesh dimension.
     on_accept : callable, optional
         ``on_accept(history)`` invoked after every acceptance (incremental
         output writers).
@@ -219,24 +215,19 @@ def run(
     ``abort_reason`` and the history so far; the failing solve leaves no
     record.
     """
-    check_run_inputs(mesh, program, reaction)
+    check_run_inputs(mesh, program)
     kernels = build_kernels(mesh)
     dofmap = build_dofmap(mesh, program)
+    load = load_vector(program, mesh)
     history = RunHistory()
-
-    def _reaction(spectrum, rw) -> float:
-        if reaction is None:
-            return 0.0
-        return reaction_force(spectrum, rw, kernels, p, *reaction)
 
     u0 = np.zeros(dofmap.n_dofs)
     a0 = np.zeros(mesh.n_nodes)
     spectrum0 = strain_spectrum(kernels, u0 + lifting_for_step(program, 0, mesh))
     rw0 = degradation_weights(kernels, a0, p)
     bulk0 = erg_from_spectrum(spectrum0, rw0, kernels, p)
-    history.steps.append(
-        SolveRecord(step=0, u=u0, a=a0, report=None, bulk_energy=bulk0, reaction=_reaction(spectrum0, rw0))
-    )
+    reaction0 = reaction_force(spectrum0, rw0, kernels, p, load)
+    history.steps.append(SolveRecord(step=0, u=u0, a=a0, report=None, bulk_energy=bulk0, reaction=reaction0))
 
     guess = history.steps[0]
     n = 0
@@ -273,7 +264,7 @@ def run(
             a=res.a,
             report=report,
             bulk_energy=report.erg_next,
-            reaction=_reaction(res.spectrum, rw),
+            reaction=reaction_force(res.spectrum, rw, kernels, p, load),
             alt_iters=res.alt_iters,
             newton_iters_u=res.newton_iters_u,
             newton_iters_beta=res.newton_iters_beta,

@@ -487,18 +487,13 @@ def residual_and_tangent_beta(psi_p, a, a_n, kernels: ElementKernels, p: Materia
     return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes), blk.pattern.assemble([k_e])
 
 
-def reaction_force(
-    spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams, set_tag: str, direction
-) -> float:
-    """Work-conjugate reaction: directional sum of the unconstrained internal
-    force over the nodes of a tagged set, for the state given as for
-    ``residual_and_tangent_u``."""
-    mesh = kernels.mesh
-    nodes = mesh.node_sets[set_tag]
-    direction = np.asarray(direction, dtype=np.float64)
+def reaction_force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams, load) -> float:
+    """The reaction, the force conjugate to the load parameter w: the
+    unconstrained internal force r summed against the load vector g (the
+    lifting per unit w), P = sum of g_i r_i over the dofs where g is not
+    zero, in ascending order.  Since r is the gradient of the bulk energy
+    in the total displacement, P is d erg/dw at fixed free displacement and
+    damage.  The state is given as for ``residual_and_tangent_u``."""
     r = _force(spectrum, rw, kernels, p)
-    total = 0.0
-    for c in range(mesh.dim):
-        if direction[c] != 0.0:
-            total += direction[c] * float(np.sum(r[mesh.dim * nodes + c]))
-    return total
+    dofs = np.flatnonzero(load)
+    return float(np.sum(r[dofs] * load[dofs]))

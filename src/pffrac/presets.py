@@ -44,15 +44,15 @@ _SLIT_REF_H = 0.005
 
 @dataclass
 class RunSetup:
-    """Everything a run needs: mesh, material, schedule, solver knobs."""
+    """Everything a run needs: mesh, material, schedule, solver knobs.  The
+    reaction a run records is the force conjugate to w, which the program's
+    Dirichlet specs define (``driver.load_vector``)."""
 
     name: str
     scale: float
     mesh: Mesh
     params: MaterialParams
     program: LoadProgram
-    reaction_set: str
-    reaction_dir: np.ndarray
     solver: SolverConfig = field(default_factory=SolverConfig)
     backtrack: BacktrackConfig = field(default_factory=BacktrackConfig)
 
@@ -142,8 +142,6 @@ def _sent(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        reaction_set="top",
-        reaction_dir=np.array([0.0, 1.0]),
     )
 
 
@@ -170,8 +168,6 @@ def _sens(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        reaction_set="top",
-        reaction_dir=np.array([1.0, 0.0]),
     )
 
 
@@ -218,8 +214,6 @@ def _lshape(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        reaction_set="load",
-        reaction_dir=np.array([0.0, 1.0, 0.0]),
     )
 
 
@@ -270,8 +264,6 @@ def _bend3d(scale: float) -> RunSetup:
         mesh=mesh,
         params=p,
         program=program,
-        reaction_set="load",
-        reaction_dir=np.array([0.0, 0.0, 1.0]),
     )
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,9 +19,19 @@ from pffrac.linsolve import BandOrdering, factor_solve
 from pffrac.material import MaterialParams, psi_split
 from pffrac.mesh import generate_grid
 
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
 # Property tests draw the same examples on every run, with no time limit.
 settings.register_profile("pffrac", derandomize=True, deadline=None)
 settings.load_profile("pffrac")
+
+
+def load_tracing():
+    """The benchmark's span tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def box_mesh(extents, divisions):

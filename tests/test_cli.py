@@ -25,8 +25,7 @@ def resolved_setup(cfg):
 def setup_fields(s):
     """A run setup as a comparable tuple."""
     return (
-        s.name, s.scale, s.mesh.nodes.tobytes(), s.params, s.program, s.solver,
-        s.backtrack, s.reaction_set, tuple(s.reaction_dir),
+        s.name, s.scale, s.mesh.nodes.tobytes(), s.params, s.program, s.solver, s.backtrack,
     )
 
 
@@ -59,10 +58,6 @@ bc = ymin:y:0; ymax:y:1; pin:x:0
 [backtrack]
 k_back = 5
 eta = 1e-5
-
-[reaction]
-set = ymax
-direction = 0 1
 """
     )
     return cfg
@@ -153,7 +148,6 @@ class TestConfigPlumbing:
         assert back.program == setup.program
         assert back.backtrack == setup.backtrack
         assert back.solver == setup.solver
-        assert back.reaction_set == setup.reaction_set
         # keys a config leaves out keep the preset's values
         cfg["solver"] = {"max_alt": "7"}
         del cfg["backtrack"]
@@ -202,8 +196,6 @@ class TestConfigPlumbing:
             ("solver", "max_alt"): (lame, "500"),
             ("backtrack", "k_back"): (lame, "3"),
             ("backtrack", "eta"): (lame, "1e-4"),
-            ("reaction", "set"): (lame, "ymin"),
-            ("reaction", "direction"): (lame, "1 0"),
         }
         assert set(changes) == {(s, k) for s, keys in _CONFIG_KEYS.items() for k in keys}
 
@@ -266,8 +258,6 @@ _PARITY_VALUES = {
     "solver.max_alt": "500",
     "backtrack.k_back": "3",
     "backtrack.eta": "1e-4",
-    "reaction.set": "bottom",
-    "reaction.direction": "1 0",
 }
 
 
@@ -360,13 +350,10 @@ class TestCmdRun:
         "item, named",
         [
             ("program.bc=bottom:y:0; top:y:1; top:z:0; pin:x:0", "node_set='top', component=2"),
-            ("reaction.direction=1", "reaction direction [1.0]"),
-            ("reaction.direction=0 1 0", "reaction direction [0.0, 1.0, 0.0]"),
             ("program.bc=bottom:y:0; nope:y:1", "unknown node set 'nope'"),
-            ("reaction.set=nope", "unknown node set 'nope'"),
             ("run.scale=abc", "config error: run.scale: could not convert string to float: 'abc'"),
         ],
-        ids=["bc_z", "direction_1", "direction_3", "bc_set", "reaction_set", "scale_abc"],
+        ids=["bc_z", "bc_set", "scale_abc"],
     )
     def test_component_beyond_mesh_dim_exit_2(self, tmp_path, capsys, item, named):
         # a spec that does not fit the mesh, or a value that does not parse
@@ -376,6 +363,55 @@ class TestCmdRun:
         argv = ["run", "--preset", "sent", "--scale", "0.05", "--steps", "1", "--set", item]
         assert main(argv + ["--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    # Each float key with a value for every other key of its pair, and a bc
+    # scale, on the sent preset.
+    _FLOAT_KEYS = {
+        "run.scale": [],
+        "material.lam_kn": [],
+        "material.mu_kn": [],
+        "material.e_kn": ["material.nu=0.2"],
+        "material.nu": ["material.e_kn=30"],
+        "material.gc": [],
+        "material.ell": [],
+        "material.k": [],
+        "material.eps_pen": [],
+        "material.kappa": [],
+        "program.dw": [],
+        "solver.tol_u": [],
+        "solver.tol_a": [],
+        "backtrack.eta": [],
+        "program.bc": [],
+    }
+
+    def test_float_keys_are_covered(self):
+        keys = {f"{s}.{k}" for s, names in _CONFIG_KEYS.items() for k in names}
+        others = {"run.preset", "run.mesh", "material.dissipation", "program.n_steps", "solver.max_newton",
+                  "solver.max_alt", "backtrack.k_back"}
+        assert set(self._FLOAT_KEYS) == keys - others
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+    def test_non_finite_float_exit_2(self, tmp_path, capsys, key, value):
+        # a float that is not finite, a bc scale too, is a config error
+        # naming its key, found before the output directory is made
+        item = f"program.bc=bottom:y:0; top:y:{value}; pin:x:0" if key == "program.bc" else f"{key}={value}"
+        sets = [x for k in self._FLOAT_KEYS[key] + [item] for x in ("--set", k)]
+        out = tmp_path / "o"
+        argv = ["run", "--preset", "sent", "--scale", "0.02", "--steps", "2", *sets, "--out", str(out)]
+        assert main(argv) == 2
+        assert f"config error: {key}: '{value}' is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reaction_section_exit_2(self, patch_config, tmp_path, capsys):
+        # the reaction is the force conjugate to w; a config that still
+        # names a reaction set and direction has a section no run reads
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(patch_config.read_text() + "\n[reaction]\nset = ymax\ndirection = 0 1\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown config section [reaction]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -645,6 +681,15 @@ class TestCheckEnergy:
             (patch_run / "snapshots" / "step_000001.vtk").unlink()
             code, err = self.audit_of(patch_run, capsys)
             assert code == 2 and "cannot load run outputs: " in err and "step_000001.vtk" in err
+
+    def test_old_reaction_section_audits(self, patch_run, capsys):
+        # run.json of an older version holds the [reaction] section its
+        # config needed; the audit drops it
+        path = patch_run / "run.json"
+        log = json.loads(path.read_text())
+        log["config"]["reaction"] = {"set": "ymax", "direction": "0 1"}
+        path.write_text(json.dumps(log))
+        assert self.audit_of(patch_run, capsys) == (0, "")
 
     def test_mesh_recorded_absolute(self, tmp_path, monkeypatch, capsys):
         # a config that names its mesh relative to the working directory

@@ -10,6 +10,7 @@ from pffrac.driver import (
     LoadProgram,
     build_dofmap,
     lifting_for_step,
+    load_vector,
     run,
 )
 from pffrac.energetics import erg
@@ -65,6 +66,21 @@ class TestLifting:
         for tag in ("ymin", "ymax", "xmin", "xmax"):
             assert np.all(u_d[2 * patch.node_sets[tag] + 1] == 0.0)
 
+    def test_lifting_is_w_times_the_load_vector(self, patch):
+        # g holds each spec's scale on its dofs, a later spec overwriting an
+        # earlier one, and the lifting at step n is w(n) * g bit for bit
+        prog = LoadProgram(
+            n_steps=3, dw=1e-4, bcs=(DirichletSpec("xmax", 0, 2.0), DirichletSpec("ymax", 0, 0.5))
+        )
+        g = load_vector(prog, patch)
+        xmax, ymax = patch.node_sets["xmax"], patch.node_sets["ymax"]
+        want = np.zeros(2 * patch.n_nodes)
+        want[2 * xmax] = 2.0
+        want[2 * ymax] = 0.5
+        assert np.array_equal(g, want) and np.intersect1d(xmax, ymax).size == 1
+        for n in range(4):
+            assert lifting_for_step(prog, n, patch).tobytes() == (prog.w(n) * g).tobytes()
+
     def test_unknown_set(self, patch):
         prog = LoadProgram(n_steps=2, dw=1e-4, bcs=(DirichletSpec("nope", 0, 1.0),))
         with pytest.raises(KeyError):
@@ -73,23 +89,21 @@ class TestLifting:
             build_dofmap(patch, prog)
 
     @pytest.mark.parametrize(
-        "bc, reaction, error, match",
+        "bc, error, match",
         [
-            (DirichletSpec("nope", 0, 1.0), None, KeyError, "unknown node set 'nope'"),
-            (DirichletSpec("ymax", 2, 1.0), None, ValueError, "a 2-D mesh has no component 2"),
-            (DirichletSpec("ymax", 1, 1.0), ("nope", [0.0, 1.0]), KeyError, "unknown node set 'nope'"),
-            (DirichletSpec("ymax", 1, 1.0), ("ymax", [1.0]), ValueError, r"reaction direction \[1.0\] needs 2"),
+            (DirichletSpec("nope", 0, 1.0), KeyError, "unknown node set 'nope'"),
+            (DirichletSpec("ymax", 2, 1.0), ValueError, "a 2-D mesh has no component 2"),
         ],
-        ids=["bc_set", "bc_component", "reaction_set", "reaction_direction"],
+        ids=["bc_set", "bc_component"],
     )
-    def test_run_rejects_inputs_before_any_work(self, patch, sent_params, monkeypatch, bc, reaction, error, match):
+    def test_run_rejects_inputs_before_any_work(self, patch, sent_params, monkeypatch, bc, error, match):
         def refuse(*args):
             raise AssertionError("kernels built for rejected inputs")
 
         monkeypatch.setattr(driver, "build_kernels", refuse)
         prog = LoadProgram(n_steps=2, dw=1e-4, bcs=(DirichletSpec("ymin", 1, 0.0), bc))
         with pytest.raises(error, match=match):
-            run(prog, BacktrackConfig(), SolverConfig(), sent_params, patch, reaction=reaction)
+            run(prog, BacktrackConfig(), SolverConfig(), sent_params, patch)
 
     def test_out_of_range_step(self, patch):
         with pytest.raises(ValueError):
@@ -110,7 +124,6 @@ class TestRun:
             SolverConfig(),
             sent_params,
             patch,
-            reaction=("ymax", np.array([0.0, 1.0])),
         )
         slack = 2 * sent_params.eps_pen * sent_params.gc / sent_params.ell
         d_sum = 0.0
@@ -217,10 +230,7 @@ class TestReusedDecomposition:
         monkeypatch.setattr(driver, "reaction_force", reaction)
         checks = scripted_checks(monkeypatch, lambda step, nth: step == 3 and nth == 1)
         prog = tension_program(n_steps=4, dw=2e-4)
-        direction = np.array([0.0, 1.0])
-        hist = run(
-            prog, BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch, reaction=("ymax", direction)
-        )
+        hist = run(prog, BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch)
         assert hist.backtracks and len(checks) == counts["solves"] == 6
         assert counts["reactions"] == 1 + counts["solves"]
         assert counts["outside"] == 1 + 2 * len(checks)
@@ -232,7 +242,7 @@ class TestReusedDecomposition:
             spectrum = strain_spectrum(kern, rec.u + u_d)
             rw = degradation_weights(kern, rec.a, sent_params)
             assert rec.bulk_energy == erg(rec.u, u_d, rec.a, kern, sent_params)
-            assert rec.reaction == reaction_force(spectrum, rw, kern, sent_params, "ymax", direction)
+            assert rec.reaction == reaction_force(spectrum, rw, kern, sent_params, load_vector(prog, patch))
             if prev is not None:
                 want = fresh_check(
                     prev.u, lifting_for_step(prog, prev.step, patch), prev.a,

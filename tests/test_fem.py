@@ -1,13 +1,11 @@
-import importlib.util
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import box_mesh, damage_system, displacement_system, internal_force, random_state
+from conftest import box_mesh, damage_system, displacement_system, internal_force, load_tracing, random_state
 from oracles import elastic_tensor, element_dofs_pattern, penalty_energy, strain_tensor_from_voigt
 from pffrac.energetics import dis, erg, grad_term
 from pffrac.fem import (
@@ -24,7 +22,7 @@ from pffrac.fem import (
     u_pattern,
 )
 from pffrac import fem, solver
-from pffrac.driver import build_dofmap, lifting_for_step
+from pffrac.driver import DirichletSpec, LoadProgram, build_dofmap, lifting_for_step, load_vector
 from pffrac.linsolve import BandOrdering, factor_solve
 from pffrac.mesh import generate_grid
 from pffrac.material import (
@@ -352,15 +350,48 @@ class TestDeterminismAndReaction:
         kern = build_kernels(mesh)
         spec = strain_spectrum(kern, np.zeros(2 * mesh.n_nodes))
         rw = degradation_weights(kern, np.zeros(mesh.n_nodes), sent_params)
-        assert reaction_force(spec, rw, kern, sent_params, "ymax", [0.0, 1.0]) == 0.0
+        load = load_vector(LoadProgram(n_steps=1, dw=1e-4, bcs=(DirichletSpec("ymax", 1, 1.0),)), mesh)
+        reaction = reaction_force(spec, rw, kern, sent_params, load)
+        assert reaction == 0.0 and not np.signbit(reaction)
 
-    def test_reaction_unknown_tag(self, sent_params):
+    def test_reaction_unknown_tag(self):
+        # the reaction's load vector comes from the program's specs, and a
+        # spec naming a set the mesh lacks is an error
         mesh = box_mesh([1.0, 1.0], [1, 1])
-        kern = build_kernels(mesh)
-        spec = strain_spectrum(kern, np.zeros(2 * mesh.n_nodes))
-        rw = degradation_weights(kern, np.zeros(mesh.n_nodes), sent_params)
         with pytest.raises(KeyError):
-            reaction_force(spec, rw, kern, sent_params, "nope", [0.0, 1.0])
+            load_vector(LoadProgram(n_steps=1, dw=1e-4, bcs=(DirichletSpec("nope", 1, 1.0),)), mesh)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reaction_is_conjugate_to_w(self, sent_params, rng, dim):
+        # the reaction is d erg/dw at fixed free displacement and damage,
+        # for loads at scales other than 1 on two components, one of them
+        # partly overwritten by a later spec; central differences on a
+        # damaged state whose split stays on one side of every kink
+        mesh = box_mesh([1.0] * dim, [2] * dim)
+        bcs = [DirichletSpec("xmin", 0, 0.0), DirichletSpec("ymin", 1, 0.0)]
+        bcs += [DirichletSpec("xmax", 0, 1.5), DirichletSpec("ymax", 1, -0.7), DirichletSpec("ymax", 0, 0.4)]
+        if dim == 3:
+            bcs.append(DirichletSpec("zmin", 2, 0.0))
+        prog = LoadProgram(n_steps=1, dw=1e-3, bcs=tuple(bcs))
+        kern = build_kernels(mesh)
+        load = load_vector(prog, mesh)
+        u = np.zeros(load.size)
+        free = build_dofmap(mesh, prog).free
+        u[free] = 2e-4 * rng.normal(size=free.size)
+        a = rng.uniform(0.1, 0.6, mesh.n_nodes)
+        w, h = 1e-3, 1e-6
+
+        def kink_sides(at):
+            modes = strain_spectrum(kern, u + at * load).modes
+            return np.sign(modes).tolist(), np.sign(modes.sum(axis=0)).tolist()
+
+        assert kink_sides(w - h) == kink_sides(w + h)
+        assert 0.0 not in np.ravel(kink_sides(w)[0])
+        spec = strain_spectrum(kern, u + w * load)
+        reaction = reaction_force(spec, degradation_weights(kern, a, sent_params), kern, sent_params, load)
+        fd = (erg(u, (w + h) * load, a, kern, sent_params) - erg(u, (w - h) * load, a, kern, sent_params)) / (2 * h)
+        assert abs(reaction) > 1.0
+        assert reaction == pytest.approx(fd, rel=1e-8)
 
     def test_equal_and_opposite_reactions(self, sent_params, rng):
         mesh = box_mesh([1.0, 1.0], [3, 3])
@@ -588,17 +619,12 @@ class TestBlockAssembly:
         assert peak <= 3 * 8 * pat.indices.size + 2**18
 
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_spectrum_sizes_the_material_spans(rng, dim):
     # the benchmark's span tracer sizes each material.* span by the leading
     # dimension of the call's first argument: the strains of a state's
     # spectrum, or of one block of it
-    loader = importlib.util.spec_from_file_location("tracing", TRACING)
-    tracing = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(tracing)
+    tracing = load_tracing()
     mesh = box_mesh([1.0] * dim, [2] * dim)
     kern = build_kernels(mesh)
     spec = strain_spectrum(kern, 1e-3 * rng.normal(size=dim * mesh.n_nodes))

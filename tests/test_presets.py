@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pffrac.driver import load_vector
 from pffrac.presets import load_preset
 
 
@@ -92,9 +93,19 @@ class TestMeshRecipes:
         assert np.allclose(mesh.nodes[mesh.node_sets["top"], 1], 1.0)
 
     def test_reaction_directions(self):
-        assert np.array_equal(load_preset("sent", 0.1).reaction_dir, [0.0, 1.0])
-        assert np.array_equal(load_preset("sens", 0.02).reaction_dir, [1.0, 0.0])
-        assert np.array_equal(load_preset("bend3d", 0.12).reaction_dir, [0.0, 0.0, 1.0])
+        # each preset loads one node set in one component at scale 1, so
+        # the force conjugate to w is the reaction on that set and component
+        for name, scale, tag, component in [
+            ("sent", 0.1, "top", 1),
+            ("sens", 0.02, "top", 0),
+            ("lshape", 0.15, "load", 1),
+            ("bend3d", 0.12, "load", 2),
+        ]:
+            setup = load_preset(name, scale)
+            mesh = setup.mesh
+            g = load_vector(setup.program, mesh)
+            assert np.array_equal(np.flatnonzero(g), mesh.dim * mesh.node_sets[tag] + component), name
+            assert np.all(g[g != 0.0] == 1.0), name
 
     def test_lshape_geometry(self):
         mesh = load_preset("lshape", 0.15).mesh
