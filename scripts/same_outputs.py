@@ -1,0 +1,60 @@
+"""Whether two run directories hold the same outputs, byte for byte.
+
+    python scripts/same_outputs.py DIR_A DIR_B
+
+Compares ``load_disp.csv``, ``energy.csv``, ``intermediates.csv`` and every
+snapshot under ``snapshots/`` of the two ``pffrac run`` output directories.
+It exits 0 when all of them are byte-identical and both directories hold
+the same snapshots.  Otherwise it prints the first file that differs (the
+CSVs in that order, then the snapshots by name), or is missing from one
+side, and exits 1.  ``run.json`` is not compared: it records the wall time.
+Exit 2: a directory does not exist.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+CSVS = ("load_disp.csv", "energy.csv", "intermediates.csv")
+
+
+def compared(a: Path, b: Path) -> list:
+    """The names compared, relative to a run directory, in order."""
+    snapshots = {p.relative_to(d).as_posix() for d in (a, b) for p in (d / "snapshots").glob("*")}
+    return list(CSVS) + sorted(snapshots)
+
+
+def first_difference(a: Path, b: Path) -> str | None:
+    """The first compared file that differs between ``a`` and ``b``, with
+    the reason, or None when they all agree."""
+    for name in compared(a, b):
+        fa, fb = a / name, b / name
+        missing = [str(d) for d, f in ((a, fa), (b, fb)) if not f.is_file()]
+        if missing:
+            return f"{name}: missing in {', '.join(missing)}"
+        if fa.read_bytes() != fb.read_bytes():
+            return f"{name}: differs"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir_a", type=Path)
+    parser.add_argument("dir_b", type=Path)
+    args = parser.parse_args(argv)
+    for d in (args.dir_a, args.dir_b):
+        if not d.is_dir():
+            print(f"not a directory: {d}", file=sys.stderr)
+            return 2
+    diff = first_difference(args.dir_a, args.dir_b)
+    if diff is not None:
+        print(diff)
+        return 1
+    print(f"same outputs ({len(compared(args.dir_a, args.dir_b))} files)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

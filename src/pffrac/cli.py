@@ -7,8 +7,9 @@ run          execute a load program (preset or config file), writing
              of every accepted step), energy.csv, intermediates.csv (the
              solves of back-step rounds), run.json and the VTK snapshots of
              the accepted steps, all read from the driver's solve records;
-             run.json sums the iteration counts over the accepted chain
-             (solver_counters) and over every solve (all_solves)
+             run.json sums the iteration and line-search trial counts over
+             the accepted chain (solver_counters) and over every solve
+             (all_solves)
 check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run, the two-sided inequality of every step pair,
              and compare against energy.csv; the summary of an aborted run
@@ -343,11 +344,14 @@ class _RunWriter:
 
 
 def _counters(records) -> dict:
-    """Alternations and Newton iterations summed over ``records``."""
+    """Alternations, Newton iterations and line-search trial merits summed
+    over ``records``."""
     return {
         "alternations": sum(r.alt_iters for r in records),
         "newton_u": sum(r.newton_iters_u for r in records),
         "newton_beta": sum(r.newton_iters_beta for r in records),
+        "trials_u": sum(r.trials_u for r in records),
+        "trials_beta": sum(r.trials_beta for r in records),
     }
 
 

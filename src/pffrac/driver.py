@@ -100,7 +100,8 @@ class SolveRecord:
     ``round_of`` is the target step whose failed check opened the back-step
     round this solve belongs to (the opening solve and each walk-back
     re-solve; None outside a round), and ``b`` the back steps that target
-    had consumed at this solve.
+    had consumed at this solve.  The counts are the solve's alternations,
+    Newton iterations and line-search trial merits (``AltResult``).
     """
 
     step: int
@@ -112,6 +113,8 @@ class SolveRecord:
     alt_iters: int = 0
     newton_iters_u: int = 0
     newton_iters_beta: int = 0
+    trials_u: int = 0
+    trials_beta: int = 0
     round_of: int | None = None
     b: int = 0
 
@@ -268,6 +271,8 @@ def run(
             alt_iters=res.alt_iters,
             newton_iters_u=res.newton_iters_u,
             newton_iters_beta=res.newton_iters_beta,
+            trials_u=res.trials_u,
+            trials_beta=res.trials_beta,
         )
         history.solves.append(guess)
         return guess

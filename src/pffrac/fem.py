@@ -10,17 +10,22 @@ Assembly is vectorized over elements.  Vectors are summed by
 ``np.bincount`` and matrices by ``np.add.at``, both in element order and
 from zero, so identical inputs produce bitwise identical residuals and
 matrices.  Each matrix has a sparsity pattern built once, on its first
-assembly, and kept on the kernels: the CSC index arrays plus the data slot
-of every element entry, in the CSC index dtype (int32 below 2**31 - 1
-entries).  Assembling adds blocks of consecutive element matrices into the
-data array through their slots, so the displacement tangent is formed one
-block of elements at a time and its temporaries stay at the size of one
-block (``_BLOCK_BYTES``) whatever the mesh size; the damage tangent, whose
-element matrices are small, goes as one block.  The damage pattern covers
-all nodes (it is the node graph) and comes with the element blocks that do
-not depend on the state (gradient stiffness and P1 mass products); the
-displacement pattern covers the free dofs of one ``DofMap`` and is derived
-from the damage pattern.
+assembly, and kept on the kernels: its CSC structure, its band ordering
+and the slot of every element entry.  The assembly target is the stored
+entries of the band ordering, those on or above the reordered diagonal
+(``linsolve.UpperMatrix``): an element entry's slot is the stored entry it
+adds to, and the entries below the reordered diagonal are dropped, so the
+assembled values are exactly the band that is factored, and the solve's
+residual check runs on them.  The slots are in the index dtype of the
+stored entries (int32 below 2**31 - 1).  Assembling adds blocks of
+consecutive element matrices through their slots, so the displacement
+tangent is formed one block of elements at a time and its temporaries stay
+at the size of one block (``_BLOCK_BYTES``) whatever the mesh size; the
+damage tangent, whose element matrices are small, goes as one block.  The
+damage pattern covers all nodes (it is the node graph) and comes with the
+element blocks that do not depend on the state (gradient stiffness and P1
+mass products); the displacement pattern covers the free dofs of one
+``DofMap`` and is derived from the damage pattern.
 """
 
 from __future__ import annotations
@@ -28,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linsolve import BandOrdering, concat_ranges, index_dtype, pseudo_peripheral_rcm
+from .linsolve import BandOrdering, UpperMatrix, concat_ranges, index_dtype, pseudo_peripheral_rcm
 from .material import (
     AT2,
     VOIGT,
@@ -268,16 +272,18 @@ def _force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialPar
 
 @dataclass(frozen=True)
 class SparsityPattern:
-    """CSC structure of an element-assembled n x n matrix.
+    """CSC structure of an element-assembled symmetric n x n matrix, and the
+    band ``ordering`` every matrix assembled on it is stored under and
+    factored with.
 
-    ``slot`` gives the position in the data array of each element-matrix
-    entry, in ``k_e.ravel()`` order; entries on dofs left out of the system
-    go one past the end and are dropped.  It has the dtype of the CSC index
-    arrays, ``index_dtype`` of the entry count.  ``assemble`` adds element
-    matrices through it block by block, in element order.  The pattern is
-    symmetric, so its CSC and CSR index arrays coincide.  ``ordering`` is
-    the band ordering every matrix assembled on the pattern is factored
-    with.
+    ``slot`` gives the stored entry of ``ordering`` that each element-matrix
+    entry adds to, in ``k_e.ravel()`` order; entries below the reordered
+    diagonal and entries on dofs left out of the system go one past the
+    last stored entry and are dropped.  Its dtype is the ``index_dtype`` of
+    the stored entries.  ``assemble`` adds element matrices through it
+    block by block, in element order.  The structure is symmetric, so its
+    CSC and CSR index arrays coincide; they have the ``index_dtype`` of
+    the entry count.
     """
 
     n: int
@@ -288,14 +294,18 @@ class SparsityPattern:
 
     @classmethod
     def from_element_dofs(cls, edofs: np.ndarray, n: int) -> "SparsityPattern":
-        """Pattern of the entries coupling the dofs of each element."""
+        """Pattern of the entries coupling the dofs of each element, under
+        scipy's reverse Cuthill-McKee ordering."""
         nd = edofs.shape[1]
         rows = np.broadcast_to(edofs[:, :, None], (edofs.shape[0], nd, nd)).ravel()
         cols = np.broadcast_to(edofs[:, None, :], (edofs.shape[0], nd, nd)).ravel()
         keys, slot = np.unique(cols * n + rows, return_inverse=True)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        return cls._from_csc(n, indptr, keys % n, slot.astype(index_dtype(keys.size)))
+        indptr, indices = _index_arrays(indptr, keys % n)
+        ordering = BandOrdering.from_structure(indptr, indices)
+        slot = ordering.stored_index(indptr, indices)[slot]
+        return cls(n=n, indptr=indptr, indices=indices, slot=slot, ordering=ordering)
 
     @classmethod
     def from_node_pattern(
@@ -308,14 +318,15 @@ class SparsityPattern:
         out, without its sort over every element-matrix entry.
 
         The column of free dof (j, c) holds the free components of j's
-        neighbours, in node order.  An element entry's slot is the column
-        start plus the offset of the row node's block in the column (from
-        the node-pair slot) plus the row component's rank among the node's
-        free components.  It is computed one local row node at a time, so
-        each temporary is a fixed multiple of the element count.  The band
-        ordering is the node-level pseudo-peripheral RCM expanded to free
-        dofs (node by node, in component order) when it gives a strictly
-        narrower band than scipy's dof-level RCM.
+        neighbours, in node order.  An element entry's CSC position is the
+        column start plus the offset of the row node's block in the column
+        (from the node pair's position in the node structure, recovered from
+        the node slots) plus the row component's rank among the node's free
+        components; its slot is the stored entry at that position.  It is
+        computed one local row node at a time, so each temporary is a fixed
+        multiple of the element count.  The band ordering is the node-level pseudo-peripheral RCM
+        expanded to free dofs (node by node, in component order) when it
+        gives a strictly narrower band than scipy's dof-level RCM.
         """
         dim, n_nodes = dofmap.dim, dofmap.n_nodes
         free = np.zeros(dofmap.n_dofs, dtype=bool)
@@ -329,62 +340,78 @@ class SparsityPattern:
         entry_width = width[nodes.indices]
         expanded = np.zeros(entry_width.size + 1, dtype=np.int64)
         np.cumsum(entry_width, out=expanded[1:])
+        node_col = np.repeat(np.arange(n_nodes), np.diff(nodes.indptr))
         col_start = expanded[nodes.indptr[:-1]]
         col_len = expanded[nodes.indptr[1:]] - col_start
-        block = expanded[:-1] - np.repeat(col_start, np.diff(nodes.indptr))
+        block = expanded[:-1] - col_start[node_col]
         rows = concat_ranges(first[nodes.indices], first[nodes.indices] + entry_width)
 
         col_node = np.repeat(np.arange(n_nodes), width)  # node of each free dof
         n = col_node.size
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(col_len[col_node], out=indptr[1:])
-        indices = rows[concat_ranges(col_start[col_node], col_start[col_node] + col_len[col_node])]
+        indptr, indices = _index_arrays(
+            indptr, rows[concat_ranges(col_start[col_node], col_start[col_node] + col_len[col_node])]
+        )
+        del rows
+
+        order = pseudo_peripheral_rcm(nodes.indptr, nodes.indices)
+        perm = concat_ranges(first[order], first[order] + width[order])
+        ordering = BandOrdering.narrower(indptr, indices, perm)
+        stored = ordering.stored_index(indptr, indices)  # its last entry drops the fixed dofs
+
+        # the node-structure position of each element's node pair (row a,
+        # column b): a stored pair's own, and for a pair below the reordered
+        # diagonal the transposed position of its stored mirror (b, a)
+        n_e, nen = elements.shape
+        o = nodes.ordering
+        node_slot = nodes.slot.reshape(n_e, nen, nen)
+        own = np.flatnonzero(o.stored_index(nodes.indptr, nodes.indices)[:-1] < o.rows.size)
+        mirror = np.searchsorted(node_col * n_nodes + nodes.indices, o.rows * np.int64(n_nodes) + o.cols)
+        pair = np.where(
+            node_slot == o.rows.size,
+            np.append(mirror, -1)[np.swapaxes(node_slot, 1, 2)],
+            np.append(own, -1)[node_slot],
+        )
 
         nnz = indices.size
         dof_start = indptr[first[:, None] + rank]  # column start of free dof (node, c)
-        n_e, nen = elements.shape
-        node_slot = nodes.slot.reshape(n_e, nen, nen)
-        slot = np.empty((n_e, nen, dim, nen, dim), dtype=index_dtype(nnz))
+        slot = np.empty((n_e, nen, dim, nen, dim), dtype=stored.dtype)
         col_free = free[elements][:, None, :, :]
         elem_start = dof_start[elements]
         for a in range(nen):
             row = elements[:, a]
-            base = block[node_slot[:, a, :]][:, :, None] + elem_start  # (n_e, nen, dim)
-            slot[:, a] = np.where(
-                free[row][:, :, None, None] & col_free,
-                rank[row][:, :, None, None] + base[:, None],
-                nnz,
-            )
+            base = block[pair[:, a]][:, :, None] + elem_start  # (n_e, nen, dim)
+            slot[:, a] = stored[
+                np.where(
+                    free[row][:, :, None, None] & col_free,
+                    rank[row][:, :, None, None] + base[:, None],
+                    nnz,
+                )
+            ]
+        return cls(n=n, indptr=indptr, indices=indices, slot=slot.reshape(-1), ordering=ordering)
 
-        order = pseudo_peripheral_rcm(nodes.indptr, nodes.indices)
-        perm = concat_ranges(first[order], first[order] + width[order])
-        return cls._from_csc(n, indptr, indices, slot.reshape(-1), perm)
-
-    @classmethod
-    def _from_csc(cls, n, indptr, indices, slot, perm=None) -> "SparsityPattern":
-        # let scipy choose the index dtype once, so assembly never converts
-        proto = sp.csc_matrix((np.zeros(indices.size), indices, indptr), shape=(n, n))
-        if perm is None:
-            ordering = BandOrdering.from_structure(proto.indptr, proto.indices)
-        else:
-            ordering = BandOrdering.narrower(proto.indptr, proto.indices, perm)
-        return cls(n=n, indptr=proto.indptr, indices=proto.indices, slot=slot, ordering=ordering)
-
-    def assemble(self, blocks) -> sp.csc_matrix:
-        """Sum element matrices into a CSC matrix.  ``blocks`` yields the
-        matrices (m, nd, nd) of consecutive elements, from the first to the
-        last; they are added into the data array in that order, so any
-        split into blocks gives the same sums, bit for bit."""
-        nnz = self.indices.size
-        data = np.zeros(nnz + 1)
+    def assemble(self, blocks) -> UpperMatrix:
+        """Sum element matrices into the stored entries.  ``blocks`` yields
+        the matrices (m, nd, nd) of consecutive elements, from the first to
+        the last; they are added into the values in that order, so any split
+        into blocks gives the same sums, bit for bit."""
+        n_stored = self.ordering.rows.size
+        values = np.zeros(n_stored + 1)
         lo = 0
         for k_e in blocks:
             hi = lo + k_e.size
-            np.add.at(data, self.slot[lo:hi], k_e.ravel())
+            np.add.at(values, self.slot[lo:hi], k_e.ravel())
             lo = hi
         if lo != self.slot.size:
             raise ValueError(f"assembled {lo} element-matrix entries of {self.slot.size}")
-        return sp.csc_matrix((data[:nnz], self.indices, self.indptr), shape=(self.n, self.n))
+        return UpperMatrix(values[:n_stored], self.ordering)
+
+
+def _index_arrays(indptr: np.ndarray, indices: np.ndarray):
+    """The CSC index arrays in the ``index_dtype`` of their largest value."""
+    dtype = index_dtype(max(indices.size, indptr.size - 1))
+    return indptr.astype(dtype), indices.astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -431,7 +458,7 @@ def residual_and_tangent_u(
     U + U_D whose ``strain_spectrum`` is ``spectrum`` at the damage whose
     ``degradation_weights`` are ``rw``.
 
-    The tangent is a CSC matrix, SPD for damage below one and k > 0.
+    The tangent is an ``UpperMatrix``, SPD for damage below one and k > 0.
     """
     full = _force(spectrum, rw, kernels, p)
     return full[dofmap.free], u_pattern(kernels, dofmap).assemble(_tangent_u_blocks(spectrum, rw, kernels, p))
@@ -465,7 +492,7 @@ def residual_and_tangent_beta(psi_p, a, a_n, kernels: ElementKernels, p: Materia
 
     The tangent is the tensile-energy/dissipation mass plus the gradient
     stiffness plus the active-set penalty mass (generalized derivative of the
-    negative part); a CSC matrix.
+    negative part); an ``UpperMatrix``.
     """
     blk = damage_blocks(kernels)
     beta_qp = beta_at_qp(kernels, a)

@@ -4,9 +4,15 @@ Each tangent is factored by LAPACK banded Cholesky (``dpbtrf``/``dpbtrs``,
 called directly) after a reverse Cuthill-McKee reordering, which keeps the
 band of the P1 finite-element graphs narrow.
 The ordering depends only on the sparsity structure, so a ``BandOrdering``
-is built once per structure: it holds the permutation and the band-storage
-slot of every stored upper-triangle entry, and each factorization is then a
-zeroed band array, one scatter of the matrix data and one LAPACK call.
+is built once per structure.  It fixes the stored entries of every matrix
+on that structure: the entries on or above the reordered diagonal, with
+their row, column and band-storage slot.  A matrix is an ``UpperMatrix``,
+the values of the stored entries and their ordering; assembly adds element
+matrices straight into those values, and the entries below the reordered
+diagonal are never formed.  Each factorization is then a zeroed band array,
+one scatter of the values and one LAPACK call, and the solution's residual
+is checked against the stored entries, the matrix that was factored (the
+band itself is overwritten by its factor).
 This is the only solve path.  A structure whose band would take more than
 ``BAND_BYTES_BUDGET`` is refused while its ordering is built, as soon as
 the bandwidth is known and before any band is allocated.  Solutions are
@@ -26,6 +32,7 @@ from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 __all__ = [
     "LinearSolveError",
     "BandOrdering",
+    "UpperMatrix",
     "factor_solve",
     "concat_ranges",
     "pseudo_peripheral_rcm",
@@ -57,23 +64,23 @@ class LinearSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class BandOrdering:
-    """Reverse Cuthill-McKee ordering of a square CSC structure, with the
-    upper-band storage of the reordered matrix.
+    """Reverse Cuthill-McKee ordering of a square symmetric CSC structure,
+    with the stored entries of the matrices on it.
 
     ``perm[i]`` is the original index of reordered row i and ``inv`` its
-    inverse.  ``upper`` lists the data positions of the stored entries that
-    fall on or above the reordered diagonal, and ``slot`` their flat index
-    into the column-major ``(bandwidth + 1, n)`` array that ``dpbtrf``
-    reads (``ab[bandwidth + i - j, j] = a[i, j]``).  Both take the
-    ``index_dtype`` of the largest value they may hold.
+    inverse.  The stored entries are the structure's entries on or above
+    the reordered diagonal, in CSC order: ``rows`` and ``cols`` are their
+    original row and column, in the ``index_dtype`` of n, and ``slot`` is
+    their flat index into the column-major ``(bandwidth + 1, n)`` array
+    that ``dpbtrf`` reads (``ab[bandwidth + i - j, j] = a[i, j]``), in the
+    ``index_dtype`` of the band size.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
     perm: np.ndarray
     inv: np.ndarray
     bandwidth: int
-    upper: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     slot: np.ndarray
 
     @property
@@ -92,10 +99,10 @@ class BandOrdering:
             perm = _scipy_rcm(indptr, indices)
         perm = np.asarray(perm, dtype=np.intp)
         inv = _inverse(perm)
-        rows = inv[indices]
-        cols = inv[np.repeat(np.arange(n), np.diff(indptr))]
-        upper = np.flatnonzero(rows <= cols)
-        offset = cols[upper] - rows[upper]
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        upper = _upper(indices, cols, inv)
+        rows, cols = indices[upper], cols[upper]
+        offset = inv[cols] - inv[rows]
         bandwidth = int(offset.max(initial=0))
         band_bytes = (bandwidth + 1) * n * 8
         if band_bytes > BAND_BYTES_BUDGET:
@@ -103,10 +110,9 @@ class BandOrdering:
                 f"band of {band_bytes} bytes (bandwidth {bandwidth}, n {n}) "
                 f"exceeds the budget of {BAND_BYTES_BUDGET} bytes"
             )
-        slot = (bandwidth - offset) + cols[upper] * (bandwidth + 1)
-        upper = upper.astype(index_dtype(indices.size))
-        slot = slot.astype(index_dtype((bandwidth + 1) * n))
-        return cls(indptr, indices, perm, inv, bandwidth, upper, slot)
+        slot = (bandwidth - offset) + inv[cols] * (bandwidth + 1)
+        rows, cols = rows.astype(index_dtype(n)), cols.astype(index_dtype(n))
+        return cls(perm, inv, bandwidth, rows, cols, slot.astype(index_dtype((bandwidth + 1) * n)))
 
     @classmethod
     def narrower(cls, indptr: np.ndarray, indices: np.ndarray, perm) -> "BandOrdering":
@@ -118,9 +124,39 @@ class BandOrdering:
             perm = rcm
         return cls.from_structure(indptr, indices, perm)
 
-    def matches(self, a: sp.csc_matrix) -> bool:
-        """Whether ``a`` has the structure this ordering was built from."""
-        return np.array_equal(a.indptr, self.indptr) and np.array_equal(a.indices, self.indices)
+    def stored_index(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """The stored entry of each entry of the CSC structure this ordering
+        was built from, then of one entry past its end.  The entries below
+        the reordered diagonal, and the one past the end, get ``rows.size``,
+        one past the stored entries.  In the ``index_dtype`` of the stored
+        entries."""
+        upper = _upper(indices, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), self.inv)
+        index = np.full(upper.size + 1, self.rows.size, dtype=index_dtype(self.rows.size))
+        index[:-1][upper] = np.arange(self.rows.size)
+        return index
+
+
+@dataclass(frozen=True)
+class UpperMatrix:
+    """A symmetric matrix by the ``values`` of the stored entries of its
+    ``ordering``: its entries on or above the reordered diagonal."""
+
+    values: np.ndarray
+    ordering: BandOrdering
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The symmetric product: each stored entry acts at its place and,
+        off the diagonal, at its mirror below it."""
+        o = self.ordering
+        mirror = np.where(o.rows != o.cols, self.values, 0.0)
+        y = np.bincount(o.rows, self.values * x.take(o.cols), o.n)
+        return y + np.bincount(o.cols, mirror * x.take(o.rows), o.n)
+
+
+def _upper(rows: np.ndarray, cols: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Which entries (rows, cols) lie on or above the diagonal reordered by
+    ``inv``."""
+    return inv[rows] <= inv[cols]
 
 
 def _scipy_rcm(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -228,11 +264,12 @@ def pseudo_peripheral_rcm(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray
     return np.concatenate(order)[::-1] if order else np.empty(0, dtype=np.intp)
 
 
-def _banded_solve(a: sp.csc_matrix, b: np.ndarray, o: BandOrdering) -> np.ndarray:
-    """Factor ``a`` (CSC on the structure of ``o``) and solve a x = b."""
+def _banded_solve(a: UpperMatrix, b: np.ndarray) -> np.ndarray:
+    """Factor ``a`` and solve a x = b."""
+    o = a.ordering
     n, bw = o.n, o.bandwidth
     flat = np.zeros((bw + 1) * n)
-    flat[o.slot] = a.data[o.upper]
+    flat[o.slot] = a.values
     c, info = _PBTRF(flat.reshape((bw + 1, n), order="F"), lower=0, overwrite_ab=1)
     if info > 0:
         raise LinearSolveError(f"indefinite/singular tangent: {info}-th leading minor not positive definite")
@@ -240,18 +277,19 @@ def _banded_solve(a: sp.csc_matrix, b: np.ndarray, o: BandOrdering) -> np.ndarra
     return y[o.inv]
 
 
-def factor_solve(a: sp.csc_matrix, b: np.ndarray, ordering: BandOrdering) -> np.ndarray:
+def factor_solve(a: UpperMatrix, b: np.ndarray, ordering: BandOrdering) -> np.ndarray:
     """Solve the SPD system a x = b by banded Cholesky.
 
-    ``ordering`` is the band ordering of ``a``'s CSC structure (as kept by
-    an assembly pattern); its band is within ``BAND_BYTES_BUDGET``, since
-    it was built.  The relative residual is bounded by 1e-10; a violation
-    raises LinearSolveError ("indefinite/singular").
+    ``ordering`` is the band ordering ``a`` is stored under (as kept by an
+    assembly pattern); its band is within ``BAND_BYTES_BUDGET``, since it
+    was built.  The relative residual, taken with the stored entries, is
+    bounded by 1e-10; a violation raises LinearSolveError
+    ("indefinite/singular").
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    if a.shape != (n, n):
-        raise LinearSolveError(f"matrix shape {a.shape} incompatible with rhs {n}")
+    if a.ordering.n != n:
+        raise LinearSolveError(f"matrix of size {a.ordering.n} incompatible with rhs {n}")
     if not np.all(np.isfinite(b)):
         raise LinearSolveError("non-finite right-hand side")
 
@@ -259,9 +297,9 @@ def factor_solve(a: sp.csc_matrix, b: np.ndarray, ordering: BandOrdering) -> np.
     if b_norm == 0.0:
         return np.zeros(n)
 
-    if not (sp.issparse(a) and a.format == "csc" and ordering.matches(a)):
-        raise LinearSolveError("matrix structure differs from its band ordering")
-    x = _banded_solve(a, b, ordering)
+    if a.ordering is not ordering:
+        raise LinearSolveError("matrix is stored under another band ordering")
+    x = _banded_solve(a, b)
     res = float(np.linalg.norm(a @ x - b)) / b_norm
     if not np.isfinite(res) or res > _DIRECT_RTOL:
         raise LinearSolveError(

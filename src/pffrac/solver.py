@@ -9,11 +9,12 @@ derivative (1 where the irreversibility gap is negative, 0 elsewhere).
 Both subproblems are convex but only piecewise smooth: the split energy has
 gradient jumps where a principal strain changes sign, and uniaxial tension
 states minimize exactly on such a kink.  Full Newton steps can therefore
-cycle across the kink, so every update is safeguarded by an Armijo
-backtracking line search on the subproblem energy (whose exact gradient the
-assembled residual is, branch-wise).  An iterate where no step along the
-Newton direction can decrease the energy is a numerical minimizer of the
-convex subproblem and counts as converged.
+cycle across the kink, so every update is safeguarded by an Armijo line
+search on the subproblem energy (whose exact gradient the assembled
+residual is, branch-wise): the step is the largest power of two, at most 1,
+that passes the Armijo test.  An iterate where no step along the Newton
+direction can decrease the energy is a numerical minimizer of the convex
+subproblem and counts as converged.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .fem import (
     strain_spectrum,
     u_pattern,
 )
-from .linsolve import LinearSolveError, factor_solve
+from .linsolve import LinearSolveError, UpperMatrix, factor_solve
 from .material import MaterialParams, StrainSpectrum, psi_split
 
 __all__ = ["SolverConfig", "AltResult", "StepFailure", "newton_u", "newton_beta", "alternate_minimize"]
@@ -72,7 +73,8 @@ class AltResult:
     """Converged state of one incremental solve, with iteration traces.
 
     ``spectrum`` is the ``strain_spectrum`` of u + u_d_next, from the last
-    displacement solve.
+    displacement solve.  ``trials_u`` and ``trials_beta`` count the trial
+    merits of the displacement and damage line searches.
     """
 
     u: np.ndarray
@@ -80,21 +82,50 @@ class AltResult:
     alt_iters: int
     newton_iters_u: int
     newton_iters_beta: int
+    trials_u: int
+    trials_beta: int
     spectrum: StrainSpectrum
     functional_trace: list = field(default_factory=list)
 
 
-def _eliminate(mat, pinned: np.ndarray) -> None:
-    """Decouple the pinned dofs of a CSC tangent in place: zero their rows
-    and columns and put 1 on their diagonal (which the assembled pattern
-    stores), so that with a zeroed right-hand side their increment is 0."""
-    rows = mat.indices
-    cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
-    drop = pinned[rows] | pinned[cols]
-    mat.data[drop] = rows[drop] == cols[drop]
+def _eliminate(mat: UpperMatrix, pinned: np.ndarray) -> None:
+    """Decouple the pinned dofs of a tangent in place: zero their rows and
+    columns and put 1 on their diagonal (which every pattern stores), so
+    that with a zeroed right-hand side their increment is 0."""
+    o = mat.ordering
+    drop = pinned[o.rows] | pinned[o.cols]
+    mat.values[drop] = o.rows[drop] == o.cols[drop]
 
 
-def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bounds=None, start=None):
+def _line_search(evaluate, project, x, dx, e0, slope, t):
+    """The largest step 2^-j, 0 <= j <= 30, whose trial ``project(x + t*dx)``
+    passes the Armijo test, searched from the start step ``t``: a start that
+    passes is doubled while the next step passes too, one that fails is
+    halved until a step passes.  Returns ((t, trial, energy, data) of that
+    step, or None when no step passes, and the number of trials).
+
+    Each step is evaluated once, and the search stops at the first change of
+    verdict, so it finds the step that the scan down from 1 finds, and the
+    same trial, whenever the passing steps form an interval [0, t*]: the
+    case for an energy convex along the line (see ``_box_newton``).
+    """
+    found, trials, grow = None, 0, None
+    while _ARMIJO_MIN_STEP <= t <= 1.0:
+        trial = project(x + t * dx)
+        e_trial, d_trial = evaluate(trial)
+        trials += 1
+        passed = e_trial <= e0 + _ARMIJO_C * t * slope
+        if grow is None:
+            grow = passed
+        if passed:
+            found = (t, trial, e_trial, d_trial)
+        if passed != grow:
+            break
+        t = 2.0 * t if grow else 0.5 * t
+    return found, trials
+
+
+def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bounds=None, start=None, step=1.0):
     """Line-search-safeguarded (projected) Newton on a convex piecewise-smooth
     energy, optionally subject to box constraints.
 
@@ -102,14 +133,28 @@ def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bound
     needs of it; ``system_fn(x, data)`` returns the (residual, tangent) pair
     in one evaluation.  So each point is evaluated once: the accepted trial's
     energy and data serve the next iteration.  ``start``, when given, is what
-    ``evaluate(x0)`` would return.  Every tangent is on the sparsity pattern
-    whose band ``ordering`` factors it.
+    ``evaluate(x0)`` would return.  Every tangent is stored under the band
+    ``ordering``.
     Every applied increment must pass an Armijo test on the energy, so the
     iteration is strictly non-increasing; with bounds, dofs pinned at a bound
     with an outward-pushing gradient are eliminated from the Newton system
     (unit rows and columns, zero right-hand side) and trial states follow the
-    projection arc.  Returns (x, iterations, energy, data) of the returned
-    point.
+    projection arc.
+    The step is the largest power of two, at most 1, that passes the test.
+    Without bounds, the first search starts from ``step`` and each later one
+    from the step the last one accepted (``_line_search``).  Along a
+    straight line x + t*dx a convex energy phi gives a convex
+    phi(t) - phi(0) - c*t*slope, which is 0 at t = 0, so the steps that pass
+    form an interval [0, t*] and the search finds the same step from any
+    start.  The displacement energy is convex along its lines: the split
+    energies are convex spectral functions of the strain (sums and squares
+    of the positive and negative parts of the principal strains), the
+    strain is linear in the displacement, and the degradation weights and
+    element measures are >= 0.  A projection arc need not be convex in t,
+    so with bounds every search starts from 1.
+    Returns (x, iterations, energy, data, step, trials): the returned
+    point, the last accepted step (``step`` if none was) and the number of
+    trial evaluations.
     Convergence: the applied increment max norm drops to ``tol``, or no
     energy descent is achievable along the Newton direction (nonsmooth
     minimizer).
@@ -119,8 +164,9 @@ def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bound
         lo, hi = bounds
         x = np.clip(x, lo, hi)
     e0, data = evaluate(x) if start is None else start
+    trials = 0
     if x.size == 0:
-        return x, 1, e0, data
+        return x, 1, e0, data, step, trials
 
     def project(v):
         return np.clip(v, lo, hi) if bounds is not None else v
@@ -130,7 +176,7 @@ def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bound
         if bounds is not None:
             pinned = ((x <= lo) & (r > 0.0)) | ((x >= hi) & (r < 0.0))
             if pinned.all():
-                return x, k, e0, data  # every dof pinned at a bound
+                return x, k, e0, data, step, trials  # every dof pinned at a bound
             if pinned.any():
                 r = np.where(pinned, 0.0, r)
                 _eliminate(mat, pinned)
@@ -141,20 +187,16 @@ def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bound
             raise StepFailure(f"{label} linear solve failed: {exc}") from exc
         slope = float(np.dot(r, dx))  # -r^T K^{-1} r <= 0 for SPD tangents
 
-        t = 1.0
-        while t >= _ARMIJO_MIN_STEP:
-            trial = project(x + t * dx)
-            e_trial, d_trial = evaluate(trial)
-            if e_trial <= e0 + _ARMIJO_C * t * slope:
-                break
-            t *= 0.5
-        else:
+        found, n = _line_search(evaluate, project, x, dx, e0, slope, step if bounds is None else 1.0)
+        trials += n
+        if found is None:
             # no descent along the Newton direction: kink minimizer reached
-            return x, k, e0, data
-        step = float(np.max(np.abs(trial - x)))
+            return x, k, e0, data, step, trials
+        step, trial, e_trial, d_trial = found
+        change = float(np.max(np.abs(trial - x)))
         x, e0, data = trial, e_trial, d_trial
-        if step <= tol:
-            return x, k, e0, data
+        if change <= tol:
+            return x, k, e0, data, step, trials
     raise StepFailure(f"{label}: no convergence in {max_newton} iterations")
 
 
@@ -167,16 +209,20 @@ def newton_u(
     cfg: SolverConfig,
     dofmap: DofMap,
     spectrum: StrainSpectrum,
+    step: float = 1.0,
 ):
     """Damped Newton on the displacement residual at fixed damage, started
     from u0 with its constrained dofs set to zero; ``spectrum`` is the
-    ``strain_spectrum`` of that start plus u_d.
+    ``strain_spectrum`` of that start plus u_d, and ``step`` the start of
+    the first line search.
 
-    Returns (u, iterations, spectrum): the free vector keeps zeros on
-    constrained dofs, and ``spectrum`` is the ``strain_spectrum`` of the
-    returned u + u_d.  The merit function is the degraded bulk energy; each
-    displacement state is decomposed once, for its merit, residual and
-    tangent alike.
+    Returns (u, iterations, spectrum, step, trials): the free vector keeps
+    zeros on constrained dofs, ``spectrum`` is the ``strain_spectrum`` of
+    the returned u + u_d, ``step`` the last accepted line-search step (the
+    given one if none was) and ``trials`` the number of trial merits.  The
+    merit function is the degraded bulk energy, convex along every search
+    line; each displacement state is decomposed once, for its merit,
+    residual and tangent alike.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
     u[dofmap.fixed] = 0.0
@@ -190,7 +236,7 @@ def newton_u(
         return bulk_merit(spec, rw, kernels, p), spec
 
     try:
-        x, iters, _, spectrum = _box_newton(
+        x, iters, _, spectrum, step, trials = _box_newton(
             u[free],
             evaluate,
             lambda x, spec: residual_and_tangent_u(spec, rw, kernels, p, dofmap),
@@ -199,12 +245,13 @@ def newton_u(
             "newton_u",
             u_pattern(kernels, dofmap).ordering,
             start=(bulk_merit(spectrum, rw, kernels, p), spectrum),
+            step=step,
         )
     except StepFailure as exc:
         exc.u, exc.a = u, a_fixed
         raise
     u[free] = x
-    return u, iters, spectrum
+    return u, iters, spectrum, step, trials
 
 
 def newton_beta(
@@ -220,9 +267,11 @@ def newton_beta(
     displacement, bound-constrained to [0, 1].  ``spectrum`` is the
     ``strain_spectrum`` of the displacement: u_fixed plus its lifting.
 
-    Returns (a, iterations, functional): ``functional`` is the penalized
-    incremental functional (``functional_from_psi``) of the returned state
-    with anchor a_n.  The bounds are enforced inside the solve (projected
+    Returns (a, iterations, functional, trials): ``functional`` is the
+    penalized incremental functional (``functional_from_psi``) of the
+    returned state with anchor a_n, and ``trials`` the number of trial
+    merits.  Every line search starts from the full step (see
+    ``_box_newton``).  The bounds are enforced inside the solve (projected
     active-set Newton), so the discrete overshoot of the unconstrained
     minimizer above 1 near a localized crack never enters the state.
     """
@@ -231,7 +280,7 @@ def newton_beta(
     psi_p, psi_m = psi_split(spectrum, p)
     dis_n = dis(a_n, kernels, p)
     try:
-        a, iters, merit, _ = _box_newton(
+        a, iters, merit, _, _, trials = _box_newton(
             a0,
             lambda x: (functional_from_psi(psi_p, psi_m, x, a_n, dis_n, kernels, p), None),
             lambda x, _: residual_and_tangent_beta(psi_p, x, a_n, kernels, p),
@@ -244,7 +293,7 @@ def newton_beta(
     except StepFailure as exc:
         exc.u, exc.a = u_fixed, a0
         raise
-    return a, iters, merit
+    return a, iters, merit, trials
 
 
 def alternate_minimize(
@@ -261,22 +310,25 @@ def alternate_minimize(
 
     ``(u_start, a_start)`` is the initial guess, which under backtracking
     differs from the admissible-set anchor ``a_n`` (the previous converged
-    damage of the step being solved).
+    damage of the step being solved).  Each displacement line search starts
+    from the step the last one of this call accepted, the first from 1.
     """
     u = np.array(u_start, dtype=np.float64, copy=True)
     u[dofmap.fixed] = 0.0
     a = np.array(a_start, dtype=np.float64, copy=True)
 
-    iters_u = 0
-    iters_b = 0
+    iters_u = iters_b = trials_u = trials_b = 0
+    step = 1.0
     trace: list = []
     spectrum = strain_spectrum(kernels, u + u_d_next)
 
     for i in range(1, cfg.max_alt + 1):
-        u_new, nu, spectrum = newton_u(u, u_d_next, a, kernels, p, cfg, dofmap, spectrum)
-        a_new, nb, functional = newton_beta(a, u_new, a_n, kernels, p, cfg, spectrum)
+        u_new, nu, spectrum, step, tu = newton_u(u, u_d_next, a, kernels, p, cfg, dofmap, spectrum, step=step)
+        a_new, nb, functional, tb = newton_beta(a, u_new, a_n, kernels, p, cfg, spectrum)
         iters_u += nu
         iters_b += nb
+        trials_u += tu
+        trials_b += tb
         trace.append(functional)
 
         du = float(np.max(np.abs(u_new - u))) if u.size else 0.0
@@ -289,6 +341,8 @@ def alternate_minimize(
                 alt_iters=i,
                 newton_iters_u=iters_u,
                 newton_iters_beta=iters_b,
+                trials_u=trials_u,
+                trials_beta=trials_b,
                 spectrum=spectrum,
                 functional_trace=trace,
             )

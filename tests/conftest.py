@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as in the benchmark's jobs: the band factorizations here
+# are small, and a second OpenBLAS thread about doubles their time.  Set
+# before numpy loads OpenBLAS; a value given in the environment is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import importlib.util
 from pathlib import Path
 
@@ -15,7 +22,7 @@ from pffrac.fem import (
     residual_and_tangent_u,
     strain_spectrum,
 )
-from pffrac.linsolve import BandOrdering, factor_solve
+from pffrac.linsolve import BandOrdering, UpperMatrix, factor_solve
 from pffrac.material import MaterialParams, psi_split
 from pffrac.mesh import generate_grid
 
@@ -118,9 +125,28 @@ def scripted_checks(monkeypatch, fail) -> list:
     return steps
 
 
+def stored(a, ordering=None) -> UpperMatrix:
+    """The symmetric matrix a (dense or sparse) stored under ``ordering``,
+    by default scipy's reverse Cuthill-McKee ordering of its CSC structure:
+    its entries at the stored rows and columns."""
+    a = sp.csc_matrix(a, copy=True)
+    a.sum_duplicates()
+    if ordering is None:
+        ordering = BandOrdering.from_structure(a.indptr, a.indices)
+    return UpperMatrix(np.asarray(a[ordering.rows, ordering.cols], dtype=np.float64).ravel(), ordering)
+
+
+def dense(k: UpperMatrix) -> np.ndarray:
+    """The full symmetric matrix of the stored entries, in original order."""
+    o = k.ordering
+    m = np.zeros((o.n, o.n))
+    m[o.cols, o.rows] = k.values
+    m[o.rows, o.cols] = k.values
+    return m
+
+
 def rcm_solve(a, b):
     """``factor_solve`` of the matrix a under scipy's reverse Cuthill-McKee
     ordering of its CSC structure."""
-    a = sp.csc_matrix(a, copy=True)
-    a.sum_duplicates()
-    return factor_solve(a, b, BandOrdering.from_structure(a.indptr, a.indices))
+    k = stored(a)
+    return factor_solve(k, b, k.ordering)

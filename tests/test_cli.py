@@ -535,12 +535,16 @@ class TestCmdRun:
         ]
         accepted = [solves[0], solves[5]]
         assert info["solver_counters"]["alternations"] == sum(r.alt_iters for r in accepted)
+        assert info["solver_counters"]["trials_u"] == sum(r.trials_u for r in accepted)
         assert info["all_solves"] == {
             "solves": 6,
             "alternations": sum(r.alt_iters for r in solves),
             "newton_u": sum(r.newton_iters_u for r in solves),
             "newton_beta": sum(r.newton_iters_beta for r in solves),
+            "trials_u": sum(r.trials_u for r in solves),
+            "trials_beta": sum(r.trials_beta for r in solves),
         }
+        assert info["all_solves"]["trials_u"] >= info["all_solves"]["newton_u"] > 0
         assert main(["check-energy", str(out)]) == 0
 
     def test_patch_run_outputs(self, patch_config, tmp_path):

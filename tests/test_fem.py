@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import box_mesh, damage_system, displacement_system, internal_force, load_tracing, random_state
+from conftest import box_mesh, damage_system, dense, displacement_system, internal_force, load_tracing, random_state, stored
 from oracles import elastic_tensor, element_dofs_pattern, penalty_energy, strain_tensor_from_voigt
 from pffrac.energetics import dis, erg, grad_term
 from pffrac.fem import (
@@ -204,13 +204,13 @@ class TestTangents:
         u_d[1::2] = -1e-3 * mesh.nodes[:, 1]
         k = displacement_system(np.zeros_like(u_d), u_d, np.zeros(mesh.n_nodes), kern, sent_params, dm)[1]
         k_el = dense_elastic_stiffness(mesh, kern, sent_params)
-        assert np.allclose(k.toarray(), k_el, rtol=1e-12)
+        assert np.allclose(dense(k), k_el, rtol=1e-12)
 
     def test_tangent_u_fd(self, two_elem, sent_params, rng):
         mesh, kern, dm = two_elem
         u, a, _ = random_state(mesh, rng)
         u_d = np.zeros_like(u)
-        k = displacement_system(u, u_d, a, kern, sent_params, dm)[1].toarray()
+        k = dense(displacement_system(u, u_d, a, kern, sent_params, dm)[1])
         h = 1e-7
         fd = np.zeros_like(k)
         for i in range(u.size):
@@ -222,7 +222,6 @@ class TestTangents:
                 - displacement_system(um, u_d, a, kern, sent_params, dm)[0]
             ) / (2 * h)
         assert np.abs(k - fd).max() <= 1e-4 * np.abs(k).max()
-        assert np.abs(k - k.T).max() <= 1e-10 * np.abs(k).max()
 
     def test_tangent_u_spd_and_rigid_modes(self, sent_params):
         mesh = box_mesh([1.0, 1.0], [2, 2])
@@ -237,7 +236,7 @@ class TestTangents:
         bottom = mesh.node_sets["ymin"]
         dm = DofMap.from_constraints(mesh, [(bottom, 0), (bottom, 1)])
         k_c = displacement_system(u, u, a, kern, sent_params, dm)[1]
-        spla.splu(k_c.tocsc())  # factorization succeeds -> SPD at desk scale
+        spla.splu(sp.csc_matrix(dense(k_c)))  # factorization succeeds -> SPD at desk scale
 
     def test_tangent_beta_fd(self, two_elem, sent_params, rng):
         mesh, kern, _ = two_elem
@@ -246,7 +245,7 @@ class TestTangents:
         gap_qp = (a - a_n)[kern.elements] @ kern.shape_qp.T
         if np.abs(gap_qp).min() <= 1e-6:
             a = a + 2e-6
-        k = damage_system(u, u_d, a, a_n, kern, sent_params)[1].toarray()
+        k = dense(damage_system(u, u_d, a, a_n, kern, sent_params)[1])
         h = 1e-7
         fd = np.zeros_like(k)
         for i in range(a.size):
@@ -264,8 +263,8 @@ class TestTangents:
         z = np.zeros(2 * mesh.n_nodes)
         a_n = np.full(mesh.n_nodes, 0.5)
         a = np.full(mesh.n_nodes, 0.2)  # gap negative everywhere
-        k_act = damage_system(z, z, a, a_n, kern, sent_params)[1].toarray()
-        k_off = damage_system(z, z, a, a, kern, sent_params)[1].toarray()
+        k_act = dense(damage_system(z, z, a, a_n, kern, sent_params)[1])
+        k_off = dense(damage_system(z, z, a, a, kern, sent_params)[1])
         mass = np.einsum("eq,qi,qj->eij", kern.wj, kern.shape_qp, kern.shape_qp)
         m = np.zeros((mesh.n_nodes, mesh.n_nodes))
         for e in range(mesh.n_elements):
@@ -275,7 +274,8 @@ class TestTangents:
         assert np.allclose(k_act - k_off, m / sent_params.eps_pen, rtol=1e-12)
 
     def test_pattern_assembly_matches_coo_reference(self, sent_params, rng):
-        # cached-pattern assembly against COO->CSR built here, per DofMap
+        # cached-pattern assembly against COO->CSR built here, per DofMap:
+        # the stored entries are the reference's upper entries
         mesh = box_mesh([1.0, 1.0], [3, 3])
         kern = build_kernels(mesh)
         p = sent_params
@@ -294,8 +294,7 @@ class TestTangents:
         def check(dm):
             k = displacement_system(u, u_d, a, kern, p, dm)[1]
             ref = full[dm.free][:, dm.free].toarray()
-            assert k.format == "csc"
-            assert np.abs(k.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.abs(dense(k) - ref).max() <= 1e-14 * np.abs(ref).max()
             return k
 
         bottom = mesh.node_sets["ymin"]
@@ -303,10 +302,10 @@ class TestTangents:
         dm_b = DofMap.from_constraints(mesh, [(bottom, 0), (bottom, 1)])
         dm_c = DofMap.from_constraints(mesh, [(bottom, 1)])
         k1, k2 = check(dm_a), check(dm_a)
-        # reused across calls: both matrices index the one cached pattern
+        # reused across calls: both matrices are stored under the one cached
+        # pattern's ordering
         pat = u_pattern(kern, dm_a)
-        assert np.shares_memory(k1.indices, pat.indices)
-        assert np.shares_memory(k2.indices, pat.indices)
+        assert k1.ordering is pat.ordering and k2.ordering is pat.ordering
         # equal but distinct DofMaps, and different ones, never share
         check(dm_b)
         check(dm_c)
@@ -325,10 +324,9 @@ class TestTangents:
         ref_b = sp.coo_matrix((kb_e.ravel(), (rows, cols)), shape=(a.size, a.size)).toarray()
         kb1 = damage_system(u, u_d, a, a_n, kern, p)[1]
         kb2 = damage_system(u, u_d, a, a_n, kern, p)[1]
-        assert kb1.format == "csc"
-        assert np.abs(kb1.toarray() - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
+        assert np.abs(dense(kb1) - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
         assert damage_blocks(kern) is kern.damage
-        assert np.shares_memory(kb1.indices, kb2.indices)
+        assert kb1.ordering is kb2.ordering is kern.damage.pattern.ordering
 
 
 class TestDeterminismAndReaction:
@@ -339,11 +337,11 @@ class TestDeterminismAndReaction:
         r1, k1 = displacement_system(u, u_d, a, kern, sent_params, dm)
         r2, k2 = displacement_system(u, u_d, a, kern, sent_params, dm)
         assert np.array_equal(r1, r2)
-        assert np.array_equal(k1.data, k2.data)
+        assert np.array_equal(k1.values, k2.values)
         b1, kb1 = damage_system(u, u_d, a, a_n, kern, sent_params)
         b2, kb2 = damage_system(u, u_d, a, a_n, kern, sent_params)
         assert np.array_equal(b1, b2)
-        assert np.array_equal(kb1.data, kb2.data)
+        assert np.array_equal(kb1.values, kb2.values)
 
     def test_reaction_zero_state(self, sent_params):
         mesh = box_mesh([1.0, 1.0], [2, 2])
@@ -429,10 +427,11 @@ class TestBandOrdering:
     def test_factor_solve_bitwise_repeatable(self, sent_tangent):
         kern, dm, r, k = sent_tangent
         o = u_pattern(kern, dm).ordering
+        pat = u_pattern(kern, dm)
         x = factor_solve(k, -r, o)
         assert np.array_equal(x, factor_solve(k, -r, o))
-        fresh = BandOrdering.from_structure(k.indptr, k.indices, o.perm)
-        assert np.array_equal(x, factor_solve(k.copy(), -r.copy(), fresh))
+        fresh = BandOrdering.from_structure(pat.indptr, pat.indices, o.perm)
+        assert np.array_equal(x, factor_solve(stored(dense(k), fresh), -r.copy(), fresh))
         assert np.linalg.norm(k @ x + r) <= 1e-10 * np.linalg.norm(r)
 
     def test_one_ordering_per_pattern(self, monkeypatch):
@@ -449,7 +448,7 @@ class TestBandOrdering:
         real_solve, real_eliminate = solver.factor_solve, solver._eliminate
 
         def spy_solve(a, b, ordering):
-            solves.append((a.indices, a.indptr, ordering))
+            solves.append((a.ordering, ordering))
             return real_solve(a, b, ordering)
 
         def spy_eliminate(mat, pinned):
@@ -465,20 +464,18 @@ class TestBandOrdering:
         z = np.zeros(mesh.n_nodes)
         cfg = solver.SolverConfig()
         stretch = strain_spectrum(kern, u_d)
-        u, _, _ = solver.newton_u(np.zeros_like(u_d), u_d, z, kern, p, cfg, dm, stretch)
+        u = solver.newton_u(np.zeros_like(u_d), u_d, z, kern, p, cfg, dm, stretch)[0]
         n_u = len(solves)
-        a, _, _ = solver.newton_beta(z, np.zeros_like(u), z, kern, p, cfg, stretch)
+        a = solver.newton_beta(z, np.zeros_like(u), z, kern, p, cfg, stretch)[0]
         assert a.max() == 1.0 and a.min() == 0.0
         assert n_u >= 1 and len(solves) > n_u and any(eliminated)
 
         pat_u, pat_b = u_pattern(kern, dm), damage_blocks(kern).pattern
         for pat, calls in ((pat_u, solves[:n_u]), (pat_b, solves[n_u:])):
-            for indices, indptr, ordering in calls:
-                assert ordering is pat.ordering
-                assert np.shares_memory(indices, pat.indices)
-                assert np.shares_memory(indptr, pat.indptr)
+            for stored_under, ordering in calls:
+                assert stored_under is ordering is pat.ordering
         solver.newton_u(u, 1.1 * u_d, z, kern, p, cfg, dm, strain_spectrum(kern, u + 1.1 * u_d))
-        assert u_pattern(kern, dm) is pat_u and solves[-1][2] is pat_u.ordering
+        assert u_pattern(kern, dm) is pat_u and solves[-1][1] is pat_u.ordering
 
 
 PATTERN_PRESETS = [
@@ -498,14 +495,17 @@ def preset_pattern(request):
 
 def assert_oracle_pattern(kern, dm, pat):
     """The pattern is bitwise the one sorted out of every element entry,
-    with its slots in the pattern's index dtype."""
+    and each element entry's slot is the stored entry at its CSC position
+    (one past the stored entries below the reordered diagonal), in the
+    index dtype of the stored entries."""
     keep_map = -np.ones(dm.n_dofs, dtype=np.int64)
     keep_map[dm.free] = np.arange(dm.free.size)
     want = element_dofs_pattern(kern.udofs, dm.free.size, keep_map)
     assert pat.n == dm.free.size
     for got, ref in zip((pat.indptr, pat.indices), want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    assert pat.slot.dtype == pat.indices.dtype and np.array_equal(pat.slot, want[2])
+    index = pat.ordering.stored_index(pat.indptr, pat.indices)
+    assert pat.slot.dtype == index.dtype and np.array_equal(pat.slot, index[want[2]])
 
 
 class TestUPattern:
@@ -594,15 +594,15 @@ class TestBlockAssembly:
         cp, cm = tangent_split(spec, p)
         c_e = rw[:, None, None] * cp + kern.measures[:, None, None] * cm
         k_e = np.swapaxes(kern.b_u, 1, 2) @ (c_e @ kern.b_u)
-        data = np.bincount(pat.slot, weights=k_e.ravel(), minlength=pat.indices.size + 1)[:-1]
-        assert np.array_equal(k1.data, data)
+        data = np.bincount(pat.slot, weights=k_e.ravel(), minlength=pat.ordering.rows.size + 1)[:-1]
+        assert np.array_equal(k1.values, data)
         for size in (1000, 7):
             assert n_e % size  # a last, shorter block
             monkeypatch.setattr(fem, "_BLOCK_BYTES", self._block_bytes(size))
             r, k = fem.residual_and_tangent_u(spec, rw, kern, p, dm)
             assert np.array_equal(r, r1)
-            assert np.array_equal(k.data, k1.data)
-            assert np.shares_memory(k.indices, pat.indices)
+            assert np.array_equal(k.values, k1.values)
+            assert k.ordering is pat.ordering
 
     def test_peak_memory_is_one_block(self, bend3d_state, monkeypatch):
         # with small blocks, one call allocates the data array, the
@@ -617,6 +617,23 @@ class TestBlockAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * pat.indices.size + 2**18
+
+    def test_peak_memory_of_one_newton_system(self, bend3d_state, monkeypatch):
+        # one tangent assembled and solved: the band and a few arrays of the
+        # stored entries (the values, then the residual check's products);
+        # no matrix on the full structure, and no second band
+        kern, dm, pat, spec, rw, p = bend3d_state
+        monkeypatch.setattr(fem, "_BLOCK_BYTES", 2**18)
+        o = pat.ordering
+        tracemalloc.start()
+        try:
+            r, k = fem.residual_and_tangent_u(spec, rw, kern, p, dm)
+            factor_solve(k, -r, o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band = 8 * (o.bandwidth + 1) * o.n
+        assert peak <= band + 4 * 8 * o.rows.size + 2**18
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import box_mesh, displacement_system, rcm_solve
+from conftest import box_mesh, dense, displacement_system, rcm_solve, stored
 from pffrac import linsolve
-from pffrac.fem import DofMap, build_kernels
+from pffrac.fem import DofMap, build_kernels, u_pattern
 from pffrac.linsolve import BandOrdering, LinearSolveError, factor_solve, pseudo_peripheral_rcm
 
 
@@ -33,7 +33,7 @@ def test_empty_structure():
         BandOrdering.from_structure(indptr, indices),
         BandOrdering.narrower(indptr, indices, np.zeros(0, dtype=np.intp)),
     ):
-        assert o.n == 0 and o.bandwidth == 0 and o.upper.size == 0 and o.slot.size == 0
+        assert o.n == 0 and o.bandwidth == 0 and o.rows.size == 0 and o.cols.size == 0 and o.slot.size == 0
 
 
 def test_singular_raises():
@@ -75,13 +75,15 @@ def test_banded_matches_dense_solve(rng, n, density):
     a = random_sparse_spd(rng, n, density)
     b = rng.normal(size=n)
     want = np.linalg.solve(a.toarray(), b)
-    o = BandOrdering.from_structure(a.indptr, a.indices)
-    x = factor_solve(a, b, o)
+    k = stored(a)
+    x = factor_solve(k, b, k.ordering)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(k @ x - a @ x).max() <= 1e-12 * np.abs(a @ x).max()  # the symmetric product
 
 
 def test_ordering_band_storage(rng):
-    # every stored upper entry lands on its band slot, and the band holds
+    # the stored entries are the structure's entries on or above the
+    # reordered diagonal, each lands on its band slot, and the band holds
     # the reordered upper triangle exactly
     a = random_sparse_spd(rng, 40, 0.1)
     o = BandOrdering.from_structure(a.indptr, a.indices)
@@ -90,8 +92,14 @@ def test_ordering_band_storage(rng):
     ap = a.toarray()[np.ix_(o.perm, o.perm)]
     i, j = np.nonzero(np.triu(ap))
     assert o.bandwidth == (j - i).max()
+    assert sorted(zip(o.inv[o.rows], o.inv[o.cols])) == sorted(zip(i, j))
+    index = o.stored_index(a.indptr, a.indices)
+    assert index.size == a.nnz + 1 and index[-1] == o.rows.size
+    upper = index[:-1] < o.rows.size
+    assert np.array_equal(index[:-1][upper], np.arange(o.rows.size))
+    assert np.array_equal(a.indices[upper], o.rows)
     flat = np.zeros((o.bandwidth + 1) * o.n)
-    flat[o.slot] = a.data[o.upper]
+    flat[o.slot] = a.toarray()[o.rows, o.cols]
     ab = flat.reshape((o.bandwidth + 1, o.n), order="F")
     for d in range(o.bandwidth + 1):
         assert np.array_equal(ab[o.bandwidth - d, d:], np.diagonal(ap, d))
@@ -161,39 +169,43 @@ def test_indefinite_nonsingular_raises():
 def test_structure_mismatch_raises(rng):
     a = random_sparse_spd(rng, 20, 0.2)
     o = BandOrdering.from_structure(a.indptr, a.indices)
-    other = random_sparse_spd(rng, 20, 0.2)
-    with pytest.raises(LinearSolveError, match="structure"):
-        factor_solve(other, np.ones(20), o)
+    # the same structure under an equal ordering built again is refused too
+    for other in (stored(random_sparse_spd(rng, 20, 0.2)), stored(a)):
+        with pytest.raises(LinearSolveError, match="another band ordering"):
+            factor_solve(other, np.ones(20), o)
 
 
 @pytest.fixture
 def patch_system(sent_params):
-    """Displacement tangent and right-hand side of a stretched 4x4 patch whose
-    upper half is fully damaged (degraded to the residual stiffness k)."""
+    """Displacement pattern, dense tangent and right-hand side of a stretched
+    4x4 patch whose upper half is fully damaged (degraded to the residual
+    stiffness k)."""
     mesh = box_mesh([1.0, 1.0], [4, 4])
     ymin, ymax = mesh.node_sets["ymin"], mesh.node_sets["ymax"]
     dm = DofMap.from_constraints(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
     u_d = np.zeros(2 * mesh.n_nodes)
     u_d[2 * ymax + 1] = 1e-3
     a = (mesh.nodes[:, 1] > 0.5).astype(float)
-    r, k = displacement_system(np.zeros_like(u_d), u_d, a, build_kernels(mesh), sent_params, dm)
-    return k, -r
+    kern = build_kernels(mesh)
+    r, k = displacement_system(np.zeros_like(u_d), u_d, a, kern, sent_params, dm)
+    return u_pattern(kern, dm), dense(k), -r
 
 
 def test_band_budget_boundary(patch_system, monkeypatch):
     # both constructors check the band: one of exactly the budget is built
     # and factored, one byte more is refused while the ordering is built
-    k, b = patch_system
-    perm = pseudo_peripheral_rcm(k.indptr, k.indices)
+    pat, k, b = patch_system
+    perm = pseudo_peripheral_rcm(pat.indptr, pat.indices)
     for build in (
-        lambda: BandOrdering.from_structure(k.indptr, k.indices),
-        lambda: BandOrdering.narrower(k.indptr, k.indices, perm),
+        lambda: BandOrdering.from_structure(pat.indptr, pat.indices),
+        lambda: BandOrdering.narrower(pat.indptr, pat.indices, perm),
     ):
         monkeypatch.undo()
         o = build()
         band = (o.bandwidth + 1) * o.n * 8
         monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band)
-        x = factor_solve(k, b, build())
+        built = build()
+        x = factor_solve(stored(k, built), b, built)
         assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
         monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band - 1)
         with pytest.raises(LinearSolveError, match=f"band of {band} bytes .* budget of {band - 1} bytes"):

@@ -1,0 +1,40 @@
+"""The output comparison script (scripts/same_outputs.py) on two tiny runs."""
+
+import importlib.util
+from pathlib import Path
+
+from pffrac.cli import main
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("same_outputs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_names_the_first_file_that_differs(tmp_path, capsys):
+    # two runs of one config agree although their run.json differ (wall
+    # time); one altered byte in a snapshot, or a snapshot missing on one
+    # side, is named
+    same_outputs = load_script()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["run", "--preset", "sent", "--scale", "0.05", "--steps", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert same_outputs.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "same outputs (6 files)\n"
+
+    snap = b / "snapshots" / "step_000001.vtk"
+    data = bytearray(snap.read_bytes())
+    data[-2] = ord("7") if data[-2] != ord("7") else ord("8")
+    snap.write_bytes(bytes(data))
+    assert same_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "snapshots/step_000001.vtk: differs\n"
+
+    (a / "snapshots" / "step_000000.vtk").unlink()
+    assert same_outputs.main([str(b), str(a)]) == 1
+    assert capsys.readouterr().out == f"snapshots/step_000000.vtk: missing in {a}\n"
+    assert same_outputs.main([str(a), str(tmp_path / "none")]) == 2

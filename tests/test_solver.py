@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import box_mesh, damage_system, displacement_system, internal_force, random_state, rcm_solve
+from conftest import box_mesh, damage_system, dense, displacement_system, internal_force, random_state, rcm_solve
 from oracles import damage_merit, total_functional
 from pffrac.fem import DofMap, build_kernels, damage_blocks, strain_spectrum, u_pattern
 from pffrac import solver
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split
-from pffrac.linsolve import factor_solve
+from pffrac.linsolve import BandOrdering, UpperMatrix, factor_solve
 from pffrac.solver import SolverConfig, StepFailure, _eliminate, alternate_minimize, newton_beta
 
 
@@ -29,15 +29,17 @@ def make_clamped_patch(divisions=3):
 
 
 def newton_u_from(u0, u_d, a, kern, p, cfg, dm):
-    """``newton_u`` from u0, with the spectrum of its start."""
+    """``newton_u`` from u0, with the spectrum of its start: (u, iterations,
+    spectrum)."""
     start = u0.copy()
     start[dm.fixed] = 0.0
-    return solver.newton_u(u0, u_d, a, kern, p, cfg, dm, strain_spectrum(kern, start + u_d))
+    return solver.newton_u(u0, u_d, a, kern, p, cfg, dm, strain_spectrum(kern, start + u_d))[:3]
 
 
 def newton_beta_at(a0, u_fixed, u_d, a_n, kern, p, cfg):
-    """``newton_beta`` at the displacement u_fixed + u_d."""
-    return newton_beta(a0, u_fixed, a_n, kern, p, cfg, strain_spectrum(kern, u_fixed + u_d))
+    """``newton_beta`` at the displacement u_fixed + u_d: (a, iterations,
+    functional)."""
+    return newton_beta(a0, u_fixed, a_n, kern, p, cfg, strain_spectrum(kern, u_fixed + u_d))[:3]
 
 
 def stretch_lifting(mesh, wx, wy, bump=None, rng=None):
@@ -117,15 +119,18 @@ class TestNewtonBeta:
         mesh, kern, _ = make_patch(divisions=3)
         u, a, a_n = random_state(mesh, rng)
         r, mat = damage_system(u, np.zeros_like(u), a, a_n, kern, sent_params)
-        reduced = mat.tocsr()
+        reduced = dense(mat)
         pinned = rng.uniform(size=a.size) < 0.4
         free = np.flatnonzero(~pinned)
-        want = rcm_solve(reduced[free][:, free], -r[free])
+        want = rcm_solve(reduced[np.ix_(free, free)], -r[free])
         _eliminate(mat, pinned)
         dx = factor_solve(mat, -np.where(pinned, 0.0, r), damage_blocks(kern).pattern.ordering)
         assert np.all(dx[pinned] == 0.0)
         assert np.abs(dx[free] - want).max() <= 1e-12 * np.abs(want).max()
-        assert mat.nnz == reduced.nnz  # the pattern is kept
+        eliminated = reduced.copy()
+        eliminated[pinned] = eliminated[:, pinned] = 0.0
+        eliminated[pinned, pinned] = 1.0
+        assert np.array_equal(dense(mat), eliminated)
 
     def test_unloaded_stationary(self, sent_params):
         mesh, kern, _ = make_patch()
@@ -184,6 +189,93 @@ class TestNewtonBeta:
             np.zeros(mesh.n_nodes), np.zeros_like(u_d), u_d, np.zeros(mesh.n_nodes), kern, sent_params, SolverConfig()
         )
         assert a.min() >= 0.0 and a.max() == 1.0
+
+
+def scan_from_one(phi, slope):
+    """The plain Armijo scan of a line: halve from 1 until a step passes."""
+    t = 1.0
+    while t >= solver._ARMIJO_MIN_STEP:
+        if phi(t) <= phi(0.0) + solver._ARMIJO_C * t * slope:
+            return t
+        t *= 0.5
+    return None
+
+
+# Convex lines phi(t) with their slope at 0: quadratics whose Armijo steps
+# end at many powers of two, kinked maxima of two quadratics (the kink
+# between the start and the minimizer), and a line with no descent.
+def _quadratic(m):
+    return (lambda t: (t - m) ** 2 - m**2), -2.0 * m
+
+
+def _kinked(m):
+    return (lambda t: max((t - m) ** 2 - m**2, 4.0 * (t - 0.5 * m) ** 2 - m**2)), -2.0 * m
+
+
+LINES = {
+    **{f"quadratic {m:g}": _quadratic(m) for m in (2.0, 0.7, 0.3, 0.04, 3e-3, 1e-4, 2e-6)},
+    **{f"kinked {m:g}": _kinked(m) for m in (2.0, 0.5, 0.05, 1e-3, 1e-5)},
+    "no descent": ((lambda t: t * t + t), -1.0),
+}
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("line", sorted(LINES))
+    def test_any_start_finds_the_scan_step(self, line):
+        # from every start 2^0 ... 2^-12: the step, trial and energy of the
+        # scan from 1, each step evaluated once, and only the steps from the
+        # start to the answer (and the one past it when growing) evaluated
+        phi, slope = LINES[line]
+        want = scan_from_one(phi, slope)
+        dx = np.array([1.0])
+        for j in range(13):
+            start = 2.0**-j
+            seen = []
+
+            def evaluate(trial):
+                seen.append(float(trial[0]))
+                return phi(trial[0]), len(seen)
+
+            found, trials = solver._line_search(evaluate, lambda v: v, np.zeros(1), dx, phi(0.0), slope, start)
+            assert trials == len(seen) == len(set(seen))
+            if want is None:
+                assert found is None
+                assert seen == [2.0**-i for i in range(j, 31)]
+                continue
+            t, trial, energy, data = found
+            assert t == want and trial[0] == want and energy == phi(want) and data == seen.index(want) + 1
+            k = -int(np.log2(want))
+            assert trials == abs(k - j) + 1 + (j >= k > 0)
+            if start == want:
+                assert trials <= 2 and trials <= k + 1
+
+
+    def test_bounded_searches_start_from_one(self, monkeypatch):
+        # Newton on sqrt(1 + x^2) from 2 overshoots and accepts t = 1/4,
+        # then full steps: without bounds the next search starts from 1/4,
+        # on the projection arc of a box every search starts from 1
+        one = BandOrdering.from_structure(np.array([0, 1]), np.array([0]))
+        starts = []
+        real_search = solver._line_search
+
+        def search(*args):
+            starts.append(args[-1])
+            return real_search(*args)
+
+        def evaluate(x):
+            return float(np.sum(np.sqrt(1.0 + x * x))), None
+
+        def system(x, _):
+            return x / np.sqrt(1.0 + x * x), UpperMatrix((1.0 + x * x) ** -1.5, one)
+
+        monkeypatch.setattr(solver, "_line_search", search)
+        for bounds, want in ((None, [1.0, 0.25]), ((-5.0, 5.0), [1.0, 1.0])):
+            starts.clear()
+            x, iters, *_ = solver._box_newton(np.array([2.0]), evaluate, system, 1e-12, 20, "sqrt", one, bounds=bounds)
+            assert abs(x[0]) <= 1e-12 and iters > 2
+            assert starts[:2] == want
+            if bounds is not None:
+                assert set(starts) == {1.0}
 
 
 class TestAlternateMinimize:
@@ -260,6 +352,43 @@ class TestAlternateMinimize:
         trials = counts["merit"] - res.alt_iters
         assert res.a.max() > 0.3 and trials > res.newton_iters_u
         assert counts["spectrum"] == 1 + trials
+        assert trials == res.trials_u
+
+    def test_warm_started_search_keeps_every_iterate(self, sent_params, monkeypatch):
+        # the cracking patch above with every displacement search forced to
+        # start from 1, the plain scan down: the same states, counts and
+        # trace bit for bit.  Only the merit count differs (here the warm
+        # start takes more: a search after a step of 2^-10 climbs back to
+        # 2^-1; on the sent@0.1 path it takes about a third of the scan's)
+        mesh, kern, dm = make_patch(divisions=3)
+        u_d = np.zeros(2 * mesh.n_nodes)
+        u_d[1::2] = 0.04 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
+        a0 = np.zeros(mesh.n_nodes)
+        merits = []
+        real_merit, real_newton_u = solver.bulk_merit, solver.newton_u
+
+        def merit(*args):
+            merits[-1] += 1
+            return real_merit(*args)
+
+        def from_one(*args, **kwargs):
+            kwargs["step"] = 1.0
+            return real_newton_u(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "bulk_merit", merit)
+        results = []
+        for newton_u in (real_newton_u, from_one):
+            monkeypatch.setattr(solver, "newton_u", newton_u)
+            merits.append(0)
+            results.append(alternate_minimize(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm))
+        warm, cold = results
+        assert np.array_equal(warm.u, cold.u) and np.array_equal(warm.a, cold.a)
+        assert warm.functional_trace == cold.functional_trace
+        counts = ("alt_iters", "newton_iters_u", "newton_iters_beta", "trials_beta")
+        assert [getattr(warm, c) for c in counts] == [getattr(cold, c) for c in counts]
+        assert warm.a.max() > 0.3
+        assert merits == [warm.alt_iters + warm.trials_u, cold.alt_iters + cold.trials_u]
+        assert warm.trials_u != cold.trials_u
 
     def test_trace_is_total_functional(self, sent_params, monkeypatch):
         # the damage solve's merit of its result is the trace entry, equal
