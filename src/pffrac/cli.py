@@ -63,7 +63,7 @@ from .fem import build_kernels
 from .material import MaterialParams
 from .mesh import parse_gmsh
 from .solver import SolverConfig
-from .vtkio import read_field_snapshot, write_field_snapshot
+from .vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
 __all__ = ["main", "cmd_run", "cmd_check_energy", "config_from_setup", "resolve_config"]
 
@@ -299,38 +299,54 @@ def _drop_snapshots(out_dir: Path, after: int) -> None:
 class _RunWriter:
     """Rewrites the CSV outputs and writes the step's snapshot after every
     accepted step (backtracking replaces already-accepted rows, so files are
-    regenerated from the authoritative history each time)."""
+    regenerated from the authoritative history each time).
+
+    Each row of the accepted chain is formatted once: the writer keeps the
+    records it formatted, their load_disp.csv and energy.csv rows and the
+    running sum of D through each, and formats again only from the first
+    record that the chain has replaced.  ``grid`` is the snapshots' shared
+    text, formatted once per run."""
 
     def __init__(self, out_dir: Path, mesh, program):
         self.out = out_dir
         self.mesh = mesh
         self.program = program
+        self.grid = grid_text(mesh)
+        self.records: list = []
+        self.rows: list = []  # (load_disp row, energy row, sum_D through it)
         (out_dir / "snapshots").mkdir(parents=True, exist_ok=True)
 
     def __call__(self, history: RunHistory) -> None:
         self.write_csvs(history)
         rec = history.steps[-1]
         u_d = lifting_for_step(self.program, rec.step, self.mesh)
-        write_field_snapshot(rec.u + u_d, rec.a, self.mesh, _snapshot_path(self.out, rec.step))
+        write_field_snapshot(rec.u + u_d, rec.a, self.mesh, _snapshot_path(self.out, rec.step), self.grid)
 
     def write_csvs(self, history: RunHistory) -> None:
-        with open(self.out / "load_disp.csv", "w") as fh:
-            fh.write("step,w,reaction\n")
-            for rec in history.steps:
-                fh.write(f"{rec.step},{_fmt(self.program.w(rec.step))},{_fmt(rec.reaction)}\n")
-        with open(self.out / "energy.csv", "w") as fh:
-            fh.write("step,E,sum_D,delta,LB,UB,passed\n")
-            sum_d = 0.0
-            for rec in history.steps:
-                if rec.report is None:
-                    fh.write(f"{rec.step},{_fmt(0.0)},{_fmt(0.0)},{_fmt(0.0)},{_fmt(0.0)},{_fmt(0.0)},1\n")
-                    continue
+        keep = 0
+        for rec, done in zip(history.steps, self.records):
+            if rec is not done:
+                break
+            keep += 1
+        del self.records[keep:], self.rows[keep:]
+        sum_d = self.rows[-1][2] if self.rows else 0.0
+        for rec in history.steps[keep:]:
+            load_row = f"{rec.step},{_fmt(self.program.w(rec.step))},{_fmt(rec.reaction)}\n"
+            if rec.report is None:
+                energy_row = f"{rec.step},{_fmt(0.0)},{_fmt(0.0)},{_fmt(0.0)},{_fmt(0.0)},{_fmt(0.0)},1\n"
+            else:
                 r = rec.report
                 sum_d += r.d_inc
-                fh.write(
+                energy_row = (
                     f"{rec.step},{_fmt(r.e_next)},{_fmt(sum_d)},{_fmt(r.delta)},"
                     f"{_fmt(r.lb)},{_fmt(r.ub)},{int(r.passed)}\n"
                 )
+            self.records.append(rec)
+            self.rows.append((load_row, energy_row, sum_d))
+        with open(self.out / "load_disp.csv", "w") as fh:
+            fh.write("step,w,reaction\n" + "".join(row[0] for row in self.rows))
+        with open(self.out / "energy.csv", "w") as fh:
+            fh.write("step,E,sum_D,delta,LB,UB,passed\n" + "".join(row[1] for row in self.rows))
 
     def write_intermediates(self, history: RunHistory) -> None:
         with open(self.out / "intermediates.csv", "w") as fh:
@@ -394,6 +410,7 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
         np.zeros(setup.mesh.n_nodes),
         setup.mesh,
         _snapshot_path(out_dir, 0),
+        writer.grid,
     )
 
     t0 = time.perf_counter()

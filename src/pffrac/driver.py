@@ -232,7 +232,8 @@ def run(
     reaction0 = reaction_force(spectrum0, rw0, kernels, p, load)
     history.steps.append(SolveRecord(step=0, u=u0, a=a0, report=None, bulk_energy=bulk0, reaction=reaction0))
 
-    guess = history.steps[0]
+    # the running guess and its degradation weights
+    guess, guess_rw = history.steps[0], rw0
     n = 0
     # Back-step budget consumed per failing target step.  The budget is
     # cumulative across failure rounds of the same target: a re-solved
@@ -243,11 +244,11 @@ def run(
     def _solve(step_n: int) -> SolveRecord:
         """Solve increment [t_n, t_{n+1}] from the running guess, the last
         solve's state, and log the solve, which becomes the running guess."""
-        nonlocal guess
+        nonlocal guess, guess_rw
         prev = history.steps[step_n]
         u_d_next = lifting_for_step(program, step_n + 1, mesh)
-        res = alternate_minimize(guess.u, guess.a, prev.a, u_d_next, kernels, p, cfg, dofmap)
-        rw = degradation_weights(kernels, res.a, p)
+        res = alternate_minimize(guess.u, guess.a, guess_rw, prev.a, u_d_next, kernels, p, cfg, dofmap)
+        guess_rw = res.rw
         report = check_two_sided(
             prev.u,
             lifting_for_step(program, step_n, mesh),
@@ -259,7 +260,7 @@ def run(
             p,
             bt.eta,
             erg_curr=prev.bulk_energy,
-            erg_next=erg_from_spectrum(res.spectrum, rw, kernels, p),
+            erg_next=erg_from_spectrum(res.spectrum, res.rw, kernels, p),
         )
         guess = SolveRecord(
             step=step_n + 1,
@@ -267,7 +268,7 @@ def run(
             a=res.a,
             report=report,
             bulk_energy=report.erg_next,
-            reaction=reaction_force(res.spectrum, rw, kernels, p, load),
+            reaction=reaction_force(res.spectrum, res.rw, kernels, p, load),
             alt_iters=res.alt_iters,
             newton_iters_u=res.newton_iters_u,
             newton_iters_beta=res.newton_iters_beta,

@@ -15,6 +15,12 @@ are used:
   costs about 30 us per sum on 480 elements, against a few us for a plain
   sum, and a merit is evaluated for every line-search trial.
 
+The merits take what their caller has already evaluated of the state: the
+element energy densities of the displacement (``psi_split``), the damage
+quadrature fields (``fem.damage_fields``) and the anchor's dissipation.
+The solver computes each of these once and hands it on to the residual,
+the tangent and the next solve.
+
 The stored energy of a state is ERG (degraded bulk energy of U1 + U2) plus
 GRAD (the damage-gradient energy); DIS is the path-independent dissipation
 state function whose difference gives the incremental dissipation.  The
@@ -28,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import ElementKernels, beta_at_qp, degradation_weights, strain_spectrum
-from .material import AT2, MaterialParams, StrainSpectrum, degradation, psi_split
+from .fem import DamageFields, ElementKernels, beta_at_qp, degradation_weights, strain_spectrum
+from .material import AT2, MaterialParams, StrainSpectrum, psi_split
 
 __all__ = [
     "EnergyReport",
@@ -78,10 +84,10 @@ def erg_from_spectrum(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: 
     return _fsum(rw * psi_p + kernels.measures * psi_m)
 
 
-def bulk_merit(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams) -> float:
+def bulk_merit(psi_p, psi_m, rw, kernels: ElementKernels) -> float:
     """The displacement merit: the degraded bulk energy of
-    ``erg_from_spectrum``, summed plainly."""
-    psi_p, psi_m = psi_split(spectrum, p)
+    ``erg_from_spectrum``, summed plainly, from the state's element energy
+    densities (``psi_split``)."""
     return float((rw * psi_p + kernels.measures * psi_m).sum())
 
 
@@ -106,12 +112,15 @@ def dis(a, kernels: ElementKernels, p: MaterialParams) -> float:
     return p.kappa * p.gc / p.ell * _fsum(per_e)
 
 
-def functional_from_psi(psi_p, psi_m, a, a_n, dis_n, kernels: ElementKernels, p: MaterialParams) -> float:
+def functional_from_psi(
+    psi_p, psi_m, a, fields: DamageFields, dis_n, kernels: ElementKernels, p: MaterialParams
+) -> float:
     """Penalized incremental functional at fixed displacement: stored energy
     + incremental dissipation + irreversibility penalty (the quantity the
     alternating minimization descends on, and the damage merit).  Takes the
     element energy densities of the displacement and the anchor's
-    dissipation ``dis_n = dis(a_n)``, both fixed during a damage solve.
+    dissipation ``dis_n = dis(a_n)``, both fixed during a damage solve, and
+    the ``damage_fields`` of a with anchor a_n.
 
     The integrand of ``erg``, ``grad_term`` and ``dis`` and the
     irreversibility penalty (1/(2 eps)) * integral [beta - beta_n]_-^2 (the
@@ -120,16 +129,14 @@ def functional_from_psi(psi_p, psi_m, a, a_n, dis_n, kernels: ElementKernels, p:
     dissipation, penalty) in one weighted sum, the element-constant ones
     (compressive energy, damage gradient) in another.
     """
-    a_e = a[kernels.elements]
-    beta_qp = a_e @ kernels.shape_qp.T
-    gap_qp = np.minimum((a - a_n)[kernels.elements] @ kernels.shape_qp.T, 0.0)
-    r_qp, _ = degradation(beta_qp, p)
+    beta_qp = fields.beta
+    gap_qp = np.minimum(fields.gap, 0.0)
     if p.dissipation == AT2:
         dis_qp = (0.5 * p.gc / p.ell) * (beta_qp * beta_qp)
     else:
         dis_qp = (p.kappa * p.gc / p.ell) * beta_qp
-    per_qp = r_qp * psi_p[:, None] + dis_qp + (0.5 / p.eps_pen) * (gap_qp * gap_qp)
-    g = np.einsum("edi,ei->ed", kernels.b_beta, a_e)
+    per_qp = fields.r * psi_p[:, None] + dis_qp + (0.5 / p.eps_pen) * (gap_qp * gap_qp)
+    g = np.einsum("edi,ei->ed", kernels.b_beta, a[kernels.elements])
     per_e = psi_m + (0.5 * p.gc * p.ell) * np.einsum("ed,ed->e", g, g)
     return float((kernels.wj * per_qp).sum() + (kernels.measures * per_e).sum()) - dis_n
 

@@ -56,6 +56,8 @@ __all__ = [
     "strain_voigt",
     "strain_spectrum",
     "beta_at_qp",
+    "DamageFields",
+    "damage_fields",
     "degradation_weights",
     "residual_and_tangent_u",
     "residual_and_tangent_beta",
@@ -253,7 +255,37 @@ def beta_at_qp(kernels: ElementKernels, a: np.ndarray) -> np.ndarray:
 def degradation_weights(kernels: ElementKernels, a: np.ndarray, p: MaterialParams):
     """Quadrature sum of w*j*R(beta) per element (weights the tensile part)."""
     r_qp, _ = degradation(beta_at_qp(kernels, a), p)
-    return np.einsum("eq,eq->e", kernels.wj, r_qp)
+    return _quadrature_sums(kernels, r_qp)
+
+
+def _quadrature_sums(kernels: ElementKernels, f_qp: np.ndarray) -> np.ndarray:
+    """Quadrature sum of w*j*f per element of the (n_e, nqp) field f."""
+    return np.einsum("eq,eq->e", kernels.wj, f_qp)
+
+
+@dataclass(frozen=True)
+class DamageFields:
+    """The quadrature-point fields of a damage state a with anchor a_n,
+    (n_e, nqp) each: ``beta`` and the raw ``gap`` a - a_n, both
+    interpolated, and the degradation factor ``r`` = R(beta) with its
+    derivative ``dr``.  A damage solve builds them once per iterate, for
+    its merit, residual and tangent alike."""
+
+    beta: np.ndarray
+    gap: np.ndarray
+    r: np.ndarray
+    dr: np.ndarray
+
+    def weights(self, kernels: ElementKernels) -> np.ndarray:
+        """The state's ``degradation_weights``."""
+        return _quadrature_sums(kernels, self.r)
+
+
+def damage_fields(kernels: ElementKernels, a: np.ndarray, a_n: np.ndarray, p: MaterialParams) -> DamageFields:
+    """The ``DamageFields`` of the damage a with anchor a_n."""
+    beta = beta_at_qp(kernels, a)
+    r, dr = degradation(beta, p)
+    return DamageFields(beta=beta, gap=(a - a_n)[kernels.elements] @ kernels.shape_qp.T, r=r, dr=dr)
 
 
 def _nodal_sum(edofs: np.ndarray, f_e: np.ndarray, n: int) -> np.ndarray:
@@ -486,18 +518,17 @@ def _element_tangents_u(spectrum: StrainSpectrum, rw, measures, b_u, p: Material
     return np.swapaxes(b_u, 1, 2) @ (c_e @ b_u)
 
 
-def residual_and_tangent_beta(psi_p, a, a_n, kernels: ElementKernels, p: MaterialParams):
-    """Damage residual and tangent over all damage dofs (one per node), from
-    the tensile energy density per element (constant at fixed displacement).
+def residual_and_tangent_beta(psi_p, a, fields: DamageFields, kernels: ElementKernels, p: MaterialParams):
+    """Damage residual and tangent over all damage dofs (one per node) at the
+    damage a, whose ``damage_fields`` are ``fields``, from the tensile
+    energy density per element (constant at fixed displacement).
 
     The tangent is the tensile-energy/dissipation mass plus the gradient
     stiffness plus the active-set penalty mass (generalized derivative of the
     negative part); an ``UpperMatrix``.
     """
     blk = damage_blocks(kernels)
-    beta_qp = beta_at_qp(kernels, a)
-    _, dr_qp = degradation(beta_qp, p)
-    gap_qp = (a - a_n)[kernels.elements] @ kernels.shape_qp.T
+    beta_qp, gap_qp = fields.beta, fields.gap
     pen_qp = np.minimum(gap_qp, 0.0) / p.eps_pen
     coeff_qp = 2.0 * psi_p[:, None] + (gap_qp < 0.0) / p.eps_pen
     if p.dissipation == AT2:
@@ -506,7 +537,7 @@ def residual_and_tangent_beta(psi_p, a, a_n, kernels: ElementKernels, p: Materia
     else:
         diss_qp = (p.kappa * p.gc / p.ell) * np.ones_like(beta_qp)
 
-    s_qp = dr_qp * psi_p[:, None] + diss_qp + pen_qp
+    s_qp = fields.dr * psi_p[:, None] + diss_qp + pen_qp
     f_e = (kernels.wj * s_qp) @ kernels.shape_qp
     f_e += (p.gc * p.ell) * np.einsum("eij,ej->ei", blk.grad, a[kernels.elements])
     k_e = (kernels.wj * coeff_qp) @ blk.mass

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 __all__ = [
@@ -70,10 +71,13 @@ class BandOrdering:
     ``perm[i]`` is the original index of reordered row i and ``inv`` its
     inverse.  The stored entries are the structure's entries on or above
     the reordered diagonal, in CSC order: ``rows`` and ``cols`` are their
-    original row and column, in the ``index_dtype`` of n, and ``slot`` is
-    their flat index into the column-major ``(bandwidth + 1, n)`` array
-    that ``dpbtrf`` reads (``ab[bandwidth + i - j, j] = a[i, j]``), in the
-    ``index_dtype`` of the band size.
+    original row and column, in the ``index_dtype`` of n, ``col_starts``
+    (n + 1, same dtype) is where each column's entries start, ``diagonal``
+    indexes the entries on the diagonal, and ``slot`` is their flat index
+    into the column-major ``(bandwidth + 1, n)`` array that ``dpbtrf`` reads
+    (``ab[bandwidth + i - j, j] = a[i, j]``), in the ``index_dtype`` of the
+    band size.  The stored entries number at most the band size, which the
+    budget keeps below 2**28, so ``col_starts`` fits the dtype of ``rows``.
     """
 
     perm: np.ndarray
@@ -81,6 +85,8 @@ class BandOrdering:
     bandwidth: int
     rows: np.ndarray
     cols: np.ndarray
+    col_starts: np.ndarray
+    diagonal: np.ndarray
     slot: np.ndarray
 
     @property
@@ -111,8 +117,20 @@ class BandOrdering:
                 f"exceeds the budget of {BAND_BYTES_BUDGET} bytes"
             )
         slot = (bandwidth - offset) + inv[cols] * (bandwidth + 1)
-        rows, cols = rows.astype(index_dtype(n)), cols.astype(index_dtype(n))
-        return cls(perm, inv, bandwidth, rows, cols, slot.astype(index_dtype((bandwidth + 1) * n)))
+        dtype = index_dtype(n)
+        col_starts = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(np.bincount(cols, minlength=n), out=col_starts[1:])
+        diagonal = np.flatnonzero(rows == cols).astype(dtype)
+        return cls(
+            perm,
+            inv,
+            bandwidth,
+            rows.astype(dtype),
+            cols.astype(dtype),
+            col_starts,
+            diagonal,
+            slot.astype(index_dtype((bandwidth + 1) * n)),
+        )
 
     @classmethod
     def narrower(cls, indptr: np.ndarray, indices: np.ndarray, perm) -> "BandOrdering":
@@ -145,12 +163,18 @@ class UpperMatrix:
     ordering: BandOrdering
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The symmetric product: each stored entry acts at its place and,
-        off the diagonal, at its mirror below it."""
+        """The symmetric product U x + U^T x - D x, with U the stored entries
+        and D their diagonal.  scipy's compiled CSC product of the stored
+        entries gives U x; the same arrays read as CSR are U^T, whose CSR
+        product gives U^T x."""
         o = self.ordering
-        mirror = np.where(o.rows != o.cols, self.values, 0.0)
-        y = np.bincount(o.rows, self.values * x.take(o.cols), o.n)
-        return y + np.bincount(o.cols, mirror * x.take(o.rows), o.n)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        y = np.zeros(o.n)
+        _sparsetools.csc_matvec(o.n, o.n, o.col_starts, o.rows, self.values, x, y)
+        _sparsetools.csr_matvec(o.n, o.n, o.col_starts, o.rows, self.values, x, y)
+        d = o.rows[o.diagonal]
+        y[d] -= self.values[o.diagonal] * x[d]
+        return y
 
 
 def _upper(rows: np.ndarray, cols: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -290,6 +314,8 @@ def factor_solve(a: UpperMatrix, b: np.ndarray, ordering: BandOrdering) -> np.nd
     n = b.shape[0]
     if a.ordering.n != n:
         raise LinearSolveError(f"matrix of size {a.ordering.n} incompatible with rhs {n}")
+    if a.ordering is not ordering:
+        raise LinearSolveError("matrix is stored under another band ordering")
     if not np.all(np.isfinite(b)):
         raise LinearSolveError("non-finite right-hand side")
 
@@ -297,8 +323,6 @@ def factor_solve(a: UpperMatrix, b: np.ndarray, ordering: BandOrdering) -> np.nd
     if b_norm == 0.0:
         return np.zeros(n)
 
-    if a.ordering is not ordering:
-        raise LinearSolveError("matrix is stored under another band ordering")
     x = _banded_solve(a, b)
     res = float(np.linalg.norm(a @ x - b)) / b_norm
     if not np.isfinite(res) or res > _DIRECT_RTOL:

@@ -15,6 +15,16 @@ residual is, branch-wise): the step is the largest power of two, at most 1,
 that passes the Armijo test.  An iterate where no step along the Newton
 direction can decrease the energy is a numerical minimizer of the convex
 subproblem and counts as converged.
+
+Each state is evaluated once and handed on.  A displacement state is its
+strain spectrum and its energy densities: the trial merit computes them,
+the residual and tangent read the spectrum, and the damage solve and the
+next displacement solve's start merit read the densities.  A damage
+iterate's quadrature fields (``fem.damage_fields``) are built by its merit
+and read by its residual and tangent; the solve's last iterate leaves only
+its degradation weights, one value per element, for the next displacement
+solve, so no whole-mesh damage field is held through a displacement solve.
+The anchor's dissipation is computed once per ``alternate_minimize`` call.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .fem import (
     DofMap,
     ElementKernels,
     damage_blocks,
-    degradation_weights,
+    damage_fields,
     residual_and_tangent_beta,
     residual_and_tangent_u,
     strain_spectrum,
@@ -73,7 +83,8 @@ class AltResult:
     """Converged state of one incremental solve, with iteration traces.
 
     ``spectrum`` is the ``strain_spectrum`` of u + u_d_next, from the last
-    displacement solve.  ``trials_u`` and ``trials_beta`` count the trial
+    displacement solve, and ``rw`` the ``degradation_weights`` of a, from
+    the last damage solve.  ``trials_u`` and ``trials_beta`` count the trial
     merits of the displacement and damage line searches.
     """
 
@@ -85,6 +96,7 @@ class AltResult:
     trials_u: int
     trials_beta: int
     spectrum: StrainSpectrum
+    rw: np.ndarray
     functional_trace: list = field(default_factory=list)
 
 
@@ -204,86 +216,95 @@ def newton_u(
     u0: np.ndarray,
     u_d: np.ndarray,
     a_fixed: np.ndarray,
+    rw: np.ndarray,
     kernels: ElementKernels,
     p: MaterialParams,
     cfg: SolverConfig,
     dofmap: DofMap,
-    spectrum: StrainSpectrum,
+    state: tuple,
     step: float = 1.0,
 ):
-    """Damped Newton on the displacement residual at fixed damage, started
-    from u0 with its constrained dofs set to zero; ``spectrum`` is the
-    ``strain_spectrum`` of that start plus u_d, and ``step`` the start of
-    the first line search.
+    """Damped Newton on the displacement residual at the fixed damage a_fixed,
+    whose ``degradation_weights`` are ``rw``, started from u0 with its
+    constrained dofs set to zero; ``state`` is (spectrum, psi_p, psi_m) of
+    that start plus u_d, its ``strain_spectrum`` and the ``psi_split`` of
+    that, and ``step`` the start of the first line search.
 
-    Returns (u, iterations, spectrum, step, trials): the free vector keeps
-    zeros on constrained dofs, ``spectrum`` is the ``strain_spectrum`` of
-    the returned u + u_d, ``step`` the last accepted line-search step (the
-    given one if none was) and ``trials`` the number of trial merits.  The
-    merit function is the degraded bulk energy, convex along every search
-    line; each displacement state is decomposed once, for its merit,
-    residual and tangent alike.
+    Returns (u, iterations, state, step, trials): the free vector keeps
+    zeros on constrained dofs, ``state`` is that of the returned u + u_d,
+    ``step`` the last accepted line-search step (the given one if none was)
+    and ``trials`` the number of trial merits.  The merit function is the
+    degraded bulk energy, convex along every search line; each displacement
+    state is decomposed, and its energy densities computed, once, for its
+    merit, residual and tangent alike.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
     u[dofmap.fixed] = 0.0
     free = dofmap.free
-    rw = degradation_weights(kernels, a_fixed, p)  # the damage is fixed
 
     def evaluate(x):
         full = u.copy()
         full[free] = x
         spec = strain_spectrum(kernels, full + u_d)
-        return bulk_merit(spec, rw, kernels, p), spec
+        psi_p, psi_m = psi_split(spec, p)
+        return bulk_merit(psi_p, psi_m, rw, kernels), (spec, psi_p, psi_m)
 
     try:
-        x, iters, _, spectrum, step, trials = _box_newton(
+        x, iters, _, state, step, trials = _box_newton(
             u[free],
             evaluate,
-            lambda x, spec: residual_and_tangent_u(spec, rw, kernels, p, dofmap),
+            lambda x, st: residual_and_tangent_u(st[0], rw, kernels, p, dofmap),
             cfg.tol_u,
             cfg.max_newton,
             "newton_u",
             u_pattern(kernels, dofmap).ordering,
-            start=(bulk_merit(spectrum, rw, kernels, p), spectrum),
+            start=(bulk_merit(state[1], state[2], rw, kernels), state),
             step=step,
         )
     except StepFailure as exc:
         exc.u, exc.a = u, a_fixed
         raise
     u[free] = x
-    return u, iters, spectrum, step, trials
+    return u, iters, state, step, trials
 
 
 def newton_beta(
     a0: np.ndarray,
     u_fixed: np.ndarray,
     a_n: np.ndarray,
+    dis_n: float,
     kernels: ElementKernels,
     p: MaterialParams,
     cfg: SolverConfig,
-    spectrum: StrainSpectrum,
+    psi_p: np.ndarray,
+    psi_m: np.ndarray,
 ):
     """Semi-smooth Newton on the penalized damage residual at fixed
-    displacement, bound-constrained to [0, 1].  ``spectrum`` is the
-    ``strain_spectrum`` of the displacement: u_fixed plus its lifting.
+    displacement, bound-constrained to [0, 1].  ``psi_p`` and ``psi_m`` are
+    the element energy densities of the displacement, u_fixed plus its
+    lifting, and ``dis_n`` the anchor's dissipation ``dis(a_n)``.
 
-    Returns (a, iterations, functional, trials): ``functional`` is the
+    Returns (a, iterations, functional, rw, trials): ``functional`` is the
     penalized incremental functional (``functional_from_psi``) of the
-    returned state with anchor a_n, and ``trials`` the number of trial
-    merits.  Every line search starts from the full step (see
-    ``_box_newton``).  The bounds are enforced inside the solve (projected
-    active-set Newton), so the discrete overshoot of the unconstrained
-    minimizer above 1 near a localized crack never enters the state.
+    returned state with anchor a_n, ``rw`` its ``degradation_weights`` and
+    ``trials`` the number of trial merits.  Each damage iterate's
+    ``damage_fields`` are built once, by its merit, and serve its residual
+    and tangent and, for the returned state, ``rw``.  Every line search
+    starts from the full step (see ``_box_newton``).  The bounds are
+    enforced inside the solve (projected active-set Newton), so the
+    discrete overshoot of the unconstrained minimizer above 1 near a
+    localized crack never enters the state.
     """
-    # the displacement is frozen, so the split energy densities are reusable;
-    # the anchor is fixed, so is its dissipation
-    psi_p, psi_m = psi_split(spectrum, p)
-    dis_n = dis(a_n, kernels, p)
+
+    def evaluate(x):
+        fields = damage_fields(kernels, x, a_n, p)
+        return functional_from_psi(psi_p, psi_m, x, fields, dis_n, kernels, p), fields
+
     try:
-        a, iters, merit, _, _, trials = _box_newton(
+        a, iters, merit, fields, _, trials = _box_newton(
             a0,
-            lambda x: (functional_from_psi(psi_p, psi_m, x, a_n, dis_n, kernels, p), None),
-            lambda x, _: residual_and_tangent_beta(psi_p, x, a_n, kernels, p),
+            evaluate,
+            lambda x, fields: residual_and_tangent_beta(psi_p, x, fields, kernels, p),
             cfg.tol_a,
             cfg.max_newton,
             "newton_beta",
@@ -293,12 +314,13 @@ def newton_beta(
     except StepFailure as exc:
         exc.u, exc.a = u_fixed, a0
         raise
-    return a, iters, merit, trials
+    return a, iters, merit, fields.weights(kernels), trials
 
 
 def alternate_minimize(
     u_start: np.ndarray,
     a_start: np.ndarray,
+    rw_start: np.ndarray,
     a_n: np.ndarray,
     u_d_next: np.ndarray,
     kernels: ElementKernels,
@@ -310,21 +332,27 @@ def alternate_minimize(
 
     ``(u_start, a_start)`` is the initial guess, which under backtracking
     differs from the admissible-set anchor ``a_n`` (the previous converged
-    damage of the step being solved).  Each displacement line search starts
-    from the step the last one of this call accepted, the first from 1.
+    damage of the step being solved), and ``rw_start`` the
+    ``degradation_weights`` of a_start.  Each displacement line search
+    starts from the step the last one of this call accepted, the first from
+    1.  Each state is evaluated once and handed on (see the module
+    docstring).
     """
     u = np.array(u_start, dtype=np.float64, copy=True)
     u[dofmap.fixed] = 0.0
     a = np.array(a_start, dtype=np.float64, copy=True)
+    rw = rw_start
+    dis_n = dis(a_n, kernels, p)
 
     iters_u = iters_b = trials_u = trials_b = 0
     step = 1.0
     trace: list = []
     spectrum = strain_spectrum(kernels, u + u_d_next)
+    state = (spectrum, *psi_split(spectrum, p))
 
     for i in range(1, cfg.max_alt + 1):
-        u_new, nu, spectrum, step, tu = newton_u(u, u_d_next, a, kernels, p, cfg, dofmap, spectrum, step=step)
-        a_new, nb, functional, tb = newton_beta(a, u_new, a_n, kernels, p, cfg, spectrum)
+        u_new, nu, state, step, tu = newton_u(u, u_d_next, a, rw, kernels, p, cfg, dofmap, state, step=step)
+        a_new, nb, functional, rw, tb = newton_beta(a, u_new, a_n, dis_n, kernels, p, cfg, *state[1:])
         iters_u += nu
         iters_b += nb
         trials_u += tu
@@ -343,7 +371,8 @@ def alternate_minimize(
                 newton_iters_beta=iters_b,
                 trials_u=trials_u,
                 trials_beta=trials_b,
-                spectrum=spectrum,
+                spectrum=state[0],
+                rw=rw,
                 functional_trace=trace,
             )
     raise StepFailure(f"alternate_minimize: no convergence in {cfg.max_alt} alternations", u=u, a=a)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .mesh import Mesh
 
-__all__ = ["write_field_snapshot", "read_field_snapshot"]
+__all__ = ["grid_text", "write_field_snapshot", "read_field_snapshot"]
 
 _CELL_TYPE = {2: 5, 3: 10}  # VTK_TRIANGLE, VTK_TETRA
 _XYZ = "%.17g %.17g %.17g\n"
@@ -23,30 +23,42 @@ def _block(row: str, values: np.ndarray) -> str:
     return (row * values.shape[0]) % tuple(values.ravel().tolist())
 
 
-def write_field_snapshot(disp: np.ndarray, damage: np.ndarray, mesh: Mesh, path) -> None:
-    """Write total displacement (dim*n_nodes vector) and nodal damage."""
+def grid_text(mesh: Mesh) -> str:
+    """The blocks that every snapshot of ``mesh`` shares, up to its point
+    data: the file header, POINTS, CELLS and CELL_TYPES.  A run formats them
+    once and hands the text to each ``write_field_snapshot``."""
+    xyz = np.zeros((mesh.n_nodes, 3))
+    xyz[:, : mesh.dim] = mesh.nodes  # coordinates padded to three components
+    nen = mesh.dim + 1
+    n_e = mesh.n_elements
+    return "".join(
+        [
+            "# vtk DataFile Version 3.0\npffrac field snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+            f"POINTS {mesh.n_nodes} double\n",
+            _block(_XYZ, xyz),
+            f"CELLS {n_e} {n_e * (nen + 1)}\n",
+            _block(f"{nen}" + " %d" * nen + "\n", mesh.elements),
+            f"CELL_TYPES {n_e}\n",
+            f"{_CELL_TYPE[mesh.dim]}\n" * n_e,
+        ]
+    )
+
+
+def write_field_snapshot(disp: np.ndarray, damage: np.ndarray, mesh: Mesh, path, grid: str) -> None:
+    """Write total displacement (dim*n_nodes vector) and nodal damage after
+    ``grid``, the mesh's ``grid_text``."""
     disp = np.asarray(disp, dtype=np.float64).reshape(mesh.n_nodes, mesh.dim)
     damage = np.asarray(damage, dtype=np.float64)
     if damage.shape != (mesh.n_nodes,):
         raise ValueError("damage must have one value per node")
 
-    # coordinates and displacement padded to three components
-    xyz = np.zeros((2, mesh.n_nodes, 3))
-    xyz[0, :, : mesh.dim] = mesh.nodes
-    xyz[1, :, : mesh.dim] = disp
-    nen = mesh.dim + 1
-    n_e = mesh.n_elements
+    xyz = np.zeros((mesh.n_nodes, 3))
+    xyz[:, : mesh.dim] = disp  # displacement padded to three components
     text = "".join(
         [
-            "# vtk DataFile Version 3.0\npffrac field snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n",
-            f"POINTS {mesh.n_nodes} double\n",
-            _block(_XYZ, xyz[0]),
-            f"CELLS {n_e} {n_e * (nen + 1)}\n",
-            _block(f"{nen}" + " %d" * nen + "\n", mesh.elements),
-            f"CELL_TYPES {n_e}\n",
-            f"{_CELL_TYPE[mesh.dim]}\n" * n_e,
+            grid,
             f"POINT_DATA {mesh.n_nodes}\nVECTORS displacement double\n",
-            _block(_XYZ, xyz[1]),
+            _block(_XYZ, xyz),
             "SCALARS damage double 1\nLOOKUP_TABLE default\n",
             _block("%.17g\n", damage[:, None]),
         ]

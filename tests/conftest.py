@@ -17,6 +17,7 @@ import pffrac.driver as driver
 from pffrac.fem import (
     DofMap,
     build_kernels,
+    damage_fields,
     degradation_weights,
     residual_and_tangent_beta,
     residual_and_tangent_u,
@@ -89,7 +90,7 @@ def random_state(mesh, rng, mag=1e-3):
 def damage_system(u, u_d, a, a_n, kernels, p):
     """Damage residual and tangent at the displacement u + u_d."""
     psi_p, _ = psi_split(strain_spectrum(kernels, u + u_d), p)
-    return residual_and_tangent_beta(psi_p, a, a_n, kernels, p)
+    return residual_and_tangent_beta(psi_p, a, damage_fields(kernels, a, a_n, p), kernels, p)
 
 
 def displacement_system(u, u_d, a, kernels, p, dofmap):

@@ -14,7 +14,7 @@ from pffrac.material import MaterialParams
 from pffrac.mesh import select_nodes
 from pffrac.presets import load_preset
 from pffrac.solver import SolverConfig, StepFailure
-from pffrac.vtkio import read_field_snapshot, write_field_snapshot
+from pffrac.vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
 
 def resolved_setup(cfg):
@@ -75,7 +75,7 @@ class TestVtk:
     def test_zero_state_snapshot(self, tmp_path):
         mesh = box_mesh([1.0, 1.0], [1, 1])
         path = tmp_path / "snap.vtk"
-        write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path)
+        write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
         text = path.read_text()
         assert "POINTS 4 double" in text
         assert "CELLS 2 8" in text
@@ -87,7 +87,7 @@ class TestVtk:
         disp = rng.normal(size=3 * mesh.n_nodes) * 1e-3
         damage = rng.uniform(0, 1, mesh.n_nodes)
         path = tmp_path / "snap.vtk"
-        write_field_snapshot(disp, damage, mesh, path)
+        write_field_snapshot(disp, damage, mesh, path, grid_text(mesh))
         got_disp, got_damage = read_field_snapshot(path, 3)
         assert np.array_equal(got_disp, disp)
         assert np.array_equal(got_damage, damage)
@@ -101,7 +101,7 @@ class TestVtk:
         damage = rng.uniform(0.0, 1.0, mesh.n_nodes)
         damage[::4] = 0.0
         path = tmp_path / "snap.vtk"
-        write_field_snapshot(disp, damage, mesh, path)
+        write_field_snapshot(disp, damage, mesh, path, grid_text(mesh))
         for got, want in zip(read_field_snapshot(path, dim), read_snapshot_by_line(path, dim)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
@@ -112,7 +112,7 @@ class TestVtk:
     def test_missing_section_raises(self, tmp_path, header):
         mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
         path = tmp_path / "snap.vtk"
-        write_field_snapshot(np.zeros(3 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path)
+        write_field_snapshot(np.zeros(3 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(x for x in lines if not x.startswith(header)) + "\n")
         with pytest.raises(ValueError, match=f"missing '{header}' section"):
@@ -121,7 +121,7 @@ class TestVtk:
     def test_truncated_block_raises(self, tmp_path):
         mesh = box_mesh([1.0, 1.0], [1, 1])
         path = tmp_path / "snap.vtk"
-        write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path)
+        write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
         path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
         with pytest.raises(ValueError, match="holds 3 values, not 4"):
             read_field_snapshot(path, 2)
@@ -499,6 +499,43 @@ class TestCmdRun:
         assert [(i.step, i.b, i.report.passed) for i in hist.intermediates] == [(3, 0, False), (2, 1, True)]
         assert hist.intermediates[-1] is hist.steps[2]
         assert hist.steps[2].reaction != 0.0
+
+    def test_chain_rows_formatted_once(self, patch_config, tmp_path, monkeypatch):
+        # a back step replaces accepted rows; the CSV writes format each
+        # record that enters the chain once (2 numbers of load_disp.csv, 5
+        # of energy.csv), and the files equal a fresh format of the final
+        # chain
+        cfg = cli._read_config_file(patch_config)
+        setup = resolved_setup(cfg)
+        counts = {"fmt": 0, "accepts": 0, "writing": False}
+        real_fmt, real_call, real_write = cli._fmt, cli._RunWriter.__call__, cli._RunWriter.write_csvs
+
+        def fmt(x):
+            counts["fmt"] += counts["writing"]
+            return real_fmt(x)
+
+        def on_accept(self, history):
+            counts["accepts"] += 1
+            real_call(self, history)
+
+        def write_csvs(self, history):
+            counts["writing"] = True
+            real_write(self, history)
+            counts["writing"] = False
+
+        monkeypatch.setattr(cli, "_fmt", fmt)
+        monkeypatch.setattr(cli._RunWriter, "__call__", on_accept)
+        monkeypatch.setattr(cli._RunWriter, "write_csvs", write_csvs)
+        scripted_checks(monkeypatch, lambda step, nth: step == 4 and nth == 1)
+        hist = run_to_dir(cfg, tmp_path / "run")
+        monkeypatch.undo()
+        assert hist.backtracks and hist.n_accepted == 5
+        # the initial record, then one per acceptance
+        assert counts["fmt"] == 7 * (1 + counts["accepts"])
+        fresh = tmp_path / "fresh"
+        cli._RunWriter(fresh, setup.mesh, setup.program).write_csvs(hist)
+        for name in ("load_disp.csv", "energy.csv"):
+            assert (tmp_path / "run" / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_rerun_drops_earlier_snapshots(self, patch_config, tmp_path):
         # a shorter run into the directory of a longer one leaves only its

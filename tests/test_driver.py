@@ -160,7 +160,8 @@ class TestRun:
     def test_replay_reproduces_bitwise(self, patch, sent_params, monkeypatch):
         # every solve, the discarded ones included, is a function of its
         # arguments alone: re-running it from a copy of them gives the same
-        # result bit for bit, and each accepted state is one of those results
+        # result bit for bit, and each accepted state is one of those results;
+        # each solve is given the degradation weights of its start damage
         solves = []
         real = driver.alternate_minimize
 
@@ -178,7 +179,10 @@ class TestRun:
         # steps 1-4, step 3 again as the back step, then steps 4 and 5
         assert len(solves) == 7
 
+        kern = build_kernels(patch)
         for args, res in solves:
+            assert np.array_equal(args[2], degradation_weights(kern, args[1], sent_params))
+            assert np.array_equal(res.rw, degradation_weights(kern, res.a, sent_params))
             again = real(*args)
             assert np.array_equal(again.u, res.u)
             assert np.array_equal(again.a, res.a)
@@ -194,8 +198,8 @@ class TestRun:
             ]
             assert found
             for args in found:
-                assert np.array_equal(args[2], prev.a)
-                assert np.array_equal(args[3], lifting_for_step(prog, rec.step, patch))
+                assert np.array_equal(args[3], prev.a)
+                assert np.array_equal(args[4], lifting_for_step(prog, rec.step, patch))
 
 
 class TestReusedDecomposition:

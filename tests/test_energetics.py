@@ -13,7 +13,7 @@ from pffrac.energetics import (
     functional_from_psi,
     grad_term,
 )
-from pffrac.fem import build_kernels, strain_spectrum
+from pffrac.fem import build_kernels, damage_fields, strain_spectrum
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split
 from pffrac.mesh import Mesh
 
@@ -263,7 +263,7 @@ def test_penalty_energy_zero_iff_admissible(patch, sent_params, rng):
     stiff = dataclasses.replace(sent_params, eps_pen=0.1 * sent_params.eps_pen)
 
     def merit(a, p):
-        return functional_from_psi(psi_p, psi_m, a, a_n, dis(a_n, kern, p), kern, p)
+        return functional_from_psi(psi_p, psi_m, a, damage_fields(kern, a, a_n, p), dis(a_n, kern, p), kern, p)
 
     a_n = rng.uniform(0, 0.5, mesh.n_nodes)
     assert merit(a_n + 0.1, stiff) == merit(a_n + 0.1, sent_params)
@@ -279,7 +279,8 @@ def test_damage_merit_takes_anchor_dissipation(patch, sent_params, rng):
     u, a, a_n = random_state(mesh, rng)
     psi_p, psi_m = psi_split(strain_spectrum(kern, u), sent_params)
     want = damage_merit(u, np.zeros_like(u), a, a_n, kern, sent_params)
-    got = functional_from_psi(psi_p, psi_m, a, a_n, dis(a_n, kern, sent_params), kern, sent_params)
+    fields = damage_fields(kern, a, a_n, sent_params)
+    got = functional_from_psi(psi_p, psi_m, a, fields, dis(a_n, kern, sent_params), kern, sent_params)
     assert got == want
     exact = total_functional(u, np.zeros_like(u), a, a_n, kern, sent_params)
     assert abs(got - exact) <= 1e-13 * abs(exact)

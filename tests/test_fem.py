@@ -464,9 +464,11 @@ class TestBandOrdering:
         z = np.zeros(mesh.n_nodes)
         cfg = solver.SolverConfig()
         stretch = strain_spectrum(kern, u_d)
-        u = solver.newton_u(np.zeros_like(u_d), u_d, z, kern, p, cfg, dm, stretch)[0]
+        state = (stretch, *psi_split(stretch, p))
+        rw = degradation_weights(kern, z, p)
+        u = solver.newton_u(np.zeros_like(u_d), u_d, z, rw, kern, p, cfg, dm, state)[0]
         n_u = len(solves)
-        a = solver.newton_beta(z, np.zeros_like(u), z, kern, p, cfg, stretch)[0]
+        a = solver.newton_beta(z, np.zeros_like(u), z, dis(z, kern, p), kern, p, cfg, *state[1:])[0]
         assert a.max() == 1.0 and a.min() == 0.0
         assert n_u >= 1 and len(solves) > n_u and any(eliminated)
 
@@ -474,7 +476,8 @@ class TestBandOrdering:
         for pat, calls in ((pat_u, solves[:n_u]), (pat_b, solves[n_u:])):
             for stored_under, ordering in calls:
                 assert stored_under is ordering is pat.ordering
-        solver.newton_u(u, 1.1 * u_d, z, kern, p, cfg, dm, strain_spectrum(kern, u + 1.1 * u_d))
+        again = strain_spectrum(kern, u + 1.1 * u_d)
+        solver.newton_u(u, 1.1 * u_d, z, rw, kern, p, cfg, dm, (again, *psi_split(again, p)))
         assert u_pattern(kern, dm) is pat_u and solves[-1][1] is pat_u.ordering
 
 

@@ -175,6 +175,16 @@ def test_structure_mismatch_raises(rng):
             factor_solve(other, np.ones(20), o)
 
 
+def test_structure_mismatch_raises_on_zero_rhs(rng):
+    # the ordering is checked before the zero right-hand side returns zeros
+    a = random_sparse_spd(rng, 20, 0.2)
+    o = BandOrdering.from_structure(a.indptr, a.indices)
+    with pytest.raises(LinearSolveError, match="another band ordering"):
+        factor_solve(stored(a), np.zeros(20), o)
+    k = stored(a, o)
+    assert np.array_equal(factor_solve(k, np.zeros(20), o), np.zeros(20))
+
+
 @pytest.fixture
 def patch_system(sent_params):
     """Displacement pattern, dense tangent and right-hand side of a stretched

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import box_mesh, damage_system, dense, displacement_system, internal_force, random_state, rcm_solve
 from oracles import damage_merit, total_functional
-from pffrac.fem import DofMap, build_kernels, damage_blocks, strain_spectrum, u_pattern
-from pffrac import solver
+from pffrac.energetics import dis
+from pffrac.fem import DofMap, build_kernels, damage_blocks, degradation_weights, strain_spectrum, u_pattern
+from pffrac import energetics, fem, solver
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split
 from pffrac.linsolve import BandOrdering, UpperMatrix, factor_solve
 from pffrac.solver import SolverConfig, StepFailure, _eliminate, alternate_minimize, newton_beta
@@ -28,18 +29,42 @@ def make_clamped_patch(divisions=3):
     return mesh, build_kernels(mesh), dm
 
 
+def displacement_state(kern, total_disp, p):
+    """(spectrum, psi_p, psi_m) of the displacement ``total_disp``."""
+    spectrum = strain_spectrum(kern, total_disp)
+    return (spectrum, *psi_split(spectrum, p))
+
+
 def newton_u_from(u0, u_d, a, kern, p, cfg, dm):
-    """``newton_u`` from u0, with the spectrum of its start: (u, iterations,
-    spectrum)."""
+    """``newton_u`` from u0 at the damage a, with the state of its start:
+    (u, iterations, state)."""
     start = u0.copy()
     start[dm.fixed] = 0.0
-    return solver.newton_u(u0, u_d, a, kern, p, cfg, dm, strain_spectrum(kern, start + u_d))[:3]
+    rw = degradation_weights(kern, a, p)
+    return solver.newton_u(u0, u_d, a, rw, kern, p, cfg, dm, displacement_state(kern, start + u_d, p))[:3]
 
 
 def newton_beta_at(a0, u_fixed, u_d, a_n, kern, p, cfg):
     """``newton_beta`` at the displacement u_fixed + u_d: (a, iterations,
     functional)."""
-    return newton_beta(a0, u_fixed, a_n, kern, p, cfg, strain_spectrum(kern, u_fixed + u_d))[:3]
+    _, psi_p, psi_m = displacement_state(kern, u_fixed + u_d, p)
+    return newton_beta(a0, u_fixed, a_n, dis(a_n, kern, p), kern, p, cfg, psi_p, psi_m)[:3]
+
+
+def alternate(u0, a0, a_n, u_d, kern, p, cfg, dm):
+    """``alternate_minimize`` from (u0, a0), given the degradation weights
+    of a0."""
+    return alternate_minimize(u0, a0, degradation_weights(kern, a0, p), a_n, u_d, kern, p, cfg, dm)
+
+
+def counted(fn, name, counts):
+    """``fn``, counting its calls in ``counts[name]``."""
+
+    def spy(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return spy
 
 
 def stretch_lifting(mesh, wx, wy, bump=None, rng=None):
@@ -283,7 +308,7 @@ class TestAlternateMinimize:
         mesh, kern, dm = make_patch()
         z = np.zeros(2 * mesh.n_nodes)
         a0 = np.zeros(mesh.n_nodes)
-        res = alternate_minimize(z, a0, a0, z, kern, sent_params, SolverConfig(), dm)
+        res = alternate(z, a0, a0, z, kern, sent_params, SolverConfig(), dm)
         assert res.alt_iters == 1
         assert np.all(res.u == 0.0) and np.all(res.a == 0.0)
 
@@ -291,7 +316,7 @@ class TestAlternateMinimize:
         mesh, kern, dm = make_patch(divisions=3)
         u_d = stretch_lifting(mesh, 0.0, 5e-3)
         a0 = np.zeros(mesh.n_nodes)
-        res = alternate_minimize(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm)
+        res = alternate(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm)
         f = res.functional_trace
         assert len(f) == res.alt_iters
         for i in range(len(f) - 1):
@@ -304,7 +329,7 @@ class TestAlternateMinimize:
         u_d = stretch_lifting(mesh, 2e-3, 3e-3, bump=1e-5, rng=rng)
         a0 = np.zeros(mesh.n_nodes)
         cfg = SolverConfig(tol_u=1e-10, tol_a=1e-10)
-        res = alternate_minimize(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, cfg, dm)
+        res = alternate(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, cfg, dm)
         force_scale = 1.0 + np.abs(internal_force(res.u, u_d, res.a, kern, sent_params)).max()
         r_u, _ = displacement_system(res.u, u_d, res.a, kern, sent_params, dm)
         assert np.abs(r_u).max() <= 1e-8 * force_scale
@@ -318,8 +343,8 @@ class TestAlternateMinimize:
         mesh, kern, dm = make_patch(divisions=3)
         u_d = stretch_lifting(mesh, 0.0, 4e-3)
         a0 = np.zeros(mesh.n_nodes)
-        r1 = alternate_minimize(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm)
-        r2 = alternate_minimize(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm)
+        r1 = alternate(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm)
+        r2 = alternate(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm)
         assert np.array_equal(r1.u, r2.u)
         assert np.array_equal(r1.a, r2.a)
         assert r1.functional_trace == r2.functional_trace
@@ -346,13 +371,44 @@ class TestAlternateMinimize:
         monkeypatch.setattr(StrainSpectrum, "__init__", spectrum_init)
         monkeypatch.setattr(solver, "bulk_merit", merit)
         a0 = np.zeros(mesh.n_nodes)
-        res = alternate_minimize(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm)
+        res = alternate(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm)
         # each displacement solve evaluates the merit of its start once and
         # of each trial once; only the first start is a new state
         trials = counts["merit"] - res.alt_iters
         assert res.a.max() > 0.3 and trials > res.newton_iters_u
         assert counts["spectrum"] == 1 + trials
         assert trials == res.trials_u
+
+    def test_each_state_evaluated_once(self, sent_params, monkeypatch):
+        # on the cracking patch, two solves in a row (the second starts from
+        # the first's state, as the driver's next step does): a displacement
+        # state's energy densities are computed once per spectrum, the
+        # anchor's dissipation once per call, the damage quadrature fields
+        # once per damage merit (each iterate's, the trials', and each
+        # solve's start) and beta's only other use is that dissipation; no
+        # degradation weights are computed from scratch
+        mesh, kern, dm = make_patch(divisions=3)
+        u_d = np.zeros(2 * mesh.n_nodes)
+        u_d[1::2] = 0.04 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
+        names = ("strain_spectrum", "psi_split", "dis", "beta_at_qp", "degradation_weights")
+        counts = dict.fromkeys(names, 0)
+        for module in (fem, energetics, solver):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name), name, counts))
+        a0 = np.zeros(mesh.n_nodes)
+        rw = fem.degradation_weights(kern, a0, sent_params)
+        u, a = np.zeros(2 * mesh.n_nodes), a0
+        for scale in (1.0, 1.1):
+            counts.update(dict.fromkeys(names, 0))
+            res = alternate_minimize(u, a, rw, a, scale * u_d, kern, sent_params, SolverConfig(), dm)
+            assert res.alt_iters > 1 and res.a.max() > 0.3
+            assert 0 < counts["psi_split"] <= counts["strain_spectrum"]
+            assert counts["dis"] == 1
+            assert 0 < counts["beta_at_qp"] <= res.trials_beta + res.alt_iters + 1
+            assert counts["degradation_weights"] == 0
+            assert np.array_equal(res.rw, fem.degradation_weights(kern, res.a, sent_params))
+            u, a, rw = res.u, res.a, res.rw
 
     def test_warm_started_search_keeps_every_iterate(self, sent_params, monkeypatch):
         # the cracking patch above with every displacement search forced to
@@ -380,7 +436,7 @@ class TestAlternateMinimize:
         for newton_u in (real_newton_u, from_one):
             monkeypatch.setattr(solver, "newton_u", newton_u)
             merits.append(0)
-            results.append(alternate_minimize(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm))
+            results.append(alternate(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm))
         warm, cold = results
         assert np.array_equal(warm.u, cold.u) and np.array_equal(warm.a, cold.a)
         assert warm.functional_trace == cold.functional_trace
@@ -406,7 +462,7 @@ class TestAlternateMinimize:
             return out
 
         monkeypatch.setattr(solver, "newton_beta", spy)
-        res = alternate_minimize(np.zeros(2 * mesh.n_nodes), a_n, a_n, u_d, kern, sent_params, SolverConfig(), dm)
+        res = alternate(np.zeros(2 * mesh.n_nodes), a_n, a_n, u_d, kern, sent_params, SolverConfig(), dm)
         assert len(res.functional_trace) == len(states) == res.alt_iters > 1
         for f, (u, ud, a, an) in zip(res.functional_trace, states):
             assert f == damage_merit(u, ud, a, an, kern, sent_params)
@@ -417,7 +473,7 @@ class TestAlternateMinimize:
         a0 = np.zeros(mesh.n_nodes)
         cfg = SolverConfig(max_alt=1)
         with pytest.raises(StepFailure) as exc:
-            alternate_minimize(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, cfg, dm)
+            alternate(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, cfg, dm)
         assert exc.value.u is not None and exc.value.a is not None
 
     def test_descent_across_half_steps(self, sent_params):
