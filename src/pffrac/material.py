@@ -217,8 +217,9 @@ class StrainSpectrum:
     values.  In plane strain the in-plane pair has a closed form; the
     out-of-plane pair, exactly (0, e_z), adds nothing to the split and is
     not held, so the zero out-of-plane principal strain never suffers
-    eigensolver round-off.  The split functions take a spectrum, so a state
-    evaluated for several quantities is decomposed once.
+    eigensolver round-off.  The strains are released once the directions
+    are built.  The split functions take a spectrum, so a state evaluated
+    for several quantities is decomposed once.
     """
 
     def __init__(self, voigt: np.ndarray):
@@ -266,6 +267,7 @@ class StrainSpectrum:
             vx = np.where(deg, 1.0, vx / safe)
             vy = np.where(deg, 0.0, vy / safe)
             self._vectors = np.stack((np.stack((-vy, vx)), np.stack((vx, vy))))
+        self._voigt = None  # read only to build the directions
         return self._vectors
 
 
