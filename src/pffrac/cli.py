@@ -301,19 +301,18 @@ class _RunWriter:
     accepted step (backtracking replaces already-accepted rows, so files are
     regenerated from the authoritative history each time).
 
-    Each row of the accepted chain is formatted once: the writer keeps the
-    records it formatted, their load_disp.csv and energy.csv rows and the
-    running sum of D through each, and formats again only from the first
-    record that the chain has replaced.  ``grid`` is the snapshots' shared
-    text, formatted once per run."""
+    Each row of the accepted chain is formatted once: the writer keeps, per
+    record it formatted, the record, its load_disp.csv and energy.csv rows
+    and the running sum of D through it, and formats again only from the
+    first record that the chain has replaced.  ``grid`` is the snapshots'
+    shared text, formatted once per run."""
 
     def __init__(self, out_dir: Path, mesh, program):
         self.out = out_dir
         self.mesh = mesh
         self.program = program
         self.grid = grid_text(mesh)
-        self.records: list = []
-        self.rows: list = []  # (load_disp row, energy row, sum_D through it)
+        self.rows: list = []  # (record, load_disp row, energy row, sum_D through it)
         (out_dir / "snapshots").mkdir(parents=True, exist_ok=True)
 
     def __call__(self, history: RunHistory) -> None:
@@ -324,12 +323,12 @@ class _RunWriter:
 
     def write_csvs(self, history: RunHistory) -> None:
         keep = 0
-        for rec, done in zip(history.steps, self.records):
-            if rec is not done:
+        for rec, row in zip(history.steps, self.rows):
+            if rec is not row[0]:
                 break
             keep += 1
-        del self.records[keep:], self.rows[keep:]
-        sum_d = self.rows[-1][2] if self.rows else 0.0
+        del self.rows[keep:]
+        sum_d = self.rows[-1][3] if self.rows else 0.0
         for rec in history.steps[keep:]:
             load_row = f"{rec.step},{_fmt(self.program.w(rec.step))},{_fmt(rec.reaction)}\n"
             if rec.report is None:
@@ -341,12 +340,11 @@ class _RunWriter:
                     f"{rec.step},{_fmt(r.e_next)},{_fmt(sum_d)},{_fmt(r.delta)},"
                     f"{_fmt(r.lb)},{_fmt(r.ub)},{int(r.passed)}\n"
                 )
-            self.records.append(rec)
-            self.rows.append((load_row, energy_row, sum_d))
+            self.rows.append((rec, load_row, energy_row, sum_d))
         with open(self.out / "load_disp.csv", "w") as fh:
-            fh.write("step,w,reaction\n" + "".join(row[0] for row in self.rows))
+            fh.write("step,w,reaction\n" + "".join(row[1] for row in self.rows))
         with open(self.out / "energy.csv", "w") as fh:
-            fh.write("step,E,sum_D,delta,LB,UB,passed\n" + "".join(row[1] for row in self.rows))
+            fh.write("step,E,sum_D,delta,LB,UB,passed\n" + "".join(row[2] for row in self.rows))
 
     def write_intermediates(self, history: RunHistory) -> None:
         with open(self.out / "intermediates.csv", "w") as fh:

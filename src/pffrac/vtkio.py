@@ -54,9 +54,8 @@ def write_field_snapshot(disp: np.ndarray, damage: np.ndarray, mesh: Mesh, path,
 
     xyz = np.zeros((mesh.n_nodes, 3))
     xyz[:, : mesh.dim] = disp  # displacement padded to three components
-    text = "".join(
+    fields = "".join(
         [
-            grid,
             f"POINT_DATA {mesh.n_nodes}\nVECTORS displacement double\n",
             _block(_XYZ, xyz),
             "SCALARS damage double 1\nLOOKUP_TABLE default\n",
@@ -64,7 +63,8 @@ def write_field_snapshot(disp: np.ndarray, damage: np.ndarray, mesh: Mesh, path,
         ]
     )
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(grid)
+        fh.write(fields)
 
 
 def _seek(lines: list, i: int, prefix: str) -> int:
