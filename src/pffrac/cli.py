@@ -18,20 +18,17 @@ export       print a preset as a forkable INI config
 
 Configs are flat INI sections ([run], [material], [program], [solver],
 [backtrack]); a section or key that no run reads is a config error, and
-so is a float value (a bc scale too) that is not finite.  Every config is
-laid key by key over a base and parsed once: the base of a ``run.preset``
-config is the preset's export, that of a ``run.mesh`` config the solver,
-back-step and optional material defaults (so it must give the moduli, gc,
-ell and program).  The reaction a run records is the force conjugate to w,
-which the program's Dirichlet specs define.
+so is a float value (a bc scale too) that is not finite.  A config names a
+built-in preset (``run.preset``, at ``run.scale``) and is laid key by key
+over that preset's export, then parsed once.  The reaction a run records is
+the force conjugate to w, which the program's Dirichlet specs define.
 Naming one elasticity pair (lam_kn/mu_kn or e_kn/nu) drops the base's other
 pair.  ``--preset``, ``--scale``, ``--steps``, ``--k-back`` and ``--eta`` are
 the overrides ``run.preset``, ``run.scale``, ``program.n_steps``,
 ``backtrack.k_back`` and ``backtrack.eta``, applied before ``--set
-section.key=value``; run.json records the resolved config, with ``run.mesh``
-as an absolute path.  Moduli are in kN/mm^2 in configs.  Exit codes: 0 ok,
-1 audit mismatch, 2 bad config or missing/unreadable inputs, 3 solver failure
-(partial outputs retained).
+section.key=value``; run.json records the resolved config.  Moduli are in
+kN/mm^2 in configs.  Exit codes: 0 ok, 1 audit mismatch, 2 bad config or
+missing/unreadable inputs, 3 solver failure (partial outputs retained).
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +54,9 @@ from .driver import (
     lifting_for_step,
     run,
 )
-from .energetics import check_two_sided, erg
+from .energetics import check_two_sided, dis, erg
 from .fem import build_kernels
 from .material import MaterialParams
-from .mesh import parse_gmsh
 from .solver import SolverConfig
 from .vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
@@ -74,7 +69,7 @@ _AUDIT_RTOL = 1e-10
 
 # Every config key that resolve_config reads, by section.
 _CONFIG_KEYS = {
-    "run": {"preset", "mesh", "scale"},
+    "run": {"preset", "scale"},
     "material": {"lam_kn", "mu_kn", "e_kn", "nu", "gc", "ell", "k", "dissipation", "eps_pen", "kappa"},
     "program": {"n_steps", "dw", "bc"},
     "solver": {"tol_u", "tol_a", "max_newton", "max_alt"},
@@ -92,12 +87,27 @@ def _fmt(x: float) -> str:
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-def _material_section(values: dict) -> dict:
-    return {k: v if isinstance(v, str) else _fmt(v) for k, v in values.items() if v is not None}
-
-
-def _knob_sections(solver: SolverConfig, backtrack: BacktrackConfig) -> dict:
+def config_from_setup(setup: presets.RunSetup) -> dict:
+    """Serialize a run setup to the INI-shaped nested dict."""
+    p, solver, backtrack = setup.params, setup.solver, setup.backtrack
+    bc_str = "; ".join(
+        f"{bc.node_set}:{_COMP_NAME[bc.component]}:{_fmt(bc.scale)}" for bc in setup.program.bcs
+    )
+    material = {
+        "lam_kn": _fmt(p.lam / 1e3),
+        "mu_kn": _fmt(p.mu / 1e3),
+        "gc": _fmt(p.gc),
+        "ell": _fmt(p.ell),
+        "k": _fmt(p.k),
+        "dissipation": p.dissipation,
+        "eps_pen": _fmt(p.eps_pen),
+    }
+    if p.kappa is not None:
+        material["kappa"] = _fmt(p.kappa)
     return {
+        "run": {"preset": setup.name, "scale": _fmt(setup.scale)},
+        "material": material,
+        "program": {"n_steps": str(setup.program.n_steps), "dw": _fmt(setup.program.dw), "bc": bc_str},
         "solver": {
             "tol_u": _fmt(solver.tol_u),
             "tol_a": _fmt(solver.tol_a),
@@ -105,34 +115,6 @@ def _knob_sections(solver: SolverConfig, backtrack: BacktrackConfig) -> dict:
             "max_alt": str(solver.max_alt),
         },
         "backtrack": {"k_back": str(backtrack.k_max), "eta": _fmt(backtrack.eta)},
-    }
-
-
-def config_from_setup(setup: presets.RunSetup) -> dict:
-    """Serialize a run setup to the INI-shaped nested dict."""
-    p = setup.params
-    bc_str = "; ".join(
-        f"{bc.node_set}:{_COMP_NAME[bc.component]}:{_fmt(bc.scale)}" for bc in setup.program.bcs
-    )
-    return {
-        "run": {"preset": setup.name, "scale": _fmt(setup.scale)},
-        "material": _material_section(
-            {"lam_kn": p.lam / 1e3, "mu_kn": p.mu / 1e3, "gc": p.gc, "ell": p.ell, "k": p.k,
-             "dissipation": p.dissipation, "eps_pen": p.eps_pen, "kappa": p.kappa}
-        ),
-        "program": {"n_steps": str(setup.program.n_steps), "dw": _fmt(setup.program.dw), "bc": bc_str},
-        **_knob_sections(setup.solver, setup.backtrack),
-    }
-
-
-def _mesh_base() -> dict:
-    """Base config of a mesh run: scale 1 and the dataclass defaults of the
-    solver, the back steps and the optional material fields."""
-    optional = {f.name: f.default for f in fields(MaterialParams) if f.default is not MISSING}
-    return {
-        "run": {"scale": "1"},
-        "material": _material_section(optional),
-        **_knob_sections(SolverConfig(), BacktrackConfig()),
     }
 
 
@@ -170,13 +152,11 @@ def _parse(key: str, value: str, kind):
 def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
     """Lay the keys of ``given`` over its base config and parse the result.
 
-    The base is the full config of the preset that ``run.preset`` names (at
-    ``run.scale``, 1 if not given), or for a ``run.mesh`` config the
-    dataclass defaults (``_mesh_base``).  Naming one elasticity pair drops
-    the base's other pair.  The resolved config holds ``run.mesh`` as an
-    absolute path.  A section or key that no run reads, a missing key, a
+    The base is the full config of the preset that ``run.preset`` names, at
+    ``run.scale`` (1 if not given).  Naming one elasticity pair drops the
+    base's other pair.  A section or key that no run reads, a missing key, a
     value that does not parse or a float that is not finite (named by its
-    key) or a spec that does not fit the mesh is a config error, raised
+    key) or a program that does not fit the mesh is a config error, raised
     before any output exists.  Returns the resolved config and the run
     setup.
     """
@@ -188,16 +168,11 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
             raise ValueError("unknown config key " + ", ".join(f"{section}.{k}" for k in unknown))
     run_sec = given.get("run", {})
     preset = run_sec.get("preset", "").strip()
-    mesh_path = run_sec.get("mesh", "").strip()
-    if bool(preset) == bool(mesh_path):
-        raise ValueError("config needs exactly one of run.preset / run.mesh")
+    if not preset:
+        raise ValueError("missing config key run.preset")
     scale = _parse("run.scale", run_sec.get("scale", "1"), _finite)
-    if preset:
-        base_setup = presets.load_preset(preset, scale)
-        mesh, cfg = base_setup.mesh, config_from_setup(base_setup)
-    else:
-        mesh_path = str(Path(mesh_path).resolve())
-        mesh, cfg = parse_gmsh(Path(mesh_path).read_text()), _mesh_base()
+    base_setup = presets.load_preset(preset, scale)
+    cfg = config_from_setup(base_setup)
     for section, values in given.items():
         base = cfg.setdefault(section, {})
         if section == "material":
@@ -206,9 +181,6 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
                     for key in other:
                         base.pop(key, None)
         base.update(values)
-    if mesh_path:
-        # absolute, so that the audit finds the mesh from any directory
-        cfg["run"]["mesh"] = mesh_path
 
     def read(section, key, kind=str):
         try:
@@ -227,9 +199,9 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
         kw["kappa"] = read("material", "kappa", _finite)
     make = MaterialParams.from_young_poisson_kn if young else MaterialParams.from_lame_kn
     setup = presets.RunSetup(
-        name=preset or Path(mesh_path).stem,
+        name=preset,
         scale=scale,
-        mesh=mesh,
+        mesh=base_setup.mesh,
         params=make(*(read("material", key, _finite) for key in _PAIRS[young]), **kw),
         program=LoadProgram(
             n_steps=read("program", "n_steps", int),
@@ -492,8 +464,9 @@ def cmd_check_energy(args) -> int:
 
     failing = []
     mismatches = []
-    # (u, u_d, a, erg) of the previous step; erg, its bulk energy under its
-    # own lifting, is the next pair's erg_curr
+    # (u, u_d, a, erg, dis) of the previous step: its bulk energy under its
+    # own lifting and its dissipation are the next pair's erg_curr and
+    # dis_curr
     prev = None
     sum_d = 0.0
     for step, e_csv, sumd_csv, delta_csv, lb_csv, ub_csv, passed_csv in rows:
@@ -508,11 +481,14 @@ def cmd_check_energy(args) -> int:
         u_d = lifting_for_step(setup.program, step, mesh)
         u = disp - u_d
         bulk = erg(u, u_d, a, kernels, p)
-        if prev is not None:
-            u_n, u_d_n, a_n, bulk_n = prev
+        if prev is None:
+            dissipation = dis(a, kernels, p)
+        else:
+            u_n, u_d_n, a_n, bulk_n, dis_n = prev
             report = check_two_sided(
-                u_n, u_d_n, a_n, u, u_d, a, kernels, p, eta, erg_curr=bulk_n, erg_next=bulk
+                u_n, u_d_n, a_n, u, u_d, a, kernels, p, eta, erg_curr=bulk_n, erg_next=bulk, dis_curr=dis_n
             )
+            dissipation = report.dis_next
             sum_d += report.d_inc
             checks = [
                 ("E", e_csv, report.e_next),
@@ -528,7 +504,7 @@ def cmd_check_energy(args) -> int:
                 mismatches.append(f"step {step}: passed flag csv={passed_csv} recomputed={report.passed}")
             if not report.passed:
                 failing.append(step)
-        prev = (u, u_d, a, bulk)
+        prev = (u, u_d, a, bulk, dissipation)
 
     if mismatches:
         for line in mismatches:

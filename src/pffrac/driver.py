@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import EnergyReport, check_two_sided, erg_from_spectrum
+from .energetics import EnergyReport, check_two_sided, erg_from_psi
 from .fem import (
     DofMap,
     build_kernels,
@@ -29,7 +29,7 @@ from .fem import (
     strain_spectrum,
 )
 from .linsolve import LinearSolveError
-from .material import MaterialParams
+from .material import MaterialParams, psi_split
 from .mesh import Mesh
 from .solver import SolverConfig, StepFailure, alternate_minimize
 
@@ -160,12 +160,16 @@ class RunHistory:
 
 def check_run_inputs(mesh: Mesh, program: LoadProgram) -> None:
     """Raise KeyError for a Dirichlet spec naming a node set the mesh lacks,
-    and ValueError for a component that does not fit the mesh dimension."""
+    and ValueError for a component that does not fit the mesh dimension or
+    for a program whose ``load_vector`` is zero: w would move no dof, and
+    every step would record the reaction 0."""
     for bc in program.bcs:
         if bc.node_set not in mesh.node_sets:
             raise KeyError(f"unknown node set {bc.node_set!r}")
         if not 0 <= bc.component < mesh.dim:
             raise ValueError(f"{bc}: a {mesh.dim}-D mesh has no component {bc.component}")
+    if not np.any(load_vector(program, mesh)):
+        raise ValueError("the program loads nothing: no Dirichlet spec moves a dof with w")
 
 
 def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
@@ -228,7 +232,7 @@ def run(
     a0 = np.zeros(mesh.n_nodes)
     spectrum0 = strain_spectrum(kernels, u0 + lifting_for_step(program, 0, mesh))
     rw0 = degradation_weights(kernels, a0, p)
-    bulk0 = erg_from_spectrum(spectrum0, rw0, kernels, p)
+    bulk0 = erg_from_psi(*psi_split(spectrum0, p), rw0, kernels)
     reaction0 = reaction_force(spectrum0, rw0, kernels, p, load)
     history.steps.append(SolveRecord(step=0, u=u0, a=a0, report=None, bulk_energy=bulk0, reaction=reaction0))
 
@@ -260,7 +264,8 @@ def run(
             p,
             bt.eta,
             erg_curr=prev.bulk_energy,
-            erg_next=erg_from_spectrum(res.spectrum, res.rw, kernels, p),
+            erg_next=erg_from_psi(res.psi_p, res.psi_m, res.rw, kernels),
+            dis_curr=res.dis_n,
         )
         guess = SolveRecord(
             step=step_n + 1,

@@ -4,7 +4,7 @@ All quantities are quadrature sums over the mesh (N*mm).  Two kinds of sum
 are used:
 
 - Compensated (``math.fsum``, exactly rounded) for the energies that are
-  recorded and audited: ``erg``, ``erg_from_spectrum``, ``grad_term``,
+  recorded and audited: ``erg``, ``erg_from_psi``, ``grad_term``,
   ``dis`` and so ``check_two_sided``.  The inequality compares small
   differences of large numbers against an absolute tolerance eta, and an
   exactly rounded sum does not depend on the element order.
@@ -35,12 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import DamageFields, ElementKernels, beta_at_qp, degradation_weights, strain_spectrum
-from .material import AT2, MaterialParams, StrainSpectrum, psi_split
+from .material import AT2, MaterialParams, psi_split
 
 __all__ = [
     "EnergyReport",
     "erg",
-    "erg_from_spectrum",
+    "erg_from_psi",
     "bulk_merit",
     "grad_term",
     "dis",
@@ -53,8 +53,10 @@ class EnergyReport:
     """Per-step energy audit of the two-sided inequality.
 
     ``erg_next`` is the degraded bulk energy of the next state, the ERG part
-    of ``e_next``.  ``irreversibility_violation`` flags a ``d_inc`` below
-    -1e-8*(1 + dis(a_n)): the penalty factor is too large for the step.
+    of ``e_next``, and ``dis_next`` its dissipation ``dis(a_next)``, the
+    ``dis_curr`` of the next step pair.  ``irreversibility_violation`` flags
+    a ``d_inc`` below -1e-8*(1 + dis(a_n)): the penalty factor is too large
+    for the step.
     """
 
     e_next: float
@@ -64,6 +66,7 @@ class EnergyReport:
     ub: float
     passed: bool
     erg_next: float
+    dis_next: float
     irreversibility_violation: bool
 
 
@@ -76,24 +79,24 @@ def _fsum(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
-def erg_from_spectrum(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams) -> float:
-    """Degraded bulk energy of the displacement whose per-element strain
-    spectrum is given, at the damage whose ``degradation_weights`` are ``rw``:
-    tensile densities weighted by ``rw``, compressive ones by the measures."""
-    psi_p, psi_m = psi_split(spectrum, p)
+def erg_from_psi(psi_p, psi_m, rw, kernels: ElementKernels) -> float:
+    """Degraded bulk energy of the displacement whose element energy
+    densities (``psi_split``) are given, at the damage whose
+    ``degradation_weights`` are ``rw``: tensile densities weighted by ``rw``,
+    compressive ones by the measures."""
     return _fsum(rw * psi_p + kernels.measures * psi_m)
 
 
 def bulk_merit(psi_p, psi_m, rw, kernels: ElementKernels) -> float:
-    """The displacement merit: the degraded bulk energy of
-    ``erg_from_spectrum``, summed plainly, from the state's element energy
-    densities (``psi_split``)."""
+    """The displacement merit: the degraded bulk energy of ``erg_from_psi``,
+    summed plainly."""
     return float((rw * psi_p + kernels.measures * psi_m).sum())
 
 
 def erg(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:
     """Degraded bulk energy of the displacement u1 + u2 with damage a."""
-    return erg_from_spectrum(strain_spectrum(kernels, u1 + u2), degradation_weights(kernels, a, p), kernels, p)
+    psi_p, psi_m = psi_split(strain_spectrum(kernels, u1 + u2), p)
+    return erg_from_psi(psi_p, psi_m, degradation_weights(kernels, a, p), kernels)
 
 
 def grad_term(a, kernels: ElementKernels, p: MaterialParams) -> float:
@@ -154,13 +157,15 @@ def check_two_sided(
     *,
     erg_curr: float,
     erg_next: float,
+    dis_curr: float,
 ) -> EnergyReport:
     """Evaluate the two-sided inequality LB - eta <= dE + D <= UB + eta for
     the step pair (n, n+1).
 
     ``erg_curr`` is the bulk energy ``erg(u_n, u_d_n, a_n)`` of the current
     state and ``erg_next`` the bulk energy ``erg(u_next, u_d_next, a_next)``
-    of the next one, each under its own lifting.
+    of the next one, each under its own lifting, and ``dis_curr`` the
+    dissipation ``dis(a_n)`` of the current state.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
@@ -171,8 +176,8 @@ def check_two_sided(
     erg_next_unlifted = erg(u_next, u_d_n, a_next, kernels, p)
     e_next = erg_next + grad_term(a_next, kernels, p)
     e_curr = erg_curr + grad_term(a_n, kernels, p)
-    dis_n = dis(a_n, kernels, p)
-    d_inc = dis(a_next, kernels, p) - dis_n
+    dis_next = dis(a_next, kernels, p)
+    d_inc = dis_next - dis_curr
     delta = e_next - e_curr + d_inc
     ub = erg_curr_lifted - erg_curr
     lb = erg_next - erg_next_unlifted
@@ -185,5 +190,6 @@ def check_two_sided(
         ub=ub,
         passed=bool(passed),
         erg_next=erg_next,
-        irreversibility_violation=bool(d_inc < -_DISS_REL_TOL * (1.0 + dis_n)),
+        dis_next=dis_next,
+        irreversibility_violation=bool(d_inc < -_DISS_REL_TOL * (1.0 + dis_curr)),
     )

@@ -1,4 +1,4 @@
-"""Unstructured simplex meshes: Gmsh ASCII reader, tensor-product grid generator, node selection.
+"""Simplex meshes: the mesh type, the tensor-product grid generator, node selection.
 
 Meshes are immutable after construction (plain numpy arrays, never mutated by
 the solvers) and hold 3-node triangles (2-D) or 4-node tetrahedra (3-D) with
@@ -16,20 +16,13 @@ import numpy as np
 __all__ = [
     "Mesh",
     "MeshError",
-    "parse_gmsh",
     "generate_grid",
     "select_nodes",
 ]
 
-# Gmsh element type ids of the subset we understand.
-_GMSH_LINE = 1
-_GMSH_TRI = 2
-_GMSH_TET = 4
-_GMSH_POINT = 15
-
 
 class MeshError(ValueError):
-    """Malformed mesh file or invalid mesh data."""
+    """Invalid mesh data."""
 
 
 @dataclass
@@ -115,150 +108,6 @@ def _fix_orientation(nodes: np.ndarray, elements: np.ndarray, dim: int) -> np.nd
     if np.any(meas <= 0.0):
         raise MeshError("degenerate element (zero measure)")
     return elements
-
-
-# ---------------------------------------------------------------------------
-# Gmsh ASCII v2.2
-# ---------------------------------------------------------------------------
-
-def parse_gmsh(text: str) -> Mesh:
-    """Parse a Gmsh ASCII v2.2 file.
-
-    Only element types 2 (tri3) and 4 (tet4) are retained as domain
-    elements.  Physical groups of points and of codimension-one facets
-    (lines in 2-D, triangles in 3-D) become node sets holding every node
-    they touch, keyed by their physical name (or ``phys<tag>`` when no
-    ``$PhysicalNames`` section names them).  Elements with non-positive
-    measure are reoriented by swapping two nodes.
-    """
-    lines = text.splitlines()
-    i = 0
-    n = len(lines)
-
-    phys_names: dict = {}  # (dim, tag) -> name
-    raw_nodes: list = []
-    node_id_map: dict = {}
-    raw_elements: list = []  # (etype, phys_tag, node_ids)
-
-    def _entries(header: str, idx: int) -> list:
-        """The entry lines of the section whose name is on line ``idx``, as
-        (1-based line number, line) pairs."""
-        try:
-            count = int(lines[idx + 1].split()[0])
-        except (IndexError, ValueError) as exc:
-            raise MeshError(f"malformed {header} section header") from exc
-        if count < 0:
-            raise MeshError(f"malformed {header} section header")
-        entries = lines[idx + 2 : idx + 2 + count]
-        if len(entries) < count:
-            raise MeshError(f"truncated {header} section: {len(entries)} of {count} entries")
-        return list(enumerate(entries, start=idx + 3))
-
-    def _numbers(header: str, lineno: int, entry: str, fields: list, convert) -> list:
-        """``fields`` of the entry line ``entry``, each converted by ``convert``."""
-        try:
-            return [convert(f) for f in fields]
-        except ValueError:
-            raise MeshError(f"non-numeric field in {header} section, line {lineno}: {entry.strip()!r}") from None
-
-    while i < n:
-        line = lines[i].strip()
-        if line == "$MeshFormat":
-            parts = lines[i + 1].split() if i + 1 < n else []
-            if len(parts) < 3:
-                raise MeshError("malformed $MeshFormat section header")
-            if not parts[0].startswith("2."):
-                raise MeshError(f"unsupported Gmsh format version {parts[0]}")
-            if parts[1] != "0":
-                raise MeshError("binary Gmsh files are not supported")
-            i += 2
-        elif line == "$PhysicalNames":
-            entries = _entries("$PhysicalNames", i)
-            for lineno, entry in entries:
-                parts = entry.split(maxsplit=2)
-                if len(parts) < 3:
-                    raise MeshError("malformed $PhysicalNames entry")
-                pdim, ptag = _numbers("$PhysicalNames", lineno, entry, parts[:2], int)
-                phys_names[(pdim, ptag)] = parts[2].strip().strip('"')
-            i += 2 + len(entries)
-        elif line == "$Nodes":
-            entries = _entries("$Nodes", i)
-            for lineno, entry in entries:
-                parts = entry.split()
-                if len(parts) < 4:
-                    raise MeshError("malformed $Nodes entry")
-                node_id_map[_numbers("$Nodes", lineno, entry, parts[:1], int)[0]] = len(raw_nodes)
-                raw_nodes.append(_numbers("$Nodes", lineno, entry, parts[1:4], float))
-            i += 2 + len(entries)
-        elif line == "$Elements":
-            entries = _entries("$Elements", i)
-            for lineno, entry in entries:
-                parts = _numbers("$Elements", lineno, entry, entry.split(), int)
-                if len(parts) < 3:
-                    raise MeshError("malformed $Elements entry")
-                etype, ntags = parts[1], parts[2]
-                tags = parts[3 : 3 + ntags]
-                conn = parts[3 + ntags :]
-                phys = tags[0] if tags else 0
-                raw_elements.append((etype, phys, conn))
-            i += 2 + len(entries)
-        elif line.startswith("$End"):
-            i += 1
-        elif line.startswith("$"):
-            # skip unknown section up to its $End marker
-            endtag = "$End" + line[1:]
-            j = i + 1
-            while j < n and lines[j].strip() != endtag:
-                j += 1
-            if j >= n:
-                raise MeshError(f"malformed section {line}: missing {endtag}")
-            i = j + 1
-        else:
-            i += 1
-
-    if not raw_nodes:
-        raise MeshError("no $Nodes section found")
-
-    coords = np.asarray(raw_nodes, dtype=np.float64)
-    dim = 3 if any(et == _GMSH_TET for et, _, _ in raw_elements) else 2
-
-    def _remap(conn):
-        try:
-            return [node_id_map[c] for c in conn]
-        except KeyError as exc:
-            raise MeshError(f"element references missing node {exc}") from exc
-
-    domain_type = _GMSH_TET if dim == 3 else _GMSH_TRI
-    facet_type = _GMSH_TRI if dim == 3 else _GMSH_LINE
-
-    elements = []
-    node_sets: dict = {}
-
-    def _set_name(pdim: int, ptag: int) -> str:
-        return phys_names.get((pdim, ptag), f"phys{ptag}")
-
-    for etype, phys, conn in raw_elements:
-        conn = _remap(conn)
-        if etype == domain_type:
-            elements.append(conn)
-        elif etype == facet_type and phys:
-            node_sets.setdefault(_set_name(dim - 1, phys), set()).update(conn)
-        elif etype == _GMSH_POINT and phys:
-            node_sets.setdefault(_set_name(0, phys), set()).update(conn)
-        # other element types are outside the supported subset: skipped
-
-    if not elements:
-        raise MeshError("no domain elements (tri3/tet4) found")
-
-    elems = _fix_orientation(coords[:, :dim], np.asarray(elements, np.int64), dim)
-    mesh = Mesh(
-        dim=dim,
-        nodes=coords[:, :dim],
-        elements=elems,
-        node_sets={k: np.array(sorted(v), dtype=np.int64) for k, v in node_sets.items()},
-    )
-    mesh.validate()
-    return mesh
 
 
 # ---------------------------------------------------------------------------

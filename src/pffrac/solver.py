@@ -82,10 +82,12 @@ class StepFailure(RuntimeError):
 class AltResult:
     """Converged state of one incremental solve, with iteration traces.
 
-    ``spectrum`` is the ``strain_spectrum`` of u + u_d_next, from the last
-    displacement solve, and ``rw`` the ``degradation_weights`` of a, from
-    the last damage solve.  ``trials_u`` and ``trials_beta`` count the trial
-    merits of the displacement and damage line searches.
+    ``spectrum`` is the ``strain_spectrum`` of u + u_d_next and ``psi_p``,
+    ``psi_m`` its ``psi_split``, from the last displacement solve; ``rw`` is
+    the ``degradation_weights`` of a, from the last damage solve, and
+    ``dis_n`` the anchor's dissipation ``dis(a_n)``.  ``trials_u`` and
+    ``trials_beta`` count the trial merits of the displacement and damage
+    line searches.
     """
 
     u: np.ndarray
@@ -96,7 +98,10 @@ class AltResult:
     trials_u: int
     trials_beta: int
     spectrum: StrainSpectrum
+    psi_p: np.ndarray
+    psi_m: np.ndarray
     rw: np.ndarray
+    dis_n: float
     functional_trace: list = field(default_factory=list)
 
 
@@ -372,7 +377,10 @@ def alternate_minimize(
                 trials_u=trials_u,
                 trials_beta=trials_b,
                 spectrum=state[0],
+                psi_p=state[1],
+                psi_m=state[2],
                 rw=rw,
+                dis_n=dis_n,
                 functional_trace=trace,
             )
     raise StepFailure(f"alternate_minimize: no convergence in {cfg.max_alt} alternations", u=u, a=a)

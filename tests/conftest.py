@@ -48,13 +48,6 @@ def box_mesh(extents, divisions):
     return generate_grid([np.linspace(0.0, e, d + 1) for e, d in zip(extents, divisions)])
 
 
-def facets_on(mesh, nodes) -> list:
-    """Facets (node-id tuples in element order) of the elements that have
-    ``dim`` of their nodes in ``nodes``."""
-    on = np.isin(mesh.elements, nodes)
-    return [tuple(int(c) for c in conn[mask]) for conn, mask in zip(mesh.elements, on) if mask.sum() == mesh.dim]
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -5,10 +5,9 @@ form of something the program computes in a fused, cached or faster way (the
 total functional and the damage merit, the stored energy, the two-sided
 bounds and check, the split energies, stresses and tangents, the undegraded
 tangent, the displacement sparsity pattern, the 3-D principal strains, the
-snapshot reader), a writer for the fixtures the program reads (Gmsh
-meshes), or a conversion between the strain tensors the tests build and the
-Voigt rows the program takes, including the 3x3 embedding of a spectrum
-that the dense references work in.
+snapshot reader), or a conversion between the strain tensors the tests
+build and the Voigt rows the program takes, including the 3x3 embedding of
+a spectrum that the dense references work in.
 """
 
 import math
@@ -19,7 +18,6 @@ import scipy.sparse as sp
 from pffrac.energetics import check_two_sided, dis, erg, grad_term
 from pffrac.fem import ElementKernels, beta_at_qp, strain_spectrum
 from pffrac.material import _GAP_REL, AT2, VOIGT, MaterialParams, StrainSpectrum, degradation, psi_split
-from pffrac.mesh import _GMSH_LINE, _GMSH_POINT, _GMSH_TET, _GMSH_TRI, Mesh
 
 
 def penalty_energy(a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
@@ -70,11 +68,13 @@ def stored_energy(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> floa
 
 def fresh_check(u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels: ElementKernels, p: MaterialParams, eta):
     """``check_two_sided`` of the step pair (n, n+1) with the bulk energy of
-    each state under its own lifting evaluated here."""
+    each state under its own lifting, and the current state's dissipation,
+    evaluated here."""
     return check_two_sided(
         u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels, p, eta,
         erg_curr=erg(u_n, u_d_n, a_n, kernels, p),
         erg_next=erg(u_next, u_d_next, a_next, kernels, p),
+        dis_curr=dis(a_n, kernels, p),
     )
 
 
@@ -282,68 +282,3 @@ def elastic_tensor(dim: int, p: MaterialParams) -> np.ndarray:
         c[np.arange(3), np.arange(3)] = lam + 2 * mu
         c[np.arange(3, 6), np.arange(3, 6)] = mu
     return c
-
-
-def write_gmsh(mesh: Mesh, facet_groups=None) -> str:
-    """Serialize a Mesh back to Gmsh ASCII v2.2.
-
-    Node sets are written as physical point elements, so
-    ``parse_gmsh(write_gmsh(m))`` restores coordinates bitwise and
-    connectivity and node sets exactly.  ``facet_groups`` maps further
-    physical names to lists of facets (node-id tuples: lines in 2-D,
-    triangles in 3-D), written as physical facet elements; ``parse_gmsh``
-    reads each back as the node set of every node its facets touch.
-    """
-    facet_groups = facet_groups or {}
-    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat"]
-
-    names = []  # (dim, tag, name)
-    tag_of: dict = {}
-    tag = 1
-    for name in mesh.node_sets:
-        names.append((0, tag, name))
-        tag_of[("node", name)] = tag
-        tag += 1
-    for name in facet_groups:
-        names.append((mesh.dim - 1, tag, name))
-        tag_of[("facet", name)] = tag
-        tag += 1
-    if names:
-        out.append("$PhysicalNames")
-        out.append(str(len(names)))
-        for pdim, ptag, name in names:
-            out.append(f'{pdim} {ptag} "{name}"')
-        out.append("$EndPhysicalNames")
-
-    out.append("$Nodes")
-    out.append(str(mesh.n_nodes))
-    for i, xyz in enumerate(mesh.nodes):
-        coords = list(xyz) + [0.0] * (3 - mesh.dim)
-        out.append(f"{i + 1} " + " ".join("%.17g" % c for c in coords))
-    out.append("$EndNodes")
-
-    eid = 1
-    elem_lines = []
-    for name, nids in mesh.node_sets.items():
-        ptag = tag_of[("node", name)]
-        for nid in nids:
-            elem_lines.append(f"{eid} {_GMSH_POINT} 2 {ptag} {ptag} {int(nid) + 1}")
-            eid += 1
-    facet_type = _GMSH_TRI if mesh.dim == 3 else _GMSH_LINE
-    for name, facets in facet_groups.items():
-        ptag = tag_of[("facet", name)]
-        for facet in facets:
-            conn = " ".join(str(int(c) + 1) for c in facet)
-            elem_lines.append(f"{eid} {facet_type} 2 {ptag} {ptag} {conn}")
-            eid += 1
-    domain_type = _GMSH_TET if mesh.dim == 3 else _GMSH_TRI
-    for conn in mesh.elements:
-        nodes = " ".join(str(int(c) + 1) for c in conn)
-        elem_lines.append(f"{eid} {domain_type} 2 0 0 {nodes}")
-        eid += 1
-
-    out.append("$Elements")
-    out.append(str(len(elem_lines)))
-    out.extend(elem_lines)
-    out.append("$EndElements")
-    return "\n".join(out) + "\n"

@@ -5,15 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import box_mesh, facets_on, scripted_checks
-from oracles import fresh_check, read_snapshot_by_line, write_gmsh
+from conftest import box_mesh, scripted_checks
+from oracles import fresh_check, read_snapshot_by_line
 from pffrac import cli, driver, energetics, linsolve, presets
 from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, resolve_config, run_to_dir
-from pffrac.driver import BacktrackConfig
-from pffrac.material import MaterialParams
-from pffrac.mesh import select_nodes
 from pffrac.presets import load_preset
-from pffrac.solver import SolverConfig, StepFailure
+from pffrac.solver import StepFailure
 from pffrac.vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
 
@@ -29,46 +26,12 @@ def setup_fields(s):
     )
 
 
-def patch_mesh():
-    """Mesh of a small elastic tension patch, with its origin node as "pin"."""
-    mesh = box_mesh([1.0, 1.0], [3, 3])
-    mesh.node_sets["pin"] = select_nodes(mesh, lambda x: np.abs(x).sum(axis=1), 1e-9)
-    return mesh
-
-
-def write_patch_config(msh, cfg):
-    """Write to ``cfg`` the tension-patch config that reads the mesh file ``msh``."""
-    cfg.write_text(
-        f"""[run]
-mesh = {msh}
-
-[material]
-lam_kn = 121.1538
-mu_kn = 80.7692
-gc = 2.7
-ell = 0.0175
-k = 1e-4
-eps_pen = 1e-6
-
-[program]
-n_steps = 5
-dw = 5e-5
-bc = ymin:y:0; ymax:y:1; pin:x:0
-
-[backtrack]
-k_back = 5
-eta = 1e-5
-"""
-    )
-    return cfg
-
-
 @pytest.fixture
-def patch_config(tmp_path):
-    """Explicit-mesh config of a small elastic tension patch."""
-    msh = tmp_path / "patch.msh"
-    msh.write_text(write_gmsh(patch_mesh()))
-    return write_patch_config(msh, tmp_path / "patch.cfg")
+def sent_config(tmp_path):
+    """Config of a 5-step run of the smallest sent mesh (126 nodes)."""
+    cfg = tmp_path / "sent.cfg"
+    cfg.write_text("[run]\npreset = sent\nscale = 0.02\n\n[program]\nn_steps = 5\n")
+    return cfg
 
 
 class TestVtk:
@@ -155,28 +118,19 @@ class TestConfigPlumbing:
         assert back.solver == dataclasses.replace(setup.solver, max_alt=7)
         assert back.backtrack == setup.backtrack
 
-    def test_every_config_key_is_read(self, patch_config, tmp_path):
+    def test_every_config_key_is_read(self):
         # each key the format accepts changes the setup of a run, so the
         # accepted keys and the readers cannot drift apart
-        parser = configparser.ConfigParser()
-        parser.read(patch_config)
-        lame = {s: dict(parser.items(s)) for s in parser.sections()}
+        lame = config_from_setup(load_preset("sent", 0.02))
         lame["material"].update(dissipation="AT2", kappa="0.3")
         lame["program"]["n_steps"] = "2"
-        lame["solver"] = {"tol_u": "1e-5", "tol_a": "1e-5", "max_newton": "100", "max_alt": "1000"}
         young = {s: dict(v) for s, v in lame.items()}
         del young["material"]["lam_kn"], young["material"]["mu_kn"]
         young["material"].update(e_kn="210", nu="0.3")
-        preset = config_from_setup(load_preset("sent", 0.02))
-        other = box_mesh([1.0, 1.0], [4, 3])
-        other.node_sets["pin"] = select_nodes(other, lambda x: np.abs(x).sum(axis=1), 1e-9)
-        other_msh = tmp_path / "other.msh"
-        other_msh.write_text(write_gmsh(other))
 
         changes = {
-            ("run", "preset"): (preset, "sens"),
-            ("run", "mesh"): (lame, str(other_msh)),
-            ("run", "scale"): (preset, "0.03"),
+            ("run", "preset"): (lame, "sens"),
+            ("run", "scale"): (lame, "0.03"),
             ("material", "lam_kn"): (lame, "100"),
             ("material", "mu_kn"): (lame, "70"),
             ("material", "e_kn"): (young, "200"),
@@ -188,8 +142,8 @@ class TestConfigPlumbing:
             ("material", "eps_pen"): (lame, "1e-5"),
             ("material", "kappa"): (lame, "0.5"),
             ("program", "n_steps"): (lame, "3"),
-            ("program", "dw"): (lame, "1e-4"),
-            ("program", "bc"): (lame, "ymin:y:0; ymax:y:2; pin:x:0"),
+            ("program", "dw"): (lame, "2e-4"),
+            ("program", "bc"): (lame, "bottom:y:0; top:y:2; pin:x:0"),
             ("solver", "tol_u"): (lame, "1e-6"),
             ("solver", "tol_a"): (lame, "1e-6"),
             ("solver", "max_newton"): (lame, "50"),
@@ -224,19 +178,13 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError, match="names both"):
             resolve_config({**given, "material": {"e_kn": "200", "nu": "0.25", "mu_kn": "70"}})
 
-    def test_preset_and_mesh_are_exclusive(self):
-        with pytest.raises(ValueError):
-            resolve_config({"run": {"preset": "sent", "mesh": "x.msh"}})
-        with pytest.raises(ValueError):
-            resolve_config({"run": {}})
-
 
 class _Stop(Exception):
     """Raised once a command has resolved its config."""
 
 
-# A value for every config key but run.preset and run.mesh, each different
-# from the one the sent preset holds.
+# A value for every config key but run.preset, each different from the one
+# the sent preset holds.
 _PARITY_VALUES = {
     "run.scale": "0.03",
     "material.lam_kn": "100",
@@ -308,7 +256,7 @@ class TestOverlay:
 
     def test_parity_covers_every_key(self):
         keys = {f"{s}.{k}" for s, names in _CONFIG_KEYS.items() for k in names}
-        assert set(_PARITY_VALUES) == keys - {"run.preset", "run.mesh"}
+        assert set(_PARITY_VALUES) == keys - {"run.preset"}
 
     def test_flags_are_overrides(self, tmp_path, resolved):
         # each run flag is its --set spelling, over a preset or a config file
@@ -326,10 +274,13 @@ class TestOverlay:
 
 
 class TestCmdRun:
-    def test_bad_config_exit_2(self, tmp_path):
+    def test_bad_config_exit_2(self, tmp_path, capsys):
+        # a preset that does not exist, or none named
         bad = tmp_path / "bad.cfg"
-        bad.write_text("[run]\npreset = nope\n")
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        for text, named in [("preset = nope", "unknown preset 'nope'"), ("scale = 0.02", "run.preset")]:
+            bad.write_text(f"[run]\n{text}\n")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+            assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "item, named",
@@ -337,6 +288,7 @@ class TestCmdRun:
             ("solver.clamp_damage=false", "solver.clamp_damage"),
             ("output.snapshot_every=2", "unknown config section [output]"),
             ("solvr.tol_u=1e-6", "[solvr]"),
+            ("run.mesh=x.msh", "unknown config key run.mesh"),
         ],
     )
     def test_unread_key_exit_2(self, tmp_path, capsys, item, named):
@@ -352,8 +304,9 @@ class TestCmdRun:
             ("program.bc=bottom:y:0; top:y:1; top:z:0; pin:x:0", "node_set='top', component=2"),
             ("program.bc=bottom:y:0; nope:y:1", "unknown node set 'nope'"),
             ("run.scale=abc", "config error: run.scale: could not convert string to float: 'abc'"),
+            ("program.bc=bottom:y:0;pin:x:0", "config error: the program loads nothing"),
         ],
-        ids=["bc_z", "bc_set", "scale_abc"],
+        ids=["bc_z", "bc_set", "scale_abc", "bc_no_load"],
     )
     def test_component_beyond_mesh_dim_exit_2(self, tmp_path, capsys, item, named):
         # a spec that does not fit the mesh, or a value that does not parse
@@ -387,8 +340,8 @@ class TestCmdRun:
 
     def test_float_keys_are_covered(self):
         keys = {f"{s}.{k}" for s, names in _CONFIG_KEYS.items() for k in names}
-        others = {"run.preset", "run.mesh", "material.dissipation", "program.n_steps", "solver.max_newton",
-                  "solver.max_alt", "backtrack.k_back"}
+        others = {"run.preset", "material.dissipation", "program.n_steps", "solver.max_newton", "solver.max_alt",
+                  "backtrack.k_back"}
         assert set(self._FLOAT_KEYS) == keys - others
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -404,65 +357,34 @@ class TestCmdRun:
         assert f"config error: {key}: '{value}' is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reaction_section_exit_2(self, patch_config, tmp_path, capsys):
+    def test_reaction_section_exit_2(self, sent_config, tmp_path, capsys):
         # the reaction is the force conjugate to w; a config that still
         # names a reaction set and direction has a section no run reads
         cfg = tmp_path / "old.cfg"
-        cfg.write_text(patch_config.read_text() + "\n[reaction]\nset = ymax\ndirection = 0 1\n")
+        cfg.write_text(sent_config.read_text() + "\n[reaction]\nset = top\ndirection = 0 1\n")
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "unknown config section [reaction]" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "drop, named",
-        [("dw = ", "program.dw"), ("bc = ", "program.bc"), ("gc = ", "material.gc"), ("mu_kn = ", "material.mu_kn")],
-    )
-    def test_mesh_config_missing_key_exit_2(self, patch_config, tmp_path, capsys, drop, named):
-        # a mesh run has no preset to take a program, gc or modulus from
-        lines = patch_config.read_text().splitlines()
-        cfg = tmp_path / "short.cfg"
-        cfg.write_text("\n".join(x for x in lines if not x.startswith(drop)) + "\n")
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"missing config key {named}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_non_numeric_mesh_field_exit_2(self, tmp_path, capsys):
-        # a mesh file with a field that does not convert is a config error
-        # naming the section and the line, found before the output
-        # directory is made
-        lines = write_gmsh(patch_mesh()).splitlines()
-        at = lines.index("$Nodes") + 3  # the second node, on 1-based line at + 1
-        lines[at] = lines[at].split()[0] + " 1 x 0"
-        msh = tmp_path / "bad.msh"
-        msh.write_text("\n".join(lines) + "\n")
-        cfg = write_patch_config(msh, tmp_path / "bad.cfg")
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"non-numeric field in $Nodes section, line {at + 1}" in err
-        assert "could not convert" not in err
-        assert not out.exists()
-
-    def test_config_and_preset_exclusive(self, patch_config, tmp_path, capsys):
+    def test_config_and_preset_exclusive(self, sent_config, tmp_path, capsys):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(patch_config), "--preset", "bend3d", "--out", str(out)])
+            main(["run", "--config", str(sent_config), "--preset", "bend3d", "--out", str(out)])
         assert exc.value.code == 2
         assert "--preset" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_mesh_run_json_config_reruns(self, patch_config, tmp_path):
-        # run.json of a mesh run records the defaults the run took; fed back
-        # as a config, it writes the same outputs byte for byte
+    def test_run_json_config_reruns(self, sent_config, tmp_path):
+        # run.json records the resolved config, the preset's export with the
+        # config's keys laid over it; fed back as a config, it writes the
+        # same outputs byte for byte
         first, again = tmp_path / "first", tmp_path / "again"
-        assert main(["run", "--config", str(patch_config), "--out", str(first)]) == 0
+        assert main(["run", "--config", str(sent_config), "--out", str(first)]) == 0
         cfg = json.loads((first / "run.json").read_text())["config"]
-        defaults = cli._knob_sections(SolverConfig(), BacktrackConfig())
-        assert cfg["solver"] == defaults["solver"]
-        assert cfg["backtrack"] == {"k_back": "5", "eta": "1e-5"}
-        assert cfg["material"]["dissipation"] == MaterialParams.dissipation == "AT2"
+        want = config_from_setup(load_preset("sent", 0.02))
+        want["program"]["n_steps"] = "5"
+        assert cfg == want
         fed = tmp_path / "fed.cfg"
         fed.write_text(cli._config_to_ini(cfg))
         assert main(["run", "--config", str(fed), "--out", str(again)]) == 0
@@ -472,13 +394,11 @@ class TestCmdRun:
         for name in names:
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
-    def test_intermediates_csv(self, patch_config, tmp_path, monkeypatch):
+    def test_intermediates_csv(self, sent_config, tmp_path, monkeypatch):
         # always written: the header alone when no back step happened, else
         # one row per solve of a back-step round, the last of which is the
         # re-solve the run accepted
-        parser = configparser.ConfigParser()
-        parser.read(patch_config)
-        cfg = {s: dict(parser.items(s)) for s in parser.sections()}
+        cfg = cli._read_config_file(sent_config)
         header = "target_step,w,b,passed,delta,LB,UB,reaction"
         hist = run_to_dir(cfg, tmp_path / "plain")
         assert not hist.backtracks
@@ -500,12 +420,12 @@ class TestCmdRun:
         assert hist.intermediates[-1] is hist.steps[2]
         assert hist.steps[2].reaction != 0.0
 
-    def test_chain_rows_formatted_once(self, patch_config, tmp_path, monkeypatch):
+    def test_chain_rows_formatted_once(self, sent_config, tmp_path, monkeypatch):
         # a back step replaces accepted rows; the CSV writes format each
         # record that enters the chain once (2 numbers of load_disp.csv, 5
         # of energy.csv), and the files equal a fresh format of the final
         # chain
-        cfg = cli._read_config_file(patch_config)
+        cfg = cli._read_config_file(sent_config)
         setup = resolved_setup(cfg)
         counts = {"fmt": 0, "accepts": 0, "writing": False}
         real_fmt, real_call, real_write = cli._fmt, cli._RunWriter.__call__, cli._RunWriter.write_csvs
@@ -537,16 +457,16 @@ class TestCmdRun:
         for name in ("load_disp.csv", "energy.csv"):
             assert (tmp_path / "run" / name).read_bytes() == (fresh / name).read_bytes()
 
-    def test_rerun_drops_earlier_snapshots(self, patch_config, tmp_path):
+    def test_rerun_drops_earlier_snapshots(self, sent_config, tmp_path):
         # a shorter run into the directory of a longer one leaves only its
         # own snapshots
         out = tmp_path / "o"
-        argv = ["run", "--config", str(patch_config), "--out", str(out), "--steps"]
+        argv = ["run", "--config", str(sent_config), "--out", str(out), "--steps"]
         assert main(argv + ["3"]) == 0
         assert main(argv + ["2"]) == 0
         assert sorted(f.name for f in (out / "snapshots").iterdir()) == [f"step_{n:06d}.vtk" for n in range(3)]
 
-    def test_abort_after_back_step_keeps_accepted_snapshots(self, patch_config, tmp_path, monkeypatch, capsys):
+    def test_abort_after_back_step_keeps_accepted_snapshots(self, sent_config, tmp_path, monkeypatch, capsys):
         # target 4 fails, then target 3's re-solve; target 2's re-solve is
         # accepted and the next solve fails: step 3's snapshot belongs to the
         # replaced chain and goes, and run.json counts every solve
@@ -562,7 +482,7 @@ class TestCmdRun:
         monkeypatch.setattr(driver, "alternate_minimize", solve)
         scripted_checks(monkeypatch, lambda step, nth: (step == 4 and nth == 1) or (step == 3 and nth == 2))
         out = tmp_path / "o"
-        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 3
+        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 3
         monkeypatch.undo()
         assert sorted(f.name for f in (out / "snapshots").iterdir()) == [f"step_{n:06d}.vtk" for n in range(3)]
         info = json.loads((out / "run.json").read_text())
@@ -584,9 +504,9 @@ class TestCmdRun:
         assert info["all_solves"]["trials_u"] >= info["all_solves"]["newton_u"] > 0
         assert main(["check-energy", str(out)]) == 0
 
-    def test_patch_run_outputs(self, patch_config, tmp_path):
+    def test_sent_run_outputs(self, sent_config, tmp_path):
         out = tmp_path / "out"
-        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 0
         load = (out / "load_disp.csv").read_text().splitlines()
         assert load[0] == "step,w,reaction"
         first = load[1].split(",")
@@ -600,34 +520,17 @@ class TestCmdRun:
         assert not run_log["aborted"]
         assert (out / "snapshots" / "step_000005.vtk").exists()
 
-    def test_facet_group_run_matches_point_set_run(self, patch_config, tmp_path):
-        # the loaded edge given as a physical group of line elements, not of
-        # points, yields the same node set and so the same run, byte for byte
-        mesh = patch_mesh()
-        facets = facets_on(mesh, mesh.node_sets.pop("ymax"))
-        assert len(facets) == 3
-        msh = tmp_path / "lines.msh"
-        msh.write_text(write_gmsh(mesh, {"ymax": facets}))
-        lines_config = write_patch_config(msh, tmp_path / "lines.cfg")
-        points, lines = tmp_path / "points", tmp_path / "lines"
-        assert main(["run", "--config", str(patch_config), "--out", str(points)]) == 0
-        assert main(["run", "--config", str(lines_config), "--out", str(lines)]) == 0
-        names = ["load_disp.csv", "energy.csv"] + [f"snapshots/step_{n:06d}.vtk" for n in range(6)]
-        assert sorted(str(f.relative_to(lines)) for f in (lines / "snapshots").iterdir()) == names[2:]
-        for name in names:
-            assert (lines / name).read_bytes() == (points / name).read_bytes(), name
-
-    def test_rerun_bitwise_identical(self, patch_config, tmp_path):
+    def test_rerun_bitwise_identical(self, sent_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(patch_config), "--out", str(out1)]) == 0
-        assert main(["run", "--config", str(patch_config), "--out", str(out2)]) == 0
+        assert main(["run", "--config", str(sent_config), "--out", str(out1)]) == 0
+        assert main(["run", "--config", str(sent_config), "--out", str(out2)]) == 0
         for name in ("load_disp.csv", "energy.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_set_override_echoed(self, patch_config, tmp_path):
+    def test_set_override_echoed(self, sent_config, tmp_path):
         out = tmp_path / "out"
         code = main(
-            ["run", "--config", str(patch_config), "--out", str(out), "--set", "material.ell=0.02"]
+            ["run", "--config", str(sent_config), "--out", str(out), "--set", "material.ell=0.02"]
         )
         assert code == 0
         run_log = json.loads((out / "run.json").read_text())
@@ -668,14 +571,14 @@ class TestCmdRun:
 
 
 class TestCheckEnergy:
-    def test_self_consistency_exit_0(self, patch_config, tmp_path, capsys):
+    def test_self_consistency_exit_0(self, sent_config, tmp_path, capsys):
         out = tmp_path / "out"
-        main(["run", "--config", str(patch_config), "--out", str(out)])
+        main(["run", "--config", str(sent_config), "--out", str(out)])
         assert main(["check-energy", str(out)]) == 0
 
-    def test_tampered_energy_exit_1(self, patch_config, tmp_path):
+    def test_tampered_energy_exit_1(self, sent_config, tmp_path):
         out = tmp_path / "out"
-        main(["run", "--config", str(patch_config), "--out", str(out)])
+        main(["run", "--config", str(sent_config), "--out", str(out)])
         path = out / "energy.csv"
         rows = path.read_text().splitlines()
         parts = rows[2].split(",")
@@ -684,20 +587,20 @@ class TestCheckEnergy:
         path.write_text("\n".join(rows) + "\n")
         assert main(["check-energy", str(out)]) == 1
 
-    def test_missing_snapshot_exit_2(self, patch_config, tmp_path, capsys):
+    def test_missing_snapshot_exit_2(self, sent_config, tmp_path, capsys):
         out = tmp_path / "out"
-        main(["run", "--config", str(patch_config), "--out", str(out)])
+        main(["run", "--config", str(sent_config), "--out", str(out)])
         (out / "snapshots" / "step_000003.vtk").unlink()
         capsys.readouterr()
         assert main(["check-energy", str(out)]) == 2
         err = capsys.readouterr().err
         assert "cannot load run outputs: " in err and "step_000003.vtk" in err
 
-    def test_old_run_json_audits(self, patch_config, tmp_path, capsys):
+    def test_old_run_json_audits(self, sent_config, tmp_path, capsys):
         # run.json of an older version echoes solver and output keys that a
         # run now rejects; the audit reads neither section through the setup
         out = tmp_path / "out"
-        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 0
         path = out / "run.json"
         log = json.loads(path.read_text())
         log["config"].setdefault("solver", {})["clamp_damage"] = "true"
@@ -708,46 +611,31 @@ class TestCheckEnergy:
         assert "energy audit ok (5 steps: 5 fully checked" in capsys.readouterr().out
 
     @pytest.mark.parametrize("every", ["1", "2"])
-    def test_old_output_section_audits(self, patch_run, capsys, every):
+    def test_old_output_section_audits(self, sent_run, capsys, every):
         # run.json of an older version may hold an [output] section with a
         # snapshot interval; the audit drops it and reads every step's
         # snapshot, so a directory that lacks one is unreadable
-        path = patch_run / "run.json"
+        path = sent_run / "run.json"
         log = json.loads(path.read_text())
         log["config"]["output"] = {"snapshot_every": every}
         path.write_text(json.dumps(log))
         if every == "1":
-            assert self.audit_of(patch_run, capsys) == (0, "")
+            assert self.audit_of(sent_run, capsys) == (0, "")
         else:
-            (patch_run / "snapshots" / "step_000001.vtk").unlink()
-            code, err = self.audit_of(patch_run, capsys)
+            (sent_run / "snapshots" / "step_000001.vtk").unlink()
+            code, err = self.audit_of(sent_run, capsys)
             assert code == 2 and "cannot load run outputs: " in err and "step_000001.vtk" in err
 
-    def test_old_reaction_section_audits(self, patch_run, capsys):
+    def test_old_reaction_section_audits(self, sent_run, capsys):
         # run.json of an older version holds the [reaction] section its
         # config needed; the audit drops it
-        path = patch_run / "run.json"
+        path = sent_run / "run.json"
         log = json.loads(path.read_text())
-        log["config"]["reaction"] = {"set": "ymax", "direction": "0 1"}
+        log["config"]["reaction"] = {"set": "top", "direction": "0 1"}
         path.write_text(json.dumps(log))
-        assert self.audit_of(patch_run, capsys) == (0, "")
+        assert self.audit_of(sent_run, capsys) == (0, "")
 
-    def test_mesh_recorded_absolute(self, tmp_path, monkeypatch, capsys):
-        # a config that names its mesh relative to the working directory
-        # audits from any other directory: run.json holds the absolute path
-        msh = tmp_path / "patch.msh"
-        msh.write_text(write_gmsh(patch_mesh()))
-        write_patch_config("patch.msh", tmp_path / "patch.cfg")
-        monkeypatch.chdir(tmp_path)
-        assert main(["run", "--config", "patch.cfg", "--out", "out"]) == 0
-        assert json.loads((tmp_path / "out" / "run.json").read_text())["config"]["run"]["mesh"] == str(msh)
-        (tmp_path / "elsewhere").mkdir()
-        monkeypatch.chdir(tmp_path / "elsewhere")
-        capsys.readouterr()
-        assert main(["check-energy", "../out"]) == 0
-        assert "energy audit ok (5 steps: 5 fully checked)" in capsys.readouterr().out
-
-    def test_aborted_run_says_so(self, patch_config, tmp_path, monkeypatch, capsys):
+    def test_aborted_run_says_so(self, sent_config, tmp_path, monkeypatch, capsys):
         # the audit of an aborted run passes on its accepted steps and names
         # the abort in its summary
         real_solve = driver.alternate_minimize
@@ -761,7 +649,7 @@ class TestCheckEnergy:
 
         monkeypatch.setattr(driver, "alternate_minimize", solve)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 3
+        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 3
         capsys.readouterr()
         assert main(["check-energy", str(out)]) == 0
         assert capsys.readouterr().out == (
@@ -769,24 +657,30 @@ class TestCheckEnergy:
             "; the run aborted after 2 accepted steps: scripted failure\n"
         )
 
-    def test_bad_run_config_exit_2(self, patch_config, tmp_path, capsys):
+    def test_bad_run_config_exit_2(self, sent_config, tmp_path, capsys):
         # the audit reads the config from run.json and rejects what a run would
         out = tmp_path / "out"
-        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 0
         good = json.loads((out / "run.json").read_text())
-        bad = [("program", "bc", "ymin:y:0; nope:y:1"), ("program", "bc", "ymin:z:0")]
-        for section, key, value in bad:
+        bad = [
+            ("program", "bc", "bottom:y:0; nope:y:1", "unknown node set 'nope'"),
+            ("program", "bc", "bottom:z:0", "has no component 2"),
+            # the key of an older run.json whose run read a mesh file
+            ("run", "mesh", "x.msh", "unknown config key run.mesh"),
+        ]
+        for section, key, value, named in bad:
             log = json.loads(json.dumps(good))
             log["config"].setdefault(section, {})[key] = value
             (out / "run.json").write_text(json.dumps(log))
             capsys.readouterr()
             assert main(["check-energy", str(out)]) == 2, (section, key, value)
-            assert "cannot load run outputs" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "cannot load run outputs" in err and named in err
 
     @pytest.fixture
-    def patch_run(self, patch_config, tmp_path):
+    def sent_run(self, sent_config, tmp_path):
         out = tmp_path / "out"
-        assert main(["run", "--config", str(patch_config), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 0
         return out
 
     def audit_of(self, out, capsys):
@@ -794,26 +688,26 @@ class TestCheckEnergy:
         code = main(["check-energy", str(out)])
         return code, capsys.readouterr().err
 
-    def test_unreadable_outputs_exit_2(self, patch_run, capsys):
+    def test_unreadable_outputs_exit_2(self, sent_run, capsys):
         # an output the audit cannot read is no audit mismatch
-        snap = patch_run / "snapshots" / "step_000003.vtk"
+        snap = sent_run / "snapshots" / "step_000003.vtk"
         kept = snap.read_text()
         snap.write_text("".join(x for x in kept.splitlines(True) if not x.startswith("CELLS")))
-        code, err = self.audit_of(patch_run, capsys)
+        code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and "cannot load run outputs: snapshot missing 'CELLS' section" in err
         snap.write_text(kept)
-        path = patch_run / "energy.csv"
+        path = sent_run / "energy.csv"
         rows = path.read_text().splitlines()
         rows[2] = rows[2].replace(rows[2].split(",")[1], "abc", 1)
         path.write_text("\n".join(rows) + "\n")
-        code, err = self.audit_of(patch_run, capsys)
+        code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and "cannot load run outputs" in err
 
     @pytest.mark.parametrize("edit", ["bare_points_header", "one_node_fewer"])
-    def test_malformed_snapshot_exit_2(self, patch_run, capsys, edit):
+    def test_malformed_snapshot_exit_2(self, sent_run, capsys, edit):
         # a snapshot that does not parse, or that holds another node count
         # than the run's mesh, is unreadable output and no audit mismatch
-        snap = patch_run / "snapshots" / "step_000002.vtk"
+        snap = sent_run / "snapshots" / "step_000002.vtk"
         lines = snap.read_text().splitlines()
         i = next(k for k, x in enumerate(lines) if x.startswith("POINTS"))
         if edit == "bare_points_header":
@@ -826,13 +720,13 @@ class TestCheckEnergy:
             last.add(lines.index("LOOKUP_TABLE default") + n)
             lines = [x for k, x in enumerate(lines) if k not in last]
         snap.write_text("\n".join(lines) + "\n")
-        code, err = self.audit_of(patch_run, capsys)
+        code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and err.startswith("cannot load run outputs: ") and str(snap) in err
 
     @pytest.mark.parametrize("edit", ["header_only", "drop_step_2", "swap_steps_2_3"])
-    def test_energy_rows_are_the_accepted_steps(self, patch_run, capsys, edit):
+    def test_energy_rows_are_the_accepted_steps(self, sent_run, capsys, edit):
         # energy.csv must hold steps 0..accepted_steps once each, in order
-        path = patch_run / "energy.csv"
+        path = sent_run / "energy.csv"
         header, *rows = path.read_text().splitlines()
         if edit == "header_only":
             rows = []
@@ -841,42 +735,48 @@ class TestCheckEnergy:
         else:
             rows[2], rows[3] = rows[3], rows[2]
         path.write_text("\n".join([header, *rows]) + "\n")
-        code, err = self.audit_of(patch_run, capsys)
+        code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and "cannot load run outputs: energy.csv holds steps" in err
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
 
-    def test_bulk_energy_reused_between_checked_pairs(self, patch_run, monkeypatch):
-        # each snapshot's bulk energy is computed once, when it is read, and
-        # a check takes those of its two states: it decomposes only its two
-        # cross-lifting strains, so the audit costs one spectrum per
-        # snapshot plus two per step pair; each report is bit for bit the
-        # one with both bulk energies evaluated afresh
-        spectra = []
-        real_spectrum = energetics.strain_spectrum
+    def test_bulk_energy_reused_between_checked_pairs(self, sent_run, monkeypatch):
+        # each snapshot's bulk energy and dissipation are computed once, and
+        # a check takes those of its current state: it decomposes only its
+        # two cross-lifting strains, so the audit costs one spectrum per
+        # snapshot plus two per step pair, and one dissipation per
+        # snapshot; each report is bit for bit the one with every figure
+        # evaluated afresh
+        calls = []
 
-        def counting(*args):
-            spectra.append(args)
-            return real_spectrum(*args)
+        def counting(real, name):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
 
         real_check = cli.check_two_sided
         per_check = []
 
         def checking(*args, **kw):
-            n0 = len(spectra)
+            n0 = len(calls)
             report = real_check(*args, **kw)
-            n1 = len(spectra)
-            per_check.append(n1 - n0)
+            n1 = len(calls)
+            per_check.append((calls[n0:n1].count("spectrum"), calls[n0:n1].count("dis")))
             assert report == fresh_check(*args)
-            del spectra[n1:]  # the fresh evaluation is not the audit's
+            del calls[n1:]  # the fresh evaluation is not the audit's
             return report
 
-        monkeypatch.setattr(energetics, "strain_spectrum", counting)
+        dissipation = counting(energetics.dis, "dis")
+        monkeypatch.setattr(energetics, "strain_spectrum", counting(energetics.strain_spectrum, "spectrum"))
+        monkeypatch.setattr(energetics, "dis", dissipation)
+        monkeypatch.setattr(cli, "dis", dissipation)
         monkeypatch.setattr(cli, "check_two_sided", checking)
-        assert main(["check-energy", str(patch_run)]) == 0
-        assert per_check == [2] * 5
-        assert len(spectra) == 16
+        assert main(["check-energy", str(sent_run)]) == 0
+        assert per_check == [(2, 1)] * 5
+        assert (calls.count("spectrum"), calls.count("dis")) == (16, 6)
 
 
 def test_bend3d_runs_and_audits_without_lapack_eigensolver(tmp_path, monkeypatch):

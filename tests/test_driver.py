@@ -14,6 +14,7 @@ from pffrac.driver import (
     load_vector,
     run,
 )
+from pffrac import energetics
 from pffrac.energetics import erg
 from pffrac.fem import build_kernels, degradation_weights, reaction_force, strain_spectrum
 from pffrac.material import StrainSpectrum
@@ -253,6 +254,47 @@ class TestReusedDecomposition:
                     rec.u, u_d, rec.a, kern, sent_params, BacktrackConfig().eta,
                 )
                 assert rec.report == want
+
+
+    def test_solved_state_not_evaluated_again(self, patch, sent_params, monkeypatch):
+        # on a run that cracks the patch: once the first solve starts, the
+        # driver computes no energy densities and no dissipation of its
+        # own (the solve hands on the final state's densities and the
+        # anchor's dissipation); each check computes the densities of its
+        # two cross-lifting states and the next state's dissipation only
+        calls = {}
+        # where the calls happen: step 0 until the first solve, then the
+        # driver, and the solve or the check while one runs
+        where = ["step 0"]
+
+        def counted(fn, name):
+            def wrapper(*args, **kw):
+                calls[where[-1], name] = calls.get((where[-1], name), 0) + 1
+                return fn(*args, **kw)
+
+            return wrapper
+
+        def within(fn, label):
+            def wrapper(*args, **kw):
+                where[0] = "driver"
+                where.append(label)
+                try:
+                    return fn(*args, **kw)
+                finally:
+                    where.pop()
+
+            return wrapper
+
+        for module in (driver, energetics):
+            for name in ("psi_split", "dis"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+        monkeypatch.setattr(driver, "alternate_minimize", within(driver.alternate_minimize, "solve"))
+        monkeypatch.setattr(driver, "check_two_sided", within(driver.check_two_sided, "check"))
+        hist = run(tension_program(n_steps=4, dw=1e-2), BacktrackConfig(), SolverConfig(), sent_params, patch)
+        assert not hist.aborted and hist.steps[-1].a.max() == 1.0
+        checks = len(hist.solves)
+        assert calls == {("step 0", "psi_split"): 1, ("check", "psi_split"): 2 * checks, ("check", "dis"): checks}
 
 
 class TestBacktrackBookkeeping:

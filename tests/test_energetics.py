@@ -220,15 +220,18 @@ class TestCheckTwoSided:
             return erg(*args)
 
         monkeypatch.setattr(energetics, "erg", spy)
+        dis_curr = dis(a_n, kern, sent_params)
         rep = check_two_sided(
-            u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, 1e-5, erg_curr=erg_curr, erg_next=erg_next
+            u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, 1e-5,
+            erg_curr=erg_curr, erg_next=erg_next, dis_curr=dis_curr,
         )
         assert len(calls) == 2
         monkeypatch.undo()
         e_next = stored_energy(u_next, ud2, a_next, kern, sent_params)
         e_curr = stored_energy(u_n, ud1, a_n, kern, sent_params)
-        d_inc = dis(a_next, kern, sent_params) - dis(a_n, kern, sent_params)
-        assert (rep.e_next, rep.d_inc, rep.erg_next) == (e_next, d_inc, erg_next)
+        dis_next = dis(a_next, kern, sent_params)
+        d_inc = dis_next - dis_curr
+        assert (rep.e_next, rep.d_inc, rep.erg_next, rep.dis_next) == (e_next, d_inc, erg_next, dis_next)
         assert rep.delta == e_next - e_curr + d_inc
         assert rep.ub == upper_bound(u_n, ud1, ud2, a_n, kern, sent_params)
         assert rep.lb == lower_bound(u_next, ud1, ud2, a_next, kern, sent_params)

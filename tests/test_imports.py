@@ -270,6 +270,60 @@ def test_every_default_is_passed_by_the_package():
     assert unpassed_defaults(sources, exempt={"cli.main"}) == []
 
 
+def unused_test_helpers(sources: dict, helpers) -> list:
+    """Top-level functions and classes, fixtures too, of the ``helpers``
+    modules in ``sources`` (file name -> source) that nothing outside their
+    own definition reads as a name or an attribute or takes as a
+    parameter: no other module of ``sources``, and no other top-level
+    statement of their own module."""
+
+    def named(nodes) -> set:
+        names = set()
+        for node in (n for top in nodes for n in ast.walk(top)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+        return names
+
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    elsewhere = {file: named(n for f, t in trees.items() if f != file for n in t.body) for file in helpers}
+    unused = []
+    for file in helpers:
+        body = trees[file].body
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in elsewhere[file] | named(
+                n for n in body if n is not node
+            ):
+                unused.append(f"{file}:{node.name}")
+    return sorted(unused)
+
+
+def test_detects_unused_test_helper():
+    # grid is taken as a parameter, oracle read as a name and Fake as an
+    # attribute elsewhere, and inner by another helper of its own module;
+    # spare and writer have no user
+    srcs = {
+        "helpers.py": (
+            "import pytest\n@pytest.fixture\ndef grid():\n    return 1\n"
+            "@pytest.fixture\ndef spare():\n    return 2\n"
+            "def oracle(x):\n    return x\ndef inner(x):\n    return x\ndef writer(x):\n    return inner(x)\n"
+            "class Fake:\n    pass\n"
+        ),
+        "test_a.py": "from helpers import oracle\nimport helpers\ndef test_a(grid):\n    assert oracle(grid) == 1\n",
+        "test_b.py": "def test_b():\n    assert helpers.Fake\n",
+    }
+    assert unused_test_helpers(srcs, ["helpers.py"]) == ["helpers.py:spare", "helpers.py:writer"]
+
+
+def test_every_test_helper_has_a_user():
+    # a helper of a deleted test is left behind with it
+    sources = {p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}
+    assert unused_test_helpers(sources, ["conftest.py", "oracles.py"]) == []
+
+
 # The benchmark's span targets that name what the program no longer has.
 # ROADMAP item 1 retargets them, and then empties this list.
 STALE_TRACING_TARGETS = [

@@ -1,134 +1,15 @@
-import re
-
 import numpy as np
 import pytest
 
-from conftest import box_mesh, facets_on
-from oracles import write_gmsh
+from conftest import box_mesh
 from pffrac import mesh as mesh_mod
 from pffrac import presets
-from pffrac.mesh import Mesh, MeshError, _fix_orientation, generate_grid, parse_gmsh, select_nodes
-
-TWO_TRI_SQUARE = """$MeshFormat
-2.2 0 8
-$EndMeshFormat
-$Nodes
-4
-1 0 0 0
-2 1 0 0
-3 1 1 0
-4 0 1 0
-$EndNodes
-$Elements
-2
-1 2 2 0 0 1 2 3
-2 2 2 0 0 1 3 4
-$EndElements
-"""
+from pffrac.mesh import Mesh, MeshError, _fix_orientation, generate_grid, select_nodes
 
 
 def tet_volume(nodes, conn):
     a, b, c, d = (nodes[i] for i in conn)
     return np.dot(b - a, np.cross(c - a, d - a)) / 6.0
-
-
-class TestParseGmsh:
-    def test_two_triangle_square(self):
-        mesh = parse_gmsh(TWO_TRI_SQUARE)
-        assert mesh.dim == 2
-        assert mesh.n_nodes == 4
-        assert mesh.n_elements == 2
-        assert mesh.element_measures().sum() == pytest.approx(1.0, rel=1e-15)
-
-    def test_inverted_triangle_reoriented(self):
-        text = TWO_TRI_SQUARE.replace("1 2 2 0 0 1 2 3", "1 2 2 0 0 1 3 2")
-        mesh = parse_gmsh(text)
-        assert np.all(mesh.element_measures() > 0)
-        assert mesh.element_measures().sum() == pytest.approx(1.0, rel=1e-15)
-
-    def test_physical_tags_to_node_sets(self):
-        # 3x3 grid written back with top/bottom sets, reparsed, and checked
-        # against the coordinate predicate
-        base = box_mesh([1.0, 1.0], [2, 2])
-        base.node_sets = {
-            "bottom": select_nodes(base, lambda x: x[:, 1], 1e-9),
-            "top": select_nodes(base, lambda x: x[:, 1] - 1.0, 1e-9),
-        }
-        mesh = parse_gmsh(write_gmsh(base))
-        for tag, y0 in (("top", 1.0), ("bottom", 0.0)):
-            expect = np.flatnonzero(np.abs(mesh.nodes[:, 1] - y0) <= 1e-9)
-            assert np.array_equal(mesh.node_sets[tag], expect)
-
-    def test_facet_groups_become_node_sets(self):
-        # a physical group of boundary lines (2-D) or triangles (3-D) reads
-        # back as the node set of every node its facets touch
-        for dim in (2, 3):
-            base = box_mesh([1.0] * dim, [2] * dim)
-            top_name = "ymax" if dim == 2 else "zmax"
-            top = base.node_sets.pop(top_name)
-            facets = facets_on(base, top)
-            assert len(facets) == {2: 2, 3: 8}[dim]  # 2 cells along the edge, 4 cells of 2 triangles on the face
-            mesh = parse_gmsh(write_gmsh(base, {"top": facets}))
-            assert np.array_equal(mesh.node_sets["top"], top)
-            assert top_name not in mesh.node_sets
-            assert np.array_equal(mesh.elements, base.elements)
-
-    def test_roundtrip_bitwise(self, rng):
-        mesh = box_mesh([1.25, 0.75], [3, 2])
-        mesh.nodes += 1e-9 * rng.normal(size=mesh.nodes.shape)  # irrational-ish coords
-        mesh.node_sets = {"left": select_nodes(mesh, lambda x: x[:, 0], 1e-6)}
-        back = parse_gmsh(write_gmsh(mesh))
-        assert np.array_equal(back.nodes, mesh.nodes)
-        assert np.array_equal(back.elements, mesh.elements)
-        assert np.array_equal(back.node_sets["left"], mesh.node_sets["left"])
-
-    def test_binary_rejected(self):
-        with pytest.raises(MeshError, match="binary"):
-            parse_gmsh(TWO_TRI_SQUARE.replace("2.2 0 8", "2.2 1 8"))
-
-    def test_malformed_header(self):
-        with pytest.raises(MeshError):
-            parse_gmsh("$Nodes\nnot-a-count\n$EndNodes\n")
-
-    @pytest.mark.parametrize(
-        "text, named",
-        [
-            ("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n5\n1 0 0 0\n2 1 0 0\n", "$Nodes"),
-            ("$MeshFormat\n", "$MeshFormat"),
-            ("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$PhysicalNames\n1\n1 2\n$EndPhysicalNames\n", "$PhysicalNames"),
-        ],
-        ids=["nodes_short", "ends_at_format", "name_two_fields"],
-    )
-    def test_truncated_section(self, text, named):
-        # a section that ends early is a mesh error naming it, not an
-        # index error
-        with pytest.raises(MeshError, match=f"\\{named} "):
-            parse_gmsh(text)
-
-    @pytest.mark.parametrize(
-        "old, new, named",
-        [
-            ("2 1 0 0", "2 1 x 0", "$Nodes section, line 7: '2 1 x 0'"),
-            ("3 1 1 0", "3.5 1 1 0", "$Nodes section, line 8: '3.5 1 1 0'"),
-            ("2 2 2 0 0 1 3 4", "2 2 2 0 0 1 3 four", "$Elements section, line 14: '2 2 2 0 0 1 3 four'"),
-            (
-                "$Nodes",
-                '$PhysicalNames\n1\n1 two "top"\n$EndPhysicalNames\n$Nodes',
-                """$PhysicalNames section, line 6: '1 two "top"'""",
-            ),
-        ],
-        ids=["node_coordinate", "node_id", "element_node", "physical_tag"],
-    )
-    def test_non_numeric_field(self, old, new, named):
-        # a field that does not convert is a mesh error naming the section
-        # and the 1-based line, not a bare conversion error
-        with pytest.raises(MeshError, match="non-numeric field in " + re.escape(named)):
-            parse_gmsh(TWO_TRI_SQUARE.replace(old, new))
-
-    def test_missing_node_reference(self):
-        text = TWO_TRI_SQUARE.replace("2 2 2 0 0 1 3 4", "2 2 2 0 0 1 3 9")
-        with pytest.raises(MeshError, match="missing node"):
-            parse_gmsh(text)
 
 
 class TestGenerators:
@@ -272,11 +153,15 @@ def test_fix_orientation_remeasures_after_a_flip(monkeypatch):
 
 
 def test_duplicated_nodes_not_merged():
+    # the two faces of a slit are coincident nodes: a mesh whose second
+    # triangle takes a copy of node 0 keeps both copies and validates
     mesh = box_mesh([1.0, 1.0], [1, 1])
-    nodes = np.vstack([mesh.nodes, mesh.nodes[0]])
-    dup = Mesh(dim=2, nodes=nodes, elements=mesh.elements)
-    back = parse_gmsh(write_gmsh(dup))
-    assert back.n_nodes == 5
+    elements = mesh.elements.copy()
+    elements[1][elements[1] == 0] = 4
+    dup = Mesh(dim=2, nodes=np.vstack([mesh.nodes, mesh.nodes[0]]), elements=elements)
+    dup.validate()
+    assert dup.n_nodes == 5 and np.array_equal(dup.nodes[4], dup.nodes[0])
+    assert np.array_equal(dup.elements[0], mesh.elements[0]) and 4 in dup.elements[1]
 
 
 # Kuhn decomposition of the unit cube into 6 tets along the v0-v7 diagonal,
