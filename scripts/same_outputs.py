@@ -2,28 +2,41 @@
 
     python scripts/same_outputs.py DIR_A DIR_B
 
-Compares ``load_disp.csv``, ``energy.csv``, ``intermediates.csv`` and every
-snapshot under ``snapshots/`` of the two ``pffrac run`` output directories.
-It exits 0 when all of them are byte-identical and both directories hold
-the same snapshots.  Otherwise it prints the first file that differs (the
-CSVs in that order, then the snapshots by name), or is missing from one
-side, and exits 1.  ``run.json`` is not compared: it records the wall time.
+Compares ``load_disp.csv``, ``energy.csv``, ``intermediates.csv``,
+``run.json`` and every snapshot under ``snapshots/`` of the two ``pffrac
+run`` output directories.  ``run.json`` is compared as JSON without its wall
+time ``elapsed_s``, so its config, counters and back-step events must agree;
+the other files byte for byte.  It exits 0 when all of them agree and both
+directories hold the same snapshots.  Otherwise it prints the first file
+that differs (the CSVs in that order, ``run.json``, then the snapshots by
+name), or is missing from one side, and exits 1.
 Exit 2: a directory does not exist.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-CSVS = ("load_disp.csv", "energy.csv", "intermediates.csv")
+FILES = ("load_disp.csv", "energy.csv", "intermediates.csv", "run.json")
 
 
 def compared(a: Path, b: Path) -> list:
     """The names compared, relative to a run directory, in order."""
     snapshots = {p.relative_to(d).as_posix() for d in (a, b) for p in (d / "snapshots").glob("*")}
-    return list(CSVS) + sorted(snapshots)
+    return list(FILES) + sorted(snapshots)
+
+
+def content(path: Path):
+    """What is compared of a file: ``run.json`` without ``elapsed_s``, any
+    other file's bytes."""
+    if path.name != "run.json":
+        return path.read_bytes()
+    record = json.loads(path.read_text())
+    record.pop("elapsed_s", None)
+    return record
 
 
 def first_difference(a: Path, b: Path) -> str | None:
@@ -34,7 +47,7 @@ def first_difference(a: Path, b: Path) -> str | None:
         missing = [str(d) for d, f in ((a, fa), (b, fb)) if not f.is_file()]
         if missing:
             return f"{name}: missing in {', '.join(missing)}"
-        if fa.read_bytes() != fb.read_bytes():
+        if content(fa) != content(fb):
             return f"{name}: differs"
     return None
 

@@ -62,7 +62,7 @@ class DirichletSpec:
 
 @dataclass(frozen=True)
 class LoadProgram:
-    """Monotone displacement-controlled schedule: w(n) = n * dw."""
+    """Monotone displacement-controlled schedule: w(n) = n * dw, w(0) = +0."""
 
     n_steps: int
     dw: float
@@ -73,7 +73,7 @@ class LoadProgram:
             raise ValueError("n_steps must be >= 1")
 
     def w(self, n: int) -> float:
-        return n * self.dw
+        return n * self.dw if n else 0.0
 
 
 @dataclass(frozen=True)
@@ -161,15 +161,15 @@ class RunHistory:
 def check_run_inputs(mesh: Mesh, program: LoadProgram) -> None:
     """Raise KeyError for a Dirichlet spec naming a node set the mesh lacks,
     and ValueError for a component that does not fit the mesh dimension or
-    for a program whose ``load_vector`` is zero: w would move no dof, and
-    every step would record the reaction 0."""
+    for a program whose ``dw`` or ``load_vector`` is zero: w would move no
+    dof, and every step would record the reaction 0."""
     for bc in program.bcs:
         if bc.node_set not in mesh.node_sets:
             raise KeyError(f"unknown node set {bc.node_set!r}")
         if not 0 <= bc.component < mesh.dim:
             raise ValueError(f"{bc}: a {mesh.dim}-D mesh has no component {bc.component}")
-    if not np.any(load_vector(program, mesh)):
-        raise ValueError("the program loads nothing: no Dirichlet spec moves a dof with w")
+    if program.dw == 0.0 or not np.any(load_vector(program, mesh)):
+        raise ValueError("the program loads nothing: dw is 0, or no Dirichlet spec moves a dof with w")
 
 
 def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
@@ -253,6 +253,7 @@ def run(
         u_d_next = lifting_for_step(program, step_n + 1, mesh)
         res = alternate_minimize(guess.u, guess.a, guess_rw, prev.a, u_d_next, kernels, p, cfg, dofmap)
         guess_rw = res.rw
+        bulk = erg_from_psi(res.psi_p, res.psi_m, res.rw, kernels)
         report = check_two_sided(
             prev.u,
             lifting_for_step(program, step_n, mesh),
@@ -264,7 +265,7 @@ def run(
             p,
             bt.eta,
             erg_curr=prev.bulk_energy,
-            erg_next=erg_from_psi(res.psi_p, res.psi_m, res.rw, kernels),
+            erg_next=bulk,
             dis_curr=res.dis_n,
         )
         guess = SolveRecord(
@@ -272,7 +273,7 @@ def run(
             u=res.u,
             a=res.a,
             report=report,
-            bulk_energy=report.erg_next,
+            bulk_energy=bulk,
             reaction=reaction_force(res.spectrum, res.rw, kernels, p, load),
             alt_iters=res.alt_iters,
             newton_iters_u=res.newton_iters_u,

@@ -52,11 +52,10 @@ __all__ = [
 class EnergyReport:
     """Per-step energy audit of the two-sided inequality.
 
-    ``erg_next`` is the degraded bulk energy of the next state, the ERG part
-    of ``e_next``, and ``dis_next`` its dissipation ``dis(a_next)``, the
-    ``dis_curr`` of the next step pair.  ``irreversibility_violation`` flags
-    a ``d_inc`` below -1e-8*(1 + dis(a_n)): the penalty factor is too large
-    for the step.
+    ``e_next`` is the stored energy of the next state and ``dis_next`` its
+    dissipation ``dis(a_next)``, the ``dis_curr`` of the next step pair.
+    ``irreversibility_violation`` flags a ``d_inc`` below
+    -1e-8*(1 + dis(a_n)): the penalty factor is too large for the step.
     """
 
     e_next: float
@@ -65,7 +64,6 @@ class EnergyReport:
     lb: float
     ub: float
     passed: bool
-    erg_next: float
     dis_next: float
     irreversibility_violation: bool
 
@@ -189,7 +187,6 @@ def check_two_sided(
         lb=lb,
         ub=ub,
         passed=bool(passed),
-        erg_next=erg_next,
         dis_next=dis_next,
         irreversibility_violation=bool(d_inc < -_DISS_REL_TOL * (1.0 + dis_curr)),
     )

@@ -492,8 +492,9 @@ def residual_and_tangent_u(
 
     The tangent is an ``UpperMatrix``, SPD for damage below one and k > 0.
     """
+    pattern = u_pattern(kernels, dofmap)  # built on first use, before the force's temporaries
     full = _force(spectrum, rw, kernels, p)
-    return full[dofmap.free], u_pattern(kernels, dofmap).assemble(_tangent_u_blocks(spectrum, rw, kernels, p))
+    return full[dofmap.free], pattern.assemble(_tangent_u_blocks(spectrum, rw, kernels, p))
 
 
 def _tangent_u_blocks(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams):

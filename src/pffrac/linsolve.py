@@ -12,12 +12,12 @@ matrices straight into those values, and the entries below the reordered
 diagonal are never formed.  Each factorization is then a zeroed band array,
 one scatter of the values and one LAPACK call, and the solution's residual
 is checked against the stored entries, the matrix that was factored (the
-band itself is overwritten by its factor).
-This is the only solve path.  A structure whose band would take more than
-``BAND_BYTES_BUDGET`` is refused while its ordering is built, as soon as
-the bandwidth is known and before any band is allocated.  Solutions are
-residual-checked, and a tangent that is not positive definite is reported
-instead of silently returning garbage.
+band itself is overwritten by its factor).  ``factor_solve(a, b)`` solves
+under ``a.ordering`` and reports a tangent that is not positive definite
+instead of returning garbage; ``eliminate`` pins dofs of a tangent before
+its solve.  This is the only solve path.  A structure whose band would take
+more than ``BAND_BYTES_BUDGET`` is refused while its ordering is built, as
+soon as the bandwidth is known and before any band is allocated.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "LinearSolveError",
     "BandOrdering",
     "UpperMatrix",
+    "eliminate",
     "factor_solve",
     "concat_ranges",
     "pseudo_peripheral_rcm",
@@ -301,21 +302,26 @@ def _banded_solve(a: UpperMatrix, b: np.ndarray) -> np.ndarray:
     return y[o.inv]
 
 
-def factor_solve(a: UpperMatrix, b: np.ndarray, ordering: BandOrdering) -> np.ndarray:
-    """Solve the SPD system a x = b by banded Cholesky.
+def eliminate(mat: UpperMatrix, pinned: np.ndarray) -> None:
+    """Decouple the pinned dofs of a tangent in place: zero their rows and
+    columns and put 1 on their diagonal (which every pattern stores), so
+    that with a zeroed right-hand side their increment is 0."""
+    o = mat.ordering
+    drop = pinned[o.rows] | pinned[o.cols]
+    mat.values[drop] = o.rows[drop] == o.cols[drop]
 
-    ``ordering`` is the band ordering ``a`` is stored under (as kept by an
-    assembly pattern); its band is within ``BAND_BYTES_BUDGET``, since it
-    was built.  The relative residual, taken with the stored entries, is
-    bounded by 1e-10; a violation raises LinearSolveError
-    ("indefinite/singular").
+
+def factor_solve(a: UpperMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve the SPD system a x = b by banded Cholesky under ``a.ordering``.
+
+    Its band is within ``BAND_BYTES_BUDGET``, since it was built.  The
+    relative residual, taken with the stored entries, is bounded by 1e-10;
+    a violation raises LinearSolveError ("indefinite/singular").
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
     if a.ordering.n != n:
         raise LinearSolveError(f"matrix of size {a.ordering.n} incompatible with rhs {n}")
-    if a.ordering is not ordering:
-        raise LinearSolveError("matrix is stored under another band ordering")
     if not np.all(np.isfinite(b)):
         raise LinearSolveError("non-finite right-hand side")
 

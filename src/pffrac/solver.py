@@ -37,14 +37,12 @@ from .energetics import bulk_merit, dis, functional_from_psi
 from .fem import (
     DofMap,
     ElementKernels,
-    damage_blocks,
     damage_fields,
     residual_and_tangent_beta,
     residual_and_tangent_u,
     strain_spectrum,
-    u_pattern,
 )
-from .linsolve import LinearSolveError, UpperMatrix, factor_solve
+from .linsolve import LinearSolveError, eliminate, factor_solve
 from .material import MaterialParams, StrainSpectrum, psi_split
 
 __all__ = ["SolverConfig", "AltResult", "StepFailure", "newton_u", "newton_beta", "alternate_minimize"]
@@ -70,12 +68,10 @@ class SolverConfig:
 
 
 class StepFailure(RuntimeError):
-    """A Newton or alternation loop failed; carries the best state so far."""
+    """A Newton or alternation loop failed.  ``alternate_minimize`` sets
+    ``u`` and ``a`` to the state at the start of the failing alternation."""
 
-    def __init__(self, message: str, u=None, a=None):
-        super().__init__(message)
-        self.u = u
-        self.a = a
+    u = a = None
 
 
 @dataclass
@@ -103,15 +99,6 @@ class AltResult:
     rw: np.ndarray
     dis_n: float
     functional_trace: list = field(default_factory=list)
-
-
-def _eliminate(mat: UpperMatrix, pinned: np.ndarray) -> None:
-    """Decouple the pinned dofs of a tangent in place: zero their rows and
-    columns and put 1 on their diagonal (which every pattern stores), so
-    that with a zeroed right-hand side their increment is 0."""
-    o = mat.ordering
-    drop = pinned[o.rows] | pinned[o.cols]
-    mat.values[drop] = o.rows[drop] == o.cols[drop]
 
 
 def _line_search(evaluate, project, x, dx, e0, slope, t):
@@ -142,7 +129,7 @@ def _line_search(evaluate, project, x, dx, e0, slope, t):
     return found, trials
 
 
-def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bounds=None, start=None, step=1.0):
+def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, bounds=None, start=None, step=1.0):
     """Line-search-safeguarded (projected) Newton on a convex piecewise-smooth
     energy, optionally subject to box constraints.
 
@@ -150,8 +137,7 @@ def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bound
     needs of it; ``system_fn(x, data)`` returns the (residual, tangent) pair
     in one evaluation.  So each point is evaluated once: the accepted trial's
     energy and data serve the next iteration.  ``start``, when given, is what
-    ``evaluate(x0)`` would return.  Every tangent is stored under the band
-    ``ordering``.
+    ``evaluate(x0)`` would return.
     Every applied increment must pass an Armijo test on the energy, so the
     iteration is strictly non-increasing; with bounds, dofs pinned at a bound
     with an outward-pushing gradient are eliminated from the Newton system
@@ -196,10 +182,10 @@ def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bound
                 return x, k, e0, data, step, trials  # every dof pinned at a bound
             if pinned.any():
                 r = np.where(pinned, 0.0, r)
-                _eliminate(mat, pinned)
+                eliminate(mat, pinned)
 
         try:
-            dx = factor_solve(mat, -r, ordering)
+            dx = factor_solve(mat, -r)
         except LinearSolveError as exc:
             raise StepFailure(f"{label} linear solve failed: {exc}") from exc
         slope = float(np.dot(r, dx))  # -r^T K^{-1} r <= 0 for SPD tangents
@@ -220,7 +206,6 @@ def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, ordering, bound
 def newton_u(
     u0: np.ndarray,
     u_d: np.ndarray,
-    a_fixed: np.ndarray,
     rw: np.ndarray,
     kernels: ElementKernels,
     p: MaterialParams,
@@ -229,8 +214,8 @@ def newton_u(
     state: tuple,
     step: float = 1.0,
 ):
-    """Damped Newton on the displacement residual at the fixed damage a_fixed,
-    whose ``degradation_weights`` are ``rw``, started from u0 with its
+    """Damped Newton on the displacement residual at the fixed damage whose
+    ``degradation_weights`` are ``rw``, started from u0 with its
     constrained dofs set to zero; ``state`` is (spectrum, psi_p, psi_m) of
     that start plus u_d, its ``strain_spectrum`` and the ``psi_split`` of
     that, and ``step`` the start of the first line search.
@@ -241,7 +226,7 @@ def newton_u(
     and ``trials`` the number of trial merits.  The merit function is the
     degraded bulk energy, convex along every search line; each displacement
     state is decomposed, and its energy densities computed, once, for its
-    merit, residual and tangent alike.
+    merit, residual and tangent alike.  A failure raises a bare StepFailure.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
     u[dofmap.fixed] = 0.0
@@ -254,28 +239,22 @@ def newton_u(
         psi_p, psi_m = psi_split(spec, p)
         return bulk_merit(psi_p, psi_m, rw, kernels), (spec, psi_p, psi_m)
 
-    try:
-        x, iters, _, state, step, trials = _box_newton(
-            u[free],
-            evaluate,
-            lambda x, st: residual_and_tangent_u(st[0], rw, kernels, p, dofmap),
-            cfg.tol_u,
-            cfg.max_newton,
-            "newton_u",
-            u_pattern(kernels, dofmap).ordering,
-            start=(bulk_merit(state[1], state[2], rw, kernels), state),
-            step=step,
-        )
-    except StepFailure as exc:
-        exc.u, exc.a = u, a_fixed
-        raise
+    x, iters, _, state, step, trials = _box_newton(
+        u[free],
+        evaluate,
+        lambda x, st: residual_and_tangent_u(st[0], rw, kernels, p, dofmap),
+        cfg.tol_u,
+        cfg.max_newton,
+        "newton_u",
+        start=(bulk_merit(state[1], state[2], rw, kernels), state),
+        step=step,
+    )
     u[free] = x
     return u, iters, state, step, trials
 
 
 def newton_beta(
     a0: np.ndarray,
-    u_fixed: np.ndarray,
     a_n: np.ndarray,
     dis_n: float,
     kernels: ElementKernels,
@@ -286,8 +265,8 @@ def newton_beta(
 ):
     """Semi-smooth Newton on the penalized damage residual at fixed
     displacement, bound-constrained to [0, 1].  ``psi_p`` and ``psi_m`` are
-    the element energy densities of the displacement, u_fixed plus its
-    lifting, and ``dis_n`` the anchor's dissipation ``dis(a_n)``.
+    the element energy densities of the displacement plus its lifting, and
+    ``dis_n`` the anchor's dissipation ``dis(a_n)``.
 
     Returns (a, iterations, functional, rw, trials): ``functional`` is the
     penalized incremental functional (``functional_from_psi``) of the
@@ -296,29 +275,24 @@ def newton_beta(
     ``damage_fields`` are built once, by its merit, and serve its residual
     and tangent and, for the returned state, ``rw``.  Every line search
     starts from the full step (see ``_box_newton``).  The bounds are
-    enforced inside the solve (projected active-set Newton), so the
-    discrete overshoot of the unconstrained minimizer above 1 near a
-    localized crack never enters the state.
+    enforced inside the solve (projected active-set Newton), so the discrete
+    overshoot of the unconstrained minimizer above 1 near a localized crack
+    never enters the state.  A failure raises a bare StepFailure.
     """
 
     def evaluate(x):
         fields = damage_fields(kernels, x, a_n, p)
         return functional_from_psi(psi_p, psi_m, x, fields, dis_n, kernels, p), fields
 
-    try:
-        a, iters, merit, fields, _, trials = _box_newton(
-            a0,
-            evaluate,
-            lambda x, fields: residual_and_tangent_beta(psi_p, x, fields, kernels, p),
-            cfg.tol_a,
-            cfg.max_newton,
-            "newton_beta",
-            damage_blocks(kernels).pattern.ordering,
-            bounds=(0.0, 1.0),
-        )
-    except StepFailure as exc:
-        exc.u, exc.a = u_fixed, a0
-        raise
+    a, iters, merit, fields, _, trials = _box_newton(
+        a0,
+        evaluate,
+        lambda x, fields: residual_and_tangent_beta(psi_p, x, fields, kernels, p),
+        cfg.tol_a,
+        cfg.max_newton,
+        "newton_beta",
+        bounds=(0.0, 1.0),
+    )
     return a, iters, merit, fields.weights(kernels), trials
 
 
@@ -341,7 +315,9 @@ def alternate_minimize(
     ``degradation_weights`` of a_start.  Each displacement line search
     starts from the step the last one of this call accepted, the first from
     1.  Each state is evaluated once and handed on (see the module
-    docstring).
+    docstring).  A StepFailure leaving this call, of a Newton solve or of
+    ``max_alt``, carries the state (u, a) at the start of the alternation
+    that failed; a LinearSolveError from the band budget passes through.
     """
     u = np.array(u_start, dtype=np.float64, copy=True)
     u[dofmap.fixed] = 0.0
@@ -355,32 +331,36 @@ def alternate_minimize(
     spectrum = strain_spectrum(kernels, u + u_d_next)
     state = (spectrum, *psi_split(spectrum, p))
 
-    for i in range(1, cfg.max_alt + 1):
-        u_new, nu, state, step, tu = newton_u(u, u_d_next, a, rw, kernels, p, cfg, dofmap, state, step=step)
-        a_new, nb, functional, rw, tb = newton_beta(a, u_new, a_n, dis_n, kernels, p, cfg, *state[1:])
-        iters_u += nu
-        iters_b += nb
-        trials_u += tu
-        trials_b += tb
-        trace.append(functional)
+    try:
+        for i in range(1, cfg.max_alt + 1):
+            u_new, nu, state, step, tu = newton_u(u, u_d_next, rw, kernels, p, cfg, dofmap, state, step=step)
+            a_new, nb, functional, rw, tb = newton_beta(a, a_n, dis_n, kernels, p, cfg, *state[1:])
+            iters_u += nu
+            iters_b += nb
+            trials_u += tu
+            trials_b += tb
+            trace.append(functional)
 
-        du = float(np.max(np.abs(u_new - u))) if u.size else 0.0
-        da = float(np.max(np.abs(a_new - a))) if a.size else 0.0
-        u, a = u_new, a_new
-        if du <= cfg.tol_u and da <= cfg.tol_a:
-            return AltResult(
-                u=u,
-                a=a,
-                alt_iters=i,
-                newton_iters_u=iters_u,
-                newton_iters_beta=iters_b,
-                trials_u=trials_u,
-                trials_beta=trials_b,
-                spectrum=state[0],
-                psi_p=state[1],
-                psi_m=state[2],
-                rw=rw,
-                dis_n=dis_n,
-                functional_trace=trace,
-            )
-    raise StepFailure(f"alternate_minimize: no convergence in {cfg.max_alt} alternations", u=u, a=a)
+            du = float(np.max(np.abs(u_new - u))) if u.size else 0.0
+            da = float(np.max(np.abs(a_new - a))) if a.size else 0.0
+            u, a = u_new, a_new
+            if du <= cfg.tol_u and da <= cfg.tol_a:
+                return AltResult(
+                    u=u,
+                    a=a,
+                    alt_iters=i,
+                    newton_iters_u=iters_u,
+                    newton_iters_beta=iters_b,
+                    trials_u=trials_u,
+                    trials_beta=trials_b,
+                    spectrum=state[0],
+                    psi_p=state[1],
+                    psi_m=state[2],
+                    rw=rw,
+                    dis_n=dis_n,
+                    functional_trace=trace,
+                )
+        raise StepFailure(f"alternate_minimize: no convergence in {cfg.max_alt} alternations")
+    except StepFailure as exc:
+        exc.u, exc.a = u, a
+        raise

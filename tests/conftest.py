@@ -143,4 +143,4 @@ def rcm_solve(a, b):
     """``factor_solve`` of the matrix a under scipy's reverse Cuthill-McKee
     ordering of its CSC structure."""
     k = stored(a)
-    return factor_solve(k, b, k.ordering)
+    return factor_solve(k, b)

@@ -305,8 +305,9 @@ class TestCmdRun:
             ("program.bc=bottom:y:0; nope:y:1", "unknown node set 'nope'"),
             ("run.scale=abc", "config error: run.scale: could not convert string to float: 'abc'"),
             ("program.bc=bottom:y:0;pin:x:0", "config error: the program loads nothing"),
+            ("program.dw=0", "config error: the program loads nothing"),
         ],
-        ids=["bc_z", "bc_set", "scale_abc", "bc_no_load"],
+        ids=["bc_z", "bc_set", "scale_abc", "bc_no_load", "dw_zero"],
     )
     def test_component_beyond_mesh_dim_exit_2(self, tmp_path, capsys, item, named):
         # a spec that does not fit the mesh, or a value that does not parse
@@ -519,6 +520,13 @@ class TestCmdRun:
         assert run_log["accepted_steps"] == 5
         assert not run_log["aborted"]
         assert (out / "snapshots" / "step_000005.vtk").exists()
+
+    def test_negative_dw_writes_positive_zero(self, tmp_path):
+        # w(0) = 0 * dw is -0.0 for a negative dw; the first row writes +0
+        out = tmp_path / "out"
+        argv = ["run", "--preset", "sent", "--scale", "0.05", "--steps", "1", "--set", "program.dw=-1e-4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (out / "load_disp.csv").read_text().splitlines()[1] == "0,0,0"
 
     def test_rerun_bitwise_identical(self, sent_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -231,7 +231,7 @@ class TestCheckTwoSided:
         e_curr = stored_energy(u_n, ud1, a_n, kern, sent_params)
         dis_next = dis(a_next, kern, sent_params)
         d_inc = dis_next - dis_curr
-        assert (rep.e_next, rep.d_inc, rep.erg_next, rep.dis_next) == (e_next, d_inc, erg_next, dis_next)
+        assert (rep.e_next, rep.d_inc, rep.dis_next) == (e_next, d_inc, dis_next)
         assert rep.delta == e_next - e_curr + d_inc
         assert rep.ub == upper_bound(u_n, ud1, ud2, a_n, kern, sent_params)
         assert rep.lb == lower_bound(u_next, ud1, ud2, a_next, kern, sent_params)

@@ -426,17 +426,17 @@ class TestBandOrdering:
 
     def test_factor_solve_bitwise_repeatable(self, sent_tangent):
         kern, dm, r, k = sent_tangent
-        o = u_pattern(kern, dm).ordering
         pat = u_pattern(kern, dm)
-        x = factor_solve(k, -r, o)
-        assert np.array_equal(x, factor_solve(k, -r, o))
-        fresh = BandOrdering.from_structure(pat.indptr, pat.indices, o.perm)
-        assert np.array_equal(x, factor_solve(stored(dense(k), fresh), -r.copy(), fresh))
+        x = factor_solve(k, -r)
+        assert np.array_equal(x, factor_solve(k, -r))
+        fresh = BandOrdering.from_structure(pat.indptr, pat.indices, pat.ordering.perm)
+        assert np.array_equal(x, factor_solve(stored(dense(k), fresh), -r.copy()))
         assert np.linalg.norm(k @ x + r) <= 1e-10 * np.linalg.norm(r)
 
     def test_one_ordering_per_pattern(self, monkeypatch):
-        # every Newton solve gets its pattern's ordering, built once, also
-        # on damage tangents with pinned dofs eliminated
+        # every Newton solve's matrix is stored under its pattern's
+        # ordering, built once, also on damage tangents with pinned dofs
+        # eliminated
         p = MaterialParams.from_lame_kn(
             121.1538, 80.7692, gc=2.7, ell=0.0175, dissipation="AT1", kappa=1.0, eps_pen=1e-6
         )
@@ -445,18 +445,18 @@ class TestBandOrdering:
         dm = DofMap.from_constraints(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
         kern = build_kernels(mesh)
         solves, eliminated = [], []
-        real_solve, real_eliminate = solver.factor_solve, solver._eliminate
+        real_solve, real_eliminate = solver.factor_solve, solver.eliminate
 
-        def spy_solve(a, b, ordering):
-            solves.append((a.ordering, ordering))
-            return real_solve(a, b, ordering)
+        def spy_solve(a, b):
+            solves.append(a.ordering)
+            return real_solve(a, b)
 
         def spy_eliminate(mat, pinned):
             eliminated.append(int(pinned.sum()))
             real_eliminate(mat, pinned)
 
         monkeypatch.setattr(solver, "factor_solve", spy_solve)
-        monkeypatch.setattr(solver, "_eliminate", spy_eliminate)
+        monkeypatch.setattr(solver, "eliminate", spy_eliminate)
         # only the upper half is stretched: its damage reaches 1 while the
         # lower half stays below the AT1 threshold, pinned at 0
         u_d = np.zeros(2 * mesh.n_nodes)
@@ -466,19 +466,18 @@ class TestBandOrdering:
         stretch = strain_spectrum(kern, u_d)
         state = (stretch, *psi_split(stretch, p))
         rw = degradation_weights(kern, z, p)
-        u = solver.newton_u(np.zeros_like(u_d), u_d, z, rw, kern, p, cfg, dm, state)[0]
+        u = solver.newton_u(np.zeros_like(u_d), u_d, rw, kern, p, cfg, dm, state)[0]
         n_u = len(solves)
-        a = solver.newton_beta(z, np.zeros_like(u), z, dis(z, kern, p), kern, p, cfg, *state[1:])[0]
+        a = solver.newton_beta(z, z, dis(z, kern, p), kern, p, cfg, *state[1:])[0]
         assert a.max() == 1.0 and a.min() == 0.0
         assert n_u >= 1 and len(solves) > n_u and any(eliminated)
 
         pat_u, pat_b = u_pattern(kern, dm), damage_blocks(kern).pattern
         for pat, calls in ((pat_u, solves[:n_u]), (pat_b, solves[n_u:])):
-            for stored_under, ordering in calls:
-                assert stored_under is ordering is pat.ordering
+            assert all(ordering is pat.ordering for ordering in calls)
         again = strain_spectrum(kern, u + 1.1 * u_d)
-        solver.newton_u(u, 1.1 * u_d, z, rw, kern, p, cfg, dm, (again, *psi_split(again, p)))
-        assert u_pattern(kern, dm) is pat_u and solves[-1][1] is pat_u.ordering
+        solver.newton_u(u, 1.1 * u_d, rw, kern, p, cfg, dm, (again, *psi_split(again, p)))
+        assert u_pattern(kern, dm) is pat_u and solves[-1] is pat_u.ordering
 
 
 PATTERN_PRESETS = [
@@ -631,7 +630,7 @@ class TestBlockAssembly:
         tracemalloc.start()
         try:
             r, k = fem.residual_and_tangent_u(spec, rw, kern, p, dm)
-            factor_solve(k, -r, o)
+            factor_solve(k, -r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,6 +1,7 @@
 """The output comparison script (scripts/same_outputs.py) on two tiny runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from pffrac.cli import main
@@ -17,15 +18,24 @@ def load_script():
 
 def test_names_the_first_file_that_differs(tmp_path, capsys):
     # two runs of one config agree although their run.json differ (wall
-    # time); one altered byte in a snapshot, or a snapshot missing on one
-    # side, is named
+    # time); an edited run.json counter, one altered byte in a snapshot, or
+    # a snapshot missing on one side, is named
     same_outputs = load_script()
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert main(["run", "--preset", "sent", "--scale", "0.05", "--steps", "2", "--out", str(out)]) == 0
     capsys.readouterr()
     assert same_outputs.main([str(a), str(b)]) == 0
-    assert capsys.readouterr().out == "same outputs (6 files)\n"
+    assert capsys.readouterr().out == "same outputs (7 files)\n"
+
+    record = json.loads((b / "run.json").read_text())
+    record["all_solves"]["trials_u"] += 1
+    (b / "run.json").write_text(json.dumps(record))
+    assert same_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "run.json: differs\n"
+    record["all_solves"]["trials_u"] -= 1
+    record["elapsed_s"] += 1.0
+    (b / "run.json").write_text(json.dumps(record))
 
     snap = b / "snapshots" / "step_000001.vtk"
     data = bytearray(snap.read_bytes())

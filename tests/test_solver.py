@@ -4,11 +4,11 @@ import pytest
 from conftest import box_mesh, damage_system, dense, displacement_system, internal_force, random_state, rcm_solve
 from oracles import damage_merit, total_functional
 from pffrac.energetics import dis
-from pffrac.fem import DofMap, build_kernels, damage_blocks, degradation_weights, strain_spectrum, u_pattern
+from pffrac.fem import DofMap, build_kernels, degradation_weights, strain_spectrum, u_pattern
 from pffrac import energetics, fem, solver
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split
-from pffrac.linsolve import BandOrdering, UpperMatrix, factor_solve
-from pffrac.solver import SolverConfig, StepFailure, _eliminate, alternate_minimize, newton_beta
+from pffrac.linsolve import BandOrdering, UpperMatrix, eliminate, factor_solve
+from pffrac.solver import SolverConfig, StepFailure, alternate_minimize, newton_beta
 
 
 def make_patch(divisions=2, constrain_x=True):
@@ -41,14 +41,14 @@ def newton_u_from(u0, u_d, a, kern, p, cfg, dm):
     start = u0.copy()
     start[dm.fixed] = 0.0
     rw = degradation_weights(kern, a, p)
-    return solver.newton_u(u0, u_d, a, rw, kern, p, cfg, dm, displacement_state(kern, start + u_d, p))[:3]
+    return solver.newton_u(u0, u_d, rw, kern, p, cfg, dm, displacement_state(kern, start + u_d, p))[:3]
 
 
 def newton_beta_at(a0, u_fixed, u_d, a_n, kern, p, cfg):
     """``newton_beta`` at the displacement u_fixed + u_d: (a, iterations,
     functional)."""
     _, psi_p, psi_m = displacement_state(kern, u_fixed + u_d, p)
-    return newton_beta(a0, u_fixed, a_n, dis(a_n, kern, p), kern, p, cfg, psi_p, psi_m)[:3]
+    return newton_beta(a0, a_n, dis(a_n, kern, p), kern, p, cfg, psi_p, psi_m)[:3]
 
 
 def alternate(u0, a0, a_n, u_d, kern, p, cfg, dm):
@@ -148,8 +148,8 @@ class TestNewtonBeta:
         pinned = rng.uniform(size=a.size) < 0.4
         free = np.flatnonzero(~pinned)
         want = rcm_solve(reduced[np.ix_(free, free)], -r[free])
-        _eliminate(mat, pinned)
-        dx = factor_solve(mat, -np.where(pinned, 0.0, r), damage_blocks(kern).pattern.ordering)
+        eliminate(mat, pinned)
+        dx = factor_solve(mat, -np.where(pinned, 0.0, r))
         assert np.all(dx[pinned] == 0.0)
         assert np.abs(dx[free] - want).max() <= 1e-12 * np.abs(want).max()
         eliminated = reduced.copy()
@@ -296,7 +296,7 @@ class TestLineSearch:
         monkeypatch.setattr(solver, "_line_search", search)
         for bounds, want in ((None, [1.0, 0.25]), ((-5.0, 5.0), [1.0, 1.0])):
             starts.clear()
-            x, iters, *_ = solver._box_newton(np.array([2.0]), evaluate, system, 1e-12, 20, "sqrt", one, bounds=bounds)
+            x, iters, *_ = solver._box_newton(np.array([2.0]), evaluate, system, 1e-12, 20, "sqrt", bounds=bounds)
             assert abs(x[0]) <= 1e-12 and iters > 2
             assert starts[:2] == want
             if bounds is not None:
@@ -453,19 +453,57 @@ class TestAlternateMinimize:
         u_d = np.zeros(2 * mesh.n_nodes)
         u_d[1::2] = 0.04 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
         a_n = np.zeros(mesh.n_nodes)
-        states = []
-        real_newton_beta = solver.newton_beta
+        displacements, states = [], []
+        real_newton_u, real_newton_beta = solver.newton_u, solver.newton_beta
 
-        def spy(a0, u_fixed, a_n, *rest):
-            out = real_newton_beta(a0, u_fixed, a_n, *rest)
-            states.append((u_fixed, u_d, out[0], a_n))
+        def spy_u(*args, **kwargs):
+            out = real_newton_u(*args, **kwargs)
+            displacements.append(out[0])
             return out
 
-        monkeypatch.setattr(solver, "newton_beta", spy)
+        def spy_beta(a0, a_n, *rest):
+            out = real_newton_beta(a0, a_n, *rest)
+            states.append((out[0], a_n))
+            return out
+
+        monkeypatch.setattr(solver, "newton_u", spy_u)
+        monkeypatch.setattr(solver, "newton_beta", spy_beta)
         res = alternate(np.zeros(2 * mesh.n_nodes), a_n, a_n, u_d, kern, sent_params, SolverConfig(), dm)
-        assert len(res.functional_trace) == len(states) == res.alt_iters > 1
-        for f, (u, ud, a, an) in zip(res.functional_trace, states):
-            assert f == damage_merit(u, ud, a, an, kern, sent_params)
+        assert len(res.functional_trace) == len(displacements) == len(states) == res.alt_iters > 1
+        for f, u, (a, an) in zip(res.functional_trace, displacements, states):
+            assert f == damage_merit(u, u_d, a, an, kern, sent_params)
+
+    def test_failure_carries_alternation_start(self, sent_params, monkeypatch):
+        # a damage solve failing in the second alternation of the cracking
+        # patch: the failure leaves with that alternation's starting state,
+        # the first alternation's result
+        mesh, kern, dm = make_patch(divisions=3)
+        u_d = np.zeros(2 * mesh.n_nodes)
+        u_d[1::2] = 0.04 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
+        a_n = np.zeros(mesh.n_nodes)
+        results = []
+        real_newton_u, real_newton_beta = solver.newton_u, solver.newton_beta
+
+        def spy_u(*args, **kwargs):
+            out = real_newton_u(*args, **kwargs)
+            results.append(out[0])
+            return out
+
+        def fail_second(*args):
+            if len(results) == 3:  # the first alternation's (u, a), then u
+                raise StepFailure("newton_beta: no convergence in 0 iterations")
+            out = real_newton_beta(*args)
+            results.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver, "newton_u", spy_u)
+        monkeypatch.setattr(solver, "newton_beta", fail_second)
+        with pytest.raises(StepFailure) as exc:
+            alternate(np.zeros(2 * mesh.n_nodes), a_n, a_n, u_d, kern, sent_params, SolverConfig(), dm)
+        u_first, a_first, u_second = results[:3]
+        assert len(results) == 3 and a_first.max() > 0.0
+        assert np.array_equal(exc.value.u, u_first) and np.array_equal(exc.value.a, a_first)
+        assert not np.array_equal(exc.value.u, u_second)
 
     def test_failure_carries_best_state(self, sent_params):
         mesh, kern, dm = make_patch(divisions=3)
