@@ -42,10 +42,17 @@ def test_singular_raises():
         rcm_solve(a, np.array([1.0, 1.0]))
 
 
-def test_zero_rhs(rng):
-    for a in (sp.csr_matrix(np.diag([2.0, 5.0])), random_sparse_spd(rng, 20, 0.2)):
-        n = a.shape[0]
-        assert np.array_equal(rcm_solve(a, np.zeros(n)), np.zeros(n))
+def test_zero_rhs():
+    a = sp.csr_matrix(np.diag([2.0, 5.0]))
+    assert np.array_equal(rcm_solve(a, np.zeros(2)), np.zeros(2))
+
+
+def test_structure_mismatch_raises_on_zero_rhs(rng):
+    # the matrix size is checked before the zero right-hand side returns zeros
+    k = stored(random_sparse_spd(rng, 20, 0.2))
+    with pytest.raises(LinearSolveError, match="incompatible with rhs 19"):
+        factor_solve(k, np.zeros(19))
+    assert np.array_equal(factor_solve(k, np.zeros(20)), np.zeros(20))
 
 
 def test_random_spd_residual_bound(rng):
