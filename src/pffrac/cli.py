@@ -56,7 +56,7 @@ from .driver import (
 )
 from .energetics import check_two_sided, dis, erg
 from .fem import build_kernels
-from .material import MaterialParams
+from .material import AT1, MaterialParams
 from .solver import SolverConfig
 from .vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
@@ -197,6 +197,8 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
     kw["dissipation"] = read("material", "dissipation").strip()
     if mat.get("kappa", "").strip():
         kw["kappa"] = read("material", "kappa", _finite)
+        if kw["dissipation"] != AT1:
+            raise ValueError(f"material.kappa: kappa is read only by AT1, not by {kw['dissipation']}")
     make = MaterialParams.from_young_poisson_kn if young else MaterialParams.from_lame_kn
     setup = presets.RunSetup(
         name=preset,
@@ -262,9 +264,11 @@ def _snapshot_path(out_dir: Path, step: int) -> Path:
 
 def _drop_snapshots(out_dir: Path, after: int) -> None:
     """Remove the snapshots of steps past ``after``: an earlier run's before
-    a run starts, and after it those of states a back step replaced."""
+    a run starts, and after it those of states a back step replaced.  A
+    file whose name is not ``step_`` and digits is no snapshot and stays."""
     for path in (out_dir / "snapshots").glob("step_*.vtk"):
-        if int(path.stem[5:]) > after:
+        step = path.stem[5:]
+        if step.isascii() and step.isdigit() and int(step) > after:
             path.unlink()
 
 

@@ -21,15 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energetics import EnergyReport, check_two_sided, erg_from_psi
-from .fem import (
-    DofMap,
-    build_kernels,
-    degradation_weights,
-    reaction_force,
-    strain_spectrum,
-)
+from .fem import DofMap, build_kernels, degradation_weights, reaction_force
 from .linsolve import LinearSolveError
-from .material import MaterialParams, psi_split
+from .material import MaterialParams
 from .mesh import Mesh
 from .solver import SolverConfig, StepFailure, alternate_minimize
 
@@ -206,7 +200,11 @@ def run(
     """Execute the load program with energy-bound backtracking.
 
     Each record's ``reaction`` is the force conjugate to w,
-    ``reaction_force`` against the program's ``load_vector``.
+    ``reaction_force`` against the program's ``load_vector``.  The initial
+    record, u = 0 and a = 0 at w(0) = +0, is unloaded: its bulk energy and
+    reaction are 0.0 and are not evaluated, so nothing is decomposed before
+    the first solve; only its degradation weights, the first guess's, are
+    computed.
 
     Parameters
     ----------
@@ -230,11 +228,9 @@ def run(
 
     u0 = np.zeros(dofmap.n_dofs)
     a0 = np.zeros(mesh.n_nodes)
-    spectrum0 = strain_spectrum(kernels, u0 + lifting_for_step(program, 0, mesh))
+    # the unloaded initial state: zero strain, so zero energy and reaction
     rw0 = degradation_weights(kernels, a0, p)
-    bulk0 = erg_from_psi(*psi_split(spectrum0, p), rw0, kernels)
-    reaction0 = reaction_force(spectrum0, rw0, kernels, p, load)
-    history.steps.append(SolveRecord(step=0, u=u0, a=a0, report=None, bulk_energy=bulk0, reaction=reaction0))
+    history.steps.append(SolveRecord(step=0, u=u0, a=a0, report=None, bulk_energy=0.0, reaction=0.0))
 
     # the running guess and its degradation weights
     guess, guess_rw = history.steps[0], rw0

@@ -151,12 +151,18 @@ class ElementKernels:
 
 
 def build_kernels(mesh: Mesh) -> ElementKernels:
-    """Precompute P1 shape-function values, gradients and quadrature data."""
+    """Precompute P1 shape-function values, gradients and quadrature data.
+
+    The memory layout of ``b_u`` is part of its bits: it is C-contiguous,
+    and the einsum contractions over it sum in an order that follows the
+    layout, so a ``b_u`` with equal values and other strides changes the
+    results of a run.
+    """
     dim = mesh.dim
     nen = dim + 1
     x = mesh.nodes[mesh.elements]  # (n_e, nen, dim)
     # Jacobian columns are the edge vectors from node 0
-    jac = np.stack([x[:, k + 1] - x[:, 0] for k in range(dim)], axis=-1)
+    jac = np.ascontiguousarray(np.swapaxes(x[:, 1:] - x[:, :1], 1, 2))
 
     if dim == 2:
         detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
@@ -171,13 +177,19 @@ def build_kernels(mesh: Mesh) -> ElementKernels:
     grads = np.einsum("id,edD->eiD", _REF_GRADS[dim], jinv)  # (n_e, nen, dim)
 
     n_e = mesh.n_elements
-    voigt_i, voigt_j = VOIGT[dim]
-    b_u = np.zeros((n_e, len(voigt_i), nen * dim))
     # row k maps the element dofs to strain component k, u_i,j + u_j,i (or
-    # u_i,i on the diagonal); element dof dim*a + c is component c of node a
+    # u_i,i on the diagonal); element dof dim*a + c is component c of node
+    # a, so it reads gradient dim*a + j of the flat gradients where c = i,
+    # dim*a + i where c = j, and the zero column nen*dim elsewhere
+    voigt_i, voigt_j = VOIGT[dim]
+    gather = np.full((len(voigt_i), nen * dim), nen * dim)
     for k, (i, j) in enumerate(zip(voigt_i, voigt_j)):
-        b_u[:, k, i::dim] = grads[:, :, j]
-        b_u[:, k, j::dim] = grads[:, :, i]
+        gather[k, i::dim] = dim * np.arange(nen) + j
+        gather[k, j::dim] = dim * np.arange(nen) + i
+    ext = np.zeros((n_e, nen * dim + 1))
+    ext[:, :-1] = grads.reshape(n_e, nen * dim)
+    # one gather; np.take keeps b_u C-ordered, ext[:, gather] would not
+    b_u = np.take(ext, gather, axis=1)
 
     b_beta = np.swapaxes(grads, 1, 2)
 

@@ -88,7 +88,8 @@ class MaterialParams:
     dissipation : str
         "AT2" (quadratic) or "AT1" (linear with activation threshold).
     kappa : float or None
-        AT1 activation threshold (dimensionless); required iff AT1.
+        AT1 activation threshold (dimensionless); required with AT1 and
+        refused with AT2.
     eps_pen : float
         Irreversibility penalty factor (dimensionless).
     """
@@ -115,6 +116,8 @@ class MaterialParams:
             raise ValueError(f"unknown dissipation variant {self.dissipation!r}")
         if self.dissipation == AT1 and (self.kappa is None or self.kappa <= 0.0):
             raise ValueError("AT1 requires kappa > 0")
+        if self.dissipation != AT1 and self.kappa is not None:
+            raise ValueError(f"kappa is read only by AT1, not by {self.dissipation}")
 
     @classmethod
     def from_lame_kn(cls, lam_kn: float, mu_kn: float, **kw) -> "MaterialParams":

@@ -94,22 +94,6 @@ def _signed_measures(nodes: np.ndarray, elements: np.ndarray, dim: int) -> np.nd
     return np.einsum("ij,ij->i", d1, np.cross(d2, d3)) / 6.0
 
 
-def _fix_orientation(nodes: np.ndarray, elements: np.ndarray, dim: int) -> np.ndarray:
-    """Swap the last two nodes of elements with non-positive signed measure."""
-    elements = np.array(elements, dtype=np.int64, copy=True)
-    meas = _signed_measures(nodes, elements, dim)
-    flip = meas < 0.0
-    if np.any(flip):
-        elements[flip, -2], elements[flip, -1] = (
-            elements[flip, -1].copy(),
-            elements[flip, -2].copy(),
-        )
-        meas = _signed_measures(nodes, elements, dim)
-    if np.any(meas <= 0.0):
-        raise MeshError("degenerate element (zero measure)")
-    return elements
-
-
 # ---------------------------------------------------------------------------
 # Tensor-product grids
 # ---------------------------------------------------------------------------
@@ -117,7 +101,9 @@ def _fix_orientation(nodes: np.ndarray, elements: np.ndarray, dim: int) -> np.nd
 # Simplices of one grid cell, as indices into the cell's corners numbered
 # dx + 2*dy + 4*dz by their (dx, dy, dz) offsets: two triangles along the
 # 0-3 diagonal of a square, six tets along the 0-7 diagonal of a cube (Kuhn
-# decomposition).
+# decomposition).  Each row lists its simplex's vertices in positive order:
+# on a cell with increasing axes its signed measure is 1/2 (triangles) or
+# 1/6 (tets) of the cell's.
 _CELL_SIMPLICES = {
     2: np.array([(0, 1, 3), (0, 3, 2)]),
     3: np.array([(0, 1, 3, 7), (0, 3, 2, 7), (0, 2, 6, 7), (0, 6, 4, 7), (0, 4, 5, 7), (0, 5, 1, 7)]),
@@ -128,7 +114,12 @@ def generate_grid(axes, keep=None) -> Mesh:
     """Tensor-product simplex mesh from per-axis coordinate arrays.
 
     Nodes are numbered with the last axis fastest; cells are visited in the
-    same order and each contributes its simplices in table order.
+    same order and each contributes its simplices in table order.  The
+    elements are positively oriented by construction: every simplex of the
+    cell table has positive signed measure on a cell whose axes increase,
+    and the axes must increase strictly, so no element is measured or
+    flipped to orient it (``Mesh.validate`` still refuses a non-positive
+    one).
 
     Parameters
     ----------
@@ -171,7 +162,7 @@ def generate_grid(axes, keep=None) -> Mesh:
     remap = -np.ones(coords.shape[0], dtype=np.int64)
     remap[used] = np.arange(used.size)
     coords = coords[used]
-    elements = _fix_orientation(coords, remap[elements], dim)
+    elements = remap[elements]
 
     node_sets = {}
     labels = [("xmin", "xmax"), ("ymin", "ymax"), ("zmin", "zmax")][:dim]

@@ -122,11 +122,15 @@ class TestConfigPlumbing:
         # each key the format accepts changes the setup of a run, so the
         # accepted keys and the readers cannot drift apart
         lame = config_from_setup(load_preset("sent", 0.02))
-        lame["material"].update(dissipation="AT2", kappa="0.3")
         lame["program"]["n_steps"] = "2"
+        assert lame["material"]["dissipation"] == "AT2" and "kappa" not in lame["material"]
         young = {s: dict(v) for s, v in lame.items()}
         del young["material"]["lam_kn"], young["material"]["mu_kn"]
         young["material"].update(e_kn="210", nu="0.3")
+        # only AT1 reads kappa, and AT1 needs it: the switch to AT1 gives
+        # one, and kappa changes on an AT1 config
+        at1 = {s: dict(v) for s, v in lame.items()}
+        at1["material"].update(dissipation="AT1", kappa="0.3")
 
         changes = {
             ("run", "preset"): (lame, "sens"),
@@ -140,7 +144,7 @@ class TestConfigPlumbing:
             ("material", "k"): (lame, "1e-3"),
             ("material", "dissipation"): (lame, "AT1"),
             ("material", "eps_pen"): (lame, "1e-5"),
-            ("material", "kappa"): (lame, "0.5"),
+            ("material", "kappa"): (at1, "0.5"),
             ("program", "n_steps"): (lame, "3"),
             ("program", "dw"): (lame, "2e-4"),
             ("program", "bc"): (lame, "bottom:y:0; top:y:2; pin:x:0"),
@@ -160,6 +164,8 @@ class TestConfigPlumbing:
             cfg = {s: dict(v) for s, v in base.items()}
             assert cfg[section].get(key) != value
             cfg[section][key] = value
+            if key == "dissipation":
+                cfg["material"]["kappa"] = at1["material"]["kappa"]
             assert setup_of(cfg) != setup_of(base), key
 
     def test_one_modulus_keeps_its_pair_partner(self):
@@ -251,6 +257,9 @@ class TestOverlay:
             # half of a pair the sent preset does not give
             other = "nu" if name == "e_kn" else "e_kn"
             assert by_flag == (2, f"config error: missing config key material.{other}\n")
+        elif name == "kappa":
+            # the sent preset is AT2, which reads no kappa
+            assert by_flag == (2, "config error: material.kappa: kappa is read only by AT1, not by AT2\n")
         else:
             assert by_flag != resolved(["run", "--preset", "sent"])
 
@@ -289,6 +298,8 @@ class TestCmdRun:
             ("output.snapshot_every=2", "unknown config section [output]"),
             ("solvr.tol_u=1e-6", "[solvr]"),
             ("run.mesh=x.msh", "unknown config key run.mesh"),
+            # the sent preset is AT2, which reads no kappa
+            ("material.kappa=0.5", "config error: material.kappa: kappa is read only by AT1, not by AT2"),
         ],
     )
     def test_unread_key_exit_2(self, tmp_path, capsys, item, named):
@@ -331,7 +342,7 @@ class TestCmdRun:
         "material.ell": [],
         "material.k": [],
         "material.eps_pen": [],
-        "material.kappa": [],
+        "material.kappa": ["material.dissipation=AT1"],
         "program.dw": [],
         "solver.tol_u": [],
         "solver.tol_a": [],
@@ -466,6 +477,19 @@ class TestCmdRun:
         assert main(argv + ["3"]) == 0
         assert main(argv + ["2"]) == 0
         assert sorted(f.name for f in (out / "snapshots").iterdir()) == [f"step_{n:06d}.vtk" for n in range(3)]
+
+    def test_foreign_step_file_stays(self, tmp_path):
+        # a step_*.vtk name that is not step_ and digits is no snapshot of
+        # a run: the run leaves it in place
+        out = tmp_path / "o"
+        (out / "snapshots").mkdir(parents=True)
+        foreign = out / "snapshots" / "step_final.vtk"
+        foreign.write_text("kept\n")
+        assert main(["run", "--preset", "sent", "--scale", "0.02", "--steps", "1", "--out", str(out)]) == 0
+        assert foreign.read_text() == "kept\n"
+        assert sorted(f.name for f in (out / "snapshots").iterdir()) == [
+            "step_000000.vtk", "step_000001.vtk", "step_final.vtk",
+        ]
 
     def test_abort_after_back_step_keeps_accepted_snapshots(self, sent_config, tmp_path, monkeypatch, capsys):
         # target 4 fails, then target 3's re-solve; target 2's re-solve is

@@ -206,10 +206,11 @@ class TestRun:
 class TestReusedDecomposition:
     def test_records_match_fresh_evaluation(self, patch, sent_params, monkeypatch):
         # each solved state is decomposed once, by the solver: outside it
-        # the driver decomposes only the initial state and, per check, the
-        # two cross-lifting energies; each solve's reaction is computed
-        # once, plus the initial one; and every stored figure is the one a
-        # fresh evaluation gives, bit for bit, across a back step
+        # the driver decomposes, per check, the two cross-lifting energies
+        # and nothing before the first solve; each solve's reaction is
+        # computed once, and the unloaded initial state's not at all; and
+        # every stored figure, the initial record's too, is the one a fresh
+        # evaluation gives, bit for bit, across a back step
         counts = {"outside": 0, "solves": 0, "reactions": 0}
         inside = []
         real_init, real_solve, real_reaction = StrainSpectrum.__init__, driver.alternate_minimize, reaction_force
@@ -237,8 +238,8 @@ class TestReusedDecomposition:
         prog = tension_program(n_steps=4, dw=2e-4)
         hist = run(prog, BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch)
         assert hist.backtracks and len(checks) == counts["solves"] == 6
-        assert counts["reactions"] == 1 + counts["solves"]
-        assert counts["outside"] == 1 + 2 * len(checks)
+        assert counts["reactions"] == counts["solves"]
+        assert counts["outside"] == 2 * len(checks)
         monkeypatch.undo()
 
         kern = build_kernels(patch)
@@ -261,7 +262,9 @@ class TestReusedDecomposition:
         # driver computes no energy densities and no dissipation of its
         # own (the solve hands on the final state's densities and the
         # anchor's dissipation); each check computes the densities of its
-        # two cross-lifting states and the next state's dissipation only
+        # two cross-lifting states and the next state's dissipation only;
+        # before the first solve, the unloaded initial state is not
+        # evaluated at all
         calls = {}
         # where the calls happen: step 0 until the first solve, then the
         # driver, and the solve or the check while one runs
@@ -294,7 +297,7 @@ class TestReusedDecomposition:
         hist = run(tension_program(n_steps=4, dw=1e-2), BacktrackConfig(), SolverConfig(), sent_params, patch)
         assert not hist.aborted and hist.steps[-1].a.max() == 1.0
         checks = len(hist.solves)
-        assert calls == {("step 0", "psi_split"): 1, ("check", "psi_split"): 2 * checks, ("check", "dis"): checks}
+        assert calls == {("check", "psi_split"): 2 * checks, ("check", "dis"): checks}
 
 
 class TestBacktrackBookkeeping:

@@ -26,6 +26,7 @@ from pffrac.driver import DirichletSpec, LoadProgram, build_dofmap, lifting_for_
 from pffrac.linsolve import BandOrdering, factor_solve
 from pffrac.mesh import generate_grid
 from pffrac.material import (
+    VOIGT,
     MaterialParams,
     StrainSpectrum,
     degradation,
@@ -50,7 +51,50 @@ def dense_elastic_stiffness(mesh, kernels, p, factor=1.0):
     return k
 
 
+def strided_kernels(mesh):
+    """Reference ``build_kernels`` arrays: the Jacobian stacked from one
+    edge column at a time, ``b_u`` written two strided slices per Voigt
+    row."""
+    dim, n_e = mesh.dim, mesh.n_elements
+    nen = dim + 1
+    x = mesh.nodes[mesh.elements]
+    jac = np.stack([x[:, k + 1] - x[:, 0] for k in range(dim)], axis=-1)
+    if dim == 2:
+        detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    else:
+        detj = np.einsum("ei,ei->e", jac[:, :, 0], np.cross(jac[:, :, 1], jac[:, :, 2], axis=1))
+    grads = np.einsum("id,edD->eiD", fem._REF_GRADS[dim], np.linalg.inv(jac))
+    voigt_i, voigt_j = VOIGT[dim]
+    b_u = np.zeros((n_e, len(voigt_i), nen * dim))
+    for k, (i, j) in enumerate(zip(voigt_i, voigt_j)):
+        b_u[:, k, i::dim] = grads[:, :, j]
+        b_u[:, k, j::dim] = grads[:, :, i]
+    quad = TRI_RULE if dim == 2 else TET_RULE
+    wj = quad.weights[None, :] * detj[:, None]
+    udofs = (dim * mesh.elements[:, :, None] + np.arange(dim)[None, None, :]).reshape(n_e, nen * dim)
+    return {
+        "shape_qp": quad.points,
+        "b_u": b_u,
+        "b_beta": np.swapaxes(grads, 1, 2),
+        "wj": wj,
+        "measures": wj.sum(axis=1),
+        "udofs": udofs,
+    }
+
+
 class TestKernels:
+    @pytest.mark.parametrize("name,scale", [("sent", 0.1), ("bend3d", 0.1)])
+    def test_arrays_match_strided_reference(self, name, scale):
+        # same bits and the same memory layout: einsum's summation order
+        # follows the layout, so a b_u with other strides changes results
+        mesh = load_preset(name, scale).mesh
+        kern = build_kernels(mesh)
+        for field, want in strided_kernels(mesh).items():
+            got = getattr(kern, field)
+            assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides), field
+            assert got.tobytes() == want.tobytes(), field
+        assert kern.b_u.flags.c_contiguous
+
     def test_quadrature_weights_sum_to_reference_measure(self):
         assert TRI_RULE.weights.sum() == pytest.approx(0.5, rel=1e-15)
         assert TET_RULE.weights.sum() == pytest.approx(1.0 / 6.0, rel=1e-14)

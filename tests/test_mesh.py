@@ -4,7 +4,7 @@ import pytest
 from conftest import box_mesh
 from pffrac import mesh as mesh_mod
 from pffrac import presets
-from pffrac.mesh import Mesh, MeshError, _fix_orientation, generate_grid, select_nodes
+from pffrac.mesh import _CELL_SIMPLICES, Mesh, MeshError, generate_grid, select_nodes
 
 
 def tet_volume(nodes, conn):
@@ -128,28 +128,20 @@ def spy_measures(monkeypatch):
 
 
 @pytest.mark.parametrize("name,scale", [("lshape", 0.15), ("bend3d", 0.1)])
-def test_grid_presets_measure_each_element_twice(monkeypatch, name, scale):
-    # once to orient (no grid element flips), once in generate_grid's
-    # validate; the preset adds node sets only and does not validate again
+def test_grid_presets_measure_each_element_once(monkeypatch, name, scale):
+    # in generate_grid's validate only: the cell table orients every
+    # element, and the preset adds node sets only and does not validate
+    # again
     calls = spy_measures(monkeypatch)
     mesh = presets.load_preset(name, scale).mesh
-    assert calls == [mesh.n_elements, mesh.n_elements]
+    assert calls == [mesh.n_elements]
 
 
-def test_fix_orientation_remeasures_after_a_flip(monkeypatch):
-    mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
-    elements = mesh.elements.copy()
-    elements[2, -2:] = elements[2, -2:][::-1]
-    calls = spy_measures(monkeypatch)
-    fixed = _fix_orientation(mesh.nodes, elements, 3)
-    assert calls == [6, 6]
-    assert np.array_equal(fixed, mesh.elements)
-    assert _fix_orientation(mesh.nodes, mesh.elements, 3).tobytes() == mesh.elements.tobytes()
-    assert len(calls) == 3
-    flat = mesh.elements.copy()
-    flat[0, 3] = flat[0, 2]  # two equal corners: zero volume
-    with pytest.raises(MeshError, match="degenerate"):
-        _fix_orientation(mesh.nodes, flat, 3)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cell_simplices_are_positive_on_the_unit_cell(dim):
+    corners = np.array([[c >> ax & 1 for ax in range(dim)] for c in range(2**dim)], dtype=np.float64)
+    meas = Mesh(dim=dim, nodes=corners, elements=_CELL_SIMPLICES[dim]).element_measures()
+    assert meas.tolist() == ([0.5] * 2 if dim == 2 else [1.0 / 6.0] * 6)
 
 
 def test_duplicated_nodes_not_merged():
@@ -176,9 +168,20 @@ CUBE_TETS = [
 ]
 
 
+def orient(coords, elements, dim) -> np.ndarray:
+    """``elements`` with the last two nodes swapped where the signed
+    measure is negative."""
+    elements = elements.copy()
+    flip = Mesh(dim=dim, nodes=coords, elements=elements).element_measures() < 0.0
+    elements[flip, -2:] = elements[flip, -2:][:, ::-1]
+    return elements
+
+
 def loop_grid(axes, keep=None) -> Mesh:
     """Reference ``generate_grid``: one Python loop per dimension over the
-    cells, ``keep(center) -> bool`` called on each cell center."""
+    cells, ``keep(center) -> bool`` called on each cell center, and each
+    element measured and oriented, so comparing bitwise with
+    ``generate_grid`` shows that no grid element needs a flip."""
     axes = [np.asarray(a, dtype=np.float64) for a in axes]
     dim = len(axes)
     if dim not in (2, 3):
@@ -249,7 +252,7 @@ def loop_grid(axes, keep=None) -> Mesh:
         coords = coords[used]
         elements = remap[elements]
 
-    elements = _fix_orientation(coords, elements, dim)
+    elements = orient(coords, elements, dim)
 
     node_sets = {}
     labels = [("xmin", "xmax"), ("ymin", "ymax"), ("zmin", "zmax")][:dim]
