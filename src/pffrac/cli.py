@@ -457,6 +457,11 @@ def cmd_check_energy(args) -> int:
         steps = [row[0] for row in rows]
         if steps != list(range(info["accepted_steps"] + 1)):
             raise ValueError(f"energy.csv holds steps {steps}, not 0..{info['accepted_steps']} as run.json")
+        if info["accepted_steps"] > setup.program.n_steps:
+            raise ValueError(
+                f"run.json has {info['accepted_steps']} accepted steps, more than program.n_steps = "
+                f"{setup.program.n_steps}"
+            )
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"cannot load run outputs: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,8 @@ states.  K = 0 disables the mechanism entirely (plain staggered stepping).
 Every solve leaves one ``SolveRecord`` in ``RunHistory.solves``, in call
 order.  The accepted chain ``RunHistory.steps`` (the initial state, then one
 record per step) and the back-step views ``intermediates`` and
-``backtracks`` are taken from that log; nothing else records a solve.
+``backtracks`` are taken from that log; nothing else records a solve.  The
+history is the run's whole state, and ``run`` a loop over ``advance``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "BacktrackConfig",
     "SolveRecord",
     "RunHistory",
+    "advance",
     "build_dofmap",
     "check_run_inputs",
     "lifting_for_step",
@@ -116,8 +118,11 @@ class SolveRecord:
 @dataclass
 class RunHistory:
     """The log of every solve, in call order, and the accepted chain taken
-    from it (``steps[0]`` is the initial state, which is no solve)."""
+    from it (``steps[0]`` is the initial state, which is no solve), with
+    ``guess_rw``, the degradation weights of the running guess: the last
+    logged solve, or the initial state before any."""
 
+    guess_rw: np.ndarray
     solves: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     aborted: bool = False
@@ -189,6 +194,60 @@ def lifting_for_step(program: LoadProgram, n: int, mesh: Mesh) -> np.ndarray:
     return program.w(n) * load_vector(program, mesh)
 
 
+def _solve(history: RunHistory, n: int, program, bt, cfg, p, mesh, kernels, dofmap) -> SolveRecord:
+    """Solve increment [t_n, t_{n+1}] from the running guess, the last
+    logged solve (the initial state before any), and log the solve, which
+    becomes the running guess."""
+    guess = (history.solves or history.steps)[-1]
+    prev = history.steps[n]
+    u_d_next = lifting_for_step(program, n + 1, mesh)
+    res = alternate_minimize(guess.u, guess.a, history.guess_rw, prev.a, u_d_next, kernels, p, cfg, dofmap)
+    history.guess_rw = res.rw
+    bulk = erg_from_psi(res.psi_p, res.psi_m, res.rw, kernels)
+    u_d_n = lifting_for_step(program, n, mesh)
+    report = check_two_sided(
+        prev.u, u_d_n, prev.a, res.u, u_d_next, res.a, kernels, p, bt.eta,
+        erg_curr=prev.bulk_energy, erg_next=bulk, dis_curr=res.dis_n,
+    )
+    rec = SolveRecord(
+        step=n + 1,
+        u=res.u,
+        a=res.a,
+        report=report,
+        bulk_energy=bulk,
+        reaction=reaction_force(res.spectrum, res.rw, kernels, p, load_vector(program, mesh)),
+        alt_iters=res.alt_iters,
+        newton_iters_u=res.newton_iters_u,
+        newton_iters_beta=res.newton_iters_beta,
+        trials_u=res.trials_u,
+        trials_beta=res.trials_beta,
+    )
+    history.solves.append(rec)
+    return rec
+
+
+def advance(history: RunHistory, program, bt, cfg, p, mesh, kernels, dofmap) -> None:
+    """Solve step ``history.n_accepted + 1`` and, if its check fails, its
+    back-step round; accept the last solve at its step, dropping the chain
+    after it, which refers to a replaced state."""
+    n = history.n_accepted
+    target = n + 1
+    rec = _solve(history, n, program, bt, cfg, p, mesh, kernels, dofmap)
+    # Back steps consumed by the target so far.  The budget is cumulative
+    # across failure rounds of the same target: a re-solved earlier step can
+    # pass while the same forward step keeps failing with an unchanged
+    # guess, and a per-round counter would cycle forever.
+    b = max((r.b for r in history.solves if r.round_of == target), default=0)
+    if not rec.report.passed and b < bt.k_max:
+        rec.round_of, rec.b = target, b
+        while not rec.report.passed and b < bt.k_max and n > 0:
+            n -= 1
+            b += 1
+            rec = _solve(history, n, program, bt, cfg, p, mesh, kernels, dofmap)
+            rec.round_of, rec.b = target, b
+    history.steps[n + 1 :] = [rec]
+
+
 def run(
     program: LoadProgram,
     bt: BacktrackConfig,
@@ -197,7 +256,9 @@ def run(
     mesh: Mesh,
     on_accept=None,
 ) -> RunHistory:
-    """Execute the load program with energy-bound backtracking.
+    """Execute the load program with energy-bound backtracking: the
+    history, the run's whole state, starts at the initial record and is
+    ``advance``d until the program ends.
 
     Each record's ``reaction`` is the force conjugate to w,
     ``reaction_force`` against the program's ``load_vector``.  The initial
@@ -223,84 +284,15 @@ def run(
     check_run_inputs(mesh, program)
     kernels = build_kernels(mesh)
     dofmap = build_dofmap(mesh, program)
-    load = load_vector(program, mesh)
-    history = RunHistory()
-
-    u0 = np.zeros(dofmap.n_dofs)
     a0 = np.zeros(mesh.n_nodes)
     # the unloaded initial state: zero strain, so zero energy and reaction
-    rw0 = degradation_weights(kernels, a0, p)
-    history.steps.append(SolveRecord(step=0, u=u0, a=a0, report=None, bulk_energy=0.0, reaction=0.0))
-
-    # the running guess and its degradation weights
-    guess, guess_rw = history.steps[0], rw0
-    n = 0
-    # Back-step budget consumed per failing target step.  The budget is
-    # cumulative across failure rounds of the same target: a re-solved
-    # earlier step can pass while the same forward step keeps failing with
-    # an unchanged guess, and a per-round counter would cycle forever.
-    consumed: dict = {}
-
-    def _solve(step_n: int) -> SolveRecord:
-        """Solve increment [t_n, t_{n+1}] from the running guess, the last
-        solve's state, and log the solve, which becomes the running guess."""
-        nonlocal guess, guess_rw
-        prev = history.steps[step_n]
-        u_d_next = lifting_for_step(program, step_n + 1, mesh)
-        res = alternate_minimize(guess.u, guess.a, guess_rw, prev.a, u_d_next, kernels, p, cfg, dofmap)
-        guess_rw = res.rw
-        bulk = erg_from_psi(res.psi_p, res.psi_m, res.rw, kernels)
-        report = check_two_sided(
-            prev.u,
-            lifting_for_step(program, step_n, mesh),
-            prev.a,
-            res.u,
-            u_d_next,
-            res.a,
-            kernels,
-            p,
-            bt.eta,
-            erg_curr=prev.bulk_energy,
-            erg_next=bulk,
-            dis_curr=res.dis_n,
-        )
-        guess = SolveRecord(
-            step=step_n + 1,
-            u=res.u,
-            a=res.a,
-            report=report,
-            bulk_energy=bulk,
-            reaction=reaction_force(res.spectrum, res.rw, kernels, p, load),
-            alt_iters=res.alt_iters,
-            newton_iters_u=res.newton_iters_u,
-            newton_iters_beta=res.newton_iters_beta,
-            trials_u=res.trials_u,
-            trials_beta=res.trials_beta,
-        )
-        history.solves.append(guess)
-        return guess
-
+    history = RunHistory(
+        guess_rw=degradation_weights(kernels, a0, p),
+        steps=[SolveRecord(step=0, u=np.zeros(dofmap.n_dofs), a=a0, report=None, bulk_energy=0.0, reaction=0.0)],
+    )
     try:
-        while n < program.n_steps:
-            rec = _solve(n)
-            failed_at = n + 1
-            b = consumed.get(failed_at, 0)
-            if not rec.report.passed and b < bt.k_max:
-                rec.round_of, rec.b = failed_at, b
-                while not rec.report.passed and b < bt.k_max and n > 0:
-                    n -= 1
-                    b += 1
-                    rec = _solve(n)
-                    rec.round_of, rec.b = failed_at, b
-                consumed[failed_at] = b
-
-            if n + 1 < len(history.steps):
-                history.steps[n + 1] = rec
-                del history.steps[n + 2 :]  # later states now refer to a replaced chain
-            else:
-                history.steps.append(rec)
-            n += 1
-
+        while history.n_accepted < program.n_steps:
+            advance(history, program, bt, cfg, p, mesh, kernels, dofmap)
             if on_accept is not None:
                 on_accept(history)
     except (StepFailure, LinearSolveError) as exc:

@@ -163,10 +163,9 @@ def check_two_sided(
     ``erg_curr`` is the bulk energy ``erg(u_n, u_d_n, a_n)`` of the current
     state and ``erg_next`` the bulk energy ``erg(u_next, u_d_next, a_next)``
     of the next one, each under its own lifting, and ``dis_curr`` the
-    dissipation ``dis(a_n)`` of the current state.
+    dissipation ``dis(a_n)`` of the current state.  ``eta`` > 0 is
+    ``BacktrackConfig.eta``, which checks it.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0")
     # the other two bulk energies: each state under the other lifting.  UB
     # is the lifting increment on the current state, LB the one on the next
     # state (the proved pairing), both at that state's damage

@@ -170,8 +170,9 @@ def build_kernels(mesh: Mesh) -> ElementKernels:
         detj = np.einsum(
             "ei,ei->e", jac[:, :, 0], np.cross(jac[:, :, 1], jac[:, :, 2], axis=1)
         )
-    if np.any(detj <= 0.0):
-        raise MeshError("degenerate element (non-positive Jacobian)")
+    bad = np.flatnonzero(detj <= 0.0)
+    if bad.size:
+        raise MeshError(f"element {bad[0]} is inverted or flat: Jacobian determinant {detj[bad[0]]}")
 
     jinv = np.linalg.inv(jac)
     grads = np.einsum("id,edD->eiD", _REF_GRADS[dim], jinv)  # (n_e, nen, dim)

@@ -126,7 +126,10 @@ class MaterialParams:
 
     @classmethod
     def from_young_poisson_kn(cls, e_kn: float, nu: float, **kw) -> "MaterialParams":
-        """Build from Young's modulus (kN/mm^2) and Poisson ratio."""
+        """Build from Young's modulus (kN/mm^2) and Poisson ratio, which must
+        lie in (-1, 1/2), where the Lame constants are finite."""
+        if not -1.0 < nu < 0.5:
+            raise ValueError(f"nu = {nu!r} is outside (-1, 1/2)")
         e = 1e3 * e_kn
         lam = e * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
         mu = e / (2.0 * (1.0 + nu))

@@ -64,34 +64,17 @@ class Mesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    def element_measures(self) -> np.ndarray:
-        """Signed areas (2-D) / volumes (3-D) of all elements."""
-        return _signed_measures(self.nodes, self.elements, self.dim)
-
     def validate(self) -> None:
-        """Check structural invariants; raise MeshError on violation."""
+        """Check that the coordinates are finite and that every element
+        index names a node; raise MeshError on violation.  The orientation
+        is checked by ``build_kernels``, which computes each element's
+        Jacobian."""
         if not np.all(np.isfinite(self.nodes)):
             raise MeshError("non-finite node coordinates")
         if self.n_elements and (
             self.elements.min() < 0 or self.elements.max() >= self.n_nodes
         ):
             raise MeshError("element references missing node")
-        meas = self.element_measures()
-        if np.any(meas <= 0.0):
-            bad = int(np.argmin(meas))
-            raise MeshError(f"element {bad} has non-positive measure {meas[bad]}")
-
-
-def _signed_measures(nodes: np.ndarray, elements: np.ndarray, dim: int) -> np.ndarray:
-    x = nodes[elements]  # (n_e, nen, dim)
-    if dim == 2:
-        d1 = x[:, 1] - x[:, 0]
-        d2 = x[:, 2] - x[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    d1 = x[:, 1] - x[:, 0]
-    d2 = x[:, 2] - x[:, 0]
-    d3 = x[:, 3] - x[:, 0]
-    return np.einsum("ij,ij->i", d1, np.cross(d2, d3)) / 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +101,7 @@ def generate_grid(axes, keep=None) -> Mesh:
     elements are positively oriented by construction: every simplex of the
     cell table has positive signed measure on a cell whose axes increase,
     and the axes must increase strictly, so no element is measured or
-    flipped to orient it (``Mesh.validate`` still refuses a non-positive
-    one).
+    flipped to orient it (``build_kernels`` refuses a non-positive one).
 
     Parameters
     ----------

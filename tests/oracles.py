@@ -5,9 +5,9 @@ form of something the program computes in a fused, cached or faster way (the
 total functional and the damage merit, the stored energy, the two-sided
 bounds and check, the split energies, stresses and tangents, the undegraded
 tangent, the displacement sparsity pattern, the 3-D principal strains, the
-snapshot reader), or a conversion between the strain tensors the tests
-build and the Voigt rows the program takes, including the 3x3 embedding of
-a spectrum that the dense references work in.
+snapshot reader, the element measures), or a conversion between the strain
+tensors the tests build and the Voigt rows the program takes, including the
+3x3 embedding of a spectrum that the dense references work in.
 """
 
 import math
@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from pffrac.energetics import check_two_sided, dis, erg, grad_term
 from pffrac.fem import ElementKernels, beta_at_qp, strain_spectrum
 from pffrac.material import _GAP_REL, AT2, VOIGT, MaterialParams, StrainSpectrum, degradation, psi_split
+from pffrac.mesh import Mesh
 
 
 def penalty_energy(a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
@@ -282,3 +283,15 @@ def elastic_tensor(dim: int, p: MaterialParams) -> np.ndarray:
         c[np.arange(3), np.arange(3)] = lam + 2 * mu
         c[np.arange(3, 6), np.arange(3, 6)] = mu
     return c
+
+
+def element_measures(mesh: Mesh) -> np.ndarray:
+    """Signed areas (2-D) or volumes (3-D) of the mesh's elements, from the
+    edge vectors at each element's first node."""
+    x = mesh.nodes[mesh.elements]  # (n_e, nen, dim)
+    d1 = x[:, 1] - x[:, 0]
+    d2 = x[:, 2] - x[:, 0]
+    if mesh.dim == 2:
+        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    d3 = x[:, 3] - x[:, 0]
+    return np.einsum("ij,ij->i", d1, np.cross(d2, d3)) / 6.0

@@ -330,6 +330,25 @@ class TestCmdRun:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--set", "material.e_kn=30", "--set", "material.nu=0.5"], "nu = 0.5 is outside (-1, 1/2)"),
+            (["--set", "material.e_kn=30", "--set", "material.nu=-1"], "nu = -1.0 is outside (-1, 1/2)"),
+            (["--eta", "0"], "eta must be > 0"),
+            (["--k-back", "-1"], "k_max must be >= 0"),
+        ],
+        ids=["nu_half", "nu_minus_one", "eta_zero", "k_back_negative"],
+    )
+    def test_out_of_range_exit_2(self, tmp_path, capsys, flags, named):
+        # a value that parses but lies outside its range is a config error,
+        # found before the output directory is made
+        out = tmp_path / "o"
+        argv = ["run", "--preset", "sent", "--scale", "0.02", "--steps", "1", *flags, "--out", str(out)]
+        assert main(argv) == 2
+        assert f"config error: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
     # Each float key with a value for every other key of its pair, and a bc
     # scale, on the sent preset.
     _FLOAT_KEYS = {
@@ -699,6 +718,8 @@ class TestCheckEnergy:
             ("program", "bc", "bottom:z:0", "has no component 2"),
             # the key of an older run.json whose run read a mesh file
             ("run", "mesh", "x.msh", "unknown config key run.mesh"),
+            # more accepted steps than the program has
+            ("program", "n_steps", "4", "5 accepted steps, more than program.n_steps = 4"),
         ]
         for section, key, value, named in bad:
             log = json.loads(json.dumps(good))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from pffrac.driver import (
     BacktrackConfig,
     DirichletSpec,
     LoadProgram,
+    RunHistory,
+    SolveRecord,
+    advance,
     build_dofmap,
     lifting_for_step,
     load_vector,
@@ -366,6 +371,37 @@ class TestBacktrackBookkeeping:
         assert hist.steps[0].report is None and all(r is not hist.steps[0] for r in hist.solves)
         assert [next(i for i, r in enumerate(hist.solves) if r is s) for s in hist.steps[1:]] == [4, 7, 8]
         assert hist.k_exhausted_steps == [3]
+
+    def test_history_is_the_whole_state(self, patch, sent_params, monkeypatch):
+        # a copy of the history taken between two steps, in the middle of a
+        # target's budget, continues on freshly built kernels to the same
+        # solves, bit for bit, as one uninterrupted run: the running guess,
+        # its weights, the step and the spent budget are all in the history
+        scripted_checks(monkeypatch, lambda step, nth: step == 3)
+        prog, bt, cfg = tension_program(n_steps=4), BacktrackConfig(k_max=2), SolverConfig()
+        whole = run(prog, bt, cfg, sent_params, patch)
+
+        kern, dofmap = build_kernels(patch), build_dofmap(patch, prog)
+        a0 = np.zeros(patch.n_nodes)
+        first = RunHistory(
+            guess_rw=degradation_weights(kern, a0, sent_params),
+            steps=[SolveRecord(step=0, u=np.zeros(dofmap.n_dofs), a=a0, report=None, bulk_energy=0.0, reaction=0.0)],
+        )
+        for _ in range(3):
+            advance(first, prog, bt, cfg, sent_params, patch, kern, dofmap)
+        assert [(r.step, r.round_of, r.b) for r in first.solves[2:]] == [(3, 3, 0), (2, 3, 1)]
+        second = copy.deepcopy(first)
+        kern = build_kernels(patch)
+        while second.n_accepted < prog.n_steps:
+            advance(second, prog, bt, cfg, sent_params, patch, kern, dofmap)
+
+        fields = ("step", "reaction", "round_of", "b", "alt_iters", "newton_iters_u", "newton_iters_beta",
+                  "trials_u", "trials_beta")
+        assert [r.step for r in second.solves] == [r.step for r in whole.solves] == [1, 2, 3, 2, 3, 2, 3, 4]
+        for got, want in zip(second.solves, whole.solves):
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+            assert got.u.tobytes() == want.u.tobytes() and got.a.tobytes() == want.a.tobytes()
+        assert [r.step for r in second.steps] == [0, 1, 2, 3, 4] and second.k_exhausted_steps == [3]
 
     def test_on_accept_called_per_acceptance(self, patch, sent_params):
         seen = []

@@ -248,13 +248,6 @@ class TestCheckTwoSided:
         assert rep.irreversibility_violation == (shift < 0.0)
         assert rep.irreversibility_violation == (rep.d_inc < -1e-8 * (1.0 + dis(a_n, kern, sent_params)))
 
-    def test_eta_must_be_positive(self, patch, sent_params):
-        mesh, kern = patch
-        z = np.zeros(2 * mesh.n_nodes)
-        a = np.zeros(mesh.n_nodes)
-        with pytest.raises(ValueError):
-            fresh_check(z, z, a, z, z, a, kern, sent_params, 0.0)
-
 
 def test_penalty_energy_zero_iff_admissible(patch, sent_params, rng):
     # the damage merit's penalty term: no term at all where the damage has

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import box_mesh, damage_system, dense, displacement_system, internal_force, load_tracing, random_state, stored
-from oracles import elastic_tensor, element_dofs_pattern, penalty_energy, strain_tensor_from_voigt
+from oracles import elastic_tensor, element_dofs_pattern, element_measures, penalty_energy, strain_tensor_from_voigt
 from pffrac.energetics import dis, erg, grad_term
 from pffrac.fem import (
     DofMap,
@@ -24,7 +24,7 @@ from pffrac.fem import (
 from pffrac import fem, solver
 from pffrac.driver import DirichletSpec, LoadProgram, build_dofmap, lifting_for_step, load_vector
 from pffrac.linsolve import BandOrdering, factor_solve
-from pffrac.mesh import generate_grid
+from pffrac.mesh import Mesh, MeshError, generate_grid
 from pffrac.material import (
     VOIGT,
     MaterialParams,
@@ -106,7 +106,21 @@ class TestKernels:
     def test_wj_sums_to_element_measure(self):
         mesh = box_mesh([2.0, 1.0], [3, 2])
         k = build_kernels(mesh)
-        assert np.allclose(k.wj.sum(axis=1), mesh.element_measures())
+        assert np.allclose(k.wj.sum(axis=1), element_measures(mesh))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_inverted_or_flat_element_refused(self, dim):
+        # the orientation is checked once, where the Jacobian is computed;
+        # the error names the first bad element and its determinant
+        mesh = box_mesh([1.0] * dim, [1] * dim)
+        inverted = mesh.elements.copy()
+        inverted[1, -2:] = inverted[1, -2:][::-1]
+        with pytest.raises(MeshError, match="element 1 is inverted or flat: Jacobian determinant -"):
+            build_kernels(Mesh(dim=dim, nodes=mesh.nodes, elements=inverted))
+        flat = mesh.elements.copy()
+        flat[0, -1] = flat[0, -2]  # two equal corners: zero measure
+        with pytest.raises(MeshError, match="element 0 is inverted or flat: Jacobian determinant -?0.0$"):
+            build_kernels(Mesh(dim=dim, nodes=mesh.nodes, elements=flat))
 
     def test_translation_invariance(self):
         mesh = box_mesh([1.0, 1.0], [1, 1])
@@ -190,7 +204,7 @@ class TestResidualBeta:
         r = damage_system(np.zeros_like(u_d), u_d, a, np.zeros(mesh.n_nodes), kern, sent_params)[0]
         [psi_p], _ = psi_split(StrainSpectrum(np.array([[0.0], [2e-3], [0.0]])), sent_params)
         defect = -2 * (1 - beta) * psi_p + sent_params.gc / sent_params.ell * beta
-        assert r.sum() == pytest.approx(mesh.element_measures().sum() * defect, rel=1e-12)
+        assert r.sum() == pytest.approx(element_measures(mesh).sum() * defect, rel=1e-12)
 
     def test_penalty_active_exactly_where_negative(self, two_elem, sent_params, rng):
         mesh, kern, _ = two_elem

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import box_mesh
-from pffrac import mesh as mesh_mod
+from oracles import element_measures
 from pffrac import presets
 from pffrac.mesh import _CELL_SIMPLICES, Mesh, MeshError, generate_grid, select_nodes
 
@@ -16,12 +16,12 @@ class TestGenerators:
     def test_single_cell_2d(self):
         mesh = box_mesh([1.0, 1.0], [1, 1])
         assert (mesh.n_nodes, mesh.n_elements) == (4, 2)
-        assert mesh.element_measures().sum() == pytest.approx(1.0, rel=1e-15)
+        assert element_measures(mesh).sum() == pytest.approx(1.0, rel=1e-15)
 
     def test_partition_of_unity_2d(self):
         mesh = box_mesh([1.0, 1.0], [2, 2])
         assert (mesh.n_nodes, mesh.n_elements) == (9, 8)
-        assert mesh.element_measures().sum() == pytest.approx(1.0, rel=1e-12)
+        assert element_measures(mesh).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_single_cell_3d_volume_oracle(self):
         mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
@@ -32,7 +32,7 @@ class TestGenerators:
 
     def test_domain_measure(self):
         mesh = box_mesh([2.0, 1.0, 0.5], [3, 2, 2])
-        assert mesh.element_measures().sum() == pytest.approx(1.0, rel=1e-12)
+        assert element_measures(mesh).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_auto_node_sets(self):
         mesh = box_mesh([1.0, 1.0], [2, 2])
@@ -51,7 +51,7 @@ class TestGenerators:
         axes = [np.linspace(0, 1, 3), np.linspace(0, 1, 3)]
         mesh = generate_grid(axes, keep=lambda c: (c[:, 0] < 0.5) | (c[:, 1] < 0.5))
         assert mesh.n_elements == 6  # one quadrant removed
-        assert mesh.element_measures().sum() == pytest.approx(0.75, rel=1e-12)
+        assert element_measures(mesh).sum() == pytest.approx(0.75, rel=1e-12)
         assert mesh.n_nodes == 8  # the far corner node is dropped
 
 
@@ -101,46 +101,11 @@ class TestValidate:
         with pytest.raises(MeshError, match="element references missing node"):
             Mesh(dim=2, nodes=mesh.nodes, elements=elements).validate()
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_non_positive_measure(self, dim):
-        mesh = box_mesh([1.0] * dim, [1] * dim)
-        inverted = mesh.elements.copy()
-        inverted[1, -2:] = inverted[1, -2:][::-1]
-        with pytest.raises(MeshError, match="element 1 has non-positive measure -"):
-            Mesh(dim=dim, nodes=mesh.nodes, elements=inverted).validate()
-        flat = mesh.elements.copy()
-        flat[0, -1] = flat[0, -2]  # two equal corners: zero measure
-        with pytest.raises(MeshError, match="element 0 has non-positive measure 0.0"):
-            Mesh(dim=dim, nodes=mesh.nodes, elements=flat).validate()
-
-
-def spy_measures(monkeypatch):
-    """Record the element count of every signed-measure pass."""
-    calls = []
-    real = mesh_mod._signed_measures
-
-    def spy(nodes, elements, dim):
-        calls.append(len(elements))
-        return real(nodes, elements, dim)
-
-    monkeypatch.setattr(mesh_mod, "_signed_measures", spy)
-    return calls
-
-
-@pytest.mark.parametrize("name,scale", [("lshape", 0.15), ("bend3d", 0.1)])
-def test_grid_presets_measure_each_element_once(monkeypatch, name, scale):
-    # in generate_grid's validate only: the cell table orients every
-    # element, and the preset adds node sets only and does not validate
-    # again
-    calls = spy_measures(monkeypatch)
-    mesh = presets.load_preset(name, scale).mesh
-    assert calls == [mesh.n_elements]
-
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cell_simplices_are_positive_on_the_unit_cell(dim):
     corners = np.array([[c >> ax & 1 for ax in range(dim)] for c in range(2**dim)], dtype=np.float64)
-    meas = Mesh(dim=dim, nodes=corners, elements=_CELL_SIMPLICES[dim]).element_measures()
+    meas = element_measures(Mesh(dim=dim, nodes=corners, elements=_CELL_SIMPLICES[dim]))
     assert meas.tolist() == ([0.5] * 2 if dim == 2 else [1.0 / 6.0] * 6)
 
 
@@ -172,7 +137,7 @@ def orient(coords, elements, dim) -> np.ndarray:
     """``elements`` with the last two nodes swapped where the signed
     measure is negative."""
     elements = elements.copy()
-    flip = Mesh(dim=dim, nodes=coords, elements=elements).element_measures() < 0.0
+    flip = element_measures(Mesh(dim=dim, nodes=coords, elements=elements)) < 0.0
     elements[flip, -2:] = elements[flip, -2:][:, ::-1]
     return elements
 
