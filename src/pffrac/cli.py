@@ -1,41 +1,38 @@
-"""Command-line entry point: run simulations, audit energies, export presets.
+"""Command-line entry point: run simulations and audit their energies.
 
 Subcommands
 -----------
-run          execute a load program (preset or config file), writing
-             load_disp.csv (w and the reaction, the force conjugate to w,
-             of every accepted step), energy.csv, intermediates.csv (the
-             solves of back-step rounds), run.json and the VTK snapshots of
-             the accepted steps, all read from the driver's solve records;
-             run.json sums the iteration and line-search trial counts over
-             the accepted chain (solver_counters) and over every solve
-             (all_solves)
+run          execute a preset's load program, writing load_disp.csv (w
+             and the reaction, the force conjugate to w, of every accepted
+             step), energy.csv, intermediates.csv (the solves of back-step
+             rounds), run.json and the VTK snapshots of the accepted steps,
+             all read from the driver's solve records; run.json sums the
+             iteration and line-search trial counts over the accepted chain
+             (solver_counters) and over every solve (all_solves)
 check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run, the two-sided inequality of every step pair,
              and compare against energy.csv; the summary of an aborted run
              gives its accepted steps and the abort reason
-export       print a preset as a forkable INI config
 
-Configs are flat INI sections ([run], [material], [program], [solver],
-[backtrack]); a section or key that no run reads is a config error, and
-so is a float value (a bc scale too) that is not finite.  A config names a
-built-in preset (``run.preset``, at ``run.scale``) and is laid key by key
-over that preset's export, then parsed once.  The reaction a run records is
-the force conjugate to w, which the program's Dirichlet specs define.
-Naming one elasticity pair (lam_kn/mu_kn or e_kn/nu) drops the base's other
-pair.  ``--preset``, ``--scale``, ``--steps``, ``--k-back`` and ``--eta`` are
-the overrides ``run.preset``, ``run.scale``, ``program.n_steps``,
-``backtrack.k_back`` and ``backtrack.eta``, applied before ``--set
-section.key=value``; run.json records the resolved config.  Moduli are in
-kN/mm^2 in configs.  Exit codes: 0 ok, 1 audit mismatch, 2 bad config or
-missing/unreadable inputs, 3 solver failure (partial outputs retained).
+A run is a preset plus overrides.  ``--set section.key=value`` overrides
+one key of the preset's config, whose sections are [run], [material],
+[program], [solver] and [backtrack]; a section or key that no run reads is
+a config error, and so is a float value (a bc scale too) that is not finite
+(named by its key) or a value outside its range (named by its field and
+value).  ``--preset``, ``--scale``, ``--steps``, ``--k-back`` and ``--eta``
+are the overrides ``run.preset``, ``run.scale``, ``program.n_steps``,
+``backtrack.k_back`` and ``backtrack.eta``, applied before the ``--set``
+items.  The reaction a run records is the force conjugate to w, which the
+program's Dirichlet specs define.  Naming one elasticity pair (lam_kn/mu_kn
+or e_kn/nu) drops the preset's other pair.  Moduli are in kN/mm^2.
+run.json records the resolved config.  Exit codes: 0 ok, 1 audit mismatch,
+2 bad config, run outputs that cannot be written or run outputs that
+cannot be read, 3 solver failure (partial outputs retained).
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import io
 import json
 import math
 import sys
@@ -149,6 +146,15 @@ def _parse(key: str, value: str, kind):
         raise ValueError(f"{key}: {exc}") from None
 
 
+def _build(section: str, make, *args, **kw):
+    """``make(*args, **kw)``, with the config section named in a range error
+    (which names its field)."""
+    try:
+        return make(*args, **kw)
+    except ValueError as exc:
+        raise ValueError(f"{section}.{exc}") from None
+
+
 def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
     """Lay the keys of ``given`` over its base config and parse the result.
 
@@ -156,9 +162,9 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
     ``run.scale`` (1 if not given).  Naming one elasticity pair drops the
     base's other pair.  A section or key that no run reads, a missing key, a
     value that does not parse or a float that is not finite (named by its
-    key) or a program that does not fit the mesh is a config error, raised
-    before any output exists.  Returns the resolved config and the run
-    setup.
+    key), a value outside its range (named by its field and value) or a
+    program that does not fit the mesh is a config error, raised before any
+    output exists.  Returns the resolved config and the run setup.
     """
     for section, values in given.items():
         if section not in _CONFIG_KEYS:
@@ -204,34 +210,31 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
         name=preset,
         scale=scale,
         mesh=base_setup.mesh,
-        params=make(*(read("material", key, _finite) for key in _PAIRS[young]), **kw),
-        program=LoadProgram(
+        params=_build("material", make, *(read("material", key, _finite) for key in _PAIRS[young]), **kw),
+        program=_build(
+            "program",
+            LoadProgram,
             n_steps=read("program", "n_steps", int),
             dw=read("program", "dw", _finite),
             bcs=read("program", "bc", _parse_bcs),
         ),
-        solver=SolverConfig(
+        solver=_build(
+            "solver",
+            SolverConfig,
             tol_u=read("solver", "tol_u", _finite),
             tol_a=read("solver", "tol_a", _finite),
             max_newton=read("solver", "max_newton", int),
             max_alt=read("solver", "max_alt", int),
         ),
-        backtrack=BacktrackConfig(
-            k_max=read("backtrack", "k_back", int), eta=read("backtrack", "eta", _finite)
+        backtrack=_build(
+            "backtrack",
+            BacktrackConfig,
+            k_max=read("backtrack", "k_back", int),
+            eta=read("backtrack", "eta", _finite),
         ),
     )
     check_run_inputs(setup.mesh, setup.program)
     return cfg, setup
-
-
-def _read_config_file(path) -> dict:
-    parser = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        raise ValueError(f"cannot parse config {path}: {exc}") from exc
-    return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
@@ -242,15 +245,6 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
         section, name = key.split(".", 1)
         cfg.setdefault(section.strip(), {})[name.strip()] = value.strip()
     return cfg
-
-
-def _config_to_ini(cfg: dict) -> str:
-    parser = configparser.ConfigParser()
-    for section, values in cfg.items():
-        parser[section] = {k: str(v) for k, v in values.items()}
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +403,12 @@ def cmd_run(args) -> int:
     # each flag is stored under the config key it overrides
     flags = [f"{key}={value}" for key, value in vars(args).items() if "." in key and value is not None]
     try:
-        given = _read_config_file(args.config) if args.config else {}
-        history = run_to_dir(_apply_overrides(given, flags + (args.set or [])), args.out)
-    except (ValueError, KeyError, OSError) as exc:
+        history = run_to_dir(_apply_overrides({}, flags + (args.set or [])), args.out)
+    except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write run outputs: {exc}", file=sys.stderr)
         return 2
 
     if history.aborted:
@@ -522,20 +518,10 @@ def cmd_check_energy(args) -> int:
     if failing:
         print("two-sided inequality fails at steps: " + ", ".join(map(str, failing)), file=sys.stderr)
         return 1
-    summary = f"energy audit ok ({len(rows) - 1} steps: {len(rows) - 1} fully checked)"
+    summary = f"energy audit ok ({len(rows) - 1} steps)"
     if info.get("aborted"):
         summary += f"; the run aborted after {info['accepted_steps']} accepted steps: {info['abort_reason']}"
     print(summary)
-    return 0
-
-
-def cmd_export(args) -> int:
-    try:
-        cfg = config_from_setup(presets.load_preset(args.preset, args.scale))
-    except (KeyError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(_config_to_ini(cfg))
     return 0
 
 
@@ -544,10 +530,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a load program")
-    source = p_run.add_mutually_exclusive_group()
-    source.add_argument("--preset", dest="run.preset", choices=presets.PRESET_NAMES, help="run.preset")
-    source.add_argument("--config", help="INI config file")
-    p_run.add_argument("--scale", dest="run.scale", metavar="SCALE", help="run.scale")
+    p_run.add_argument("--preset", dest="run.preset", choices=presets.PRESET_NAMES, help="run.preset")
+    scale_help = "run.scale, in (0, 1] and 1 if not given; sens and bend3d fit the band budget at 0.3, not at 1"
+    p_run.add_argument("--scale", dest="run.scale", metavar="SCALE", help=scale_help)
     p_run.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     p_run.add_argument("--k-back", dest="backtrack.k_back", metavar="K", help="backtrack.k_back, the back-step budget")
     p_run.add_argument("--eta", dest="backtrack.eta", metavar="ETA", help="backtrack.eta, the energy tolerance")
@@ -558,11 +543,6 @@ def main(argv=None) -> int:
     p_chk = sub.add_parser("check-energy", help="audit a run directory")
     p_chk.add_argument("dir")
     p_chk.set_defaults(func=cmd_check_energy)
-
-    p_exp = sub.add_parser("export", help="print a preset as INI")
-    p_exp.add_argument("--preset", required=True, choices=presets.PRESET_NAMES)
-    p_exp.add_argument("--scale", type=float, default=1.0)
-    p_exp.set_defaults(func=cmd_export)
 
     args = parser.parse_args(argv)
     return args.func(args)

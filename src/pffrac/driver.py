@@ -66,7 +66,7 @@ class LoadProgram:
 
     def __post_init__(self):
         if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+            raise ValueError(f"n_steps = {self.n_steps!r} must be >= 1")
 
     def w(self, n: int) -> float:
         return n * self.dw if n else 0.0
@@ -81,9 +81,9 @@ class BacktrackConfig:
 
     def __post_init__(self):
         if self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
+            raise ValueError(f"k_max = {self.k_max!r} must be >= 0")
         if self.eta <= 0.0:
-            raise ValueError("eta must be > 0")
+            raise ValueError(f"eta = {self.eta!r} must be > 0")
 
 
 @dataclass

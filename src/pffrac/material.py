@@ -105,19 +105,18 @@ class MaterialParams:
 
     def __post_init__(self):
         if self.lam < 0.0:
-            raise ValueError("lam must be >= 0")
-        if self.mu <= 0.0 or self.gc <= 0.0 or self.ell <= 0.0:
-            raise ValueError("mu, gc, ell must be > 0")
+            raise ValueError(f"lam = {self.lam!r} must be >= 0")
+        for name in ("mu", "gc", "ell", "eps_pen"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be > 0")
         if not 0.0 < self.k < 1.0:
-            raise ValueError("k must be in (0, 1)")
-        if self.eps_pen <= 0.0:
-            raise ValueError("eps_pen must be > 0")
+            raise ValueError(f"k = {self.k!r} must be in (0, 1)")
         if self.dissipation not in (AT2, AT1):
-            raise ValueError(f"unknown dissipation variant {self.dissipation!r}")
+            raise ValueError(f"dissipation = {self.dissipation!r} must be {AT2} or {AT1}")
         if self.dissipation == AT1 and (self.kappa is None or self.kappa <= 0.0):
-            raise ValueError("AT1 requires kappa > 0")
+            raise ValueError(f"kappa = {self.kappa!r} must be > 0 under {AT1}")
         if self.dissipation != AT1 and self.kappa is not None:
-            raise ValueError(f"kappa is read only by AT1, not by {self.dissipation}")
+            raise ValueError(f"kappa = {self.kappa!r} is read only by {AT1}, not by {self.dissipation}")
 
     @classmethod
     def from_lame_kn(cls, lam_kn: float, mu_kn: float, **kw) -> "MaterialParams":
@@ -126,10 +125,13 @@ class MaterialParams:
 
     @classmethod
     def from_young_poisson_kn(cls, e_kn: float, nu: float, **kw) -> "MaterialParams":
-        """Build from Young's modulus (kN/mm^2) and Poisson ratio, which must
-        lie in (-1, 1/2), where the Lame constants are finite."""
-        if not -1.0 < nu < 0.5:
-            raise ValueError(f"nu = {nu!r} is outside (-1, 1/2)")
+        """Build from Young's modulus (kN/mm^2), which must be positive, and
+        Poisson ratio, which must lie in [0, 1/2), where the Lame constants
+        are finite and lam >= 0."""
+        if e_kn <= 0.0:
+            raise ValueError(f"e_kn = {e_kn!r} must be > 0")
+        if not 0.0 <= nu < 0.5:
+            raise ValueError(f"nu = {nu!r} must be in [0, 1/2)")
         e = 1e3 * e_kn
         lam = e * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
         mu = e / (2.0 * (1.0 + nu))

@@ -17,6 +17,20 @@ lshape    E 25.85, nu 0.18           0.095   20.0     1e-4    1e-4
 bend3d    E 39.0,  nu 0.15           0.04    15.0     1e-4    1e-4
 ========  =========================  ======  =======  ======  ========
 
+A displacement solve factors a band of (bandwidth + 1) * dofs doubles; a
+band over ``linsolve.BAND_BYTES_BUDGET`` (2 GiB) stops the run at its first
+solve (exit 3).  At the default scale 1, sens needs 8.36 GB and bend3d
+15.3 GB, so both are refused; these scales fit:
+
+========  =====  =======  =========  =======
+preset    scale  dofs     bandwidth  band
+========  =====  =======  =========  =======
+sent      1      28,942   148        0.03 GB
+sens      0.3    258,599  435        0.90 GB
+lshape    1      56,853   1,916      0.87 GB
+bend3d    0.3    48,544   821        0.32 GB
+========  =====  =======  =========  =======
+
 Dimensions that appear only in the source figures (the 1 mm notched square
 with a 0.5 mm mid-edge slit, the 500 mm L-panel, the 840 mm RILEM beam) are
 encoded as the community-standard values.
@@ -279,5 +293,5 @@ def load_preset(name: str, scale: float = 1.0) -> RunSetup:
     if name not in _BUILDERS:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if not 0.0 < scale <= 1.0:
-        raise ValueError("scale must be in (0, 1]")
+        raise ValueError(f"scale = {scale!r} must be in (0, 1]")
     return _BUILDERS[name](scale)

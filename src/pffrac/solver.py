@@ -61,10 +61,9 @@ class SolverConfig:
     max_alt: int = 1000
 
     def __post_init__(self):
-        if self.tol_u <= 0.0 or self.tol_a <= 0.0:
-            raise ValueError("tolerances must be > 0")
-        if self.max_newton < 1 or self.max_alt < 1:
-            raise ValueError("iteration caps must be >= 1")
+        for name in ("tol_u", "tol_a", "max_newton", "max_alt"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be > 0")
 
 
 class StepFailure(RuntimeError):

@@ -1,4 +1,3 @@
-import configparser
 import dataclasses
 import json
 
@@ -26,12 +25,13 @@ def setup_fields(s):
     )
 
 
-@pytest.fixture
-def sent_config(tmp_path):
-    """Config of a 5-step run of the smallest sent mesh (126 nodes)."""
-    cfg = tmp_path / "sent.cfg"
-    cfg.write_text("[run]\npreset = sent\nscale = 0.02\n\n[program]\nn_steps = 5\n")
-    return cfg
+# The flags of a 5-step run of the smallest sent mesh (126 nodes).
+SENT_RUN = ["--preset", "sent", "--scale", "0.02", "--steps", "5"]
+
+
+def sent_given():
+    """The config keys that ``SENT_RUN`` gives."""
+    return {"run": {"preset": "sent", "scale": "0.02"}, "program": {"n_steps": "5"}}
 
 
 class TestVtk:
@@ -91,18 +91,6 @@ class TestVtk:
 
 
 class TestConfigPlumbing:
-    def test_export_parses_as_ini(self, capsys):
-        # every key an export writes is one a run reads
-        for name in presets.PRESET_NAMES:
-            assert main(["export", "--preset", name, "--scale", "0.02"]) == 0
-            parser = configparser.ConfigParser()
-            parser.read_string(capsys.readouterr().out)
-            assert parser["run"]["preset"] == name
-            back = resolved_setup({s: dict(parser.items(s)) for s in parser.sections()})
-            setup = load_preset(name, 0.02)
-            assert back.params == setup.params and back.program == setup.program
-            assert back.solver == setup.solver and back.backtrack == setup.backtrack
-
     def test_setup_roundtrip(self):
         setup = load_preset("sent", 0.1)
         cfg = config_from_setup(setup)
@@ -239,20 +227,13 @@ class TestOverlay:
         return resolve
 
     @pytest.mark.parametrize("key", sorted(_PARITY_VALUES))
-    def test_flag_and_file_spellings_resolve_alike(self, tmp_path, resolved, key):
-        # a key given with --set and the same key in a config file over the
-        # same preset resolve to the same setup, which is not the preset's
-        section, name = key.split(".")
+    def test_flag_and_file_spellings_resolve_alike(self, resolved, key):
+        # a key given with --set over a preset resolves to a setup that is
+        # not the preset's, or to the config error that names the key (the
+        # run.json spelling of a config is test_run_json_config_reruns)
+        name = key.split(".")[1]
         value = _PARITY_VALUES[key]
-        parser = configparser.ConfigParser()
-        parser.read_dict({"run": {"preset": "sent"}})
-        parser.read_dict({section: {name: value}})
-        cfg = tmp_path / "one.cfg"
-        with open(cfg, "w") as fh:
-            parser.write(fh)
         by_flag = resolved(["run", "--preset", "sent", "--set", f"{key}={value}"])
-        by_file = resolved(["run", "--config", str(cfg)])
-        assert by_flag == by_file
         if name in ("e_kn", "nu"):
             # half of a pair the sent preset does not give
             other = "nu" if name == "e_kn" else "e_kn"
@@ -267,15 +248,13 @@ class TestOverlay:
         keys = {f"{s}.{k}" for s, names in _CONFIG_KEYS.items() for k in names}
         assert set(_PARITY_VALUES) == keys - {"run.preset"}
 
-    def test_flags_are_overrides(self, tmp_path, resolved):
-        # each run flag is its --set spelling, over a preset or a config file
+    def test_flags_are_overrides(self, resolved):
+        # each run flag is its --set spelling
         flags = ["--scale", "0.03", "--steps", "3", "--k-back", "2", "--eta", "1e-4"]
         keys = ["run.scale=0.03", "program.n_steps=3", "backtrack.k_back=2", "backtrack.eta=1e-4"]
         sets = [x for k in keys for x in ("--set", k)]
         assert resolved(["run", "--preset", "sent"] + flags) == resolved(["run", "--set", "run.preset=sent"] + sets)
-        cfg = tmp_path / "sent.cfg"
-        cfg.write_text("[run]\npreset = sent\n")
-        assert resolved(["run", "--config", str(cfg)] + flags) == resolved(["run", "--preset", "sent"] + sets)
+        assert resolved(["run", "--preset", "sent"] + flags) == resolved(["run", "--preset", "sent"] + sets)
         # a --set after a flag wins
         assert resolved(["run", "--preset", "sent", "--steps", "4", "--set", "program.n_steps=3"]) == resolved(
             ["run", "--preset", "sent", "--steps", "3"]
@@ -285,11 +264,12 @@ class TestOverlay:
 class TestCmdRun:
     def test_bad_config_exit_2(self, tmp_path, capsys):
         # a preset that does not exist, or none named
-        bad = tmp_path / "bad.cfg"
-        for text, named in [("preset = nope", "unknown preset 'nope'"), ("scale = 0.02", "run.preset")]:
-            bad.write_text(f"[run]\n{text}\n")
-            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        cases = [(["--set", "run.preset=nope"], "unknown preset 'nope'"), (["--scale", "0.02"], "run.preset")]
+        for argv, named in cases:
+            assert main(["run", *argv, "--out", str(out)]) == 2
             assert named in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "item, named",
@@ -333,20 +313,32 @@ class TestCmdRun:
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["--set", "material.e_kn=30", "--set", "material.nu=0.5"], "nu = 0.5 is outside (-1, 1/2)"),
-            (["--set", "material.e_kn=30", "--set", "material.nu=-1"], "nu = -1.0 is outside (-1, 1/2)"),
-            (["--eta", "0"], "eta must be > 0"),
-            (["--k-back", "-1"], "k_max must be >= 0"),
+            (["--set", "material.e_kn=30", "--set", "material.nu=0.5"], "material.nu = 0.5 must be in [0, 1/2)"),
+            (["--set", "material.e_kn=30", "--set", "material.nu=-1"], "material.nu = -1.0 must be in [0, 1/2)"),
+            (["--eta", "0"], "backtrack.eta = 0.0 must be > 0"),
+            (["--k-back", "-1"], "backtrack.k_max = -1 must be >= 0"),
+            # a negative nu gives a negative lam, refused by its own key
+            (["--set", "material.e_kn=30", "--set", "material.nu=-0.2"], "material.nu = -0.2 must be in [0, 1/2)"),
+            (["--set", "material.e_kn=0", "--set", "material.nu=0.2"], "material.e_kn = 0.0 must be > 0"),
+            (["--set", "material.gc=-1"], "material.gc = -1.0 must be > 0"),
+            (["--set", "solver.tol_u=0"], "solver.tol_u = 0.0 must be > 0"),
+            (["--set", "solver.max_alt=0"], "solver.max_alt = 0 must be > 0"),
+            (["--steps", "0"], "program.n_steps = 0 must be >= 1"),
+            (["--scale", "2"], "scale = 2.0 must be in (0, 1]"),
         ],
-        ids=["nu_half", "nu_minus_one", "eta_zero", "k_back_negative"],
+        ids=[
+            "nu_half", "nu_minus_one", "eta_zero", "k_back_negative", "nu_negative", "e_kn_zero", "gc_negative",
+            "tol_u_zero", "max_alt_zero", "n_steps_zero", "scale_two",
+        ],
     )
     def test_out_of_range_exit_2(self, tmp_path, capsys, flags, named):
-        # a value that parses but lies outside its range is a config error,
-        # found before the output directory is made
+        # a value that parses but lies outside its range is a config error
+        # naming its section and field, found before the output directory
+        # is made
         out = tmp_path / "o"
         argv = ["run", "--preset", "sent", "--scale", "0.02", "--steps", "1", *flags, "--out", str(out)]
         assert main(argv) == 2
-        assert f"config error: {named}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {named}\n"
         assert not out.exists()
 
     # Each float key with a value for every other key of its pair, and a bc
@@ -388,48 +380,61 @@ class TestCmdRun:
         assert f"config error: {key}: '{value}' is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reaction_section_exit_2(self, sent_config, tmp_path, capsys):
+    def test_reaction_section_exit_2(self, tmp_path, capsys):
         # the reaction is the force conjugate to w; a config that still
         # names a reaction set and direction has a section no run reads
-        cfg = tmp_path / "old.cfg"
-        cfg.write_text(sent_config.read_text() + "\n[reaction]\nset = top\ndirection = 0 1\n")
         out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        sets = ["--set", "reaction.set=top", "--set", "reaction.direction=0 1"]
+        assert main(["run", *SENT_RUN, *sets, "--out", str(out)]) == 2
         assert "unknown config section [reaction]" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_config_and_preset_exclusive(self, sent_config, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv", [["run", "--config", "x.cfg"], ["export", "--preset", "sent"]], ids=["config_file", "export"]
+    )
+    def test_config_file_is_no_input(self, tmp_path, capsys, argv):
+        # a run is a preset plus overrides: a config file is no input, and
+        # there is no export to write one; each is a usage error that makes
+        # no output directory
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(sent_config), "--preset", "bend3d", "--out", str(out)])
+            main(argv + ["--out", str(out)])
         assert exc.value.code == 2
-        assert "--preset" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("usage: pffrac")
         assert not out.exists()
 
-    def test_run_json_config_reruns(self, sent_config, tmp_path):
-        # run.json records the resolved config, the preset's export with the
-        # config's keys laid over it; fed back as a config, it writes the
-        # same outputs byte for byte
+    def test_unwritable_outputs_exit_2(self, tmp_path, capsys):
+        # a plain file where the snapshot directory goes: the outputs cannot
+        # be written, which is no config error
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "snapshots").write_text("")
+        assert main(["run", *SENT_RUN, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write run outputs: ") and "snapshots" in err
+
+    def test_run_json_config_reruns(self, tmp_path):
+        # run.json records the resolved config, the preset's config with the
+        # run's overrides laid over it; run again, it writes the same
+        # outputs byte for byte
         first, again = tmp_path / "first", tmp_path / "again"
-        assert main(["run", "--config", str(sent_config), "--out", str(first)]) == 0
+        assert main(["run", *SENT_RUN, "--out", str(first)]) == 0
         cfg = json.loads((first / "run.json").read_text())["config"]
         want = config_from_setup(load_preset("sent", 0.02))
         want["program"]["n_steps"] = "5"
         assert cfg == want
-        fed = tmp_path / "fed.cfg"
-        fed.write_text(cli._config_to_ini(cfg))
-        assert main(["run", "--config", str(fed), "--out", str(again)]) == 0
+        run_to_dir(cfg, again)
         assert json.loads((again / "run.json").read_text())["config"] == cfg
         names = ["load_disp.csv", "energy.csv", "intermediates.csv"]
         names += [f"snapshots/step_{n:06d}.vtk" for n in range(6)]
         for name in names:
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
-    def test_intermediates_csv(self, sent_config, tmp_path, monkeypatch):
+    def test_intermediates_csv(self, tmp_path, monkeypatch):
         # always written: the header alone when no back step happened, else
         # one row per solve of a back-step round, the last of which is the
         # re-solve the run accepted
-        cfg = cli._read_config_file(sent_config)
+        cfg = sent_given()
         header = "target_step,w,b,passed,delta,LB,UB,reaction"
         hist = run_to_dir(cfg, tmp_path / "plain")
         assert not hist.backtracks
@@ -451,12 +456,12 @@ class TestCmdRun:
         assert hist.intermediates[-1] is hist.steps[2]
         assert hist.steps[2].reaction != 0.0
 
-    def test_chain_rows_formatted_once(self, sent_config, tmp_path, monkeypatch):
+    def test_chain_rows_formatted_once(self, tmp_path, monkeypatch):
         # a back step replaces accepted rows; the CSV writes format each
         # record that enters the chain once (2 numbers of load_disp.csv, 5
         # of energy.csv), and the files equal a fresh format of the final
         # chain
-        cfg = cli._read_config_file(sent_config)
+        cfg = sent_given()
         setup = resolved_setup(cfg)
         counts = {"fmt": 0, "accepts": 0, "writing": False}
         real_fmt, real_call, real_write = cli._fmt, cli._RunWriter.__call__, cli._RunWriter.write_csvs
@@ -488,11 +493,11 @@ class TestCmdRun:
         for name in ("load_disp.csv", "energy.csv"):
             assert (tmp_path / "run" / name).read_bytes() == (fresh / name).read_bytes()
 
-    def test_rerun_drops_earlier_snapshots(self, sent_config, tmp_path):
+    def test_rerun_drops_earlier_snapshots(self, tmp_path):
         # a shorter run into the directory of a longer one leaves only its
         # own snapshots
         out = tmp_path / "o"
-        argv = ["run", "--config", str(sent_config), "--out", str(out), "--steps"]
+        argv = ["run", *SENT_RUN, "--out", str(out), "--steps"]
         assert main(argv + ["3"]) == 0
         assert main(argv + ["2"]) == 0
         assert sorted(f.name for f in (out / "snapshots").iterdir()) == [f"step_{n:06d}.vtk" for n in range(3)]
@@ -510,7 +515,7 @@ class TestCmdRun:
             "step_000000.vtk", "step_000001.vtk", "step_final.vtk",
         ]
 
-    def test_abort_after_back_step_keeps_accepted_snapshots(self, sent_config, tmp_path, monkeypatch, capsys):
+    def test_abort_after_back_step_keeps_accepted_snapshots(self, tmp_path, monkeypatch, capsys):
         # target 4 fails, then target 3's re-solve; target 2's re-solve is
         # accepted and the next solve fails: step 3's snapshot belongs to the
         # replaced chain and goes, and run.json counts every solve
@@ -526,7 +531,7 @@ class TestCmdRun:
         monkeypatch.setattr(driver, "alternate_minimize", solve)
         scripted_checks(monkeypatch, lambda step, nth: (step == 4 and nth == 1) or (step == 3 and nth == 2))
         out = tmp_path / "o"
-        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 3
+        assert main(["run", *SENT_RUN, "--out", str(out)]) == 3
         monkeypatch.undo()
         assert sorted(f.name for f in (out / "snapshots").iterdir()) == [f"step_{n:06d}.vtk" for n in range(3)]
         info = json.loads((out / "run.json").read_text())
@@ -548,9 +553,9 @@ class TestCmdRun:
         assert info["all_solves"]["trials_u"] >= info["all_solves"]["newton_u"] > 0
         assert main(["check-energy", str(out)]) == 0
 
-    def test_sent_run_outputs(self, sent_config, tmp_path):
+    def test_sent_run_outputs(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 0
+        assert main(["run", *SENT_RUN, "--out", str(out)]) == 0
         load = (out / "load_disp.csv").read_text().splitlines()
         assert load[0] == "step,w,reaction"
         first = load[1].split(",")
@@ -571,17 +576,17 @@ class TestCmdRun:
         assert main(argv + ["--out", str(out)]) == 0
         assert (out / "load_disp.csv").read_text().splitlines()[1] == "0,0,0"
 
-    def test_rerun_bitwise_identical(self, sent_config, tmp_path):
+    def test_rerun_bitwise_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(sent_config), "--out", str(out1)]) == 0
-        assert main(["run", "--config", str(sent_config), "--out", str(out2)]) == 0
+        assert main(["run", *SENT_RUN, "--out", str(out1)]) == 0
+        assert main(["run", *SENT_RUN, "--out", str(out2)]) == 0
         for name in ("load_disp.csv", "energy.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_set_override_echoed(self, sent_config, tmp_path):
+    def test_set_override_echoed(self, tmp_path):
         out = tmp_path / "out"
         code = main(
-            ["run", "--config", str(sent_config), "--out", str(out), "--set", "material.ell=0.02"]
+            ["run", *SENT_RUN, "--out", str(out), "--set", "material.ell=0.02"]
         )
         assert code == 0
         run_log = json.loads((out / "run.json").read_text())
@@ -622,14 +627,14 @@ class TestCmdRun:
 
 
 class TestCheckEnergy:
-    def test_self_consistency_exit_0(self, sent_config, tmp_path, capsys):
+    def test_self_consistency_exit_0(self, tmp_path, capsys):
         out = tmp_path / "out"
-        main(["run", "--config", str(sent_config), "--out", str(out)])
+        main(["run", *SENT_RUN, "--out", str(out)])
         assert main(["check-energy", str(out)]) == 0
 
-    def test_tampered_energy_exit_1(self, sent_config, tmp_path):
+    def test_tampered_energy_exit_1(self, tmp_path):
         out = tmp_path / "out"
-        main(["run", "--config", str(sent_config), "--out", str(out)])
+        main(["run", *SENT_RUN, "--out", str(out)])
         path = out / "energy.csv"
         rows = path.read_text().splitlines()
         parts = rows[2].split(",")
@@ -638,20 +643,20 @@ class TestCheckEnergy:
         path.write_text("\n".join(rows) + "\n")
         assert main(["check-energy", str(out)]) == 1
 
-    def test_missing_snapshot_exit_2(self, sent_config, tmp_path, capsys):
+    def test_missing_snapshot_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
-        main(["run", "--config", str(sent_config), "--out", str(out)])
+        main(["run", *SENT_RUN, "--out", str(out)])
         (out / "snapshots" / "step_000003.vtk").unlink()
         capsys.readouterr()
         assert main(["check-energy", str(out)]) == 2
         err = capsys.readouterr().err
         assert "cannot load run outputs: " in err and "step_000003.vtk" in err
 
-    def test_old_run_json_audits(self, sent_config, tmp_path, capsys):
+    def test_old_run_json_audits(self, tmp_path, capsys):
         # run.json of an older version echoes solver and output keys that a
         # run now rejects; the audit reads neither section through the setup
         out = tmp_path / "out"
-        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 0
+        assert main(["run", *SENT_RUN, "--out", str(out)]) == 0
         path = out / "run.json"
         log = json.loads(path.read_text())
         log["config"].setdefault("solver", {})["clamp_damage"] = "true"
@@ -659,7 +664,7 @@ class TestCheckEnergy:
         path.write_text(json.dumps(log))
         capsys.readouterr()
         assert main(["check-energy", str(out)]) == 0
-        assert "energy audit ok (5 steps: 5 fully checked" in capsys.readouterr().out
+        assert "energy audit ok (5 steps)\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("every", ["1", "2"])
     def test_old_output_section_audits(self, sent_run, capsys, every):
@@ -686,7 +691,7 @@ class TestCheckEnergy:
         path.write_text(json.dumps(log))
         assert self.audit_of(sent_run, capsys) == (0, "")
 
-    def test_aborted_run_says_so(self, sent_config, tmp_path, monkeypatch, capsys):
+    def test_aborted_run_says_so(self, tmp_path, monkeypatch, capsys):
         # the audit of an aborted run passes on its accepted steps and names
         # the abort in its summary
         real_solve = driver.alternate_minimize
@@ -700,18 +705,18 @@ class TestCheckEnergy:
 
         monkeypatch.setattr(driver, "alternate_minimize", solve)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 3
+        assert main(["run", *SENT_RUN, "--out", str(out)]) == 3
         capsys.readouterr()
         assert main(["check-energy", str(out)]) == 0
         assert capsys.readouterr().out == (
-            "energy audit ok (2 steps: 2 fully checked)"
+            "energy audit ok (2 steps)"
             "; the run aborted after 2 accepted steps: scripted failure\n"
         )
 
-    def test_bad_run_config_exit_2(self, sent_config, tmp_path, capsys):
+    def test_bad_run_config_exit_2(self, tmp_path, capsys):
         # the audit reads the config from run.json and rejects what a run would
         out = tmp_path / "out"
-        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 0
+        assert main(["run", *SENT_RUN, "--out", str(out)]) == 0
         good = json.loads((out / "run.json").read_text())
         bad = [
             ("program", "bc", "bottom:y:0; nope:y:1", "unknown node set 'nope'"),
@@ -731,9 +736,9 @@ class TestCheckEnergy:
             assert "cannot load run outputs" in err and named in err
 
     @pytest.fixture
-    def sent_run(self, sent_config, tmp_path):
+    def sent_run(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["run", "--config", str(sent_config), "--out", str(out)]) == 0
+        assert main(["run", *SENT_RUN, "--out", str(out)]) == 0
         return out
 
     def audit_of(self, out, capsys):
