@@ -15,24 +15,32 @@ check-energy recompute the energy audit from the snapshots of a finished
              gives its accepted steps and the abort reason
 
 A run is a preset plus overrides.  ``--set section.key=value`` overrides
-one key of the preset's config, whose sections are [run], [material],
-[program], [solver] and [backtrack]; a section or key that no run reads is
-a config error, and so is a float value (a bc scale too) that is not finite
-(named by its key) or a value outside its range (named by its field and
-value).  ``--preset``, ``--scale``, ``--steps``, ``--k-back`` and ``--eta``
-are the overrides ``run.preset``, ``run.scale``, ``program.n_steps``,
-``backtrack.k_back`` and ``backtrack.eta``, applied before the ``--set``
-items.  The reaction a run records is the force conjugate to w, which the
-program's Dirichlet specs define.  Naming one elasticity pair (lam_kn/mu_kn
-or e_kn/nu) drops the preset's other pair.  Moduli are in kN/mm^2.
-run.json records the resolved config.  Exit codes: 0 ok, 1 audit mismatch,
-2 bad config, run outputs that cannot be written or run outputs that
-cannot be read, 3 solver failure (partial outputs retained).
+one key of the preset's config.  [run] holds ``preset`` and ``scale``;
+each other section's keys are the scalar fields, with their names and
+units, of the part of the run setup it sets: [material] of
+``material.MaterialParams`` (moduli ``lam`` and ``mu`` in N/mm^2),
+[program] of ``driver.LoadProgram`` (``n_steps`` and ``dw``; its Dirichlet
+specs are the preset's), [solver] of ``solver.SolverConfig`` and
+[backtrack] of ``driver.BacktrackConfig``.  A section or key that no run
+reads is a config error, and so is a value that does not parse or a float
+that is not finite (named by its key) or a value outside its range (named
+by its key and value).  ``--preset``, ``--scale``, ``--steps``,
+``--k-back`` and ``--eta`` are the overrides ``run.preset``,
+``run.scale``, ``program.n_steps``, ``backtrack.k_back`` and
+``backtrack.eta``, applied before the ``--set`` items.  The reaction a run
+records is the force conjugate to w, which the program's Dirichlet specs
+define.  run.json records the resolved config, which check-energy reads
+back: a run.json written under other config keys (``material.lam_kn`` of
+older versions) is refused, naming its first unknown key.  Exit codes: 0
+ok, 1 audit mismatch, 2 bad config, run outputs that cannot be written or
+run outputs that cannot be read, 3 solver failure (partial outputs
+retained).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,38 +50,17 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .driver import (
-    BacktrackConfig,
-    DirichletSpec,
-    LoadProgram,
-    RunHistory,
-    check_run_inputs,
-    lifting_for_step,
-    run,
-)
+from .driver import RunHistory, check_run_inputs, lifting_for_step, run
 from .energetics import check_two_sided, dis, erg
 from .fem import build_kernels
-from .material import AT1, MaterialParams
-from .solver import SolverConfig
 from .vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
 __all__ = ["main", "cmd_run", "cmd_check_energy", "config_from_setup", "resolve_config"]
 
-_COMP = {"x": 0, "y": 1, "z": 2, "0": 0, "1": 1, "2": 2}
-_COMP_NAME = "xyz"
 # Relative tolerance of check-energy between a recorded and a recomputed figure.
 _AUDIT_RTOL = 1e-10
-
-# Every config key that resolve_config reads, by section.
-_CONFIG_KEYS = {
-    "run": {"preset", "scale"},
-    "material": {"lam_kn", "mu_kn", "e_kn", "nu", "gc", "ell", "k", "dissipation", "eps_pen", "kappa"},
-    "program": {"n_steps", "dw", "bc"},
-    "solver": {"tol_u", "tol_a", "max_newton", "max_alt"},
-    "backtrack": {"k_back", "eta"},
-}
-# The two ways to give the elastic moduli; a config names exactly one.
-_PAIRS = (("lam_kn", "mu_kn"), ("e_kn", "nu"))
+# The run-setup part that each config section past [run] sets.
+_SECTIONS = {"material": "params", "program": "program", "solver": "solver", "backtrack": "backtrack"}
 
 
 def _fmt(x: float) -> str:
@@ -84,58 +71,37 @@ def _fmt(x: float) -> str:
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-def config_from_setup(setup: presets.RunSetup) -> dict:
-    """Serialize a run setup to the INI-shaped nested dict."""
-    p, solver, backtrack = setup.params, setup.solver, setup.backtrack
-    bc_str = "; ".join(
-        f"{bc.node_set}:{_COMP_NAME[bc.component]}:{_fmt(bc.scale)}" for bc in setup.program.bcs
-    )
-    material = {
-        "lam_kn": _fmt(p.lam / 1e3),
-        "mu_kn": _fmt(p.mu / 1e3),
-        "gc": _fmt(p.gc),
-        "ell": _fmt(p.ell),
-        "k": _fmt(p.k),
-        "dissipation": p.dissipation,
-        "eps_pen": _fmt(p.eps_pen),
-    }
-    if p.kappa is not None:
-        material["kappa"] = _fmt(p.kappa)
-    return {
-        "run": {"preset": setup.name, "scale": _fmt(setup.scale)},
-        "material": material,
-        "program": {"n_steps": str(setup.program.n_steps), "dw": _fmt(setup.program.dw), "bc": bc_str},
-        "solver": {
-            "tol_u": _fmt(solver.tol_u),
-            "tol_a": _fmt(solver.tol_a),
-            "max_newton": str(solver.max_newton),
-            "max_alt": str(solver.max_alt),
-        },
-        "backtrack": {"k_back": str(backtrack.k_max), "eta": _fmt(backtrack.eta)},
-    }
-
-
-def _parse_bcs(spec: str):
-    bcs = []
-    for chunk in spec.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 3 or parts[1].strip().lower() not in _COMP:
-            raise ValueError(f"bad bc spec {chunk!r} (want set:comp:scale)")
-        bcs.append(
-            DirichletSpec(parts[0].strip(), _COMP[parts[1].strip().lower()], _finite(parts[2]))
-        )
-    return tuple(bcs)
-
-
 def _finite(value: str) -> float:
     """The float a config value gives, which must be finite."""
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"{value.strip()!r} is not a finite number")
     return x
+
+
+# The parser of a config value, by the annotation of its field; a field of
+# another type (the program's Dirichlet specs) is no config key.
+_PARSERS = {"float": _finite, "float | None": _finite, "int": int, "str": str.strip}
+
+
+def _keys(part) -> dict:
+    """The config keys of a run-setup part, its scalar fields, each with its
+    parser."""
+    return {f.name: _PARSERS[f.type] for f in dataclasses.fields(part) if f.type in _PARSERS}
+
+
+def config_from_setup(setup: presets.RunSetup) -> dict:
+    """Serialize a run setup to the nested dict of config strings (floats
+    as ``%.17g``; a field that is None is left out)."""
+    cfg = {"run": {"preset": setup.name, "scale": _fmt(setup.scale)}}
+    for section, attr in _SECTIONS.items():
+        part = getattr(setup, attr)
+        cfg[section] = {
+            key: _fmt(value) if isinstance(value, float) else str(value)
+            for key in _keys(part)
+            if (value := getattr(part, key)) is not None
+        }
+    return cfg
 
 
 def _parse(key: str, value: str, kind):
@@ -156,83 +122,40 @@ def _build(section: str, make, *args, **kw):
 
 
 def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
-    """Lay the keys of ``given`` over its base config and parse the result.
+    """Lay the keys of ``given`` over its preset's config and parse them.
 
-    The base is the full config of the preset that ``run.preset`` names, at
-    ``run.scale`` (1 if not given).  Naming one elasticity pair drops the
-    base's other pair.  A section or key that no run reads, a missing key, a
-    value that does not parse or a float that is not finite (named by its
-    key), a value outside its range (named by its field and value) or a
-    program that does not fit the mesh is a config error, raised before any
-    output exists.  Returns the resolved config and the run setup.
+    The base is the run setup of the preset that ``run.preset`` names, at
+    ``run.scale`` (1 if not given).  Each other section's keys are the
+    scalar fields of the part it sets, and each given value is parsed by
+    its field's annotation into a copy of the base part.  A missing
+    ``run.preset``, a section or key that no run reads, a value that does
+    not parse or a float that is not finite (named by its key), a value
+    outside its range (named by its key and value) or a program that does
+    not fit the mesh is a config error, raised before any output exists.
+    Returns the preset's config with the given keys laid over it, and the
+    run setup.
     """
-    for section, values in given.items():
-        if section not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config section [{section}]")
-        unknown = sorted(set(values) - _CONFIG_KEYS[section])
-        if unknown:
-            raise ValueError("unknown config key " + ", ".join(f"{section}.{k}" for k in unknown))
     run_sec = given.get("run", {})
     preset = run_sec.get("preset", "").strip()
     if not preset:
         raise ValueError("missing config key run.preset")
     scale = _parse("run.scale", run_sec.get("scale", "1"), _finite)
-    base_setup = presets.load_preset(preset, scale)
-    cfg = config_from_setup(base_setup)
+    base = _build("run", presets.load_preset, preset, scale)
+    cfg = config_from_setup(base)
+    parts = {}
     for section, values in given.items():
-        base = cfg.setdefault(section, {})
-        if section == "material":
-            for pair, other in zip(_PAIRS, _PAIRS[::-1]):
-                if not values.keys().isdisjoint(pair):
-                    for key in other:
-                        base.pop(key, None)
-        base.update(values)
-
-    def read(section, key, kind=str):
-        try:
-            value = cfg[section][key]
-        except KeyError:
-            raise ValueError(f"missing config key {section}.{key}") from None
-        return _parse(f"{section}.{key}", value, kind)
-
-    mat = cfg["material"]
-    young = not mat.keys().isdisjoint(_PAIRS[1])
-    if young and not mat.keys().isdisjoint(_PAIRS[0]):
-        raise ValueError("config names both material.lam_kn/mu_kn and material.e_kn/nu")
-    kw = {key: read("material", key, _finite) for key in ("gc", "ell", "k", "eps_pen")}
-    kw["dissipation"] = read("material", "dissipation").strip()
-    if mat.get("kappa", "").strip():
-        kw["kappa"] = read("material", "kappa", _finite)
-        if kw["dissipation"] != AT1:
-            raise ValueError(f"material.kappa: kappa is read only by AT1, not by {kw['dissipation']}")
-    make = MaterialParams.from_young_poisson_kn if young else MaterialParams.from_lame_kn
-    setup = presets.RunSetup(
-        name=preset,
-        scale=scale,
-        mesh=base_setup.mesh,
-        params=_build("material", make, *(read("material", key, _finite) for key in _PAIRS[young]), **kw),
-        program=_build(
-            "program",
-            LoadProgram,
-            n_steps=read("program", "n_steps", int),
-            dw=read("program", "dw", _finite),
-            bcs=read("program", "bc", _parse_bcs),
-        ),
-        solver=_build(
-            "solver",
-            SolverConfig,
-            tol_u=read("solver", "tol_u", _finite),
-            tol_a=read("solver", "tol_a", _finite),
-            max_newton=read("solver", "max_newton", int),
-            max_alt=read("solver", "max_alt", int),
-        ),
-        backtrack=_build(
-            "backtrack",
-            BacktrackConfig,
-            k_max=read("backtrack", "k_back", int),
-            eta=read("backtrack", "eta", _finite),
-        ),
-    )
+        if section not in cfg:
+            raise ValueError(f"unknown config section [{section}]")
+        part = getattr(base, _SECTIONS[section]) if section in _SECTIONS else None
+        keys = cfg["run"] if part is None else _keys(part)
+        unknown = sorted(set(values) - set(keys))
+        if unknown:
+            raise ValueError("unknown config key " + ", ".join(f"{section}.{k}" for k in unknown))
+        if part is not None:
+            kw = {key: _parse(f"{section}.{key}", value, keys[key]) for key, value in values.items()}
+            parts[_SECTIONS[section]] = _build(section, dataclasses.replace, part, **kw)
+        cfg[section].update(values)
+    setup = dataclasses.replace(base, **parts)
     check_run_inputs(setup.mesh, setup.program)
     return cfg, setup
 
@@ -440,15 +363,7 @@ def cmd_check_energy(args) -> int:
     try:
         with open(out_dir / "run.json") as fh:
             info = json.load(fh)
-        # a run.json from an older version may echo solver keys that runs
-        # no longer accept, its snapshot interval and its reaction set and
-        # direction; the audit needs none of them
-        cfg = {
-            section: {k: v for k, v in keys.items() if section != "solver" or k in _CONFIG_KEYS[section]}
-            for section, keys in info["config"].items()
-            if section not in ("output", "reaction")
-        }
-        _, setup = resolve_config(cfg)
+        _, setup = resolve_config(info["config"])
         rows = [_energy_row(line) for line in (out_dir / "energy.csv").read_text().strip().splitlines()[1:]]
         steps = [row[0] for row in rows]
         if steps != list(range(info["accepted_steps"] + 1)):

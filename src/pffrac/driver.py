@@ -76,12 +76,12 @@ class LoadProgram:
 class BacktrackConfig:
     """Back-step budget K (0 disables backtracking) and energy tolerance."""
 
-    k_max: int = 50
+    k_back: int = 50
     eta: float = 1e-5
 
     def __post_init__(self):
-        if self.k_max < 0:
-            raise ValueError(f"k_max = {self.k_max!r} must be >= 0")
+        if self.k_back < 0:
+            raise ValueError(f"k_back = {self.k_back!r} must be >= 0")
         if self.eta <= 0.0:
             raise ValueError(f"eta = {self.eta!r} must be > 0")
 
@@ -238,9 +238,9 @@ def advance(history: RunHistory, program, bt, cfg, p, mesh, kernels, dofmap) -> 
     # pass while the same forward step keeps failing with an unchanged
     # guess, and a per-round counter would cycle forever.
     b = max((r.b for r in history.solves if r.round_of == target), default=0)
-    if not rec.report.passed and b < bt.k_max:
+    if not rec.report.passed and b < bt.k_back:
         rec.round_of, rec.b = target, b
-        while not rec.report.passed and b < bt.k_max and n > 0:
+        while not rec.report.passed and b < bt.k_back and n > 0:
             n -= 1
             b += 1
             rec = _solve(history, n, program, bt, cfg, p, mesh, kernels, dofmap)

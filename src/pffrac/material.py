@@ -10,8 +10,7 @@ direction e_z has no in-plane component, so it adds nothing to any split
 quantity and only the in-plane pair is kept.
 
 Units: moduli in N/mm^2, ``gc`` in N/mm, lengths in mm (energies then come
-out in N*mm).  Inputs given in kN/mm^2 are converted once, at construction,
-via the ``from_*`` helpers.
+out in N*mm).
 
 Sign conventions at a zero eigenvalue: the positive part takes derivative 0
 and the negative part derivative 1 (compression-side convention), so the
@@ -119,20 +118,8 @@ class MaterialParams:
             raise ValueError(f"kappa = {self.kappa!r} is read only by {AT1}, not by {self.dissipation}")
 
     @classmethod
-    def from_lame_kn(cls, lam_kn: float, mu_kn: float, **kw) -> "MaterialParams":
-        """Build from Lame constants given in kN/mm^2."""
-        return cls(lam=1e3 * lam_kn, mu=1e3 * mu_kn, **kw)
-
-    @classmethod
-    def from_young_poisson_kn(cls, e_kn: float, nu: float, **kw) -> "MaterialParams":
-        """Build from Young's modulus (kN/mm^2), which must be positive, and
-        Poisson ratio, which must lie in [0, 1/2), where the Lame constants
-        are finite and lam >= 0."""
-        if e_kn <= 0.0:
-            raise ValueError(f"e_kn = {e_kn!r} must be > 0")
-        if not 0.0 <= nu < 0.5:
-            raise ValueError(f"nu = {nu!r} must be in [0, 1/2)")
-        e = 1e3 * e_kn
+    def from_young_poisson(cls, e: float, nu: float, **kw) -> "MaterialParams":
+        """Build from Young's modulus (N/mm^2) and Poisson ratio."""
         lam = e * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
         mu = e / (2.0 * (1.0 + nu))
         return cls(lam=lam, mu=mu, **kw)

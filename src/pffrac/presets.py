@@ -6,16 +6,19 @@ scale 1.0 reproduces the reference resolution and smaller values coarsen
 for desk-scale runs.  Notched 2-D specimens carry a zero-width slit of
 duplicated nodes; the 3-D beam notch has finite width (cells removed).
 
-Parameter values (moduli in kN/mm^2 at the interface, stored in N/mm^2):
+Parameter values, set by the ``material`` config keys: moduli in N/mm^2
+(lshape and bend3d give Young's modulus E and Poisson ratio nu, from which
+the Lame constants ``lam`` and ``mu`` are computed), ``gc`` in N/mm,
+``ell`` in mm, ``k`` and ``eps_pen`` dimensionless:
 
-========  =========================  ======  =======  ======  ========
-preset    elasticity                 gc      ell      k       eps_pen
-========  =========================  ======  =======  ======  ========
-sent      lam 121.1538, mu 80.7692   2.7     0.0175   1e-4    1e-6
-sens      lam 121.1538, mu 80.7692   2.7     0.001    1e-4    1e-5
-lshape    E 25.85, nu 0.18           0.095   20.0     1e-4    1e-4
-bend3d    E 39.0,  nu 0.15           0.04    15.0     1e-4    1e-4
-========  =========================  ======  =======  ======  ========
+========  ==========================  ======  =======  ======  ========
+preset    elasticity (N/mm^2)         gc      ell      k       eps_pen
+========  ==========================  ======  =======  ======  ========
+sent      lam 121153.8, mu 80769.2    2.7     0.0175   1e-4    1e-6
+sens      lam 121153.8, mu 80769.2    2.7     0.001    1e-4    1e-5
+lshape    E 25850, nu 0.18            0.095   20.0     1e-4    1e-4
+bend3d    E 39000, nu 0.15            0.04    15.0     1e-4    1e-4
+========  ==========================  ======  =======  ======  ========
 
 A displacement solve factors a band of (bandwidth + 1) * dofs doubles; a
 band over ``linsolve.BAND_BYTES_BUDGET`` (2 GiB) stops the run at its first
@@ -136,9 +139,7 @@ def _square_with_slit(scale: float, ell: float) -> Mesh:
 
 
 def _sent(scale: float) -> RunSetup:
-    p = MaterialParams.from_lame_kn(
-        121.1538, 80.7692, gc=2.7, ell=0.0175, k=1e-4, eps_pen=1e-6
-    )
+    p = MaterialParams(lam=121153.8, mu=80769.2, gc=2.7, ell=0.0175, k=1e-4, eps_pen=1e-6)
     mesh = _square_with_slit(scale, p.ell)
     program = LoadProgram(
         n_steps=100,
@@ -160,9 +161,7 @@ def _sent(scale: float) -> RunSetup:
 
 
 def _sens(scale: float) -> RunSetup:
-    p = MaterialParams.from_lame_kn(
-        121.1538, 80.7692, gc=2.7, ell=0.001, k=1e-4, eps_pen=1e-5
-    )
+    p = MaterialParams(lam=121153.8, mu=80769.2, gc=2.7, ell=0.001, k=1e-4, eps_pen=1e-5)
     mesh = _square_with_slit(scale, p.ell)
     program = LoadProgram(
         n_steps=200,
@@ -186,9 +185,7 @@ def _sens(scale: float) -> RunSetup:
 
 
 def _lshape(scale: float) -> RunSetup:
-    p = MaterialParams.from_young_poisson_kn(
-        25.85, 0.18, gc=0.095, ell=20.0, k=1e-4, eps_pen=1e-4
-    )
+    p = MaterialParams.from_young_poisson(25850.0, 0.18, gc=0.095, ell=20.0, k=1e-4, eps_pen=1e-4)
     h_fine = min(min(6.25, p.ell / 2.0) / scale, 60.0)
     h_coarse = min(2.5 * h_fine, 125.0)
 
@@ -232,9 +229,7 @@ def _lshape(scale: float) -> RunSetup:
 
 
 def _bend3d(scale: float) -> RunSetup:
-    p = MaterialParams.from_young_poisson_kn(
-        39.0, 0.15, gc=0.04, ell=15.0, k=1e-4, eps_pen=1e-4
-    )
+    p = MaterialParams.from_young_poisson(39000.0, 0.15, gc=0.04, ell=15.0, k=1e-4, eps_pen=1e-4)
     h_fine = min(min(1.0, p.ell / 2.0) / scale, 25.0)
     h_coarse = min(40.0, 8.0 * h_fine)
 
@@ -284,14 +279,16 @@ def _bend3d(scale: float) -> RunSetup:
 _BUILDERS = {"sent": _sent, "sens": _sens, "lshape": _lshape, "bend3d": _bend3d}
 
 
-def load_preset(name: str, scale: float = 1.0) -> RunSetup:
+def load_preset(name: str, scale: float) -> RunSetup:
     """Build a fully populated run configuration for a named benchmark.
 
     ``scale`` in (0, 1] divides the mesh resolution (element sizes grow by
-    1/scale) for desk-scale runs; 1.0 is the reference resolution.
+    1/scale) for desk-scale runs; 1.0 is the reference resolution.  An
+    unknown name or a scale outside (0, 1] is a ValueError naming the key
+    (``preset`` or ``scale``) and its value.
     """
     if name not in _BUILDERS:
-        raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+        raise ValueError(f"preset = {name!r} is unknown; choose from {', '.join(PRESET_NAMES)}")
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale = {scale!r} must be in (0, 1]")
     return _BUILDERS[name](scale)

@@ -53,12 +53,15 @@ _ARMIJO_MIN_STEP = 2.0**-30
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration control: max-norm increment tolerances and caps."""
+    """Iteration control: the max-norm increment tolerances of the two
+    Newton solves, the Newton iteration cap, and ``max_alt``, the budget of
+    alternations one solve may spend before it fails (a budget, not a
+    tolerance: a solve that converges stops long before it)."""
 
     tol_u: float = 1e-5
     tol_a: float = 1e-5
     max_newton: int = 100
-    max_alt: int = 1000
+    max_alt: int = 5000
 
     def __post_init__(self):
         for name in ("tol_u", "tol_a", "max_newton", "max_alt"):

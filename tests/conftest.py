@@ -55,10 +55,8 @@ def rng():
 
 @pytest.fixture
 def sent_params():
-    """Material constants of the notched-tension benchmark (kN/mm^2 input)."""
-    return MaterialParams.from_lame_kn(
-        121.1538, 80.7692, gc=2.7, ell=0.0175, k=1e-4, eps_pen=1e-6
-    )
+    """Material constants of the notched-tension benchmark (N/mm^2)."""
+    return MaterialParams(lam=121153.8, mu=80769.2, gc=2.7, ell=0.0175, k=1e-4, eps_pen=1e-6)
 
 
 @pytest.fixture

@@ -7,9 +7,11 @@ import pytest
 from conftest import box_mesh, scripted_checks
 from oracles import fresh_check, read_snapshot_by_line
 from pffrac import cli, driver, energetics, linsolve, presets
-from pffrac.cli import _CONFIG_KEYS, config_from_setup, main, resolve_config, run_to_dir
+from pffrac.cli import config_from_setup, main, resolve_config, run_to_dir
+from pffrac.driver import BacktrackConfig, LoadProgram
+from pffrac.material import MaterialParams
 from pffrac.presets import load_preset
-from pffrac.solver import StepFailure
+from pffrac.solver import SolverConfig, StepFailure
 from pffrac.vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
 
@@ -23,6 +25,15 @@ def setup_fields(s):
     return (
         s.name, s.scale, s.mesh.nodes.tobytes(), s.params, s.program, s.solver, s.backtrack,
     )
+
+
+# Every config key a run reads: the preset and scale, and the fields of the
+# run-setup part each other section sets, all but the program's Dirichlet
+# specs.
+_PARTS = {"material": MaterialParams, "program": LoadProgram, "solver": SolverConfig, "backtrack": BacktrackConfig}
+CONFIG_KEYS = {"run.preset", "run.scale"} | {
+    f"{section}.{f.name}" for section, cls in _PARTS.items() for f in dataclasses.fields(cls) if f.name != "bcs"
+}
 
 
 # The flags of a 5-step run of the smallest sent mesh (126 nodes).
@@ -92,58 +103,53 @@ class TestVtk:
 
 class TestConfigPlumbing:
     def test_setup_roundtrip(self):
-        setup = load_preset("sent", 0.1)
-        cfg = config_from_setup(setup)
-        back = resolved_setup(cfg)
-        assert back.params == setup.params
-        assert back.program == setup.program
-        assert back.backtrack == setup.backtrack
-        assert back.solver == setup.solver
-        # keys a config leaves out keep the preset's values
-        cfg["solver"] = {"max_alt": "7"}
-        del cfg["backtrack"]
-        back = resolved_setup(cfg)
-        assert back.solver == dataclasses.replace(setup.solver, max_alt=7)
-        assert back.backtrack == setup.backtrack
+        # each preset's config resolves to the preset, every part bit for
+        # bit
+        assert len(CONFIG_KEYS) == 18
+        for name, scale in [("sent", 0.02), ("sens", 0.02), ("lshape", 0.15), ("bend3d", 0.12)]:
+            setup = load_preset(name, scale)
+            cfg = config_from_setup(setup)
+            assert {f"{s}.{k}" for s, keys in cfg.items() for k in keys} == CONFIG_KEYS - {"material.kappa"}
+            assert setup_fields(resolved_setup(cfg)) == setup_fields(setup), name
+            # keys a config leaves out keep the preset's values
+            cfg["solver"] = {"max_alt": "7"}
+            del cfg["backtrack"]
+            back = resolved_setup(cfg)
+            assert back.solver == dataclasses.replace(setup.solver, max_alt=7)
+            assert back.backtrack == setup.backtrack
 
     def test_every_config_key_is_read(self):
         # each key the format accepts changes the setup of a run, so the
         # accepted keys and the readers cannot drift apart
-        lame = config_from_setup(load_preset("sent", 0.02))
-        lame["program"]["n_steps"] = "2"
-        assert lame["material"]["dissipation"] == "AT2" and "kappa" not in lame["material"]
-        young = {s: dict(v) for s, v in lame.items()}
-        del young["material"]["lam_kn"], young["material"]["mu_kn"]
-        young["material"].update(e_kn="210", nu="0.3")
+        sent = config_from_setup(load_preset("sent", 0.02))
+        sent["program"]["n_steps"] = "2"
+        assert sent["material"]["dissipation"] == "AT2" and "kappa" not in sent["material"]
         # only AT1 reads kappa, and AT1 needs it: the switch to AT1 gives
         # one, and kappa changes on an AT1 config
-        at1 = {s: dict(v) for s, v in lame.items()}
+        at1 = {s: dict(v) for s, v in sent.items()}
         at1["material"].update(dissipation="AT1", kappa="0.3")
 
         changes = {
-            ("run", "preset"): (lame, "sens"),
-            ("run", "scale"): (lame, "0.03"),
-            ("material", "lam_kn"): (lame, "100"),
-            ("material", "mu_kn"): (lame, "70"),
-            ("material", "e_kn"): (young, "200"),
-            ("material", "nu"): (young, "0.25"),
-            ("material", "gc"): (lame, "2.5"),
-            ("material", "ell"): (lame, "0.02"),
-            ("material", "k"): (lame, "1e-3"),
-            ("material", "dissipation"): (lame, "AT1"),
-            ("material", "eps_pen"): (lame, "1e-5"),
+            ("run", "preset"): (sent, "sens"),
+            ("run", "scale"): (sent, "0.03"),
+            ("material", "lam"): (sent, "100000"),
+            ("material", "mu"): (sent, "70000"),
+            ("material", "gc"): (sent, "2.5"),
+            ("material", "ell"): (sent, "0.02"),
+            ("material", "k"): (sent, "1e-3"),
+            ("material", "dissipation"): (sent, "AT1"),
+            ("material", "eps_pen"): (sent, "1e-5"),
             ("material", "kappa"): (at1, "0.5"),
-            ("program", "n_steps"): (lame, "3"),
-            ("program", "dw"): (lame, "2e-4"),
-            ("program", "bc"): (lame, "bottom:y:0; top:y:2; pin:x:0"),
-            ("solver", "tol_u"): (lame, "1e-6"),
-            ("solver", "tol_a"): (lame, "1e-6"),
-            ("solver", "max_newton"): (lame, "50"),
-            ("solver", "max_alt"): (lame, "500"),
-            ("backtrack", "k_back"): (lame, "3"),
-            ("backtrack", "eta"): (lame, "1e-4"),
+            ("program", "n_steps"): (sent, "3"),
+            ("program", "dw"): (sent, "2e-4"),
+            ("solver", "tol_u"): (sent, "1e-6"),
+            ("solver", "tol_a"): (sent, "1e-6"),
+            ("solver", "max_newton"): (sent, "50"),
+            ("solver", "max_alt"): (sent, "500"),
+            ("backtrack", "k_back"): (sent, "3"),
+            ("backtrack", "eta"): (sent, "1e-4"),
         }
-        assert set(changes) == {(s, k) for s, keys in _CONFIG_KEYS.items() for k in keys}
+        assert {f"{s}.{k}" for s, k in changes} == CONFIG_KEYS
 
         def setup_of(cfg):
             return setup_fields(resolved_setup(cfg))
@@ -156,22 +162,6 @@ class TestConfigPlumbing:
                 cfg["material"]["kappa"] = at1["material"]["kappa"]
             assert setup_of(cfg) != setup_of(base), key
 
-    def test_one_modulus_keeps_its_pair_partner(self):
-        # naming one key of a pair keeps the base's other key of that pair;
-        # naming the other pair drops the base's, and naming both pairs, or
-        # half of one on a base that has the other, is a config error
-        sent = load_preset("sent", 0.02)
-        given = {"run": {"preset": "sent", "scale": "0.02"}}
-        back = resolved_setup({**given, "material": {"lam_kn": "100"}})
-        assert (back.params.lam, back.params.mu) == (100e3, sent.params.mu)
-        back = resolved_setup({**given, "material": {"e_kn": "200", "nu": "0.25"}})
-        assert back.params.mu == pytest.approx(200e3 / 2.5) != sent.params.mu
-        assert dataclasses.replace(back.params, lam=sent.params.lam, mu=sent.params.mu) == sent.params
-        with pytest.raises(ValueError, match="missing config key material.nu"):
-            resolve_config({**given, "material": {"e_kn": "200"}})
-        with pytest.raises(ValueError, match="names both"):
-            resolve_config({**given, "material": {"e_kn": "200", "nu": "0.25", "mu_kn": "70"}})
-
 
 class _Stop(Exception):
     """Raised once a command has resolved its config."""
@@ -181,10 +171,8 @@ class _Stop(Exception):
 # the sent preset holds.
 _PARITY_VALUES = {
     "run.scale": "0.03",
-    "material.lam_kn": "100",
-    "material.mu_kn": "70",
-    "material.e_kn": "200",
-    "material.nu": "0.25",
+    "material.lam": "100000",
+    "material.mu": "70000",
     "material.gc": "3.0",
     "material.ell": "0.02",
     "material.k": "1e-3",
@@ -193,7 +181,6 @@ _PARITY_VALUES = {
     "material.kappa": "0.5",
     "program.n_steps": "3",
     "program.dw": "2e-4",
-    "program.bc": "bottom:y:0; top:y:2; pin:x:0",
     "solver.tol_u": "1e-6",
     "solver.tol_a": "1e-6",
     "solver.max_newton": "50",
@@ -234,19 +221,14 @@ class TestOverlay:
         name = key.split(".")[1]
         value = _PARITY_VALUES[key]
         by_flag = resolved(["run", "--preset", "sent", "--set", f"{key}={value}"])
-        if name in ("e_kn", "nu"):
-            # half of a pair the sent preset does not give
-            other = "nu" if name == "e_kn" else "e_kn"
-            assert by_flag == (2, f"config error: missing config key material.{other}\n")
-        elif name == "kappa":
+        if name == "kappa":
             # the sent preset is AT2, which reads no kappa
-            assert by_flag == (2, "config error: material.kappa: kappa is read only by AT1, not by AT2\n")
+            assert by_flag == (2, "config error: material.kappa = 0.5 is read only by AT1, not by AT2\n")
         else:
             assert by_flag != resolved(["run", "--preset", "sent"])
 
     def test_parity_covers_every_key(self):
-        keys = {f"{s}.{k}" for s, names in _CONFIG_KEYS.items() for k in names}
-        assert set(_PARITY_VALUES) == keys - {"run.preset"}
+        assert set(_PARITY_VALUES) == CONFIG_KEYS - {"run.preset"}
 
     def test_flags_are_overrides(self, resolved):
         # each run flag is its --set spelling
@@ -263,12 +245,15 @@ class TestOverlay:
 
 class TestCmdRun:
     def test_bad_config_exit_2(self, tmp_path, capsys):
-        # a preset that does not exist, or none named
+        # a preset that does not exist, named by its key, or none named
         out = tmp_path / "o"
-        cases = [(["--set", "run.preset=nope"], "unknown preset 'nope'"), (["--scale", "0.02"], "run.preset")]
+        cases = [
+            (["--set", "run.preset=nope"], "run.preset = 'nope' is unknown; choose from sent, sens, lshape, bend3d"),
+            (["--scale", "0.02"], "missing config key run.preset"),
+        ]
         for argv, named in cases:
             assert main(["run", *argv, "--out", str(out)]) == 2
-            assert named in capsys.readouterr().err
+            assert capsys.readouterr().err == f"config error: {named}\n"
             assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -279,7 +264,13 @@ class TestCmdRun:
             ("solvr.tol_u=1e-6", "[solvr]"),
             ("run.mesh=x.msh", "unknown config key run.mesh"),
             # the sent preset is AT2, which reads no kappa
-            ("material.kappa=0.5", "config error: material.kappa: kappa is read only by AT1, not by AT2"),
+            ("material.kappa=0.5", "config error: material.kappa = 0.5 is read only by AT1, not by AT2"),
+            # the keys of older versions: moduli in kN/mm^2, Young's modulus
+            # and Poisson ratio, and the Dirichlet specs as a string
+            ("material.lam_kn=121.1538", "config error: unknown config key material.lam_kn"),
+            ("material.e_kn=30", "config error: unknown config key material.e_kn"),
+            ("material.nu=0.2", "config error: unknown config key material.nu"),
+            ("program.bc=bottom:y:0; top:y:1; pin:x:0", "config error: unknown config key program.bc"),
         ],
     )
     def test_unread_key_exit_2(self, tmp_path, capsys, item, named):
@@ -292,18 +283,16 @@ class TestCmdRun:
     @pytest.mark.parametrize(
         "item, named",
         [
-            ("program.bc=bottom:y:0; top:y:1; top:z:0; pin:x:0", "node_set='top', component=2"),
-            ("program.bc=bottom:y:0; nope:y:1", "unknown node set 'nope'"),
             ("run.scale=abc", "config error: run.scale: could not convert string to float: 'abc'"),
-            ("program.bc=bottom:y:0;pin:x:0", "config error: the program loads nothing"),
             ("program.dw=0", "config error: the program loads nothing"),
         ],
-        ids=["bc_z", "bc_set", "scale_abc", "bc_no_load", "dw_zero"],
+        ids=["scale_abc", "dw_zero"],
     )
     def test_component_beyond_mesh_dim_exit_2(self, tmp_path, capsys, item, named):
-        # a spec that does not fit the mesh, or a value that does not parse
-        # (named by its key), is a config error found before the output
-        # directory is made
+        # a program that does not fit the mesh, or a value that does not
+        # parse (named by its key), is a config error found before the
+        # output directory is made; the Dirichlet specs are the preset's,
+        # so a dw of 0 is the one program that can miss
         out = tmp_path / "o"
         argv = ["run", "--preset", "sent", "--scale", "0.05", "--steps", "1", "--set", item]
         assert main(argv + ["--out", str(out)]) == 2
@@ -313,42 +302,37 @@ class TestCmdRun:
     @pytest.mark.parametrize(
         "flags, named",
         [
-            (["--set", "material.e_kn=30", "--set", "material.nu=0.5"], "material.nu = 0.5 must be in [0, 1/2)"),
-            (["--set", "material.e_kn=30", "--set", "material.nu=-1"], "material.nu = -1.0 must be in [0, 1/2)"),
             (["--eta", "0"], "backtrack.eta = 0.0 must be > 0"),
-            (["--k-back", "-1"], "backtrack.k_max = -1 must be >= 0"),
-            # a negative nu gives a negative lam, refused by its own key
-            (["--set", "material.e_kn=30", "--set", "material.nu=-0.2"], "material.nu = -0.2 must be in [0, 1/2)"),
-            (["--set", "material.e_kn=0", "--set", "material.nu=0.2"], "material.e_kn = 0.0 must be > 0"),
+            (["--k-back", "-1"], "backtrack.k_back = -1 must be >= 0"),
+            (["--set", "material.lam=-1"], "material.lam = -1.0 must be >= 0"),
+            (["--set", "material.mu=-1"], "material.mu = -1.0 must be > 0"),
             (["--set", "material.gc=-1"], "material.gc = -1.0 must be > 0"),
             (["--set", "solver.tol_u=0"], "solver.tol_u = 0.0 must be > 0"),
             (["--set", "solver.max_alt=0"], "solver.max_alt = 0 must be > 0"),
             (["--steps", "0"], "program.n_steps = 0 must be >= 1"),
-            (["--scale", "2"], "scale = 2.0 must be in (0, 1]"),
+            (["--scale", "2"], "run.scale = 2.0 must be in (0, 1]"),
         ],
         ids=[
-            "nu_half", "nu_minus_one", "eta_zero", "k_back_negative", "nu_negative", "e_kn_zero", "gc_negative",
-            "tol_u_zero", "max_alt_zero", "n_steps_zero", "scale_two",
+            "eta_zero", "k_back_negative", "lam_negative", "mu_negative", "gc_negative", "tol_u_zero", "max_alt_zero",
+            "n_steps_zero", "scale_two",
         ],
     )
     def test_out_of_range_exit_2(self, tmp_path, capsys, flags, named):
         # a value that parses but lies outside its range is a config error
-        # naming its section and field, found before the output directory
-        # is made
+        # naming its key and value, found before the output directory is
+        # made
         out = tmp_path / "o"
         argv = ["run", "--preset", "sent", "--scale", "0.02", "--steps", "1", *flags, "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"config error: {named}\n"
         assert not out.exists()
 
-    # Each float key with a value for every other key of its pair, and a bc
-    # scale, on the sent preset.
+    # Each float key, with the keys that let a run read it, on the sent
+    # preset.
     _FLOAT_KEYS = {
         "run.scale": [],
-        "material.lam_kn": [],
-        "material.mu_kn": [],
-        "material.e_kn": ["material.nu=0.2"],
-        "material.nu": ["material.e_kn=30"],
+        "material.lam": [],
+        "material.mu": [],
         "material.gc": [],
         "material.ell": [],
         "material.k": [],
@@ -358,22 +342,19 @@ class TestCmdRun:
         "solver.tol_u": [],
         "solver.tol_a": [],
         "backtrack.eta": [],
-        "program.bc": [],
     }
 
     def test_float_keys_are_covered(self):
-        keys = {f"{s}.{k}" for s, names in _CONFIG_KEYS.items() for k in names}
         others = {"run.preset", "material.dissipation", "program.n_steps", "solver.max_newton", "solver.max_alt",
                   "backtrack.k_back"}
-        assert set(self._FLOAT_KEYS) == keys - others
+        assert set(self._FLOAT_KEYS) == CONFIG_KEYS - others
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
     def test_non_finite_float_exit_2(self, tmp_path, capsys, key, value):
-        # a float that is not finite, a bc scale too, is a config error
-        # naming its key, found before the output directory is made
-        item = f"program.bc=bottom:y:0; top:y:{value}; pin:x:0" if key == "program.bc" else f"{key}={value}"
-        sets = [x for k in self._FLOAT_KEYS[key] + [item] for x in ("--set", k)]
+        # a float that is not finite is a config error naming its key,
+        # found before the output directory is made
+        sets = [x for k in self._FLOAT_KEYS[key] + [f"{key}={value}"] for x in ("--set", k)]
         out = tmp_path / "o"
         argv = ["run", "--preset", "sent", "--scale", "0.02", "--steps", "2", *sets, "--out", str(out)]
         assert main(argv) == 2
@@ -652,44 +633,19 @@ class TestCheckEnergy:
         err = capsys.readouterr().err
         assert "cannot load run outputs: " in err and "step_000003.vtk" in err
 
-    def test_old_run_json_audits(self, tmp_path, capsys):
-        # run.json of an older version echoes solver and output keys that a
-        # run now rejects; the audit reads neither section through the setup
-        out = tmp_path / "out"
-        assert main(["run", *SENT_RUN, "--out", str(out)]) == 0
-        path = out / "run.json"
-        log = json.loads(path.read_text())
-        log["config"].setdefault("solver", {})["clamp_damage"] = "true"
-        log["config"].setdefault("output", {})["compat_box1_lb"] = "false"
-        path.write_text(json.dumps(log))
-        capsys.readouterr()
-        assert main(["check-energy", str(out)]) == 0
-        assert "energy audit ok (5 steps)\n" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("every", ["1", "2"])
-    def test_old_output_section_audits(self, sent_run, capsys, every):
-        # run.json of an older version may hold an [output] section with a
-        # snapshot interval; the audit drops it and reads every step's
-        # snapshot, so a directory that lacks one is unreadable
+    def test_older_run_json_refused(self, sent_run, capsys):
+        # run.json of an older version gave the moduli in kN/mm^2 under
+        # other keys: the audit refuses it, naming the first unknown key,
+        # and gives no verdict
         path = sent_run / "run.json"
         log = json.loads(path.read_text())
-        log["config"]["output"] = {"snapshot_every": every}
+        material = log["config"]["material"]
+        material["lam_kn"] = "%.17g" % (float(material.pop("lam")) / 1e3)
+        material["mu_kn"] = "%.17g" % (float(material.pop("mu")) / 1e3)
         path.write_text(json.dumps(log))
-        if every == "1":
-            assert self.audit_of(sent_run, capsys) == (0, "")
-        else:
-            (sent_run / "snapshots" / "step_000001.vtk").unlink()
-            code, err = self.audit_of(sent_run, capsys)
-            assert code == 2 and "cannot load run outputs: " in err and "step_000001.vtk" in err
-
-    def test_old_reaction_section_audits(self, sent_run, capsys):
-        # run.json of an older version holds the [reaction] section its
-        # config needed; the audit drops it
-        path = sent_run / "run.json"
-        log = json.loads(path.read_text())
-        log["config"]["reaction"] = {"set": "top", "direction": "0 1"}
-        path.write_text(json.dumps(log))
-        assert self.audit_of(sent_run, capsys) == (0, "")
+        assert self.audit_of(sent_run, capsys) == (
+            2, "cannot load run outputs: unknown config key material.lam_kn, material.mu_kn\n"
+        )
 
     def test_aborted_run_says_so(self, tmp_path, monkeypatch, capsys):
         # the audit of an aborted run passes on its accepted steps and names
@@ -719,8 +675,8 @@ class TestCheckEnergy:
         assert main(["run", *SENT_RUN, "--out", str(out)]) == 0
         good = json.loads((out / "run.json").read_text())
         bad = [
-            ("program", "bc", "bottom:y:0; nope:y:1", "unknown node set 'nope'"),
-            ("program", "bc", "bottom:z:0", "has no component 2"),
+            ("run", "preset", "nope", "run.preset = 'nope' is unknown; choose from sent, sens, lshape, bend3d"),
+            ("program", "dw", "0", "the program loads nothing"),
             # the key of an older run.json whose run read a mesh file
             ("run", "mesh", "x.msh", "unknown config key run.mesh"),
             # more accepted steps than the program has

@@ -119,7 +119,7 @@ class TestLifting:
 
 class TestRun:
     def test_k0_never_backtracks(self, patch, sent_params):
-        hist = run(tension_program(), BacktrackConfig(k_max=0), SolverConfig(), sent_params, patch)
+        hist = run(tension_program(), BacktrackConfig(k_back=0), SolverConfig(), sent_params, patch)
         assert hist.backtracks == []
         assert hist.n_accepted == 6
         assert not hist.aborted
@@ -127,7 +127,7 @@ class TestRun:
     def test_monotone_damage_and_dissipation(self, patch, sent_params):
         hist = run(
             tension_program(n_steps=8, dw=2e-4),
-            BacktrackConfig(k_max=5),
+            BacktrackConfig(k_back=5),
             SolverConfig(),
             sent_params,
             patch,
@@ -143,7 +143,7 @@ class TestRun:
     def test_passed_when_backtracking_enabled(self, patch, sent_params):
         hist = run(
             tension_program(n_steps=8, dw=2e-4),
-            BacktrackConfig(k_max=5),
+            BacktrackConfig(k_back=5),
             SolverConfig(),
             sent_params,
             patch,
@@ -154,7 +154,7 @@ class TestRun:
     def test_abort_returns_partial_history(self, patch, sent_params):
         hist = run(
             tension_program(n_steps=6, dw=2e-4),
-            BacktrackConfig(k_max=0),
+            BacktrackConfig(k_back=0),
             SolverConfig(max_alt=1),
             sent_params,
             patch,
@@ -180,7 +180,7 @@ class TestRun:
         monkeypatch.setattr(driver, "alternate_minimize", spy)
         scripted_checks(monkeypatch, lambda step, nth: step == 4 and nth == 1)
         prog = tension_program(n_steps=5, dw=2e-4)
-        hist = run(prog, BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch)
+        hist = run(prog, BacktrackConfig(k_back=3), SolverConfig(), sent_params, patch)
         assert hist.n_accepted == 5 and hist.backtracks
         # steps 1-4, step 3 again as the back step, then steps 4 and 5
         assert len(solves) == 7
@@ -241,7 +241,7 @@ class TestReusedDecomposition:
         monkeypatch.setattr(driver, "reaction_force", reaction)
         checks = scripted_checks(monkeypatch, lambda step, nth: step == 3 and nth == 1)
         prog = tension_program(n_steps=4, dw=2e-4)
-        hist = run(prog, BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch)
+        hist = run(prog, BacktrackConfig(k_back=3), SolverConfig(), sent_params, patch)
         assert hist.backtracks and len(checks) == counts["solves"] == 6
         assert counts["reactions"] == counts["solves"]
         assert counts["outside"] == 2 * len(checks)
@@ -312,7 +312,7 @@ class TestBacktrackBookkeeping:
         # state as guess, then traverse forward through step 3 again
         scripted_checks(monkeypatch, lambda step, nth: step == 3 and nth == 1)
         prog = tension_program(n_steps=4)
-        hist = run(prog, BacktrackConfig(k_max=5), SolverConfig(), sent_params, patch)
+        hist = run(prog, BacktrackConfig(k_back=5), SolverConfig(), sent_params, patch)
 
         assert [(r.round_of, r.step, r.b) for r in hist.backtracks] == [(3, 2, 1)]
         assert len(hist.intermediates) == 2  # the discarded attempt + the re-solve
@@ -325,7 +325,7 @@ class TestBacktrackBookkeeping:
     def test_k_exhaustion_accepts_with_flag(self, patch, sent_params, monkeypatch):
         scripted_checks(monkeypatch, lambda step, nth: step == 3)
         prog = tension_program(n_steps=4)
-        hist = run(prog, BacktrackConfig(k_max=2), SolverConfig(), sent_params, patch)
+        hist = run(prog, BacktrackConfig(k_back=2), SolverConfig(), sent_params, patch)
         # the budget for target 3 is consumed over repeated failure rounds;
         # once exhausted the step is accepted with a failed flag
         assert 3 in hist.k_exhausted_steps
@@ -350,7 +350,7 @@ class TestBacktrackBookkeeping:
         monkeypatch.setattr(driver, "alternate_minimize", solve)
         # target 3 always fails; target 2 fails on its first re-solve
         checks = scripted_checks(monkeypatch, lambda step, nth: step == 3 or (step == 2 and nth == 2))
-        hist = run(tension_program(n_steps=5), BacktrackConfig(k_max=3), SolverConfig(), sent_params, patch)
+        hist = run(tension_program(n_steps=5), BacktrackConfig(k_back=3), SolverConfig(), sent_params, patch)
 
         assert hist.aborted and hist.abort_reason == "scripted failure"
         assert [r.step for r in hist.solves] == [1, 2, 3, 2, 1, 2, 3, 2, 3]
@@ -378,7 +378,7 @@ class TestBacktrackBookkeeping:
         # solves, bit for bit, as one uninterrupted run: the running guess,
         # its weights, the step and the spent budget are all in the history
         scripted_checks(monkeypatch, lambda step, nth: step == 3)
-        prog, bt, cfg = tension_program(n_steps=4), BacktrackConfig(k_max=2), SolverConfig()
+        prog, bt, cfg = tension_program(n_steps=4), BacktrackConfig(k_back=2), SolverConfig()
         whole = run(prog, bt, cfg, sent_params, patch)
 
         kern, dofmap = build_kernels(patch), build_dofmap(patch, prog)
@@ -407,7 +407,7 @@ class TestBacktrackBookkeeping:
         seen = []
         run(
             tension_program(n_steps=4),
-            BacktrackConfig(k_max=0),
+            BacktrackConfig(k_back=0),
             SolverConfig(),
             sent_params,
             patch,
@@ -427,7 +427,7 @@ def at1_sent_ell():
         "material.ell=0.1", "material.dissipation=AT1", "material.kappa=0.375",
     ]
     setup = resolve_config(_apply_overrides({}, flags))[1]
-    assert setup.backtrack.k_max == 50
+    assert setup.backtrack.k_back == 50
     return {
         k: run(setup.program, BacktrackConfig(k, setup.backtrack.eta), setup.solver, setup.params, setup.mesh)
         for k in (50, 0)

@@ -495,8 +495,8 @@ class TestBandOrdering:
         # every Newton solve's matrix is stored under its pattern's
         # ordering, built once, also on damage tangents with pinned dofs
         # eliminated
-        p = MaterialParams.from_lame_kn(
-            121.1538, 80.7692, gc=2.7, ell=0.0175, dissipation="AT1", kappa=1.0, eps_pen=1e-6
+        p = MaterialParams(
+            lam=121153.8, mu=80769.2, gc=2.7, ell=0.0175, dissipation="AT1", kappa=1.0, eps_pen=1e-6
         )
         mesh = box_mesh([1.0, 1.0], [2, 2])
         ymin, ymax = mesh.node_sets["ymin"], mesh.node_sets["ymax"]

@@ -17,7 +17,8 @@ class TestParameterTables:
         assert p.k == 1e-4
         assert p.eps_pen == 1e-6
         assert s.solver.tol_u == 1e-5 and s.solver.tol_a == 1e-5
-        assert s.backtrack.eta == 1e-5 and s.backtrack.k_max == 50
+        assert s.backtrack.eta == 1e-5 and s.backtrack.k_back == 50
+        assert s.solver.max_newton == 100 and s.solver.max_alt == 5000
         assert s.program.dw == 1e-4
 
     def test_sens_constants(self):
@@ -43,9 +44,9 @@ class TestParameterTables:
         assert s.params.eps_pen == 1e-4
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError):
-            load_preset("nope")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="preset = 'nope' is unknown; choose from sent, sens, lshape, bend3d"):
+            load_preset("nope", 0.1)
+        with pytest.raises(ValueError, match=r"scale = 0.0 must be in \(0, 1\]"):
             load_preset("sent", 0.0)
 
 
