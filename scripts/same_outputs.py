@@ -1,6 +1,6 @@
 """Whether two run directories hold the same outputs, byte for byte.
 
-    python scripts/same_outputs.py DIR_A DIR_B
+    PYTHONPATH=src python scripts/same_outputs.py DIR_A DIR_B
 
 Compares ``load_disp.csv``, ``energy.csv``, ``intermediates.csv``,
 ``run.json`` and every snapshot under ``snapshots/`` of the two ``pffrac
@@ -9,7 +9,10 @@ time ``elapsed_s``, so its config, counters and back-step events must agree;
 the other files byte for byte.  It exits 0 when all of them agree and both
 directories hold the same snapshots.  Otherwise it prints the first file
 that differs (the CSVs in that order, ``run.json``, then the snapshots by
-name), or is missing from one side, and exits 1.
+name), or is missing from one side, and exits 1.  For a snapshot that
+differs, it decodes both sides with ``vtkio.read_field_snapshot`` and also
+names the first field (``displacement``, then ``damage``) and node whose
+values differ bit for bit, when both decode.
 Exit 2: a directory does not exist.
 """
 
@@ -19,6 +22,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from pffrac.vtkio import read_field_snapshot
 
 FILES = ("load_disp.csv", "energy.csv", "intermediates.csv", "run.json")
 
@@ -39,6 +46,23 @@ def content(path: Path):
     return record
 
 
+def field_difference(fa: Path, fb: Path) -> str:
+    """Where the fields of two snapshots first differ, bit for bit, as a
+    suffix of the report: the field and the node, or the node counts.
+    Empty when both decode to the same fields or one does not decode."""
+    try:
+        sides = [read_field_snapshot(f, 3) for f in (fa, fb)]
+    except ValueError:
+        return ""
+    for name, width, x, y in zip(("displacement", "damage"), (3, 1), *sides):
+        if x.shape != y.shape:
+            return f" ({name} of {x.size // width} and {y.size // width} nodes)"
+        nodes = np.flatnonzero(x.view(np.int64) != y.view(np.int64)) // width
+        if nodes.size:
+            return f" (first at {name} of node {nodes[0]})"
+    return ""
+
+
 def first_difference(a: Path, b: Path) -> str | None:
     """The first compared file that differs between ``a`` and ``b``, with
     the reason, or None when they all agree."""
@@ -48,7 +72,7 @@ def first_difference(a: Path, b: Path) -> str | None:
         if missing:
             return f"{name}: missing in {', '.join(missing)}"
         if content(fa) != content(fb):
-            return f"{name}: differs"
+            return f"{name}: differs" + (field_difference(fa, fb) if fa.suffix == ".vtk" else "")
     return None
 
 

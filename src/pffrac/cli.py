@@ -5,10 +5,11 @@ Subcommands
 run          execute a preset's load program, writing load_disp.csv (w
              and the reaction, the force conjugate to w, of every accepted
              step), energy.csv, intermediates.csv (the solves of back-step
-             rounds), run.json and the VTK snapshots of the accepted steps,
-             all read from the driver's solve records; run.json sums the
-             iteration and line-search trial counts over the accepted chain
-             (solver_counters) and over every solve (all_solves)
+             rounds), run.json and the legacy VTK BINARY snapshots of the
+             accepted steps (``vtkio``), all read from the driver's solve
+             records; run.json sums the iteration and line-search trial
+             counts over the accepted chain (solver_counters) and over
+             every solve (all_solves)
 check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run, the two-sided inequality of every step pair,
              and compare against energy.csv; the summary of an aborted run
@@ -51,8 +52,8 @@ import numpy as np
 
 from . import presets
 from .driver import RunHistory, check_run_inputs, lifting_for_step, run
-from .energetics import check_two_sided, dis, erg
-from .fem import build_kernels
+from .energetics import check_two_sided, dis, erg, grad_term
+from .fem import build_kernels, degradation_weights
 from .vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
 __all__ = ["main", "cmd_run", "cmd_check_energy", "config_from_setup", "resolve_config"]
@@ -130,8 +131,8 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
     its field's annotation into a copy of the base part.  A missing
     ``run.preset``, a section or key that no run reads, a value that does
     not parse or a float that is not finite (named by its key), a value
-    outside its range (named by its key and value) or a program that does
-    not fit the mesh is a config error, raised before any output exists.
+    outside its range (named by its key and value) or a program that loads
+    nothing (``dw`` = 0) is a config error, raised before any output exists.
     Returns the preset's config with the given keys laid over it, and the
     run setup.
     """
@@ -156,7 +157,7 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
             parts[_SECTIONS[section]] = _build(section, dataclasses.replace, part, **kw)
         cfg[section].update(values)
     setup = dataclasses.replace(base, **parts)
-    check_run_inputs(setup.mesh, setup.program)
+    check_run_inputs(setup.program)
     return cfg, setup
 
 
@@ -197,8 +198,10 @@ class _RunWriter:
     Each row of the accepted chain is formatted once: the writer keeps, per
     record it formatted, the record, its load_disp.csv and energy.csv rows
     and the running sum of D through it, and formats again only from the
-    first record that the chain has replaced.  ``grid`` is the snapshots'
-    shared text, formatted once per run."""
+    first record that the chain has replaced.  ``grid`` is the bytes that
+    every snapshot starts with (``vtkio.grid_text``: header, points and
+    cells), formatted once per run, so a snapshot adds only its two
+    big-endian field blocks."""
 
     def __init__(self, out_dir: Path, mesh, program):
         self.out = out_dir
@@ -290,7 +293,10 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
     returns the in-memory history (also used by the acceptance suite).  A
     config error is raised before the directory is created, and run.json
     records the resolved config.  Afterwards ``snapshots/`` holds the
-    accepted steps' snapshots only, whatever the directory held before."""
+    accepted steps' snapshots only, whatever the directory held before:
+    ``step_NNNNNN.vtk`` in legacy VTK BINARY, whose raw doubles
+    ``check-energy`` reads back bit for bit.  A snapshot of an earlier
+    version, in ASCII, is refused by that audit."""
     cfg, setup = resolve_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -327,7 +333,7 @@ def cmd_run(args) -> int:
     flags = [f"{key}={value}" for key, value in vars(args).items() if "." in key and value is not None]
     try:
         history = run_to_dir(_apply_overrides({}, flags + (args.set or [])), args.out)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -384,9 +390,8 @@ def cmd_check_energy(args) -> int:
 
     failing = []
     mismatches = []
-    # (u, u_d, a, erg, dis) of the previous step: its bulk energy under its
-    # own lifting and its dissipation are the next pair's erg_curr and
-    # dis_curr
+    # (u, u_d, erg, grad, dis, rw) of the previous step: the terms of its
+    # state are the next pair's current-state terms
     prev = None
     sum_d = 0.0
     for step, e_csv, sumd_csv, delta_csv, lb_csv, ub_csv, passed_csv in rows:
@@ -400,13 +405,17 @@ def cmd_check_energy(args) -> int:
             return 2
         u_d = lifting_for_step(setup.program, step, mesh)
         u = disp - u_d
-        bulk = erg(u, u_d, a, kernels, p)
+        rw = degradation_weights(kernels, a, p)
+        bulk = erg(u, u_d, rw, kernels, p)
+        grad = grad_term(a, kernels, p)
         if prev is None:
             dissipation = dis(a, kernels, p)
         else:
-            u_n, u_d_n, a_n, bulk_n, dis_n = prev
+            u_n, u_d_n, bulk_n, grad_n, dis_n, rw_n = prev
             report = check_two_sided(
-                u_n, u_d_n, a_n, u, u_d, a, kernels, p, eta, erg_curr=bulk_n, erg_next=bulk, dis_curr=dis_n
+                u_n, u_d_n, u, u_d, a, kernels, p, eta,
+                erg_curr=bulk_n, erg_next=bulk, grad_curr=grad_n, grad_next=grad, dis_curr=dis_n,
+                rw_curr=rw_n, rw_next=rw,
             )
             dissipation = report.dis_next
             sum_d += report.d_inc
@@ -424,7 +433,7 @@ def cmd_check_energy(args) -> int:
                 mismatches.append(f"step {step}: passed flag csv={passed_csv} recomputed={report.passed}")
             if not report.passed:
                 failing.append(step)
-        prev = (u, u_d, a, bulk, dissipation)
+        prev = (u, u_d, bulk, grad, dissipation, rw)
 
     if mismatches:
         for line in mismatches:

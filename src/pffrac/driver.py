@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import EnergyReport, check_two_sided, erg_from_psi
+from .energetics import EnergyReport, check_two_sided, erg_from_psi, grad_term
 from .fem import DofMap, build_kernels, degradation_weights, reaction_force
 from .linsolve import LinearSolveError
 from .material import MaterialParams
@@ -91,8 +91,11 @@ class SolveRecord:
     """One solve of the increment that ends at ``step``; step 0's record is
     the initial state, with no report.
 
-    ``bulk_energy`` is erg(u, u_d, a) under this step's lifting, the
-    current-state bulk energy of the next step's two-sided check.
+    ``bulk_energy`` is the bulk energy erg(u, u_d) under this step's
+    lifting, ``grad_energy`` the gradient energy ``grad_term(a)`` and ``rw``
+    the ``degradation_weights`` of a: the current-state terms of the next
+    step's two-sided check, and ``rw`` also the weights of the next solve
+    that starts from this one.
     ``round_of`` is the target step whose failed check opened the back-step
     round this solve belongs to (the opening solve and each walk-back
     re-solve; None outside a round), and ``b`` the back steps that target
@@ -105,6 +108,8 @@ class SolveRecord:
     a: np.ndarray
     report: EnergyReport | None
     bulk_energy: float
+    grad_energy: float
+    rw: np.ndarray
     reaction: float
     alt_iters: int = 0
     newton_iters_u: int = 0
@@ -118,13 +123,12 @@ class SolveRecord:
 @dataclass
 class RunHistory:
     """The log of every solve, in call order, and the accepted chain taken
-    from it (``steps[0]`` is the initial state, which is no solve), with
-    ``guess_rw``, the degradation weights of the running guess: the last
-    logged solve, or the initial state before any."""
+    from it (``steps[0]`` is the initial state, which is no solve).  The
+    running guess is the last logged solve, or the initial state before
+    any."""
 
-    guess_rw: np.ndarray
+    steps: list
     solves: list = field(default_factory=list)
-    steps: list = field(default_factory=list)
     aborted: bool = False
     abort_reason: str = ""
 
@@ -157,30 +161,24 @@ class RunHistory:
         return [r.step for r in self.steps[1:] if r.report.irreversibility_violation]
 
 
-def check_run_inputs(mesh: Mesh, program: LoadProgram) -> None:
-    """Raise KeyError for a Dirichlet spec naming a node set the mesh lacks,
-    and ValueError for a component that does not fit the mesh dimension or
-    for a program whose ``dw`` or ``load_vector`` is zero: w would move no
-    dof, and every step would record the reaction 0."""
-    for bc in program.bcs:
-        if bc.node_set not in mesh.node_sets:
-            raise KeyError(f"unknown node set {bc.node_set!r}")
-        if not 0 <= bc.component < mesh.dim:
-            raise ValueError(f"{bc}: a {mesh.dim}-D mesh has no component {bc.component}")
-    if program.dw == 0.0 or not np.any(load_vector(program, mesh)):
-        raise ValueError("the program loads nothing: dw is 0, or no Dirichlet spec moves a dof with w")
+def check_run_inputs(program: LoadProgram) -> None:
+    """Raise ValueError for a program whose ``dw`` is zero: w would move no
+    dof, and every step would record the reaction 0.  The Dirichlet specs
+    are a preset's, each a node set of its mesh and a component below its
+    dimension, with a nonzero load vector (``tests/test_presets.py`` checks
+    every preset)."""
+    if program.dw == 0.0:
+        raise ValueError("the program loads nothing: dw is 0")
 
 
 def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
-    """Dof partition induced by the program's Dirichlet specs, which
-    ``check_run_inputs`` has accepted."""
+    """Dof partition induced by the program's Dirichlet specs."""
     return DofMap.from_constraints(mesh, [(mesh.node_sets[bc.node_set], bc.component) for bc in program.bcs])
 
 
 def load_vector(program: LoadProgram, mesh: Mesh) -> np.ndarray:
     """The lifting per unit w, g: each spec's scale on its constrained dofs,
-    a later spec overwriting an earlier one, and zero on free dofs, for a
-    program ``check_run_inputs`` has accepted."""
+    a later spec overwriting an earlier one, and zero on free dofs."""
     g = np.zeros(mesh.dim * mesh.n_nodes)
     for bc in program.bcs:
         g[mesh.dim * mesh.node_sets[bc.node_set] + bc.component] = bc.scale
@@ -201,13 +199,14 @@ def _solve(history: RunHistory, n: int, program, bt, cfg, p, mesh, kernels, dofm
     guess = (history.solves or history.steps)[-1]
     prev = history.steps[n]
     u_d_next = lifting_for_step(program, n + 1, mesh)
-    res = alternate_minimize(guess.u, guess.a, history.guess_rw, prev.a, u_d_next, kernels, p, cfg, dofmap)
-    history.guess_rw = res.rw
+    res = alternate_minimize(guess.u, guess.a, guess.rw, prev.a, u_d_next, kernels, p, cfg, dofmap)
     bulk = erg_from_psi(res.psi_p, res.psi_m, res.rw, kernels)
+    grad = grad_term(res.a, kernels, p)
     u_d_n = lifting_for_step(program, n, mesh)
     report = check_two_sided(
-        prev.u, u_d_n, prev.a, res.u, u_d_next, res.a, kernels, p, bt.eta,
-        erg_curr=prev.bulk_energy, erg_next=bulk, dis_curr=res.dis_n,
+        prev.u, u_d_n, res.u, u_d_next, res.a, kernels, p, bt.eta,
+        erg_curr=prev.bulk_energy, erg_next=bulk, grad_curr=prev.grad_energy, grad_next=grad,
+        dis_curr=res.dis_n, rw_curr=prev.rw, rw_next=res.rw,
     )
     rec = SolveRecord(
         step=n + 1,
@@ -215,6 +214,8 @@ def _solve(history: RunHistory, n: int, program, bt, cfg, p, mesh, kernels, dofm
         a=res.a,
         report=report,
         bulk_energy=bulk,
+        grad_energy=grad,
+        rw=res.rw,
         reaction=reaction_force(res.spectrum, res.rw, kernels, p, load_vector(program, mesh)),
         alt_iters=res.alt_iters,
         newton_iters_u=res.newton_iters_u,
@@ -262,10 +263,10 @@ def run(
 
     Each record's ``reaction`` is the force conjugate to w,
     ``reaction_force`` against the program's ``load_vector``.  The initial
-    record, u = 0 and a = 0 at w(0) = +0, is unloaded: its bulk energy and
-    reaction are 0.0 and are not evaluated, so nothing is decomposed before
-    the first solve; only its degradation weights, the first guess's, are
-    computed.
+    record, u = 0 and a = 0 at w(0) = +0, is unloaded: its bulk energy,
+    gradient energy and reaction are 0.0 and are not evaluated, so nothing
+    is decomposed before the first solve; only its degradation weights, the
+    first guess's, are computed.
 
     Parameters
     ----------
@@ -281,14 +282,19 @@ def run(
     ``abort_reason`` and the history so far; the failing solve leaves no
     record.
     """
-    check_run_inputs(mesh, program)
+    check_run_inputs(program)
     kernels = build_kernels(mesh)
     dofmap = build_dofmap(mesh, program)
     a0 = np.zeros(mesh.n_nodes)
     # the unloaded initial state: zero strain, so zero energy and reaction
+    rw0 = degradation_weights(kernels, a0, p)
     history = RunHistory(
-        guess_rw=degradation_weights(kernels, a0, p),
-        steps=[SolveRecord(step=0, u=np.zeros(dofmap.n_dofs), a=a0, report=None, bulk_energy=0.0, reaction=0.0)],
+        steps=[
+            SolveRecord(
+                step=0, u=np.zeros(dofmap.n_dofs), a=a0, report=None, bulk_energy=0.0, grad_energy=0.0, rw=rw0,
+                reaction=0.0,
+            )
+        ]
     )
     try:
         while history.n_accepted < program.n_steps:

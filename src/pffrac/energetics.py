@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import DamageFields, ElementKernels, beta_at_qp, degradation_weights, strain_spectrum
+from .fem import DamageFields, ElementKernels, beta_at_qp, strain_spectrum
 from .material import AT2, MaterialParams, psi_split
 
 __all__ = [
@@ -91,10 +91,11 @@ def bulk_merit(psi_p, psi_m, rw, kernels: ElementKernels) -> float:
     return float((rw * psi_p + kernels.measures * psi_m).sum())
 
 
-def erg(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:
-    """Degraded bulk energy of the displacement u1 + u2 with damage a."""
+def erg(u1, u2, rw, kernels: ElementKernels, p: MaterialParams) -> float:
+    """Degraded bulk energy of the displacement u1 + u2 at the damage whose
+    ``degradation_weights`` are ``rw``."""
     psi_p, psi_m = psi_split(strain_spectrum(kernels, u1 + u2), p)
-    return erg_from_psi(psi_p, psi_m, degradation_weights(kernels, a, p), kernels)
+    return erg_from_psi(psi_p, psi_m, rw, kernels)
 
 
 def grad_term(a, kernels: ElementKernels, p: MaterialParams) -> float:
@@ -145,7 +146,6 @@ def functional_from_psi(
 def check_two_sided(
     u_n,
     u_d_n,
-    a_n,
     u_next,
     u_d_next,
     a_next,
@@ -155,24 +155,31 @@ def check_two_sided(
     *,
     erg_curr: float,
     erg_next: float,
+    grad_curr: float,
+    grad_next: float,
     dis_curr: float,
+    rw_curr,
+    rw_next,
 ) -> EnergyReport:
     """Evaluate the two-sided inequality LB - eta <= dE + D <= UB + eta for
     the step pair (n, n+1).
 
-    ``erg_curr`` is the bulk energy ``erg(u_n, u_d_n, a_n)`` of the current
-    state and ``erg_next`` the bulk energy ``erg(u_next, u_d_next, a_next)``
-    of the next one, each under its own lifting, and ``dis_curr`` the
-    dissipation ``dis(a_n)`` of the current state.  ``eta`` > 0 is
-    ``BacktrackConfig.eta``, which checks it.
+    Each state's terms are computed once, by the caller that holds the
+    state, and passed in: ``erg_curr`` and ``erg_next`` are the bulk
+    energies ``erg(u_n, u_d_n, rw_curr)`` and ``erg(u_next, u_d_next,
+    rw_next)``, each under its own lifting, ``grad_curr`` and ``grad_next``
+    the gradient energies ``grad_term`` of a_n and a_next, ``rw_curr`` and
+    ``rw_next`` their ``degradation_weights`` and ``dis_curr`` the
+    dissipation ``dis(a_n)``.  ``eta`` > 0 is ``BacktrackConfig.eta``, which
+    checks it.
     """
     # the other two bulk energies: each state under the other lifting.  UB
     # is the lifting increment on the current state, LB the one on the next
     # state (the proved pairing), both at that state's damage
-    erg_curr_lifted = erg(u_n, u_d_next, a_n, kernels, p)
-    erg_next_unlifted = erg(u_next, u_d_n, a_next, kernels, p)
-    e_next = erg_next + grad_term(a_next, kernels, p)
-    e_curr = erg_curr + grad_term(a_n, kernels, p)
+    erg_curr_lifted = erg(u_n, u_d_next, rw_curr, kernels, p)
+    erg_next_unlifted = erg(u_next, u_d_n, rw_next, kernels, p)
+    e_next = erg_next + grad_next
+    e_curr = erg_curr + grad_curr
     dis_next = dis(a_next, kernels, p)
     d_inc = dis_next - dis_curr
     delta = e_next - e_curr + d_inc

@@ -41,6 +41,7 @@ from .material import (
     MaterialParams,
     StrainSpectrum,
     degradation,
+    principal_stresses,
     sigma_split,
     tangent_split,
 )
@@ -306,10 +307,10 @@ def _nodal_sum(edofs: np.ndarray, f_e: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(edofs.ravel(), weights=f_e.ravel(), minlength=n)
 
 
-def _force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams):
-    """Unconstrained internal force from the strain spectrum and the
-    degradation weights."""
-    sig_p, sig_m = sigma_split(spectrum, p)
+def _force(spectrum: StrainSpectrum, f, rw, kernels: ElementKernels, p: MaterialParams):
+    """Unconstrained internal force from the strain spectrum, its
+    ``principal_stresses`` ``f`` and the degradation weights."""
+    sig_p, sig_m = sigma_split(spectrum, f, p)
     sig_eff = rw[:, None] * sig_p + kernels.measures[:, None] * sig_m
     f_e = np.einsum("evd,ev->ed", kernels.b_u, sig_eff)
     return _nodal_sum(kernels.udofs, f_e, kernels.dim * kernels.mesh.n_nodes)
@@ -506,28 +507,32 @@ def residual_and_tangent_u(
     The tangent is an ``UpperMatrix``, SPD for damage below one and k > 0.
     """
     pattern = u_pattern(kernels, dofmap)  # built on first use, before the force's temporaries
-    full = _force(spectrum, rw, kernels, p)
-    return full[dofmap.free], pattern.assemble(_tangent_u_blocks(spectrum, rw, kernels, p))
+    f = principal_stresses(spectrum.modes, p)
+    full = _force(spectrum, f, rw, kernels, p)
+    return full[dofmap.free], pattern.assemble(_tangent_u_blocks(spectrum, f, rw, kernels, p))
 
 
-def _tangent_u_blocks(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams):
+def _tangent_u_blocks(spectrum: StrainSpectrum, f, rw, kernels: ElementKernels, p: MaterialParams):
     """Element matrices of the displacement tangent, one block of
     ``_BLOCK_BYTES`` of temporaries at a time, from views of the state's
-    spectrum (its directions are already built by ``_force``).  Each
-    block is formed in its own call, so its temporaries are freed before
-    the next one is formed."""
+    spectrum (its directions are already built by ``_force``) and of its
+    principal stresses ``f``.  Each block is formed in its own call, so its
+    temporaries are freed before the next one is formed."""
     n_e = kernels.b_u.shape[0]
     size = max(1, _BLOCK_BYTES // (8 * _BLOCK_DOUBLES[kernels.dim]))
     for lo in range(0, n_e, size):
         hi = min(lo + size, n_e)
-        yield _element_tangents_u(spectrum.rows(lo, hi), rw[lo:hi], kernels.measures[lo:hi], kernels.b_u[lo:hi], p)
+        block_f = tuple(x[:, lo:hi] for x in f)
+        yield _element_tangents_u(
+            spectrum.rows(lo, hi), block_f, rw[lo:hi], kernels.measures[lo:hi], kernels.b_u[lo:hi], p
+        )
 
 
-def _element_tangents_u(spectrum: StrainSpectrum, rw, measures, b_u, p: MaterialParams):
+def _element_tangents_u(spectrum: StrainSpectrum, f, rw, measures, b_u, p: MaterialParams):
     """Element matrices B^T C B of the displacement tangent, with C the
     split tangent weighted by the degradation weights ``rw`` (tension) and
     the element measures (compression)."""
-    cp, cm = tangent_split(spectrum, p)
+    cp, cm = tangent_split(spectrum, f, p)
     c_e = rw[:, None, None] * cp + measures[:, None, None] * cm
     return np.swapaxes(b_u, 1, 2) @ (c_e @ b_u)
 
@@ -566,6 +571,6 @@ def reaction_force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: Mat
     zero, in ascending order.  Since r is the gradient of the bulk energy
     in the total displacement, P is d erg/dw at fixed free displacement and
     damage.  The state is given as for ``residual_and_tangent_u``."""
-    r = _force(spectrum, rw, kernels, p)
+    r = _force(spectrum, principal_stresses(spectrum.modes, p), rw, kernels, p)
     dofs = np.flatnonzero(load)
     return float(np.sum(r[dofs] * load[dofs]))

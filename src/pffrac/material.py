@@ -44,6 +44,7 @@ __all__ = [
     "MaterialParams",
     "StrainSpectrum",
     "psi_split",
+    "principal_stresses",
     "sigma_split",
     "degradation",
     "tangent_split",
@@ -308,9 +309,13 @@ def psi_split(s: StrainSpectrum, p: MaterialParams):
     return branch(np.maximum(w, 0.0)), branch(np.minimum(w, 0.0))
 
 
-def _split_stress_coeffs(w: np.ndarray, p: MaterialParams):
+def principal_stresses(w: np.ndarray, p: MaterialParams):
     """Principal stresses of sigma0_pm (gradients of psi0_pm) and the branch
-    indicators, mode axis first like ``w``, the principal strains (d, ...).
+    indicators, (fp, fm, hp, hm), mode axis first like ``w``, the principal
+    strains (d, N).  ``sigma_split`` and ``tangent_split`` take them, so a
+    state whose stress and tangent are both evaluated computes them once;
+    a block of the batch takes ``x[:, lo:hi]`` of each, as
+    ``StrainSpectrum.rows`` slices the spectrum.
 
     f_a^+ = lam tr(eps_+) H(w_a > 0) + 2 mu <w_a>_+ and the mirrored minus
     part with H(w_a <= 0); H at zero follows the compression-side
@@ -325,16 +330,17 @@ def _split_stress_coeffs(w: np.ndarray, p: MaterialParams):
     return fp, fm, hp, hm
 
 
-def sigma_split(s: StrainSpectrum, p: MaterialParams):
+def sigma_split(s: StrainSpectrum, f, p: MaterialParams):
     """Tensile/compressive stresses, the exact gradients of ``psi_split``, of
-    the strain batch whose spectrum is ``s``, as Voigt vectors (N, nv):
+    the strain batch whose spectrum is ``s`` and whose
+    ``principal_stresses`` are ``f``, as Voigt vectors (N, nv):
     sigma0_pm = sum_a f_a^pm n_a (x) n_a, formed as d x d tensors with the
     batch axis last and read out in Voigt order.
 
     In the input dimension (the in-plane components for plane strain; the
     out-of-plane normal stress never enters 2-D assembly).
     """
-    fp, fm, _, _ = _split_stress_coeffs(s.modes, p)
+    fp, fm, _, _ = f
     v = s.directions
 
     def branch(f):
@@ -350,9 +356,10 @@ def degradation(beta, p: MaterialParams):
     return one_m * one_m + p.k, -2.0 * one_m
 
 
-def tangent_split(s: StrainSpectrum, p: MaterialParams):
+def tangent_split(s: StrainSpectrum, f, p: MaterialParams):
     """Tangents of the split stresses: (d sigma0_+/d eps, d sigma0_-/d eps),
-    of the strain batch whose spectrum is ``s``.
+    of the strain batch whose spectrum is ``s`` and whose
+    ``principal_stresses`` are ``f``.
 
     Both in engineering-shear Voigt form (3x3 over (xx, yy, xy) in 2-D,
     6x6 over (xx, yy, zz, yz, xz, xy) in 3-D), built directly from the
@@ -374,7 +381,7 @@ def tangent_split(s: StrainSpectrum, p: MaterialParams):
     g_ab = 2 mu h.
     """
     w = s.modes
-    fp, fm, hp, hm = _split_stress_coeffs(w, p)
+    fp, fm, hp, hm = f
     q = _dyads(s.directions)
     m = q[: len(w)]
     a, b = _PAIRS[len(w)]

@@ -11,13 +11,23 @@ tensors the tests build and the Voigt rows the program takes, including the
 """
 
 import math
+import struct
 
 import numpy as np
 import scipy.sparse as sp
 
 from pffrac.energetics import check_two_sided, dis, erg, grad_term
-from pffrac.fem import ElementKernels, beta_at_qp, strain_spectrum
-from pffrac.material import _GAP_REL, AT2, VOIGT, MaterialParams, StrainSpectrum, degradation, psi_split
+from pffrac.fem import ElementKernels, beta_at_qp, degradation_weights, strain_spectrum
+from pffrac.material import (
+    _GAP_REL,
+    AT2,
+    VOIGT,
+    MaterialParams,
+    StrainSpectrum,
+    degradation,
+    principal_stresses,
+    psi_split,
+)
 from pffrac.mesh import Mesh
 
 
@@ -34,7 +44,7 @@ def total_functional(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams)
     dissipation + irreversibility penalty (the quantity the alternating
     minimization descends on)."""
     return (
-        erg(u, u_d, a, kernels, p)
+        bulk_energy(u, u_d, a, kernels, p)
         + grad_term(a, kernels, p)
         + (dis(a, kernels, p) - dis(a_n, kernels, p))
         + penalty_energy(a, a_n, kernels, p)
@@ -62,32 +72,41 @@ def damage_merit(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams) -> 
     return float(np.sum(kernels.wj * at_qp) + np.sum(kernels.measures * per_e)) - dis(a_n, kernels, p)
 
 
+def bulk_energy(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:
+    """Degraded bulk energy ``erg`` of u1 + u2 at the damage a."""
+    return erg(u1, u2, degradation_weights(kernels, a, p), kernels, p)
+
+
 def stored_energy(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:
     """Stored energy E: degraded bulk energy plus damage-gradient energy."""
-    return erg(u1, u2, a, kernels, p) + grad_term(a, kernels, p)
+    return bulk_energy(u1, u2, a, kernels, p) + grad_term(a, kernels, p)
 
 
 def fresh_check(u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels: ElementKernels, p: MaterialParams, eta):
-    """``check_two_sided`` of the step pair (n, n+1) with the bulk energy of
-    each state under its own lifting, and the current state's dissipation,
-    evaluated here."""
+    """``check_two_sided`` of the step pair (n, n+1) with every term of
+    both states (bulk and gradient energies, degradation weights, the
+    current state's dissipation) evaluated here."""
     return check_two_sided(
-        u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels, p, eta,
-        erg_curr=erg(u_n, u_d_n, a_n, kernels, p),
-        erg_next=erg(u_next, u_d_next, a_next, kernels, p),
+        u_n, u_d_n, u_next, u_d_next, a_next, kernels, p, eta,
+        erg_curr=bulk_energy(u_n, u_d_n, a_n, kernels, p),
+        erg_next=bulk_energy(u_next, u_d_next, a_next, kernels, p),
+        grad_curr=grad_term(a_n, kernels, p),
+        grad_next=grad_term(a_next, kernels, p),
         dis_curr=dis(a_n, kernels, p),
+        rw_curr=degradation_weights(kernels, a_n, p),
+        rw_next=degradation_weights(kernels, a_next, p),
     )
 
 
 def upper_bound(u_n, u_d_n, u_d_next, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
     """UB: lifting increment evaluated on the current state."""
-    return erg(u_n, u_d_next, a_n, kernels, p) - erg(u_n, u_d_n, a_n, kernels, p)
+    return bulk_energy(u_n, u_d_next, a_n, kernels, p) - bulk_energy(u_n, u_d_n, a_n, kernels, p)
 
 
 def lower_bound(u_next, u_d_n, u_d_next, a_next, kernels: ElementKernels, p: MaterialParams) -> float:
     """LB: lifting increment evaluated on the next state, the proved pairing
-    erg(u_next, u_d_next) - erg(u_next, u_d_n) at damage a_next."""
-    return erg(u_next, u_d_next, a_next, kernels, p) - erg(u_next, u_d_n, a_next, kernels, p)
+    bulk_energy(u_next, u_d_next) - bulk_energy(u_next, u_d_n) at damage a_next."""
+    return bulk_energy(u_next, u_d_next, a_next, kernels, p) - bulk_energy(u_next, u_d_n, a_next, kernels, p)
 
 
 def element_dofs_pattern(edofs: np.ndarray, n: int, keep_map: np.ndarray):
@@ -131,12 +150,20 @@ def strain_tensor_from_voigt(v: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def evaluate(split, s: StrainSpectrum, p: MaterialParams):
+    """``split`` (``psi_split``, ``sigma_split`` or ``tangent_split``) of the
+    spectrum ``s``; the last two also take its ``principal_stresses``."""
+    if split is psi_split:
+        return split(s, p)
+    return split(s, principal_stresses(s.modes, p), p)
+
+
 def split_of(split, eps, p: MaterialParams):
     """``split`` (``psi_split``, ``sigma_split`` or ``tangent_split``) of the
     strain tensors ``eps`` (..., d, d), each output shaped by the leading
     axes of ``eps``."""
     lead = np.shape(eps)[:-2]
-    return tuple(x.reshape(lead + x.shape[1:]) for x in split(StrainSpectrum(voigt_rows(eps)), p))
+    return tuple(x.reshape(lead + x.shape[1:]) for x in evaluate(split, StrainSpectrum(voigt_rows(eps)), p))
 
 
 def embedding(s: StrainSpectrum):
@@ -234,35 +261,45 @@ def tangent_split_c4(eps, p: MaterialParams):
     return tuple(c[..., vi[:, None], vj[:, None], vi[None, :], vj[None, :]] for c in (c4p, c4m))
 
 
+# The bytes of the data block after each legacy VTK section header, by its
+# keyword, from the header's counts and the points' count.
+_BLOCK_BYTES = {
+    "POINTS": lambda counts, n: 24 * counts[0],
+    "CELLS": lambda counts, n: 4 * counts[1],
+    "CELL_TYPES": lambda counts, n: 4 * counts[0],
+    "VECTORS": lambda counts, n: 24 * n,
+    "LOOKUP_TABLE": lambda counts, n: 8 * n,
+}
+
+
 def read_snapshot_by_line(path, dim: int):
-    """(displacement, damage) of a VTK snapshot, found by testing every line
-    for the next section header and converting value by value."""
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
+    """(displacement, damage) of a legacy VTK BINARY snapshot, found by
+    scanning its header lines from the top, stepping over the data block
+    that each header announces, and unpacking the values of the two field
+    blocks one big-endian double at a time."""
+    with open(path, "rb") as fh:
+        data = fh.read()
 
-    i = 0
+    offsets = {}
+    n_points = 0
+    pos = 0
+    while pos < len(data):
+        end = data.index(b"\n", pos)
+        words = data[pos:end].decode("ascii").split()
+        pos = end + 1
+        if not words or words[0] not in _BLOCK_BYTES:
+            continue  # the file header, POINT_DATA, SCALARS
+        counts = [int(w) for w in words[1:] if w.isdigit()]
+        if words[0] == "POINTS":
+            n_points = counts[0]
+        offsets[words[0]] = pos
+        pos += _BLOCK_BYTES[words[0]](counts, n_points) + 1
 
-    def _seek(prefix: str) -> int:
-        nonlocal i
-        while i < len(tokens) and not tokens[i].startswith(prefix):
-            i += 1
-        if i >= len(tokens):
-            raise ValueError(f"snapshot missing {prefix!r} section")
-        return i
+    def doubles(offset, n):
+        return [struct.unpack_from(">d", data, offset + 8 * k)[0] for k in range(n)]
 
-    _seek("POINTS")
-    n_points = int(tokens[i].split()[1])
-    i += 1 + n_points
-
-    _seek("VECTORS displacement")
-    i += 1
-    disp = np.array([[float(v) for v in tokens[i + k].split()] for k in range(n_points)])
-    i += n_points
-
-    _seek("SCALARS damage")
-    _seek("LOOKUP_TABLE")
-    i += 1
-    damage = np.array([float(tokens[i + k]) for k in range(n_points)])
+    disp = np.array(doubles(offsets["VECTORS"], 3 * n_points)).reshape(n_points, 3)
+    damage = np.array(doubles(offsets["LOOKUP_TABLE"], n_points))
     return disp[:, :dim].reshape(-1), damage
 
 

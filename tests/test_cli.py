@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -45,26 +46,60 @@ def sent_given():
     return {"run": {"preset": "sent", "scale": "0.02"}, "program": {"n_steps": "5"}}
 
 
+def drop_line(data: bytes, prefix: str) -> bytes:
+    """``data`` without the snapshot header line that starts with
+    ``prefix``."""
+    i = data.index(b"\n" + prefix.encode()) + 1
+    return data[:i] + data[data.index(b"\n", i) + 1 :]
+
+
 class TestVtk:
     def test_zero_state_snapshot(self, tmp_path):
         mesh = box_mesh([1.0, 1.0], [1, 1])
         path = tmp_path / "snap.vtk"
         write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
-        text = path.read_text()
-        assert "POINTS 4 double" in text
-        assert "CELLS 2 8" in text
-        assert "VECTORS displacement double" in text
-        assert "SCALARS damage double 1" in text
+        data = path.read_bytes()
+        assert b"\nPOINTS 4 double\n" in data
+        assert b"\nCELLS 2 8\n" in data
+        assert b"\nPOINT_DATA 4\nVECTORS displacement double\n" in data
+        assert b"\nSCALARS damage double 1\nLOOKUP_TABLE default\n" in data
+
+    def test_header_and_big_endian_blocks(self, tmp_path, rng):
+        # the four header lines, then each section header and its block of
+        # big-endian float64 (points, fields) or int32 (cells), each block
+        # followed by a newline
+        mesh = box_mesh([1.0, 1.0], [1, 1])
+        disp = rng.normal(size=2 * mesh.n_nodes)
+        damage = rng.uniform(0.0, 1.0, mesh.n_nodes)
+        path = tmp_path / "snap.vtk"
+        write_field_snapshot(disp, damage, mesh, path, grid_text(mesh))
+
+        def doubles(rows):
+            return b"".join(struct.pack(">3d", *row, *[0.0] * (3 - len(row))) for row in rows)
+
+        cells = b"".join(struct.pack(">4i", 3, *e) for e in mesh.elements.tolist())
+        want = b"".join(
+            [
+                b"# vtk DataFile Version 3.0\npffrac field snapshot\nBINARY\nDATASET UNSTRUCTURED_GRID\n",
+                b"POINTS 4 double\n", doubles(mesh.nodes.tolist()), b"\n",
+                b"CELLS 2 8\n", cells, b"\n",
+                b"CELL_TYPES 2\n", struct.pack(">2i", 5, 5), b"\n",
+                b"POINT_DATA 4\nVECTORS displacement double\n", doubles(disp.reshape(-1, 2).tolist()), b"\n",
+                b"SCALARS damage double 1\nLOOKUP_TABLE default\n", struct.pack(">4d", *damage), b"\n",
+            ]
+        )
+        assert path.read_bytes() == want
 
     def test_roundtrip_bitwise(self, tmp_path, rng):
         mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
         disp = rng.normal(size=3 * mesh.n_nodes) * 1e-3
+        disp[:3] = [-0.0, 5e-324, -np.finfo(float).max]
         damage = rng.uniform(0, 1, mesh.n_nodes)
         path = tmp_path / "snap.vtk"
         write_field_snapshot(disp, damage, mesh, path, grid_text(mesh))
         got_disp, got_damage = read_field_snapshot(path, 3)
-        assert np.array_equal(got_disp, disp)
-        assert np.array_equal(got_damage, damage)
+        assert got_disp.dtype == got_damage.dtype == np.float64 and got_disp.dtype.isnative
+        assert got_disp.tobytes() == disp.tobytes() and got_damage.tobytes() == damage.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_reader_matches_line_oracle(self, tmp_path, rng, dim):
@@ -87,17 +122,23 @@ class TestVtk:
         mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
         path = tmp_path / "snap.vtk"
         write_field_snapshot(np.zeros(3 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(x for x in lines if not x.startswith(header)) + "\n")
-        with pytest.raises(ValueError, match=f"missing '{header}' section"):
+        path.write_bytes(drop_line(path.read_bytes(), header))
+        with pytest.raises(ValueError, match=f"missing '{header}' section in {path}"):
             read_field_snapshot(path, 3)
 
     def test_truncated_block_raises(self, tmp_path):
+        # the last damage value and the newline after it cut off
         mesh = box_mesh([1.0, 1.0], [1, 1])
         path = tmp_path / "snap.vtk"
         write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
-        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(ValueError, match="holds 3 values, not 4"):
+            read_field_snapshot(path, 2)
+        # a header that gives one point fewer than its block holds: no
+        # newline where the shorter block would end
+        write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
+        path.write_bytes(path.read_bytes().replace(b"POINTS 4", b"POINTS 3"))
+        with pytest.raises(ValueError, match="is not 9 values and a newline"):
             read_field_snapshot(path, 2)
 
 
@@ -603,8 +644,8 @@ class TestCmdRun:
         calls.clear()
         assert main(["check-energy", str(tmp_path / "b")]) == 0
         assert calls == [("sent", 0.05)]
-        snap = (tmp_path / "b" / "snapshots" / "step_000000.vtk").read_text()
-        assert f"POINTS {real('sent', 0.05).mesh.n_nodes} double" in snap
+        snap = (tmp_path / "b" / "snapshots" / "step_000000.vtk").read_bytes()
+        assert f"\nPOINTS {real('sent', 0.05).mesh.n_nodes} double\n".encode() in snap
 
 
 class TestCheckEnergy:
@@ -705,11 +746,11 @@ class TestCheckEnergy:
     def test_unreadable_outputs_exit_2(self, sent_run, capsys):
         # an output the audit cannot read is no audit mismatch
         snap = sent_run / "snapshots" / "step_000003.vtk"
-        kept = snap.read_text()
-        snap.write_text("".join(x for x in kept.splitlines(True) if not x.startswith("CELLS")))
+        kept = snap.read_bytes()
+        snap.write_bytes(drop_line(kept, "CELLS"))
         code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and "cannot load run outputs: snapshot missing 'CELLS' section" in err
-        snap.write_text(kept)
+        snap.write_bytes(kept)
         path = sent_run / "energy.csv"
         rows = path.read_text().splitlines()
         rows[2] = rows[2].replace(rows[2].split(",")[1], "abc", 1)
@@ -717,23 +758,37 @@ class TestCheckEnergy:
         code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and "cannot load run outputs" in err
 
+    def test_ascii_snapshot_refused(self, sent_run, capsys):
+        # a snapshot in the legacy VTK ASCII of earlier versions is no
+        # output of this version: unreadable, named by its path
+        snap = sent_run / "snapshots" / "step_000002.vtk"
+        snap.write_text(
+            "# vtk DataFile Version 3.0\npffrac field snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            "POINTS 1 double\n0 0 0\n"
+        )
+        code, err = self.audit_of(sent_run, capsys)
+        assert code == 2 and err.startswith("cannot load run outputs: ")
+        assert "not legacy VTK BINARY: line 3 reads 'ASCII'" in err and str(snap) in err
+
     @pytest.mark.parametrize("edit", ["bare_points_header", "one_node_fewer"])
     def test_malformed_snapshot_exit_2(self, sent_run, capsys, edit):
         # a snapshot that does not parse, or that holds another node count
         # than the run's mesh, is unreadable output and no audit mismatch
         snap = sent_run / "snapshots" / "step_000002.vtk"
-        lines = snap.read_text().splitlines()
-        i = next(k for k, x in enumerate(lines) if x.startswith("POINTS"))
+        data = snap.read_bytes()
+        n = int(data.split(b"\nPOINTS ", 1)[1].split()[0])
         if edit == "bare_points_header":
-            lines[i] = "POINTS"
+            data = data.replace(f"\nPOINTS {n} double\n".encode(), b"\nPOINTS\n")
         else:
-            n = int(lines[i].split()[1])
-            lines[i] = f"POINTS {n - 1} double"
-            last = {i + n}  # the last coordinate row, then the last value rows
-            last.add(lines.index("VECTORS displacement double") + n)
-            last.add(lines.index("LOOKUP_TABLE default") + n)
-            lines = [x for k, x in enumerate(lines) if k not in last]
-        snap.write_text("\n".join(lines) + "\n")
+            # the header of n - 1 points, and the last node's values cut
+            # from the points and from both field blocks
+            for header, size in [(b"\nPOINTS ", 24), (b"\nVECTORS ", 24), (b"\nLOOKUP_TABLE ", 8)]:
+                start = data.index(b"\n", data.index(header) + 1) + 1
+                end = start + n * size
+                data = data[: end - size] + data[end:]
+            data = data.replace(f"\nPOINTS {n} double\n".encode(), f"\nPOINTS {n - 1} double\n".encode())
+            data = data.replace(f"\nPOINT_DATA {n}\n".encode(), f"\nPOINT_DATA {n - 1}\n".encode())
+        snap.write_bytes(data)
         code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and err.startswith("cannot load run outputs: ") and str(snap) in err
 
@@ -756,10 +811,11 @@ class TestCheckEnergy:
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
 
     def test_bulk_energy_reused_between_checked_pairs(self, sent_run, monkeypatch):
-        # each snapshot's bulk energy and dissipation are computed once, and
-        # a check takes those of its current state: it decomposes only its
-        # two cross-lifting strains, so the audit costs one spectrum per
-        # snapshot plus two per step pair, and one dissipation per
+        # each snapshot's bulk energy, gradient energy, degradation weights
+        # and dissipation are computed once, and a check takes those of its
+        # current state: it decomposes only its two cross-lifting strains,
+        # so the audit costs one spectrum per snapshot plus two per step
+        # pair, and one dissipation, gradient energy and set of weights per
         # snapshot; each report is bit for bit the one with every figure
         # evaluated afresh
         calls = []
@@ -772,25 +828,38 @@ class TestCheckEnergy:
             return wrapper
 
         real_check = cli.check_two_sided
+        real_read = cli.read_field_snapshot
         per_check = []
+        damages = []  # of the snapshots read so far
+
+        def reading(*args):
+            disp, a = real_read(*args)
+            damages.append(a)
+            return disp, a
 
         def checking(*args, **kw):
             n0 = len(calls)
             report = real_check(*args, **kw)
             n1 = len(calls)
-            per_check.append((calls[n0:n1].count("spectrum"), calls[n0:n1].count("dis")))
-            assert report == fresh_check(*args)
+            per_check.append(tuple(calls[n0:n1].count(name) for name in ("spectrum", "dis", "grad", "weights")))
+            u_n, u_d_n, u_next, u_d_next, a_next, kernels, p, eta = args
+            assert report == fresh_check(u_n, u_d_n, damages[-2], u_next, u_d_next, a_next, kernels, p, eta)
             del calls[n1:]  # the fresh evaluation is not the audit's
             return report
 
         dissipation = counting(energetics.dis, "dis")
+        grad = counting(energetics.grad_term, "grad")
         monkeypatch.setattr(energetics, "strain_spectrum", counting(energetics.strain_spectrum, "spectrum"))
         monkeypatch.setattr(energetics, "dis", dissipation)
+        monkeypatch.setattr(energetics, "grad_term", grad)
         monkeypatch.setattr(cli, "dis", dissipation)
+        monkeypatch.setattr(cli, "grad_term", grad)
+        monkeypatch.setattr(cli, "degradation_weights", counting(cli.degradation_weights, "weights"))
+        monkeypatch.setattr(cli, "read_field_snapshot", reading)
         monkeypatch.setattr(cli, "check_two_sided", checking)
         assert main(["check-energy", str(sent_run)]) == 0
-        assert per_check == [(2, 1)] * 5
-        assert (calls.count("spectrum"), calls.count("dis")) == (16, 6)
+        assert per_check == [(2, 1, 0, 0)] * 5
+        assert [calls.count(name) for name in ("spectrum", "dis", "grad", "weights")] == [16, 6, 6, 6]
 
 
 def test_bend3d_runs_and_audits_without_lapack_eigensolver(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import box_mesh, scripted_checks
-from oracles import fresh_check
+from oracles import bulk_energy, fresh_check
 from pffrac.cli import _apply_overrides, resolve_config
 import pffrac.driver as driver
 from pffrac.driver import (
@@ -20,7 +20,6 @@ from pffrac.driver import (
     run,
 )
 from pffrac import energetics
-from pffrac.energetics import erg
 from pffrac.fem import build_kernels, degradation_weights, reaction_force, strain_spectrum
 from pffrac.material import StrainSpectrum
 from pffrac.solver import SolverConfig, StepFailure
@@ -95,21 +94,13 @@ class TestLifting:
         with pytest.raises(KeyError):
             build_dofmap(patch, prog)
 
-    @pytest.mark.parametrize(
-        "bc, error, match",
-        [
-            (DirichletSpec("nope", 0, 1.0), KeyError, "unknown node set 'nope'"),
-            (DirichletSpec("ymax", 2, 1.0), ValueError, "a 2-D mesh has no component 2"),
-        ],
-        ids=["bc_set", "bc_component"],
-    )
-    def test_run_rejects_inputs_before_any_work(self, patch, sent_params, monkeypatch, bc, error, match):
+    def test_run_rejects_inputs_before_any_work(self, patch, sent_params, monkeypatch):
         def refuse(*args):
             raise AssertionError("kernels built for rejected inputs")
 
         monkeypatch.setattr(driver, "build_kernels", refuse)
-        prog = LoadProgram(n_steps=2, dw=1e-4, bcs=(DirichletSpec("ymin", 1, 0.0), bc))
-        with pytest.raises(error, match=match):
+        prog = LoadProgram(n_steps=2, dw=0.0, bcs=(DirichletSpec("ymin", 1, 0.0), DirichletSpec("ymax", 1, 1.0)))
+        with pytest.raises(ValueError, match="the program loads nothing: dw is 0"):
             run(prog, BacktrackConfig(), SolverConfig(), sent_params, patch)
 
     def test_out_of_range_step(self, patch):
@@ -252,7 +243,7 @@ class TestReusedDecomposition:
             u_d = lifting_for_step(prog, rec.step, patch)
             spectrum = strain_spectrum(kern, rec.u + u_d)
             rw = degradation_weights(kern, rec.a, sent_params)
-            assert rec.bulk_energy == erg(rec.u, u_d, rec.a, kern, sent_params)
+            assert rec.bulk_energy == bulk_energy(rec.u, u_d, rec.a, kern, sent_params)
             assert rec.reaction == reaction_force(spectrum, rw, kern, sent_params, load_vector(prog, patch))
             if prev is not None:
                 want = fresh_check(
@@ -383,10 +374,11 @@ class TestBacktrackBookkeeping:
 
         kern, dofmap = build_kernels(patch), build_dofmap(patch, prog)
         a0 = np.zeros(patch.n_nodes)
-        first = RunHistory(
-            guess_rw=degradation_weights(kern, a0, sent_params),
-            steps=[SolveRecord(step=0, u=np.zeros(dofmap.n_dofs), a=a0, report=None, bulk_energy=0.0, reaction=0.0)],
+        initial = SolveRecord(
+            step=0, u=np.zeros(dofmap.n_dofs), a=a0, report=None, bulk_energy=0.0, grad_energy=0.0,
+            rw=degradation_weights(kern, a0, sent_params), reaction=0.0,
         )
+        first = RunHistory(steps=[initial])
         for _ in range(3):
             advance(first, prog, bt, cfg, sent_params, patch, kern, dofmap)
         assert [(r.step, r.round_of, r.b) for r in first.solves[2:]] == [(3, 3, 0), (2, 3, 1)]

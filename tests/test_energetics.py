@@ -13,7 +13,7 @@ from pffrac.energetics import (
     functional_from_psi,
     grad_term,
 )
-from pffrac.fem import build_kernels, damage_fields, strain_spectrum
+from pffrac.fem import build_kernels, damage_fields, degradation_weights, strain_spectrum
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split
 from pffrac.mesh import Mesh
 
@@ -42,15 +42,15 @@ class TestErg:
     def test_zero(self, patch, sent_params):
         mesh, kern = patch
         z = np.zeros(2 * mesh.n_nodes)
-        assert erg(z, z, np.zeros(mesh.n_nodes), kern, sent_params) == 0.0
+        assert erg(z, z, degradation_weights(kern, np.zeros(mesh.n_nodes), sent_params), kern, sent_params) == 0.0
 
     def test_fully_damaged_tension_scales_with_k(self, patch, sent_params):
         mesh, kern = patch
         u_d = np.zeros(2 * mesh.n_nodes)
         u_d[1::2] = 1e-3 * mesh.nodes[:, 1]
         z = np.zeros_like(u_d)
-        e1 = erg(z, u_d, np.ones(mesh.n_nodes), kern, sent_params)
-        e0 = erg(z, u_d, np.zeros(mesh.n_nodes), kern, sent_params)
+        e1 = erg(z, u_d, degradation_weights(kern, np.ones(mesh.n_nodes), sent_params), kern, sent_params)
+        e0 = erg(z, u_d, degradation_weights(kern, np.zeros(mesh.n_nodes), sent_params), kern, sent_params)
         # R(1) = k, R(0) = 1 + k, and the state is purely tensile
         assert e1 == pytest.approx(e0 * sent_params.k / (1 + sent_params.k), rel=1e-12)
 
@@ -58,7 +58,7 @@ class TestErg:
         mesh, kern = patch
         u, a, _ = random_state(mesh, rng)
         u2 = 1e-4 * rng.normal(size=u.size)
-        got = erg(u, u2, a, kern, sent_params)
+        got = erg(u, u2, degradation_weights(kern, a, sent_params), kern, sent_params)
         want = dense_erg(u, u2, a, mesh, kern, sent_params)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -203,28 +203,39 @@ class TestCheckTwoSided:
     def test_four_bulk_energies_per_check(self, patch, sent_params, rng, monkeypatch):
         # E, UB and LB share the bulk energies of the two states under the
         # two liftings: the two under their own liftings are passed in, the
-        # other two evaluated, and the report is bit for bit the one built
-        # from stored_energy, upper_bound and lower_bound
+        # other two evaluated at the passed degradation weights, the
+        # gradient energies passed in, and the report is bit for bit the one
+        # built from stored_energy, upper_bound and lower_bound
         mesh, kern = patch
         u_n, a_n, _ = random_state(mesh, rng)
         u_next, a_next, _ = random_state(mesh, rng)
         ud1 = np.zeros(2 * mesh.n_nodes)
         ud2 = ud1.copy()
         ud2[1::2] = 1e-3 * mesh.nodes[:, 1]
-        erg_curr = erg(u_n, ud1, a_n, kern, sent_params)
-        erg_next = erg(u_next, ud2, a_next, kern, sent_params)
+        rw_curr = degradation_weights(kern, a_n, sent_params)
+        rw_next = degradation_weights(kern, a_next, sent_params)
+        erg_curr = erg(u_n, ud1, rw_curr, kern, sent_params)
+        erg_next = erg(u_next, ud2, rw_next, kern, sent_params)
+        grad_curr = grad_term(a_n, kern, sent_params)
+        grad_next = grad_term(a_next, kern, sent_params)
         calls = []
 
         def spy(*args):
             calls.append(args)
             return erg(*args)
 
+        def refuse(*args):
+            raise AssertionError("gradient energy evaluated in the check")
+
         monkeypatch.setattr(energetics, "erg", spy)
+        monkeypatch.setattr(energetics, "grad_term", refuse)
         dis_curr = dis(a_n, kern, sent_params)
         rep = check_two_sided(
-            u_n, ud1, a_n, u_next, ud2, a_next, kern, sent_params, 1e-5,
-            erg_curr=erg_curr, erg_next=erg_next, dis_curr=dis_curr,
+            u_n, ud1, u_next, ud2, a_next, kern, sent_params, 1e-5,
+            erg_curr=erg_curr, erg_next=erg_next, grad_curr=grad_curr, grad_next=grad_next, dis_curr=dis_curr,
+            rw_curr=rw_curr, rw_next=rw_next,
         )
+        assert [c[2] is rw for c, rw in zip(calls, (rw_curr, rw_next))] == [True, True]
         assert len(calls) == 2
         monkeypatch.undo()
         e_next = stored_energy(u_next, ud2, a_next, kern, sent_params)

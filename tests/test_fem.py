@@ -6,8 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import box_mesh, damage_system, dense, displacement_system, internal_force, load_tracing, random_state, stored
-from oracles import elastic_tensor, element_dofs_pattern, element_measures, penalty_energy, strain_tensor_from_voigt
-from pffrac.energetics import dis, erg, grad_term
+from oracles import bulk_energy, elastic_tensor, element_dofs_pattern, element_measures, penalty_energy, strain_tensor_from_voigt
+from pffrac.energetics import dis, grad_term
 from pffrac.fem import (
     DofMap,
     TET_RULE,
@@ -30,6 +30,7 @@ from pffrac.material import (
     MaterialParams,
     StrainSpectrum,
     degradation,
+    principal_stresses,
     psi_split,
     tangent_split,
 )
@@ -180,7 +181,7 @@ class TestResidualU:
                 up, um = u.copy(), u.copy()
                 up[i] += h
                 um[i] -= h
-                fd[i] = (erg(up, u_d, a, kern, sent_params) - erg(um, u_d, a, kern, sent_params)) / (2 * h)
+                fd[i] = (bulk_energy(up, u_d, a, kern, sent_params) - bulk_energy(um, u_d, a, kern, sent_params)) / (2 * h)
             assert np.abs(r - fd).max() <= 1e-6 * np.abs(r).max()
 
 
@@ -229,7 +230,7 @@ class TestResidualBeta:
 
         def func(u, u_d, a, a_n):
             return (
-                erg(u, u_d, a, kern, p)
+                bulk_energy(u, u_d, a, kern, p)
                 + grad_term(a, kern, p)
                 + dis(a, kern, p)
                 - dis(a_n, kern, p)
@@ -341,7 +342,7 @@ class TestTangents:
         u_d = 1e-4 * rng.normal(size=u.size)
 
         spec = StrainSpectrum(strain_voigt(kern, u + u_d).T)
-        cp, cm = tangent_split(spec, p)
+        cp, cm = tangent_split(spec, principal_stresses(spec.modes, p), p)
         rw = np.einsum("eq,eq->e", kern.wj, degradation(beta_at_qp(kern, a), p)[0])
         c_e = rw[:, None, None] * cp + kern.measures[:, None, None] * cm
         k_e = np.einsum("evi,evw,ewj->eij", kern.b_u, c_e, kern.b_u)
@@ -445,7 +446,8 @@ class TestDeterminismAndReaction:
         assert 0.0 not in np.ravel(kink_sides(w)[0])
         spec = strain_spectrum(kern, u + w * load)
         reaction = reaction_force(spec, degradation_weights(kern, a, sent_params), kern, sent_params, load)
-        fd = (erg(u, (w + h) * load, a, kern, sent_params) - erg(u, (w - h) * load, a, kern, sent_params)) / (2 * h)
+        up = bulk_energy(u, (w + h) * load, a, kern, sent_params)
+        fd = (up - bulk_energy(u, (w - h) * load, a, kern, sent_params)) / (2 * h)
         assert abs(reaction) > 1.0
         assert reaction == pytest.approx(fd, rel=1e-8)
 
@@ -651,7 +653,7 @@ class TestBlockAssembly:
         r1, k1 = fem.residual_and_tangent_u(spec, rw, kern, p, dm)
         # the whole-mesh element matrices B^T (C B) summed by bincount, in
         # element order
-        cp, cm = tangent_split(spec, p)
+        cp, cm = tangent_split(spec, principal_stresses(spec.modes, p), p)
         c_e = rw[:, None, None] * cp + kern.measures[:, None, None] * cm
         k_e = np.swapaxes(kern.b_u, 1, 2) @ (c_e @ kern.b_u)
         data = np.bincount(pat.slot, weights=k_e.ravel(), minlength=pat.ordering.rows.size + 1)[:-1]

@@ -109,6 +109,18 @@ class TestMeshRecipes:
             assert np.array_equal(np.flatnonzero(g), mesh.dim * mesh.node_sets[tag] + component), name
             assert np.all(g[g != 0.0] == 1.0), name
 
+    def test_dirichlet_specs_fit_the_mesh(self):
+        # no config sets a Dirichlet spec, so the run takes each preset's
+        # as given: every spec names a node set of its mesh and a component
+        # below the dimension, and the load vector moves some dof
+        for name, scale in [("sent", 0.02), ("sens", 0.02), ("lshape", 0.15), ("bend3d", 0.12)]:
+            setup = load_preset(name, scale)
+            mesh = setup.mesh
+            for bc in setup.program.bcs:
+                assert bc.node_set in mesh.node_sets and mesh.node_sets[bc.node_set].size > 0, (name, bc)
+                assert 0 <= bc.component < mesh.dim, (name, bc)
+            assert np.any(load_vector(setup.program, mesh)), name
+
     def test_lshape_geometry(self):
         mesh = load_preset("lshape", 0.15).mesh
         assert mesh.dim == 3

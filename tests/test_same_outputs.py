@@ -18,8 +18,9 @@ def load_script():
 
 def test_names_the_first_file_that_differs(tmp_path, capsys):
     # two runs of one config agree although their run.json differ (wall
-    # time); an edited run.json counter, one altered byte in a snapshot, or
-    # a snapshot missing on one side, is named
+    # time); an edited run.json counter, a snapshot that differs (with the
+    # first field and node that differ), or a snapshot missing on one side,
+    # is named
     same_outputs = load_script()
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -37,9 +38,23 @@ def test_names_the_first_file_that_differs(tmp_path, capsys):
     record["elapsed_s"] += 1.0
     (b / "run.json").write_text(json.dumps(record))
 
+    # one flipped bit in a snapshot: in the last node's damage, then also
+    # in node 5's displacement, which is named first; in the grid alone, no
+    # field is named
     snap = b / "snapshots" / "step_000001.vtk"
-    data = bytearray(snap.read_bytes())
-    data[-2] = ord("7") if data[-2] != ord("7") else ord("8")
+    kept = snap.read_bytes()
+    data = bytearray(kept)
+    data[-2] ^= 1
+    snap.write_bytes(bytes(data))
+    n_nodes = int(kept.split(b"\nPOINTS ", 1)[1].split()[0])
+    assert same_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == f"snapshots/step_000001.vtk: differs (first at damage of node {n_nodes - 1})\n"
+    data[kept.index(b"VECTORS displacement double\n") + 28 + 5 * 24 + 7] ^= 1
+    snap.write_bytes(bytes(data))
+    assert same_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "snapshots/step_000001.vtk: differs (first at displacement of node 5)\n"
+    data = bytearray(kept)
+    data[kept.index(b"\nPOINTS ") + 40] ^= 1
     snap.write_bytes(bytes(data))
     assert same_outputs.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out == "snapshots/step_000001.vtk: differs\n"
