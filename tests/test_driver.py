@@ -94,7 +94,7 @@ class TestLifting:
         with pytest.raises(KeyError):
             build_dofmap(patch, prog)
 
-    def test_run_rejects_inputs_before_any_work(self, patch, sent_params, monkeypatch):
+    def test_run_rejects_zero_dw_before_any_work(self, patch, sent_params, monkeypatch):
         def refuse(*args):
             raise AssertionError("kernels built for rejected inputs")
 
