@@ -51,8 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .driver import RunHistory, check_run_inputs, lifting_for_step, run
-from .energetics import check_two_sided, dis, erg, grad_term
+from .driver import RunHistory, load_vector, run
+from .energetics import StateEnergy, check_two_sided, dis, erg, grad_term
 from .fem import build_kernels, degradation_weights
 from .vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
@@ -131,8 +131,8 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
     its field's annotation into a copy of the base part.  A missing
     ``run.preset``, a section or key that no run reads, a value that does
     not parse or a float that is not finite (named by its key), a value
-    outside its range (named by its key and value) or a program that loads
-    nothing (``dw`` = 0) is a config error, raised before any output exists.
+    outside its range (named by its key and value, ``program.dw`` = 0 too) is
+    a config error, raised before any output exists.
     Returns the preset's config with the given keys laid over it, and the
     run setup.
     """
@@ -156,9 +156,7 @@ def resolve_config(given: dict) -> tuple[dict, presets.RunSetup]:
             kw = {key: _parse(f"{section}.{key}", value, keys[key]) for key, value in values.items()}
             parts[_SECTIONS[section]] = _build(section, dataclasses.replace, part, **kw)
         cfg[section].update(values)
-    setup = dataclasses.replace(base, **parts)
-    check_run_inputs(setup.program)
-    return cfg, setup
+    return cfg, dataclasses.replace(base, **parts)
 
 
 def _apply_overrides(cfg: dict, overrides) -> dict:
@@ -214,8 +212,7 @@ class _RunWriter:
     def __call__(self, history: RunHistory) -> None:
         self.write_csvs(history)
         rec = history.steps[-1]
-        u_d = lifting_for_step(self.program, rec.step, self.mesh)
-        write_field_snapshot(rec.u + u_d, rec.a, self.mesh, _snapshot_path(self.out, rec.step), self.grid)
+        write_field_snapshot(rec.u + rec.u_d, rec.a, self.mesh, _snapshot_path(self.out, rec.step), self.grid)
 
     def write_csvs(self, history: RunHistory) -> None:
         keep = 0
@@ -386,38 +383,27 @@ def cmd_check_energy(args) -> int:
     mesh = setup.mesh
     kernels = build_kernels(mesh)
     p = setup.params
-    eta = setup.backtrack.eta
+    load = load_vector(setup.program, mesh)
+
+    def state(step: int) -> StateEnergy:
+        """The evaluated state of the snapshot of ``step``."""
+        path = _snapshot_path(out_dir, step)
+        disp, a = read_field_snapshot(path, mesh.dim)
+        if a.size != mesh.n_nodes:
+            raise ValueError(f"{path} holds {a.size} nodes, not the mesh's {mesh.n_nodes}")
+        u_d = setup.program.w(step) * load
+        u = disp - u_d
+        rw = degradation_weights(kernels, a, p)
+        return StateEnergy(u, u_d, rw, erg(u, u_d, rw, kernels, p), grad_term(a, kernels, p), dis(a, kernels, p))
 
     failing = []
     mismatches = []
-    # (u, u_d, erg, grad, dis, rw) of the previous step: the terms of its
-    # state are the next pair's current-state terms
-    prev = None
     sum_d = 0.0
-    for step, e_csv, sumd_csv, delta_csv, lb_csv, ub_csv, passed_csv in rows:
-        path = _snapshot_path(out_dir, step)
-        try:
-            disp, a = read_field_snapshot(path, mesh.dim)
-            if a.size != mesh.n_nodes:
-                raise ValueError(f"{path} holds {a.size} nodes, not the mesh's {mesh.n_nodes}")
-        except (OSError, ValueError) as exc:
-            print(f"cannot load run outputs: {exc}", file=sys.stderr)
-            return 2
-        u_d = lifting_for_step(setup.program, step, mesh)
-        u = disp - u_d
-        rw = degradation_weights(kernels, a, p)
-        bulk = erg(u, u_d, rw, kernels, p)
-        grad = grad_term(a, kernels, p)
-        if prev is None:
-            dissipation = dis(a, kernels, p)
-        else:
-            u_n, u_d_n, bulk_n, grad_n, dis_n, rw_n = prev
-            report = check_two_sided(
-                u_n, u_d_n, u, u_d, a, kernels, p, eta,
-                erg_curr=bulk_n, erg_next=bulk, grad_curr=grad_n, grad_next=grad, dis_curr=dis_n,
-                rw_curr=rw_n, rw_next=rw,
-            )
-            dissipation = report.dis_next
+    try:
+        prev = state(0)
+        for step, e_csv, sumd_csv, delta_csv, lb_csv, ub_csv, passed_csv in rows[1:]:
+            curr = state(step)
+            report = check_two_sided(prev, curr, kernels, p, setup.backtrack.eta)
             sum_d += report.d_inc
             checks = [
                 ("E", e_csv, report.e_next),
@@ -433,7 +419,10 @@ def cmd_check_energy(args) -> int:
                 mismatches.append(f"step {step}: passed flag csv={passed_csv} recomputed={report.passed}")
             if not report.passed:
                 failing.append(step)
-        prev = (u, u_d, bulk, grad, dissipation, rw)
+            prev = curr
+    except (OSError, ValueError) as exc:
+        print(f"cannot load run outputs: {exc}", file=sys.stderr)
+        return 2
 
     if mismatches:
         for line in mismatches:

@@ -9,10 +9,14 @@ traversal then resumes through the revisited steps, replacing their stored
 states.  K = 0 disables the mechanism entirely (plain staggered stepping).
 
 Every solve leaves one ``SolveRecord`` in ``RunHistory.solves``, in call
-order.  The accepted chain ``RunHistory.steps`` (the initial state, then one
-record per step) and the back-step views ``intermediates`` and
-``backtracks`` are taken from that log; nothing else records a solve.  The
-history is the run's whole state, and ``run`` a loop over ``advance``.
+order: the state it reached, evaluated once (lifting, degradation weights,
+bulk and gradient energies, dissipation), which the two-sided checks and
+the later solves read and do not evaluate again.  The accepted chain
+``RunHistory.steps`` (the initial state, then one record per step) and
+the back-step views ``intermediates`` and ``backtracks`` are taken from
+that log; nothing else records a solve.  The history is the run's whole
+state, and ``run``, which builds the program's load vector once, a loop
+over ``advance``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import EnergyReport, check_two_sided, erg_from_psi, grad_term
+from .energetics import EnergyReport, StateEnergy, check_two_sided, dis, erg_from_psi, grad_term
 from .fem import DofMap, build_kernels, degradation_weights, reaction_force
 from .linsolve import LinearSolveError
 from .material import MaterialParams
@@ -36,8 +40,6 @@ __all__ = [
     "RunHistory",
     "advance",
     "build_dofmap",
-    "check_run_inputs",
-    "lifting_for_step",
     "load_vector",
     "run",
 ]
@@ -58,7 +60,9 @@ class DirichletSpec:
 
 @dataclass(frozen=True)
 class LoadProgram:
-    """Monotone displacement-controlled schedule: w(n) = n * dw, w(0) = +0."""
+    """Monotone displacement-controlled schedule: w(n) = n * dw, w(0) = +0.
+    A dw of 0 is refused: w would move no dof, and every step would record
+    the reaction 0."""
 
     n_steps: int
     dw: float
@@ -67,6 +71,8 @@ class LoadProgram:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError(f"n_steps = {self.n_steps!r} must be >= 1")
+        if self.dw == 0.0:
+            raise ValueError(f"dw = {self.dw!r} must not be 0: the program loads nothing")
 
     def w(self, n: int) -> float:
         return n * self.dw if n else 0.0
@@ -87,15 +93,20 @@ class BacktrackConfig:
 
 
 @dataclass
-class SolveRecord:
-    """One solve of the increment that ends at ``step``; step 0's record is
-    the initial state, with no report.
+class SolveRecord(StateEnergy):
+    """One solve of the increment that ends at ``step``, the state it
+    reached evaluated once; step 0's record is the initial state, with no
+    report.
 
-    ``bulk_energy`` is the bulk energy erg(u, u_d) under this step's
-    lifting, ``grad_energy`` the gradient energy ``grad_term(a)`` and ``rw``
-    the ``degradation_weights`` of a: the current-state terms of the next
-    step's two-sided check, and ``rw`` also the weights of the next solve
-    that starts from this one.
+    As a ``StateEnergy`` the record is one side of two-sided checks: the
+    next state of its own step pair's ``report`` and the current state of
+    the next pair's.  ``u_d`` is the lifting of ``step``, ``rw`` also the
+    weights of the next solve that starts from this one and
+    ``dissipation`` the anchor dissipation of the solves anchored at this
+    state.  The initial record, u = 0 and a = 0 at w(0) = +0, is unloaded:
+    its lifting is zero and its bulk energy, gradient energy, dissipation
+    and reaction are 0.0 (``dis`` of a = 0 is +0.0 under AT1 and AT2), and
+    only its degradation weights, the first guess's, are evaluated.
     ``round_of`` is the target step whose failed check opened the back-step
     round this solve belongs to (the opening solve and each walk-back
     re-solve; None outside a round), and ``b`` the back steps that target
@@ -104,13 +115,9 @@ class SolveRecord:
     """
 
     step: int
-    u: np.ndarray
     a: np.ndarray
-    report: EnergyReport | None
-    bulk_energy: float
-    grad_energy: float
-    rw: np.ndarray
     reaction: float
+    report: EnergyReport | None = None
     alt_iters: int = 0
     newton_iters_u: int = 0
     newton_iters_beta: int = 0
@@ -161,16 +168,6 @@ class RunHistory:
         return [r.step for r in self.steps[1:] if r.report.irreversibility_violation]
 
 
-def check_run_inputs(program: LoadProgram) -> None:
-    """Raise ValueError for a program whose ``dw`` is zero: w would move no
-    dof, and every step would record the reaction 0.  The Dirichlet specs
-    are a preset's, each a node set of its mesh and a component below its
-    dimension, with a nonzero load vector (``tests/test_presets.py`` checks
-    every preset)."""
-    if program.dw == 0.0:
-        raise ValueError("the program loads nothing: dw is 0")
-
-
 def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
     """Dof partition induced by the program's Dirichlet specs."""
     return DofMap.from_constraints(mesh, [(mesh.node_sets[bc.node_set], bc.component) for bc in program.bcs])
@@ -185,55 +182,43 @@ def load_vector(program: LoadProgram, mesh: Mesh) -> np.ndarray:
     return g
 
 
-def lifting_for_step(program: LoadProgram, n: int, mesh: Mesh) -> np.ndarray:
-    """Dirichlet lifting vector at step n, ``w(n) * load_vector``."""
-    if not 0 <= n <= program.n_steps:
-        raise ValueError(f"step {n} outside 0..{program.n_steps}")
-    return program.w(n) * load_vector(program, mesh)
-
-
-def _solve(history: RunHistory, n: int, program, bt, cfg, p, mesh, kernels, dofmap) -> SolveRecord:
+def _solve(history: RunHistory, n: int, program, bt, cfg, p, kernels, dofmap, load) -> SolveRecord:
     """Solve increment [t_n, t_{n+1}] from the running guess, the last
-    logged solve (the initial state before any), and log the solve, which
-    becomes the running guess."""
+    logged solve (the initial state before any), check the step pair it
+    ends, and log the solve, which becomes the running guess."""
     guess = (history.solves or history.steps)[-1]
     prev = history.steps[n]
-    u_d_next = lifting_for_step(program, n + 1, mesh)
-    res = alternate_minimize(guess.u, guess.a, guess.rw, prev.a, u_d_next, kernels, p, cfg, dofmap)
-    bulk = erg_from_psi(res.psi_p, res.psi_m, res.rw, kernels)
-    grad = grad_term(res.a, kernels, p)
-    u_d_n = lifting_for_step(program, n, mesh)
-    report = check_two_sided(
-        prev.u, u_d_n, res.u, u_d_next, res.a, kernels, p, bt.eta,
-        erg_curr=prev.bulk_energy, erg_next=bulk, grad_curr=prev.grad_energy, grad_next=grad,
-        dis_curr=res.dis_n, rw_curr=prev.rw, rw_next=res.rw,
-    )
+    u_d_next = program.w(n + 1) * load
+    res = alternate_minimize(guess.u, guess.a, guess.rw, prev.a, prev.dissipation, u_d_next, kernels, p, cfg, dofmap)
     rec = SolveRecord(
-        step=n + 1,
         u=res.u,
-        a=res.a,
-        report=report,
-        bulk_energy=bulk,
-        grad_energy=grad,
+        u_d=u_d_next,
         rw=res.rw,
-        reaction=reaction_force(res.spectrum, res.rw, kernels, p, load_vector(program, mesh)),
+        bulk_energy=erg_from_psi(res.psi_p, res.psi_m, res.rw, kernels),
+        grad_energy=grad_term(res.a, kernels, p),
+        dissipation=dis(res.a, kernels, p),
+        step=n + 1,
+        a=res.a,
+        reaction=reaction_force(res.spectrum, res.rw, kernels, p, load),
         alt_iters=res.alt_iters,
         newton_iters_u=res.newton_iters_u,
         newton_iters_beta=res.newton_iters_beta,
         trials_u=res.trials_u,
         trials_beta=res.trials_beta,
     )
+    rec.report = check_two_sided(prev, rec, kernels, p, bt.eta)
     history.solves.append(rec)
     return rec
 
 
-def advance(history: RunHistory, program, bt, cfg, p, mesh, kernels, dofmap) -> None:
+def advance(history: RunHistory, program, bt, cfg, p, kernels, dofmap, load) -> None:
     """Solve step ``history.n_accepted + 1`` and, if its check fails, its
     back-step round; accept the last solve at its step, dropping the chain
-    after it, which refers to a replaced state."""
+    after it, which refers to a replaced state.  ``load`` is the program's
+    ``load_vector``: the lifting of step n is ``program.w(n) * load``."""
     n = history.n_accepted
     target = n + 1
-    rec = _solve(history, n, program, bt, cfg, p, mesh, kernels, dofmap)
+    rec = _solve(history, n, program, bt, cfg, p, kernels, dofmap, load)
     # Back steps consumed by the target so far.  The budget is cumulative
     # across failure rounds of the same target: a re-solved earlier step can
     # pass while the same forward step keeps failing with an unchanged
@@ -244,7 +229,7 @@ def advance(history: RunHistory, program, bt, cfg, p, mesh, kernels, dofmap) -> 
         while not rec.report.passed and b < bt.k_back and n > 0:
             n -= 1
             b += 1
-            rec = _solve(history, n, program, bt, cfg, p, mesh, kernels, dofmap)
+            rec = _solve(history, n, program, bt, cfg, p, kernels, dofmap, load)
             rec.round_of, rec.b = target, b
     history.steps[n + 1 :] = [rec]
 
@@ -261,12 +246,10 @@ def run(
     history, the run's whole state, starts at the initial record and is
     ``advance``d until the program ends.
 
-    Each record's ``reaction`` is the force conjugate to w,
-    ``reaction_force`` against the program's ``load_vector``.  The initial
-    record, u = 0 and a = 0 at w(0) = +0, is unloaded: its bulk energy,
-    gradient energy and reaction are 0.0 and are not evaluated, so nothing
-    is decomposed before the first solve; only its degradation weights, the
-    first guess's, are computed.
+    The program's ``load_vector`` is built once: each step's lifting is w
+    times it, and each record's ``reaction`` is the force conjugate to w,
+    ``reaction_force`` against it.  Nothing is decomposed before the first
+    solve (see ``SolveRecord`` for the initial record).
 
     Parameters
     ----------
@@ -282,23 +265,25 @@ def run(
     ``abort_reason`` and the history so far; the failing solve leaves no
     record.
     """
-    check_run_inputs(program)
     kernels = build_kernels(mesh)
     dofmap = build_dofmap(mesh, program)
+    load = load_vector(program, mesh)
     a0 = np.zeros(mesh.n_nodes)
-    # the unloaded initial state: zero strain, so zero energy and reaction
-    rw0 = degradation_weights(kernels, a0, p)
-    history = RunHistory(
-        steps=[
-            SolveRecord(
-                step=0, u=np.zeros(dofmap.n_dofs), a=a0, report=None, bulk_energy=0.0, grad_energy=0.0, rw=rw0,
-                reaction=0.0,
-            )
-        ]
+    initial = SolveRecord(
+        u=np.zeros(dofmap.n_dofs),
+        u_d=np.zeros(dofmap.n_dofs),
+        rw=degradation_weights(kernels, a0, p),
+        bulk_energy=0.0,
+        grad_energy=0.0,
+        dissipation=0.0,
+        step=0,
+        a=a0,
+        reaction=0.0,
     )
+    history = RunHistory(steps=[initial])
     try:
         while history.n_accepted < program.n_steps:
-            advance(history, program, bt, cfg, p, mesh, kernels, dofmap)
+            advance(history, program, bt, cfg, p, kernels, dofmap, load)
             if on_accept is not None:
                 on_accept(history)
     except (StepFailure, LinearSolveError) as exc:

@@ -18,8 +18,15 @@ are used:
 The merits take what their caller has already evaluated of the state: the
 element energy densities of the displacement (``psi_split``), the damage
 quadrature fields (``fem.damage_fields``) and the anchor's dissipation.
-The solver computes each of these once and hands it on to the residual,
-the tangent and the next solve.
+The solver computes the first two once and hands them on to the residual,
+the tangent and the next solve; the anchor's dissipation is read from the
+anchor state's record.
+
+The two-sided check reads two evaluated states (``StateEnergy``): a
+state's lifting, degradation weights, bulk and gradient energies and
+dissipation are computed once, where the state is held (the driver's solve
+record, a snapshot that ``check-energy`` reads), and the check evaluates
+only the bulk energy of each state under the other's lifting.
 
 The stored energy of a state is ERG (degraded bulk energy of U1 + U2) plus
 GRAD (the damage-gradient energy); DIS is the path-independent dissipation
@@ -38,6 +45,7 @@ from .fem import DamageFields, ElementKernels, beta_at_qp, strain_spectrum
 from .material import AT2, MaterialParams, psi_split
 
 __all__ = [
+    "StateEnergy",
     "EnergyReport",
     "erg",
     "erg_from_psi",
@@ -49,11 +57,26 @@ __all__ = [
 
 
 @dataclass
+class StateEnergy:
+    """An evaluated state of one step: the free displacement ``u``, its
+    lifting ``u_d``, the ``degradation_weights`` ``rw`` of its damage a,
+    and its terms of the two-sided check, each evaluated once by whoever
+    holds the state: ``bulk_energy`` erg(u, u_d, rw), ``grad_energy``
+    grad_term(a) and ``dissipation`` dis(a)."""
+
+    u: np.ndarray
+    u_d: np.ndarray
+    rw: np.ndarray
+    bulk_energy: float
+    grad_energy: float
+    dissipation: float
+
+
+@dataclass
 class EnergyReport:
     """Per-step energy audit of the two-sided inequality.
 
-    ``e_next`` is the stored energy of the next state and ``dis_next`` its
-    dissipation ``dis(a_next)``, the ``dis_curr`` of the next step pair.
+    ``e_next`` is the stored energy of the next state.
     ``irreversibility_violation`` flags a ``d_inc`` below
     -1e-8*(1 + dis(a_n)): the penalty factor is too large for the step.
     """
@@ -64,7 +87,6 @@ class EnergyReport:
     lb: float
     ub: float
     passed: bool
-    dis_next: float
     irreversibility_violation: bool
 
 
@@ -144,47 +166,25 @@ def functional_from_psi(
 
 
 def check_two_sided(
-    u_n,
-    u_d_n,
-    u_next,
-    u_d_next,
-    a_next,
-    kernels: ElementKernels,
-    p: MaterialParams,
-    eta: float,
-    *,
-    erg_curr: float,
-    erg_next: float,
-    grad_curr: float,
-    grad_next: float,
-    dis_curr: float,
-    rw_curr,
-    rw_next,
+    curr: StateEnergy, nxt: StateEnergy, kernels: ElementKernels, p: MaterialParams, eta: float
 ) -> EnergyReport:
     """Evaluate the two-sided inequality LB - eta <= dE + D <= UB + eta for
-    the step pair (n, n+1).
-
-    Each state's terms are computed once, by the caller that holds the
-    state, and passed in: ``erg_curr`` and ``erg_next`` are the bulk
-    energies ``erg(u_n, u_d_n, rw_curr)`` and ``erg(u_next, u_d_next,
-    rw_next)``, each under its own lifting, ``grad_curr`` and ``grad_next``
-    the gradient energies ``grad_term`` of a_n and a_next, ``rw_curr`` and
-    ``rw_next`` their ``degradation_weights`` and ``dis_curr`` the
-    dissipation ``dis(a_n)``.  ``eta`` > 0 is ``BacktrackConfig.eta``, which
-    checks it.
+    the step pair of the evaluated states ``curr`` (step n) and ``nxt``
+    (step n+1).  Only the two cross-lifting bulk energies are evaluated
+    here; every other term is the states' own.  ``eta`` > 0 is
+    ``BacktrackConfig.eta``, which checks it.
     """
     # the other two bulk energies: each state under the other lifting.  UB
     # is the lifting increment on the current state, LB the one on the next
     # state (the proved pairing), both at that state's damage
-    erg_curr_lifted = erg(u_n, u_d_next, rw_curr, kernels, p)
-    erg_next_unlifted = erg(u_next, u_d_n, rw_next, kernels, p)
-    e_next = erg_next + grad_next
-    e_curr = erg_curr + grad_curr
-    dis_next = dis(a_next, kernels, p)
-    d_inc = dis_next - dis_curr
+    erg_curr_lifted = erg(curr.u, nxt.u_d, curr.rw, kernels, p)
+    erg_next_unlifted = erg(nxt.u, curr.u_d, nxt.rw, kernels, p)
+    e_next = nxt.bulk_energy + nxt.grad_energy
+    e_curr = curr.bulk_energy + curr.grad_energy
+    d_inc = nxt.dissipation - curr.dissipation
     delta = e_next - e_curr + d_inc
-    ub = erg_curr_lifted - erg_curr
-    lb = erg_next - erg_next_unlifted
+    ub = erg_curr_lifted - curr.bulk_energy
+    lb = nxt.bulk_energy - erg_next_unlifted
     passed = (lb - eta <= delta) and (delta <= ub + eta)
     return EnergyReport(
         e_next=e_next,
@@ -193,6 +193,5 @@ def check_two_sided(
         lb=lb,
         ub=ub,
         passed=bool(passed),
-        dis_next=dis_next,
-        irreversibility_violation=bool(d_inc < -_DISS_REL_TOL * (1.0 + dis_curr)),
+        irreversibility_violation=bool(d_inc < -_DISS_REL_TOL * (1.0 + curr.dissipation)),
     )

@@ -138,7 +138,7 @@ def _square_with_slit(scale: float, ell: float) -> Mesh:
     return mesh
 
 
-def _sent(scale: float) -> RunSetup:
+def _sent(scale: float) -> tuple:
     p = MaterialParams(lam=121153.8, mu=80769.2, gc=2.7, ell=0.0175, k=1e-4, eps_pen=1e-6)
     mesh = _square_with_slit(scale, p.ell)
     program = LoadProgram(
@@ -151,16 +151,10 @@ def _sent(scale: float) -> RunSetup:
             DirichletSpec("pin", 0, 0.0),
         ),
     )
-    return RunSetup(
-        name="sent",
-        scale=scale,
-        mesh=mesh,
-        params=p,
-        program=program,
-    )
+    return mesh, p, program
 
 
-def _sens(scale: float) -> RunSetup:
+def _sens(scale: float) -> tuple:
     p = MaterialParams(lam=121153.8, mu=80769.2, gc=2.7, ell=0.001, k=1e-4, eps_pen=1e-5)
     mesh = _square_with_slit(scale, p.ell)
     program = LoadProgram(
@@ -175,16 +169,10 @@ def _sens(scale: float) -> RunSetup:
             DirichletSpec("top", 0, 1.0),
         ),
     )
-    return RunSetup(
-        name="sens",
-        scale=scale,
-        mesh=mesh,
-        params=p,
-        program=program,
-    )
+    return mesh, p, program
 
 
-def _lshape(scale: float) -> RunSetup:
+def _lshape(scale: float) -> tuple:
     p = MaterialParams.from_young_poisson(25850.0, 0.18, gc=0.095, ell=20.0, k=1e-4, eps_pen=1e-4)
     h_fine = min(min(6.25, p.ell / 2.0) / scale, 60.0)
     h_coarse = min(2.5 * h_fine, 125.0)
@@ -219,16 +207,10 @@ def _lshape(scale: float) -> RunSetup:
             DirichletSpec("load", 1, 1.0),
         ),
     )
-    return RunSetup(
-        name="lshape",
-        scale=scale,
-        mesh=mesh,
-        params=p,
-        program=program,
-    )
+    return mesh, p, program
 
 
-def _bend3d(scale: float) -> RunSetup:
+def _bend3d(scale: float) -> tuple:
     p = MaterialParams.from_young_poisson(39000.0, 0.15, gc=0.04, ell=15.0, k=1e-4, eps_pen=1e-4)
     h_fine = min(min(1.0, p.ell / 2.0) / scale, 25.0)
     h_coarse = min(40.0, 8.0 * h_fine)
@@ -267,15 +249,11 @@ def _bend3d(scale: float) -> RunSetup:
             DirichletSpec("load", 2, 1.0),
         ),
     )
-    return RunSetup(
-        name="bend3d",
-        scale=scale,
-        mesh=mesh,
-        params=p,
-        program=program,
-    )
+    return mesh, p, program
 
 
+# The mesh, material and load program of each preset, by its name, at a
+# scale.
 _BUILDERS = {"sent": _sent, "sens": _sens, "lshape": _lshape, "bend3d": _bend3d}
 
 
@@ -291,4 +269,5 @@ def load_preset(name: str, scale: float) -> RunSetup:
         raise ValueError(f"preset = {name!r} is unknown; choose from {', '.join(PRESET_NAMES)}")
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale = {scale!r} must be in (0, 1]")
-    return _BUILDERS[name](scale)
+    mesh, params, program = _BUILDERS[name](scale)
+    return RunSetup(name=name, scale=scale, mesh=mesh, params=params, program=program)

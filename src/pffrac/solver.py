@@ -24,7 +24,8 @@ iterate's quadrature fields (``fem.damage_fields``) are built by its merit
 and read by its residual and tangent; the solve's last iterate leaves only
 its degradation weights, one value per element, for the next displacement
 solve, so no whole-mesh damage field is held through a displacement solve.
-The anchor's dissipation is computed once per ``alternate_minimize`` call.
+The anchor's dissipation is the caller's, evaluated where the anchor
+state is held (``driver.SolveRecord.dissipation``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import bulk_merit, dis, functional_from_psi
+from .energetics import bulk_merit, functional_from_psi
 from .fem import (
     DofMap,
     ElementKernels,
@@ -82,10 +83,9 @@ class AltResult:
 
     ``spectrum`` is the ``strain_spectrum`` of u + u_d_next and ``psi_p``,
     ``psi_m`` its ``psi_split``, from the last displacement solve; ``rw`` is
-    the ``degradation_weights`` of a, from the last damage solve, and
-    ``dis_n`` the anchor's dissipation ``dis(a_n)``.  ``trials_u`` and
-    ``trials_beta`` count the trial merits of the displacement and damage
-    line searches.
+    the ``degradation_weights`` of a, from the last damage solve.
+    ``trials_u`` and ``trials_beta`` count the trial merits of the
+    displacement and damage line searches.
     """
 
     u: np.ndarray
@@ -99,7 +99,6 @@ class AltResult:
     psi_p: np.ndarray
     psi_m: np.ndarray
     rw: np.ndarray
-    dis_n: float
     functional_trace: list = field(default_factory=list)
 
 
@@ -303,6 +302,7 @@ def alternate_minimize(
     a_start: np.ndarray,
     rw_start: np.ndarray,
     a_n: np.ndarray,
+    dis_n: float,
     u_d_next: np.ndarray,
     kernels: ElementKernels,
     p: MaterialParams,
@@ -313,11 +313,12 @@ def alternate_minimize(
 
     ``(u_start, a_start)`` is the initial guess, which under backtracking
     differs from the admissible-set anchor ``a_n`` (the previous converged
-    damage of the step being solved), and ``rw_start`` the
-    ``degradation_weights`` of a_start.  Each displacement line search
-    starts from the step the last one of this call accepted, the first from
-    1.  Each state is evaluated once and handed on (see the module
-    docstring).  A StepFailure leaving this call, of a Newton solve or of
+    damage of the step being solved), ``rw_start`` the
+    ``degradation_weights`` of a_start and ``dis_n`` the anchor's
+    dissipation ``dis(a_n)``.  Each displacement line search starts from
+    the step the last one of this call accepted, the first from 1.  Each
+    state is evaluated once and handed on (see the module docstring).  A
+    StepFailure leaving this call, of a Newton solve or of
     ``max_alt``, carries the state (u, a) at the start of the alternation
     that failed; a LinearSolveError from the band budget passes through.
     """
@@ -325,7 +326,6 @@ def alternate_minimize(
     u[dofmap.fixed] = 0.0
     a = np.array(a_start, dtype=np.float64, copy=True)
     rw = rw_start
-    dis_n = dis(a_n, kernels, p)
 
     iters_u = iters_b = trials_u = trials_b = 0
     step = 1.0
@@ -359,7 +359,6 @@ def alternate_minimize(
                     psi_p=state[1],
                     psi_m=state[2],
                     rw=rw,
-                    dis_n=dis_n,
                     functional_trace=trace,
                 )
         raise StepFailure(f"alternate_minimize: no convergence in {cfg.max_alt} alternations")

@@ -103,17 +103,16 @@ def scripted_checks(monkeypatch, fail) -> list:
     record's ``step``) and ``nth`` counts the solves of that step so far,
     this one included.  Returns the list of solved steps, in call order."""
     steps = []
-    real = driver.SolveRecord
+    real = driver.check_two_sided
 
-    def record(**kw):
-        rec = real(**kw)
-        if rec.report is not None:  # not the initial state
-            steps.append(rec.step)
-            if fail(rec.step, steps.count(rec.step)):
-                rec.report.passed = False
-        return rec
+    def check(curr, nxt, *args):
+        report = real(curr, nxt, *args)
+        steps.append(nxt.step)
+        if fail(nxt.step, steps.count(nxt.step)):
+            report.passed = False
+        return report
 
-    monkeypatch.setattr(driver, "SolveRecord", record)
+    monkeypatch.setattr(driver, "check_two_sided", check)
     return steps
 
 

@@ -16,7 +16,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from pffrac.energetics import check_two_sided, dis, erg, grad_term
+from pffrac.energetics import StateEnergy, check_two_sided, dis, erg, grad_term
 from pffrac.fem import ElementKernels, beta_at_qp, degradation_weights, strain_spectrum
 from pffrac.material import (
     _GAP_REL,
@@ -82,19 +82,30 @@ def stored_energy(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> floa
     return bulk_energy(u1, u2, a, kernels, p) + grad_term(a, kernels, p)
 
 
+def evaluated_state(u, u_d, a, kernels: ElementKernels, p: MaterialParams) -> StateEnergy:
+    """The state (u, u_d, a) with every term of the two-sided check
+    (degradation weights, bulk and gradient energies, dissipation)
+    evaluated here."""
+    rw = degradation_weights(kernels, a, p)
+    return StateEnergy(
+        u=u,
+        u_d=u_d,
+        rw=rw,
+        bulk_energy=erg(u, u_d, rw, kernels, p),
+        grad_energy=grad_term(a, kernels, p),
+        dissipation=dis(a, kernels, p),
+    )
+
+
 def fresh_check(u_n, u_d_n, a_n, u_next, u_d_next, a_next, kernels: ElementKernels, p: MaterialParams, eta):
     """``check_two_sided`` of the step pair (n, n+1) with every term of
-    both states (bulk and gradient energies, degradation weights, the
-    current state's dissipation) evaluated here."""
+    both states evaluated here (``evaluated_state``)."""
     return check_two_sided(
-        u_n, u_d_n, u_next, u_d_next, a_next, kernels, p, eta,
-        erg_curr=bulk_energy(u_n, u_d_n, a_n, kernels, p),
-        erg_next=bulk_energy(u_next, u_d_next, a_next, kernels, p),
-        grad_curr=grad_term(a_n, kernels, p),
-        grad_next=grad_term(a_next, kernels, p),
-        dis_curr=dis(a_n, kernels, p),
-        rw_curr=degradation_weights(kernels, a_n, p),
-        rw_next=degradation_weights(kernels, a_next, p),
+        evaluated_state(u_n, u_d_n, a_n, kernels, p),
+        evaluated_state(u_next, u_d_next, a_next, kernels, p),
+        kernels,
+        p,
+        eta,
     )
 
 

@@ -325,15 +325,16 @@ class TestCmdRun:
         "item, named",
         [
             ("run.scale=abc", "config error: run.scale: could not convert string to float: 'abc'"),
-            ("program.dw=0", "config error: the program loads nothing"),
+            ("program.dw=0", "config error: program.dw = 0.0 must not be 0: the program loads nothing"),
         ],
         ids=["scale_abc", "dw_zero"],
     )
     def test_component_beyond_mesh_dim_exit_2(self, tmp_path, capsys, item, named):
-        # a program that does not fit the mesh, or a value that does not
-        # parse (named by its key), is a config error found before the
-        # output directory is made; the Dirichlet specs are the preset's,
-        # so a dw of 0 is the one program that can miss
+        # a program that loads nothing (a range error of the program, named
+        # by its key and value), or a value that does not parse (named by
+        # its key), is a config error found before the output directory is
+        # made; the Dirichlet specs are the preset's, so a dw of 0 is the
+        # one program that can miss
         out = tmp_path / "o"
         argv = ["run", "--preset", "sent", "--scale", "0.05", "--steps", "1", "--set", item]
         assert main(argv + ["--out", str(out)]) == 2
@@ -717,7 +718,7 @@ class TestCheckEnergy:
         good = json.loads((out / "run.json").read_text())
         bad = [
             ("run", "preset", "nope", "run.preset = 'nope' is unknown; choose from sent, sens, lshape, bend3d"),
-            ("program", "dw", "0", "the program loads nothing"),
+            ("program", "dw", "0", "program.dw = 0.0 must not be 0: the program loads nothing"),
             # the key of an older run.json whose run read a mesh file
             ("run", "mesh", "x.msh", "unknown config key run.mesh"),
             # more accepted steps than the program has
@@ -811,13 +812,14 @@ class TestCheckEnergy:
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
 
     def test_bulk_energy_reused_between_checked_pairs(self, sent_run, monkeypatch):
-        # each snapshot's bulk energy, gradient energy, degradation weights
-        # and dissipation are computed once, and a check takes those of its
-        # current state: it decomposes only its two cross-lifting strains,
-        # so the audit costs one spectrum per snapshot plus two per step
-        # pair, and one dissipation, gradient energy and set of weights per
-        # snapshot; each report is bit for bit the one with every figure
-        # evaluated afresh
+        # each snapshot is one evaluated state: its lifting (from the run's
+        # one load vector), bulk energy, gradient energy, degradation
+        # weights and dissipation are computed once, and a check reads two
+        # states: it decomposes only its two cross-lifting strains, so the
+        # audit costs one spectrum per snapshot plus two per step pair, one
+        # dissipation, gradient energy and set of weights per snapshot and
+        # one load vector; each report is bit for bit the one with every
+        # figure evaluated afresh
         calls = []
 
         def counting(real, name):
@@ -837,16 +839,17 @@ class TestCheckEnergy:
             damages.append(a)
             return disp, a
 
-        def checking(*args, **kw):
+        def checking(curr, nxt, kernels, p, eta):
             n0 = len(calls)
-            report = real_check(*args, **kw)
+            report = real_check(curr, nxt, kernels, p, eta)
             n1 = len(calls)
-            per_check.append(tuple(calls[n0:n1].count(name) for name in ("spectrum", "dis", "grad", "weights")))
-            u_n, u_d_n, u_next, u_d_next, a_next, kernels, p, eta = args
-            assert report == fresh_check(u_n, u_d_n, damages[-2], u_next, u_d_next, a_next, kernels, p, eta)
+            per_check.append(tuple(calls[n0:n1].count(name) for name in names))
+            a_n, a_next = damages[-2:]
+            assert report == fresh_check(curr.u, curr.u_d, a_n, nxt.u, nxt.u_d, a_next, kernels, p, eta)
             del calls[n1:]  # the fresh evaluation is not the audit's
             return report
 
+        names = ("spectrum", "dis", "grad", "weights", "load")
         dissipation = counting(energetics.dis, "dis")
         grad = counting(energetics.grad_term, "grad")
         monkeypatch.setattr(energetics, "strain_spectrum", counting(energetics.strain_spectrum, "spectrum"))
@@ -855,11 +858,12 @@ class TestCheckEnergy:
         monkeypatch.setattr(cli, "dis", dissipation)
         monkeypatch.setattr(cli, "grad_term", grad)
         monkeypatch.setattr(cli, "degradation_weights", counting(cli.degradation_weights, "weights"))
+        monkeypatch.setattr(cli, "load_vector", counting(cli.load_vector, "load"))
         monkeypatch.setattr(cli, "read_field_snapshot", reading)
         monkeypatch.setattr(cli, "check_two_sided", checking)
         assert main(["check-energy", str(sent_run)]) == 0
-        assert per_check == [(2, 1, 0, 0)] * 5
-        assert [calls.count(name) for name in ("spectrum", "dis", "grad", "weights")] == [16, 6, 6, 6]
+        assert per_check == [(2, 0, 0, 0, 0)] * 5
+        assert [calls.count(name) for name in names] == [16, 6, 6, 6, 1]
 
 
 def test_bend3d_runs_and_audits_without_lapack_eigensolver(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from pffrac.driver import (
     SolveRecord,
     advance,
     build_dofmap,
-    lifting_for_step,
     load_vector,
     run,
 )
 from pffrac import energetics
+from pffrac.energetics import dis, grad_term
 from pffrac.fem import build_kernels, degradation_weights, reaction_force, strain_spectrum
 from pffrac.material import StrainSpectrum
 from pffrac.solver import SolverConfig, StepFailure
@@ -44,11 +45,12 @@ def patch():
 
 class TestLifting:
     def test_step_zero_is_zero(self, patch):
-        assert np.all(lifting_for_step(tension_program(), 0, patch) == 0.0)
+        prog = tension_program()
+        assert np.all(prog.w(0) * load_vector(prog, patch) == 0.0)
 
     def test_step_arithmetic(self, patch):
         prog = tension_program(n_steps=12, dw=1e-5)
-        u_d = lifting_for_step(prog, 10, patch)
+        u_d = prog.w(10) * load_vector(prog, patch)
         top = patch.node_sets["ymax"]
         assert np.allclose(u_d[2 * top + 1], 1e-4)
         assert np.all(u_d[2 * patch.node_sets["ymin"] + 1] == 0.0)
@@ -66,15 +68,16 @@ class TestLifting:
                 DirichletSpec("ymax", 0, 1.0),
             ),
         )
-        u_d = lifting_for_step(prog, 3, patch)
+        u_d = prog.w(3) * load_vector(prog, patch)
         top = patch.node_sets["ymax"]
         assert np.allclose(u_d[2 * top], 3e-4)  # horizontal = n*dw
         for tag in ("ymin", "ymax", "xmin", "xmax"):
             assert np.all(u_d[2 * patch.node_sets[tag] + 1] == 0.0)
 
-    def test_lifting_is_w_times_the_load_vector(self, patch):
+    def test_lifting_is_w_times_the_load_vector(self, patch, sent_params):
         # g holds each spec's scale on its dofs, a later spec overwriting an
-        # earlier one, and the lifting at step n is w(n) * g bit for bit
+        # earlier one, and the lifting a run records at step n is w(n) * g
+        # bit for bit
         prog = LoadProgram(
             n_steps=3, dw=1e-4, bcs=(DirichletSpec("xmax", 0, 2.0), DirichletSpec("ymax", 0, 0.5))
         )
@@ -84,28 +87,28 @@ class TestLifting:
         want[2 * xmax] = 2.0
         want[2 * ymax] = 0.5
         assert np.array_equal(g, want) and np.intersect1d(xmax, ymax).size == 1
-        for n in range(4):
-            assert lifting_for_step(prog, n, patch).tobytes() == (prog.w(n) * g).tobytes()
+        tension = tension_program(n_steps=2)
+        hist = run(tension, BacktrackConfig(), SolverConfig(), sent_params, patch)
+        g = load_vector(tension, patch)
+        for rec in hist.steps:
+            assert rec.u_d.tobytes() == (tension.w(rec.step) * g).tobytes()
 
     def test_unknown_set(self, patch):
         prog = LoadProgram(n_steps=2, dw=1e-4, bcs=(DirichletSpec("nope", 0, 1.0),))
         with pytest.raises(KeyError):
-            lifting_for_step(prog, 1, patch)
+            load_vector(prog, patch)
         with pytest.raises(KeyError):
             build_dofmap(patch, prog)
 
-    def test_run_rejects_zero_dw_before_any_work(self, patch, sent_params, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("kernels built for rejected inputs")
-
-        monkeypatch.setattr(driver, "build_kernels", refuse)
-        prog = LoadProgram(n_steps=2, dw=0.0, bcs=(DirichletSpec("ymin", 1, 0.0), DirichletSpec("ymax", 1, 1.0)))
-        with pytest.raises(ValueError, match="the program loads nothing: dw is 0"):
-            run(prog, BacktrackConfig(), SolverConfig(), sent_params, patch)
-
-    def test_out_of_range_step(self, patch):
-        with pytest.raises(ValueError):
-            lifting_for_step(tension_program(n_steps=3), 4, patch)
+    def test_run_rejects_zero_dw_before_any_work(self):
+        # a program whose dw is 0, of either sign, loads nothing: it is a
+        # range error of the program, which names its field, so no run of
+        # it can start
+        bcs = (DirichletSpec("ymin", 1, 0.0), DirichletSpec("ymax", 1, 1.0))
+        for dw in (0.0, -0.0):
+            with pytest.raises(ValueError) as err:
+                LoadProgram(n_steps=2, dw=dw, bcs=bcs)
+            assert str(err.value) == f"dw = {dw!r} must not be 0: the program loads nothing"
 
 
 class TestRun:
@@ -159,6 +162,7 @@ class TestRun:
         # arguments alone: re-running it from a copy of them gives the same
         # result bit for bit, and each accepted state is one of those results;
         # each solve is given the degradation weights of its start damage
+        # and the dissipation of its anchor
         solves = []
         real = driver.alternate_minimize
 
@@ -188,6 +192,7 @@ class TestRun:
             assert again.functional_trace == res.functional_trace
         # each accepted state comes from a solve anchored at the damage the
         # history accepted one step earlier, under that step's own lifting
+        g = load_vector(prog, patch)
         for prev, rec in zip(hist.steps, hist.steps[1:]):
             found = [
                 args for args, r in solves
@@ -196,7 +201,8 @@ class TestRun:
             assert found
             for args in found:
                 assert np.array_equal(args[3], prev.a)
-                assert np.array_equal(args[4], lifting_for_step(prog, rec.step, patch))
+                assert args[4] == prev.dissipation == dis(prev.a, kern, sent_params)
+                assert np.array_equal(args[5], prog.w(rec.step) * g)
 
 
 class TestReusedDecomposition:
@@ -206,7 +212,9 @@ class TestReusedDecomposition:
         # and nothing before the first solve; each solve's reaction is
         # computed once, and the unloaded initial state's not at all; and
         # every stored figure, the initial record's too, is the one a fresh
-        # evaluation gives, bit for bit, across a back step
+        # evaluation gives, bit for bit, across a back step: the lifting,
+        # the weights, the bulk and gradient energies, the dissipation, the
+        # reaction and the report
         counts = {"outside": 0, "solves": 0, "reactions": 0}
         inside = []
         real_init, real_solve, real_reaction = StrainSpectrum.__init__, driver.alternate_minimize, reaction_force
@@ -239,28 +247,46 @@ class TestReusedDecomposition:
         monkeypatch.undo()
 
         kern = build_kernels(patch)
+        g = load_vector(prog, patch)
         for prev, rec in zip([None] + hist.steps[:-1], hist.steps):
-            u_d = lifting_for_step(prog, rec.step, patch)
+            u_d = prog.w(rec.step) * g
             spectrum = strain_spectrum(kern, rec.u + u_d)
             rw = degradation_weights(kern, rec.a, sent_params)
+            assert rec.u_d.tobytes() == u_d.tobytes()
+            assert rec.rw.tobytes() == rw.tobytes()
             assert rec.bulk_energy == bulk_energy(rec.u, u_d, rec.a, kern, sent_params)
-            assert rec.reaction == reaction_force(spectrum, rw, kern, sent_params, load_vector(prog, patch))
+            assert rec.grad_energy == grad_term(rec.a, kern, sent_params)
+            assert rec.dissipation == dis(rec.a, kern, sent_params)
+            assert rec.reaction == reaction_force(spectrum, rw, kern, sent_params, g)
             if prev is not None:
                 want = fresh_check(
-                    prev.u, lifting_for_step(prog, prev.step, patch), prev.a,
-                    rec.u, u_d, rec.a, kern, sent_params, BacktrackConfig().eta,
+                    prev.u, prog.w(prev.step) * g, prev.a, rec.u, u_d, rec.a, kern, sent_params,
+                    BacktrackConfig().eta,
                 )
                 assert rec.report == want
 
+    @pytest.mark.parametrize("dissipation", ["AT2", "AT1"])
+    def test_initial_dissipation_is_dis_of_zero_damage(self, patch, sent_params, dissipation):
+        # the unloaded initial record's dissipation is not evaluated: its
+        # 0.0 is dis(0) bit for bit, the anchor dissipation of the first
+        # solve and the current-state term of the first check
+        p = dataclasses.replace(sent_params, dissipation=dissipation, kappa=0.375 if dissipation == "AT1" else None)
+        hist = run(tension_program(n_steps=1), BacktrackConfig(), SolverConfig(), p, patch)
+        initial = hist.steps[0]
+        want = dis(np.zeros(patch.n_nodes), build_kernels(patch), p)
+        assert np.float64(initial.dissipation).tobytes() == np.float64(want).tobytes()
+        assert np.all(initial.u_d == 0.0) and initial.u_d.size == initial.u.size
 
     def test_solved_state_not_evaluated_again(self, patch, sent_params, monkeypatch):
-        # on a run that cracks the patch: once the first solve starts, the
-        # driver computes no energy densities and no dissipation of its
-        # own (the solve hands on the final state's densities and the
-        # anchor's dissipation); each check computes the densities of its
-        # two cross-lifting states and the next state's dissipation only;
-        # before the first solve, the unloaded initial state is not
-        # evaluated at all
+        # on a run that cracks the patch: before the first solve the driver
+        # builds the load vector, the run's one, and the weights of the
+        # initial state, which it does not evaluate otherwise; once the
+        # first solve starts, it computes no energy densities of its own
+        # (the solve hands on the final state's densities) and one gradient
+        # energy and one dissipation per solve, the state's, which the next
+        # solve and check read again; each check computes the two
+        # cross-lifting bulk energies (two ergs, two sets of densities) and
+        # no dissipation, gradient energy or weights
         calls = {}
         # where the calls happen: step 0 until the first solve, then the
         # driver, and the solve or the check while one runs
@@ -284,16 +310,24 @@ class TestReusedDecomposition:
 
             return wrapper
 
+        names = ("psi_split", "erg", "dis", "grad_term", "degradation_weights", "load_vector")
         for module in (driver, energetics):
-            for name in ("psi_split", "dis"):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(getattr(module, name), name))
         monkeypatch.setattr(driver, "alternate_minimize", within(driver.alternate_minimize, "solve"))
         monkeypatch.setattr(driver, "check_two_sided", within(driver.check_two_sided, "check"))
         hist = run(tension_program(n_steps=4, dw=1e-2), BacktrackConfig(), SolverConfig(), sent_params, patch)
         assert not hist.aborted and hist.steps[-1].a.max() == 1.0
-        checks = len(hist.solves)
-        assert calls == {("check", "psi_split"): 2 * checks, ("check", "dis"): checks}
+        solves = len(hist.solves)
+        assert calls == {
+            ("step 0", "load_vector"): 1,
+            ("step 0", "degradation_weights"): 1,
+            ("driver", "grad_term"): solves,
+            ("driver", "dis"): solves,
+            ("check", "erg"): 2 * solves,
+            ("check", "psi_split"): 2 * solves,
+        }
 
 
 class TestBacktrackBookkeeping:
@@ -372,20 +406,20 @@ class TestBacktrackBookkeeping:
         prog, bt, cfg = tension_program(n_steps=4), BacktrackConfig(k_back=2), SolverConfig()
         whole = run(prog, bt, cfg, sent_params, patch)
 
-        kern, dofmap = build_kernels(patch), build_dofmap(patch, prog)
+        kern, dofmap, load = build_kernels(patch), build_dofmap(patch, prog), load_vector(prog, patch)
         a0 = np.zeros(patch.n_nodes)
         initial = SolveRecord(
-            step=0, u=np.zeros(dofmap.n_dofs), a=a0, report=None, bulk_energy=0.0, grad_energy=0.0,
-            rw=degradation_weights(kern, a0, sent_params), reaction=0.0,
+            u=np.zeros(dofmap.n_dofs), u_d=np.zeros(dofmap.n_dofs), rw=degradation_weights(kern, a0, sent_params),
+            bulk_energy=0.0, grad_energy=0.0, dissipation=0.0, step=0, a=a0, reaction=0.0,
         )
         first = RunHistory(steps=[initial])
         for _ in range(3):
-            advance(first, prog, bt, cfg, sent_params, patch, kern, dofmap)
+            advance(first, prog, bt, cfg, sent_params, kern, dofmap, load)
         assert [(r.step, r.round_of, r.b) for r in first.solves[2:]] == [(3, 3, 0), (2, 3, 1)]
         second = copy.deepcopy(first)
         kern = build_kernels(patch)
         while second.n_accepted < prog.n_steps:
-            advance(second, prog, bt, cfg, sent_params, patch, kern, dofmap)
+            advance(second, prog, bt, cfg, sent_params, kern, dofmap, load)
 
         fields = ("step", "reaction", "round_of", "b", "alt_iters", "newton_iters_u", "newton_iters_beta",
                   "trials_u", "trials_beta")

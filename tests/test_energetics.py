@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import box_mesh, random_state
-from oracles import damage_merit, fresh_check, lower_bound, stored_energy, total_functional, upper_bound
+from oracles import (
+    damage_merit,
+    evaluated_state,
+    fresh_check,
+    lower_bound,
+    stored_energy,
+    total_functional,
+    upper_bound,
+)
 from pffrac import energetics
 from pffrac.energetics import (
     check_two_sided,
@@ -202,22 +210,19 @@ class TestCheckTwoSided:
 
     def test_four_bulk_energies_per_check(self, patch, sent_params, rng, monkeypatch):
         # E, UB and LB share the bulk energies of the two states under the
-        # two liftings: the two under their own liftings are passed in, the
-        # other two evaluated at the passed degradation weights, the
-        # gradient energies passed in, and the report is bit for bit the one
-        # built from stored_energy, upper_bound and lower_bound
+        # two liftings: the two under their own liftings are the states',
+        # the other two evaluated at the states' degradation weights (two
+        # ergs); the gradient energies, dissipations and weights are the
+        # states' too, and the report is bit for bit the one built from
+        # stored_energy, upper_bound, lower_bound and dis
         mesh, kern = patch
         u_n, a_n, _ = random_state(mesh, rng)
         u_next, a_next, _ = random_state(mesh, rng)
         ud1 = np.zeros(2 * mesh.n_nodes)
         ud2 = ud1.copy()
         ud2[1::2] = 1e-3 * mesh.nodes[:, 1]
-        rw_curr = degradation_weights(kern, a_n, sent_params)
-        rw_next = degradation_weights(kern, a_next, sent_params)
-        erg_curr = erg(u_n, ud1, rw_curr, kern, sent_params)
-        erg_next = erg(u_next, ud2, rw_next, kern, sent_params)
-        grad_curr = grad_term(a_n, kern, sent_params)
-        grad_next = grad_term(a_next, kern, sent_params)
+        curr = evaluated_state(u_n, ud1, a_n, kern, sent_params)
+        nxt = evaluated_state(u_next, ud2, a_next, kern, sent_params)
         calls = []
 
         def spy(*args):
@@ -225,24 +230,22 @@ class TestCheckTwoSided:
             return erg(*args)
 
         def refuse(*args):
-            raise AssertionError("gradient energy evaluated in the check")
+            raise AssertionError("a state's own term evaluated in the check")
 
         monkeypatch.setattr(energetics, "erg", spy)
-        monkeypatch.setattr(energetics, "grad_term", refuse)
-        dis_curr = dis(a_n, kern, sent_params)
-        rep = check_two_sided(
-            u_n, ud1, u_next, ud2, a_next, kern, sent_params, 1e-5,
-            erg_curr=erg_curr, erg_next=erg_next, grad_curr=grad_curr, grad_next=grad_next, dis_curr=dis_curr,
-            rw_curr=rw_curr, rw_next=rw_next,
-        )
-        assert [c[2] is rw for c, rw in zip(calls, (rw_curr, rw_next))] == [True, True]
+        for name in ("dis", "grad_term", "degradation_weights"):
+            if hasattr(energetics, name):
+                monkeypatch.setattr(energetics, name, refuse)
+        rep = check_two_sided(curr, nxt, kern, sent_params, 1e-5)
+        # each state's displacement under the other's lifting, at its own weights
+        want = [(curr.u, nxt.u_d, curr.rw), (nxt.u, curr.u_d, nxt.rw)]
         assert len(calls) == 2
+        assert all(x is y for got, args in zip(calls, want) for x, y in zip(got[:3], args))
         monkeypatch.undo()
         e_next = stored_energy(u_next, ud2, a_next, kern, sent_params)
         e_curr = stored_energy(u_n, ud1, a_n, kern, sent_params)
-        dis_next = dis(a_next, kern, sent_params)
-        d_inc = dis_next - dis_curr
-        assert (rep.e_next, rep.d_inc, rep.dis_next) == (e_next, d_inc, dis_next)
+        d_inc = dis(a_next, kern, sent_params) - dis(a_n, kern, sent_params)
+        assert (rep.e_next, rep.d_inc) == (e_next, d_inc)
         assert rep.delta == e_next - e_curr + d_inc
         assert rep.ub == upper_bound(u_n, ud1, ud2, a_n, kern, sent_params)
         assert rep.lb == lower_bound(u_next, ud1, ud2, a_next, kern, sent_params)

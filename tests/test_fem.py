@@ -22,7 +22,7 @@ from pffrac.fem import (
     u_pattern,
 )
 from pffrac import fem, solver
-from pffrac.driver import DirichletSpec, LoadProgram, build_dofmap, lifting_for_step, load_vector
+from pffrac.driver import DirichletSpec, LoadProgram, build_dofmap, load_vector
 from pffrac.linsolve import BandOrdering, factor_solve
 from pffrac.mesh import Mesh, MeshError, generate_grid
 from pffrac.material import (
@@ -470,7 +470,7 @@ def sent_tangent():
     setup = load_preset("sent", 0.1)
     kern = build_kernels(setup.mesh)
     dm = build_dofmap(setup.mesh, setup.program)
-    u_d = lifting_for_step(setup.program, 1, setup.mesh)
+    u_d = setup.program.w(1) * load_vector(setup.program, setup.mesh)
     z = np.zeros(u_d.size)
     r, k = displacement_system(z, u_d, np.zeros(setup.mesh.n_nodes), kern, setup.params, dm)
     return kern, dm, r, k
@@ -635,7 +635,7 @@ def bend3d_state():
     kern = build_kernels(setup.mesh)
     dm = build_dofmap(setup.mesh, setup.program)
     rng = np.random.default_rng(7)
-    u_d = lifting_for_step(setup.program, 1, setup.mesh)
+    u_d = setup.program.w(1) * load_vector(setup.program, setup.mesh)
     spec = strain_spectrum(kern, 1e-3 * rng.normal(size=u_d.size) + u_d)
     spec.directions
     rw = degradation_weights(kern, rng.uniform(0.0, 0.9, setup.mesh.n_nodes), setup.params)

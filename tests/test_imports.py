@@ -327,7 +327,6 @@ def test_every_test_helper_has_a_user():
 # The benchmark's span targets that name what the program no longer has.
 # ROADMAP item 1 retargets them, and then empties this list.
 STALE_TRACING_TARGETS = [
-    "pffrac.driver.dis",
     "pffrac.fem.psi_split",
     "pffrac.linsolve.spla.splu",
     "pffrac.solver.element_psi_split",

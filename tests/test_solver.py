@@ -53,8 +53,8 @@ def newton_beta_at(a0, u_fixed, u_d, a_n, kern, p, cfg):
 
 def alternate(u0, a0, a_n, u_d, kern, p, cfg, dm):
     """``alternate_minimize`` from (u0, a0), given the degradation weights
-    of a0."""
-    return alternate_minimize(u0, a0, degradation_weights(kern, a0, p), a_n, u_d, kern, p, cfg, dm)
+    of a0 and the dissipation of the anchor a_n."""
+    return alternate_minimize(u0, a0, degradation_weights(kern, a0, p), a_n, dis(a_n, kern, p), u_d, kern, p, cfg, dm)
 
 
 def counted(fn, name, counts):
@@ -383,10 +383,10 @@ class TestAlternateMinimize:
         # on the cracking patch, two solves in a row (the second starts from
         # the first's state, as the driver's next step does): a displacement
         # state's energy densities are computed once per spectrum, the
-        # anchor's dissipation once per call, the damage quadrature fields
-        # once per damage merit (each iterate's, the trials', and each
-        # solve's start) and beta's only other use is that dissipation; no
-        # degradation weights are computed from scratch
+        # damage quadrature fields once per damage merit (each iterate's,
+        # the trials', and each solve's start), which is beta's only use;
+        # the anchor's dissipation is given, and no degradation weights are
+        # computed from scratch
         mesh, kern, dm = make_patch(divisions=3)
         u_d = np.zeros(2 * mesh.n_nodes)
         u_d[1::2] = 0.04 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
@@ -400,12 +400,13 @@ class TestAlternateMinimize:
         rw = fem.degradation_weights(kern, a0, sent_params)
         u, a = np.zeros(2 * mesh.n_nodes), a0
         for scale in (1.0, 1.1):
+            dis_n = dis(a, kern, sent_params)
             counts.update(dict.fromkeys(names, 0))
-            res = alternate_minimize(u, a, rw, a, scale * u_d, kern, sent_params, SolverConfig(), dm)
+            res = alternate_minimize(u, a, rw, a, dis_n, scale * u_d, kern, sent_params, SolverConfig(), dm)
             assert res.alt_iters > 1 and res.a.max() > 0.3
             assert 0 < counts["psi_split"] <= counts["strain_spectrum"]
-            assert counts["dis"] == 1
-            assert 0 < counts["beta_at_qp"] <= res.trials_beta + res.alt_iters + 1
+            assert counts["dis"] == 0
+            assert 0 < counts["beta_at_qp"] <= res.trials_beta + res.alt_iters
             assert counts["degradation_weights"] == 0
             assert np.array_equal(res.rw, fem.degradation_weights(kern, res.a, sent_params))
             u, a, rw = res.u, res.a, res.rw
