@@ -12,8 +12,9 @@ run          execute a preset's load program, writing load_disp.csv (w
              every solve (all_solves)
 check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run, the two-sided inequality of every step pair,
-             and compare against energy.csv; the summary of an aborted run
-             gives its accepted steps and the abort reason
+             and compare against energy.csv, whose step-0 row must be the
+             initial state's report (all 0, passed); the summary of an
+             aborted run gives its accepted steps and the abort reason
 
 A run is a preset plus overrides.  ``--set section.key=value`` overrides
 one key of the preset's config.  [run] holds ``preset`` and ``scale``;
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import presets
 from .driver import RunHistory, load_vector, run
-from .energetics import StateEnergy, check_two_sided, dis, erg, grad_term
+from .energetics import INITIAL_REPORT, StateEnergy, check_two_sided, dis, erg, grad_term
 from .fem import build_kernels, degradation_weights
 from .vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
@@ -224,15 +225,12 @@ class _RunWriter:
         sum_d = self.rows[-1][3] if self.rows else 0.0
         for rec in history.steps[keep:]:
             load_row = f"{rec.step},{_fmt(self.program.w(rec.step))},{_fmt(rec.reaction)}\n"
-            if rec.report is None:
-                energy_row = f"{rec.step},{_fmt(0.0)},{_fmt(0.0)},{_fmt(0.0)},{_fmt(0.0)},{_fmt(0.0)},1\n"
-            else:
-                r = rec.report
-                sum_d += r.d_inc
-                energy_row = (
-                    f"{rec.step},{_fmt(r.e_next)},{_fmt(sum_d)},{_fmt(r.delta)},"
-                    f"{_fmt(r.lb)},{_fmt(r.ub)},{int(r.passed)}\n"
-                )
+            r = rec.report
+            sum_d += r.d_inc
+            energy_row = (
+                f"{rec.step},{_fmt(r.e_next)},{_fmt(sum_d)},{_fmt(r.delta)},"
+                f"{_fmt(r.lb)},{_fmt(r.ub)},{int(r.passed)}\n"
+            )
             self.rows.append((rec, load_row, energy_row, sum_d))
         with open(self.out / "load_disp.csv", "w") as fh:
             fh.write("step,w,reaction\n" + "".join(row[1] for row in self.rows))
@@ -401,9 +399,12 @@ def cmd_check_energy(args) -> int:
     sum_d = 0.0
     try:
         prev = state(0)
-        for step, e_csv, sumd_csv, delta_csv, lb_csv, ub_csv, passed_csv in rows[1:]:
-            curr = state(step)
-            report = check_two_sided(prev, curr, kernels, p, setup.backtrack.eta)
+        report = INITIAL_REPORT  # row 0's, the initial state's
+        for step, e_csv, sumd_csv, delta_csv, lb_csv, ub_csv, passed_csv in rows:
+            if step > 0:
+                curr = state(step)
+                report = check_two_sided(prev, curr, kernels, p, setup.backtrack.eta)
+                prev = curr
             sum_d += report.d_inc
             checks = [
                 ("E", e_csv, report.e_next),
@@ -419,7 +420,6 @@ def cmd_check_energy(args) -> int:
                 mismatches.append(f"step {step}: passed flag csv={passed_csv} recomputed={report.passed}")
             if not report.passed:
                 failing.append(step)
-            prev = curr
     except (OSError, ValueError) as exc:
         print(f"cannot load run outputs: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import EnergyReport, StateEnergy, check_two_sided, dis, erg_from_psi, grad_term
+from .energetics import INITIAL_REPORT, EnergyReport, StateEnergy, check_two_sided, dis, erg_from_psi, grad_term
 from .fem import DofMap, build_kernels, degradation_weights, reaction_force
 from .linsolve import LinearSolveError
 from .material import MaterialParams
@@ -95,8 +95,9 @@ class BacktrackConfig:
 @dataclass
 class SolveRecord(StateEnergy):
     """One solve of the increment that ends at ``step``, the state it
-    reached evaluated once; step 0's record is the initial state, with no
-    report.
+    reached evaluated once, and the ``report`` of the step pair it ends;
+    step 0's record is the initial state, whose report is
+    ``INITIAL_REPORT``.
 
     As a ``StateEnergy`` the record is one side of two-sided checks: the
     next state of its own step pair's ``report`` and the current state of
@@ -105,8 +106,9 @@ class SolveRecord(StateEnergy):
     ``dissipation`` the anchor dissipation of the solves anchored at this
     state.  The initial record, u = 0 and a = 0 at w(0) = +0, is unloaded:
     its lifting is zero and its bulk energy, gradient energy, dissipation
-    and reaction are 0.0 (``dis`` of a = 0 is +0.0 under AT1 and AT2), and
-    only its degradation weights, the first guess's, are evaluated.
+    and reaction are 0.0 (``dis`` of a = 0 is +0.0 under AT1 and AT2), its
+    report is all zeros and passed, and only its degradation weights, the
+    first guess's, are evaluated.
     ``round_of`` is the target step whose failed check opened the back-step
     round this solve belongs to (the opening solve and each walk-back
     re-solve; None outside a round), and ``b`` the back steps that target
@@ -117,7 +119,7 @@ class SolveRecord(StateEnergy):
     step: int
     a: np.ndarray
     reaction: float
-    report: EnergyReport | None = None
+    report: EnergyReport | None = None  # set by the check, before the record is logged
     alt_iters: int = 0
     newton_iters_u: int = 0
     newton_iters_beta: int = 0
@@ -159,13 +161,13 @@ class RunHistory:
         """Accepted steps whose two-sided inequality still fails (budget K
         exhausted, or K = 0); derived from the final records so replacements
         during backtracking cannot leave stale flags."""
-        return [r.step for r in self.steps[1:] if not r.report.passed]
+        return [r.step for r in self.steps if not r.report.passed]
 
     @property
     def irreversibility_steps(self) -> list:
         """Accepted steps whose incremental dissipation is negative beyond
         the reporting tolerance (penalty factor too large)."""
-        return [r.step for r in self.steps[1:] if r.report.irreversibility_violation]
+        return [r.step for r in self.steps if r.report.irreversibility_violation]
 
 
 def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
@@ -279,6 +281,7 @@ def run(
         step=0,
         a=a0,
         reaction=0.0,
+        report=INITIAL_REPORT,
     )
     history = RunHistory(steps=[initial])
     try:

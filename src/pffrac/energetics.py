@@ -32,6 +32,8 @@ The stored energy of a state is ERG (degraded bulk energy of U1 + U2) plus
 GRAD (the damage-gradient energy); DIS is the path-independent dissipation
 state function whose difference gives the incremental dissipation.  The
 upper/lower bounds are pure ERG differences (the gradient term cancels).
+GRAD and DIS read the damage regularisation law of ``MaterialParams``
+(``grad_coeff`` and ``dissipation_law``), as the damage merit does.
 """
 
 from __future__ import annotations
@@ -41,12 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import DamageFields, ElementKernels, beta_at_qp, strain_spectrum
-from .material import AT2, MaterialParams, psi_split
+from .fem import DamageFields, ElementKernels, beta_at_qp, grad_sq, strain_spectrum
+from .material import MaterialParams, psi_split
 
 __all__ = [
     "StateEnergy",
     "EnergyReport",
+    "INITIAL_REPORT",
     "erg",
     "erg_from_psi",
     "bulk_merit",
@@ -72,7 +75,7 @@ class StateEnergy:
     dissipation: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyReport:
     """Per-step energy audit of the two-sided inequality.
 
@@ -88,6 +91,13 @@ class EnergyReport:
     ub: float
     passed: bool
     irreversibility_violation: bool
+
+
+# The report of the initial state, which ends no step pair: the unloaded,
+# undamaged state stores and dissipates nothing, and its bounds hold.
+INITIAL_REPORT = EnergyReport(
+    e_next=0.0, d_inc=0.0, delta=0.0, lb=0.0, ub=0.0, passed=True, irreversibility_violation=False
+)
 
 
 # Relative tolerance below which a negative incremental dissipation is
@@ -121,19 +131,16 @@ def erg(u1, u2, rw, kernels: ElementKernels, p: MaterialParams) -> float:
 
 
 def grad_term(a, kernels: ElementKernels, p: MaterialParams) -> float:
-    """Damage-gradient energy (gc*ell/2) * integral |grad beta|^2."""
-    g = np.einsum("edi,ei->ed", kernels.b_beta, a[kernels.elements])
-    return 0.5 * p.gc * p.ell * _fsum(kernels.measures * np.einsum("ed,ed->e", g, g))
+    """Damage-gradient energy g * integral |grad beta|^2, g =
+    ``p.grad_coeff``."""
+    return p.grad_coeff * _fsum(kernels.measures * grad_sq(kernels, a))
 
 
 def dis(a, kernels: ElementKernels, p: MaterialParams) -> float:
-    """Dissipation state function: quadratic (AT2) or linear (AT1) in beta."""
-    beta_qp = beta_at_qp(kernels, a)
-    if p.dissipation == AT2:
-        per_e = np.einsum("eq,eq->e", kernels.wj, beta_qp * beta_qp)
-        return 0.5 * p.gc / p.ell * _fsum(per_e)
-    per_e = np.einsum("eq,eq->e", kernels.wj, beta_qp)
-    return p.kappa * p.gc / p.ell * _fsum(per_e)
+    """Dissipation state function c * integral beta^m, (c, m) =
+    ``p.dissipation_law`` (AT2 quadratic, AT1 linear in beta)."""
+    c, m = p.dissipation_law
+    return c * _fsum(np.einsum("eq,eq->e", kernels.wj, beta_at_qp(kernels, a) ** m))
 
 
 def functional_from_psi(
@@ -146,22 +153,18 @@ def functional_from_psi(
     dissipation ``dis_n = dis(a_n)``, both fixed during a damage solve, and
     the ``damage_fields`` of a with anchor a_n.
 
-    The integrand of ``erg``, ``grad_term`` and ``dis`` and the
+    The integrand of ``erg``, ``grad_term`` and ``dis`` (the regularisation
+    law of ``p.dissipation_law`` and ``p.grad_coeff``) and the
     irreversibility penalty (1/(2 eps)) * integral [beta - beta_n]_-^2 (the
     potential whose gradient is the penalty residual term), summed plainly:
     the terms at the quadrature points (degraded tensile energy,
     dissipation, penalty) in one weighted sum, the element-constant ones
     (compressive energy, damage gradient) in another.
     """
-    beta_qp = fields.beta
+    c, m = p.dissipation_law
     gap_qp = np.minimum(fields.gap, 0.0)
-    if p.dissipation == AT2:
-        dis_qp = (0.5 * p.gc / p.ell) * (beta_qp * beta_qp)
-    else:
-        dis_qp = (p.kappa * p.gc / p.ell) * beta_qp
-    per_qp = fields.r * psi_p[:, None] + dis_qp + (0.5 / p.eps_pen) * (gap_qp * gap_qp)
-    g = np.einsum("edi,ei->ed", kernels.b_beta, a[kernels.elements])
-    per_e = psi_m + (0.5 * p.gc * p.ell) * np.einsum("ed,ed->e", g, g)
+    per_qp = fields.r * psi_p[:, None] + c * fields.beta**m + (0.5 / p.eps_pen) * (gap_qp * gap_qp)
+    per_e = psi_m + p.grad_coeff * grad_sq(kernels, a)
     return float((kernels.wj * per_qp).sum() + (kernels.measures * per_e).sum()) - dis_n
 
 

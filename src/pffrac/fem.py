@@ -36,7 +36,6 @@ import numpy as np
 
 from .linsolve import BandOrdering, UpperMatrix, concat_ranges, index_dtype, pseudo_peripheral_rcm
 from .material import (
-    AT2,
     VOIGT,
     MaterialParams,
     StrainSpectrum,
@@ -57,6 +56,7 @@ __all__ = [
     "strain_voigt",
     "strain_spectrum",
     "beta_at_qp",
+    "grad_sq",
     "DamageFields",
     "damage_fields",
     "degradation_weights",
@@ -266,6 +266,12 @@ def beta_at_qp(kernels: ElementKernels, a: np.ndarray) -> np.ndarray:
     return a[kernels.elements] @ kernels.shape_qp.T
 
 
+def grad_sq(kernels: ElementKernels, a: np.ndarray) -> np.ndarray:
+    """|grad beta|^2 per element (constant for P1), (n_e,)."""
+    g = np.einsum("edi,ei->ed", kernels.b_beta, a[kernels.elements])
+    return np.einsum("ed,ed->e", g, g)
+
+
 def degradation_weights(kernels: ElementKernels, a: np.ndarray, p: MaterialParams):
     """Quadrature sum of w*j*R(beta) per element (weights the tensile part)."""
     r_qp, _ = degradation(beta_at_qp(kernels, a), p)
@@ -318,9 +324,9 @@ def _force(spectrum: StrainSpectrum, f, rw, kernels: ElementKernels, p: Material
 
 @dataclass(frozen=True)
 class SparsityPattern:
-    """CSC structure of an element-assembled symmetric n x n matrix, and the
-    band ``ordering`` every matrix assembled on it is stored under and
-    factored with.
+    """CSC structure of an element-assembled symmetric n x n matrix (n is
+    ``ordering.n``), and the band ``ordering`` every matrix assembled on it
+    is stored under and factored with.
 
     ``slot`` gives the stored entry of ``ordering`` that each element-matrix
     entry adds to, in ``k_e.ravel()`` order; entries below the reordered
@@ -332,7 +338,6 @@ class SparsityPattern:
     the entry count.
     """
 
-    n: int
     indptr: np.ndarray
     indices: np.ndarray
     slot: np.ndarray
@@ -351,7 +356,7 @@ class SparsityPattern:
         indptr, indices = _index_arrays(indptr, keys % n)
         ordering = BandOrdering.from_structure(indptr, indices)
         slot = ordering.stored_index(indptr, indices)[slot]
-        return cls(n=n, indptr=indptr, indices=indices, slot=slot, ordering=ordering)
+        return cls(indptr=indptr, indices=indices, slot=slot, ordering=ordering)
 
     @classmethod
     def from_node_pattern(
@@ -435,7 +440,7 @@ class SparsityPattern:
                     nnz,
                 )
             ]
-        return cls(n=n, indptr=indptr, indices=indices, slot=slot.reshape(-1), ordering=ordering)
+        return cls(indptr=indptr, indices=indices, slot=slot.reshape(-1), ordering=ordering)
 
     def assemble(self, blocks) -> UpperMatrix:
         """Sum element matrices into the stored entries.  ``blocks`` yields
@@ -465,7 +470,7 @@ class DamageBlocks:
     """State-independent parts of the damage system, per kernels."""
 
     pattern: SparsityPattern
-    grad: np.ndarray  # (n_e, nen, nen): |e| B^T B, the gradient stiffness over gc*ell
+    grad: np.ndarray  # (n_e, nen, nen): |e| B^T B, the gradient stiffness over 2 g
     mass: np.ndarray  # (nqp, nen*nen): N_q N_q^T, the P1 mass product per point
 
 
@@ -542,25 +547,24 @@ def residual_and_tangent_beta(psi_p, a, fields: DamageFields, kernels: ElementKe
     damage a, whose ``damage_fields`` are ``fields``, from the tensile
     energy density per element (constant at fixed displacement).
 
+    The regularisation is ``MaterialParams``' law, c * beta^m +
+    g * |grad beta|^2 with (c, m) = ``p.dissipation_law`` and
+    g = ``p.grad_coeff``: its first and second derivatives
+    m c beta^(m-1) and m (m-1) c, and the gradient stiffness times 2 g.
     The tangent is the tensile-energy/dissipation mass plus the gradient
     stiffness plus the active-set penalty mass (generalized derivative of the
     negative part); an ``UpperMatrix``.
     """
     blk = damage_blocks(kernels)
     beta_qp, gap_qp = fields.beta, fields.gap
+    c, m = p.dissipation_law
     pen_qp = np.minimum(gap_qp, 0.0) / p.eps_pen
-    coeff_qp = 2.0 * psi_p[:, None] + (gap_qp < 0.0) / p.eps_pen
-    if p.dissipation == AT2:
-        diss_qp = (p.gc / p.ell) * beta_qp
-        coeff_qp = coeff_qp + p.gc / p.ell
-    else:
-        diss_qp = (p.kappa * p.gc / p.ell) * np.ones_like(beta_qp)
-
-    s_qp = fields.dr * psi_p[:, None] + diss_qp + pen_qp
+    coeff_qp = 2.0 * psi_p[:, None] + (gap_qp < 0.0) / p.eps_pen + (m * (m - 1)) * c
+    s_qp = fields.dr * psi_p[:, None] + (m * c) * beta_qp ** (m - 1) + pen_qp
     f_e = (kernels.wj * s_qp) @ kernels.shape_qp
-    f_e += (p.gc * p.ell) * np.einsum("eij,ej->ei", blk.grad, a[kernels.elements])
+    f_e += (2.0 * p.grad_coeff) * np.einsum("eij,ej->ei", blk.grad, a[kernels.elements])
     k_e = (kernels.wj * coeff_qp) @ blk.mass
-    k_e += (p.gc * p.ell) * blk.grad.reshape(k_e.shape)
+    k_e += (2.0 * p.grad_coeff) * blk.grad.reshape(k_e.shape)
     return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes), blk.pattern.assemble([k_e])
 
 

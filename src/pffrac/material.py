@@ -73,7 +73,14 @@ _PAIRS = {2: (np.array([0]), np.array([1])), 3: (np.array([0, 0, 1]), np.array([
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Constitutive parameters.
+    """Constitutive parameters, and the damage regularisation they define.
+
+    The regularisation is stated here and nowhere else: a damage field beta
+    dissipates the integral of c * beta^m + g * |grad beta|^2, with
+    (c, m) = ``dissipation_law`` (AT2: gc / (2 ell) * beta^2; AT1:
+    kappa * gc / ell * beta) and g = ``grad_coeff`` = gc * ell / 2.  The
+    energies, the damage merit and the damage residual and tangent read
+    the law through these two properties and do not branch on it.
 
     Attributes
     ----------
@@ -117,6 +124,19 @@ class MaterialParams:
             raise ValueError(f"kappa = {self.kappa!r} must be > 0 under {AT1}")
         if self.dissipation != AT1 and self.kappa is not None:
             raise ValueError(f"kappa = {self.kappa!r} is read only by {AT1}, not by {self.dissipation}")
+
+    @property
+    def dissipation_law(self) -> tuple[float, int]:
+        """(c, m) of the local dissipation density c * beta^m: AT2 is
+        quadratic, AT1 linear with the activation threshold ``kappa``."""
+        if self.dissipation == AT2:
+            return 0.5 * self.gc / self.ell, 2
+        return self.kappa * self.gc / self.ell, 1
+
+    @property
+    def grad_coeff(self) -> float:
+        """g of the gradient density g * |grad beta|^2, under AT2 and AT1."""
+        return 0.5 * self.gc * self.ell
 
     @classmethod
     def from_young_poisson(cls, e: float, nu: float, **kw) -> "MaterialParams":

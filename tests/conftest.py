@@ -5,6 +5,7 @@ import os
 # before numpy loads OpenBLAS; a value given in the environment is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -59,6 +60,12 @@ def sent_params():
     return MaterialParams(lam=121153.8, mu=80769.2, gc=2.7, ell=0.0175, k=1e-4, eps_pen=1e-6)
 
 
+def with_dissipation(p, dissipation):
+    """``p`` under the ``dissipation`` law: AT2, or AT1 with the activation
+    threshold kappa = 0.375."""
+    return dataclasses.replace(p, dissipation=dissipation, kappa=0.375 if dissipation == "AT1" else None)
+
+
 @pytest.fixture
 def two_elem():
     """Unit square split into two triangles, with kernels and an
@@ -109,7 +116,7 @@ def scripted_checks(monkeypatch, fail) -> list:
         report = real(curr, nxt, *args)
         steps.append(nxt.step)
         if fail(nxt.step, steps.count(nxt.step)):
-            report.passed = False
+            report = dataclasses.replace(report, passed=False)
         return report
 
     monkeypatch.setattr(driver, "check_two_sided", check)

@@ -666,6 +666,24 @@ class TestCheckEnergy:
         path.write_text("\n".join(rows) + "\n")
         assert main(["check-energy", str(out)]) == 1
 
+    def test_tampered_step_0_row_exit_1(self, sent_run, capsys):
+        # row 0 is the initial state's report, all 0 and passed, and is
+        # compared like every other row
+        path = sent_run / "energy.csv"
+        rows = path.read_text().splitlines()
+        assert rows[1] == "0,0,0,0,0,0,1"
+        for row, want in [
+            (
+                "0,5,7,1,2,3,1",
+                "step 0: E csv=5.0 recomputed=0.0\nstep 0: sum_D csv=7.0 recomputed=0.0\n"
+                "step 0: delta csv=1.0 recomputed=0.0\nstep 0: LB csv=2.0 recomputed=0.0\n"
+                "step 0: UB csv=3.0 recomputed=0.0\n",
+            ),
+            ("0,0,0,0,0,0,0", "step 0: passed flag csv=False recomputed=True\n"),
+        ]:
+            path.write_text("\n".join([rows[0], row, *rows[2:]]) + "\n")
+            assert self.audit_of(sent_run, capsys) == (1, want)
+
     def test_missing_snapshot_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", *SENT_RUN, "--out", str(out)])

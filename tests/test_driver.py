@@ -1,10 +1,9 @@
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import box_mesh, scripted_checks
+from conftest import box_mesh, scripted_checks, with_dissipation
 from oracles import bulk_energy, fresh_check
 from pffrac.cli import _apply_overrides, resolve_config
 import pffrac.driver as driver
@@ -20,7 +19,7 @@ from pffrac.driver import (
     run,
 )
 from pffrac import energetics
-from pffrac.energetics import dis, grad_term
+from pffrac.energetics import INITIAL_REPORT, dis, grad_term
 from pffrac.fem import build_kernels, degradation_weights, reaction_force, strain_spectrum
 from pffrac.material import StrainSpectrum
 from pffrac.solver import SolverConfig, StepFailure
@@ -258,19 +257,17 @@ class TestReusedDecomposition:
             assert rec.grad_energy == grad_term(rec.a, kern, sent_params)
             assert rec.dissipation == dis(rec.a, kern, sent_params)
             assert rec.reaction == reaction_force(spectrum, rw, kern, sent_params, g)
-            if prev is not None:
-                want = fresh_check(
-                    prev.u, prog.w(prev.step) * g, prev.a, rec.u, u_d, rec.a, kern, sent_params,
-                    BacktrackConfig().eta,
-                )
-                assert rec.report == want
+            want = INITIAL_REPORT if prev is None else fresh_check(
+                prev.u, prog.w(prev.step) * g, prev.a, rec.u, u_d, rec.a, kern, sent_params, BacktrackConfig().eta
+            )
+            assert rec.report == want
 
     @pytest.mark.parametrize("dissipation", ["AT2", "AT1"])
     def test_initial_dissipation_is_dis_of_zero_damage(self, patch, sent_params, dissipation):
         # the unloaded initial record's dissipation is not evaluated: its
         # 0.0 is dis(0) bit for bit, the anchor dissipation of the first
         # solve and the current-state term of the first check
-        p = dataclasses.replace(sent_params, dissipation=dissipation, kappa=0.375 if dissipation == "AT1" else None)
+        p = with_dissipation(sent_params, dissipation)
         hist = run(tension_program(n_steps=1), BacktrackConfig(), SolverConfig(), p, patch)
         initial = hist.steps[0]
         want = dis(np.zeros(patch.n_nodes), build_kernels(patch), p)
@@ -393,7 +390,7 @@ class TestBacktrackBookkeeping:
         ]
         assert [(r.round_of, r.step, r.b) for r in hist.backtracks] == [(3, 2, 1), (3, 1, 2), (3, 2, 3)]
         assert [r.step for r in hist.steps] == [0, 1, 2, 3]
-        assert hist.steps[0].report is None and all(r is not hist.steps[0] for r in hist.solves)
+        assert hist.steps[0].report is INITIAL_REPORT and all(r is not hist.steps[0] for r in hist.solves)
         assert [next(i for i, r in enumerate(hist.solves) if r is s) for s in hist.steps[1:]] == [4, 7, 8]
         assert hist.k_exhausted_steps == [3]
 
@@ -410,7 +407,7 @@ class TestBacktrackBookkeeping:
         a0 = np.zeros(patch.n_nodes)
         initial = SolveRecord(
             u=np.zeros(dofmap.n_dofs), u_d=np.zeros(dofmap.n_dofs), rw=degradation_weights(kern, a0, sent_params),
-            bulk_energy=0.0, grad_energy=0.0, dissipation=0.0, step=0, a=a0, reaction=0.0,
+            bulk_energy=0.0, grad_energy=0.0, dissipation=0.0, step=0, a=a0, reaction=0.0, report=INITIAL_REPORT,
         )
         first = RunHistory(steps=[initial])
         for _ in range(3):

@@ -5,7 +5,17 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import box_mesh, damage_system, dense, displacement_system, internal_force, load_tracing, random_state, stored
+from conftest import (
+    box_mesh,
+    damage_system,
+    dense,
+    displacement_system,
+    internal_force,
+    load_tracing,
+    random_state,
+    stored,
+    with_dissipation,
+)
 from oracles import bulk_energy, elastic_tensor, element_dofs_pattern, element_measures, penalty_energy, strain_tensor_from_voigt
 from pffrac.energetics import dis, grad_term
 from pffrac.fem import (
@@ -224,9 +234,10 @@ class TestResidualBeta:
         np.add.at(expect, kern.elements.ravel(), pen_e.ravel())
         assert np.allclose(r_pen - r_nopen, expect / sent_params.eps_pen, rtol=1e-10, atol=1e-18)
 
-    def test_fd_gradient_of_functional(self, two_elem, sent_params, rng):
+    @pytest.mark.parametrize("dissipation", ["AT2", "AT1"])
+    def test_fd_gradient_of_functional(self, two_elem, sent_params, rng, dissipation):
         mesh, kern, _ = two_elem
-        p = sent_params
+        p = with_dissipation(sent_params, dissipation)
 
         def func(u, u_d, a, a_n):
             return (
@@ -297,14 +308,16 @@ class TestTangents:
         k_c = displacement_system(u, u, a, kern, sent_params, dm)[1]
         spla.splu(sp.csc_matrix(dense(k_c)))  # factorization succeeds -> SPD at desk scale
 
-    def test_tangent_beta_fd(self, two_elem, sent_params, rng):
+    @pytest.mark.parametrize("dissipation", ["AT2", "AT1"])
+    def test_tangent_beta_fd(self, two_elem, sent_params, rng, dissipation):
         mesh, kern, _ = two_elem
+        p = with_dissipation(sent_params, dissipation)
         u, a, a_n = random_state(mesh, rng)
         u_d = np.zeros_like(u)
         gap_qp = (a - a_n)[kern.elements] @ kern.shape_qp.T
         if np.abs(gap_qp).min() <= 1e-6:
             a = a + 2e-6
-        k = dense(damage_system(u, u_d, a, a_n, kern, sent_params)[1])
+        k = dense(damage_system(u, u_d, a, a_n, kern, p)[1])
         h = 1e-7
         fd = np.zeros_like(k)
         for i in range(a.size):
@@ -312,8 +325,7 @@ class TestTangents:
             ap[i] += h
             am[i] -= h
             fd[:, i] = (
-                damage_system(u, u_d, ap, a_n, kern, sent_params)[0]
-                - damage_system(u, u_d, am, a_n, kern, sent_params)[0]
+                damage_system(u, u_d, ap, a_n, kern, p)[0] - damage_system(u, u_d, am, a_n, kern, p)[0]
             ) / (2 * h)
         assert np.abs(k - fd).max() <= 1e-4 * np.abs(k).max()
 
@@ -369,7 +381,7 @@ class TestTangents:
         check(dm_b)
         check(dm_c)
         assert u_pattern(kern, dm_b) is not pat
-        assert u_pattern(kern, dm_c).n == dm_c.free.size != pat.n
+        assert u_pattern(kern, dm_c).ordering.n == dm_c.free.size != pat.ordering.n
         assert [id(d) for d, _ in kern.u_patterns] == [id(dm_a), id(dm_b), id(dm_c)]
 
         psi_p, _ = psi_split(spec, p)
@@ -480,7 +492,7 @@ class TestBandOrdering:
     def test_sent_bandwidth(self, sent_tangent):
         kern, dm, _, k = sent_tangent
         pat = u_pattern(kern, dm)
-        cols = np.repeat(np.arange(pat.n), np.diff(pat.indptr))
+        cols = np.repeat(np.arange(pat.ordering.n), np.diff(pat.indptr))
         assert np.abs(pat.indices - cols).max() == 471  # natural dof order
         assert pat.ordering.bandwidth <= 32
 
@@ -563,7 +575,7 @@ def assert_oracle_pattern(kern, dm, pat):
     keep_map = -np.ones(dm.n_dofs, dtype=np.int64)
     keep_map[dm.free] = np.arange(dm.free.size)
     want = element_dofs_pattern(kern.udofs, dm.free.size, keep_map)
-    assert pat.n == dm.free.size
+    assert pat.ordering.n == dm.free.size
     for got, ref in zip((pat.indptr, pat.indices), want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     index = pat.ordering.stored_index(pat.indptr, pat.indices)

@@ -324,6 +324,57 @@ def test_every_test_helper_has_a_user():
     assert unused_test_helpers(sources, ["conftest.py", "oracles.py"]) == []
 
 
+# The names that state the damage regularisation law, and the modules
+# besides material.py that may name each: the law's constructors AT1 and
+# AT2 and the constants gc, kappa and ell it is made of.  presets.py sizes
+# meshes from the internal length ell.
+_LAW_NAMES = {"AT1": (), "AT2": (), "gc": (), "kappa": (), "ell": ("presets.py",)}
+
+
+def regularisation_leaks(sources: dict) -> list:
+    """Where modules of ``sources`` (file name -> source) other than
+    ``material.py`` know the damage regularisation law that
+    ``MaterialParams`` states: an import, or an attribute, named by
+    ``_LAW_NAMES`` outside the modules it allows."""
+    leaks = []
+    for file, text in sources.items():
+        if file == "material.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            leaks += [
+                f"{file}:{node.lineno} {name}"
+                for name in names
+                if name in _LAW_NAMES and file not in _LAW_NAMES[name]
+            ]
+    return sorted(leaks)
+
+
+def test_detects_regularisation_leak():
+    srcs = {
+        "material.py": "AT2 = 'AT2'\nclass P:\n    def c(self):\n        return self.gc / self.ell\n",
+        "fem.py": "from .material import AT2, P\ndef r(p):\n    return p.kappa * p.grad_coeff\n",
+        "presets.py": "def mesh(p):\n    return p.ell, p.gc\n",
+        "cli.py": "from . import material\ndef f(p, rec):\n    return material.AT1, p.ell, rec.dissipation\n",
+    }
+    assert regularisation_leaks(srcs) == [
+        "cli.py:3 AT1", "cli.py:3 ell", "fem.py:1 AT2", "fem.py:3 kappa", "presets.py:2 gc"
+    ]
+
+
+def test_regularisation_law_is_stated_once():
+    # AT1/AT2 and the constants of the law are material.py's: the energies,
+    # the merits and the damage system read it through
+    # MaterialParams.dissipation_law and .grad_coeff
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert regularisation_leaks(sources) == []
+
+
 # The benchmark's span targets that name what the program no longer has.
 # ROADMAP item 1 retargets them, and then empties this list.
 STALE_TRACING_TARGETS = [

@@ -134,7 +134,7 @@ class TestNewtonU:
         u, _, _ = newton_u_from(np.ones(u_d.size), u_d, np.zeros(mesh.n_nodes), kern, sent_params, SolverConfig(), dm)
         assert np.array_equal(u, np.zeros(u_d.size))
         pattern = u_pattern(kern, dm)
-        assert pattern.n == 0 and pattern.ordering.bandwidth == 0
+        assert pattern.ordering.n == 0 and pattern.ordering.bandwidth == 0
 
 
 class TestNewtonBeta:
