@@ -4,7 +4,8 @@ Each increment is solved by alternating minimization started from the last
 computed state.  When the accepted pair violates the two-sided energy
 inequality, the driver walks back one step at a time, re-solving earlier
 increments with the discarded future state as initial guess (both fields),
-until the inequality is met or the back-step budget K is exhausted; forward
+until the inequality is met, the back-step budget K is exhausted or the
+walk-back stands K steps below the highest target of the run; forward
 traversal then resumes through the revisited steps, replacing their stored
 states.  K = 0 disables the mechanism entirely (plain staggered stepping).
 
@@ -17,6 +18,18 @@ the back-step views ``intermediates`` and ``backtracks`` are taken from
 that log; nothing else records a solve.  The history is the run's whole
 state, and ``run``, which builds the program's load vector once, a loop
 over ``advance``.
+
+Only a window of the states is held.  Since no walk-back goes below K
+steps under the highest target (``BacktrackConfig``), after an ``advance`` the later solves can read only the accepted records from
+``RunHistory.lowest_anchor`` up, the last of which is the running guess.
+Every other record, an accepted step below the window or a discarded
+solve, drops its arrays (``u``, ``u_d``, ``rw``, ``a``) in place and keeps
+its scalars: the step, ``b``, ``round_of``, the report, the reaction, the
+energies and the dissipation, and the counts.  So at most K + 1 states are
+held, whatever the run's length; the outputs read only the scalars, and
+each accepted state's snapshot is written as it is accepted.  Within the
+window the history is still the run's whole state: a copy of it continues
+the run bit for bit.
 """
 
 from __future__ import annotations
@@ -80,7 +93,12 @@ class LoadProgram:
 
 @dataclass(frozen=True)
 class BacktrackConfig:
-    """Back-step budget K (0 disables backtracking) and energy tolerance."""
+    """Back-step budget K (0 disables backtracking) and energy tolerance.
+
+    Each target step may spend K back steps over all its failure rounds, and
+    no walk-back re-solves a step more than K below the highest target of
+    the run, which bounds the states a run holds (see the module
+    docstring)."""
 
     k_back: int = 50
     eta: float = 1e-5
@@ -114,6 +132,10 @@ class SolveRecord(StateEnergy):
     re-solve; None outside a round), and ``b`` the back steps that target
     had consumed at this solve.  The counts are the solve's alternations,
     Newton iterations and line-search trial merits (``AltResult``).
+
+    A record that leaves the back-step window (module docstring) drops its
+    arrays, ``u``, ``u_d``, ``rw`` and ``a``: reading one then raises
+    AttributeError.  Its other fields stay.
     """
 
     step: int
@@ -128,13 +150,20 @@ class SolveRecord(StateEnergy):
     round_of: int | None = None
     b: int = 0
 
+    def drop_arrays(self) -> None:
+        """Drop the state's arrays in place, keeping the scalars."""
+        for name in ("u", "u_d", "rw", "a"):
+            vars(self).pop(name, None)
+
 
 @dataclass
 class RunHistory:
     """The log of every solve, in call order, and the accepted chain taken
     from it (``steps[0]`` is the initial state, which is no solve).  The
     running guess is the last logged solve, or the initial state before
-    any."""
+    any.  Between two ``advance`` calls only the records in the back-step
+    window, the chain from ``lowest_anchor`` up, hold their arrays; the
+    others keep their scalars (``SolveRecord``)."""
 
     steps: list
     solves: list = field(default_factory=list)
@@ -144,6 +173,13 @@ class RunHistory:
     @property
     def n_accepted(self) -> int:
         return len(self.steps) - 1  # steps[0] is the initial state
+
+    def lowest_anchor(self, k_back: int) -> int:
+        """The lowest step whose record the next ``advance`` can read: K
+        below the highest target so far, counting the next one
+        (``n_accepted + 1``)."""
+        top = max([self.n_accepted + 1] + [r.step for r in self.solves])
+        return max(0, top - 1 - k_back)
 
     @property
     def intermediates(self) -> list:
@@ -159,8 +195,9 @@ class RunHistory:
     @property
     def k_exhausted_steps(self) -> list:
         """Accepted steps whose two-sided inequality still fails (budget K
-        exhausted, or K = 0); derived from the final records so replacements
-        during backtracking cannot leave stale flags."""
+        exhausted, the walk-back at ``lowest_anchor``, or K = 0); derived
+        from the final records so replacements during backtracking cannot
+        leave stale flags."""
         return [r.step for r in self.steps if not r.report.passed]
 
     @property
@@ -215,11 +252,15 @@ def _solve(history: RunHistory, n: int, program, bt, cfg, p, kernels, dofmap, lo
 
 def advance(history: RunHistory, program, bt, cfg, p, kernels, dofmap, load) -> None:
     """Solve step ``history.n_accepted + 1`` and, if its check fails, its
-    back-step round; accept the last solve at its step, dropping the chain
-    after it, which refers to a replaced state.  ``load`` is the program's
-    ``load_vector``: the lifting of step n is ``program.w(n) * load``."""
+    back-step round, which walks back no lower than ``lowest_anchor``;
+    accept the last solve at its step, dropping the chain after it, which
+    refers to a replaced state; then drop the arrays of every record outside
+    the window that the next ``advance`` can read.  ``load`` is the
+    program's ``load_vector``: the lifting of step n is
+    ``program.w(n) * load``."""
     n = history.n_accepted
     target = n + 1
+    lowest = history.lowest_anchor(bt.k_back)
     rec = _solve(history, n, program, bt, cfg, p, kernels, dofmap, load)
     # Back steps consumed by the target so far.  The budget is cumulative
     # across failure rounds of the same target: a re-solved earlier step can
@@ -228,12 +269,16 @@ def advance(history: RunHistory, program, bt, cfg, p, kernels, dofmap, load) -> 
     b = max((r.b for r in history.solves if r.round_of == target), default=0)
     if not rec.report.passed and b < bt.k_back:
         rec.round_of, rec.b = target, b
-        while not rec.report.passed and b < bt.k_back and n > 0:
+        while not rec.report.passed and b < bt.k_back and n > lowest:
             n -= 1
             b += 1
             rec = _solve(history, n, program, bt, cfg, p, kernels, dofmap, load)
             rec.round_of, rec.b = target, b
     history.steps[n + 1 :] = [rec]
+    window = {id(r) for r in history.steps[history.lowest_anchor(bt.k_back) :]}
+    for r in (history.steps[0], *history.solves):
+        if id(r) not in window:
+            r.drop_arrays()
 
 
 def run(

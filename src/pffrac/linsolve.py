@@ -15,9 +15,14 @@ is checked against the stored entries, the matrix that was factored (the
 band itself is overwritten by its factor).  ``factor_solve(a, b)`` solves
 under ``a.ordering`` and reports a tangent that is not positive definite
 instead of returning garbage; ``eliminate`` pins dofs of a tangent before
-its solve.  This is the only solve path.  A structure whose band would take
-more than ``BAND_BYTES_BUDGET`` is refused while its ordering is built, as
-soon as the bandwidth is known and before any band is allocated.
+its solve.  This is the only solve path.  ``factor_solve`` returns the
+factor with the solution: a ``BandFactor`` solves further systems with the
+same matrix by back-substitution alone, each residual checked against the
+same stored entries, which is how a damage Newton solve reuses the factor
+of a tangent that has not changed (``solver._box_newton``).  A structure
+whose band would take more than ``BAND_BYTES_BUDGET`` is refused while its
+ordering is built, as soon as the bandwidth is known and before any band
+is allocated.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "LinearSolveError",
     "BandOrdering",
     "UpperMatrix",
+    "BandFactor",
     "eliminate",
     "factor_solve",
     "concat_ranges",
@@ -289,19 +295,6 @@ def pseudo_peripheral_rcm(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray
     return np.concatenate(order)[::-1] if order else np.empty(0, dtype=np.intp)
 
 
-def _banded_solve(a: UpperMatrix, b: np.ndarray) -> np.ndarray:
-    """Factor ``a`` and solve a x = b."""
-    o = a.ordering
-    n, bw = o.n, o.bandwidth
-    flat = np.zeros((bw + 1) * n)
-    flat[o.slot] = a.values
-    c, info = _PBTRF(flat.reshape((bw + 1, n), order="F"), lower=0, overwrite_ab=1)
-    if info > 0:
-        raise LinearSolveError(f"indefinite/singular tangent: {info}-th leading minor not positive definite")
-    y, _ = _PBTRS(c, b[o.perm], lower=0, overwrite_b=1)
-    return y[o.inv]
-
-
 def eliminate(mat: UpperMatrix, pinned: np.ndarray) -> None:
     """Decouple the pinned dofs of a tangent in place: zero their rows and
     columns and put 1 on their diagonal (which every pattern stores), so
@@ -311,28 +304,73 @@ def eliminate(mat: UpperMatrix, pinned: np.ndarray) -> None:
     mat.values[drop] = o.rows[drop] == o.cols[drop]
 
 
-def factor_solve(a: UpperMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve the SPD system a x = b by banded Cholesky under ``a.ordering``.
-
-    Its band is within ``BAND_BYTES_BUDGET``, since it was built.  The
-    relative residual, taken with the stored entries, is bounded by 1e-10;
-    a violation raises LinearSolveError ("indefinite/singular").
-    """
+def _checked_rhs(a: UpperMatrix, b) -> tuple:
+    """The right-hand side b of a system with ``a`` as float64, and its norm;
+    raises LinearSolveError on a size mismatch or a non-finite entry."""
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
     if a.ordering.n != n:
         raise LinearSolveError(f"matrix of size {a.ordering.n} incompatible with rhs {n}")
     if not np.all(np.isfinite(b)):
         raise LinearSolveError("non-finite right-hand side")
+    return b, float(np.linalg.norm(b))
 
-    b_norm = float(np.linalg.norm(b))
+
+@dataclass(frozen=True)
+class BandFactor:
+    """The banded Cholesky factor ``band`` of ``matrix``, which solves any
+    number of systems with that matrix: each solve is one ``dpbtrs``
+    back-substitution, its residual checked against the matrix's stored
+    entries as in ``factor_solve``."""
+
+    matrix: UpperMatrix
+    band: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The x of ``matrix`` x = b (zeros for b = 0), with the checks of
+        ``factor_solve``."""
+        b, b_norm = _checked_rhs(self.matrix, b)
+        if b_norm == 0.0:
+            return np.zeros(b.size)
+        return self._back_solve(b, b_norm)
+
+    def _back_solve(self, b: np.ndarray, b_norm: float) -> np.ndarray:
+        o = self.matrix.ordering
+        y, _ = _PBTRS(self.band, b[o.perm], lower=0, overwrite_b=1)
+        x = y[o.inv]
+        res = float(np.linalg.norm(self.matrix @ x - b)) / b_norm
+        if not np.isfinite(res) or res > _DIRECT_RTOL:
+            raise LinearSolveError(
+                f"indefinite/singular tangent: solve residual {res:.3e} > {_DIRECT_RTOL:.1e}"
+            )
+        return x
+
+
+def _banded_factor(a: UpperMatrix) -> BandFactor:
+    """Factor ``a``: scatter its stored entries into a zeroed band, which
+    ``dpbtrf`` overwrites with the factor."""
+    o = a.ordering
+    n, bw = o.n, o.bandwidth
+    flat = np.zeros((bw + 1) * n)
+    flat[o.slot] = a.values
+    c, info = _PBTRF(flat.reshape((bw + 1, n), order="F"), lower=0, overwrite_ab=1)
+    if info > 0:
+        raise LinearSolveError(f"indefinite/singular tangent: {info}-th leading minor not positive definite")
+    return BandFactor(a, c)
+
+
+def factor_solve(a: UpperMatrix, b: np.ndarray) -> tuple:
+    """Solve the SPD system a x = b by banded Cholesky under ``a.ordering``.
+
+    Returns x and the ``BandFactor`` of a, which solves further systems with
+    a without factoring it again; for b = 0 it returns zeros and None, and
+    factors nothing.  The band is within ``BAND_BYTES_BUDGET``, since it was
+    built.  The relative residual, taken with the stored entries, is
+    bounded by 1e-10; a violation raises LinearSolveError
+    ("indefinite/singular").
+    """
+    b, b_norm = _checked_rhs(a, b)
     if b_norm == 0.0:
-        return np.zeros(n)
-
-    x = _banded_solve(a, b)
-    res = float(np.linalg.norm(a @ x - b)) / b_norm
-    if not np.isfinite(res) or res > _DIRECT_RTOL:
-        raise LinearSolveError(
-            f"indefinite/singular tangent: solve residual {res:.3e} > {_DIRECT_RTOL:.1e}"
-        )
-    return x
+        return np.zeros(b.size), None
+    factor = _banded_factor(a)
+    return factor._back_solve(b, b_norm), factor

@@ -26,6 +26,16 @@ its degradation weights, one value per element, for the next displacement
 solve, so no whole-mesh damage field is held through a displacement solve.
 The anchor's dissipation is the caller's, evaluated where the anchor
 state is held (``driver.SolveRecord.dissipation``).
+
+Within one damage solve a factorization is reused while its system holds.
+At fixed displacement the damage tangent changes only with the penalty set,
+so an iterate whose penalty set is unchanged gets the tangent already
+assembled and only its residual is computed; when its pinned set is
+unchanged too, its eliminated tangent is bitwise the one last factored, and
+the held factor solves its system by back-substitution, with the residual
+check on the same stored entries.  The tangent and its factor are held by
+the call and dropped with it, so the results are bitwise those of
+assembling and factoring at every iteration.
 """
 
 from __future__ import annotations
@@ -41,9 +51,10 @@ from .fem import (
     damage_fields,
     residual_and_tangent_beta,
     residual_and_tangent_u,
+    residual_beta,
     strain_spectrum,
 )
-from .linsolve import LinearSolveError, eliminate, factor_solve
+from .linsolve import LinearSolveError, UpperMatrix, eliminate, factor_solve
 from .material import MaterialParams, StrainSpectrum, psi_split
 
 __all__ = ["SolverConfig", "AltResult", "StepFailure", "newton_u", "newton_beta", "alternate_minimize"]
@@ -143,7 +154,13 @@ def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, bounds=None, st
     iteration is strictly non-increasing; with bounds, dofs pinned at a bound
     with an outward-pushing gradient are eliminated from the Newton system
     (unit rows and columns, zero right-hand side) and trial states follow the
-    projection arc.
+    projection arc.  The elimination works on a copy, so that the tangent
+    ``system_fn`` returned stays as it was: with bounds, ``system_fn`` may
+    return the same tangent object again, and when it does with the same
+    pinned set, the Newton matrix is bitwise the one last factored, and its
+    ``BandFactor``, held until the next factorization or the end of this
+    call, solves the new system without an elimination or a factorization.
+    Without bounds no factor is held, so none outlives its iteration.
     The step is the largest power of two, at most 1, that passes the test.
     Without bounds, the first search starts from ``step`` and each later one
     from the step the last one accepted (``_line_search``).  Along a
@@ -175,18 +192,30 @@ def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, bounds=None, st
     def project(v):
         return np.clip(v, lo, hi) if bounds is not None else v
 
+    held = None  # (tangent, pinned set, factor) of the last factorization
     for k in range(1, max_newton + 1):
-        r, mat = system_fn(x, data)
+        r, tangent = system_fn(x, data)
+        pinned = None
         if bounds is not None:
             pinned = ((x <= lo) & (r > 0.0)) | ((x >= hi) & (r < 0.0))
             if pinned.all():
                 return x, k, e0, data, step, trials  # every dof pinned at a bound
             if pinned.any():
                 r = np.where(pinned, 0.0, r)
-                eliminate(mat, pinned)
 
         try:
-            dx = factor_solve(mat, -r)
+            if held is not None and held[0] is tangent and np.array_equal(held[1], pinned):
+                dx = held[2].solve(-r)
+            else:
+                held = None  # one band at a time
+                mat = tangent
+                if pinned is not None and pinned.any():
+                    mat = UpperMatrix(tangent.values.copy(), tangent.ordering)  # the tangent may come again
+                    eliminate(mat, pinned)
+                dx, factor = factor_solve(mat, -r)
+                if bounds is not None:
+                    held = (tangent, pinned, factor)
+                del factor  # a band outlives its solve only when held
         except LinearSolveError as exc:
             raise StepFailure(f"{label} linear solve failed: {exc}") from exc
         slope = float(np.dot(r, dx))  # -r^T K^{-1} r <= 0 for SPD tangents
@@ -279,16 +308,30 @@ def newton_beta(
     enforced inside the solve (projected active-set Newton), so the discrete
     overshoot of the unconstrained minimizer above 1 near a localized crack
     never enters the state.  A failure raises a bare StepFailure.
+
+    An iterate whose penalty set is that of the tangent last assembled
+    gets that tangent again, and only its residual is computed
+    (``residual_beta``); see the module docstring for the factor reuse.
     """
 
     def evaluate(x):
         fields = damage_fields(kernels, x, a_n, p)
         return functional_from_psi(psi_p, psi_m, x, fields, dis_n, kernels, p), fields
 
+    held = []  # the penalty set and tangent last assembled
+
+    def system(x, fields):
+        penalty = fields.gap < 0.0
+        if held and np.array_equal(penalty, held[0]):
+            return residual_beta(psi_p, x, fields, kernels, p), held[1]
+        r, tangent = residual_and_tangent_beta(psi_p, x, fields, kernels, p)
+        held[:] = penalty, tangent
+        return r, tangent
+
     a, iters, merit, fields, _, trials = _box_newton(
         a0,
         evaluate,
-        lambda x, fields: residual_and_tangent_beta(psi_p, x, fields, kernels, p),
+        system,
         cfg.tol_a,
         cfg.max_newton,
         "newton_beta",

@@ -8,6 +8,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import dataclasses
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -123,6 +124,27 @@ def scripted_checks(monkeypatch, fail) -> list:
     return steps
 
 
+def made_states(monkeypatch):
+    """Keep the arrays of every record the driver makes, as it makes it: a
+    record that later leaves the back-step window drops them.  Every logged
+    record is the next state of the check that follows its solve, and the
+    initial record the current state of the first, so a wrapper of
+    ``driver.check_two_sided`` sees each one while it holds its arrays.
+    Returns ``state``: ``state(rec)`` has rec's ``u``, ``u_d``, ``rw`` and
+    ``a`` as attributes.  Install it after ``scripted_checks``."""
+    kept = {}  # id -> (record, its arrays); the record is kept so its id stays its own
+    real = driver.check_two_sided
+
+    def check(curr, nxt, *args):
+        for rec in (curr, nxt):
+            if id(rec) not in kept:
+                kept[id(rec)] = rec, SimpleNamespace(u=rec.u, u_d=rec.u_d, rw=rec.rw, a=rec.a)
+        return real(curr, nxt, *args)
+
+    monkeypatch.setattr(driver, "check_two_sided", check)
+    return lambda rec: kept[id(rec)][1]
+
+
 def stored(a, ordering=None) -> UpperMatrix:
     """The symmetric matrix a (dense or sparse) stored under ``ordering``,
     by default scipy's reverse Cuthill-McKee ordering of its CSC structure:
@@ -144,7 +166,7 @@ def dense(k: UpperMatrix) -> np.ndarray:
 
 
 def rcm_solve(a, b):
-    """``factor_solve`` of the matrix a under scipy's reverse Cuthill-McKee
-    ordering of its CSC structure."""
+    """The solution of ``factor_solve`` with the matrix a under scipy's
+    reverse Cuthill-McKee ordering of its CSC structure."""
     k = stored(a)
-    return factor_solve(k, b)
+    return factor_solve(k, b)[0]

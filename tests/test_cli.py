@@ -905,7 +905,7 @@ def test_over_budget_band_aborts_before_any_band(tmp_path, monkeypatch, capsys):
         raise AssertionError("band factored")
 
     monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band - 1)
-    monkeypatch.setattr(linsolve, "_banded_solve", refuse)
+    monkeypatch.setattr(linsolve, "_banded_factor", refuse)
     out = tmp_path / "out"
     argv = ["run", "--preset", "bend3d", "--scale", "0.1", "--steps", "1", "--out", str(out)]
     assert main(argv) == 3

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import box_mesh, scripted_checks, with_dissipation
+from conftest import box_mesh, made_states, scripted_checks, with_dissipation
 from oracles import bulk_energy, fresh_check
 from pffrac.cli import _apply_overrides, resolve_config
 import pffrac.driver as driver
@@ -117,7 +117,8 @@ class TestRun:
         assert hist.n_accepted == 6
         assert not hist.aborted
 
-    def test_monotone_damage_and_dissipation(self, patch, sent_params):
+    def test_monotone_damage_and_dissipation(self, patch, sent_params, monkeypatch):
+        state = made_states(monkeypatch)
         hist = run(
             tension_program(n_steps=8, dw=2e-4),
             BacktrackConfig(k_back=5),
@@ -128,7 +129,7 @@ class TestRun:
         slack = 2 * sent_params.eps_pen * sent_params.gc / sent_params.ell
         d_sum = 0.0
         for prev, rec in zip(hist.steps, hist.steps[1:]):
-            assert np.all(rec.a >= prev.a - slack)
+            assert np.all(state(rec).a >= state(prev).a - slack)
             assert rec.report.d_inc >= -1e-8 * (1 + d_sum)
             d_sum += rec.report.d_inc
         assert d_sum >= 0.0
@@ -173,6 +174,7 @@ class TestRun:
 
         monkeypatch.setattr(driver, "alternate_minimize", spy)
         scripted_checks(monkeypatch, lambda step, nth: step == 4 and nth == 1)
+        state = made_states(monkeypatch)
         prog = tension_program(n_steps=5, dw=2e-4)
         hist = run(prog, BacktrackConfig(k_back=3), SolverConfig(), sent_params, patch)
         assert hist.n_accepted == 5 and hist.backtracks
@@ -195,12 +197,12 @@ class TestRun:
         for prev, rec in zip(hist.steps, hist.steps[1:]):
             found = [
                 args for args, r in solves
-                if np.array_equal(rec.u, r.u) and np.array_equal(rec.a, r.a)
+                if np.array_equal(state(rec).u, r.u) and np.array_equal(state(rec).a, r.a)
             ]
             assert found
             for args in found:
-                assert np.array_equal(args[3], prev.a)
-                assert args[4] == prev.dissipation == dis(prev.a, kern, sent_params)
+                assert np.array_equal(args[3], state(prev).a)
+                assert args[4] == prev.dissipation == dis(state(prev).a, kern, sent_params)
                 assert np.array_equal(args[5], prog.w(rec.step) * g)
 
 
@@ -238,6 +240,7 @@ class TestReusedDecomposition:
         monkeypatch.setattr(driver, "alternate_minimize", solve)
         monkeypatch.setattr(driver, "reaction_force", reaction)
         checks = scripted_checks(monkeypatch, lambda step, nth: step == 3 and nth == 1)
+        state = made_states(monkeypatch)
         prog = tension_program(n_steps=4, dw=2e-4)
         hist = run(prog, BacktrackConfig(k_back=3), SolverConfig(), sent_params, patch)
         assert hist.backtracks and len(checks) == counts["solves"] == 6
@@ -249,16 +252,18 @@ class TestReusedDecomposition:
         g = load_vector(prog, patch)
         for prev, rec in zip([None] + hist.steps[:-1], hist.steps):
             u_d = prog.w(rec.step) * g
-            spectrum = strain_spectrum(kern, rec.u + u_d)
-            rw = degradation_weights(kern, rec.a, sent_params)
-            assert rec.u_d.tobytes() == u_d.tobytes()
-            assert rec.rw.tobytes() == rw.tobytes()
-            assert rec.bulk_energy == bulk_energy(rec.u, u_d, rec.a, kern, sent_params)
-            assert rec.grad_energy == grad_term(rec.a, kern, sent_params)
-            assert rec.dissipation == dis(rec.a, kern, sent_params)
+            st = state(rec)
+            spectrum = strain_spectrum(kern, st.u + u_d)
+            rw = degradation_weights(kern, st.a, sent_params)
+            assert st.u_d.tobytes() == u_d.tobytes()
+            assert st.rw.tobytes() == rw.tobytes()
+            assert rec.bulk_energy == bulk_energy(st.u, u_d, st.a, kern, sent_params)
+            assert rec.grad_energy == grad_term(st.a, kern, sent_params)
+            assert rec.dissipation == dis(st.a, kern, sent_params)
             assert rec.reaction == reaction_force(spectrum, rw, kern, sent_params, g)
             want = INITIAL_REPORT if prev is None else fresh_check(
-                prev.u, prog.w(prev.step) * g, prev.a, rec.u, u_d, rec.a, kern, sent_params, BacktrackConfig().eta
+                state(prev).u, prog.w(prev.step) * g, state(prev).a, st.u, u_d, st.a, kern, sent_params,
+                BacktrackConfig().eta,
             )
             assert rec.report == want
 
@@ -372,13 +377,14 @@ class TestBacktrackBookkeeping:
         monkeypatch.setattr(driver, "alternate_minimize", solve)
         # target 3 always fails; target 2 fails on its first re-solve
         checks = scripted_checks(monkeypatch, lambda step, nth: step == 3 or (step == 2 and nth == 2))
+        state = made_states(monkeypatch)
         hist = run(tension_program(n_steps=5), BacktrackConfig(k_back=3), SolverConfig(), sent_params, patch)
 
         assert hist.aborted and hist.abort_reason == "scripted failure"
         assert [r.step for r in hist.solves] == [1, 2, 3, 2, 1, 2, 3, 2, 3]
         assert len(hist.solves) == len(results) == len(checks) == 9
         for rec, res in zip(hist.solves, results):
-            assert rec.u is res.u and rec.a is res.a
+            assert state(rec).u is res.u and state(rec).a is res.a
             assert (rec.alt_iters, rec.newton_iters_u, rec.newton_iters_beta) == (
                 res.alt_iters, res.newton_iters_u, res.newton_iters_beta
             )
@@ -400,6 +406,7 @@ class TestBacktrackBookkeeping:
         # solves, bit for bit, as one uninterrupted run: the running guess,
         # its weights, the step and the spent budget are all in the history
         scripted_checks(monkeypatch, lambda step, nth: step == 3)
+        state = made_states(monkeypatch)
         prog, bt, cfg = tension_program(n_steps=4), BacktrackConfig(k_back=2), SolverConfig()
         whole = run(prog, bt, cfg, sent_params, patch)
 
@@ -423,8 +430,57 @@ class TestBacktrackBookkeeping:
         assert [r.step for r in second.solves] == [r.step for r in whole.solves] == [1, 2, 3, 2, 3, 2, 3, 4]
         for got, want in zip(second.solves, whole.solves):
             assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
-            assert got.u.tobytes() == want.u.tobytes() and got.a.tobytes() == want.a.tobytes()
+        # the states, as each solve made them: the copy's first solves are
+        # the ones made before it was taken
+        made = first.solves + second.solves[len(first.solves) :]
+        for got, want in zip(made, whole.solves):
+            assert state(got).u.tobytes() == state(want).u.tobytes()
+            assert state(got).a.tobytes() == state(want).a.tobytes()
         assert [r.step for r in second.steps] == [0, 1, 2, 3, 4] and second.k_exhausted_steps == [3]
+
+    def test_states_outside_the_window_are_dropped(self, patch, sent_params, monkeypatch):
+        # after a run with K = 2 that walks back, only the last three
+        # accepted records hold their arrays, the last of them the running
+        # guess; every other record, the discarded solve and the steps below
+        # the window, keeps its scalars, as the same run with K = 50, whose
+        # window holds the whole chain, has them; with K = 0 only the last
+        # accepted record holds its arrays
+        arrays = ("u", "u_d", "rw", "a")
+        scalars = ("step", "round_of", "b", "report", "reaction", "bulk_energy", "grad_energy", "dissipation",
+                   "alt_iters", "newton_iters_u", "newton_iters_beta", "trials_u", "trials_beta")
+        def scripted_run(k_back):
+            monkeypatch.undo()
+            scripted_checks(monkeypatch, lambda step, nth: step == 5 and nth == 1)
+            return run(tension_program(n_steps=6), BacktrackConfig(k_back), SolverConfig(), sent_params, patch)
+
+        hist, whole = scripted_run(2), scripted_run(50)
+        assert [r.step for r in hist.solves] == [1, 2, 3, 4, 5, 4, 5, 6] and len(hist.backtracks) == 1
+
+        records, wholes = [hist.steps[0], *hist.solves], [whole.steps[0], *whole.solves]
+        held = [id(r) for r in records if hasattr(r, "a")]
+        assert held == [id(r) for r in hist.steps[-3:]] and held[-1] == id(hist.solves[-1])
+        for rec, want in zip(records, wholes):
+            assert [getattr(rec, f) for f in scalars] == [getattr(want, f) for f in scalars]
+            if id(rec) in held:
+                assert all(getattr(rec, f).tobytes() == getattr(want, f).tobytes() for f in arrays)
+            else:
+                assert not any(hasattr(rec, f) for f in arrays)
+        assert all(hasattr(r, f) for r in whole.steps for f in arrays)  # K = 50 holds the whole chain
+
+        plain = run(tension_program(n_steps=4), BacktrackConfig(k_back=0), SolverConfig(), sent_params, patch)
+        assert [id(r) for r in [plain.steps[0], *plain.solves] if hasattr(r, "a")] == [id(plain.steps[-1])]
+
+    def test_walk_back_stops_k_below_the_highest_target(self, patch, sent_params, monkeypatch):
+        # K = 2: target 6 walks back two steps, to step 4; then target 5
+        # fails, and its walk-back stops at step 4, two below the highest
+        # target, where step 3's record is the lowest that is held; step 4
+        # is accepted with its check failed, as when the budget is spent
+        scripted_checks(monkeypatch, lambda step, nth: (step, nth) in {(6, 1), (5, 2), (5, 3), (4, 3)})
+        hist = run(tension_program(n_steps=7), BacktrackConfig(k_back=2), SolverConfig(), sent_params, patch)
+        assert not hist.aborted and hist.n_accepted == 7
+        assert [r.step for r in hist.solves] == [1, 2, 3, 4, 5, 6, 5, 4, 5, 4, 5, 6, 7]
+        assert [(r.round_of, r.step, r.b) for r in hist.backtracks] == [(6, 5, 1), (6, 4, 2), (5, 4, 1)]
+        assert hist.k_exhausted_steps == [4]
 
     def test_on_accept_called_per_acceptance(self, patch, sent_params):
         seen = []

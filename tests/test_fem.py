@@ -499,10 +499,10 @@ class TestBandOrdering:
     def test_factor_solve_bitwise_repeatable(self, sent_tangent):
         kern, dm, r, k = sent_tangent
         pat = u_pattern(kern, dm)
-        x = factor_solve(k, -r)
-        assert np.array_equal(x, factor_solve(k, -r))
+        x = factor_solve(k, -r)[0]
+        assert np.array_equal(x, factor_solve(k, -r)[0])
         fresh = BandOrdering.from_structure(pat.indptr, pat.indices, pat.ordering.perm)
-        assert np.array_equal(x, factor_solve(stored(dense(k), fresh), -r.copy()))
+        assert np.array_equal(x, factor_solve(stored(dense(k), fresh), -r.copy())[0])
         assert np.linalg.norm(k @ x + r) <= 1e-10 * np.linalg.norm(r)
 
     def test_one_ordering_per_pattern(self, monkeypatch):

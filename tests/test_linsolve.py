@@ -52,7 +52,7 @@ def test_structure_mismatch_raises_on_zero_rhs(rng):
     k = stored(random_sparse_spd(rng, 20, 0.2))
     with pytest.raises(LinearSolveError, match="incompatible with rhs 19"):
         factor_solve(k, np.zeros(19))
-    assert np.array_equal(factor_solve(k, np.zeros(20)), np.zeros(20))
+    assert np.array_equal(factor_solve(k, np.zeros(20))[0], np.zeros(20))
 
 
 def test_random_spd_residual_bound(rng):
@@ -84,7 +84,7 @@ def test_banded_matches_dense_solve(rng, n, density):
     b = rng.normal(size=n)
     want = np.linalg.solve(a.toarray(), b)
     k = stored(a)
-    x = factor_solve(k, b)
+    x = factor_solve(k, b)[0]
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(k @ x - a @ x).max() <= 1e-12 * np.abs(a @ x).max()  # the symmetric product
 
@@ -204,7 +204,7 @@ def test_band_budget_boundary(patch_system, monkeypatch):
         band = (o.bandwidth + 1) * o.n * 8
         monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band)
         built = build()
-        x = factor_solve(stored(k, built), b)
+        x = factor_solve(stored(k, built), b)[0]
         assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
         monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band - 1)
         with pytest.raises(LinearSolveError, match=f"band of {band} bytes .* budget of {band - 1} bytes"):

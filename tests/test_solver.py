@@ -8,6 +8,7 @@ from pffrac.fem import DofMap, build_kernels, degradation_weights, strain_spectr
 from pffrac import energetics, fem, solver
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split
 from pffrac.linsolve import BandOrdering, UpperMatrix, eliminate, factor_solve
+from pffrac.driver import BacktrackConfig, DirichletSpec, LoadProgram, run
 from pffrac.solver import SolverConfig, StepFailure, alternate_minimize, newton_beta
 
 
@@ -149,7 +150,7 @@ class TestNewtonBeta:
         free = np.flatnonzero(~pinned)
         want = rcm_solve(reduced[np.ix_(free, free)], -r[free])
         eliminate(mat, pinned)
-        dx = factor_solve(mat, -np.where(pinned, 0.0, r))
+        dx = factor_solve(mat, -np.where(pinned, 0.0, r))[0]
         assert np.all(dx[pinned] == 0.0)
         assert np.abs(dx[free] - want).max() <= 1e-12 * np.abs(want).max()
         eliminated = reduced.copy()
@@ -214,6 +215,58 @@ class TestNewtonBeta:
             np.zeros(mesh.n_nodes), np.zeros_like(u_d), u_d, np.zeros(mesh.n_nodes), kern, sent_params, SolverConfig()
         )
         assert a.min() >= 0.0 and a.max() == 1.0
+
+    def test_factor_reused_while_sets_repeat(self, sent_params, monkeypatch):
+        # on a run that cracks the patch, a damage solve factors its tangent
+        # only when its penalty set or its pinned set changes: its solves
+        # make fewer factorizations than assembling and factoring at every
+        # iteration does, and each returns what that returns, bit for bit
+        calls, factored = [], []
+        real_beta, real_factor = solver.newton_beta, solver.factor_solve
+
+        def counted(a, b):
+            if factored:
+                factored[-1] += 1
+            return real_factor(a, b)
+
+        def spy(*args):
+            factored.append(0)
+            res = real_beta(*args)
+            calls.append(([np.copy(x) if isinstance(x, np.ndarray) else x for x in args], res, factored.pop()))
+            return res
+
+        monkeypatch.setattr(solver, "newton_beta", spy)
+        monkeypatch.setattr(solver, "factor_solve", counted)
+        mesh = box_mesh([1.0, 1.0], [3, 3])
+        bcs = (DirichletSpec("ymin", 1, 0.0), DirichletSpec("ymax", 1, 1.0), DirichletSpec("xmin", 0, 0.0))
+        hist = run(LoadProgram(4, 1e-2, bcs), BacktrackConfig(), SolverConfig(), sent_params, mesh)
+        assert not hist.aborted and hist.steps[-1].a.max() == 1.0
+        monkeypatch.setattr(solver, "newton_beta", real_beta)
+
+        with_reuse = every = 0
+        for (a0, a_n, dis_n, kern, p, cfg, psi_p, psi_m), res, n_factored in calls:
+
+            def evaluate(x):
+                fields = fem.damage_fields(kern, x, a_n, p)
+                return energetics.functional_from_psi(psi_p, psi_m, x, fields, dis_n, kern, p), fields
+
+            factored.append(0)
+            a, iters, merit, fields, _, trials = solver._box_newton(
+                a0,
+                evaluate,
+                lambda x, fields: fem.residual_and_tangent_beta(psi_p, x, fields, kern, p),
+                cfg.tol_a,
+                cfg.max_newton,
+                "newton_beta",
+                bounds=(0.0, 1.0),
+            )
+            assert a.tobytes() == res[0].tobytes() and (iters, merit, trials) == (res[1], res[2], res[4])
+            assert fields.weights(kern).tobytes() == res[3].tobytes()
+            n_every = factored.pop()
+            assert n_factored <= n_every
+            with_reuse += n_factored
+            every += n_every
+        assert with_reuse < every
 
 
 def scan_from_one(phi, slope):
