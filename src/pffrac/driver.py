@@ -110,7 +110,7 @@ class BacktrackConfig:
             raise ValueError(f"eta = {self.eta!r} must be > 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveRecord(StateEnergy):
     """One solve of the increment that ends at ``step``, the state it
     reached evaluated once, and the ``report`` of the step pair it ends;
@@ -135,11 +135,12 @@ class SolveRecord(StateEnergy):
 
     A record that leaves the back-step window (module docstring) drops its
     arrays, ``u``, ``u_d``, ``rw`` and ``a``: reading one then raises
-    AttributeError.  Its other fields stay.
+    AttributeError.  Its other fields stay, and its repr and comparisons,
+    which read no array (``StateEnergy``), still work.
     """
 
     step: int
-    a: np.ndarray
+    a: np.ndarray = field(repr=False)
     reaction: float
     report: EnergyReport | None = None  # set by the check, before the record is logged
     alt_iters: int = 0

@@ -39,7 +39,7 @@ GRAD and DIS read the damage regularisation law of ``MaterialParams``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,17 +59,18 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class StateEnergy:
     """An evaluated state of one step: the free displacement ``u``, its
     lifting ``u_d``, the ``degradation_weights`` ``rw`` of its damage a,
     and its terms of the two-sided check, each evaluated once by whoever
     holds the state: ``bulk_energy`` erg(u, u_d, rw), ``grad_energy``
-    grad_term(a) and ``dissipation`` dis(a)."""
+    grad_term(a) and ``dissipation`` dis(a).  States compare by identity,
+    and the repr gives the scalars alone, so neither reads an array."""
 
-    u: np.ndarray
-    u_d: np.ndarray
-    rw: np.ndarray
+    u: np.ndarray = field(repr=False)
+    u_d: np.ndarray = field(repr=False)
+    rw: np.ndarray = field(repr=False)
     bulk_energy: float
     grad_energy: float
     dissipation: float

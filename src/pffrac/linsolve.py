@@ -19,7 +19,7 @@ its solve.  This is the only solve path.  ``factor_solve`` returns the
 factor with the solution: a ``BandFactor`` solves further systems with the
 same matrix by back-substitution alone, each residual checked against the
 same stored entries, which is how a damage Newton solve reuses the factor
-of a tangent that has not changed (``solver._box_newton``).  A structure
+of a tangent that has not changed (``solver.newton_beta``).  A structure
 whose band would take more than ``BAND_BYTES_BUDGET`` is refused while its
 ordering is built, as soon as the bandwidth is known and before any band
 is allocated.

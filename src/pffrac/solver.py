@@ -1,9 +1,11 @@
 """Per-field Newton solves and the alternating-minimization loop.
 
-Each load step alternates an equilibrium solve at fixed damage with a
-semi-smooth Newton solve of the penalized damage problem at fixed
-displacement, until both field increments stagnate in the max norm.  The
-damage solve treats the negative-part penalty with an active-set generalized
+Each load step alternates an equilibrium solve at fixed damage
+(``newton_u``, unconstrained) with a semi-smooth Newton solve of the
+penalized damage problem at fixed displacement (``newton_beta``, bounded to
+[0, 1]), until both field increments stagnate in the max norm.  Each of the
+two runs its own Newton loop; they share only the line search.  The damage
+solve treats the negative-part penalty with an active-set generalized
 derivative (1 where the irreversibility gap is negative, 0 elsewhere).
 
 Both subproblems are convex but only piecewise smooth: the split energy has
@@ -29,13 +31,14 @@ state is held (``driver.SolveRecord.dissipation``).
 
 Within one damage solve a factorization is reused while its system holds.
 At fixed displacement the damage tangent changes only with the penalty set,
-so an iterate whose penalty set is unchanged gets the tangent already
+so an iterate whose penalty set is unchanged keeps the tangent already
 assembled and only its residual is computed; when its pinned set is
 unchanged too, its eliminated tangent is bitwise the one last factored, and
-the held factor solves its system by back-substitution, with the residual
-check on the same stored entries.  The tangent and its factor are held by
-the call and dropped with it, so the results are bitwise those of
-assembling and factoring at every iteration.
+the kept factor solves its system by back-substitution, with the residual
+check on the same stored entries.  The tangent and its factor are locals
+of ``newton_beta``'s loop, dropped with the call, so the results are
+bitwise those of assembling and factoring at every iteration.  A
+displacement solve keeps no factor past its solve.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def _line_search(evaluate, project, x, dx, e0, slope, t):
     Each step is evaluated once, and the search stops at the first change of
     verdict, so it finds the step that the scan down from 1 finds, and the
     same trial, whenever the passing steps form an interval [0, t*]: the
-    case for an energy convex along the line (see ``_box_newton``).
+    case for an energy convex along the line (see ``newton_u``).
     """
     found, trials, grow = None, 0, None
     while _ARMIJO_MIN_STEP <= t <= 1.0:
@@ -139,98 +142,6 @@ def _line_search(evaluate, project, x, dx, e0, slope, t):
             break
         t = 2.0 * t if grow else 0.5 * t
     return found, trials
-
-
-def _box_newton(x0, evaluate, system_fn, tol, max_newton, label, bounds=None, start=None, step=1.0):
-    """Line-search-safeguarded (projected) Newton on a convex piecewise-smooth
-    energy, optionally subject to box constraints.
-
-    ``evaluate(x)`` returns the energy of ``x`` and the data ``system_fn``
-    needs of it; ``system_fn(x, data)`` returns the (residual, tangent) pair
-    in one evaluation.  So each point is evaluated once: the accepted trial's
-    energy and data serve the next iteration.  ``start``, when given, is what
-    ``evaluate(x0)`` would return.
-    Every applied increment must pass an Armijo test on the energy, so the
-    iteration is strictly non-increasing; with bounds, dofs pinned at a bound
-    with an outward-pushing gradient are eliminated from the Newton system
-    (unit rows and columns, zero right-hand side) and trial states follow the
-    projection arc.  The elimination works on a copy, so that the tangent
-    ``system_fn`` returned stays as it was: with bounds, ``system_fn`` may
-    return the same tangent object again, and when it does with the same
-    pinned set, the Newton matrix is bitwise the one last factored, and its
-    ``BandFactor``, held until the next factorization or the end of this
-    call, solves the new system without an elimination or a factorization.
-    Without bounds no factor is held, so none outlives its iteration.
-    The step is the largest power of two, at most 1, that passes the test.
-    Without bounds, the first search starts from ``step`` and each later one
-    from the step the last one accepted (``_line_search``).  Along a
-    straight line x + t*dx a convex energy phi gives a convex
-    phi(t) - phi(0) - c*t*slope, which is 0 at t = 0, so the steps that pass
-    form an interval [0, t*] and the search finds the same step from any
-    start.  The displacement energy is convex along its lines: the split
-    energies are convex spectral functions of the strain (sums and squares
-    of the positive and negative parts of the principal strains), the
-    strain is linear in the displacement, and the degradation weights and
-    element measures are >= 0.  A projection arc need not be convex in t,
-    so with bounds every search starts from 1.
-    Returns (x, iterations, energy, data, step, trials): the returned
-    point, the last accepted step (``step`` if none was) and the number of
-    trial evaluations.
-    Convergence: the applied increment max norm drops to ``tol``, or no
-    energy descent is achievable along the Newton direction (nonsmooth
-    minimizer).
-    """
-    x = np.array(x0, dtype=np.float64, copy=True)
-    if bounds is not None:
-        lo, hi = bounds
-        x = np.clip(x, lo, hi)
-    e0, data = evaluate(x) if start is None else start
-    trials = 0
-    if x.size == 0:
-        return x, 1, e0, data, step, trials
-
-    def project(v):
-        return np.clip(v, lo, hi) if bounds is not None else v
-
-    held = None  # (tangent, pinned set, factor) of the last factorization
-    for k in range(1, max_newton + 1):
-        r, tangent = system_fn(x, data)
-        pinned = None
-        if bounds is not None:
-            pinned = ((x <= lo) & (r > 0.0)) | ((x >= hi) & (r < 0.0))
-            if pinned.all():
-                return x, k, e0, data, step, trials  # every dof pinned at a bound
-            if pinned.any():
-                r = np.where(pinned, 0.0, r)
-
-        try:
-            if held is not None and held[0] is tangent and np.array_equal(held[1], pinned):
-                dx = held[2].solve(-r)
-            else:
-                held = None  # one band at a time
-                mat = tangent
-                if pinned is not None and pinned.any():
-                    mat = UpperMatrix(tangent.values.copy(), tangent.ordering)  # the tangent may come again
-                    eliminate(mat, pinned)
-                dx, factor = factor_solve(mat, -r)
-                if bounds is not None:
-                    held = (tangent, pinned, factor)
-                del factor  # a band outlives its solve only when held
-        except LinearSolveError as exc:
-            raise StepFailure(f"{label} linear solve failed: {exc}") from exc
-        slope = float(np.dot(r, dx))  # -r^T K^{-1} r <= 0 for SPD tangents
-
-        found, n = _line_search(evaluate, project, x, dx, e0, slope, step if bounds is None else 1.0)
-        trials += n
-        if found is None:
-            # no descent along the Newton direction: kink minimizer reached
-            return x, k, e0, data, step, trials
-        step, trial, e_trial, d_trial = found
-        change = float(np.max(np.abs(trial - x)))
-        x, e0, data = trial, e_trial, d_trial
-        if change <= tol:
-            return x, k, e0, data, step, trials
-    raise StepFailure(f"{label}: no convergence in {max_newton} iterations")
 
 
 def newton_u(
@@ -253,34 +164,60 @@ def newton_u(
     Returns (u, iterations, state, step, trials): the free vector keeps
     zeros on constrained dofs, ``state`` is that of the returned u + u_d,
     ``step`` the last accepted line-search step (the given one if none was)
-    and ``trials`` the number of trial merits.  The merit function is the
-    degraded bulk energy, convex along every search line; each displacement
-    state is decomposed, and its energy densities computed, once, for its
-    merit, residual and tangent alike.  A failure raises a bare StepFailure.
+    and ``trials`` the number of trial merits.  The merit is the degraded
+    bulk energy (``bulk_merit``); each displacement state is decomposed, and
+    its energy densities computed, once, for its merit, residual and
+    tangent alike, and the start's merit is taken from ``state``.  Each
+    tangent's factor is dropped after its solve.  A failure raises a bare
+    StepFailure.
+
+    Each line search starts from the step the last one accepted.  Along a
+    straight line x + t*dx a convex energy phi gives a convex
+    phi(t) - phi(0) - c*t*slope, which is 0 at t = 0, so the steps that
+    pass the Armijo test form an interval [0, t*] and ``_line_search``
+    finds the same step from any start.  The displacement energy is convex
+    along its lines: the split energies are convex spectral functions of
+    the strain (sums and squares of the positive and negative parts of the
+    principal strains), the strain is linear in the displacement, and the
+    degradation weights and element measures are >= 0.
     """
     u = np.array(u0, dtype=np.float64, copy=True)
     u[dofmap.fixed] = 0.0
     free = dofmap.free
+    x = u[free]
+    if x.size == 0:
+        return u, 1, state, step, 0
 
-    def evaluate(x):
+    def evaluate(v):
         full = u.copy()
-        full[free] = x
+        full[free] = v
         spec = strain_spectrum(kernels, full + u_d)
         psi_p, psi_m = psi_split(spec, p)
         return bulk_merit(psi_p, psi_m, rw, kernels), (spec, psi_p, psi_m)
 
-    x, iters, _, state, step, trials = _box_newton(
-        u[free],
-        evaluate,
-        lambda x, st: residual_and_tangent_u(st[0], rw, kernels, p, dofmap),
-        cfg.tol_u,
-        cfg.max_newton,
-        "newton_u",
-        start=(bulk_merit(state[1], state[2], rw, kernels), state),
-        step=step,
-    )
+    e0 = bulk_merit(state[1], state[2], rw, kernels)
+    trials = 0
+    for k in range(1, cfg.max_newton + 1):
+        r, tangent = residual_and_tangent_u(state[0], rw, kernels, p, dofmap)
+        try:
+            dx = factor_solve(tangent, -r)[0]
+        except LinearSolveError as exc:
+            raise StepFailure(f"newton_u linear solve failed: {exc}") from exc
+        slope = float(np.dot(r, dx))  # -r^T K^{-1} r <= 0 for an SPD tangent
+
+        found, n = _line_search(evaluate, lambda v: v, x, dx, e0, slope, step)
+        trials += n
+        if found is None:
+            break  # no descent along the Newton direction: kink minimizer reached
+        step, trial, e0, state = found
+        change = float(np.max(np.abs(trial - x)))
+        x = trial
+        if change <= cfg.tol_u:
+            break
+    else:
+        raise StepFailure(f"newton_u: no convergence in {cfg.max_newton} iterations")
     u[free] = x
-    return u, iters, state, step, trials
+    return u, k, state, step, trials
 
 
 def newton_beta(
@@ -303,41 +240,79 @@ def newton_beta(
     returned state with anchor a_n, ``rw`` its ``degradation_weights`` and
     ``trials`` the number of trial merits.  Each damage iterate's
     ``damage_fields`` are built once, by its merit, and serve its residual
-    and tangent and, for the returned state, ``rw``.  Every line search
-    starts from the full step (see ``_box_newton``).  The bounds are
-    enforced inside the solve (projected active-set Newton), so the discrete
-    overshoot of the unconstrained minimizer above 1 near a localized crack
-    never enters the state.  A failure raises a bare StepFailure.
+    and tangent and, for the returned state, ``rw``.  A failure raises a
+    bare StepFailure.
 
-    An iterate whose penalty set is that of the tangent last assembled
-    gets that tangent again, and only its residual is computed
-    (``residual_beta``); see the module docstring for the factor reuse.
+    The bounds are enforced inside the solve (projected active-set Newton),
+    so the discrete overshoot of the unconstrained minimizer above 1 near a
+    localized crack never enters the state: the start is clipped to [0, 1],
+    dofs pinned at a bound with an outward-pushing gradient are eliminated
+    from the Newton system (unit rows and columns, zero right-hand side),
+    and trial states follow the projection arc.  A projection arc need not
+    be convex in t, so every line search starts from the full step.  The
+    solve stops when every dof is pinned.
+
+    Reuse (see the module docstring): an iterate whose penalty set
+    (``gap < 0`` at the quadrature points) is that of the tangent last
+    assembled keeps that tangent, and only its residual is computed
+    (``residual_beta``).  The elimination works on a copy, so the kept
+    tangent stays as assembled, and while its pinned set is also that of
+    the last factorization, the kept ``BandFactor`` solves the system by
+    back-substitution alone.  The tangent, the two sets and the factor are
+    dropped with the call.
     """
 
-    def evaluate(x):
-        fields = damage_fields(kernels, x, a_n, p)
-        return functional_from_psi(psi_p, psi_m, x, fields, dis_n, kernels, p), fields
+    def evaluate(v):
+        fields = damage_fields(kernels, v, a_n, p)
+        return functional_from_psi(psi_p, psi_m, v, fields, dis_n, kernels, p), fields
 
-    held = []  # the penalty set and tangent last assembled
+    def project(v):
+        return np.clip(v, 0.0, 1.0)
 
-    def system(x, fields):
+    a = project(a0)
+    e0, fields = evaluate(a)
+    trials = 0
+    tangent = penalty_set = pinned_set = factor = None  # the last assembly and factorization
+    for k in range(1, cfg.max_newton + 1):
         penalty = fields.gap < 0.0
-        if held and np.array_equal(penalty, held[0]):
-            return residual_beta(psi_p, x, fields, kernels, p), held[1]
-        r, tangent = residual_and_tangent_beta(psi_p, x, fields, kernels, p)
-        held[:] = penalty, tangent
-        return r, tangent
+        if tangent is not None and np.array_equal(penalty, penalty_set):
+            r = residual_beta(psi_p, a, fields, kernels, p)
+        else:
+            r, tangent = residual_and_tangent_beta(psi_p, a, fields, kernels, p)
+            penalty_set, factor = penalty, None
+        pinned = ((a <= 0.0) & (r > 0.0)) | ((a >= 1.0) & (r < 0.0))
+        if pinned.all():
+            break  # every dof pinned at a bound
+        if pinned.any():
+            r = np.where(pinned, 0.0, r)
 
-    a, iters, merit, fields, _, trials = _box_newton(
-        a0,
-        evaluate,
-        system,
-        cfg.tol_a,
-        cfg.max_newton,
-        "newton_beta",
-        bounds=(0.0, 1.0),
-    )
-    return a, iters, merit, fields.weights(kernels), trials
+        try:
+            if factor is not None and np.array_equal(pinned, pinned_set):
+                dx = factor.solve(-r)
+            else:
+                factor = None  # one band at a time
+                mat = tangent
+                if pinned.any():
+                    mat = UpperMatrix(tangent.values.copy(), tangent.ordering)
+                    eliminate(mat, pinned)
+                dx, factor = factor_solve(mat, -r)
+                pinned_set = pinned
+        except LinearSolveError as exc:
+            raise StepFailure(f"newton_beta linear solve failed: {exc}") from exc
+        slope = float(np.dot(r, dx))
+
+        found, n = _line_search(evaluate, project, a, dx, e0, slope, 1.0)
+        trials += n
+        if found is None:
+            break  # no descent along the Newton direction: kink minimizer reached
+        _, trial, e0, fields = found
+        change = float(np.max(np.abs(trial - a)))
+        a = trial
+        if change <= cfg.tol_a:
+            break
+    else:
+        raise StepFailure(f"newton_beta: no convergence in {cfg.max_newton} iterations")
+    return a, k, e0, fields.weights(kernels), trials
 
 
 def alternate_minimize(

@@ -7,7 +7,8 @@ bounds and check, the split energies, stresses and tangents, the undegraded
 tangent, the displacement sparsity pattern, the 3-D principal strains, the
 snapshot reader, the element measures), or a conversion between the strain
 tensors the tests build and the Voigt rows the program takes, including the
-3x3 embedding of a spectrum that the dense references work in.
+3x3 embedding of a spectrum that the dense references work in.  One is a
+loop: the damage solve without its factor reuse.
 """
 
 import math
@@ -16,8 +17,16 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from pffrac.energetics import StateEnergy, check_two_sided, dis, erg, grad_term
-from pffrac.fem import ElementKernels, beta_at_qp, degradation_weights, strain_spectrum
+from pffrac import linsolve
+from pffrac.energetics import StateEnergy, check_two_sided, dis, erg, functional_from_psi, grad_term
+from pffrac.fem import (
+    ElementKernels,
+    beta_at_qp,
+    damage_fields,
+    degradation_weights,
+    residual_and_tangent_beta,
+    strain_spectrum,
+)
 from pffrac.material import (
     _GAP_REL,
     AT2,
@@ -29,6 +38,7 @@ from pffrac.material import (
     psi_split,
 )
 from pffrac.mesh import Mesh
+from pffrac.solver import _line_search
 
 
 def penalty_energy(a, a_n, kernels: ElementKernels, p: MaterialParams) -> float:
@@ -70,6 +80,42 @@ def damage_merit(u, u_d, a, a_n, kernels: ElementKernels, p: MaterialParams) -> 
     grad = np.einsum("edi,ei->ed", kernels.b_beta, a[kernels.elements])
     per_e = psi_m + (0.5 * p.gc * p.ell) * np.einsum("ed,ed->e", grad, grad)
     return float(np.sum(kernels.wj * at_qp) + np.sum(kernels.measures * per_e)) - dis(a_n, kernels, p)
+
+
+def projected_newton_beta(a0, a_n, dis_n, kernels: ElementKernels, p: MaterialParams, cfg, psi_p, psi_m):
+    """``solver.newton_beta`` without its reuse: the projected Newton loop
+    that at every iteration assembles the damage tangent, eliminates the
+    pinned dofs and factors it (``linsolve.factor_solve``), with the same
+    merit and line search.  Returns what ``newton_beta`` returns."""
+
+    def evaluate(v):
+        fields = damage_fields(kernels, v, a_n, p)
+        return functional_from_psi(psi_p, psi_m, v, fields, dis_n, kernels, p), fields
+
+    def project(v):
+        return np.clip(v, 0.0, 1.0)
+
+    a = project(a0)
+    e0, fields = evaluate(a)
+    trials = 0
+    for k in range(1, cfg.max_newton + 1):
+        r, tangent = residual_and_tangent_beta(psi_p, a, fields, kernels, p)
+        pinned = ((a <= 0.0) & (r > 0.0)) | ((a >= 1.0) & (r < 0.0))
+        if pinned.all():
+            break
+        r = np.where(pinned, 0.0, r)
+        linsolve.eliminate(tangent, pinned)
+        dx = linsolve.factor_solve(tangent, -r)[0]
+        found, n = _line_search(evaluate, project, a, dx, e0, float(np.dot(r, dx)), 1.0)
+        trials += n
+        if found is None:
+            break
+        _, trial, e0, fields = found
+        change = float(np.max(np.abs(trial - a)))
+        a = trial
+        if change <= cfg.tol_a:
+            break
+    return a, k, e0, fields.weights(kernels), trials
 
 
 def bulk_energy(u1, u2, a, kernels: ElementKernels, p: MaterialParams) -> float:

@@ -470,6 +470,19 @@ class TestBacktrackBookkeeping:
         plain = run(tension_program(n_steps=4), BacktrackConfig(k_back=0), SolverConfig(), sent_params, patch)
         assert [id(r) for r in [plain.steps[0], *plain.solves] if hasattr(r, "a")] == [id(plain.steps[-1])]
 
+    def test_dropped_records_print_and_compare_by_identity(self, patch, sent_params, monkeypatch):
+        # after a run with K = 2 that walks back, the records outside the
+        # window have dropped their arrays; each logged record still prints
+        # its scalars, naming its step, and records compare by identity
+        # without reading an array
+        scripted_checks(monkeypatch, lambda step, nth: step == 5 and nth == 1)
+        hist = run(tension_program(n_steps=6), BacktrackConfig(k_back=2), SolverConfig(), sent_params, patch)
+        assert not hasattr(hist.solves[0], "a") and len(hist.backtracks) == 1
+        for rec in hist.solves:
+            assert f"step={rec.step}," in repr(rec)
+        assert hist.solves[0] not in hist.solves[1:]
+        assert hist.solves[-1] == hist.steps[-1]
+
     def test_walk_back_stops_k_below_the_highest_target(self, patch, sent_params, monkeypatch):
         # K = 2: target 6 walks back two steps, to step 4; then target 5
         # fails, and its walk-back stops at step 4, two below the highest

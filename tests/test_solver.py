@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import box_mesh, damage_system, dense, displacement_system, internal_force, random_state, rcm_solve
-from oracles import damage_merit, total_functional
+from oracles import damage_merit, projected_newton_beta, total_functional
 from pffrac.energetics import dis
 from pffrac.fem import DofMap, build_kernels, degradation_weights, strain_spectrum, u_pattern
-from pffrac import energetics, fem, solver
+from pffrac import energetics, fem, linsolve, solver
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split
-from pffrac.linsolve import BandOrdering, UpperMatrix, eliminate, factor_solve
+from pffrac.linsolve import eliminate, factor_solve
 from pffrac.driver import BacktrackConfig, DirichletSpec, LoadProgram, run
 from pffrac.solver import SolverConfig, StepFailure, alternate_minimize, newton_beta
 
@@ -219,8 +219,9 @@ class TestNewtonBeta:
     def test_factor_reused_while_sets_repeat(self, sent_params, monkeypatch):
         # on a run that cracks the patch, a damage solve factors its tangent
         # only when its penalty set or its pinned set changes: its solves
-        # make fewer factorizations than assembling and factoring at every
-        # iteration does, and each returns what that returns, bit for bit
+        # make fewer factorizations than the loop that assembles and
+        # factors at every iteration (oracles.projected_newton_beta), and
+        # each returns what that returns, bit for bit
         calls, factored = [], []
         real_beta, real_factor = solver.newton_beta, solver.factor_solve
 
@@ -237,36 +238,28 @@ class TestNewtonBeta:
 
         monkeypatch.setattr(solver, "newton_beta", spy)
         monkeypatch.setattr(solver, "factor_solve", counted)
-        mesh = box_mesh([1.0, 1.0], [3, 3])
-        bcs = (DirichletSpec("ymin", 1, 0.0), DirichletSpec("ymax", 1, 1.0), DirichletSpec("xmin", 0, 0.0))
-        hist = run(LoadProgram(4, 1e-2, bcs), BacktrackConfig(), SolverConfig(), sent_params, mesh)
-        assert not hist.aborted and hist.steps[-1].a.max() == 1.0
-        monkeypatch.setattr(solver, "newton_beta", real_beta)
+        monkeypatch.setattr(linsolve, "factor_solve", counted)
+        crack_patch(sent_params)
 
         with_reuse = every = 0
-        for (a0, a_n, dis_n, kern, p, cfg, psi_p, psi_m), res, n_factored in calls:
-
-            def evaluate(x):
-                fields = fem.damage_fields(kern, x, a_n, p)
-                return energetics.functional_from_psi(psi_p, psi_m, x, fields, dis_n, kern, p), fields
-
+        for args, res, n_factored in calls:
             factored.append(0)
-            a, iters, merit, fields, _, trials = solver._box_newton(
-                a0,
-                evaluate,
-                lambda x, fields: fem.residual_and_tangent_beta(psi_p, x, fields, kern, p),
-                cfg.tol_a,
-                cfg.max_newton,
-                "newton_beta",
-                bounds=(0.0, 1.0),
-            )
+            a, iters, merit, rw, trials = projected_newton_beta(*args)
             assert a.tobytes() == res[0].tobytes() and (iters, merit, trials) == (res[1], res[2], res[4])
-            assert fields.weights(kern).tobytes() == res[3].tobytes()
+            assert rw.tobytes() == res[3].tobytes()
             n_every = factored.pop()
             assert n_factored <= n_every
             with_reuse += n_factored
             every += n_every
         assert with_reuse < every
+
+
+def crack_patch(p):
+    """Run 4 steps of a tension stretch that cracks the 3x3 patch."""
+    mesh = box_mesh([1.0, 1.0], [3, 3])
+    bcs = (DirichletSpec("ymin", 1, 0.0), DirichletSpec("ymax", 1, 1.0), DirichletSpec("xmin", 0, 0.0))
+    hist = run(LoadProgram(4, 1e-2, bcs), BacktrackConfig(), SolverConfig(), p, mesh)
+    assert not hist.aborted and hist.steps[-1].a.max() == 1.0
 
 
 def scan_from_one(phi, slope):
@@ -328,32 +321,45 @@ class TestLineSearch:
                 assert trials <= 2 and trials <= k + 1
 
 
-    def test_bounded_searches_start_from_one(self, monkeypatch):
-        # Newton on sqrt(1 + x^2) from 2 overshoots and accepts t = 1/4,
-        # then full steps: without bounds the next search starts from 1/4,
-        # on the projection arc of a box every search starts from 1
-        one = BandOrdering.from_structure(np.array([0, 1]), np.array([0]))
-        starts = []
+    def test_bounded_searches_start_from_one(self, sent_params, monkeypatch):
+        # on a run that cracks the patch, each displacement search after a
+        # call's first starts from the step the last one accepted, and
+        # every damage search starts from 1 (a projection arc need not be
+        # convex); each kind accepts steps below 1 before a later search of
+        # the same call, so a search that broke its rule would show
+        searches = {"newton_u": [], "newton_beta": []}  # per call, (start, accepted step) per search
+        solving = []
         real_search = solver._line_search
 
         def search(*args):
-            starts.append(args[-1])
-            return real_search(*args)
+            found, trials = real_search(*args)
+            searches[solving[-1]][-1].append((args[-1], found and found[0]))
+            return found, trials
 
-        def evaluate(x):
-            return float(np.sum(np.sqrt(1.0 + x * x))), None
+        def spied(name):
+            real = getattr(solver, name)
 
-        def system(x, _):
-            return x / np.sqrt(1.0 + x * x), UpperMatrix((1.0 + x * x) ** -1.5, one)
+            def call(*args, **kw):
+                solving.append(name)
+                searches[name].append([])
+                try:
+                    return real(*args, **kw)
+                finally:
+                    solving.pop()
 
+            return call
+
+        for name in searches:
+            monkeypatch.setattr(solver, name, spied(name))
         monkeypatch.setattr(solver, "_line_search", search)
-        for bounds, want in ((None, [1.0, 0.25]), ((-5.0, 5.0), [1.0, 1.0])):
-            starts.clear()
-            x, iters, *_ = solver._box_newton(np.array([2.0]), evaluate, system, 1e-12, 20, "sqrt", bounds=bounds)
-            assert abs(x[0]) <= 1e-12 and iters > 2
-            assert starts[:2] == want
-            if bounds is not None:
-                assert set(starts) == {1.0}
+        crack_patch(sent_params)
+
+        u_calls, beta_calls = searches["newton_u"], searches["newton_beta"]
+        for calls in (u_calls, beta_calls):
+            assert any(t < 1.0 for call in calls for _, t in call[:-1])
+        for call in u_calls:
+            assert [start for start, _ in call[1:]] == [t for _, t in call[:-1]]
+        assert all(start == 1.0 for call in beta_calls for start, _ in call)
 
 
 class TestAlternateMinimize:
