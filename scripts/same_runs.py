@@ -7,9 +7,10 @@ directory that holds the ``pffrac`` package, put first on PYTHONPATH), two
 processes at a time with one BLAS thread each, into
 ``WORK_DIR/parent/CASE`` and ``WORK_DIR/change/CASE``.  Then it runs
 ``pffrac check-energy`` on every directory under its own tree, and compares
-each pair with ``same_outputs.first_difference``.  The cases are the six
-below, or, when ``pffrac run`` arguments follow WORK_DIR, the one case
-``given`` that they name.
+each pair with ``same_outputs.first_difference``.  The cases are the
+seven below, the last of which aborts at step 1 (exit 3), or, when
+``pffrac run`` arguments follow WORK_DIR, the one case ``given`` that they
+name.
 
 It prints one line per case: the comparison (``same outputs (N files)`` or
 the first file that differs) and the exit codes of the two runs and of the
@@ -38,6 +39,7 @@ CASES = {
     "sent-ell-cut-66": SENT_ELL + ["--steps", "66"],
     "at1-sent-ell-cut-57": SENT_ELL + AT1 + ["--steps", "57"],
     "sent-0.2-cut-66": ["--preset", "sent", "--scale", "0.2", "--steps", "66"],
+    "sent-0.2-abort-at-1": ["--preset", "sent", "--scale", "0.2", "--steps", "3", "--set", "solver.max_alt=1"],
 }
 SIDES = ("parent", "change")
 

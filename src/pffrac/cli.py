@@ -9,12 +9,18 @@ run          execute a preset's load program, writing load_disp.csv (w
              accepted steps (``vtkio``), all read from the driver's solve
              records; run.json sums the iteration and line-search trial
              counts over the accepted chain (solver_counters) and over
-             every solve (all_solves)
+             every solve (all_solves).  One writer owns the CSVs and
+             snapshots: it writes step 0's, then rewrites load_disp.csv
+             and energy.csv and prunes the snapshots at every acceptance,
+             so they always hold the accepted chain (an aborted run's as
+             its last acceptance left it), and writes intermediates.csv
+             once the run ends
 check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run, the two-sided inequality of every step pair,
              and compare against energy.csv, whose step-0 row must be the
-             initial state's report (all 0, passed); the summary of an
-             aborted run gives its accepted steps and the abort reason
+             initial state's report (all 0, passed); a figure that is not
+             finite is a mismatch.  The summary of an aborted run gives its
+             accepted steps and the abort reason
 
 A run is a preset plus overrides.  ``--set section.key=value`` overrides
 one key of the preset's config.  [run] holds ``preset`` and ``scale``;
@@ -33,10 +39,12 @@ by its key and value).  ``--preset``, ``--scale``, ``--steps``,
 records is the force conjugate to w, which the program's Dirichlet specs
 define.  run.json records the resolved config, which check-energy reads
 back: a run.json written under other config keys (``material.lam_kn`` of
-older versions) is refused, naming its first unknown key.  Exit codes: 0
-ok, 1 audit mismatch, 2 bad config, run outputs that cannot be written or
-run outputs that cannot be read, 3 solver failure (partial outputs
-retained).
+older versions) is refused, naming its first unknown key, and so is a
+malformed run.json (not an object, a config that is not sections of
+string values, accepted_steps that is not an integer).  Exit codes: 0 ok,
+1 audit mismatch, 2 bad config, run outputs that cannot be written or run
+outputs that cannot be read (a malformed run.json too), 3 solver failure
+(partial outputs retained).
 """
 
 from __future__ import annotations
@@ -48,8 +56,6 @@ import math
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import presets
 from .driver import RunHistory, load_vector, run
@@ -179,20 +185,33 @@ def _snapshot_path(out_dir: Path, step: int) -> Path:
     return out_dir / "snapshots" / f"step_{step:06d}.vtk"
 
 
-def _drop_snapshots(out_dir: Path, after: int) -> None:
-    """Remove the snapshots of steps past ``after``: an earlier run's before
-    a run starts, and after it those of states a back step replaced.  A
-    file whose name is not ``step_`` and digits is no snapshot and stays."""
+def _drop_snapshots(out_dir: Path) -> None:
+    """Remove an earlier run's snapshots.  A file whose name is not
+    ``step_`` and digits is no snapshot and stays."""
     for path in (out_dir / "snapshots").glob("step_*.vtk"):
         step = path.stem[5:]
-        if step.isascii() and step.isdigit() and int(step) > after:
+        if step.isascii() and step.isdigit():
             path.unlink()
 
 
+# The figures of an energy.csv row, between its step and its passed flag.
+_ENERGY_FIGURES = ("E", "sum_D", "delta", "LB", "UB")
+
+
+def _energy_figures(report, sum_d: float) -> tuple:
+    """The ``_ENERGY_FIGURES`` of a step: its report's and the running sum
+    of D through it."""
+    return (report.e_next, sum_d, report.delta, report.lb, report.ub)
+
+
 class _RunWriter:
-    """Rewrites the CSV outputs and writes the step's snapshot after every
-    accepted step (backtracking replaces already-accepted rows, so files are
-    regenerated from the authoritative history each time).
+    """The one writer of a run's CSVs and snapshots.  It clears an earlier
+    run's snapshots when made, and is the run's ``on_accept``: each call,
+    first with the initial history and then after every acceptance,
+    rewrites load_disp.csv and energy.csv and writes the last step's
+    snapshot, so that they always hold the accepted chain.  A back step
+    replaces accepted rows: the writer drops them and unlinks the snapshots
+    of the dropped steps past the new chain's end.
 
     Each row of the accepted chain is formatted once: the writer keeps, per
     record it formatted, the record, its load_disp.csv and energy.csv rows
@@ -209,33 +228,31 @@ class _RunWriter:
         self.grid = grid_text(mesh)
         self.rows: list = []  # (record, load_disp row, energy row, sum_D through it)
         (out_dir / "snapshots").mkdir(parents=True, exist_ok=True)
+        _drop_snapshots(out_dir)
 
     def __call__(self, history: RunHistory) -> None:
-        self.write_csvs(history)
-        rec = history.steps[-1]
-        write_field_snapshot(rec.u + rec.u_d, rec.a, self.mesh, _snapshot_path(self.out, rec.step), self.grid)
-
-    def write_csvs(self, history: RunHistory) -> None:
         keep = 0
         for rec, row in zip(history.steps, self.rows):
             if rec is not row[0]:
                 break
             keep += 1
+        for rec, *_ in self.rows[keep:]:
+            if rec.step > history.n_accepted:
+                _snapshot_path(self.out, rec.step).unlink()
         del self.rows[keep:]
         sum_d = self.rows[-1][3] if self.rows else 0.0
         for rec in history.steps[keep:]:
             load_row = f"{rec.step},{_fmt(self.program.w(rec.step))},{_fmt(rec.reaction)}\n"
             r = rec.report
             sum_d += r.d_inc
-            energy_row = (
-                f"{rec.step},{_fmt(r.e_next)},{_fmt(sum_d)},{_fmt(r.delta)},"
-                f"{_fmt(r.lb)},{_fmt(r.ub)},{int(r.passed)}\n"
-            )
-            self.rows.append((rec, load_row, energy_row, sum_d))
+            figures = ",".join(map(_fmt, _energy_figures(r, sum_d)))
+            self.rows.append((rec, load_row, f"{rec.step},{figures},{int(r.passed)}\n", sum_d))
         with open(self.out / "load_disp.csv", "w") as fh:
             fh.write("step,w,reaction\n" + "".join(row[1] for row in self.rows))
         with open(self.out / "energy.csv", "w") as fh:
-            fh.write("step,E,sum_D,delta,LB,UB,passed\n" + "".join(row[2] for row in self.rows))
+            fh.write(f"step,{','.join(_ENERGY_FIGURES)},passed\n" + "".join(row[2] for row in self.rows))
+        rec = history.steps[-1]
+        write_field_snapshot(rec.u + rec.u_d, rec.a, self.mesh, _snapshot_path(self.out, rec.step), self.grid)
 
     def write_intermediates(self, history: RunHistory) -> None:
         with open(self.out / "intermediates.csv", "w") as fh:
@@ -287,8 +304,10 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
     """Execute a config into an output directory, writing all run artifacts;
     returns the in-memory history (also used by the acceptance suite).  A
     config error is raised before the directory is created, and run.json
-    records the resolved config.  Afterwards ``snapshots/`` holds the
-    accepted steps' snapshots only, whatever the directory held before:
+    records the resolved config.  ``_RunWriter`` owns the directory: it
+    writes the CSVs and the snapshots, from step 0 on, so that at every
+    acceptance and after the run ``snapshots/`` holds the accepted steps'
+    snapshots only, whatever the directory held before:
     ``step_NNNNNN.vtk`` in legacy VTK BINARY, whose raw doubles
     ``check-energy`` reads back bit for bit.  A snapshot of an earlier
     version, in ASCII, is refused by that audit."""
@@ -296,14 +315,6 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     writer = _RunWriter(out_dir, setup.mesh, setup.program)
-    _drop_snapshots(out_dir, after=-1)
-    write_field_snapshot(
-        np.zeros(setup.mesh.dim * setup.mesh.n_nodes),
-        np.zeros(setup.mesh.n_nodes),
-        setup.mesh,
-        _snapshot_path(out_dir, 0),
-        writer.grid,
-    )
 
     t0 = time.perf_counter()
     history = run(
@@ -316,8 +327,6 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
     )
     elapsed = time.perf_counter() - t0
 
-    _drop_snapshots(out_dir, after=history.n_accepted)
-    writer.write_csvs(history)
     writer.write_intermediates(history)
     _write_run_json(out_dir, cfg, history, elapsed)
     return history
@@ -348,22 +357,49 @@ def cmd_run(args) -> int:
 
 
 def _rel_close(a: float, b: float) -> bool:
-    return abs(a - b) <= _AUDIT_RTOL * (1.0 + max(abs(a), abs(b)))
+    """Whether two figures agree to ``_AUDIT_RTOL``; a figure that is not
+    finite agrees with none."""
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= _AUDIT_RTOL * (1.0 + max(abs(a), abs(b)))
 
 
 def _energy_row(line: str) -> tuple:
-    """(step, E, sum_D, delta, LB, UB, passed) of an energy.csv row."""
+    """(step, figures, passed) of an energy.csv row, its figures in
+    ``_ENERGY_FIGURES`` order."""
     parts = line.split(",")
-    if len(parts) != 7:
-        raise ValueError(f"energy.csv row {line!r} has {len(parts)} fields, not 7")
-    return (int(parts[0]), *(float(v) for v in parts[1:6]), parts[6].strip() == "1")
+    if len(parts) != len(_ENERGY_FIGURES) + 2:
+        raise ValueError(f"energy.csv row {line!r} has {len(parts)} fields, not {len(_ENERGY_FIGURES) + 2}")
+    return int(parts[0]), tuple(float(v) for v in parts[1:-1]), parts[-1].strip() == "1"
+
+
+def _read_run_json(path: Path) -> dict:
+    """The record in run.json, an object whose ``config`` maps each section
+    to an object of string values and whose ``accepted_steps`` is an
+    integer; any other shape is a ValueError."""
+    with open(path) as fh:
+        info = json.load(fh)
+    if not isinstance(info, dict):
+        raise ValueError(f"run.json holds a {type(info).__name__}, not an object")
+    cfg = info["config"]
+    if not isinstance(cfg, dict):
+        raise ValueError(f"run.json config is a {type(cfg).__name__}, not an object of sections")
+    for section, values in cfg.items():
+        if not isinstance(values, dict):
+            raise ValueError(f"run.json config section [{section}] is a {type(values).__name__}, not an object")
+        for key, value in values.items():
+            if not isinstance(value, str):
+                raise ValueError(f"run.json config key {section}.{key} = {value!r} is not a string")
+    if type(info["accepted_steps"]) is not int:
+        raise ValueError(f"run.json accepted_steps = {info['accepted_steps']!r} is not an integer")
+    return info
 
 
 def cmd_check_energy(args) -> int:
     out_dir = Path(args.dir)
     try:
-        with open(out_dir / "run.json") as fh:
-            info = json.load(fh)
+        info = _read_run_json(out_dir / "run.json")
+        abort = ""
+        if info.get("aborted"):
+            abort = f"; the run aborted after {info['accepted_steps']} accepted steps: {info['abort_reason']}"
         _, setup = resolve_config(info["config"])
         rows = [_energy_row(line) for line in (out_dir / "energy.csv").read_text().strip().splitlines()[1:]]
         steps = [row[0] for row in rows]
@@ -400,20 +436,13 @@ def cmd_check_energy(args) -> int:
     try:
         prev = state(0)
         report = INITIAL_REPORT  # row 0's, the initial state's
-        for step, e_csv, sumd_csv, delta_csv, lb_csv, ub_csv, passed_csv in rows:
+        for step, figures, passed_csv in rows:
             if step > 0:
                 curr = state(step)
                 report = check_two_sided(prev, curr, kernels, p, setup.backtrack.eta)
                 prev = curr
             sum_d += report.d_inc
-            checks = [
-                ("E", e_csv, report.e_next),
-                ("sum_D", sumd_csv, sum_d),
-                ("delta", delta_csv, report.delta),
-                ("LB", lb_csv, report.lb),
-                ("UB", ub_csv, report.ub),
-            ]
-            for name, got, want in checks:
+            for name, got, want in zip(_ENERGY_FIGURES, figures, _energy_figures(report, sum_d)):
                 if not _rel_close(got, want):
                     mismatches.append(f"step {step}: {name} csv={got!r} recomputed={want!r}")
             if passed_csv != report.passed:
@@ -431,10 +460,7 @@ def cmd_check_energy(args) -> int:
     if failing:
         print("two-sided inequality fails at steps: " + ", ".join(map(str, failing)), file=sys.stderr)
         return 1
-    summary = f"energy audit ok ({len(rows) - 1} steps)"
-    if info.get("aborted"):
-        summary += f"; the run aborted after {info['accepted_steps']} accepted steps: {info['abort_reason']}"
-    print(summary)
+    print(f"energy audit ok ({len(rows) - 1} steps){abort}")
     return 0
 
 

@@ -302,8 +302,9 @@ def run(
     Parameters
     ----------
     on_accept : callable, optional
-        ``on_accept(history)`` invoked after every acceptance (incremental
-        output writers).
+        ``on_accept(history)`` invoked first with the initial history, before
+        the first solve, then after every acceptance (incremental output
+        writers): every change to the accepted chain is followed by a call.
 
     Every solve goes through the module-level ``alternate_minimize`` and
     starts from the running guess: the last solve's state, discarded or not.
@@ -330,11 +331,12 @@ def run(
         report=INITIAL_REPORT,
     )
     history = RunHistory(steps=[initial])
+    accepted = on_accept or (lambda history: None)
+    accepted(history)
     try:
         while history.n_accepted < program.n_steps:
             advance(history, program, bt, cfg, p, kernels, dofmap, load)
-            if on_accept is not None:
-                on_accept(history)
+            accepted(history)
     except (StepFailure, LinearSolveError) as exc:
         history.aborted = True
         history.abort_reason = str(exc)

@@ -480,41 +480,60 @@ class TestCmdRun:
         assert hist.steps[2].reaction != 0.0
 
     def test_chain_rows_formatted_once(self, tmp_path, monkeypatch):
-        # a back step replaces accepted rows; the CSV writes format each
-        # record that enters the chain once (2 numbers of load_disp.csv, 5
-        # of energy.csv), and the files equal a fresh format of the final
-        # chain
+        # a back step replaces accepted rows; each writer call formats only
+        # the record that enters the chain (2 numbers of load_disp.csv, 5
+        # of energy.csv), the initial record at the first call, and the
+        # files equal a fresh format of the final chain
         cfg = sent_given()
         setup = resolved_setup(cfg)
-        counts = {"fmt": 0, "accepts": 0, "writing": False}
-        real_fmt, real_call, real_write = cli._fmt, cli._RunWriter.__call__, cli._RunWriter.write_csvs
+        counts = {"fmt": 0, "calls": 0, "writing": False}
+        real_fmt, real_call = cli._fmt, cli._RunWriter.__call__
 
         def fmt(x):
             counts["fmt"] += counts["writing"]
             return real_fmt(x)
 
         def on_accept(self, history):
-            counts["accepts"] += 1
-            real_call(self, history)
-
-        def write_csvs(self, history):
+            counts["calls"] += 1
             counts["writing"] = True
-            real_write(self, history)
+            real_call(self, history)
             counts["writing"] = False
 
         monkeypatch.setattr(cli, "_fmt", fmt)
         monkeypatch.setattr(cli._RunWriter, "__call__", on_accept)
-        monkeypatch.setattr(cli._RunWriter, "write_csvs", write_csvs)
         scripted_checks(monkeypatch, lambda step, nth: step == 4 and nth == 1)
         hist = run_to_dir(cfg, tmp_path / "run")
         monkeypatch.undo()
         assert hist.backtracks and hist.n_accepted == 5
-        # the initial record, then one per acceptance
-        assert counts["fmt"] == 7 * (1 + counts["accepts"])
+        # the initial history, then one call per acceptance: steps 1 to 3,
+        # the re-solve of step 3 that ends target 4's round, steps 4 and 5
+        assert counts["calls"] == 7
+        assert counts["fmt"] == 7 * counts["calls"]
         fresh = tmp_path / "fresh"
-        cli._RunWriter(fresh, setup.mesh, setup.program).write_csvs(hist)
+        cli._RunWriter(fresh, setup.mesh, setup.program)(hist)
         for name in ("load_disp.csv", "energy.csv"):
             assert (tmp_path / "run" / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_directory_is_the_chain_after_every_write(self, tmp_path, monkeypatch):
+        # target 4 fails, then target 3's re-solve, and the walk-back
+        # accepts a re-solve of step 2: after each writer call, snapshots/
+        # holds exactly the steps of the accepted chain, so the accepted
+        # step 3 that the walk-back replaced is gone until step 3 is solved
+        # again
+        real_call = cli._RunWriter.__call__
+        seen = []
+
+        def on_accept(self, history):
+            real_call(self, history)
+            names = sorted(f.name for f in (self.out / "snapshots").iterdir())
+            assert names == [f"step_{n:06d}.vtk" for n in range(history.n_accepted + 1)], history.n_accepted
+            seen.append(history.n_accepted)
+
+        monkeypatch.setattr(cli._RunWriter, "__call__", on_accept)
+        scripted_checks(monkeypatch, lambda step, nth: (step == 4 and nth == 1) or (step == 3 and nth == 2))
+        hist = run_to_dir(sent_given(), tmp_path / "run")
+        assert [(r.round_of, r.step) for r in hist.backtracks] == [(4, 3), (4, 2)]
+        assert seen == [0, 1, 2, 3, 2, 3, 4, 5]
 
     def test_rerun_drops_earlier_snapshots(self, tmp_path):
         # a shorter run into the directory of a longer one leaves only its
@@ -655,16 +674,23 @@ class TestCheckEnergy:
         main(["run", *SENT_RUN, "--out", str(out)])
         assert main(["check-energy", str(out)]) == 0
 
-    def test_tampered_energy_exit_1(self, tmp_path):
+    def test_tampered_energy_exit_1(self, tmp_path, capsys):
+        # a figure off by more than the tolerance, or figures that are not
+        # finite, which no tolerance covers
         out = tmp_path / "out"
         main(["run", *SENT_RUN, "--out", str(out)])
         path = out / "energy.csv"
         rows = path.read_text().splitlines()
         parts = rows[2].split(",")
-        parts[1] = "%.17g" % (float(parts[1]) + 1e-3)
-        rows[2] = ",".join(parts)
-        path.write_text("\n".join(rows) + "\n")
-        assert main(["check-energy", str(out)]) == 1
+        names = {1: "E", 3: "delta"}
+        for edits in [{1: "%.17g" % (float(parts[1]) + 1e-3)}, {1: "inf", 3: "-inf"}]:
+            edited = [edits.get(i, v) for i, v in enumerate(parts)]
+            path.write_text("\n".join([*rows[:2], ",".join(edited), *rows[3:]]) + "\n")
+            code, err = self.audit_of(out, capsys)
+            assert code == 1
+            assert [line.split(" recomputed=")[0] for line in err.splitlines()] == [
+                f"step 1: {names[i]} csv={float(v)!r}" for i, v in edits.items()
+            ]
 
     def test_tampered_step_0_row_exit_1(self, sent_run, capsys):
         # row 0 is the initial state's report, all 0 and passed, and is
@@ -729,25 +755,58 @@ class TestCheckEnergy:
             "; the run aborted after 2 accepted steps: scripted failure\n"
         )
 
+    def test_abort_before_first_step(self, tmp_path, capsys):
+        # one alternation is too few for step 1: the run keeps step 0's
+        # outputs, which the audit passes and whose summary names the abort
+        out = tmp_path / "out"
+        argv = ["run", "--preset", "sent", "--scale", "0.05", "--steps", "3", "--set", "solver.max_alt=1"]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert sorted(f.relative_to(out).as_posix() for f in out.rglob("*") if f.is_file()) == [
+            "energy.csv", "intermediates.csv", "load_disp.csv", "run.json", "snapshots/step_000000.vtk",
+        ]
+        assert (out / "load_disp.csv").read_text() == "step,w,reaction\n0,0,0\n"
+        assert (out / "energy.csv").read_text() == "step,E,sum_D,delta,LB,UB,passed\n0,0,0,0,0,0,1\n"
+        assert (out / "intermediates.csv").read_text() == "target_step,w,b,passed,delta,LB,UB,reaction\n"
+        disp, damage = read_field_snapshot(out / "snapshots" / "step_000000.vtk", 2)
+        assert not disp.any() and not damage.any() and not np.signbit(disp).any()
+        capsys.readouterr()
+        assert main(["check-energy", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "energy audit ok (0 steps); the run aborted after 0 accepted steps: "
+            "alternate_minimize: no convergence in 1 alternations\n"
+        )
+
     def test_bad_run_config_exit_2(self, tmp_path, capsys):
-        # the audit reads the config from run.json and rejects what a run would
+        # the audit reads the config from run.json and rejects what a run
+        # would, and a run.json of another shape than a run writes
         out = tmp_path / "out"
         assert main(["run", *SENT_RUN, "--out", str(out)]) == 0
         good = json.loads((out / "run.json").read_text())
-        bad = [
-            ("run", "preset", "nope", "run.preset = 'nope' is unknown; choose from sent, sens, lshape, bend3d"),
-            ("program", "dw", "0", "program.dw = 0.0 must not be 0: the program loads nothing"),
-            # the key of an older run.json whose run read a mesh file
-            ("run", "mesh", "x.msh", "unknown config key run.mesh"),
-            # more accepted steps than the program has
-            ("program", "n_steps", "4", "5 accepted steps, more than program.n_steps = 4"),
-        ]
-        for section, key, value, named in bad:
+
+        def keyed(section, key, value):
             log = json.loads(json.dumps(good))
             log["config"].setdefault(section, {})[key] = value
+            return log
+
+        bad = [
+            (keyed("run", "preset", "nope"), "run.preset = 'nope' is unknown; choose from sent, sens, lshape, bend3d"),
+            (keyed("program", "dw", "0"), "program.dw = 0.0 must not be 0: the program loads nothing"),
+            # the key of an older run.json whose run read a mesh file
+            (keyed("run", "mesh", "x.msh"), "unknown config key run.mesh"),
+            # more accepted steps than the program has
+            (keyed("program", "n_steps", "4"), "5 accepted steps, more than program.n_steps = 4"),
+            ({**good, "config": []}, "run.json config is a list, not an object of sections"),
+            ({**good, "config": {"run": "sent"}}, "run.json config section [run] is a str, not an object"),
+            ({**good, "config": {"run": {"preset": 5}}}, "run.json config key run.preset = 5 is not a string"),
+            ({**good, "accepted_steps": "1"}, "run.json accepted_steps = '1' is not an integer"),
+            ([], "run.json holds a list, not an object"),
+            # an abort without its reason
+            ({**{k: v for k, v in good.items() if k != "abort_reason"}, "aborted": True}, "'abort_reason'"),
+        ]
+        for log, named in bad:
             (out / "run.json").write_text(json.dumps(log))
             capsys.readouterr()
-            assert main(["check-energy", str(out)]) == 2, (section, key, value)
+            assert main(["check-energy", str(out)]) == 2, log
             err = capsys.readouterr().err
             assert "cannot load run outputs" in err and named in err
 

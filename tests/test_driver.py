@@ -505,7 +505,8 @@ class TestBacktrackBookkeeping:
             patch,
             on_accept=lambda h: seen.append(h.steps[-1].step),
         )
-        assert seen == [1, 2, 3, 4]
+        # the initial history first, then one call per acceptance
+        assert seen == [0, 1, 2, 3, 4]
 
 
 @pytest.fixture(scope="module")
