@@ -8,7 +8,7 @@ processes at a time with one BLAS thread each, into
 ``WORK_DIR/parent/CASE`` and ``WORK_DIR/change/CASE``.  Then it runs
 ``pffrac check-energy`` on every directory under its own tree, and compares
 each pair with ``same_outputs.first_difference``.  The cases are the
-seven below, the last of which aborts at step 1 (exit 3), or, when
+nine below, the last of which aborts at step 1 (exit 3), or, when
 ``pffrac run`` arguments follow WORK_DIR, the one case ``given`` that they
 name.
 
@@ -39,6 +39,10 @@ CASES = {
     "sent-ell-cut-66": SENT_ELL + ["--steps", "66"],
     "at1-sent-ell-cut-57": SENT_ELL + AT1 + ["--steps", "57"],
     "sent-0.2-cut-66": ["--preset", "sent", "--scale", "0.2", "--steps", "66"],
+    # the two sides of BandOrdering.narrower: the node-level pseudo-peripheral
+    # RCM is chosen on sens@0.05, scipy's dof-level RCM on lshape@0.5
+    "sens-0.05-3-steps": ["--preset", "sens", "--scale", "0.05", "--steps", "3"],
+    "lshape-0.5-2-steps": ["--preset", "lshape", "--scale", "0.5", "--steps", "2"],
     "sent-0.2-abort-at-1": ["--preset", "sent", "--scale", "0.2", "--steps", "3", "--set", "solver.max_alt=1"],
 }
 SIDES = ("parent", "change")

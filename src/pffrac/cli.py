@@ -364,17 +364,22 @@ def _rel_close(a: float, b: float) -> bool:
 
 def _energy_row(line: str) -> tuple:
     """(step, figures, passed) of an energy.csv row, its figures in
-    ``_ENERGY_FIGURES`` order."""
+    ``_ENERGY_FIGURES`` order; a passed flag other than 0 or 1 is a
+    ValueError."""
     parts = line.split(",")
     if len(parts) != len(_ENERGY_FIGURES) + 2:
         raise ValueError(f"energy.csv row {line!r} has {len(parts)} fields, not {len(_ENERGY_FIGURES) + 2}")
-    return int(parts[0]), tuple(float(v) for v in parts[1:-1]), parts[-1].strip() == "1"
+    flag = parts[-1].strip()
+    if flag not in ("0", "1"):
+        raise ValueError(f"energy.csv row {line!r} has the passed flag {flag!r}, not 0 or 1")
+    return int(parts[0]), tuple(float(v) for v in parts[1:-1]), flag == "1"
 
 
 def _read_run_json(path: Path) -> dict:
     """The record in run.json, an object whose ``config`` maps each section
-    to an object of string values and whose ``accepted_steps`` is an
-    integer; any other shape is a ValueError."""
+    to an object of string values, whose ``accepted_steps`` is an integer,
+    ``aborted`` a boolean and ``abort_reason`` a string; any other shape is
+    a ValueError."""
     with open(path) as fh:
         info = json.load(fh)
     if not isinstance(info, dict):
@@ -388,8 +393,10 @@ def _read_run_json(path: Path) -> dict:
         for key, value in values.items():
             if not isinstance(value, str):
                 raise ValueError(f"run.json config key {section}.{key} = {value!r} is not a string")
-    if type(info["accepted_steps"]) is not int:
-        raise ValueError(f"run.json accepted_steps = {info['accepted_steps']!r} is not an integer")
+    kinds = {int: "an integer", bool: "a boolean", str: "a string"}
+    for key, kind in [("accepted_steps", int), ("aborted", bool), ("abort_reason", str)]:
+        if type(info[key]) is not kind:
+            raise ValueError(f"run.json {key} = {info[key]!r} is not {kinds[kind]}")
     return info
 
 
@@ -398,7 +405,7 @@ def cmd_check_energy(args) -> int:
     try:
         info = _read_run_json(out_dir / "run.json")
         abort = ""
-        if info.get("aborted"):
+        if info["aborted"]:
             abort = f"; the run aborted after {info['accepted_steps']} accepted steps: {info['abort_reason']}"
         _, setup = resolve_config(info["config"])
         rows = [_energy_row(line) for line in (out_dir / "energy.csv").read_text().strip().splitlines()[1:]]

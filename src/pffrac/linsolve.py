@@ -2,7 +2,8 @@
 
 Each tangent is factored by LAPACK banded Cholesky (``dpbtrf``/``dpbtrs``,
 called directly) after a reverse Cuthill-McKee reordering, which keeps the
-band of the P1 finite-element graphs narrow.
+band of the P1 finite-element graphs narrow: scipy's, or the node-level
+``pseudo_peripheral_rcm`` where its band is strictly narrower.
 The ordering depends only on the sparsity structure, so a ``BandOrdering``
 is built once per structure.  It fixes the stored entries of every matrix
 on that structure: the entries on or above the reordered diagonal, with
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph import reverse_cuthill_mckee, shortest_path
 
 __all__ = [
     "LinearSolveError",
@@ -228,58 +229,40 @@ def _neighbours(indptr, indices, nodes):
     return indices[concat_ranges(indptr[nodes], indptr[nodes + 1])]
 
 
-def _level_structure(indptr, indices, root: int, seen: np.ndarray) -> list:
-    """Breadth-first level sets of the component of ``root``.  ``seen`` is
-    an all-False work array over the nodes, left all-False again."""
-    levels = [np.array([root])]
-    seen[root] = True
-    while True:
-        nxt = _neighbours(indptr, indices, levels[-1])
-        nxt = np.unique(nxt[~seen[nxt]])
-        if not nxt.size:
-            seen[np.concatenate(levels)] = False
-            return levels
-        seen[nxt] = True
-        levels.append(nxt)
-
-
-def _pseudo_peripheral(indptr, indices, degree, root: int, seen: np.ndarray) -> int:
-    """George-Liu pseudo-peripheral node of the component of ``root``:
-    restart from a lowest-degree node of the last level set as long as
-    that lengthens the level structure."""
-    levels = _level_structure(indptr, indices, root, seen)
-    while True:
-        last = levels[-1]
-        x = int(last[np.argmin(degree[last])])
-        lx = _level_structure(indptr, indices, x, seen)
-        if len(lx) <= len(levels):
-            return x
-        levels = lx
-
-
 def pseudo_peripheral_rcm(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Reverse Cuthill-McKee order of a symmetric graph given as a CSC (or
     CSR) structure, each connected component numbered from a George-Liu
     pseudo-peripheral node (George & Liu 1979).
 
-    Components are taken in the order of their lowest node, each searched
-    from its lowest-degree node.  Cuthill-McKee numbers the unnumbered
-    neighbours of each numbered node by increasing degree (ties by index);
-    one level of the search is numbered at a time.
+    Each breadth-first search is scipy's unweighted ``shortest_path`` from
+    one node: the nodes at a finite distance are its component, and their
+    distances its level structure.  Components are taken in the order of
+    their lowest node.  The start node is searched from the component's
+    lowest-degree node: move to the lowest-degree node of the last level
+    (ties by index) as long as that raises the eccentricity.  Cuthill-McKee
+    numbers the unnumbered neighbours of each numbered node by increasing
+    degree (ties by index); one level of the search is numbered at a time.
     """
     n = indptr.size - 1
     degree = np.diff(indptr)
-    _, labels = connected_components(
-        sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n)), directed=False
-    )
-    by_label = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[by_label], np.arange(labels.max(initial=-1) + 2))
+    # the structure read as CSR is its transpose, the same graph
+    graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+
+    def distances(root: int) -> np.ndarray:
+        return shortest_path(graph, unweighted=True, indices=root)
+
     numbered = np.zeros(n, dtype=bool)
-    seen = np.zeros(n, dtype=bool)
     order = []
-    for c in np.argsort(by_label[bounds[:-1]]):
-        members = by_label[bounds[c] : bounds[c + 1]]
-        root = _pseudo_peripheral(indptr, indices, degree, int(members[np.argmin(degree[members])]), seen)
+    while not numbered.all():
+        members = np.flatnonzero(np.isfinite(distances(int(np.argmin(numbered)))))
+        depth = distances(int(members[np.argmin(degree[members])]))[members]
+        while True:
+            last = members[depth == depth.max()]
+            root = int(last[np.argmin(degree[last])])
+            depth_root = distances(root)[members]
+            if depth_root.max() <= depth.max():
+                break
+            depth = depth_root
         numbered[root] = True
         front = np.array([root])
         while front.size:

@@ -115,8 +115,7 @@ def generate_grid(axes, keep=None) -> Mesh:
 
     Returns
     -------
-    Mesh with auto node sets "xmin", "xmax", "ymin", "ymax" ("zmin", "zmax")
-    on the bounding planes of the coordinate axes.
+    Mesh with no node sets: the caller selects its own (``select_nodes``).
     """
     axes = [np.asarray(a, dtype=np.float64) for a in axes]
     dim = len(axes)
@@ -143,22 +142,7 @@ def generate_grid(axes, keep=None) -> Mesh:
     used = np.unique(elements)
     remap = -np.ones(coords.shape[0], dtype=np.int64)
     remap[used] = np.arange(used.size)
-    coords = coords[used]
-    elements = remap[elements]
-
-    node_sets = {}
-    labels = [("xmin", "xmax"), ("ymin", "ymax"), ("zmin", "zmax")][:dim]
-    for ax, (lo_name, hi_name) in enumerate(labels):
-        span = axes[ax][-1] - axes[ax][0]
-        tol = 1e-12 * max(1.0, span)
-        node_sets[lo_name] = np.flatnonzero(
-            np.abs(coords[:, ax] - axes[ax][0]) <= tol
-        ).astype(np.int64)
-        node_sets[hi_name] = np.flatnonzero(
-            np.abs(coords[:, ax] - axes[ax][-1]) <= tol
-        ).astype(np.int64)
-
-    mesh = Mesh(dim=dim, nodes=coords, elements=elements, node_sets=node_sets)
+    mesh = Mesh(dim=dim, nodes=coords[used], elements=remap[elements])
     mesh.validate()
     return mesh
 

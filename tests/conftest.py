@@ -46,8 +46,13 @@ def load_tracing():
 
 def box_mesh(extents, divisions):
     """Uniform grid mesh of the box [0, extents] with the given number of
-    cells per axis."""
-    return generate_grid([np.linspace(0.0, e, d + 1) for e, d in zip(extents, divisions)])
+    cells per axis, and the node sets "xmin", "xmax", "ymin", "ymax"
+    ("zmin", "zmax") of its faces."""
+    mesh = generate_grid([np.linspace(0.0, e, d + 1) for e, d in zip(extents, divisions)])
+    for ax, name in enumerate("xyz"[: mesh.dim]):
+        mesh.node_sets[f"{name}min"] = np.flatnonzero(mesh.nodes[:, ax] == 0.0)
+        mesh.node_sets[f"{name}max"] = np.flatnonzero(mesh.nodes[:, ax] == extents[ax])
+    return mesh
 
 
 @pytest.fixture

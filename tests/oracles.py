@@ -7,10 +7,12 @@ bounds and check, the split energies, stresses and tangents, the undegraded
 tangent, the displacement sparsity pattern, the 3-D principal strains, the
 snapshot reader, the element measures), or a conversion between the strain
 tensors the tests build and the Voigt rows the program takes, including the
-3x3 embedding of a spectrum that the dense references work in.  One is a
-loop: the damage solve without its factor reuse.
+3x3 embedding of a spectrum that the dense references work in.  Two are
+loops: the damage solve without its factor reuse, and the breadth-first
+search for the start nodes of the band ordering.
 """
 
+import collections
 import math
 import struct
 
@@ -183,6 +185,48 @@ def element_dofs_pattern(edofs: np.ndarray, n: int, keep_map: np.ndarray):
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     proto = sp.csc_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
     return proto.indptr, proto.indices, slot
+
+
+def george_liu_starts(indptr: np.ndarray, indices: np.ndarray) -> list:
+    """(start, size, moves) of each connected component of the symmetric
+    graph (indptr, indices), components in the order of their lowest node,
+    by a queue-driven breadth-first search: the George-Liu start node, the
+    component's node count, and how often the search moved to a farther
+    node.  The search starts at the component's lowest-degree node and
+    moves to the lowest-degree node of its last level (ties by index) as
+    long as that raises the eccentricity."""
+    degree = np.diff(indptr)
+
+    def distances(root: int) -> dict:
+        dist = {root: 0}
+        queue = collections.deque([root])
+        while queue:
+            i = queue.popleft()
+            for j in indices[indptr[i] : indptr[i + 1]].tolist():
+                if j not in dist:
+                    dist[j] = dist[i] + 1
+                    queue.append(j)
+        return dist
+
+    def lowest_degree(nodes) -> int:
+        return min(nodes, key=lambda i: (degree[i], i))
+
+    components, seen = [], set()
+    for first in range(indptr.size - 1):
+        if first in seen:
+            continue
+        members = distances(first)
+        seen.update(members)
+        dist, moves = distances(lowest_degree(members)), 0
+        while True:
+            ecc = max(dist.values())
+            start = lowest_degree([i for i in members if dist[i] == ecc])
+            farther = distances(start)
+            if max(farther.values()) <= ecc:
+                break
+            dist, moves = farther, moves + 1
+        components.append((start, len(members), moves))
+    return components
 
 
 def voigt_rows(eps) -> np.ndarray:

@@ -802,6 +802,8 @@ class TestCheckEnergy:
             ([], "run.json holds a list, not an object"),
             # an abort without its reason
             ({**{k: v for k, v in good.items() if k != "abort_reason"}, "aborted": True}, "'abort_reason'"),
+            ({**good, "aborted": "no"}, "run.json aborted = 'no' is not a boolean"),
+            ({**good, "abort_reason": 5}, "run.json abort_reason = 5 is not a string"),
         ]
         for log, named in bad:
             (out / "run.json").write_text(json.dumps(log))
@@ -831,10 +833,17 @@ class TestCheckEnergy:
         snap.write_bytes(kept)
         path = sent_run / "energy.csv"
         rows = path.read_text().splitlines()
+        original = list(rows)
         rows[2] = rows[2].replace(rows[2].split(",")[1], "abc", 1)
         path.write_text("\n".join(rows) + "\n")
         code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and "cannot load run outputs" in err
+        # a passed flag other than 0 or 1 does not parse either
+        rows = list(original)
+        rows[2] = rows[2][: rows[2].rindex(",")] + ",yes"
+        path.write_text("\n".join(rows) + "\n")
+        code, err = self.audit_of(sent_run, capsys)
+        assert code == 2 and f"cannot load run outputs: energy.csv row {rows[2]!r} has the passed flag 'yes'" in err
 
     def test_ascii_snapshot_refused(self, sent_run, capsys):
         # a snapshot in the legacy VTK ASCII of earlier versions is no

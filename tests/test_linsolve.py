@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import box_mesh, dense, displacement_system, rcm_solve, stored
+from oracles import george_liu_starts
 from pffrac import linsolve
 from pffrac.fem import DofMap, build_kernels, u_pattern
 from pffrac.linsolve import BandOrdering, LinearSolveError, factor_solve, pseudo_peripheral_rcm
@@ -166,6 +167,52 @@ def test_pseudo_peripheral_start_is_a_corner(rng, rows, cols):
     start = np.argsort(new)[perm[-1]]  # RCM numbers the start node last
     assert start in {0, cols - 1, (rows - 1) * cols, rows * cols - 1}
     assert bandwidth(g, perm) < bandwidth(g)
+
+
+def random_parts(rng) -> list:
+    """(edges, node count) of 2 to 6 random graphs: a lone node, a path, a
+    grid with a pendant node on a random node, or a random sparse graph."""
+    parts = []
+    for kind in rng.integers(0, 4, rng.integers(2, 7)):
+        if kind == 0:
+            parts.append((np.empty((0, 2), dtype=np.int64), 1))
+        elif kind == 1:
+            m = int(rng.integers(2, 30))
+            parts.append((np.c_[np.arange(m - 1), np.arange(1, m)], m))
+        elif kind == 2:
+            rows, cols = (int(v) for v in rng.integers(2, 9, 2))
+            pendant = [[rng.integers(rows * cols), rows * cols]]
+            parts.append((np.r_[grid_edges(rows, cols), pendant], rows * cols + 1))
+        else:
+            m = int(rng.integers(5, 40))
+            parts.append((rng.integers(0, m, (int(rng.integers(m // 2, 2 * m)), 2)), m))
+    return parts
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pseudo_peripheral_start_matches_bfs_oracle(seed):
+    # each component's block of the Cuthill-McKee order starts at the node
+    # that a plain breadth-first George-Liu search finds
+    rng = np.random.default_rng(seed)
+    parts = random_parts(rng)
+    offsets = np.cumsum([0] + [m for _, m in parts[:-1]])
+    n = sum(m for _, m in parts)
+    edges = np.concatenate([np.asarray(e, dtype=np.int64).reshape(-1, 2) + o for (e, _), o in zip(parts, offsets)])
+    g = graph(rng.permutation(n)[edges], n)
+    components = george_liu_starts(g.indptr, g.indices)
+    first = np.cumsum([0] + [size for _, size, _ in components[:-1]])
+    cm = pseudo_peripheral_rcm(g.indptr, g.indices)[::-1]
+    assert np.array_equal(cm[first], [start for start, _, _ in components])
+
+
+def test_pseudo_peripheral_start_after_two_moves():
+    # a 10-cycle with a pendant node 10 on node 0 and a tail 11-12-13 on
+    # node 1: the search moves from the pendant to node 5, opposite on the
+    # cycle, then to the tail's end, and starts at node 6, opposite node 1
+    edges = np.r_[np.c_[np.arange(10), (np.arange(10) + 1) % 10], [[0, 10], [1, 11], [11, 12], [12, 13]]]
+    g = graph(edges, 14)
+    assert george_liu_starts(g.indptr, g.indices) == [(6, 14, 2)]
+    assert pseudo_peripheral_rcm(g.indptr, g.indices)[-1] == 6
 
 
 def test_indefinite_nonsingular_raises():

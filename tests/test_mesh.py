@@ -34,11 +34,6 @@ class TestGenerators:
         mesh = box_mesh([2.0, 1.0, 0.5], [3, 2, 2])
         assert element_measures(mesh).sum() == pytest.approx(1.0, rel=1e-12)
 
-    def test_auto_node_sets(self):
-        mesh = box_mesh([1.0, 1.0], [2, 2])
-        assert len(mesh.node_sets["ymax"]) == 3
-        assert np.allclose(mesh.nodes[mesh.node_sets["ymax"], 1], 1.0)
-
     def test_bad_extent(self):
         with pytest.raises(MeshError):
             generate_grid([[0.0, 0.0], [0.0, 1.0]])  # zero extent
@@ -217,21 +212,7 @@ def loop_grid(axes, keep=None) -> Mesh:
         coords = coords[used]
         elements = remap[elements]
 
-    elements = orient(coords, elements, dim)
-
-    node_sets = {}
-    labels = [("xmin", "xmax"), ("ymin", "ymax"), ("zmin", "zmax")][:dim]
-    for ax, (lo_name, hi_name) in enumerate(labels):
-        span = axes[ax][-1] - axes[ax][0]
-        tol = 1e-12 * max(1.0, span)
-        node_sets[lo_name] = np.flatnonzero(
-            np.abs(coords[:, ax] - axes[ax][0]) <= tol
-        ).astype(np.int64)
-        node_sets[hi_name] = np.flatnonzero(
-            np.abs(coords[:, ax] - axes[ax][-1]) <= tol
-        ).astype(np.int64)
-
-    mesh = Mesh(dim=dim, nodes=coords, elements=elements, node_sets=node_sets)
+    mesh = Mesh(dim=dim, nodes=coords, elements=orient(coords, elements, dim))
     mesh.validate()
     return mesh
 
@@ -244,14 +225,11 @@ def loop_grid_vectorized_keep(axes, keep=None) -> Mesh:
 
 
 def assert_same_mesh(got: Mesh, want: Mesh):
-    """Bitwise equal nodes, elements in the same order, equal node sets."""
+    """Bitwise equal nodes, elements in the same order."""
     assert got.dim == want.dim
     assert got.nodes.shape == want.nodes.shape and got.nodes.tobytes() == want.nodes.tobytes()
     assert got.elements.shape == want.elements.shape
     assert got.elements.tobytes() == want.elements.tobytes()
-    assert list(got.node_sets) == list(want.node_sets)
-    for name, ids in want.node_sets.items():
-        assert np.array_equal(got.node_sets[name], ids), name
 
 
 class TestGridOracle:
