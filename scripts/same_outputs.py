@@ -10,9 +10,10 @@ the other files byte for byte.  It exits 0 when all of them agree and both
 directories hold the same snapshots.  Otherwise it prints the first file
 that differs (the CSVs in that order, ``run.json``, then the snapshots by
 name), or is missing from one side, and exits 1.  For a snapshot that
-differs, it decodes both sides with ``vtkio.read_field_snapshot`` and also
-names the first field (``displacement``, then ``damage``) and node whose
-values differ bit for bit, when both decode.
+differs, it decodes both sides with ``vtkio.read_field_snapshot`` against
+the mesh of run.json's config (``cli.resolve_config``) and also names the
+first field (``displacement``, then ``damage``) and node whose values
+differ bit for bit, when both decode.
 Exit 2: a directory does not exist.
 """
 
@@ -25,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from pffrac.vtkio import read_field_snapshot
+from pffrac.cli import resolve_config
+from pffrac.vtkio import grid_text, read_field_snapshot
 
 FILES = ("load_disp.csv", "energy.csv", "intermediates.csv", "run.json")
 
@@ -46,17 +48,18 @@ def content(path: Path):
     return record
 
 
-def field_difference(fa: Path, fb: Path) -> str:
-    """Where the fields of two snapshots first differ, bit for bit, as a
-    suffix of the report: the field and the node, or the node counts.
-    Empty when both decode to the same fields or one does not decode."""
+def field_difference(run_json: Path, fa: Path, fb: Path) -> str:
+    """Where the fields of two snapshots of the run that ``run_json``
+    records first differ, bit for bit, as a suffix of the report: the field
+    and the node.  Empty when both decode to the same fields or one does
+    not decode against the mesh of that run's config."""
     try:
-        sides = [read_field_snapshot(f, 3) for f in (fa, fb)]
-    except ValueError:
+        mesh = resolve_config(json.loads(run_json.read_text())["config"])[1].mesh
+        grid = grid_text(mesh)
+        sides = [read_field_snapshot(f, mesh, grid) for f in (fa, fb)]
+    except (KeyError, ValueError):
         return ""
-    for name, width, x, y in zip(("displacement", "damage"), (3, 1), *sides):
-        if x.shape != y.shape:
-            return f" ({name} of {x.size // width} and {y.size // width} nodes)"
+    for name, width, x, y in zip(("displacement", "damage"), (mesh.dim, 1), *sides):
         nodes = np.flatnonzero(x.view(np.int64) != y.view(np.int64)) // width
         if nodes.size:
             return f" (first at {name} of node {nodes[0]})"
@@ -72,7 +75,7 @@ def first_difference(a: Path, b: Path) -> str | None:
         if missing:
             return f"{name}: missing in {', '.join(missing)}"
         if content(fa) != content(fb):
-            return f"{name}: differs" + (field_difference(fa, fb) if fa.suffix == ".vtk" else "")
+            return f"{name}: differs" + (field_difference(a / "run.json", fa, fb) if fa.suffix == ".vtk" else "")
     return None
 
 

@@ -6,16 +6,20 @@ Runs each case with ``pffrac run`` under both source trees (each a
 directory that holds the ``pffrac`` package, put first on PYTHONPATH), two
 processes at a time with one BLAS thread each, into
 ``WORK_DIR/parent/CASE`` and ``WORK_DIR/change/CASE``.  Then it runs
-``pffrac check-energy`` on every directory under its own tree, and compares
-each pair with ``same_outputs.first_difference``.  The cases are the
+``pffrac check-energy`` on every directory under its own tree, and the
+change's ``check-energy`` on each parent directory too, which shows that
+the change reads everything the parent wrote, and compares each pair with
+``same_outputs.first_difference``.  The cases are the
 nine below, the last of which aborts at step 1 (exit 3), or, when
 ``pffrac run`` arguments follow WORK_DIR, the one case ``given`` that they
 name.
 
 It prints one line per case: the comparison (``same outputs (N files)`` or
-the first file that differs) and the exit codes of the two runs and of the
-two audits, parent first.  It exits 0 when every pair has the same outputs
-and equal run and ``check-energy`` exit codes, 1 otherwise, and 2 when a
+the first file that differs), the exit codes of the two runs and of the
+two audits, parent first, and the exit code of the change's audit of the
+parent's directory.  It exits 0 when every pair has the same outputs and
+equal run and ``check-energy`` exit codes and the change's audit of the
+parent's directory exits as the parent's own, 1 otherwise, and 2 when a
 source tree holds no ``pffrac`` package.
 """
 
@@ -75,6 +79,8 @@ def main(argv=None) -> int:
     with ThreadPoolExecutor(max_workers=2) as pool:
         runs = dict(zip(jobs, pool.map(lambda j: pffrac(trees[j[1]], "run", *cases[j[0]], "--out", str(out[j])), jobs)))
         audits = dict(zip(jobs, pool.map(lambda j: pffrac(trees[j[1]], "check-energy", str(out[j])), jobs)))
+        parents = [str(out[case, "parent"]) for case in cases]
+        crossed = dict(zip(cases, pool.map(lambda d: pffrac(trees["change"], "check-energy", d), parents)))
 
     same = True
     for case in cases:
@@ -82,9 +88,12 @@ def main(argv=None) -> int:
         diff = first_difference(a, b)
         run_codes = [runs[case, side] for side in SIDES]
         audit_codes = [audits[case, side] for side in SIDES]
-        same &= diff is None and run_codes[0] == run_codes[1] and audit_codes[0] == audit_codes[1]
+        same &= diff is None and run_codes[0] == run_codes[1] and audit_codes[0] == audit_codes[1] == crossed[case]
         verdict = diff or f"same outputs ({len(compared(a, b))} files)"
-        codes = f"run exit {run_codes[0]} {run_codes[1]}; check-energy exit {audit_codes[0]} {audit_codes[1]}"
+        codes = (
+            f"run exit {run_codes[0]} {run_codes[1]}; check-energy exit {audit_codes[0]} {audit_codes[1]}; "
+            f"change's check-energy of parent exit {crossed[case]}"
+        )
         print(f"{case}: {verdict}; {codes}")
     return 0 if same else 1
 

@@ -19,8 +19,11 @@ check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run, the two-sided inequality of every step pair,
              and compare against energy.csv, whose step-0 row must be the
              initial state's report (all 0, passed); a figure that is not
-             finite is a mismatch.  The summary of an aborted run gives its
-             accepted steps and the abort reason
+             finite is a mismatch.  Each snapshot must be the bytes that
+             a run of run.json's config writes of its mesh (``vtkio``),
+             field blocks aside; any other file is unreadable output.  The
+             summary of an aborted run gives its accepted steps and the
+             abort reason
 
 A run is a preset plus overrides.  ``--set section.key=value`` overrides
 one key of the preset's config.  [run] holds ``preset`` and ``scale``;
@@ -425,13 +428,11 @@ def cmd_check_energy(args) -> int:
     kernels = build_kernels(mesh)
     p = setup.params
     load = load_vector(setup.program, mesh)
+    grid = grid_text(mesh)
 
     def state(step: int) -> StateEnergy:
         """The evaluated state of the snapshot of ``step``."""
-        path = _snapshot_path(out_dir, step)
-        disp, a = read_field_snapshot(path, mesh.dim)
-        if a.size != mesh.n_nodes:
-            raise ValueError(f"{path} holds {a.size} nodes, not the mesh's {mesh.n_nodes}")
+        disp, a = read_field_snapshot(_snapshot_path(out_dir, step), mesh, grid)
         u_d = setup.program.w(step) * load
         u = disp - u_d
         rw = degradation_weights(kernels, a, p)

@@ -12,6 +12,12 @@ every one back.  Raw doubles make that read a copy of the written array:
 the round trip is bitwise by construction (-0.0, subnormals and the
 extremes included), and neither side formats or parses a number, which
 17-digit text spent most of its time on.
+
+``write_field_snapshot`` is the one definition of the layout.  The audit
+(``check-energy``) requires each snapshot to be exactly what it writes of
+the run's mesh, reads the fields at the offsets that the layout fixes and
+refuses any other file, naming it: bytes appended, points or cells that
+are not the mesh's, another node count or the ASCII of earlier versions.
 """
 
 from __future__ import annotations
@@ -56,6 +62,15 @@ def grid_text(mesh: Mesh) -> bytes:
     )
 
 
+def _field_headers(n_nodes: int) -> tuple:
+    """The header lines before the displacement and before the damage
+    block of a snapshot of ``n_nodes`` nodes."""
+    return (
+        f"POINT_DATA {n_nodes}\nVECTORS displacement double\n".encode(),
+        b"SCALARS damage double 1\nLOOKUP_TABLE default\n",
+    )
+
+
 def write_field_snapshot(disp: np.ndarray, damage: np.ndarray, mesh: Mesh, path, grid: bytes) -> None:
     """Write total displacement (dim*n_nodes vector) and nodal damage after
     ``grid``, the mesh's ``grid_text``."""
@@ -63,97 +78,39 @@ def write_field_snapshot(disp: np.ndarray, damage: np.ndarray, mesh: Mesh, path,
     damage = np.asarray(damage, dtype=np.float64)
     if damage.shape != (mesh.n_nodes,):
         raise ValueError("damage must have one value per node")
-    fields = b"".join(
-        [
-            f"POINT_DATA {mesh.n_nodes}\nVECTORS displacement double\n".encode(),
-            _padded(disp, mesh.n_nodes),
-            b"SCALARS damage double 1\nLOOKUP_TABLE default\n",
-            damage.astype(">f8").tobytes() + b"\n",
-        ]
-    )
+    head_u, head_a = _field_headers(mesh.n_nodes)
+    fields = b"".join([head_u, _padded(disp, mesh.n_nodes), head_a, damage.astype(">f8").tobytes() + b"\n"])
     with open(path, "wb") as fh:
         fh.write(grid)
         fh.write(fields)
 
 
-class _Reader:
-    """A walk over the lines and blocks of a snapshot's bytes, in file
-    order."""
+def read_field_snapshot(path, mesh: Mesh, grid: bytes):
+    """Read back (displacement, damage), as native float64, from the
+    snapshot of ``mesh`` at ``path``; ``grid`` is the mesh's ``grid_text``.
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def line(self) -> bytes:
-        """The line at the current position, without its newline (all that
-        is left if none follows); the position moves past it."""
-        end = self.data.find(b"\n", self.pos)
-        end = len(self.data) if end < 0 else end
-        line = self.data[self.pos : end]
-        self.pos = end + 1
-        return line
-
-    def header(self, prefix: str, n_counts: int = 0) -> list:
-        """The ``n_counts`` counts that the header line at the current
-        position gives after its keyword; the line must start with
-        ``prefix``, and the position moves past it."""
-        start = self.pos
-        line = self.line()
-        if not line.startswith(prefix.encode()):
-            raise ValueError(f"snapshot missing {prefix!r} section")
-        words = line.decode("ascii", "replace").split()
-        counts = words[1 : 1 + n_counts]
-        if len(counts) < n_counts or not all(w.isdigit() for w in counts):
-            raise ValueError(f"snapshot header {' '.join(words)!r} at byte {start} gives no count")
-        return [int(w) for w in counts]
-
-    def block(self, dtype: str, count: int) -> np.ndarray:
-        """The block of ``count`` values of ``dtype`` at the current
-        position, a view of the bytes, which must be followed by a newline;
-        the position moves past both."""
-        start = self.pos
-        end = start + count * np.dtype(dtype).itemsize
-        if end > len(self.data):
-            have = (len(self.data) - start) // np.dtype(dtype).itemsize
-            raise ValueError(f"snapshot block at byte {start} holds {have} values, not {count}")
-        if self.data[end : end + 1] != b"\n":
-            raise ValueError(f"snapshot block at byte {start} is not {count} values and a newline")
-        self.pos = end + 1
-        return np.frombuffer(self.data, dtype, count, start)
-
-
-def read_field_snapshot(path, dim: int):
-    """Read back (displacement, damage) from a snapshot written above, as
-    native float64.
-
-    Returns the displacement as a flat dim*n_nodes vector.  The sections
-    are read in the order they are written; the POINTS, CELLS and
-    CELL_TYPES blocks are skipped by the sizes their headers give.  A file
-    that is not legacy VTK BINARY (the ASCII snapshots of earlier versions),
-    a missing header or a short block raises ``ValueError`` naming
-    ``path``.
+    Returns the displacement as a flat dim*n_nodes vector.  The file must
+    be the bytes that ``write_field_snapshot`` writes: ``grid``, the field
+    headers of ``mesh.n_nodes`` and the two blocks, each with its newline.
+    Any other file raises ``ValueError`` naming ``path``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
 
-    r = _Reader(data)
-    try:
-        r.header("# vtk DataFile")
-        r.line()  # the title
-        kind = r.line().decode("ascii", "replace")
+    n = mesh.n_nodes
+    head_u, head_a = _field_headers(n)
+    at_u = len(grid) + len(head_u)
+    at_a = at_u + 24 * n + 1 + len(head_a)
+    size = at_a + 8 * n + 1
+    if len(data) != size or not (
+        data.startswith(grid)
+        and data.startswith(head_u, len(grid))
+        and data.startswith(b"\n" + head_a, at_u + 24 * n)
+        and data.endswith(b"\n")
+    ):
+        kind = b"".join(data.split(b"\n", 3)[2:3]).decode("ascii", "replace")
         if kind != "BINARY":
-            raise ValueError(f"snapshot is not legacy VTK BINARY: line 3 reads {kind!r}")
-        r.header("DATASET UNSTRUCTURED_GRID")
-        (n_points,) = r.header("POINTS", 1)
-        r.block(">f8", 3 * n_points)
-        r.block(">i4", r.header("CELLS", 2)[1])
-        r.block(">i4", r.header("CELL_TYPES", 1)[0])
-        r.header("POINT_DATA")
-        r.header("VECTORS displacement")
-        disp = r.block(">f8", 3 * n_points)
-        r.header("SCALARS damage")
-        r.header("LOOKUP_TABLE")
-        damage = r.block(">f8", n_points)
-    except ValueError as exc:
-        raise ValueError(f"{exc} in {path}") from None
-    return disp.reshape(n_points, 3)[:, :dim].astype(np.float64).reshape(-1), damage.astype(np.float64)
+            raise ValueError(f"snapshot is not legacy VTK BINARY: line 3 reads {kind!r} in {path}")
+        raise ValueError(f"snapshot ({len(data)} bytes) is not the {size} bytes a run writes of {n} nodes in {path}")
+    disp = np.frombuffer(data, ">f8", 3 * n, at_u).reshape(n, 3)[:, : mesh.dim]
+    return disp.astype(np.float64).reshape(-1), np.frombuffer(data, ">f8", n, at_a).astype(np.float64)

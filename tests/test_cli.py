@@ -97,7 +97,7 @@ class TestVtk:
         damage = rng.uniform(0, 1, mesh.n_nodes)
         path = tmp_path / "snap.vtk"
         write_field_snapshot(disp, damage, mesh, path, grid_text(mesh))
-        got_disp, got_damage = read_field_snapshot(path, 3)
+        got_disp, got_damage = read_field_snapshot(path, mesh, grid_text(mesh))
         assert got_disp.dtype == got_damage.dtype == np.float64 and got_disp.dtype.isnative
         assert got_disp.tobytes() == disp.tobytes() and got_damage.tobytes() == damage.tobytes()
 
@@ -111,35 +111,89 @@ class TestVtk:
         damage[::4] = 0.0
         path = tmp_path / "snap.vtk"
         write_field_snapshot(disp, damage, mesh, path, grid_text(mesh))
-        for got, want in zip(read_field_snapshot(path, dim), read_snapshot_by_line(path, dim)):
+        for got, want in zip(read_field_snapshot(path, mesh, grid_text(mesh)), read_snapshot_by_line(path, dim)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
+    def refused(self, mesh, path, data: bytes, match: str = " is not "):
+        """Whether ``data`` in place of the snapshot of ``mesh`` at ``path``
+        is refused with a ValueError that matches ``match`` and names
+        ``path``."""
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=match) as info:
+            read_field_snapshot(path, mesh, grid_text(mesh))
+        return str(info.value).endswith(f" in {path}")
+
     @pytest.mark.parametrize(
-        "header", ["POINTS", "CELLS", "CELL_TYPES", "VECTORS displacement", "SCALARS damage", "LOOKUP_TABLE"]
+        "header",
+        [
+            "pffrac field snapshot", "DATASET", "POINTS", "CELLS", "CELL_TYPES", "POINT_DATA",
+            "VECTORS displacement", "SCALARS damage", "LOOKUP_TABLE",
+        ],
     )
     def test_missing_section_raises(self, tmp_path, header):
+        # a dropped header line: the file is shorter than the layout
         mesh = box_mesh([1.0, 1.0, 1.0], [1, 1, 1])
         path = tmp_path / "snap.vtk"
         write_field_snapshot(np.zeros(3 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
-        path.write_bytes(drop_line(path.read_bytes(), header))
-        with pytest.raises(ValueError, match=f"missing '{header}' section in {path}"):
-            read_field_snapshot(path, 3)
+        assert self.refused(mesh, path, drop_line(path.read_bytes(), header))
 
     def test_truncated_block_raises(self, tmp_path):
         # the last damage value and the newline after it cut off
         mesh = box_mesh([1.0, 1.0], [1, 1])
         path = tmp_path / "snap.vtk"
         write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
-        path.write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(ValueError, match="holds 3 values, not 4"):
-            read_field_snapshot(path, 2)
-        # a header that gives one point fewer than its block holds: no
-        # newline where the shorter block would end
+        data = path.read_bytes()
+        assert self.refused(mesh, path, data[:-9], f"snapshot \\({len(data) - 9} bytes\\) is not the {len(data)} bytes")
+
+    def test_longer_file_raises(self, tmp_path):
+        # bytes after the damage block's newline, even a bare newline
+        mesh = box_mesh([1.0, 1.0], [1, 1])
+        path = tmp_path / "snap.vtk"
         write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
-        path.write_bytes(path.read_bytes().replace(b"POINTS 4", b"POINTS 3"))
-        with pytest.raises(ValueError, match="is not 9 values and a newline"):
-            read_field_snapshot(path, 2)
+        data = path.read_bytes()
+        for extra in [b"\n", b"SCALARS extra double 1\nLOOKUP_TABLE default\n" + bytes(8 * mesh.n_nodes) + b"\n"]:
+            assert self.refused(mesh, path, data + extra)
+
+    @pytest.mark.parametrize(
+        "where",
+        ["version", "points_header", "points_block", "cells_block", "cell_types_block", "point_data",
+         "after_displacement", "lookup_table", "last_newline"],
+    )
+    def test_changed_byte_raises(self, tmp_path, where):
+        # one byte changed outside the two field blocks, the size kept: a
+        # header that gives another count, points or cells that are not the
+        # mesh's, or a newline that is not one
+        mesh = box_mesh([1.0, 1.0], [1, 1])
+        path = tmp_path / "snap.vtk"
+        write_field_snapshot(np.zeros(2 * mesh.n_nodes), np.zeros(mesh.n_nodes), mesh, path, grid_text(mesh))
+        data = bytearray(path.read_bytes())
+
+        def after(header):
+            """The offset of the first byte after ``header``'s line."""
+            return data.index(b"\n", data.index(header.encode())) + 1
+
+        at = {
+            "version": data.index(b"3.0"),
+            "points_header": data.index(b"POINTS 4") + 7,
+            "points_block": after("POINTS") + 8,
+            "cells_block": after("CELLS") + 3,
+            "cell_types_block": after("CELL_TYPES") + 3,
+            "point_data": data.index(b"POINT_DATA"),
+            "after_displacement": after("VECTORS") + 24 * mesh.n_nodes,
+            "lookup_table": data.index(b"default"),
+            "last_newline": len(data) - 1,
+        }[where]
+        data[at] ^= 1
+        assert self.refused(mesh, path, bytes(data))
+
+    def test_ascii_snapshot_raises(self, tmp_path):
+        # the legacy VTK ASCII of earlier versions is named as such
+        mesh = box_mesh([1.0, 1.0], [1, 1])
+        path = tmp_path / "snap.vtk"
+        ascii_head = b"# vtk DataFile Version 3.0\npffrac field snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        assert self.refused(mesh, path, ascii_head + b"POINTS 4 double\n", "line 3 reads 'ASCII'")
+        assert self.refused(mesh, path, b"", "line 3 reads ''")
 
 
 class TestConfigPlumbing:
@@ -767,7 +821,8 @@ class TestCheckEnergy:
         assert (out / "load_disp.csv").read_text() == "step,w,reaction\n0,0,0\n"
         assert (out / "energy.csv").read_text() == "step,E,sum_D,delta,LB,UB,passed\n0,0,0,0,0,0,1\n"
         assert (out / "intermediates.csv").read_text() == "target_step,w,b,passed,delta,LB,UB,reaction\n"
-        disp, damage = read_field_snapshot(out / "snapshots" / "step_000000.vtk", 2)
+        mesh = load_preset("sent", 0.05).mesh
+        disp, damage = read_field_snapshot(out / "snapshots" / "step_000000.vtk", mesh, grid_text(mesh))
         assert not disp.any() and not damage.any() and not np.signbit(disp).any()
         capsys.readouterr()
         assert main(["check-energy", str(out)]) == 0
@@ -829,7 +884,7 @@ class TestCheckEnergy:
         kept = snap.read_bytes()
         snap.write_bytes(drop_line(kept, "CELLS"))
         code, err = self.audit_of(sent_run, capsys)
-        assert code == 2 and "cannot load run outputs: snapshot missing 'CELLS' section" in err
+        assert code == 2 and err.startswith("cannot load run outputs: snapshot (") and f" in {snap}\n" in err
         snap.write_bytes(kept)
         path = sent_run / "energy.csv"
         rows = path.read_text().splitlines()
@@ -857,15 +912,25 @@ class TestCheckEnergy:
         assert code == 2 and err.startswith("cannot load run outputs: ")
         assert "not legacy VTK BINARY: line 3 reads 'ASCII'" in err and str(snap) in err
 
-    @pytest.mark.parametrize("edit", ["bare_points_header", "one_node_fewer"])
+    @pytest.mark.parametrize(
+        "edit", ["bare_points_header", "one_node_fewer", "appended_bytes", "points_byte", "cells_byte"]
+    )
     def test_malformed_snapshot_exit_2(self, sent_run, capsys, edit):
-        # a snapshot that does not parse, or that holds another node count
-        # than the run's mesh, is unreadable output and no audit mismatch
+        # a snapshot that is not the bytes the run writes of its mesh: a
+        # header without its count, another node count than the mesh's,
+        # bytes after the damage block, or points or cells that are not the
+        # mesh's, is unreadable output and no audit mismatch
         snap = sent_run / "snapshots" / "step_000002.vtk"
         data = snap.read_bytes()
         n = int(data.split(b"\nPOINTS ", 1)[1].split()[0])
         if edit == "bare_points_header":
             data = data.replace(f"\nPOINTS {n} double\n".encode(), b"\nPOINTS\n")
+        elif edit == "appended_bytes":
+            data += b"\n"
+        elif edit in ("points_byte", "cells_byte"):
+            header = b"\nPOINTS " if edit == "points_byte" else b"\nCELLS "
+            at = data.index(b"\n", data.index(header) + 1) + 1 + 30
+            data = data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
         else:
             # the header of n - 1 points, and the last node's values cut
             # from the points and from both field blocks

@@ -18,19 +18,59 @@ def load_script(monkeypatch):
     return module
 
 
+def copy_src(dest: Path) -> Path:
+    """A copy of this repo's ``pffrac`` package under ``dest``."""
+    shutil.copytree(SRC / "pffrac", dest / "pffrac", ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
 def test_same_trees_agree_and_changed_outputs_do_not(tmp_path, monkeypatch, capsys):
     # this repo's src against itself gives the same outputs (exit 0); a
     # copy whose CSVs print one digit less differs in load_disp.csv (exit
-    # 1), though each tree's audit of its own run passes; a directory
-    # without the package is refused (exit 2)
+    # 1), though each tree's audit of its own run, and the copy's audit of
+    # the parent's run, pass; a directory without the package is refused
+    # (exit 2)
     same_runs = load_script(monkeypatch)
     assert same_runs.main([str(SRC), str(SRC), str(tmp_path / "same"), *CASE]) == 0
-    assert capsys.readouterr().out == "given: same outputs (7 files); run exit 0 0; check-energy exit 0 0\n"
+    assert capsys.readouterr().out == (
+        "given: same outputs (7 files); run exit 0 0; check-energy exit 0 0; change's check-energy of parent exit 0\n"
+    )
 
-    changed = tmp_path / "src"
-    shutil.copytree(SRC / "pffrac", changed / "pffrac", ignore=shutil.ignore_patterns("__pycache__"))
+    changed = copy_src(tmp_path / "src")
     cli = changed / "pffrac" / "cli.py"
     cli.write_text(cli.read_text().replace('"%.17g"', '"%.16g"'))
     assert same_runs.main([str(SRC), str(changed), str(tmp_path / "changed"), *CASE]) == 1
-    assert capsys.readouterr().out == "given: load_disp.csv: differs; run exit 0 0; check-energy exit 0 0\n"
+    assert capsys.readouterr().out == (
+        "given: load_disp.csv: differs; run exit 0 0; check-energy exit 0 0; change's check-energy of parent exit 0\n"
+    )
     assert same_runs.main([str(SRC), str(tmp_path), str(tmp_path / "none"), *CASE]) == 2
+
+
+def test_change_must_audit_what_the_parent_wrote(tmp_path, monkeypatch, capsys):
+    # a copy that titles its snapshots otherwise writes other snapshots and
+    # refuses the parent's (exit 2); a copy whose outputs agree but whose
+    # audit of a parent directory exits otherwise than the parent's own
+    # fails the case too (exit 1)
+    same_runs = load_script(monkeypatch)
+    titled = copy_src(tmp_path / "titled")
+    vtkio = titled / "pffrac" / "vtkio.py"
+    vtkio.write_text(vtkio.read_text().replace("pffrac field snapshot", "pffrac field snapshots"))
+    assert same_runs.main([str(SRC), str(titled), str(tmp_path / "titled-runs"), *CASE]) == 1
+    assert capsys.readouterr().out == (
+        "given: snapshots/step_000000.vtk: differs; run exit 0 0; check-energy exit 0 0; "
+        "change's check-energy of parent exit 2\n"
+    )
+
+    copy = copy_src(tmp_path / "copy").resolve()  # as the script resolves its trees
+    real = same_runs.pffrac
+
+    def refusing(src, *args):
+        if src == copy and args[0] == "check-energy" and Path(args[1]).parent.name == "parent":
+            return 2
+        return real(src, *args)
+
+    monkeypatch.setattr(same_runs, "pffrac", refusing)
+    assert same_runs.main([str(SRC), str(copy), str(tmp_path / "copy-runs"), *CASE]) == 1
+    assert capsys.readouterr().out == (
+        "given: same outputs (7 files); run exit 0 0; check-energy exit 0 0; change's check-energy of parent exit 2\n"
+    )
