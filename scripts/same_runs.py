@@ -43,7 +43,7 @@ CASES = {
     "sent-ell-cut-66": SENT_ELL + ["--steps", "66"],
     "at1-sent-ell-cut-57": SENT_ELL + AT1 + ["--steps", "57"],
     "sent-0.2-cut-66": ["--preset", "sent", "--scale", "0.2", "--steps", "66"],
-    # the two sides of BandOrdering.narrower: the node-level pseudo-peripheral
+    # the two sides of BandOrdering.narrowest: the node-level pseudo-peripheral
     # RCM is chosen on sens@0.05, scipy's dof-level RCM on lshape@0.5
     "sens-0.05-3-steps": ["--preset", "sens", "--scale", "0.05", "--steps", "3"],
     "lshape-0.5-2-steps": ["--preset", "lshape", "--scale", "0.5", "--steps", "2"],

@@ -21,9 +21,10 @@ check-energy recompute the energy audit from the snapshots of a finished
              initial state's report (all 0, passed); a figure that is not
              finite is a mismatch.  Each snapshot must be the bytes that
              a run of run.json's config writes of its mesh (``vtkio``),
-             field blocks aside; any other file is unreadable output.  The
-             summary of an aborted run gives its accepted steps and the
-             abort reason
+             field blocks aside, and snapshots/ must hold no snapshot
+             (``step_``, digits, ``.vtk``) of a step outside the accepted
+             chain; anything else is unreadable output.  The summary of an
+             aborted run gives its accepted steps and the abort reason
 
 A run is a preset plus overrides.  ``--set section.key=value`` overrides
 one key of the preset's config.  [run] holds ``preset`` and ``scale``;
@@ -188,13 +189,11 @@ def _snapshot_path(out_dir: Path, step: int) -> Path:
     return out_dir / "snapshots" / f"step_{step:06d}.vtk"
 
 
-def _drop_snapshots(out_dir: Path) -> None:
-    """Remove an earlier run's snapshots.  A file whose name is not
-    ``step_`` and digits is no snapshot and stays."""
-    for path in (out_dir / "snapshots").glob("step_*.vtk"):
-        step = path.stem[5:]
-        if step.isascii() and step.isdigit():
-            path.unlink()
+def _snapshots(out_dir: Path) -> list:
+    """The snapshots in ``out_dir``: the files of ``snapshots/`` named
+    ``step_``, digits and ``.vtk``.  Any other file is no snapshot."""
+    paths = (out_dir / "snapshots").glob("step_*.vtk")
+    return [path for path in paths if (step := path.stem[5:]).isascii() and step.isdigit()]
 
 
 # The figures of an energy.csv row, between its step and its passed flag.
@@ -231,7 +230,8 @@ class _RunWriter:
         self.grid = grid_text(mesh)
         self.rows: list = []  # (record, load_disp row, energy row, sum_D through it)
         (out_dir / "snapshots").mkdir(parents=True, exist_ok=True)
-        _drop_snapshots(out_dir)
+        for path in _snapshots(out_dir):  # an earlier run's
+            path.unlink()
 
     def __call__(self, history: RunHistory) -> None:
         keep = 0
@@ -420,6 +420,9 @@ def cmd_check_energy(args) -> int:
                 f"run.json has {info['accepted_steps']} accepted steps, more than program.n_steps = "
                 f"{setup.program.n_steps}"
             )
+        outside = sorted(set(_snapshots(out_dir)) - {_snapshot_path(out_dir, step) for step in steps})
+        if outside:
+            raise ValueError(f"snapshot {outside[0]} is not one the run writes of its steps 0..{info['accepted_steps']}")
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"cannot load run outputs: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,9 @@ Assembly is vectorized over elements.  Vectors are summed by
 ``np.bincount`` and matrices by ``np.add.at``, both in element order and
 from zero, so identical inputs produce bitwise identical residuals and
 matrices.  Each matrix has a sparsity pattern built once, on its first
-assembly, and kept on the kernels: its CSC structure, its band ordering
-and the slot of every element entry.  The assembly target is the stored
-entries of the band ordering, those on or above the reordered diagonal
+assembly, and kept on the kernels: its band ordering and the slot of every
+element entry.  The assembly target is the stored entries of the band
+ordering, those on or above the reordered diagonal
 (``linsolve.UpperMatrix``): an element entry's slot is the stored entry it
 adds to, and the entries below the reordered diagonal are dropped, so the
 assembled values are exactly the band that is factored, and the solve's
@@ -21,11 +21,15 @@ stored entries (int32 below 2**31 - 1).  Assembling adds blocks of
 consecutive element matrices through their slots, so the displacement
 tangent is formed one block of elements at a time and its temporaries stay
 at the size of one block (``_BLOCK_BYTES``) whatever the mesh size; the
-damage tangent, whose element matrices are small, goes as one block.  The
-damage pattern covers all nodes (it is the node graph) and comes with the
-element blocks that do not depend on the state (gradient stiffness and P1
-mass products); the displacement pattern covers the free dofs of one
-``DofMap`` and is derived from the damage pattern.
+damage tangent, whose element matrices are small, goes as one block.
+Both patterns come from one builder, ``SparsityPattern.build``, on the
+kernels' ``NodeGraph``, and take scipy's reverse Cuthill-McKee order of
+their structure unless a candidate node order gives a strictly narrower
+band.  The damage pattern has one dof per node and no candidate, and comes
+with the element blocks that do not depend on the state (gradient
+stiffness and P1 mass products); the displacement pattern covers the free
+dofs of one ``DofMap``, with the node-level pseudo-peripheral RCM as its
+candidate.
 """
 
 from __future__ import annotations
@@ -138,8 +142,9 @@ class ElementKernels:
     wj: np.ndarray
     measures: np.ndarray
     udofs: np.ndarray
-    # assembly data built on first use: [(dofmap, pattern)] for the
-    # displacement tangent, and the damage pattern with its constant blocks
+    # assembly data built on first use: the node graph, the displacement
+    # patterns [(dofmap, pattern)], the damage pattern and constant blocks
+    graph: "NodeGraph | None" = field(default=None, repr=False)
     u_patterns: list = field(default_factory=list, repr=False)
     damage: "DamageBlocks | None" = field(default=None, repr=False)
 
@@ -324,124 +329,79 @@ def _force(spectrum: StrainSpectrum, f, rw, kernels: ElementKernels, p: Material
 
 
 @dataclass(frozen=True)
-class SparsityPattern:
-    """CSC structure of an element-assembled symmetric n x n matrix (n is
-    ``ordering.n``), and the band ``ordering`` every matrix assembled on it
-    is stored under and factored with.
-
-    ``slot`` gives the stored entry of ``ordering`` that each element-matrix
-    entry adds to, in ``k_e.ravel()`` order; entries below the reordered
-    diagonal and entries on dofs left out of the system go one past the
-    last stored entry and are dropped.  Its dtype is the ``index_dtype`` of
-    the stored entries.  ``assemble`` adds element matrices through it
-    block by block, in element order.  The structure is symmetric, so its
-    CSC and CSR index arrays coincide; they have the ``index_dtype`` of
-    the entry count.
-    """
+class NodeGraph:
+    """The CSC structure of the node adjacency (column j holds the nodes
+    that share an element with j, j too, ascending) and ``pair`` (n_e, nen,
+    nen), the CSC position of each element's node pair (row a, column b),
+    all in the ``index_dtype`` of the entry count."""
 
     indptr: np.ndarray
     indices: np.ndarray
+    pair: np.ndarray
+
+
+@dataclass(frozen=True)
+class SparsityPattern:
+    """The band ``ordering`` that every matrix assembled on the pattern is
+    stored under and factored with, and the ``slot`` of each element-matrix
+    entry, in ``k_e.ravel()`` order: the stored entry it adds to, or one
+    past the last for entries below the reordered diagonal or on dofs left
+    out, which are dropped.  The slots have the ``index_dtype`` of the
+    stored entries.  ``assemble`` adds element matrices through them block
+    by block, in element order."""
+
     slot: np.ndarray
     ordering: BandOrdering
 
     @classmethod
-    def from_element_dofs(cls, edofs: np.ndarray, n: int) -> "SparsityPattern":
-        """Pattern of the entries coupling the dofs of each element, under
-        scipy's reverse Cuthill-McKee ordering."""
-        nd = edofs.shape[1]
-        rows = np.broadcast_to(edofs[:, :, None], (edofs.shape[0], nd, nd)).ravel()
-        cols = np.broadcast_to(edofs[:, None, :], (edofs.shape[0], nd, nd)).ravel()
-        keys, slot = np.unique(cols * n + rows, return_inverse=True)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        indptr, indices = _index_arrays(indptr, keys % n)
-        ordering = BandOrdering.from_structure(indptr, indices)
-        slot = ordering.stored_index(indptr, indices)[slot]
-        return cls(indptr=indptr, indices=indices, slot=slot, ordering=ordering)
-
-    @classmethod
-    def from_node_pattern(
-        cls, nodes: "SparsityPattern", elements: np.ndarray, dofmap: "DofMap"
-    ) -> "SparsityPattern":
-        """Pattern over the free dofs of ``dofmap`` (``dim`` interleaved
-        components per node), derived from ``nodes``, the pattern of the
-        same elements with one dof per node: the same as
-        ``from_element_dofs`` on the element dofs with the fixed dofs left
-        out, without its sort over every element-matrix entry.
-
-        The column of free dof (j, c) holds the free components of j's
-        neighbours, in node order.  An element entry's CSC position is the
-        column start plus the offset of the row node's block in the column
-        (from the node pair's position in the node structure, recovered from
-        the node slots) plus the row component's rank among the node's free
-        components; its slot is the stored entry at that position.  It is
-        computed one local row node at a time, so each temporary is a fixed
-        multiple of the element count.  The band ordering is the node-level pseudo-peripheral RCM
-        expanded to free dofs (node by node, in component order) when it
-        gives a strictly narrower band than scipy's dof-level RCM.
-        """
-        dim, n_nodes = dofmap.dim, dofmap.n_nodes
-        free = np.zeros(dofmap.n_dofs, dtype=bool)
-        free[dofmap.free] = True
-        free = free.reshape(n_nodes, dim)
+    def build(cls, graph: NodeGraph, elements: np.ndarray, free: np.ndarray, candidates) -> "SparsityPattern":
+        """Pattern of the elements' entries over the True entries of
+        ``free`` (n_nodes, dim), numbered node by node, under
+        ``BandOrdering.narrowest`` of its structure and of the node orders
+        ``candidates`` expanded to free dofs alike.  The column of free dof
+        (j, c) holds the free components of j's neighbours in ``graph``, in
+        node order.  An element entry's CSC position is the column start,
+        plus the offset of the row node's block in the column (from
+        ``graph.pair``), plus the row component's rank among the node's free
+        components.  It is computed one local row node at a time, so each
+        temporary is a fixed multiple of the element count."""
+        n_nodes, dim = free.shape
         width = free.sum(axis=1)  # free components per node
         first = np.cumsum(width) - width  # free index of each node's first one
         rank = np.cumsum(free, axis=1) - 1
-        # each node-pattern entry expands to the free components of its row
-        # node; a node column's expanded rows are every free dof column's rows
-        entry_width = width[nodes.indices]
+        # each graph entry expands to the free components of its row node;
+        # a node column's expanded rows are every free dof column's rows
+        entry_width = width[graph.indices]
         expanded = np.zeros(entry_width.size + 1, dtype=np.int64)
         np.cumsum(entry_width, out=expanded[1:])
-        node_col = np.repeat(np.arange(n_nodes), np.diff(nodes.indptr))
-        col_start = expanded[nodes.indptr[:-1]]
-        col_len = expanded[nodes.indptr[1:]] - col_start
-        block = expanded[:-1] - col_start[node_col]
-        rows = concat_ranges(first[nodes.indices], first[nodes.indices] + entry_width)
+        col_start = expanded[graph.indptr[:-1]]
+        col_len = expanded[graph.indptr[1:]] - col_start
+        block = expanded[:-1] - np.repeat(col_start, np.diff(graph.indptr))
+        rows = concat_ranges(first[graph.indices], first[graph.indices] + entry_width)
 
         col_node = np.repeat(np.arange(n_nodes), width)  # node of each free dof
-        n = col_node.size
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr = np.zeros(col_node.size + 1, dtype=np.int64)
         np.cumsum(col_len[col_node], out=indptr[1:])
         indptr, indices = _index_arrays(
             indptr, rows[concat_ranges(col_start[col_node], col_start[col_node] + col_len[col_node])]
         )
         del rows
 
-        order = pseudo_peripheral_rcm(nodes.indptr, nodes.indices)
-        perm = concat_ranges(first[order], first[order] + width[order])
-        ordering = BandOrdering.narrower(indptr, indices, perm)
-        stored = ordering.stored_index(indptr, indices)  # its last entry drops the fixed dofs
+        perms = [concat_ranges(first[order], first[order] + width[order]) for order in candidates]
+        ordering = BandOrdering.narrowest(indptr, indices, perms)
+        stored = ordering.stored_index(indptr, indices)  # its last entry, which -1 picks, drops
 
-        # the node-structure position of each element's node pair (row a,
-        # column b): a stored pair's own, and for a pair below the reordered
-        # diagonal the transposed position of its stored mirror (b, a)
         n_e, nen = elements.shape
-        o = nodes.ordering
-        node_slot = nodes.slot.reshape(n_e, nen, nen)
-        own = np.flatnonzero(o.stored_index(nodes.indptr, nodes.indices)[:-1] < o.rows.size)
-        mirror = np.searchsorted(node_col * n_nodes + nodes.indices, o.rows * np.int64(n_nodes) + o.cols)
-        pair = np.where(
-            node_slot == o.rows.size,
-            np.append(mirror, -1)[np.swapaxes(node_slot, 1, 2)],
-            np.append(own, -1)[node_slot],
-        )
-
-        nnz = indices.size
         dof_start = indptr[first[:, None] + rank]  # column start of free dof (node, c)
         slot = np.empty((n_e, nen, dim, nen, dim), dtype=stored.dtype)
         col_free = free[elements][:, None, :, :]
         elem_start = dof_start[elements]
         for a in range(nen):
             row = elements[:, a]
-            base = block[pair[:, a]][:, :, None] + elem_start  # (n_e, nen, dim)
-            slot[:, a] = stored[
-                np.where(
-                    free[row][:, :, None, None] & col_free,
-                    rank[row][:, :, None, None] + base[:, None],
-                    nnz,
-                )
-            ]
-        return cls(indptr=indptr, indices=indices, slot=slot.reshape(-1), ordering=ordering)
+            base = block[graph.pair[:, a]][:, :, None] + elem_start  # (n_e, nen, dim)
+            at = np.where(free[row][:, :, None, None] & col_free, rank[row][:, :, None, None] + base[:, None], -1)
+            slot[:, a] = stored[at]
+        return cls(slot=slot.reshape(-1), ordering=ordering)
 
     def assemble(self, blocks) -> UpperMatrix:
         """Sum element matrices into the stored entries.  ``blocks`` yields
@@ -475,8 +435,23 @@ class DamageBlocks:
     mass: np.ndarray  # (nqp, nen*nen): N_q N_q^T, the P1 mass product per point
 
 
+def node_graph(kernels: ElementKernels) -> NodeGraph:
+    """The kernels' ``NodeGraph``, built on first use by one sort of the
+    element node pairs, whose inverse is their CSC position."""
+    if kernels.graph is None:
+        elements, n = kernels.elements, kernels.mesh.n_nodes
+        keys, pair = np.unique((elements[:, None, :] * n + elements[:, :, None]).ravel(), return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        indptr, indices = _index_arrays(indptr, keys % n)
+        pair = pair.astype(indices.dtype).reshape(elements.shape + elements.shape[1:])
+        kernels.graph = NodeGraph(indptr, indices, pair)
+    return kernels.graph
+
+
 def u_pattern(kernels: ElementKernels, dofmap: DofMap) -> SparsityPattern:
-    """Displacement-tangent pattern over the free dofs of ``dofmap``.
+    """Displacement-tangent pattern over the free dofs of ``dofmap``, with
+    the node-level ``pseudo_peripheral_rcm`` as its candidate ordering.
 
     Cached on the kernels per DofMap object; holding the DofMap keeps its
     identity from being reused by another.
@@ -484,18 +459,22 @@ def u_pattern(kernels: ElementKernels, dofmap: DofMap) -> SparsityPattern:
     for owner, pattern in kernels.u_patterns:
         if owner is dofmap:
             return pattern
-    pattern = SparsityPattern.from_node_pattern(damage_blocks(kernels).pattern, kernels.elements, dofmap)
+    graph = node_graph(kernels)
+    free = np.isin(np.arange(dofmap.n_dofs), dofmap.free).reshape(-1, dofmap.dim)
+    candidate = pseudo_peripheral_rcm(graph.indptr, graph.indices)
+    pattern = SparsityPattern.build(graph, kernels.elements, free, [candidate])
     kernels.u_patterns.append((dofmap, pattern))
     return pattern
 
 
 def damage_blocks(kernels: ElementKernels) -> DamageBlocks:
-    """Damage pattern and constant element blocks, built on first use."""
+    """Damage pattern, one free dof per node and no candidate ordering, and
+    the constant element blocks, built on first use."""
     if kernels.damage is None:
         bb = np.einsum("edi,edj->eij", kernels.b_beta, kernels.b_beta)
-        n = kernels.shape_qp
+        n, n_nodes = kernels.shape_qp, kernels.mesh.n_nodes
         kernels.damage = DamageBlocks(
-            pattern=SparsityPattern.from_element_dofs(kernels.elements, kernels.mesh.n_nodes),
+            pattern=SparsityPattern.build(node_graph(kernels), kernels.elements, np.ones((n_nodes, 1), bool), []),
             grad=kernels.measures[:, None, None] * bb,
             mass=(n[:, :, None] * n[:, None, :]).reshape(n.shape[0], -1),
         )

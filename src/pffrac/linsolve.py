@@ -2,8 +2,9 @@
 
 Each tangent is factored by LAPACK banded Cholesky (``dpbtrf``/``dpbtrs``,
 called directly) after a reverse Cuthill-McKee reordering, which keeps the
-band of the P1 finite-element graphs narrow: scipy's, or the node-level
-``pseudo_peripheral_rcm`` where its band is strictly narrower.
+band of the P1 finite-element graphs narrow: scipy's, unless a candidate
+(the node-level ``pseudo_peripheral_rcm`` for the displacement tangent)
+gives a strictly narrower band, the one rule of ``BandOrdering.narrowest``.
 The ordering depends only on the sparsity structure, so a ``BandOrdering``
 is built once per structure.  It fixes the stored entries of every matrix
 on that structure: the entries on or above the reordered diagonal, with
@@ -102,15 +103,12 @@ class BandOrdering:
         return self.perm.size
 
     @classmethod
-    def from_structure(cls, indptr: np.ndarray, indices: np.ndarray, perm=None) -> "BandOrdering":
+    def from_structure(cls, indptr: np.ndarray, indices: np.ndarray, perm) -> "BandOrdering":
         """Band storage of the symmetric CSC structure (indptr, indices) under
-        ``perm``, by default scipy's reverse Cuthill-McKee order of its
-        graph.  Raises LinearSolveError as soon as the bandwidth is known,
+        ``perm``.  Raises LinearSolveError as soon as the bandwidth is known,
         before any band exists, when the band would exceed
         ``BAND_BYTES_BUDGET``."""
         n = indptr.size - 1
-        if perm is None:
-            perm = _scipy_rcm(indptr, indices)
         perm = np.asarray(perm, dtype=np.intp)
         inv = _inverse(perm)
         cols = np.repeat(np.arange(n), np.diff(indptr))
@@ -141,13 +139,12 @@ class BandOrdering:
         )
 
     @classmethod
-    def narrower(cls, indptr: np.ndarray, indices: np.ndarray, perm) -> "BandOrdering":
-        """Band storage of the CSC structure under ``perm`` when that band is
-        strictly narrower than under scipy's reverse Cuthill-McKee order,
-        else under scipy's.  Only the chosen ordering is built."""
-        rcm = _scipy_rcm(indptr, indices)
-        if _bandwidth(indptr, indices, perm) >= _bandwidth(indptr, indices, rcm):
-            perm = rcm
+    def narrowest(cls, indptr: np.ndarray, indices: np.ndarray, candidates) -> "BandOrdering":
+        """Band storage of the CSC structure under scipy's reverse
+        Cuthill-McKee order, unless a perm of ``candidates`` gives a
+        strictly narrower band: then under the first of the narrowest.  Only
+        the chosen ordering is built."""
+        perm = min([_scipy_rcm(indptr, indices), *candidates], key=lambda order: _bandwidth(indptr, indices, order))
         return cls.from_structure(indptr, indices, perm)
 
     def stored_index(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -157,7 +157,7 @@ def stored(a, ordering=None) -> UpperMatrix:
     a = sp.csc_matrix(a, copy=True)
     a.sum_duplicates()
     if ordering is None:
-        ordering = BandOrdering.from_structure(a.indptr, a.indices)
+        ordering = BandOrdering.narrowest(a.indptr, a.indices, [])
     return UpperMatrix(np.asarray(a[ordering.rows, ordering.cols], dtype=np.float64).ravel(), ordering)
 
 

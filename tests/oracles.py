@@ -168,11 +168,15 @@ def lower_bound(u_next, u_d_n, u_d_next, a_next, kernels: ElementKernels, p: Mat
     return bulk_energy(u_next, u_d_next, a_next, kernels, p) - bulk_energy(u_next, u_d_n, a_next, kernels, p)
 
 
-def element_dofs_pattern(edofs: np.ndarray, n: int, keep_map: np.ndarray):
+def element_dofs_pattern(edofs: np.ndarray, free: np.ndarray, n_dofs: int):
     """CSC (indptr, indices) of the entries coupling the dofs of each
-    element, renumbered by ``keep_map`` (-1 for dofs left out), and the data
-    slot of every element-matrix entry (one past the end when left out): one
-    sort over all element-matrix entries."""
+    element, over the dofs ``free`` of ``n_dofs`` (ascending, renumbered
+    from 0; the others are left out), and the data slot of every
+    element-matrix entry (one past the end when left out): one sort over
+    all element-matrix entries."""
+    n = free.size
+    keep_map = -np.ones(n_dofs, dtype=np.int64)
+    keep_map[free] = np.arange(n)
     nd = edofs.shape[1]
     rows = np.broadcast_to(edofs[:, :, None], (edofs.shape[0], nd, nd)).ravel()
     cols = np.broadcast_to(edofs[:, None, :], (edofs.shape[0], nd, nd)).ravel()

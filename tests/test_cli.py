@@ -7,7 +7,7 @@ import pytest
 
 from conftest import box_mesh, scripted_checks
 from oracles import fresh_check, read_snapshot_by_line
-from pffrac import cli, driver, energetics, linsolve, presets
+from pffrac import cli, driver, energetics, fem, linsolve, presets
 from pffrac.cli import config_from_setup, main, resolve_config, run_to_dir
 from pffrac.driver import BacktrackConfig, LoadProgram
 from pffrac.material import MaterialParams
@@ -600,7 +600,7 @@ class TestCmdRun:
 
     def test_foreign_step_file_stays(self, tmp_path):
         # a step_*.vtk name that is not step_ and digits is no snapshot of
-        # a run: the run leaves it in place
+        # a run: the run leaves it in place, and the audit passes with it
         out = tmp_path / "o"
         (out / "snapshots").mkdir(parents=True)
         foreign = out / "snapshots" / "step_final.vtk"
@@ -610,6 +610,7 @@ class TestCmdRun:
         assert sorted(f.name for f in (out / "snapshots").iterdir()) == [
             "step_000000.vtk", "step_000001.vtk", "step_final.vtk",
         ]
+        assert main(["check-energy", str(out)]) == 0
 
     def test_abort_after_back_step_keeps_accepted_snapshots(self, tmp_path, monkeypatch, capsys):
         # target 4 fails, then target 3's re-solve; target 2's re-solve is
@@ -959,6 +960,17 @@ class TestCheckEnergy:
         code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and "cannot load run outputs: energy.csv holds steps" in err
 
+    @pytest.mark.parametrize("name", ["step_000007.vtk", "step_2.vtk"])
+    def test_snapshot_outside_the_chain_exit_2(self, sent_run, capsys, name):
+        # the run keeps snapshots/ equal to the accepted chain: a snapshot
+        # (step_, digits, .vtk) that is not the one the run writes of a
+        # chain step, past the chain's end or named with other digits, is
+        # unreadable output, named by its path
+        snap = sent_run / "snapshots" / name
+        snap.write_bytes((sent_run / "snapshots" / "step_000002.vtk").read_bytes())
+        code, err = self.audit_of(sent_run, capsys)
+        assert code == 2 and err.startswith(f"cannot load run outputs: snapshot {snap} ")
+
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
 
@@ -1015,6 +1027,36 @@ class TestCheckEnergy:
         assert main(["check-energy", str(sent_run)]) == 0
         assert per_check == [(2, 0, 0, 0, 0)] * 5
         assert [calls.count(name) for name in names] == [16, 6, 6, 6, 1]
+
+
+def test_patterns_are_built_in_the_first_solve(tmp_path, monkeypatch):
+    # the benchmark ends a run's set-up at its first call of
+    # driver.alternate_minimize: the node graph and both patterns are built
+    # after it, once each, and the audit builds none
+    built, at_first_solve = [], []
+    real_graph, real_build, real_solve = fem.NodeGraph, fem.SparsityPattern.build, driver.alternate_minimize
+
+    def graph(*args):
+        built.append("graph")
+        return real_graph(*args)
+
+    def build(*args):
+        built.append("pattern")
+        return real_build(*args)
+
+    def solve(*args):
+        at_first_solve.append(list(built))
+        return real_solve(*args)
+
+    monkeypatch.setattr(fem, "NodeGraph", graph)
+    monkeypatch.setattr(fem.SparsityPattern, "build", build)
+    monkeypatch.setattr(driver, "alternate_minimize", solve)
+    out = tmp_path / "out"
+    assert main(["run", *SENT_RUN, "--out", str(out)]) == 0
+    assert at_first_solve[0] == [] and built == ["graph", "pattern", "pattern"]
+    built.clear()
+    assert main(["check-energy", str(out)]) == 0
+    assert built == []
 
 
 def test_bend3d_runs_and_audits_without_lapack_eigensolver(tmp_path, monkeypatch):

@@ -491,17 +491,17 @@ def sent_tangent():
 class TestBandOrdering:
     def test_sent_bandwidth(self, sent_tangent):
         kern, dm, _, k = sent_tangent
-        pat = u_pattern(kern, dm)
-        cols = np.repeat(np.arange(pat.ordering.n), np.diff(pat.indptr))
-        assert np.abs(pat.indices - cols).max() == 471  # natural dof order
-        assert pat.ordering.bandwidth <= 32
+        o = u_pattern(kern, dm).ordering
+        assert np.abs(o.rows - o.cols).max() == 471  # natural dof order
+        assert o.bandwidth <= 32
 
     def test_factor_solve_bitwise_repeatable(self, sent_tangent):
         kern, dm, r, k = sent_tangent
         pat = u_pattern(kern, dm)
         x = factor_solve(k, -r)[0]
         assert np.array_equal(x, factor_solve(k, -r)[0])
-        fresh = BandOrdering.from_structure(pat.indptr, pat.indices, pat.ordering.perm)
+        indptr, indices, _ = element_dofs_pattern(kern.udofs, dm.free, dm.n_dofs)
+        fresh = BandOrdering.from_structure(indptr, indices, pat.ordering.perm)
         assert np.array_equal(x, factor_solve(stored(dense(k), fresh), -r.copy())[0])
         assert np.linalg.norm(k @ x + r) <= 1e-10 * np.linalg.norm(r)
 
@@ -567,24 +567,34 @@ def preset_pattern(request):
     return kern, dm, u_pattern(kern, dm)
 
 
-def assert_oracle_pattern(kern, dm, pat):
-    """The pattern is bitwise the one sorted out of every element entry,
+def assert_oracle_pattern(pat, edofs, free, n_dofs):
+    """The pattern's ordering is bitwise the one its own perm gives the
+    structure sorted out of every element entry over the dofs ``free``,
     and each element entry's slot is the stored entry at its CSC position
-    (one past the stored entries below the reordered diagonal), in the
-    index dtype of the stored entries."""
-    keep_map = -np.ones(dm.n_dofs, dtype=np.int64)
-    keep_map[dm.free] = np.arange(dm.free.size)
-    want = element_dofs_pattern(kern.udofs, dm.free.size, keep_map)
-    assert pat.ordering.n == dm.free.size
-    for got, ref in zip((pat.indptr, pat.indices), want):
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    index = pat.ordering.stored_index(pat.indptr, pat.indices)
-    assert pat.slot.dtype == index.dtype and np.array_equal(pat.slot, index[want[2]])
+    (one past the stored entries below the reordered diagonal or off the
+    free dofs), in the index dtype of the stored entries."""
+    indptr, indices, slot = element_dofs_pattern(edofs, free, n_dofs)
+    want = BandOrdering.from_structure(indptr, indices, pat.ordering.perm)
+    assert pat.ordering.n == free.size and pat.ordering.bandwidth == want.bandwidth
+    for name in ("perm", "inv", "rows", "cols", "col_starts", "diagonal", "slot"):
+        got, ref = getattr(pat.ordering, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    index = want.stored_index(indptr, indices)
+    assert pat.slot.dtype == index.dtype and np.array_equal(pat.slot, index[slot])
+
+
+def assert_oracle_patterns(kern, dm):
+    """``assert_oracle_pattern`` on the displacement pattern of ``dm`` and
+    on the damage pattern, one dof per node."""
+    assert_oracle_pattern(u_pattern(kern, dm), kern.udofs, dm.free, dm.n_dofs)
+    n_nodes = kern.mesh.n_nodes
+    assert_oracle_pattern(damage_blocks(kern).pattern, kern.elements, np.arange(n_nodes), n_nodes)
 
 
 class TestUPattern:
     def test_preset_matches_element_dof_oracle(self, preset_pattern):
-        assert_oracle_pattern(*preset_pattern)
+        kern, dm, _ = preset_pattern
+        assert_oracle_patterns(kern, dm)
 
     def test_random_partial_dofmaps(self, rng):
         # grids with cells cut away, components fixed at random, nodes with
@@ -603,14 +613,19 @@ class TestUPattern:
             dm = DofMap.from_constraints(
                 mesh, [(np.flatnonzero(fixed[:, c]), c) for c in range(dim)]
             )
-            assert_oracle_pattern(kern, dm, u_pattern(kern, dm))
+            assert_oracle_patterns(kern, dm)
 
     def test_band_never_wider_than_scipy_rcm(self, preset_pattern):
-        _, _, pat = preset_pattern
-        scipy_rcm = BandOrdering.from_structure(pat.indptr, pat.indices)
+        kern, dm, pat = preset_pattern
+        indptr, indices, _ = element_dofs_pattern(kern.udofs, dm.free, dm.n_dofs)
+        scipy_rcm = BandOrdering.narrowest(indptr, indices, [])
         assert pat.ordering.bandwidth <= scipy_rcm.bandwidth
         if pat.ordering.bandwidth == scipy_rcm.bandwidth:  # a tie keeps scipy's
             assert np.array_equal(pat.ordering.perm, scipy_rcm.perm)
+        # the damage pattern has no candidate: it takes scipy's
+        n_nodes = kern.mesh.n_nodes
+        indptr, indices, _ = element_dofs_pattern(kern.elements, np.arange(n_nodes), n_nodes)
+        assert np.array_equal(damage_blocks(kern).pattern.ordering.perm, BandOrdering.narrowest(indptr, indices, []).perm)
 
     def test_bend3d_band(self):
         setup = load_preset("bend3d", 0.2)
@@ -624,7 +639,8 @@ class TestUPattern:
         # returns; sorting all element entries peaks at about 8x that, and
         # building both candidate band orderings in full, with scipy's RCM
         # run on a symmetrised copy of the graph, at 3.2x; comparing the
-        # bandwidths first and building one ordering stays at 2.9x
+        # bandwidths first and building one ordering stays at 2.9x; the one
+        # builder on the node graph, which it builds first, peaks at 1.7x
         setup = load_preset("bend3d", 0.1)
         kern = build_kernels(setup.mesh)
         dm = build_dofmap(setup.mesh, setup.program)
@@ -690,7 +706,9 @@ class TestBlockAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * pat.indices.size + 2**18
+        o = pat.ordering
+        nnz = 2 * o.rows.size - o.n  # the structure's entries: each off-diagonal pair is stored once
+        assert peak <= 3 * 8 * nnz + 2**18
 
     def test_peak_memory_of_one_newton_system(self, bend3d_state, monkeypatch):
         # one tangent assembled and solved: the band and a few arrays of the

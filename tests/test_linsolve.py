@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import box_mesh, dense, displacement_system, rcm_solve, stored
-from oracles import george_liu_starts
+from oracles import element_dofs_pattern, george_liu_starts
 from pffrac import linsolve
-from pffrac.fem import DofMap, build_kernels, u_pattern
+from pffrac.fem import DofMap, build_kernels
 from pffrac.linsolve import BandOrdering, LinearSolveError, factor_solve, pseudo_peripheral_rcm
 
 
@@ -31,8 +31,9 @@ def test_hand_elimination_2x2():
 def test_empty_structure():
     indptr, indices = np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32)
     for o in (
-        BandOrdering.from_structure(indptr, indices),
-        BandOrdering.narrower(indptr, indices, np.zeros(0, dtype=np.intp)),
+        BandOrdering.from_structure(indptr, indices, np.zeros(0, dtype=np.intp)),
+        BandOrdering.narrowest(indptr, indices, []),
+        BandOrdering.narrowest(indptr, indices, [np.zeros(0, dtype=np.intp)]),
     ):
         assert o.n == 0 and o.bandwidth == 0 and o.rows.size == 0 and o.cols.size == 0 and o.slot.size == 0
 
@@ -95,7 +96,7 @@ def test_ordering_band_storage(rng):
     # reordered diagonal, each lands on its band slot, and the band holds
     # the reordered upper triangle exactly
     a = random_sparse_spd(rng, 40, 0.1)
-    o = BandOrdering.from_structure(a.indptr, a.indices)
+    o = BandOrdering.narrowest(a.indptr, a.indices, [])
     assert np.array_equal(np.sort(o.perm), np.arange(40))
     assert np.array_equal(o.perm[o.inv], np.arange(40))
     ap = a.toarray()[np.ix_(o.perm, o.perm)]
@@ -133,6 +134,9 @@ def grid_edges(rows, cols):
 
 
 def bandwidth(g, perm=None):
+    """The band of g under perm, by default under scipy's RCM."""
+    if perm is None:
+        return BandOrdering.narrowest(g.indptr, g.indices, []).bandwidth
     return BandOrdering.from_structure(g.indptr, g.indices, perm).bandwidth
 
 
@@ -223,9 +227,9 @@ def test_indefinite_nonsingular_raises():
 
 @pytest.fixture
 def patch_system(sent_params):
-    """Displacement pattern, dense tangent and right-hand side of a stretched
-    4x4 patch whose upper half is fully damaged (degraded to the residual
-    stiffness k)."""
+    """Displacement structure (indptr, indices), dense tangent and
+    right-hand side of a stretched 4x4 patch whose upper half is fully
+    damaged (degraded to the residual stiffness k)."""
     mesh = box_mesh([1.0, 1.0], [4, 4])
     ymin, ymax = mesh.node_sets["ymin"], mesh.node_sets["ymax"]
     dm = DofMap.from_constraints(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
@@ -234,17 +238,17 @@ def patch_system(sent_params):
     a = (mesh.nodes[:, 1] > 0.5).astype(float)
     kern = build_kernels(mesh)
     r, k = displacement_system(np.zeros_like(u_d), u_d, a, kern, sent_params, dm)
-    return u_pattern(kern, dm), dense(k), -r
+    return element_dofs_pattern(kern.udofs, dm.free, dm.n_dofs)[:2], dense(k), -r
 
 
 def test_band_budget_boundary(patch_system, monkeypatch):
     # both constructors check the band: one of exactly the budget is built
     # and factored, one byte more is refused while the ordering is built
-    pat, k, b = patch_system
-    perm = pseudo_peripheral_rcm(pat.indptr, pat.indices)
+    (indptr, indices), k, b = patch_system
+    perm = pseudo_peripheral_rcm(indptr, indices)
     for build in (
-        lambda: BandOrdering.from_structure(pat.indptr, pat.indices),
-        lambda: BandOrdering.narrower(pat.indptr, pat.indices, perm),
+        lambda: BandOrdering.from_structure(indptr, indices, perm),
+        lambda: BandOrdering.narrowest(indptr, indices, [perm]),
     ):
         monkeypatch.undo()
         o = build()
