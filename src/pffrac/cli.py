@@ -23,8 +23,11 @@ check-energy recompute the energy audit from the snapshots of a finished
              a run of run.json's config writes of its mesh (``vtkio``),
              field blocks aside, and snapshots/ must hold no snapshot
              (``step_``, digits, ``.vtk``) of a step outside the accepted
-             chain; anything else is unreadable output.  The summary of an
-             aborted run gives its accepted steps and the abort reason
+             chain, and load_disp.csv must hold energy.csv's steps with
+             finite reactions; anything else is unreadable output.  A w
+             in load_disp.csv other than its step's is a mismatch (its
+             reactions are not recomputed).  The summary of an aborted run
+             gives its accepted steps and the abort reason
 
 A run is a preset plus overrides.  ``--set section.key=value`` overrides
 one key of the preset's config.  [run] holds ``preset`` and ``scale``;
@@ -62,7 +65,7 @@ import time
 from pathlib import Path
 
 from . import presets
-from .driver import RunHistory, load_vector, run
+from .driver import RunHistory, build_dofmap, run
 from .energetics import INITIAL_REPORT, StateEnergy, check_two_sided, dis, erg, grad_term
 from .fem import build_kernels, degradation_weights
 from .vtkio import grid_text, read_field_snapshot, write_field_snapshot
@@ -378,6 +381,16 @@ def _energy_row(line: str) -> tuple:
     return int(parts[0]), tuple(float(v) for v in parts[1:-1]), flag == "1"
 
 
+def _load_row(line: str) -> tuple:
+    """(step, w, reaction) of a load_disp.csv row; a row that is not three
+    fields that parse, the reaction finite, is a ValueError naming the file."""
+    try:
+        step, w, reaction = line.split(",")
+        return int(step), float(w), _finite(reaction)
+    except ValueError as exc:
+        raise ValueError(f"load_disp.csv row {line!r}: {exc}") from None
+
+
 def _read_run_json(path: Path) -> dict:
     """The record in run.json, an object whose ``config`` maps each section
     to an object of string values, whose ``accepted_steps`` is an integer,
@@ -415,6 +428,9 @@ def cmd_check_energy(args) -> int:
         steps = [row[0] for row in rows]
         if steps != list(range(info["accepted_steps"] + 1)):
             raise ValueError(f"energy.csv holds steps {steps}, not 0..{info['accepted_steps']} as run.json")
+        loads = [_load_row(line) for line in (out_dir / "load_disp.csv").read_text().strip().splitlines()[1:]]
+        if [row[0] for row in loads] != steps:
+            raise ValueError(f"load_disp.csv holds steps {[row[0] for row in loads]}, not energy.csv's 0..{steps[-1]}")
         if info["accepted_steps"] > setup.program.n_steps:
             raise ValueError(
                 f"run.json has {info['accepted_steps']} accepted steps, more than program.n_steps = "
@@ -430,7 +446,7 @@ def cmd_check_energy(args) -> int:
     mesh = setup.mesh
     kernels = build_kernels(mesh)
     p = setup.params
-    load = load_vector(setup.program, mesh)
+    load = build_dofmap(mesh, setup.program).load
     grid = grid_text(mesh)
 
     def state(step: int) -> StateEnergy:
@@ -442,7 +458,8 @@ def cmd_check_energy(args) -> int:
         return StateEnergy(u, u_d, rw, erg(u, u_d, rw, kernels, p), grad_term(a, kernels, p), dis(a, kernels, p))
 
     failing = []
-    mismatches = []
+    w = setup.program.w
+    mismatches = [f"step {step}: w csv={got!r} program={w(step)!r}" for step, got, _ in loads if got != w(step)]
     sum_d = 0.0
     try:
         prev = state(0)

@@ -16,8 +16,8 @@ the later solves read and do not evaluate again.  The accepted chain
 ``RunHistory.steps`` (the initial state, then one record per step) and
 the back-step views ``intermediates`` and ``backtracks`` are taken from
 that log; nothing else records a solve.  The history is the run's whole
-state, and ``run``, which builds the program's load vector once, a loop
-over ``advance``.
+state, and ``run``, which reads the program's Dirichlet data once
+(``build_dofmap``), a loop over ``advance``.
 
 Only a window of the states is held.  Since no walk-back goes below K
 steps under the highest target (``BacktrackConfig``), after an ``advance`` the later solves can read only the accepted records from
@@ -53,7 +53,6 @@ __all__ = [
     "RunHistory",
     "advance",
     "build_dofmap",
-    "load_vector",
     "run",
 ]
 
@@ -209,26 +208,25 @@ class RunHistory:
 
 
 def build_dofmap(mesh: Mesh, program: LoadProgram) -> DofMap:
-    """Dof partition induced by the program's Dirichlet specs."""
-    return DofMap.from_constraints(mesh, [(mesh.node_sets[bc.node_set], bc.component) for bc in program.bcs])
-
-
-def load_vector(program: LoadProgram, mesh: Mesh) -> np.ndarray:
-    """The lifting per unit w, g: each spec's scale on its constrained dofs,
-    a later spec overwriting an earlier one, and zero on free dofs."""
-    g = np.zeros(mesh.dim * mesh.n_nodes)
+    """The program's Dirichlet data in one walk over its specs: a spec's
+    dofs are not free and take its scale as load, a later spec overwriting
+    an earlier one's.  A spec naming a set the mesh lacks is a KeyError."""
+    free = np.ones(mesh.dim * mesh.n_nodes, dtype=bool)
+    load = np.zeros(free.size)
     for bc in program.bcs:
-        g[mesh.dim * mesh.node_sets[bc.node_set] + bc.component] = bc.scale
-    return g
+        dofs = mesh.dim * mesh.node_sets[bc.node_set] + bc.component
+        free[dofs] = False
+        load[dofs] = bc.scale
+    return DofMap(free=free, load=load)
 
 
-def _solve(history: RunHistory, n: int, program, bt, cfg, p, kernels, dofmap, load) -> SolveRecord:
+def _solve(history: RunHistory, n: int, program, bt, cfg, p, kernels, dofmap) -> SolveRecord:
     """Solve increment [t_n, t_{n+1}] from the running guess, the last
     logged solve (the initial state before any), check the step pair it
     ends, and log the solve, which becomes the running guess."""
     guess = (history.solves or history.steps)[-1]
     prev = history.steps[n]
-    u_d_next = program.w(n + 1) * load
+    u_d_next = program.w(n + 1) * dofmap.load
     res = alternate_minimize(guess.u, guess.a, guess.rw, prev.a, prev.dissipation, u_d_next, kernels, p, cfg, dofmap)
     rec = SolveRecord(
         u=res.u,
@@ -239,7 +237,7 @@ def _solve(history: RunHistory, n: int, program, bt, cfg, p, kernels, dofmap, lo
         dissipation=dis(res.a, kernels, p),
         step=n + 1,
         a=res.a,
-        reaction=reaction_force(res.spectrum, res.rw, kernels, p, load),
+        reaction=reaction_force(res.spectrum, res.rw, kernels, p, dofmap.load),
         alt_iters=res.alt_iters,
         newton_iters_u=res.newton_iters_u,
         newton_iters_beta=res.newton_iters_beta,
@@ -251,18 +249,18 @@ def _solve(history: RunHistory, n: int, program, bt, cfg, p, kernels, dofmap, lo
     return rec
 
 
-def advance(history: RunHistory, program, bt, cfg, p, kernels, dofmap, load) -> None:
+def advance(history: RunHistory, program, bt, cfg, p, kernels, dofmap) -> None:
     """Solve step ``history.n_accepted + 1`` and, if its check fails, its
     back-step round, which walks back no lower than ``lowest_anchor``;
     accept the last solve at its step, dropping the chain after it, which
     refers to a replaced state; then drop the arrays of every record outside
-    the window that the next ``advance`` can read.  ``load`` is the
-    program's ``load_vector``: the lifting of step n is
-    ``program.w(n) * load``."""
+    the window that the next ``advance`` can read.  ``dofmap`` is the
+    program's ``build_dofmap``: the lifting of step n is
+    ``program.w(n) * dofmap.load``."""
     n = history.n_accepted
     target = n + 1
     lowest = history.lowest_anchor(bt.k_back)
-    rec = _solve(history, n, program, bt, cfg, p, kernels, dofmap, load)
+    rec = _solve(history, n, program, bt, cfg, p, kernels, dofmap)
     # Back steps consumed by the target so far.  The budget is cumulative
     # across failure rounds of the same target: a re-solved earlier step can
     # pass while the same forward step keeps failing with an unchanged
@@ -273,7 +271,7 @@ def advance(history: RunHistory, program, bt, cfg, p, kernels, dofmap, load) -> 
         while not rec.report.passed and b < bt.k_back and n > lowest:
             n -= 1
             b += 1
-            rec = _solve(history, n, program, bt, cfg, p, kernels, dofmap, load)
+            rec = _solve(history, n, program, bt, cfg, p, kernels, dofmap)
             rec.round_of, rec.b = target, b
     history.steps[n + 1 :] = [rec]
     window = {id(r) for r in history.steps[history.lowest_anchor(bt.k_back) :]}
@@ -294,10 +292,11 @@ def run(
     history, the run's whole state, starts at the initial record and is
     ``advance``d until the program ends.
 
-    The program's ``load_vector`` is built once: each step's lifting is w
-    times it, and each record's ``reaction`` is the force conjugate to w,
-    ``reaction_force`` against it.  Nothing is decomposed before the first
-    solve (see ``SolveRecord`` for the initial record).
+    The program's dof map is built once (``build_dofmap``): each step's
+    lifting is w times its load vector, and each record's ``reaction`` the
+    force conjugate to w, ``reaction_force`` against it.  Nothing is
+    decomposed before the first solve (see ``SolveRecord`` for the initial
+    record).
 
     Parameters
     ----------
@@ -316,11 +315,10 @@ def run(
     """
     kernels = build_kernels(mesh)
     dofmap = build_dofmap(mesh, program)
-    load = load_vector(program, mesh)
     a0 = np.zeros(mesh.n_nodes)
     initial = SolveRecord(
-        u=np.zeros(dofmap.n_dofs),
-        u_d=np.zeros(dofmap.n_dofs),
+        u=np.zeros_like(dofmap.load),
+        u_d=np.zeros_like(dofmap.load),
         rw=degradation_weights(kernels, a0, p),
         bulk_energy=0.0,
         grad_energy=0.0,
@@ -335,7 +333,7 @@ def run(
     accepted(history)
     try:
         while history.n_accepted < program.n_steps:
-            advance(history, program, bt, cfg, p, kernels, dofmap, load)
+            advance(history, program, bt, cfg, p, kernels, dofmap)
             accepted(history)
     except (StepFailure, LinearSolveError) as exc:
         history.aborted = True

@@ -219,41 +219,14 @@ def build_kernels(mesh: Mesh) -> ElementKernels:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Free/constrained partition of the displacement dofs.
+    """The Dirichlet data of a load program, from one walk over its specs
+    (``driver.build_dofmap``): the mask ``free`` of the displacement dofs,
+    False on each constrained one, and the ``load`` vector g (the lifting
+    per unit w), on each constrained dof the scale of the last spec that
+    constrains it and 0 elsewhere.  Frozen: its tangent pattern is cached."""
 
-    The constrained dofs carry the lifting values U_D per load step; the
-    free system is solved by row/column elimination.  Frozen, because the
-    tangent pattern built for it is cached.
-    """
-
-    dim: int
-    n_nodes: int
-    fixed: np.ndarray
     free: np.ndarray
-
-    @property
-    def n_dofs(self) -> int:
-        return self.dim * self.n_nodes
-
-    @classmethod
-    def from_constraints(cls, mesh: Mesh, constraints) -> "DofMap":
-        """Build from an iterable of (node_ids, component) pairs."""
-        fixed: list = []
-        for node_ids, comp in constraints:
-            node_ids = np.asarray(node_ids, dtype=np.int64)
-            fixed.append(mesh.dim * node_ids + int(comp))
-        fixed_arr = (
-            np.unique(np.concatenate(fixed)) if fixed else np.empty(0, dtype=np.int64)
-        )
-        n_dofs = mesh.dim * mesh.n_nodes
-        mask = np.zeros(n_dofs, dtype=bool)
-        mask[fixed_arr] = True
-        return cls(
-            dim=mesh.dim,
-            n_nodes=mesh.n_nodes,
-            fixed=fixed_arr,
-            free=np.flatnonzero(~mask).astype(np.int64),
-        )
+    load: np.ndarray
 
 
 def strain_voigt(kernels: ElementKernels, total_disp: np.ndarray) -> np.ndarray:
@@ -460,9 +433,8 @@ def u_pattern(kernels: ElementKernels, dofmap: DofMap) -> SparsityPattern:
         if owner is dofmap:
             return pattern
     graph = node_graph(kernels)
-    free = np.isin(np.arange(dofmap.n_dofs), dofmap.free).reshape(-1, dofmap.dim)
     candidate = pseudo_peripheral_rcm(graph.indptr, graph.indices)
-    pattern = SparsityPattern.build(graph, kernels.elements, free, [candidate])
+    pattern = SparsityPattern.build(graph, kernels.elements, dofmap.free.reshape(-1, kernels.dim), [candidate])
     kernels.u_patterns.append((dofmap, pattern))
     return pattern
 

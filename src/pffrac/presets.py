@@ -63,7 +63,7 @@ _SLIT_REF_H = 0.005
 class RunSetup:
     """Everything a run needs: mesh, material, schedule, solver knobs.  The
     reaction a run records is the force conjugate to w, which the program's
-    Dirichlet specs define (``driver.load_vector``)."""
+    Dirichlet specs define (``driver.build_dofmap``)."""
 
     name: str
     scale: float

@@ -181,9 +181,8 @@ def newton_u(
     principal strains), the strain is linear in the displacement, and the
     degradation weights and element measures are >= 0.
     """
-    u = np.array(u0, dtype=np.float64, copy=True)
-    u[dofmap.fixed] = 0.0
     free = dofmap.free
+    u = np.where(free, u0, 0.0)
     x = u[free]
     if x.size == 0:
         return u, 1, state, step, 0
@@ -340,8 +339,7 @@ def alternate_minimize(
     ``max_alt``, carries the state (u, a) at the start of the alternation
     that failed; a LinearSolveError from the band budget passes through.
     """
-    u = np.array(u_start, dtype=np.float64, copy=True)
-    u[dofmap.fixed] = 0.0
+    u = np.where(dofmap.free, u_start, 0.0)
     a = np.array(a_start, dtype=np.float64, copy=True)
     rw = rw_start
 

@@ -168,14 +168,14 @@ def lower_bound(u_next, u_d_n, u_d_next, a_next, kernels: ElementKernels, p: Mat
     return bulk_energy(u_next, u_d_next, a_next, kernels, p) - bulk_energy(u_next, u_d_n, a_next, kernels, p)
 
 
-def element_dofs_pattern(edofs: np.ndarray, free: np.ndarray, n_dofs: int):
+def element_dofs_pattern(edofs: np.ndarray, free: np.ndarray):
     """CSC (indptr, indices) of the entries coupling the dofs of each
-    element, over the dofs ``free`` of ``n_dofs`` (ascending, renumbered
-    from 0; the others are left out), and the data slot of every
+    element, over the dofs where the mask ``free`` is True (ascending,
+    renumbered from 0; the others are left out), and the data slot of every
     element-matrix entry (one past the end when left out): one sort over
     all element-matrix entries."""
-    n = free.size
-    keep_map = -np.ones(n_dofs, dtype=np.int64)
+    n = np.count_nonzero(free)
+    keep_map = -np.ones(free.size, dtype=np.int64)
     keep_map[free] = np.arange(n)
     nd = edofs.shape[1]
     rows = np.broadcast_to(edofs[:, :, None], (edofs.shape[0], nd, nd)).ravel()
@@ -189,6 +189,21 @@ def element_dofs_pattern(edofs: np.ndarray, free: np.ndarray, n_dofs: int):
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     proto = sp.csc_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
     return proto.indptr, proto.indices, slot
+
+
+def dirichlet_partition(mesh: Mesh, program) -> tuple:
+    """(fixed, load) of the program's Dirichlet specs, taken one spec and
+    one node at a time: the ascending union of the dofs the specs
+    constrain, and the load vector in which a dof takes the scale of the
+    last spec that constrains it, and 0 if none does."""
+    fixed = set()
+    load = np.zeros(mesh.dim * mesh.n_nodes)
+    for bc in program.bcs:
+        for node in mesh.node_sets[bc.node_set]:
+            dof = mesh.dim * int(node) + bc.component
+            fixed.add(dof)
+            load[dof] = bc.scale
+    return np.array(sorted(fixed), dtype=np.int64), load
 
 
 def george_liu_starts(indptr: np.ndarray, indices: np.ndarray) -> list:

@@ -1,4 +1,5 @@
-"""A bar in uniaxial strain, whose K = 0 load path has closed forms.
+"""A bar in uniaxial strain, whose K = 0 and K = 50 load paths have
+closed forms.
 
 The bar is L = 1 by H = 0.05, 40 cells long and one cell high, with
 lambda = 0 and mu = 0.5 (M = lambda + 2 mu = 1), Gc = 1, ell = 0.1 and
@@ -11,6 +12,14 @@ damage beta that minimises the local energy at e:
 - AT2: beta = M e^2 / (M e^2 + Gc / ell);
 - AT1 with kappa = 9/32 (1-D toughness Gc): beta = 0 up to the strain
   e_c = sqrt(c / M), c = kappa Gc / ell, so the bar is elastic below it.
+
+With backtracking (K = 50) the AT1 bar breaks where a global minimiser
+does: at the Griffith load, where its elastic energy 1/2 M e^2 L H reaches
+the energy of its crack.  The crack forms at the loaded end, and its
+energy is read from the run's last state.  The perfect bar localises only
+through round-off: with 80 cells, or with dw = 0.04, K = 0 stays
+homogeneous to w = 2, no check fails and K = 50 gives the same run, so
+neither the cells nor dw are free to change here.
 """
 
 import math
@@ -28,9 +37,9 @@ M, GC, ELL, K_RES = 1.0, 1.0, 0.1, 1e-4
 KAPPA = 9.0 / 32.0
 
 
-def bar_run(dissipation: str, kappa=None):
-    """The bar's run with K = 0: dw = 0.02 over 100 steps, shipped solver
-    defaults."""
+def bar_run(dissipation: str, kappa=None, k_back=0):
+    """The bar's run with K = ``k_back``: dw = 0.02 over 100 steps,
+    shipped solver defaults."""
     mesh = generate_grid([np.linspace(0.0, L, 41), np.linspace(0.0, H, 2)])
     mesh.node_sets["left"] = select_nodes(mesh, lambda x: x[:, 0])
     mesh.node_sets["right"] = select_nodes(mesh, lambda x: x[:, 0] - L)
@@ -40,7 +49,7 @@ def bar_run(dissipation: str, kappa=None):
     )
     bcs = (DirichletSpec("left", 0, 0.0), DirichletSpec("right", 0, 1.0), DirichletSpec("all", 1, 0.0))
     program = LoadProgram(n_steps=100, dw=0.02, bcs=bcs)
-    history = run(program, BacktrackConfig(k_back=0), SolverConfig(), p, mesh)
+    history = run(program, BacktrackConfig(k_back=k_back), SolverConfig(), p, mesh)
     assert not history.aborted and history.n_accepted == 100
     return program, history
 
@@ -67,3 +76,17 @@ def test_at1_is_elastic_below_the_critical_strain():
         assert rec.dissipation == 0.0, rec.step
         assert rel_err(rec.reaction, (1.0 + K_RES) * M * program.w(rec.step) * H) <= 1e-12, rec.step
     assert history.steps[84].dissipation > 0.0  # the first damaged step, w = 1.68
+
+
+def test_at1_with_backtracking_breaks_at_the_griffith_load():
+    # K = 50 walks back from the snap of the homogeneous branch (w = 1.98)
+    # to a crack at the Griffith load of that crack's energy, and every
+    # walk-back ends at a passing check
+    program, history = bar_run("AT1", KAPPA, k_back=50)
+    assert history.k_exhausted_steps == []
+    reactions = [rec.reaction for rec in history.steps]
+    peak = int(np.argmax(reactions))
+    broken = next(step for step in range(peak, len(reactions)) if reactions[step] < 0.5 * reactions[peak])
+    last = history.steps[-1]
+    w_g = L * math.sqrt(2.0 * (last.grad_energy + last.dissipation) / (M * L * H))
+    assert w_g <= program.w(broken) <= w_g + program.dw

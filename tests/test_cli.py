@@ -971,6 +971,38 @@ class TestCheckEnergy:
         code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and err.startswith(f"cannot load run outputs: snapshot {snap} ")
 
+    def test_load_disp_w_is_the_programs(self, sent_run, capsys):
+        # each load_disp.csv row holds the w of its step: another is an
+        # audit mismatch (its reaction is not recomputed)
+        path = sent_run / "load_disp.csv"
+        rows = path.read_text().splitlines()
+        step, w, reaction = rows[2].split(",")
+        rows[2] = f"{step},{2.0 * float(w)!r},{reaction}"
+        path.write_text("\n".join(rows) + "\n")
+        assert self.audit_of(sent_run, capsys) == (1, f"step 1: w csv={2.0 * float(w)!r} program={float(w)!r}\n")
+
+    @pytest.mark.parametrize("edit", ["deleted", "drop_step_2", "extra_step", "nan_reaction", "bad_field"])
+    def test_load_disp_rows_are_the_accepted_steps(self, sent_run, capsys, edit):
+        # load_disp.csv must hold energy.csv's steps, once each and in
+        # order, as three fields that parse with a finite reaction: a
+        # missing file, a missing or extra row, a field that does not parse
+        # or a reaction that is not finite is unreadable output, named
+        path = sent_run / "load_disp.csv"
+        header, *rows = path.read_text().splitlines()
+        if edit == "deleted":
+            path.unlink()
+        else:
+            if edit == "drop_step_2":
+                del rows[2]
+            elif edit == "extra_step":
+                rows.append("6,0.5,1.0")
+            else:
+                step, w, reaction = rows[1].split(",")
+                rows[1] = f"{step},{w},nan" if edit == "nan_reaction" else f"{step},{w},1.0,2.0"
+            path.write_text("\n".join([header, *rows]) + "\n")
+        code, err = self.audit_of(sent_run, capsys)
+        assert code == 2 and err.startswith("cannot load run outputs: ") and "load_disp.csv" in err
+
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
 
@@ -1021,7 +1053,7 @@ class TestCheckEnergy:
         monkeypatch.setattr(cli, "dis", dissipation)
         monkeypatch.setattr(cli, "grad_term", grad)
         monkeypatch.setattr(cli, "degradation_weights", counting(cli.degradation_weights, "weights"))
-        monkeypatch.setattr(cli, "load_vector", counting(cli.load_vector, "load"))
+        monkeypatch.setattr(cli, "build_dofmap", counting(cli.build_dofmap, "load"))
         monkeypatch.setattr(cli, "read_field_snapshot", reading)
         monkeypatch.setattr(cli, "check_two_sided", checking)
         assert main(["check-energy", str(sent_run)]) == 0

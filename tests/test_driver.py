@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import box_mesh, made_states, scripted_checks, with_dissipation
-from oracles import bulk_energy, fresh_check
+from oracles import bulk_energy, dirichlet_partition, fresh_check
 from pffrac.cli import _apply_overrides, resolve_config
 import pffrac.driver as driver
 from pffrac.driver import (
@@ -15,13 +15,13 @@ from pffrac.driver import (
     SolveRecord,
     advance,
     build_dofmap,
-    load_vector,
     run,
 )
 from pffrac import energetics
 from pffrac.energetics import INITIAL_REPORT, dis, grad_term
 from pffrac.fem import build_kernels, degradation_weights, reaction_force, strain_spectrum
 from pffrac.material import StrainSpectrum
+from pffrac.presets import load_preset
 from pffrac.solver import SolverConfig, StepFailure
 
 
@@ -45,11 +45,11 @@ def patch():
 class TestLifting:
     def test_step_zero_is_zero(self, patch):
         prog = tension_program()
-        assert np.all(prog.w(0) * load_vector(prog, patch) == 0.0)
+        assert np.all(prog.w(0) * build_dofmap(patch, prog).load == 0.0)
 
     def test_step_arithmetic(self, patch):
         prog = tension_program(n_steps=12, dw=1e-5)
-        u_d = prog.w(10) * load_vector(prog, patch)
+        u_d = prog.w(10) * build_dofmap(patch, prog).load
         top = patch.node_sets["ymax"]
         assert np.allclose(u_d[2 * top + 1], 1e-4)
         assert np.all(u_d[2 * patch.node_sets["ymin"] + 1] == 0.0)
@@ -67,7 +67,7 @@ class TestLifting:
                 DirichletSpec("ymax", 0, 1.0),
             ),
         )
-        u_d = prog.w(3) * load_vector(prog, patch)
+        u_d = prog.w(3) * build_dofmap(patch, prog).load
         top = patch.node_sets["ymax"]
         assert np.allclose(u_d[2 * top], 3e-4)  # horizontal = n*dw
         for tag in ("ymin", "ymax", "xmin", "xmax"):
@@ -80,7 +80,7 @@ class TestLifting:
         prog = LoadProgram(
             n_steps=3, dw=1e-4, bcs=(DirichletSpec("xmax", 0, 2.0), DirichletSpec("ymax", 0, 0.5))
         )
-        g = load_vector(prog, patch)
+        g = build_dofmap(patch, prog).load
         xmax, ymax = patch.node_sets["xmax"], patch.node_sets["ymax"]
         want = np.zeros(2 * patch.n_nodes)
         want[2 * xmax] = 2.0
@@ -88,14 +88,44 @@ class TestLifting:
         assert np.array_equal(g, want) and np.intersect1d(xmax, ymax).size == 1
         tension = tension_program(n_steps=2)
         hist = run(tension, BacktrackConfig(), SolverConfig(), sent_params, patch)
-        g = load_vector(tension, patch)
+        g = build_dofmap(patch, tension).load
         for rec in hist.steps:
             assert rec.u_d.tobytes() == (tension.w(rec.step) * g).tobytes()
 
+    @pytest.mark.parametrize("name, scale", [("sent", 0.05), ("sens", 0.02), ("lshape", 0.15), ("bend3d", 0.1)])
+    def test_dofmap_is_the_per_spec_partition(self, name, scale):
+        # the one walk gives bitwise the free mask and the load vector of
+        # the specs taken one at a time
+        setup = load_preset(name, scale)
+        dm = build_dofmap(setup.mesh, setup.program)
+        fixed, load = dirichlet_partition(setup.mesh, setup.program)
+        assert dm.free.dtype == bool and np.array_equal(np.flatnonzero(~dm.free), fixed)
+        assert dm.load.dtype == load.dtype and dm.load.tobytes() == load.tobytes()
+
+    def test_a_later_spec_overwrites_an_earlier_scale(self, patch):
+        # one component constrained twice with different scales, and
+        # another partly by two specs: each dof is fixed once and takes its
+        # last spec's scale
+        prog = LoadProgram(
+            n_steps=1,
+            dw=1e-4,
+            bcs=(
+                DirichletSpec("xmax", 0, 2.0),
+                DirichletSpec("ymin", 1, 0.0),
+                DirichletSpec("ymax", 1, 1.5),
+                DirichletSpec("xmax", 0, -0.5),
+                DirichletSpec("xmax", 1, 0.25),
+            ),
+        )
+        dm = build_dofmap(patch, prog)
+        fixed, load = dirichlet_partition(patch, prog)
+        assert np.array_equal(np.flatnonzero(~dm.free), fixed) and dm.load.tobytes() == load.tobytes()
+        xmax, ymax = patch.node_sets["xmax"], patch.node_sets["ymax"]
+        assert np.all(dm.load[2 * xmax] == -0.5) and np.all(dm.load[2 * xmax + 1] == 0.25)
+        assert np.all(dm.load[2 * np.setdiff1d(ymax, xmax) + 1] == 1.5)
+
     def test_unknown_set(self, patch):
         prog = LoadProgram(n_steps=2, dw=1e-4, bcs=(DirichletSpec("nope", 0, 1.0),))
-        with pytest.raises(KeyError):
-            load_vector(prog, patch)
         with pytest.raises(KeyError):
             build_dofmap(patch, prog)
 
@@ -193,7 +223,7 @@ class TestRun:
             assert again.functional_trace == res.functional_trace
         # each accepted state comes from a solve anchored at the damage the
         # history accepted one step earlier, under that step's own lifting
-        g = load_vector(prog, patch)
+        g = build_dofmap(patch, prog).load
         for prev, rec in zip(hist.steps, hist.steps[1:]):
             found = [
                 args for args, r in solves
@@ -249,7 +279,7 @@ class TestReusedDecomposition:
         monkeypatch.undo()
 
         kern = build_kernels(patch)
-        g = load_vector(prog, patch)
+        g = build_dofmap(patch, prog).load
         for prev, rec in zip([None] + hist.steps[:-1], hist.steps):
             u_d = prog.w(rec.step) * g
             st = state(rec)
@@ -281,7 +311,7 @@ class TestReusedDecomposition:
 
     def test_solved_state_not_evaluated_again(self, patch, sent_params, monkeypatch):
         # on a run that cracks the patch: before the first solve the driver
-        # builds the load vector, the run's one, and the weights of the
+        # builds the dof map, the run's one, and the weights of the
         # initial state, which it does not evaluate otherwise; once the
         # first solve starts, it computes no energy densities of its own
         # (the solve hands on the final state's densities) and one gradient
@@ -312,7 +342,7 @@ class TestReusedDecomposition:
 
             return wrapper
 
-        names = ("psi_split", "erg", "dis", "grad_term", "degradation_weights", "load_vector")
+        names = ("psi_split", "erg", "dis", "grad_term", "degradation_weights", "build_dofmap")
         for module in (driver, energetics):
             for name in names:
                 if hasattr(module, name):
@@ -323,7 +353,7 @@ class TestReusedDecomposition:
         assert not hist.aborted and hist.steps[-1].a.max() == 1.0
         solves = len(hist.solves)
         assert calls == {
-            ("step 0", "load_vector"): 1,
+            ("step 0", "build_dofmap"): 1,
             ("step 0", "degradation_weights"): 1,
             ("driver", "grad_term"): solves,
             ("driver", "dis"): solves,
@@ -410,20 +440,20 @@ class TestBacktrackBookkeeping:
         prog, bt, cfg = tension_program(n_steps=4), BacktrackConfig(k_back=2), SolverConfig()
         whole = run(prog, bt, cfg, sent_params, patch)
 
-        kern, dofmap, load = build_kernels(patch), build_dofmap(patch, prog), load_vector(prog, patch)
+        kern, dofmap = build_kernels(patch), build_dofmap(patch, prog)
         a0 = np.zeros(patch.n_nodes)
         initial = SolveRecord(
-            u=np.zeros(dofmap.n_dofs), u_d=np.zeros(dofmap.n_dofs), rw=degradation_weights(kern, a0, sent_params),
+            u=np.zeros_like(dofmap.load), u_d=np.zeros_like(dofmap.load), rw=degradation_weights(kern, a0, sent_params),
             bulk_energy=0.0, grad_energy=0.0, dissipation=0.0, step=0, a=a0, reaction=0.0, report=INITIAL_REPORT,
         )
         first = RunHistory(steps=[initial])
         for _ in range(3):
-            advance(first, prog, bt, cfg, sent_params, kern, dofmap, load)
+            advance(first, prog, bt, cfg, sent_params, kern, dofmap)
         assert [(r.step, r.round_of, r.b) for r in first.solves[2:]] == [(3, 3, 0), (2, 3, 1)]
         second = copy.deepcopy(first)
         kern = build_kernels(patch)
         while second.n_accepted < prog.n_steps:
-            advance(second, prog, bt, cfg, sent_params, kern, dofmap, load)
+            advance(second, prog, bt, cfg, sent_params, kern, dofmap)
 
         fields = ("step", "reaction", "round_of", "b", "alt_iters", "newton_iters_u", "newton_iters_beta",
                   "trials_u", "trials_beta")

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import (
     box_mesh,
+    constrained_dofmap,
     damage_system,
     dense,
     displacement_system,
@@ -19,7 +20,6 @@ from conftest import (
 from oracles import bulk_energy, elastic_tensor, element_dofs_pattern, element_measures, penalty_energy, strain_tensor_from_voigt
 from pffrac.energetics import dis, grad_term
 from pffrac.fem import (
-    DofMap,
     TET_RULE,
     TRI_RULE,
     beta_at_qp,
@@ -32,7 +32,7 @@ from pffrac.fem import (
     u_pattern,
 )
 from pffrac import fem, solver
-from pffrac.driver import DirichletSpec, LoadProgram, build_dofmap, load_vector
+from pffrac.driver import DirichletSpec, LoadProgram, build_dofmap
 from pffrac.linsolve import BandOrdering, factor_solve
 from pffrac.mesh import Mesh, MeshError, generate_grid
 from pffrac.material import (
@@ -170,7 +170,7 @@ class TestResidualU:
         # assembled elastic stiffness times the displacement
         mesh = box_mesh([1.0, 1.0], [2, 2])
         kern = build_kernels(mesh)
-        dm = DofMap.from_constraints(mesh, [])
+        dm = constrained_dofmap(mesh)
         k_el = dense_elastic_stiffness(mesh, kern, sent_params)
         u_d = np.zeros(2 * mesh.n_nodes)
         u_d[1::2] = -1e-3 * mesh.nodes[:, 1]  # uniform compression
@@ -269,7 +269,7 @@ class TestTangents:
     def test_tangent_u_elastic_limit(self, sent_params):
         mesh = box_mesh([1.0, 1.0], [2, 2])
         kern = build_kernels(mesh)
-        dm = DofMap.from_constraints(mesh, [])
+        dm = constrained_dofmap(mesh)
         u_d = np.zeros(2 * mesh.n_nodes)
         u_d[1::2] = -1e-3 * mesh.nodes[:, 1]
         k = displacement_system(np.zeros_like(u_d), u_d, np.zeros(mesh.n_nodes), kern, sent_params, dm)[1]
@@ -296,7 +296,7 @@ class TestTangents:
     def test_tangent_u_spd_and_rigid_modes(self, sent_params):
         mesh = box_mesh([1.0, 1.0], [2, 2])
         kern = build_kernels(mesh)
-        dm_free = DofMap.from_constraints(mesh, [])
+        dm_free = constrained_dofmap(mesh)
         u, a = np.zeros(2 * mesh.n_nodes), np.full(mesh.n_nodes, 0.4)
         k = displacement_system(u, u, a, kern, sent_params, dm_free)[1]
         for c in range(2):
@@ -304,7 +304,7 @@ class TestTangents:
             v[c::2] = 1.0
             assert np.abs(k @ v).max() < 1e-9  # translations before constraints
         bottom = mesh.node_sets["ymin"]
-        dm = DofMap.from_constraints(mesh, [(bottom, 0), (bottom, 1)])
+        dm = constrained_dofmap(mesh, [(bottom, 0), (bottom, 1)])
         k_c = displacement_system(u, u, a, kern, sent_params, dm)[1]
         spla.splu(sp.csc_matrix(dense(k_c)))  # factorization succeeds -> SPD at desk scale
 
@@ -369,9 +369,9 @@ class TestTangents:
             return k
 
         bottom = mesh.node_sets["ymin"]
-        dm_a = DofMap.from_constraints(mesh, [(bottom, 0), (bottom, 1)])
-        dm_b = DofMap.from_constraints(mesh, [(bottom, 0), (bottom, 1)])
-        dm_c = DofMap.from_constraints(mesh, [(bottom, 1)])
+        dm_a = constrained_dofmap(mesh, [(bottom, 0), (bottom, 1)])
+        dm_b = constrained_dofmap(mesh, [(bottom, 0), (bottom, 1)])
+        dm_c = constrained_dofmap(mesh, [(bottom, 1)])
         k1, k2 = check(dm_a), check(dm_a)
         # reused across calls: both matrices are stored under the one cached
         # pattern's ordering
@@ -381,7 +381,7 @@ class TestTangents:
         check(dm_b)
         check(dm_c)
         assert u_pattern(kern, dm_b) is not pat
-        assert u_pattern(kern, dm_c).ordering.n == dm_c.free.size != pat.ordering.n
+        assert u_pattern(kern, dm_c).ordering.n == np.count_nonzero(dm_c.free) != pat.ordering.n
         assert [id(d) for d, _ in kern.u_patterns] == [id(dm_a), id(dm_b), id(dm_c)]
 
         psi_p, _ = psi_split(spec, p)
@@ -419,7 +419,7 @@ class TestDeterminismAndReaction:
         kern = build_kernels(mesh)
         spec = strain_spectrum(kern, np.zeros(2 * mesh.n_nodes))
         rw = degradation_weights(kern, np.zeros(mesh.n_nodes), sent_params)
-        load = load_vector(LoadProgram(n_steps=1, dw=1e-4, bcs=(DirichletSpec("ymax", 1, 1.0),)), mesh)
+        load = build_dofmap(mesh, LoadProgram(n_steps=1, dw=1e-4, bcs=(DirichletSpec("ymax", 1, 1.0),))).load
         reaction = reaction_force(spec, rw, kern, sent_params, load)
         assert reaction == 0.0 and not np.signbit(reaction)
 
@@ -428,7 +428,7 @@ class TestDeterminismAndReaction:
         # spec naming a set the mesh lacks is an error
         mesh = box_mesh([1.0, 1.0], [1, 1])
         with pytest.raises(KeyError):
-            load_vector(LoadProgram(n_steps=1, dw=1e-4, bcs=(DirichletSpec("nope", 1, 1.0),)), mesh)
+            build_dofmap(mesh, LoadProgram(n_steps=1, dw=1e-4, bcs=(DirichletSpec("nope", 1, 1.0),)))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_reaction_is_conjugate_to_w(self, sent_params, rng, dim):
@@ -443,10 +443,10 @@ class TestDeterminismAndReaction:
             bcs.append(DirichletSpec("zmin", 2, 0.0))
         prog = LoadProgram(n_steps=1, dw=1e-3, bcs=tuple(bcs))
         kern = build_kernels(mesh)
-        load = load_vector(prog, mesh)
+        dm = build_dofmap(mesh, prog)
+        load, free = dm.load, dm.free
         u = np.zeros(load.size)
-        free = build_dofmap(mesh, prog).free
-        u[free] = 2e-4 * rng.normal(size=free.size)
+        u[free] = 2e-4 * rng.normal(size=np.count_nonzero(free))
         a = rng.uniform(0.1, 0.6, mesh.n_nodes)
         w, h = 1e-3, 1e-6
 
@@ -482,7 +482,7 @@ def sent_tangent():
     setup = load_preset("sent", 0.1)
     kern = build_kernels(setup.mesh)
     dm = build_dofmap(setup.mesh, setup.program)
-    u_d = setup.program.w(1) * load_vector(setup.program, setup.mesh)
+    u_d = setup.program.w(1) * dm.load
     z = np.zeros(u_d.size)
     r, k = displacement_system(z, u_d, np.zeros(setup.mesh.n_nodes), kern, setup.params, dm)
     return kern, dm, r, k
@@ -500,7 +500,7 @@ class TestBandOrdering:
         pat = u_pattern(kern, dm)
         x = factor_solve(k, -r)[0]
         assert np.array_equal(x, factor_solve(k, -r)[0])
-        indptr, indices, _ = element_dofs_pattern(kern.udofs, dm.free, dm.n_dofs)
+        indptr, indices, _ = element_dofs_pattern(kern.udofs, dm.free)
         fresh = BandOrdering.from_structure(indptr, indices, pat.ordering.perm)
         assert np.array_equal(x, factor_solve(stored(dense(k), fresh), -r.copy())[0])
         assert np.linalg.norm(k @ x + r) <= 1e-10 * np.linalg.norm(r)
@@ -514,7 +514,7 @@ class TestBandOrdering:
         )
         mesh = box_mesh([1.0, 1.0], [2, 2])
         ymin, ymax = mesh.node_sets["ymin"], mesh.node_sets["ymax"]
-        dm = DofMap.from_constraints(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
+        dm = constrained_dofmap(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
         kern = build_kernels(mesh)
         solves, eliminated = [], []
         real_solve, real_eliminate = solver.factor_solve, solver.eliminate
@@ -567,15 +567,15 @@ def preset_pattern(request):
     return kern, dm, u_pattern(kern, dm)
 
 
-def assert_oracle_pattern(pat, edofs, free, n_dofs):
+def assert_oracle_pattern(pat, edofs, free):
     """The pattern's ordering is bitwise the one its own perm gives the
     structure sorted out of every element entry over the dofs ``free``,
     and each element entry's slot is the stored entry at its CSC position
     (one past the stored entries below the reordered diagonal or off the
     free dofs), in the index dtype of the stored entries."""
-    indptr, indices, slot = element_dofs_pattern(edofs, free, n_dofs)
+    indptr, indices, slot = element_dofs_pattern(edofs, free)
     want = BandOrdering.from_structure(indptr, indices, pat.ordering.perm)
-    assert pat.ordering.n == free.size and pat.ordering.bandwidth == want.bandwidth
+    assert pat.ordering.n == np.count_nonzero(free) and pat.ordering.bandwidth == want.bandwidth
     for name in ("perm", "inv", "rows", "cols", "col_starts", "diagonal", "slot"):
         got, ref = getattr(pat.ordering, name), getattr(want, name)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
@@ -586,9 +586,9 @@ def assert_oracle_pattern(pat, edofs, free, n_dofs):
 def assert_oracle_patterns(kern, dm):
     """``assert_oracle_pattern`` on the displacement pattern of ``dm`` and
     on the damage pattern, one dof per node."""
-    assert_oracle_pattern(u_pattern(kern, dm), kern.udofs, dm.free, dm.n_dofs)
+    assert_oracle_pattern(u_pattern(kern, dm), kern.udofs, dm.free)
     n_nodes = kern.mesh.n_nodes
-    assert_oracle_pattern(damage_blocks(kern).pattern, kern.elements, np.arange(n_nodes), n_nodes)
+    assert_oracle_pattern(damage_blocks(kern).pattern, kern.elements, np.ones(n_nodes, dtype=bool))
 
 
 class TestUPattern:
@@ -610,21 +610,21 @@ class TestUPattern:
             if trial == 11:
                 fixed[:] = True
             fixed[-1, 0] = False
-            dm = DofMap.from_constraints(
+            dm = constrained_dofmap(
                 mesh, [(np.flatnonzero(fixed[:, c]), c) for c in range(dim)]
             )
             assert_oracle_patterns(kern, dm)
 
     def test_band_never_wider_than_scipy_rcm(self, preset_pattern):
         kern, dm, pat = preset_pattern
-        indptr, indices, _ = element_dofs_pattern(kern.udofs, dm.free, dm.n_dofs)
+        indptr, indices, _ = element_dofs_pattern(kern.udofs, dm.free)
         scipy_rcm = BandOrdering.narrowest(indptr, indices, [])
         assert pat.ordering.bandwidth <= scipy_rcm.bandwidth
         if pat.ordering.bandwidth == scipy_rcm.bandwidth:  # a tie keeps scipy's
             assert np.array_equal(pat.ordering.perm, scipy_rcm.perm)
         # the damage pattern has no candidate: it takes scipy's
         n_nodes = kern.mesh.n_nodes
-        indptr, indices, _ = element_dofs_pattern(kern.elements, np.arange(n_nodes), n_nodes)
+        indptr, indices, _ = element_dofs_pattern(kern.elements, np.ones(n_nodes, dtype=bool))
         assert np.array_equal(damage_blocks(kern).pattern.ordering.perm, BandOrdering.narrowest(indptr, indices, []).perm)
 
     def test_bend3d_band(self):
@@ -663,7 +663,7 @@ def bend3d_state():
     kern = build_kernels(setup.mesh)
     dm = build_dofmap(setup.mesh, setup.program)
     rng = np.random.default_rng(7)
-    u_d = setup.program.w(1) * load_vector(setup.program, setup.mesh)
+    u_d = setup.program.w(1) * dm.load
     spec = strain_spectrum(kern, 1e-3 * rng.normal(size=u_d.size) + u_d)
     spec.directions
     rw = degradation_weights(kern, rng.uniform(0.0, 0.9, setup.mesh.n_nodes), setup.params)

@@ -375,6 +375,42 @@ def test_regularisation_law_is_stated_once():
     assert regularisation_leaks(sources) == []
 
 
+# The fields of the program's Dirichlet specs, which only driver.py reads.
+_DIRICHLET_NAMES = {"bcs", "node_set", "component"}
+
+
+def dirichlet_readers(sources: dict) -> list:
+    """Where modules of ``sources`` (file name -> source) other than
+    ``driver.py`` read the program's Dirichlet specs: an attribute read of
+    a name in ``_DIRICHLET_NAMES``."""
+    reads = []
+    for file, text in sources.items():
+        if file == "driver.py":
+            continue
+        reads += [
+            f"{file}:{node.lineno} {node.attr}"
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in _DIRICHLET_NAMES
+        ]
+    return sorted(reads)
+
+
+def test_detects_dirichlet_reader():
+    srcs = {
+        "driver.py": "def build(mesh, program):\n    return [(bc.node_set, bc.component) for bc in program.bcs]\n",
+        "cli.py": "def f(setup):\n    return len(setup.program.bcs)\n",
+        "fem.py": "def g(spec, specs):\n    spec.component = 0\n    return specs[0].node_set, spec.components\n",
+    }
+    assert dirichlet_readers(srcs) == ["cli.py:2 bcs", "fem.py:3 node_set"]
+
+
+def test_only_the_driver_reads_the_dirichlet_specs():
+    # driver.build_dofmap is the one walk over the specs: every other layer
+    # reads their free mask and load vector from its DofMap
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dirichlet_readers(sources) == []
+
+
 # The benchmark's span targets that name what the program no longer has.
 # ROADMAP item 1 retargets them, and then empties this list.
 STALE_TRACING_TARGETS = [

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import box_mesh, dense, displacement_system, rcm_solve, stored
+from conftest import box_mesh, constrained_dofmap, dense, displacement_system, rcm_solve, stored
 from oracles import element_dofs_pattern, george_liu_starts
 from pffrac import linsolve
-from pffrac.fem import DofMap, build_kernels
+from pffrac.fem import build_kernels
 from pffrac.linsolve import BandOrdering, LinearSolveError, factor_solve, pseudo_peripheral_rcm
 
 
@@ -232,13 +232,13 @@ def patch_system(sent_params):
     damaged (degraded to the residual stiffness k)."""
     mesh = box_mesh([1.0, 1.0], [4, 4])
     ymin, ymax = mesh.node_sets["ymin"], mesh.node_sets["ymax"]
-    dm = DofMap.from_constraints(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
+    dm = constrained_dofmap(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
     u_d = np.zeros(2 * mesh.n_nodes)
     u_d[2 * ymax + 1] = 1e-3
     a = (mesh.nodes[:, 1] > 0.5).astype(float)
     kern = build_kernels(mesh)
     r, k = displacement_system(np.zeros_like(u_d), u_d, a, kern, sent_params, dm)
-    return element_dofs_pattern(kern.udofs, dm.free, dm.n_dofs)[:2], dense(k), -r
+    return element_dofs_pattern(kern.udofs, dm.free)[:2], dense(k), -r
 
 
 def test_band_budget_boundary(patch_system, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import element_measures
-from pffrac.driver import load_vector
+from pffrac.driver import build_dofmap
 from pffrac.presets import load_preset
 
 
@@ -105,7 +105,7 @@ class TestMeshRecipes:
         ]:
             setup = load_preset(name, scale)
             mesh = setup.mesh
-            g = load_vector(setup.program, mesh)
+            g = build_dofmap(mesh, setup.program).load
             assert np.array_equal(np.flatnonzero(g), mesh.dim * mesh.node_sets[tag] + component), name
             assert np.all(g[g != 0.0] == 1.0), name
 
@@ -119,7 +119,7 @@ class TestMeshRecipes:
             for bc in setup.program.bcs:
                 assert bc.node_set in mesh.node_sets and mesh.node_sets[bc.node_set].size > 0, (name, bc)
                 assert 0 <= bc.component < mesh.dim, (name, bc)
-            assert np.any(load_vector(setup.program, mesh)), name
+            assert np.any(build_dofmap(mesh, setup.program).load), name
 
     def test_lshape_geometry(self):
         mesh = load_preset("lshape", 0.15).mesh
