@@ -24,7 +24,9 @@ check-energy recompute the energy audit from the snapshots of a finished
              field blocks aside, and snapshots/ must hold no snapshot
              (``step_``, digits, ``.vtk``) of a step outside the accepted
              chain, and load_disp.csv must hold energy.csv's steps with
-             finite reactions; anything else is unreadable output.  A w
+             finite reactions, and run.json's counters must be integers
+             >= 0, each over all solves at least its count over the
+             accepted chain; anything else is unreadable output.  A w
              in load_disp.csv other than its step's is a mismatch (its
              reactions are not recomputed).  The summary of an aborted run
              gives its accepted steps and the abort reason
@@ -271,16 +273,20 @@ class _RunWriter:
                 )
 
 
+# run.json's counter keys, each with the solve record field it sums.
+_COUNTERS = {
+    "alternations": "alt_iters",
+    "newton_u": "newton_iters_u",
+    "newton_beta": "newton_iters_beta",
+    "trials_u": "trials_u",
+    "trials_beta": "trials_beta",
+}
+
+
 def _counters(records) -> dict:
     """Alternations, Newton iterations and line-search trial merits summed
     over ``records``."""
-    return {
-        "alternations": sum(r.alt_iters for r in records),
-        "newton_u": sum(r.newton_iters_u for r in records),
-        "newton_beta": sum(r.newton_iters_beta for r in records),
-        "trials_u": sum(r.trials_u for r in records),
-        "trials_beta": sum(r.trials_beta for r in records),
-    }
+    return {key: sum(getattr(r, field) for r in records) for key, field in _COUNTERS.items()}
 
 
 def _write_run_json(out_dir: Path, cfg: dict, history: RunHistory, elapsed: float) -> None:
@@ -394,8 +400,12 @@ def _load_row(line: str) -> tuple:
 def _read_run_json(path: Path) -> dict:
     """The record in run.json, an object whose ``config`` maps each section
     to an object of string values, whose ``accepted_steps`` is an integer,
-    ``aborted`` a boolean and ``abort_reason`` a string; any other shape is
-    a ValueError."""
+    ``aborted`` a boolean and ``abort_reason`` a string, and whose
+    ``solver_counters`` and ``all_solves`` hold each ``_COUNTERS`` key, and
+    ``all_solves`` also ``solves``, as an integer >= 0.  Every accepted
+    step is a solve, so each ``all_solves`` count is at least its
+    ``solver_counters`` count and ``solves`` at least ``accepted_steps``.
+    Any other shape is a ValueError."""
     with open(path) as fh:
         info = json.load(fh)
     if not isinstance(info, dict):
@@ -413,6 +423,18 @@ def _read_run_json(path: Path) -> dict:
     for key, kind in [("accepted_steps", int), ("aborted", bool), ("abort_reason", str)]:
         if type(info[key]) is not kind:
             raise ValueError(f"run.json {key} = {info[key]!r} is not {kinds[kind]}")
+    accepted, every = info["solver_counters"], info["all_solves"]
+    for name, counts, keys in [("solver_counters", accepted, _COUNTERS), ("all_solves", every, ["solves", *_COUNTERS])]:
+        if not isinstance(counts, dict):
+            raise ValueError(f"run.json {name} is a {type(counts).__name__}, not an object")
+        for key in keys:
+            if key not in counts:
+                raise ValueError(f"run.json {name} has no {key}")
+            if type(counts[key]) is not int or counts[key] < 0:
+                raise ValueError(f"run.json {name}.{key} = {counts[key]!r} is not an integer >= 0")
+    for key, least in [("solves", info["accepted_steps"]), *((key, accepted[key]) for key in _COUNTERS)]:
+        if every[key] < least:
+            raise ValueError(f"run.json all_solves.{key} = {every[key]} is fewer than the accepted chain's {least}")
     return info
 
 

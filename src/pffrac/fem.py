@@ -112,12 +112,6 @@ TET_RULE = QuadratureRule(
     weights=np.full(4, 1.0 / 24.0),
 )
 
-_REF_GRADS = {
-    2: np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
-    3: np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-}
-
-
 @dataclass
 class ElementKernels:
     """Per-element shape data for the whole mesh (batched arrays).
@@ -160,31 +154,50 @@ class ElementKernels:
 def build_kernels(mesh: Mesh) -> ElementKernels:
     """Precompute P1 shape-function values, gradients and quadrature data.
 
+    The gradients are in closed form, with no per-element LAPACK call.
+    The Jacobian's columns are the edge vectors c_k = x_(k+1) - x_0, and
+    ``detj`` is ad - bc in 2-D and c0 . (c1 x c2), its three products
+    summed left to right, in 3-D; ``wj`` and ``measures`` are its bits
+    times the quadrature weights.  The inverse Jacobian is the adjugate
+    over ``detj``: in 2-D the adjugate of [[a, b], [c, d]] is
+    [[d, -b], [-c, a]], in 3-D its rows are c1 x c2, c2 x c0 and c0 x c1.
+    Shape function k >= 1 has the inverse's row k - 1 as its gradient, and
+    shape function 0 has -row 0 - row 1 (- row 2), subtracted in that
+    order.  Where a cofactor is an exact 0, as on the axis-aligned edges
+    and faces of the preset grids, so is the gradient entry; a batched
+    LAPACK inverse leaves about 1e-17 of residue there, and its other
+    entries differ from these by at most 2 ulp on the presets.
+
     The memory layout of ``b_u`` is part of its bits: it is C-contiguous,
     and the einsum contractions over it sum in an order that follows the
     layout, so a ``b_u`` with equal values and other strides changes the
     results of a run.
     """
-    dim = mesh.dim
+    dim, n_e = mesh.dim, mesh.n_elements
     nen = dim + 1
     x = mesh.nodes[mesh.elements]  # (n_e, nen, dim)
-    # Jacobian columns are the edge vectors from node 0
-    jac = np.ascontiguousarray(np.swapaxes(x[:, 1:] - x[:, :1], 1, 2))
-
+    edges = x[:, 1:] - x[:, :1]  # row k is the Jacobian's column c_k
+    adj = np.empty_like(edges)
     if dim == 2:
-        detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        (a, c), (b, d) = edges[:, 0].T, edges[:, 1].T
+        detj = a * d - b * c
+        adj[:, 0, 0], adj[:, 0, 1], adj[:, 1, 0], adj[:, 1, 1] = d, -b, -c, a
     else:
-        detj = np.einsum(
-            "ei,ei->e", jac[:, :, 0], np.cross(jac[:, :, 1], jac[:, :, 2], axis=1)
-        )
+        adj[:] = np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
+        # summed left to right: einsum's summation order would follow strides
+        terms = edges[:, 0] * adj[:, 0]
+        detj = terms[:, 0] + terms[:, 1] + terms[:, 2]
     bad = np.flatnonzero(detj <= 0.0)
     if bad.size:
         raise MeshError(f"element {bad[0]} is inverted or flat: Jacobian determinant {detj[bad[0]]}")
 
-    jinv = np.linalg.inv(jac)
-    grads = np.einsum("id,edD->eiD", _REF_GRADS[dim], jinv)  # (n_e, nen, dim)
+    # row a is the gradient of shape function a; rows 1..dim are the inverse
+    grads = np.empty((n_e, nen, dim))
+    np.divide(adj, detj[:, None, None], out=grads[:, 1:])
+    np.negative(grads[:, 1], out=grads[:, 0])
+    for k in range(2, nen):
+        grads[:, 0] -= grads[:, k]
 
-    n_e = mesh.n_elements
     # row k maps the element dofs to strain component k, u_i,j + u_j,i (or
     # u_i,i on the diagonal); element dof dim*a + c is component c of node
     # a, so it reads gradient dim*a + j of the flat gradients where c = i,

@@ -139,7 +139,9 @@ def generate_grid(axes, keep=None) -> Mesh:
         corners = corners[np.asarray(keep(cells), dtype=bool)]
     elements = corners[:, _CELL_SIMPLICES[dim]].reshape(-1, dim + 1)
 
-    used = np.unique(elements)
+    is_used = np.zeros(coords.shape[0], dtype=bool)
+    is_used[elements] = True
+    used = np.flatnonzero(is_used)
     remap = -np.ones(coords.shape[0], dtype=np.int64)
     remap[used] = np.arange(used.size)
     mesh = Mesh(dim=dim, nodes=coords[used], elements=remap[elements])

@@ -868,6 +868,35 @@ class TestCheckEnergy:
             err = capsys.readouterr().err
             assert "cannot load run outputs" in err and named in err
 
+    @pytest.mark.parametrize(
+        "section,key,value,named",
+        [
+            ("solver_counters", "alternations", 999999, "all_solves.alternations = {all} is fewer than the accepted chain's 999999"),
+            ("all_solves", "solves", -3, "all_solves.solves = -3 is not an integer >= 0"),
+            ("all_solves", "solves", 4, "all_solves.solves = 4 is fewer than the accepted chain's 5"),
+            ("solver_counters", "newton_u", 2.0, "solver_counters.newton_u = 2.0 is not an integer >= 0"),
+            ("all_solves", "trials_beta", True, "all_solves.trials_beta = True is not an integer >= 0"),
+            ("solver_counters", "trials_u", None, "solver_counters has no trials_u"),
+            ("all_solves", "solves", None, "all_solves has no solves"),
+            ("all_solves", None, [], "all_solves is a list, not an object"),
+        ],
+    )
+    def test_run_json_counters_a_run_writes(self, sent_run, capsys, section, key, value, named):
+        # each counter is an integer >= 0, and every accepted step is one
+        # of all_solves' solves: a count that no run writes is unreadable
+        # output, named by its key
+        path = sent_run / "run.json"
+        log = json.loads(path.read_text())
+        named = named.format(all=log["all_solves"]["alternations"])
+        if key is None:
+            log[section] = value
+        elif value is None:
+            del log[section][key]
+        else:
+            log[section][key] = value
+        path.write_text(json.dumps(log))
+        assert self.audit_of(sent_run, capsys) == (2, f"cannot load run outputs: run.json {named}\n")
+
     @pytest.fixture
     def sent_run(self, tmp_path):
         out = tmp_path / "out"

@@ -63,18 +63,37 @@ def dense_elastic_stiffness(mesh, kernels, p, factor=1.0):
 
 
 def strided_kernels(mesh):
-    """Reference ``build_kernels`` arrays: the Jacobian stacked from one
-    edge column at a time, ``b_u`` written two strided slices per Voigt
+    """Reference ``build_kernels`` arrays: the inverse Jacobian's cofactors
+    written out as products of edge components, the gradients formed one
+    element node at a time, ``b_u`` written two strided slices per Voigt
     row."""
     dim, n_e = mesh.dim, mesh.n_elements
     nen = dim + 1
     x = mesh.nodes[mesh.elements]
-    jac = np.stack([x[:, k + 1] - x[:, 0] for k in range(dim)], axis=-1)
+    # component i of edge k, the Jacobian's entry (i, k)
+    e = [[x[:, k + 1, i] - x[:, 0, i] for k in range(dim)] for i in range(dim)]
     if dim == 2:
-        detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        (a, b), (c, d) = e
+        detj = a * d - b * c
+        cof = [[d, -b], [-c, a]]
     else:
-        detj = np.einsum("ei,ei->e", jac[:, :, 0], np.cross(jac[:, :, 1], jac[:, :, 2], axis=1))
-    grads = np.einsum("id,edD->eiD", fem._REF_GRADS[dim], np.linalg.inv(jac))
+        # row k is c_(k+1) x c_(k+2), the edges taken cyclically
+        cof = [
+            [
+                e[(i + 1) % 3][(k + 1) % 3] * e[(i + 2) % 3][(k + 2) % 3]
+                - e[(i + 2) % 3][(k + 1) % 3] * e[(i + 1) % 3][(k + 2) % 3]
+                for i in range(3)
+            ]
+            for k in range(3)
+        ]
+        detj = e[0][0] * cof[0][0] + e[1][0] * cof[0][1] + e[2][0] * cof[0][2]
+    grads = np.zeros((n_e, nen, dim))
+    for i in range(dim):
+        for node in range(1, nen):
+            grads[:, node, i] = cof[node - 1][i] / detj
+        grads[:, 0, i] = -grads[:, 1, i]
+        for node in range(2, nen):
+            grads[:, 0, i] -= grads[:, node, i]
     voigt_i, voigt_j = VOIGT[dim]
     b_u = np.zeros((n_e, len(voigt_i), nen * dim))
     for k, (i, j) in enumerate(zip(voigt_i, voigt_j)):
@@ -93,6 +112,30 @@ def strided_kernels(mesh):
     }
 
 
+def lapack_gradients(mesh):
+    """(n_e, dim, nen) damage-gradient matrices from a batched LAPACK
+    inverse of the Jacobians, and the Jacobians."""
+    x = mesh.nodes[mesh.elements]
+    jac = np.swapaxes(x[:, 1:] - x[:, :1], 1, 2)
+    jinv = np.linalg.inv(jac)
+    grads = np.concatenate([-jinv.sum(axis=1, keepdims=True), jinv], axis=1)
+    return np.swapaxes(grads, 1, 2), jac
+
+
+def stretched_simplices(rng, dim, n):
+    """``n`` disjoint positively oriented simplices: the reference simplex
+    sheared, stretched by up to 1e3 along its axes, rotated and moved."""
+    rot, _ = np.linalg.qr(rng.standard_normal((n, dim, dim)))
+    stretch = 10.0 ** rng.uniform(0.0, 3.0, (n, 1, dim))
+    stretch[..., 0] = 1.0
+    shear = np.eye(dim) + np.triu(rng.uniform(-1.0, 1.0, (n, dim, dim)), 1)
+    amap = rot @ (shear * stretch)
+    amap[np.linalg.det(amap) < 0.0, :, 0] *= -1.0
+    corners = np.concatenate([np.zeros((1, dim)), np.eye(dim)])
+    x = corners @ np.swapaxes(amap, 1, 2) + rng.uniform(-5.0, 5.0, (n, 1, dim))
+    return Mesh(dim=dim, nodes=x.reshape(-1, dim), elements=np.arange(n * (dim + 1)).reshape(n, dim + 1))
+
+
 class TestKernels:
     @pytest.mark.parametrize("name,scale", [("sent", 0.1), ("bend3d", 0.1)])
     def test_arrays_match_strided_reference(self, name, scale):
@@ -105,6 +148,25 @@ class TestKernels:
             assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides), field
             assert got.tobytes() == want.tobytes(), field
         assert kern.b_u.flags.c_contiguous
+
+    @pytest.mark.parametrize("name,scale", [("sent", 0.1), ("sens", 0.05), ("lshape", 0.5), ("bend3d", 0.1)])
+    def test_gradients_match_lapack_inverse_on_presets(self, name, scale):
+        # the closed-form inverse against LAPACK's, within 1e-13 of each
+        # element's largest gradient entry
+        mesh = load_preset(name, scale).mesh
+        want, _ = lapack_gradients(mesh)
+        err = np.abs(build_kernels(mesh).b_beta - want).max(axis=(1, 2))
+        assert (err <= 1e-13 * np.abs(want).max(axis=(1, 2))).all()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gradients_match_lapack_inverse_on_stretched_simplices(self, dim, rng):
+        # both inverses lose digits with the Jacobian's condition number
+        mesh = stretched_simplices(rng, dim, 500)
+        want, jac = lapack_gradients(mesh)
+        err = np.abs(build_kernels(mesh).b_beta - want).max(axis=(1, 2))
+        cond = np.linalg.cond(jac)
+        assert cond.max() > 100.0
+        assert (err <= 8.0 * np.finfo(float).eps * cond * np.abs(want).max(axis=(1, 2))).all()
 
     def test_quadrature_weights_sum_to_reference_measure(self):
         assert TRI_RULE.weights.sum() == pytest.approx(0.5, rel=1e-15)

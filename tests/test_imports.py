@@ -411,6 +411,52 @@ def test_only_the_driver_reads_the_dirichlet_specs():
     assert dirichlet_readers(sources) == []
 
 
+# The numpy.linalg names the package may use: none is a dense LAPACK
+# factorisation or inverse.  linsolve's banded Cholesky is the one solve.
+_LINALG_KEPT = {"norm"}
+
+
+def dense_linalg_uses(sources: dict) -> list:
+    """Where modules of ``sources`` (file name -> source) use a
+    ``numpy.linalg`` name outside ``_LINALG_KEPT``: an attribute
+    ``np.linalg.<name>`` or ``numpy.linalg.<name>``, an import from
+    ``numpy.linalg``, or an import of ``linalg`` from numpy."""
+    uses = []
+    for file, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+                names = [alias.name for alias in node.names if node.module == "numpy.linalg" or alias.name == "linalg"]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")
+            ):
+                names = [node.attr]
+            else:
+                continue
+            uses += [f"{file}:{node.lineno} {name}" for name in names if name not in _LINALG_KEPT]
+    return sorted(uses)
+
+
+def test_detects_dense_linalg_use():
+    srcs = {
+        "fem.py": "import numpy as np\ndef f(j):\n    return np.linalg.inv(j), np.linalg.norm(j)\n",
+        "material.py": "import numpy\nfrom numpy.linalg import eigh, norm\ndef g(a):\n    return numpy.linalg.det(a)\n",
+        "linsolve.py": "import scipy.linalg as sla\nfrom numpy import linalg, zeros\ndef h(a):\n    return sla.eigh(a)\n",
+    }
+    assert dense_linalg_uses(srcs) == ["fem.py:3 inv", "linsolve.py:2 linalg", "material.py:2 eigh", "material.py:4 det"]
+
+
+def test_no_dense_linalg_in_the_package():
+    # element kernels are in closed form and the spectral split is
+    # analytic: no per-element LAPACK call, and the only factorisation is
+    # linsolve's banded Cholesky
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dense_linalg_uses(sources) == []
+
+
 # The benchmark's span targets that name what the program no longer has.
 # ROADMAP item 1 retargets them, and then empties this list.
 STALE_TRACING_TARGETS = [
