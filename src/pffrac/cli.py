@@ -24,12 +24,16 @@ check-energy recompute the energy audit from the snapshots of a finished
              field blocks aside, and snapshots/ must hold no snapshot
              (``step_``, digits, ``.vtk``) of a step outside the accepted
              chain, and load_disp.csv must hold energy.csv's steps with
-             finite reactions, and run.json's counters must be integers
+             finite reactions, and intermediates.csv its header and rows
+             of eight fields, each with its step in 1..program.n_steps,
+             its b in 0..backtrack.k_back, a passed flag of 0 or 1 and
+             finite figures, and run.json's counters must be integers
              >= 0, each over all solves at least its count over the
              accepted chain; anything else is unreadable output.  A w
-             in load_disp.csv other than its step's is a mismatch (its
-             reactions are not recomputed).  The summary of an aborted run
-             gives its accepted steps and the abort reason
+             in load_disp.csv or intermediates.csv other than its step's
+             is a mismatch (their other figures are not recomputed).
+             The summary of an aborted run gives its accepted steps and
+             the abort reason
 
 A run is a preset plus overrides.  ``--set section.key=value`` overrides
 one key of the preset's config.  [run] holds ``preset`` and ``scale``;
@@ -211,6 +215,10 @@ def _energy_figures(report, sum_d: float) -> tuple:
     return (report.e_next, sum_d, report.delta, report.lb, report.ub)
 
 
+# The columns of intermediates.csv; the first holds each solve's own step.
+_INTERMEDIATE_COLUMNS = ("target_step", "w", "b", "passed", "delta", "LB", "UB", "reaction")
+
+
 class _RunWriter:
     """The one writer of a run's CSVs and snapshots.  It clears an earlier
     run's snapshots when made, and is the run's ``on_accept``: each call,
@@ -264,7 +272,7 @@ class _RunWriter:
 
     def write_intermediates(self, history: RunHistory) -> None:
         with open(self.out / "intermediates.csv", "w") as fh:
-            fh.write("target_step,w,b,passed,delta,LB,UB,reaction\n")
+            fh.write(",".join(_INTERMEDIATE_COLUMNS) + "\n")
             for rec in history.intermediates:
                 r = rec.report
                 fh.write(
@@ -397,6 +405,30 @@ def _load_row(line: str) -> tuple:
         raise ValueError(f"load_disp.csv row {line!r}: {exc}") from None
 
 
+def _intermediate_row(line: str, n_steps: int, k_back: int) -> tuple:
+    """(step, w) of an intermediates.csv row; a row that is not
+    ``_INTERMEDIATE_COLUMNS`` fields that parse, with its step in
+    1..n_steps, its b in 0..k_back, a passed flag of 0 or 1 and finite
+    figures, is a ValueError naming the file."""
+    parts = line.split(",")
+    try:
+        if len(parts) != len(_INTERMEDIATE_COLUMNS):
+            raise ValueError(f"{len(parts)} fields, not {len(_INTERMEDIATE_COLUMNS)}")
+        step, b, flag = int(parts[0]), int(parts[2]), parts[3].strip()
+        if not 1 <= step <= n_steps:
+            raise ValueError(f"step {step} outside 1..{n_steps}")
+        if not 0 <= b <= k_back:
+            raise ValueError(f"b = {b} outside 0..{k_back}")
+        if flag not in ("0", "1"):
+            raise ValueError(f"passed flag {flag!r}, not 0 or 1")
+        for figure in parts[4:]:
+            _finite(figure)
+        w = _finite(parts[1])
+    except ValueError as exc:
+        raise ValueError(f"intermediates.csv row {line!r}: {exc}") from None
+    return step, w
+
+
 def _read_run_json(path: Path) -> dict:
     """The record in run.json, an object whose ``config`` maps each section
     to an object of string values, whose ``accepted_steps`` is an integer,
@@ -458,6 +490,11 @@ def cmd_check_energy(args) -> int:
                 f"run.json has {info['accepted_steps']} accepted steps, more than program.n_steps = "
                 f"{setup.program.n_steps}"
             )
+        header = ",".join(_INTERMEDIATE_COLUMNS)
+        lines = (out_dir / "intermediates.csv").read_text().strip().splitlines()
+        if lines[:1] != [header]:
+            raise ValueError(f"intermediates.csv does not start with the header {header!r}")
+        solves = [_intermediate_row(line, setup.program.n_steps, setup.backtrack.k_back) for line in lines[1:]]
         outside = sorted(set(_snapshots(out_dir)) - {_snapshot_path(out_dir, step) for step in steps})
         if outside:
             raise ValueError(f"snapshot {outside[0]} is not one the run writes of its steps 0..{info['accepted_steps']}")
@@ -482,6 +519,9 @@ def cmd_check_energy(args) -> int:
     failing = []
     w = setup.program.w
     mismatches = [f"step {step}: w csv={got!r} program={w(step)!r}" for step, got, _ in loads if got != w(step)]
+    mismatches += [
+        f"intermediates.csv step {step}: w csv={got!r} program={w(step)!r}" for step, got in solves if got != w(step)
+    ]
     sum_d = 0.0
     try:
         prev = state(0)

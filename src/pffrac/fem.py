@@ -65,7 +65,6 @@ __all__ = [
     "damage_fields",
     "degradation_weights",
     "residual_and_tangent_u",
-    "residual_beta",
     "residual_and_tangent_beta",
     "reaction_force",
 ]
@@ -507,17 +506,6 @@ def _element_tangents_u(spectrum: StrainSpectrum, f, rw, measures, b_u, p: Mater
     return np.swapaxes(b_u, 1, 2) @ (c_e @ b_u)
 
 
-def residual_beta(psi_p, a, fields: DamageFields, kernels: ElementKernels, p: MaterialParams):
-    """The damage residual of ``residual_and_tangent_beta`` alone."""
-    blk = damage_blocks(kernels)
-    c, m = p.dissipation_law
-    pen_qp = np.minimum(fields.gap, 0.0) / p.eps_pen
-    s_qp = fields.dr * psi_p[:, None] + (m * c) * fields.beta ** (m - 1) + pen_qp
-    f_e = (kernels.wj * s_qp) @ kernels.shape_qp
-    f_e += (2.0 * p.grad_coeff) * np.einsum("eij,ej->ei", blk.grad, a[kernels.elements])
-    return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes)
-
-
 def residual_and_tangent_beta(psi_p, a, fields: DamageFields, kernels: ElementKernels, p: MaterialParams):
     """Damage residual and tangent over all damage dofs (one per node) at the
     damage a, whose ``damage_fields`` are ``fields``, from the tensile
@@ -531,15 +519,19 @@ def residual_and_tangent_beta(psi_p, a, fields: DamageFields, kernels: ElementKe
     stiffness plus the active-set penalty mass (generalized derivative of the
     negative part); an ``UpperMatrix``.  The degradation's second derivative
     and m (m-1) c are constants, so at fixed ``psi_p`` the tangent depends on
-    a only through the penalty set, the quadrature points where gap < 0:
-    two states with the same penalty set have bitwise-equal tangents.
+    a only through the penalty set, the quadrature points where gap < 0;
+    no code relies on this (``solver.newton_beta`` compares the matrices).
     """
     blk = damage_blocks(kernels)
     c, m = p.dissipation_law
+    pen_qp = np.minimum(fields.gap, 0.0) / p.eps_pen
+    s_qp = fields.dr * psi_p[:, None] + (m * c) * fields.beta ** (m - 1) + pen_qp
+    f_e = (kernels.wj * s_qp) @ kernels.shape_qp
+    f_e += (2.0 * p.grad_coeff) * np.einsum("eij,ej->ei", blk.grad, a[kernels.elements])
     coeff_qp = 2.0 * psi_p[:, None] + (fields.gap < 0.0) / p.eps_pen + (m * (m - 1)) * c
     k_e = (kernels.wj * coeff_qp) @ blk.mass
     k_e += (2.0 * p.grad_coeff) * blk.grad.reshape(k_e.shape)
-    return residual_beta(psi_p, a, fields, kernels, p), blk.pattern.assemble([k_e])
+    return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes), blk.pattern.assemble([k_e])
 
 
 def reaction_force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams, load) -> float:

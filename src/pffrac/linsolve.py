@@ -12,19 +12,18 @@ their row, column and band-storage slot.  A matrix is an ``UpperMatrix``,
 the values of the stored entries and their ordering; assembly adds element
 matrices straight into those values, and the entries below the reordered
 diagonal are never formed.  Each factorization is then a zeroed band array,
-one scatter of the values and one LAPACK call, and the solution's residual
-is checked against the stored entries, the matrix that was factored (the
-band itself is overwritten by its factor).  ``factor_solve(a, b)`` solves
-under ``a.ordering`` and reports a tangent that is not positive definite
-instead of returning garbage; ``eliminate`` pins dofs of a tangent before
-its solve.  This is the only solve path.  ``factor_solve`` returns the
-factor with the solution: a ``BandFactor`` solves further systems with the
-same matrix by back-substitution alone, each residual checked against the
-same stored entries, which is how a damage Newton solve reuses the factor
-of a tangent that has not changed (``solver.newton_beta``).  A structure
-whose band would take more than ``BAND_BYTES_BUDGET`` is refused while its
-ordering is built, as soon as the bandwidth is known and before any band
-is allocated.
+one scatter of the values and one LAPACK call.  ``factor_solve(a, b)``
+factors ``a`` under ``a.ordering`` and returns the solution with the
+``BandFactor``; ``eliminate`` pins dofs of a tangent before its solve.
+This is the only solve path.  ``BandFactor.solve`` is the one solve: it
+checks the right-hand side, returns zeros for b = 0 and checks the
+solution's residual against the stored entries, the matrix that was
+factored (the band is overwritten by its factor), so it reports a tangent
+that is not positive definite instead of returning garbage.  A damage
+Newton solve reuses a kept factor while its eliminated tangent is bitwise
+that factor's matrix (``solver.newton_beta``).  A structure whose band
+would take more than ``BAND_BYTES_BUDGET`` is refused while its ordering is
+built, as soon as the bandwidth is known and before any band is allocated.
 """
 
 from __future__ import annotations
@@ -284,38 +283,29 @@ def eliminate(mat: UpperMatrix, pinned: np.ndarray) -> None:
     mat.values[drop] = o.rows[drop] == o.cols[drop]
 
 
-def _checked_rhs(a: UpperMatrix, b) -> tuple:
-    """The right-hand side b of a system with ``a`` as float64, and its norm;
-    raises LinearSolveError on a size mismatch or a non-finite entry."""
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
-    if a.ordering.n != n:
-        raise LinearSolveError(f"matrix of size {a.ordering.n} incompatible with rhs {n}")
-    if not np.all(np.isfinite(b)):
-        raise LinearSolveError("non-finite right-hand side")
-    return b, float(np.linalg.norm(b))
-
-
 @dataclass(frozen=True)
 class BandFactor:
     """The banded Cholesky factor ``band`` of ``matrix``, which solves any
-    number of systems with that matrix: each solve is one ``dpbtrs``
-    back-substitution, its residual checked against the matrix's stored
-    entries as in ``factor_solve``."""
+    number of systems with that matrix, each by one ``dpbtrs``
+    back-substitution."""
 
     matrix: UpperMatrix
     band: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The x of ``matrix`` x = b (zeros for b = 0), with the checks of
-        ``factor_solve``."""
-        b, b_norm = _checked_rhs(self.matrix, b)
-        if b_norm == 0.0:
-            return np.zeros(b.size)
-        return self._back_solve(b, b_norm)
-
-    def _back_solve(self, b: np.ndarray, b_norm: float) -> np.ndarray:
+        """The x of ``matrix`` x = b, zeros for b = 0.  A right-hand side of
+        another size or with a non-finite entry raises LinearSolveError, and
+        so does a relative residual, taken with the stored entries, above
+        1e-10 ("indefinite/singular")."""
         o = self.matrix.ordering
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape[0] != o.n:
+            raise LinearSolveError(f"matrix of size {o.n} incompatible with rhs {b.shape[0]}")
+        if not np.all(np.isfinite(b)):
+            raise LinearSolveError("non-finite right-hand side")
+        b_norm = float(np.linalg.norm(b))
+        if b_norm == 0.0:
+            return np.zeros(o.n)
         y, _ = _PBTRS(self.band, b[o.perm], lower=0, overwrite_b=1)
         x = y[o.inv]
         res = float(np.linalg.norm(self.matrix @ x - b)) / b_norm
@@ -340,17 +330,13 @@ def _banded_factor(a: UpperMatrix) -> BandFactor:
 
 
 def factor_solve(a: UpperMatrix, b: np.ndarray) -> tuple:
-    """Solve the SPD system a x = b by banded Cholesky under ``a.ordering``.
+    """Solve the SPD system a x = b by banded Cholesky under ``a.ordering``:
+    one factorization, then ``BandFactor.solve`` with its checks.
 
     Returns x and the ``BandFactor`` of a, which solves further systems with
-    a without factoring it again; for b = 0 it returns zeros and None, and
-    factors nothing.  The band is within ``BAND_BYTES_BUDGET``, since it was
-    built.  The relative residual, taken with the stored entries, is
-    bounded by 1e-10; a violation raises LinearSolveError
-    ("indefinite/singular").
+    a without factoring it again.  The band is within ``BAND_BYTES_BUDGET``,
+    since its ordering was built.  A factorization breakdown raises
+    LinearSolveError ("indefinite/singular").
     """
-    b, b_norm = _checked_rhs(a, b)
-    if b_norm == 0.0:
-        return np.zeros(b.size), None
     factor = _banded_factor(a)
-    return factor._back_solve(b, b_norm), factor
+    return factor.solve(b), factor

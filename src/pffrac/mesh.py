@@ -21,6 +21,10 @@ __all__ = [
 ]
 
 
+# Absolute coordinate tolerance (mm) of ``select_nodes``.
+_SELECT_TOL = 1e-8
+
+
 class MeshError(ValueError):
     """Invalid mesh data."""
 
@@ -149,19 +153,9 @@ def generate_grid(axes, keep=None) -> Mesh:
     return mesh
 
 
-def select_nodes(mesh: Mesh, predicate, tol: float = 1e-8) -> np.ndarray:
-    """Node ids where ``|predicate(coords)| <= tol``.
-
-    Parameters
-    ----------
-    predicate : callable
-        Vectorized map from (n_nodes, dim) coordinates to (n_nodes,)
-        residual values; a node is selected when the absolute residual is
-        within ``tol`` (e.g. ``lambda x: x[:, 1] - 1.0`` for the y=1 line).
-    tol : float
-        Absolute coordinate tolerance (mm), > 0.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+def select_nodes(mesh: Mesh, predicate) -> np.ndarray:
+    """Node ids where ``|predicate(coords)| <= _SELECT_TOL``: ``predicate``
+    maps the (n_nodes, dim) coordinates to (n_nodes,) residuals (e.g.
+    ``lambda x: x[:, 1] - 1.0`` for the y=1 line)."""
     res = np.asarray(predicate(mesh.nodes), dtype=np.float64)
-    return np.flatnonzero(np.abs(res) <= tol).astype(np.int64)
+    return np.flatnonzero(np.abs(res) <= _SELECT_TOL).astype(np.int64)

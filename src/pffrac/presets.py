@@ -54,7 +54,6 @@ __all__ = ["RunSetup", "PRESET_NAMES", "load_preset"]
 
 PRESET_NAMES = ("sent", "sens", "lshape", "bend3d")
 
-_SET_TOL = 1e-8
 # Element size (mm) of the slit band at scale 1, unless ell/2 is smaller.
 _SLIT_REF_H = 0.005
 
@@ -128,11 +127,11 @@ def _square_with_slit(scale: float, ell: float) -> Mesh:
     mesh = _cut_slit(mesh, 0.5, 0.0, 0.5)
 
     mesh.node_sets = {
-        "bottom": select_nodes(mesh, lambda x: x[:, 1], _SET_TOL),
-        "top": select_nodes(mesh, lambda x: x[:, 1] - length, _SET_TOL),
-        "left": select_nodes(mesh, lambda x: x[:, 0], _SET_TOL),
-        "right": select_nodes(mesh, lambda x: x[:, 0] - length, _SET_TOL),
-        "pin": select_nodes(mesh, lambda x: np.abs(x[:, 0]) + np.abs(x[:, 1]), _SET_TOL),
+        "bottom": select_nodes(mesh, lambda x: x[:, 1]),
+        "top": select_nodes(mesh, lambda x: x[:, 1] - length),
+        "left": select_nodes(mesh, lambda x: x[:, 0]),
+        "right": select_nodes(mesh, lambda x: x[:, 0] - length),
+        "pin": select_nodes(mesh, lambda x: np.abs(x[:, 0]) + np.abs(x[:, 1])),
     }
     mesh.validate()
     return mesh
@@ -192,10 +191,8 @@ def _lshape(scale: float) -> tuple:
         return (c[:, 0] <= 250.0) | (c[:, 1] >= 250.0)
 
     mesh = generate_grid([xs, ys, zs], keep=keep)
-    mesh.node_sets["clamp"] = select_nodes(mesh, lambda x: x[:, 1], _SET_TOL)
-    mesh.node_sets["load"] = select_nodes(
-        mesh, lambda x: np.abs(x[:, 0] - 470.0) + np.abs(x[:, 1] - 250.0), _SET_TOL
-    )
+    mesh.node_sets["clamp"] = select_nodes(mesh, lambda x: x[:, 1])
+    mesh.node_sets["load"] = select_nodes(mesh, lambda x: np.abs(x[:, 0] - 470.0) + np.abs(x[:, 1] - 250.0))
 
     program = LoadProgram(
         n_steps=500,
@@ -228,15 +225,9 @@ def _bend3d(scale: float) -> tuple:
         return ~((np.abs(c[:, 1] - 420.0) <= 5.0) & (c[:, 2] > -50.0))
 
     mesh = generate_grid([xs, ys, zs], keep=keep)
-    mesh.node_sets["load"] = select_nodes(
-        mesh, lambda x: np.abs(x[:, 1] - 420.0) + np.abs(x[:, 2] + 100.0), _SET_TOL
-    )
-    mesh.node_sets["sup_a"] = select_nodes(
-        mesh, lambda x: np.abs(x[:, 1] - 20.0) + np.abs(x[:, 2]), _SET_TOL
-    )
-    mesh.node_sets["sup_b"] = select_nodes(
-        mesh, lambda x: np.abs(x[:, 1] - 820.0) + np.abs(x[:, 2]), _SET_TOL
-    )
+    mesh.node_sets["load"] = select_nodes(mesh, lambda x: np.abs(x[:, 1] - 420.0) + np.abs(x[:, 2] + 100.0))
+    mesh.node_sets["sup_a"] = select_nodes(mesh, lambda x: np.abs(x[:, 1] - 20.0) + np.abs(x[:, 2]))
+    mesh.node_sets["sup_b"] = select_nodes(mesh, lambda x: np.abs(x[:, 1] - 820.0) + np.abs(x[:, 2]))
 
     program = LoadProgram(
         n_steps=600,

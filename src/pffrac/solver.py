@@ -29,15 +29,16 @@ solve, so no whole-mesh damage field is held through a displacement solve.
 The anchor's dissipation is the caller's, evaluated where the anchor
 state is held (``driver.SolveRecord.dissipation``).
 
-Within one damage solve a factorization is reused while its system holds.
-At fixed displacement the damage tangent changes only with the penalty set,
-so an iterate whose penalty set is unchanged keeps the tangent already
-assembled and only its residual is computed; when its pinned set is
-unchanged too, its eliminated tangent is bitwise the one last factored, and
-the kept factor solves its system by back-substitution, with the residual
-check on the same stored entries.  The tangent and its factor are locals
-of ``newton_beta``'s loop, dropped with the call, so the results are
-bitwise those of assembling and factoring at every iteration.  A
+Within one damage solve a factorization is reused exactly when it holds
+the system.  Every damage iteration assembles its tangent and eliminates
+its pinned dofs in place; when the stored values of that eliminated
+tangent are bit for bit those of the matrix last factored
+(``BandFactor.matrix``), the kept factor solves its system by
+back-substitution, with the residual check on the same stored entries.
+The key is the matrix itself, not a property of how ``fem`` builds it, so
+the results are bitwise those of factoring at every iteration.  The factor
+is a local of ``newton_beta``'s loop, dropped before the next
+factorization and with the call, so at most one damage band is held.  A
 displacement solve keeps no factor past its solve.
 """
 
@@ -54,10 +55,9 @@ from .fem import (
     damage_fields,
     residual_and_tangent_beta,
     residual_and_tangent_u,
-    residual_beta,
     strain_spectrum,
 )
-from .linsolve import LinearSolveError, UpperMatrix, eliminate, factor_solve
+from .linsolve import LinearSolveError, eliminate, factor_solve
 from .material import MaterialParams, StrainSpectrum, psi_split
 
 __all__ = ["SolverConfig", "AltResult", "StepFailure", "newton_u", "newton_beta", "alternate_minimize"]
@@ -251,14 +251,12 @@ def newton_beta(
     be convex in t, so every line search starts from the full step.  The
     solve stops when every dof is pinned.
 
-    Reuse (see the module docstring): an iterate whose penalty set
-    (``gap < 0`` at the quadrature points) is that of the tangent last
-    assembled keeps that tangent, and only its residual is computed
-    (``residual_beta``).  The elimination works on a copy, so the kept
-    tangent stays as assembled, and while its pinned set is also that of
-    the last factorization, the kept ``BandFactor`` solves the system by
-    back-substitution alone.  The tangent, the two sets and the factor are
-    dropped with the call.
+    Reuse (see the module docstring): each iteration assembles its tangent
+    (``residual_and_tangent_beta``) and eliminates its pinned dofs in
+    place, and the kept ``BandFactor`` solves the system by
+    back-substitution alone exactly when that eliminated tangent's stored
+    values are bitwise those of its ``matrix``.  The factor is dropped with
+    the call.
     """
 
     def evaluate(v):
@@ -271,31 +269,23 @@ def newton_beta(
     a = project(a0)
     e0, fields = evaluate(a)
     trials = 0
-    tangent = penalty_set = pinned_set = factor = None  # the last assembly and factorization
+    factor = None  # the last factorization
     for k in range(1, cfg.max_newton + 1):
-        penalty = fields.gap < 0.0
-        if tangent is not None and np.array_equal(penalty, penalty_set):
-            r = residual_beta(psi_p, a, fields, kernels, p)
-        else:
-            r, tangent = residual_and_tangent_beta(psi_p, a, fields, kernels, p)
-            penalty_set, factor = penalty, None
+        r, tangent = residual_and_tangent_beta(psi_p, a, fields, kernels, p)
         pinned = ((a <= 0.0) & (r > 0.0)) | ((a >= 1.0) & (r < 0.0))
         if pinned.all():
             break  # every dof pinned at a bound
         if pinned.any():
             r = np.where(pinned, 0.0, r)
+            eliminate(tangent, pinned)
 
+        bits = tangent.values.view(np.int64)  # not ==, which takes -0.0 for +0.0
         try:
-            if factor is not None and np.array_equal(pinned, pinned_set):
+            if factor is not None and np.array_equal(bits, factor.matrix.values.view(np.int64)):
                 dx = factor.solve(-r)
             else:
                 factor = None  # one band at a time
-                mat = tangent
-                if pinned.any():
-                    mat = UpperMatrix(tangent.values.copy(), tangent.ordering)
-                    eliminate(mat, pinned)
-                dx, factor = factor_solve(mat, -r)
-                pinned_set = pinned
+                dx, factor = factor_solve(tangent, -r)
         except LinearSolveError as exc:
             raise StepFailure(f"newton_beta linear solve failed: {exc}") from exc
         slope = float(np.dot(r, dx))

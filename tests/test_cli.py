@@ -1032,6 +1032,65 @@ class TestCheckEnergy:
         code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and err.startswith("cannot load run outputs: ") and "load_disp.csv" in err
 
+    def with_intermediate(self, out, **edit) -> str:
+        """Append to intermediates.csv a well-formed row of step 3: its w,
+        b = 1, passed 0 and finite figures, each field named in ``edit``
+        replaced by its value or, for None, dropped.  Returns step 3's w."""
+        w = (out / "load_disp.csv").read_text().splitlines()[4].split(",")[1]
+        row = {"target_step": "3", "w": w, "b": "1", "passed": "0"}
+        row.update({"delta": "1.5", "LB": "-0.5", "UB": "2.5", "reaction": "10"}, **edit)
+        path = out / "intermediates.csv"
+        path.write_text(path.read_text() + ",".join(v for v in row.values() if v is not None) + "\n")
+        return w
+
+    def test_intermediates_rows_are_read_as_written(self, sent_run, capsys):
+        # a row of a back-step round is checked, not recomputed: a
+        # well-formed one passes, and a w other than its step's is an audit
+        # mismatch, as in load_disp.csv
+        assert self.audit_of(sent_run, capsys) == (0, "")
+        w = self.with_intermediate(sent_run)
+        assert self.audit_of(sent_run, capsys) == (0, "")
+        self.with_intermediate(sent_run, w=repr(2.0 * float(w)))
+        want = f"intermediates.csv step 3: w csv={2.0 * float(w)!r} program={float(w)!r}\n"
+        assert self.audit_of(sent_run, capsys) == (1, want)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "deleted", "empty", "header", "seven_fields", "nine_fields", "step_0", "step_past_program",
+            "b_negative", "b_past_k_back", "passed_yes", "nan_delta", "inf_reaction", "nan_w",
+        ],
+    )
+    def test_intermediates_rows_parse(self, sent_run, capsys, edit):
+        # intermediates.csv must be there, with the header the run writes
+        # and rows of eight fields: a step in 1..program.n_steps, a b in
+        # 0..backtrack.k_back, a passed flag of 0 or 1 and finite figures;
+        # anything else is unreadable output, named
+        path = sent_run / "intermediates.csv"
+        k_back = int(json.loads((sent_run / "run.json").read_text())["config"]["backtrack"]["k_back"])
+        fields = {
+            "seven_fields": {"reaction": None},
+            "nine_fields": {"reaction": "10,11"},
+            "step_0": {"target_step": "0"},
+            "step_past_program": {"target_step": "6"},
+            "b_negative": {"b": "-1"},
+            "b_past_k_back": {"b": str(k_back + 1)},
+            "passed_yes": {"passed": "yes"},
+            "nan_delta": {"delta": "nan"},
+            "inf_reaction": {"reaction": "inf"},
+            "nan_w": {"w": "nan"},
+        }
+        if edit == "deleted":
+            path.unlink()
+        elif edit == "empty":
+            path.write_text("")
+        elif edit == "header":
+            path.write_text("step,w,b,passed,delta,LB,UB,reaction\n")
+        else:
+            self.with_intermediate(sent_run, **fields[edit])
+        code, err = self.audit_of(sent_run, capsys)
+        assert code == 2 and err.startswith("cannot load run outputs: ") and "intermediates.csv" in err
+
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["check-energy", str(tmp_path / "nope")]) == 2
 

@@ -411,6 +411,55 @@ def test_only_the_driver_reads_the_dirichlet_specs():
     assert dirichlet_readers(sources) == []
 
 
+# The matrix types, and the modules that may name them: fem assembles the
+# tangents and linsolve eliminates, factors and solves them.
+_MATRIX_NAMES = {"UpperMatrix", "BandFactor"}
+_MATRIX_MODULES = {"fem.py", "linsolve.py"}
+
+
+def matrix_type_uses(sources: dict) -> list:
+    """Where modules of ``sources`` (file name -> source) other than
+    ``_MATRIX_MODULES`` name a type of ``_MATRIX_NAMES``: as an import, a
+    name or an attribute."""
+    uses = []
+    for file, text in sources.items():
+        if file in _MATRIX_MODULES:
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            uses += [f"{file}:{node.lineno} {name}" for name in names if name in _MATRIX_NAMES]
+    return sorted(uses)
+
+
+def test_detects_matrix_type_use():
+    srcs = {
+        "fem.py": "from .linsolve import UpperMatrix\ndef f(v, o):\n    return UpperMatrix(v, o)\n",
+        "linsolve.py": "class BandFactor:\n    pass\nclass UpperMatrix:\n    pass\n",
+        "solver.py": (
+            "from .linsolve import UpperMatrix, factor_solve\n"
+            "def g(t):\n    return UpperMatrix(t.values.copy(), t.ordering)\n"
+        ),
+        "driver.py": "from . import linsolve\ndef h(f):\n    return isinstance(f, linsolve.BandFactor), f.matrix\n",
+    }
+    assert matrix_type_uses(srcs) == [
+        "driver.py:3 BandFactor", "solver.py:1 UpperMatrix", "solver.py:3 UpperMatrix"
+    ]
+
+
+def test_only_fem_and_linsolve_form_matrices():
+    # fem assembles each tangent and linsolve eliminates, factors and
+    # solves it: no other layer forms or changes a matrix
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert matrix_type_uses(sources) == []
+
+
 # The numpy.linalg names the package may use: none is a dense LAPACK
 # factorisation or inverse.  linsolve's banded Cholesky is the one solve.
 _LINALG_KEPT = {"norm"}

@@ -53,29 +53,24 @@ class TestGenerators:
 class TestSelectNodes:
     def test_top_corners(self):
         mesh = box_mesh([1.0, 1.0], [1, 1])
-        ids = select_nodes(mesh, lambda x: x[:, 1] - 1.0, 1e-9)
+        ids = select_nodes(mesh, lambda x: x[:, 1] - 1.0)
         assert len(ids) == 2
         assert np.allclose(mesh.nodes[ids, 1], 1.0)
 
     def test_origin_only(self):
         mesh = box_mesh([1.0, 1.0], [1, 1])
-        ids = select_nodes(mesh, lambda x: x[:, 0] + x[:, 1], 1e-9)
+        ids = select_nodes(mesh, lambda x: x[:, 0] + x[:, 1])
         assert len(ids) == 1
         assert np.allclose(mesh.nodes[ids[0]], [0.0, 0.0])
 
     def test_mid_row(self):
         mesh = box_mesh([1.0, 1.0], [2, 2])
-        ids = select_nodes(mesh, lambda x: x[:, 1] - 0.5, 1e-9)
+        ids = select_nodes(mesh, lambda x: x[:, 1] - 0.5)
         assert len(ids) == 3
 
     def test_empty_is_valid(self):
         mesh = box_mesh([1.0, 1.0], [1, 1])
-        assert select_nodes(mesh, lambda x: x[:, 0] - 7.0, 1e-9).size == 0
-
-    def test_tol_must_be_positive(self):
-        mesh = box_mesh([1.0, 1.0], [1, 1])
-        with pytest.raises(ValueError):
-            select_nodes(mesh, lambda x: x[:, 0], 0.0)
+        assert select_nodes(mesh, lambda x: x[:, 0] - 7.0).size == 0
 
 
 class TestValidate:

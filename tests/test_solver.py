@@ -225,12 +225,28 @@ class TestNewtonBeta:
         )
         assert a.min() >= 0.0 and a.max() == 1.0
 
-    def test_factor_reused_while_sets_repeat(self, sent_params, monkeypatch):
-        # on a run that cracks the patch, a damage solve factors its tangent
-        # only when its penalty set or its pinned set changes: its solves
-        # make fewer factorizations than the loop that assembles and
-        # factors at every iteration (oracles.projected_newton_beta), and
-        # each returns what that returns, bit for bit
+    def test_one_tangent_assembly_per_damage_iteration(self, sent_params, monkeypatch):
+        # every damage Newton iteration assembles its tangent: over a run
+        # that cracks the patch, the assemblies are the damage iterations
+        # of all its solves
+        assembled = []
+        real = solver.residual_and_tangent_beta
+
+        def counted(*args):
+            assembled.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "residual_and_tangent_beta", counted)
+        hist = crack_patch(sent_params)
+        assert len(assembled) == sum(rec.newton_iters_beta for rec in hist.solves)
+
+    def test_factor_reused_while_its_system_repeats(self, sent_params, monkeypatch):
+        # on a run that cracks the patch, a damage solve factors its
+        # eliminated tangent only when that is not bit for bit the matrix
+        # it last factored: its solves make fewer factorizations than the
+        # loop that assembles and factors at every iteration
+        # (oracles.projected_newton_beta), and each returns what that
+        # returns, bit for bit
         calls, factored = [], []
         real_beta, real_factor = solver.newton_beta, solver.factor_solve
 
@@ -264,11 +280,13 @@ class TestNewtonBeta:
 
 
 def crack_patch(p):
-    """Run 4 steps of a tension stretch that cracks the 3x3 patch."""
+    """Run 4 steps of a tension stretch that cracks the 3x3 patch; returns
+    the run's history."""
     mesh = box_mesh([1.0, 1.0], [3, 3])
     bcs = (DirichletSpec("ymin", 1, 0.0), DirichletSpec("ymax", 1, 1.0), DirichletSpec("xmin", 0, 0.0))
     hist = run(LoadProgram(4, 1e-2, bcs), BacktrackConfig(), SolverConfig(), p, mesh)
     assert not hist.aborted and hist.steps[-1].a.max() == 1.0
+    return hist
 
 
 def scan_from_one(phi, slope):
