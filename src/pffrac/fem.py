@@ -182,7 +182,13 @@ def build_kernels(mesh: Mesh) -> ElementKernels:
         detj = a * d - b * c
         adj[:, 0, 0], adj[:, 0, 1], adj[:, 1, 0], adj[:, 1, 1] = d, -b, -c, a
     else:
-        adj[:] = np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
+        # row r is c_s x c_t: entry i is c_s[j] c_t[k] - c_s[k] c_t[j], the
+        # products np.cross forms, of strided views of the edge rows
+        cyclic = ((1, 2), (2, 0), (0, 1))
+        for r, (s, t) in enumerate(cyclic):
+            for i, (j, k) in enumerate(cyclic):
+                np.multiply(edges[:, s, j], edges[:, t, k], out=adj[:, r, i])
+                adj[:, r, i] -= edges[:, s, k] * edges[:, t, j]
         # summed left to right: einsum's summation order would follow strides
         terms = edges[:, 0] * adj[:, 0]
         detj = terms[:, 0] + terms[:, 1] + terms[:, 2]

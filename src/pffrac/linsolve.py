@@ -1,6 +1,6 @@
 """Sparse symmetric positive-definite solves for the Newton tangents.
 
-Each tangent is factored by LAPACK banded Cholesky (``dpbtrf``/``dpbtrs``,
+Each tangent is factored by LAPACK banded Cholesky (``pbtrf``/``pbtrs``,
 called directly) after a reverse Cuthill-McKee reordering, which keeps the
 band of the P1 finite-element graphs narrow: scipy's, unless a candidate
 (the node-level ``pseudo_peripheral_rcm`` for the displacement tangent)
@@ -8,22 +8,34 @@ gives a strictly narrower band, the one rule of ``BandOrdering.narrowest``.
 The ordering depends only on the sparsity structure, so a ``BandOrdering``
 is built once per structure.  It fixes the stored entries of every matrix
 on that structure: the entries on or above the reordered diagonal, with
-their row, column and band-storage slot.  A matrix is an ``UpperMatrix``,
-the values of the stored entries and their ordering; assembly adds element
+their row, column and band-storage slot.  It also fixes the precision of
+the band: float64 below a bandwidth of ``_SINGLE_BANDWIDTH`` (64), float32
+from it up.  A matrix is an ``UpperMatrix``, the values of the stored
+entries (always float64) and their ordering; assembly adds element
 matrices straight into those values, and the entries below the reordered
-diagonal are never formed.  Each factorization is then a zeroed band array,
-one scatter of the values and one LAPACK call.  ``factor_solve(a, b)``
-factors ``a`` under ``a.ordering`` and returns the solution with the
-``BandFactor``; ``eliminate`` pins dofs of a tangent before its solve.
-This is the only solve path.  ``BandFactor.solve`` is the one solve: it
-checks the right-hand side, returns zeros for b = 0 and checks the
-solution's residual against the stored entries, the matrix that was
-factored (the band is overwritten by its factor), so it reports a tangent
-that is not positive definite instead of returning garbage.  A damage
+diagonal are never formed.  Each factorization is then a zeroed band
+array of the ordering's precision, one scatter of the values and one
+LAPACK call.  ``factor_solve(a, b)`` factors ``a`` under ``a.ordering``
+and returns the solution with the ``BandFactor``; ``eliminate`` pins dofs
+of a tangent before its solve.  This is the only solve path.
+
+``BandFactor.solve`` is the one solve: it checks the right-hand side,
+returns zeros for b = 0 and checks the solution's residual against the
+stored entries, the matrix that was factored (the band is overwritten by
+its factor), so it reports a tangent that is not positive definite
+instead of returning garbage.  On a float64 band the solution is one
+back-solve.  On a float32 band it is refined (Langou et al. 2006; Higham
+2002, ch. 12): each further sweep back-solves the float64 residual with
+the float32 factor and corrects the solution in float64, until the
+residual meets the same bound, so what a passing solve guarantees does
+not depend on the precision.  A float32 band takes half the memory and,
+where the factor dominates a Newton iteration, less time; below the
+threshold the sweeps cost more than the cheaper factor saves.  A damage
 Newton solve reuses a kept factor while its eliminated tangent is bitwise
 that factor's matrix (``solver.newton_beta``).  A structure whose band
-would take more than ``BAND_BYTES_BUDGET`` is refused while its ordering is
-built, as soon as the bandwidth is known and before any band is allocated.
+would take more than ``BAND_BYTES_BUDGET`` is refused while its ordering
+is built, as soon as the bandwidth is known and before any band is
+allocated.
 """
 
 from __future__ import annotations
@@ -49,14 +61,19 @@ __all__ = [
     "index_dtype",
 ]
 
-# Band storage, (bandwidth + 1) * n doubles, above which a structure is
-# refused when its ordering is built.
+# Band storage, (bandwidth + 1) * n entries of the band's precision, above
+# which a structure is refused when its ordering is built.
 BAND_BYTES_BUDGET = 2 * 1024**3
+
+# The bandwidth from which a band is float32.  Factor and refined solve
+# measured 1.3x slower than float64 at bandwidth 56 and faster from 75 up.
+_SINGLE_BANDWIDTH = 64
 
 _DIRECT_RTOL = 1e-10
 
-# Banded Cholesky factorization and solve, fetched once.
-_PBTRF, _PBTRS = sla.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+# Banded Cholesky factorization and solve of each precision, fetched once.
+_PBTRF = {np.dtype(t): sla.get_lapack_funcs("pbtrf", dtype=t) for t in (np.float32, np.float64)}
+_PBTRS = {np.dtype(t): sla.get_lapack_funcs("pbtrs", dtype=t) for t in (np.float32, np.float64)}
 
 
 def index_dtype(maxval: int) -> type:
@@ -85,7 +102,9 @@ class BandOrdering:
     into the column-major ``(bandwidth + 1, n)`` array that ``dpbtrf`` reads
     (``ab[bandwidth + i - j, j] = a[i, j]``), in the ``index_dtype`` of the
     band size.  The stored entries number at most the band size, which the
-    budget keeps below 2**28, so ``col_starts`` fits the dtype of ``rows``.
+    budget keeps below 2**29, so ``col_starts`` fits the dtype of ``rows``.
+    ``precision`` is the dtype of the band: float32 from a bandwidth of
+    ``_SINGLE_BANDWIDTH`` up, float64 below it.
     """
 
     perm: np.ndarray
@@ -96,6 +115,7 @@ class BandOrdering:
     col_starts: np.ndarray
     diagonal: np.ndarray
     slot: np.ndarray
+    precision: np.dtype
 
     @property
     def n(self) -> int:
@@ -104,9 +124,9 @@ class BandOrdering:
     @classmethod
     def from_structure(cls, indptr: np.ndarray, indices: np.ndarray, perm) -> "BandOrdering":
         """Band storage of the symmetric CSC structure (indptr, indices) under
-        ``perm``.  Raises LinearSolveError as soon as the bandwidth is known,
-        before any band exists, when the band would exceed
-        ``BAND_BYTES_BUDGET``."""
+        ``perm``.  Raises LinearSolveError as soon as the bandwidth, and so
+        the band's precision, is known, before any band exists, when the
+        band would exceed ``BAND_BYTES_BUDGET``."""
         n = indptr.size - 1
         perm = np.asarray(perm, dtype=np.intp)
         inv = _inverse(perm)
@@ -115,7 +135,8 @@ class BandOrdering:
         rows, cols = indices[upper], cols[upper]
         offset = inv[cols] - inv[rows]
         bandwidth = int(offset.max(initial=0))
-        band_bytes = (bandwidth + 1) * n * 8
+        precision = np.dtype(np.float32 if bandwidth >= _SINGLE_BANDWIDTH else np.float64)
+        band_bytes = (bandwidth + 1) * n * precision.itemsize
         if band_bytes > BAND_BYTES_BUDGET:
             raise LinearSolveError(
                 f"band of {band_bytes} bytes (bandwidth {bandwidth}, n {n}) "
@@ -135,6 +156,7 @@ class BandOrdering:
             col_starts,
             diagonal,
             slot.astype(index_dtype((bandwidth + 1) * n)),
+            precision,
         )
 
     @classmethod
@@ -285,9 +307,10 @@ def eliminate(mat: UpperMatrix, pinned: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class BandFactor:
-    """The banded Cholesky factor ``band`` of ``matrix``, which solves any
-    number of systems with that matrix, each by one ``dpbtrs``
-    back-substitution."""
+    """The banded Cholesky factor ``band`` of ``matrix``, in the precision
+    of its ordering, which solves any number of systems with that matrix:
+    each by one ``dpbtrs`` back-solve for a float64 band, by refinement
+    sweeps of ``spbtrs`` back-solves for a float32 one."""
 
     matrix: UpperMatrix
     band: np.ndarray
@@ -296,7 +319,16 @@ class BandFactor:
         """The x of ``matrix`` x = b, zeros for b = 0.  A right-hand side of
         another size or with a non-finite entry raises LinearSolveError, and
         so does a relative residual, taken with the stored entries, above
-        1e-10 ("indefinite/singular")."""
+        1e-10 ("indefinite/singular").
+
+        The first back-solve is of b.  A float64 band stops there.  A
+        float32 band refines: each further sweep back-solves the float64
+        residual A x - b, cast to float32 in the reordered order, and
+        subtracts the correction from x in float64, until the residual
+        meets the bound.  A sweep that does not halve the residual raises
+        LinearSolveError, so refinement ends on a matrix too ill-conditioned
+        for the float32 factor (about cond(A) > 1e7).
+        """
         o = self.matrix.ordering
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != o.n:
@@ -306,24 +338,38 @@ class BandFactor:
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
             return np.zeros(o.n)
-        y, _ = _PBTRS(self.band, b[o.perm], lower=0, overwrite_b=1)
-        x = y[o.inv]
-        res = float(np.linalg.norm(self.matrix @ x - b)) / b_norm
-        if not np.isfinite(res) or res > _DIRECT_RTOL:
-            raise LinearSolveError(
-                f"indefinite/singular tangent: solve residual {res:.3e} > {_DIRECT_RTOL:.1e}"
-            )
-        return x
+        x = self._back_solve(b)
+        last = np.inf
+        while True:
+            r = self.matrix @ x - b
+            res = float(np.linalg.norm(r)) / b_norm
+            if res <= _DIRECT_RTOL:
+                return x
+            if self.band.dtype == np.float64 or not res <= 0.5 * last:
+                raise LinearSolveError(
+                    f"indefinite/singular tangent: solve residual {res:.3e} > {_DIRECT_RTOL:.1e}"
+                )
+            last = res
+            x -= self._back_solve(r)
+
+    def _back_solve(self, r: np.ndarray) -> np.ndarray:
+        """The factor's back-solve of r, cast to the band's precision in the
+        reordered order, returned in float64 in the original order."""
+        o = self.matrix.ordering
+        rhs = r[o.perm].astype(self.band.dtype, copy=False)
+        y, _ = _PBTRS[self.band.dtype](self.band, rhs, lower=0, overwrite_b=1)
+        return y[o.inv].astype(np.float64, copy=False)
 
 
 def _banded_factor(a: UpperMatrix) -> BandFactor:
-    """Factor ``a``: scatter its stored entries into a zeroed band, which
-    ``dpbtrf`` overwrites with the factor."""
+    """Factor ``a``: scatter its float64 stored entries into a zeroed band
+    of its ordering's precision (rounding them to float32 for a float32
+    band), which that precision's ``pbtrf`` overwrites with the factor."""
     o = a.ordering
     n, bw = o.n, o.bandwidth
-    flat = np.zeros((bw + 1) * n)
+    flat = np.zeros((bw + 1) * n, dtype=o.precision)
     flat[o.slot] = a.values
-    c, info = _PBTRF(flat.reshape((bw + 1, n), order="F"), lower=0, overwrite_ab=1)
+    c, info = _PBTRF[o.precision](flat.reshape((bw + 1, n), order="F"), lower=0, overwrite_ab=1)
     if info > 0:
         raise LinearSolveError(f"indefinite/singular tangent: {info}-th leading minor not positive definite")
     return BandFactor(a, c)

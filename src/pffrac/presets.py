@@ -20,18 +20,19 @@ lshape    E 25850, nu 0.18            0.095   20.0     1e-4    1e-4
 bend3d    E 39000, nu 0.15            0.04    15.0     1e-4    1e-4
 ========  ==========================  ======  =======  ======  ========
 
-A displacement solve factors a band of (bandwidth + 1) * dofs doubles; a
-band over ``linsolve.BAND_BYTES_BUDGET`` (2 GiB) stops the run at its first
-solve (exit 3).  At the default scale 1, sens needs 8.36 GB and bend3d
-15.3 GB, so both are refused; these scales fit:
+A displacement solve factors a band of (bandwidth + 1) * dofs entries, in
+single precision from a bandwidth of 64 up (``linsolve``); a band over
+``linsolve.BAND_BYTES_BUDGET`` (2 GiB) stops the run at its first solve
+(exit 3).  At the default scale 1, sens needs 16.6 GB and bend3d 45.5 GB,
+so both are refused; these scales fit:
 
 ========  =====  =======  =========  =======
 preset    scale  dofs     bandwidth  band
 ========  =====  =======  =========  =======
-sent      1      28,942   148        0.03 GB
-sens      0.3    258,599  435        0.90 GB
-lshape    1      56,853   1,916      0.87 GB
-bend3d    0.3    48,544   821        0.32 GB
+sent      1      28,942   148        0.02 GB
+sens      0.5    718,999  721        2.08 GB
+lshape    1      56,853   1,916      0.44 GB
+bend3d    0.5    182,312  2,459      1.79 GB
 ========  =====  =======  =========  =======
 
 Dimensions that appear only in the source figures (the 1 mm notched square

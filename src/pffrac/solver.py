@@ -33,13 +33,14 @@ Within one damage solve a factorization is reused exactly when it holds
 the system.  Every damage iteration assembles its tangent and eliminates
 its pinned dofs in place; when the stored values of that eliminated
 tangent are bit for bit those of the matrix last factored
-(``BandFactor.matrix``), the kept factor solves its system by
-back-substitution, with the residual check on the same stored entries.
-The key is the matrix itself, not a property of how ``fem`` builds it, so
-the results are bitwise those of factoring at every iteration.  The factor
-is a local of ``newton_beta``'s loop, dropped before the next
-factorization and with the call, so at most one damage band is held.  A
-displacement solve keeps no factor past its solve.
+(``BandFactor.matrix``), the kept factor solves its system with its
+back-solves alone (``BandFactor.solve``: one on a float64 band, refinement
+sweeps on a float32 one), with the residual check on the same stored
+entries.  The key is the matrix itself, not a property of how ``fem``
+builds it, so the results are bitwise those of factoring at every
+iteration.  The factor is a local of ``newton_beta``'s loop, dropped
+before the next factorization and with the call, so at most one damage
+band is held.  A displacement solve keeps no factor past its solve.
 """
 
 from __future__ import annotations
@@ -253,10 +254,10 @@ def newton_beta(
 
     Reuse (see the module docstring): each iteration assembles its tangent
     (``residual_and_tangent_beta``) and eliminates its pinned dofs in
-    place, and the kept ``BandFactor`` solves the system by
-    back-substitution alone exactly when that eliminated tangent's stored
-    values are bitwise those of its ``matrix``.  The factor is dropped with
-    the call.
+    place, and the kept ``BandFactor`` solves the system with its
+    back-solves alone, without factoring, exactly when that eliminated
+    tangent's stored values are bitwise those of its ``matrix``.  The
+    factor is dropped with the call.
     """
 
     def evaluate(v):

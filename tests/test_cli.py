@@ -1192,9 +1192,14 @@ def test_bend3d_runs_and_audits_without_lapack_eigensolver(tmp_path, monkeypatch
 
 
 def test_over_budget_band_aborts_before_any_band(tmp_path, monkeypatch, capsys):
-    # bend3d@0.1's displacement band: bandwidth 119, 2,615,040 bytes; its
-    # damage band (352,512 bytes) still fits one byte below it
-    band = 2_615_040
+    # bend3d@0.1's displacement band: bandwidth 119 over 2,724 dofs, in
+    # float32 (1,307,520 bytes); its damage band (352,512 bytes) still fits
+    # one byte below it
+    setup = load_preset("bend3d", 0.1)
+    dofmap = driver.build_dofmap(setup.mesh, setup.program)
+    o = fem.u_pattern(fem.build_kernels(setup.mesh), dofmap).ordering
+    band = (o.bandwidth + 1) * o.n * o.precision.itemsize
+    assert (o.bandwidth, o.n, band) == (119, 2724, 1_307_520)
 
     def refuse(*args):
         raise AssertionError("band factored")

@@ -94,22 +94,29 @@ def strided_kernels(mesh):
         grads[:, 0, i] = -grads[:, 1, i]
         for node in range(2, nen):
             grads[:, 0, i] -= grads[:, node, i]
-    voigt_i, voigt_j = VOIGT[dim]
-    b_u = np.zeros((n_e, len(voigt_i), nen * dim))
-    for k, (i, j) in enumerate(zip(voigt_i, voigt_j)):
-        b_u[:, k, i::dim] = grads[:, :, j]
-        b_u[:, k, j::dim] = grads[:, :, i]
     quad = TRI_RULE if dim == 2 else TET_RULE
     wj = quad.weights[None, :] * detj[:, None]
     udofs = (dim * mesh.elements[:, :, None] + np.arange(dim)[None, None, :]).reshape(n_e, nen * dim)
     return {
         "shape_qp": quad.points,
-        "b_u": b_u,
+        "b_u": strided_b_u(grads),
         "b_beta": np.swapaxes(grads, 1, 2),
         "wj": wj,
         "measures": wj.sum(axis=1),
         "udofs": udofs,
     }
+
+
+def strided_b_u(grads):
+    """Reference ``b_u`` of the (n_e, nen, dim) shape-function gradients,
+    written two strided slices per Voigt row."""
+    n_e, nen, dim = grads.shape
+    voigt_i, voigt_j = VOIGT[dim]
+    b_u = np.zeros((n_e, len(voigt_i), nen * dim))
+    for k, (i, j) in enumerate(zip(voigt_i, voigt_j)):
+        b_u[:, k, i::dim] = grads[:, :, j]
+        b_u[:, k, j::dim] = grads[:, :, i]
+    return b_u
 
 
 def lapack_gradients(mesh):
@@ -148,6 +155,27 @@ class TestKernels:
             assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides), field
             assert got.tobytes() == want.tobytes(), field
         assert kern.b_u.flags.c_contiguous
+
+    def test_3d_arrays_match_np_cross_adjugate(self, rng):
+        # the nine cofactors are np.cross's products, bit for bit, on a
+        # random tetrahedral mesh: every node of the 5x5x5 grid but the
+        # boundary's moved by up to 0.2 of a cell
+        mesh = box_mesh([1.0, 1.0, 1.0], [5, 5, 5])
+        inner = np.all((mesh.nodes > 0.0) & (mesh.nodes < 1.0), axis=1)
+        mesh.nodes[inner] += rng.uniform(-0.04, 0.04, (np.count_nonzero(inner), 3))
+        x = mesh.nodes[mesh.elements]
+        edges = x[:, 1:] - x[:, :1]
+        adj = np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
+        terms = edges[:, 0] * adj[:, 0]
+        detj = terms[:, 0] + terms[:, 1] + terms[:, 2]
+        grads = np.empty((mesh.n_elements, 4, 3))
+        grads[:, 1:] = adj / detj[:, None, None]
+        grads[:, 0] = -grads[:, 1] - grads[:, 2] - grads[:, 3]
+        kern = build_kernels(mesh)
+        assert np.array_equal(kern.b_beta, np.swapaxes(grads, 1, 2))
+        assert np.array_equal(kern.b_u, strided_b_u(grads))
+        assert np.array_equal(kern.wj, TET_RULE.weights[None, :] * detj[:, None])
+        assert np.array_equal(kern.measures, kern.wj.sum(axis=1))
 
     @pytest.mark.parametrize("name,scale", [("sent", 0.1), ("sens", 0.05), ("lshape", 0.5), ("bend3d", 0.1)])
     def test_gradients_match_lapack_inverse_on_presets(self, name, scale):

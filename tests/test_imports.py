@@ -506,6 +506,46 @@ def test_no_dense_linalg_in_the_package():
     assert dense_linalg_uses(sources) == []
 
 
+def float32_uses(sources: dict) -> list:
+    """Where modules of ``sources`` (file name -> source) other than
+    ``linsolve.py`` name float32: as an import, a name, an attribute or a
+    string that is a dtype name."""
+    uses = []
+    for file, text in sources.items():
+        if file == "linsolve.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            uses += [f"{file}:{node.lineno}" for name in names if name == "float32"]
+    return sorted(uses)
+
+
+def test_detects_float32_use():
+    srcs = {
+        "linsolve.py": "import numpy as np\nSINGLE = np.float32\n",
+        "fem.py": "import numpy as np\ndef f(v):\n    return v.astype(np.float32)\n",
+        "solver.py": "from numpy import float32\n\"\"\"A float32 band refines.\"\"\"\nx = float32(1)\n",
+        "cli.py": "def g(v):\n    return v.astype('float32'), v.dtype.name\n",
+    }
+    assert float32_uses(srcs) == ["cli.py:2", "fem.py:3", "solver.py:1", "solver.py:3"]
+
+
+def test_precision_is_linsolves_alone():
+    # linsolve's BandOrdering fixes each band's precision; every other
+    # layer assembles, stores and reads float64 only
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert float32_uses(sources) == []
+
+
 # The benchmark's span targets that name what the program no longer has.
 # ROADMAP item 1 retargets them, and then empties this list.
 STALE_TRACING_TARGETS = [

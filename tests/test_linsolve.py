@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from conftest import box_mesh, constrained_dofmap, dense, displacement_system, rcm_solve, stored
@@ -225,26 +226,109 @@ def test_indefinite_nonsingular_raises():
         rcm_solve(a, np.array([1.0, 0.0]))
 
 
+def pulled_box(p, divisions):
+    """Displacement structure (indptr, indices), dense tangent and
+    right-hand side of a unit box of ``divisions`` cells stretched along
+    its last axis, whose upper half is fully damaged (degraded to the
+    residual stiffness k)."""
+    dim = len(divisions)
+    mesh = box_mesh([1.0] * dim, divisions)
+    axis = "xyz"[dim - 1]
+    low, high = mesh.node_sets[f"{axis}min"], mesh.node_sets[f"{axis}max"]
+    dm = constrained_dofmap(mesh, [(low, c) for c in range(dim)] + [(high, dim - 1)])
+    u_d = np.zeros(dim * mesh.n_nodes)
+    u_d[dim * high + dim - 1] = 1e-3
+    a = (mesh.nodes[:, -1] > 0.5).astype(float)
+    kern = build_kernels(mesh)
+    r, k = displacement_system(np.zeros_like(u_d), u_d, a, kern, p, dm)
+    return element_dofs_pattern(kern.udofs, dm.free)[:2], dense(k), -r
+
+
 @pytest.fixture
 def patch_system(sent_params):
-    """Displacement structure (indptr, indices), dense tangent and
-    right-hand side of a stretched 4x4 patch whose upper half is fully
-    damaged (degraded to the residual stiffness k)."""
-    mesh = box_mesh([1.0, 1.0], [4, 4])
-    ymin, ymax = mesh.node_sets["ymin"], mesh.node_sets["ymax"]
-    dm = constrained_dofmap(mesh, [(ymin, 0), (ymin, 1), (ymax, 1)])
-    u_d = np.zeros(2 * mesh.n_nodes)
-    u_d[2 * ymax + 1] = 1e-3
-    a = (mesh.nodes[:, 1] > 0.5).astype(float)
-    kern = build_kernels(mesh)
-    r, k = displacement_system(np.zeros_like(u_d), u_d, a, kern, sent_params, dm)
-    return element_dofs_pattern(kern.udofs, dm.free)[:2], dense(k), -r
+    """A 4x4 square: 35 free dofs, bandwidth 10, a float64 band."""
+    return pulled_box(sent_params, [4, 4])
+
+
+@pytest.fixture
+def wide_system(sent_params):
+    """A 4x4x5 box: 350 free dofs, bandwidth 75, a float32 band."""
+    return pulled_box(sent_params, [4, 4, 5])
+
+
+def displacement_ordering(structure) -> BandOrdering:
+    indptr, indices = structure
+    return BandOrdering.narrowest(indptr, indices, [pseudo_peripheral_rcm(indptr, indices)])
+
+
+def test_wide_band_is_float32_and_refines_to_the_bound(wide_system, rng):
+    # half the bytes of a float64 band, and every solve, of the factored
+    # system or another, meets the residual bound of a float64 solve
+    structure, k, b = wide_system
+    o = displacement_ordering(structure)
+    assert o.bandwidth >= linsolve._SINGLE_BANDWIDTH
+    a = stored(k, o)
+    x, factor = factor_solve(a, b)
+    assert factor.band.dtype == np.float32
+    assert factor.band.nbytes == (o.bandwidth + 1) * o.n * 4
+    other = rng.normal(size=o.n)
+    for rhs, sol in ((b, x), (other, factor.solve(other))):
+        assert np.linalg.norm(a @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    want = np.linalg.solve(k, b)
+    assert np.abs(x - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_narrow_band_is_one_dpbtrs_back_solve(patch_system):
+    # below the threshold the band is float64, the factor is dpbtrf's and
+    # the solution is bitwise one dpbtrs back-solve of it
+    structure, k, b = patch_system
+    o = displacement_ordering(structure)
+    assert o.bandwidth < linsolve._SINGLE_BANDWIDTH
+    a = stored(k, o)
+    x, factor = factor_solve(a, b)
+    flat = np.zeros((o.bandwidth + 1) * o.n)
+    flat[o.slot] = a.values
+    c = sla.cholesky_banded(flat.reshape((o.bandwidth + 1, o.n), order="F"))
+    assert factor.band.dtype == np.float64 and np.array_equal(factor.band, c)
+    assert np.array_equal(x, sla.cho_solve_banded((c, False), b[o.perm])[o.inv])
+
+
+@pytest.mark.parametrize("cond, reason", [(1e8, "solve residual"), (1e12, "leading minor")])
+def test_float32_factor_that_cannot_refine_raises(rng, monkeypatch, cond, reason):
+    # an 80 x 80 SPD matrix stored dense, so its band is 79 wide and float32:
+    # at condition 1e8 a refinement sweep fails to halve the residual, at
+    # 1e12 the float32 factor breaks down; a float64 band solves both
+    n = 80
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    m = (q * np.logspace(0.0, -np.log10(cond), n)) @ q.T
+    m = (m + m.T) / 2
+    b = m @ rng.normal(size=n)
+    with pytest.raises(LinearSolveError, match=f"indefinite/singular tangent: .*{reason}"):
+        rcm_solve(m, b)
+    monkeypatch.setattr(linsolve, "_SINGLE_BANDWIDTH", n)
+    k = stored(m)
+    assert k.ordering.precision == np.float64
+    x = factor_solve(k, b)[0]
+    assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_band_budget_boundary(patch_system, monkeypatch):
     # both constructors check the band: one of exactly the budget is built
     # and factored, one byte more is refused while the ordering is built
-    (indptr, indices), k, b = patch_system
+    check_budget_boundary(patch_system, monkeypatch)
+
+
+def test_float32_band_budget_boundary(wide_system, monkeypatch):
+    # the budget counts the 4 bytes of each float32 band entry
+    assert displacement_ordering(wide_system[0]).precision == np.float32
+    check_budget_boundary(wide_system, monkeypatch)
+
+
+def check_budget_boundary(system, monkeypatch):
+    """Build the ordering of ``system``'s structure with each constructor
+    under a budget of exactly its band's bytes, factor and solve, and
+    build it again under one byte less, which is refused."""
+    (indptr, indices), k, b = system
     perm = pseudo_peripheral_rcm(indptr, indices)
     for build in (
         lambda: BandOrdering.from_structure(indptr, indices, perm),
@@ -252,10 +336,11 @@ def test_band_budget_boundary(patch_system, monkeypatch):
     ):
         monkeypatch.undo()
         o = build()
-        band = (o.bandwidth + 1) * o.n * 8
+        band = (o.bandwidth + 1) * o.n * o.precision.itemsize
         monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band)
         built = build()
-        x = factor_solve(stored(k, built), b)[0]
+        x, factor = factor_solve(stored(k, built), b)
+        assert factor.band.nbytes == band
         assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
         monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band - 1)
         with pytest.raises(LinearSolveError, match=f"band of {band} bytes .* budget of {band - 1} bytes"):
