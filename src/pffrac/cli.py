@@ -10,11 +10,11 @@ run          execute a preset's load program, writing load_disp.csv (w
              records; run.json sums the iteration and line-search trial
              counts over the accepted chain (solver_counters) and over
              every solve (all_solves).  One writer owns the CSVs and
-             snapshots: it writes step 0's, then rewrites load_disp.csv
-             and energy.csv and prunes the snapshots at every acceptance,
-             so they always hold the accepted chain (an aborted run's as
-             its last acceptance left it), and writes intermediates.csv
-             once the run ends
+             snapshots: it creates each CSV with its header, appends each
+             row once (cutting a file back to the first row a back step
+             replaced) and prunes the snapshots at every acceptance, so
+             they always hold the accepted chain (an aborted run's as its
+             last acceptance left it)
 check-energy recompute the energy audit from the snapshots of a finished
              (or partial) run, the two-sided inequality of every step pair,
              and compare against energy.csv, whose step-0 row must be the
@@ -23,11 +23,11 @@ check-energy recompute the energy audit from the snapshots of a finished
              a run of run.json's config writes of its mesh (``vtkio``),
              field blocks aside, and snapshots/ must hold no snapshot
              (``step_``, digits, ``.vtk``) of a step outside the accepted
-             chain, and load_disp.csv must hold energy.csv's steps with
-             finite reactions, and intermediates.csv its header and rows
-             of eight fields, each with its step in 1..program.n_steps,
-             its b in 0..backtrack.k_back, a passed flag of 0 or 1 and
-             finite figures, and run.json's counters must be integers
+             chain, and each CSV must start with its header and hold rows
+             of its fields: load_disp.csv energy.csv's steps with finite
+             reactions, and intermediates.csv steps in 1..program.n_steps,
+             b in 0..backtrack.k_back, passed flags of 0 or 1 and finite
+             figures, and run.json's counters must be integers
              >= 0, each over all solves at least its count over the
              accepted chain; anything else is unreadable output.  A w
              in load_disp.csv or intermediates.csv other than its step's
@@ -209,29 +209,44 @@ def _snapshots(out_dir: Path) -> list:
 _ENERGY_FIGURES = ("E", "sum_D", "delta", "LB", "UB")
 
 
+def _flag(field: str) -> bool:
+    """A passed flag, 0 or 1; anything else is a ValueError."""
+    if field.strip() not in ("0", "1"):
+        raise ValueError(f"passed flag {field!r}, not 0 or 1")
+    return field.strip() == "1"
+
+
+# The columns of the run's CSVs, by file, each with the parser of its field:
+# the writer creates each file with their header, and check-energy parses
+# each row with them.  intermediates.csv's first column is each solve's step.
+_CSV_COLUMNS = {
+    "load_disp.csv": {"step": int, "w": float, "reaction": _finite},
+    "energy.csv": {"step": int, **dict.fromkeys(_ENERGY_FIGURES, float), "passed": _flag},
+    "intermediates.csv": {"target_step": int, "w": _finite, "b": int, "passed": _flag}
+    | dict.fromkeys(("delta", "LB", "UB", "reaction"), _finite),
+}
+
+
 def _energy_figures(report, sum_d: float) -> tuple:
     """The ``_ENERGY_FIGURES`` of a step: its report's and the running sum
     of D through it."""
     return (report.e_next, sum_d, report.delta, report.lb, report.ub)
 
 
-# The columns of intermediates.csv; the first holds each solve's own step.
-_INTERMEDIATE_COLUMNS = ("target_step", "w", "b", "passed", "delta", "LB", "UB", "reaction")
-
-
 class _RunWriter:
     """The one writer of a run's CSVs and snapshots.  It clears an earlier
-    run's snapshots when made, and is the run's ``on_accept``: each call,
-    first with the initial history and then after every acceptance,
-    rewrites load_disp.csv and energy.csv and writes the last step's
-    snapshot, so that they always hold the accepted chain.  A back step
-    replaces accepted rows: the writer drops them and unlinks the snapshots
-    of the dropped steps past the new chain's end.
+    run's snapshots and creates each CSV with its header when made, and is
+    the run's ``on_accept``: each call, first with the initial history and
+    then after every acceptance, appends the rows of the records new to the
+    accepted chain and of the round solves logged since, and writes the
+    last step's snapshot, so that they always hold the accepted chain.  A
+    back step replaces accepted rows: the writer cuts their files at the
+    first of them and unlinks the snapshots of the dropped steps past the
+    new chain's end.  An unchanged chain gets no snapshot.
 
-    Each row of the accepted chain is formatted once: the writer keeps, per
-    record it formatted, the record, its load_disp.csv and energy.csv rows
-    and the running sum of D through it, and formats again only from the
-    first record that the chain has replaced.  ``grid`` is the bytes that
+    Each row is formatted and written once: the writer keeps, per record of
+    the chain, the record and the running sum of D through it, and per CSV
+    the end offsets of its header and rows.  ``grid`` is the bytes that
     every snapshot starts with (``vtkio.grid_text``: header, points and
     cells), formatted once per run, so a snapshot adds only its two
     big-endian field blocks."""
@@ -241,44 +256,52 @@ class _RunWriter:
         self.mesh = mesh
         self.program = program
         self.grid = grid_text(mesh)
-        self.rows: list = []  # (record, load_disp row, energy row, sum_D through it)
+        self.chain: list = []  # (record, sum_D through it)
         (out_dir / "snapshots").mkdir(parents=True, exist_ok=True)
         for path in _snapshots(out_dir):  # an earlier run's
             path.unlink()
+        self.ends = {}
+        for name, columns in _CSV_COLUMNS.items():
+            with open(out_dir / name, "w") as fh:
+                self.ends[name] = [fh.write(",".join(columns) + "\n")]
 
     def __call__(self, history: RunHistory) -> None:
         keep = 0
-        for rec, row in zip(history.steps, self.rows):
-            if rec is not row[0]:
+        for rec, (kept, _) in zip(history.steps, self.chain):
+            if rec is not kept:
                 break
             keep += 1
-        for rec, *_ in self.rows[keep:]:
+        for rec, _ in self.chain[keep:]:
             if rec.step > history.n_accepted:
                 _snapshot_path(self.out, rec.step).unlink()
-        del self.rows[keep:]
-        sum_d = self.rows[-1][3] if self.rows else 0.0
+        del self.chain[keep:]
+        w = self.program.w
+        sum_d = self.chain[-1][1] if self.chain else 0.0
+        loads, energies = [], []
         for rec in history.steps[keep:]:
-            load_row = f"{rec.step},{_fmt(self.program.w(rec.step))},{_fmt(rec.reaction)}\n"
             r = rec.report
             sum_d += r.d_inc
-            figures = ",".join(map(_fmt, _energy_figures(r, sum_d)))
-            self.rows.append((rec, load_row, f"{rec.step},{figures},{int(r.passed)}\n", sum_d))
-        with open(self.out / "load_disp.csv", "w") as fh:
-            fh.write("step,w,reaction\n" + "".join(row[1] for row in self.rows))
-        with open(self.out / "energy.csv", "w") as fh:
-            fh.write(f"step,{','.join(_ENERGY_FIGURES)},passed\n" + "".join(row[2] for row in self.rows))
-        rec = history.steps[-1]
-        write_field_snapshot(rec.u + rec.u_d, rec.a, self.mesh, _snapshot_path(self.out, rec.step), self.grid)
-
-    def write_intermediates(self, history: RunHistory) -> None:
-        with open(self.out / "intermediates.csv", "w") as fh:
-            fh.write(",".join(_INTERMEDIATE_COLUMNS) + "\n")
-            for rec in history.intermediates:
-                r = rec.report
-                fh.write(
-                    f"{rec.step},{_fmt(self.program.w(rec.step))},{rec.b},{int(r.passed)},"
-                    f"{_fmt(r.delta)},{_fmt(r.lb)},{_fmt(r.ub)},{_fmt(rec.reaction)}\n"
-                )
+            self.chain.append((rec, sum_d))
+            loads.append(f"{rec.step},{_fmt(w(rec.step))},{_fmt(rec.reaction)}\n")
+            energies.append(f"{rec.step},{','.join(map(_fmt, _energy_figures(r, sum_d)))},{int(r.passed)}\n")
+        done = len(self.ends["intermediates.csv"]) - 1  # the round solves written; none is replaced
+        rounds = [
+            f"{rec.step},{_fmt(w(rec.step))},{rec.b},{int(rec.report.passed)},{_fmt(rec.report.delta)},"
+            f"{_fmt(rec.report.lb)},{_fmt(rec.report.ub)},{_fmt(rec.reaction)}\n"
+            for rec in history.intermediates[done:]
+        ]
+        files = [("load_disp.csv", loads, keep), ("energy.csv", energies, keep), ("intermediates.csv", rounds, done)]
+        for name, rows, kept in files:
+            ends = self.ends[name]
+            with open(self.out / name, "a") as fh:
+                if len(ends) > kept + 1:  # cut the replaced rows
+                    del ends[kept + 1 :]
+                    fh.truncate(ends[-1])
+                for row in rows:
+                    ends.append(ends[-1] + fh.write(row))
+        if keep < len(history.steps):
+            rec = history.steps[-1]
+            write_field_snapshot(rec.u + rec.u_d, rec.a, self.mesh, _snapshot_path(self.out, rec.step), self.grid)
 
 
 # run.json's counter keys, each with the solve record field it sums.
@@ -325,7 +348,8 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
     returns the in-memory history (also used by the acceptance suite).  A
     config error is raised before the directory is created, and run.json
     records the resolved config.  ``_RunWriter`` owns the directory: it
-    writes the CSVs and the snapshots, from step 0 on, so that at every
+    writes the CSVs and the snapshots, from step 0 on and once more after
+    the run (for the round solves of an aborted round), so that at every
     acceptance and after the run ``snapshots/`` holds the accepted steps'
     snapshots only, whatever the directory held before:
     ``step_NNNNNN.vtk`` in legacy VTK BINARY, whose raw doubles
@@ -347,7 +371,7 @@ def run_to_dir(cfg: dict, out_dir) -> RunHistory:
     )
     elapsed = time.perf_counter() - t0
 
-    writer.write_intermediates(history)
+    writer(history)
     _write_run_json(out_dir, cfg, history, elapsed)
     return history
 
@@ -382,51 +406,25 @@ def _rel_close(a: float, b: float) -> bool:
     return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= _AUDIT_RTOL * (1.0 + max(abs(a), abs(b)))
 
 
-def _energy_row(line: str) -> tuple:
-    """(step, figures, passed) of an energy.csv row, its figures in
-    ``_ENERGY_FIGURES`` order; a passed flag other than 0 or 1 is a
-    ValueError."""
-    parts = line.split(",")
-    if len(parts) != len(_ENERGY_FIGURES) + 2:
-        raise ValueError(f"energy.csv row {line!r} has {len(parts)} fields, not {len(_ENERGY_FIGURES) + 2}")
-    flag = parts[-1].strip()
-    if flag not in ("0", "1"):
-        raise ValueError(f"energy.csv row {line!r} has the passed flag {flag!r}, not 0 or 1")
-    return int(parts[0]), tuple(float(v) for v in parts[1:-1]), flag == "1"
-
-
-def _load_row(line: str) -> tuple:
-    """(step, w, reaction) of a load_disp.csv row; a row that is not three
-    fields that parse, the reaction finite, is a ValueError naming the file."""
-    try:
-        step, w, reaction = line.split(",")
-        return int(step), float(w), _finite(reaction)
-    except ValueError as exc:
-        raise ValueError(f"load_disp.csv row {line!r}: {exc}") from None
-
-
-def _intermediate_row(line: str, n_steps: int, k_back: int) -> tuple:
-    """(step, w) of an intermediates.csv row; a row that is not
-    ``_INTERMEDIATE_COLUMNS`` fields that parse, with its step in
-    1..n_steps, its b in 0..k_back, a passed flag of 0 or 1 and finite
-    figures, is a ValueError naming the file."""
-    parts = line.split(",")
-    try:
-        if len(parts) != len(_INTERMEDIATE_COLUMNS):
-            raise ValueError(f"{len(parts)} fields, not {len(_INTERMEDIATE_COLUMNS)}")
-        step, b, flag = int(parts[0]), int(parts[2]), parts[3].strip()
-        if not 1 <= step <= n_steps:
-            raise ValueError(f"step {step} outside 1..{n_steps}")
-        if not 0 <= b <= k_back:
-            raise ValueError(f"b = {b} outside 0..{k_back}")
-        if flag not in ("0", "1"):
-            raise ValueError(f"passed flag {flag!r}, not 0 or 1")
-        for figure in parts[4:]:
-            _finite(figure)
-        w = _finite(parts[1])
-    except ValueError as exc:
-        raise ValueError(f"intermediates.csv row {line!r}: {exc}") from None
-    return step, w
+def _read_csv(out_dir: Path, name: str) -> list:
+    """The rows of the run CSV ``name``, each a tuple of its fields parsed
+    by their ``_CSV_COLUMNS``.  A file that does not start with their
+    header, a row of another field count and a field that does not parse
+    are ValueErrors naming the file, and the row."""
+    columns = _CSV_COLUMNS[name]
+    header, *lines = (out_dir / name).read_text().strip().splitlines() or [""]
+    if header != ",".join(columns):
+        raise ValueError(f"{name} does not start with the header {','.join(columns)!r}")
+    rows = []
+    for line in lines:
+        fields = line.split(",")
+        try:
+            if len(fields) != len(columns):
+                raise ValueError(f"{len(fields)} fields, not {len(columns)}")
+            rows.append(tuple(parse(field) for parse, field in zip(columns.values(), fields)))
+        except ValueError as exc:
+            raise ValueError(f"{name} row {line!r}: {exc}") from None
+    return rows
 
 
 def _read_run_json(path: Path) -> dict:
@@ -478,11 +476,11 @@ def cmd_check_energy(args) -> int:
         if info["aborted"]:
             abort = f"; the run aborted after {info['accepted_steps']} accepted steps: {info['abort_reason']}"
         _, setup = resolve_config(info["config"])
-        rows = [_energy_row(line) for line in (out_dir / "energy.csv").read_text().strip().splitlines()[1:]]
+        rows = _read_csv(out_dir, "energy.csv")
         steps = [row[0] for row in rows]
         if steps != list(range(info["accepted_steps"] + 1)):
             raise ValueError(f"energy.csv holds steps {steps}, not 0..{info['accepted_steps']} as run.json")
-        loads = [_load_row(line) for line in (out_dir / "load_disp.csv").read_text().strip().splitlines()[1:]]
+        loads = _read_csv(out_dir, "load_disp.csv")
         if [row[0] for row in loads] != steps:
             raise ValueError(f"load_disp.csv holds steps {[row[0] for row in loads]}, not energy.csv's 0..{steps[-1]}")
         if info["accepted_steps"] > setup.program.n_steps:
@@ -490,11 +488,11 @@ def cmd_check_energy(args) -> int:
                 f"run.json has {info['accepted_steps']} accepted steps, more than program.n_steps = "
                 f"{setup.program.n_steps}"
             )
-        header = ",".join(_INTERMEDIATE_COLUMNS)
-        lines = (out_dir / "intermediates.csv").read_text().strip().splitlines()
-        if lines[:1] != [header]:
-            raise ValueError(f"intermediates.csv does not start with the header {header!r}")
-        solves = [_intermediate_row(line, setup.program.n_steps, setup.backtrack.k_back) for line in lines[1:]]
+        solves = _read_csv(out_dir, "intermediates.csv")
+        n, k_back = setup.program.n_steps, setup.backtrack.k_back
+        for step, _, b, *_ in solves:
+            if not (1 <= step <= n and 0 <= b <= k_back):
+                raise ValueError(f"intermediates.csv holds a solve of step {step}, b = {b}: not in 1..{n}, 0..{k_back}")
         outside = sorted(set(_snapshots(out_dir)) - {_snapshot_path(out_dir, step) for step in steps})
         if outside:
             raise ValueError(f"snapshot {outside[0]} is not one the run writes of its steps 0..{info['accepted_steps']}")
@@ -520,13 +518,13 @@ def cmd_check_energy(args) -> int:
     w = setup.program.w
     mismatches = [f"step {step}: w csv={got!r} program={w(step)!r}" for step, got, _ in loads if got != w(step)]
     mismatches += [
-        f"intermediates.csv step {step}: w csv={got!r} program={w(step)!r}" for step, got in solves if got != w(step)
+        f"intermediates.csv step {step}: w csv={got!r} program={w(step)!r}" for step, got, *_ in solves if got != w(step)
     ]
     sum_d = 0.0
     try:
         prev = state(0)
         report = INITIAL_REPORT  # row 0's, the initial state's
-        for step, figures, passed_csv in rows:
+        for step, *figures, passed_csv in rows:
             if step > 0:
                 curr = state(step)
                 report = check_two_sided(prev, curr, kernels, p, setup.backtrack.eta)

@@ -72,7 +72,7 @@ __all__ = [
 # Bytes of the temporaries of one block of the displacement-tangent
 # assembly: the block's tangent split, material tangents and element
 # matrices, about _BLOCK_DOUBLES[dim] doubles per element.
-_BLOCK_BYTES = 8 * 2**20
+_BLOCK_BYTES = 2 * 2**20
 _BLOCK_DOUBLES = {2: 140, 3: 470}
 
 

@@ -337,8 +337,8 @@ def alternate_minimize(
     iters_u = iters_b = trials_u = trials_b = 0
     step = 1.0
     trace: list = []
-    spectrum = strain_spectrum(kernels, u + u_d_next)
-    state = (spectrum, *psi_split(spectrum, p))
+    state = (strain_spectrum(kernels, u + u_d_next),)
+    state += psi_split(state[0], p)
 
     try:
         for i in range(1, cfg.max_alt + 1):

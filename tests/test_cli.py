@@ -1,6 +1,10 @@
+import builtins
 import dataclasses
+import io
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,6 +537,80 @@ class TestCmdRun:
         assert hist.intermediates[-1] is hist.steps[2]
         assert hist.steps[2].reaction != 0.0
 
+    def test_csvs_created_once_and_appended(self, tmp_path, monkeypatch):
+        # with a back step scripted as in test_intermediates_csv: each CSV
+        # is opened in a truncating mode only when it is created, and then
+        # appended to; a write lands past every earlier one, unless a back
+        # step cut the file, and never before the first row it replaced
+        out = tmp_path / "back"
+        real_open, real_call = builtins.open, cli._RunWriter.__call__
+        files, chain = {}, []  # per CSV: its open modes, text, written extent, cuts and first rewritable byte
+
+        class Spy:
+            """A CSV's file object that keeps its ``files`` entry."""
+
+            def __init__(self, fh, f):
+                self.fh, self.f = fh, f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def truncate(self, size):
+                self.f["cuts"].append(size)
+                self.f["text"] = self.f["text"][:size]
+                return self.fh.truncate(size)
+
+            def write(self, data):
+                f = self.f
+                start = len(f["text"])  # a write in append mode lands at the end
+                assert start >= min(f["written"], f["bound"]), f"bytes {start}.. written twice"
+                f["text"] += data
+                f["written"] = max(f["written"], len(f["text"]))
+                return self.fh.write(data)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if not isinstance(file, (str, os.PathLike)) or Path(file).parent != out or Path(file).suffix != ".csv":
+                return fh
+            f = files.setdefault(Path(file).name, {"modes": [], "text": "", "written": 0, "cuts": [], "bound": 0})
+            f["modes"].append(mode)
+            if "w" in mode:
+                f["text"] = ""
+            return Spy(fh, f)
+
+        def on_accept(self, history):
+            keep = 0
+            for rec, kept in zip(history.steps, chain):
+                if rec is not kept:
+                    break
+                keep += 1
+            for name, f in files.items():
+                # the header and the rows of the kept records stay; no row
+                # of intermediates.csv is ever replaced
+                rows = f["text"].splitlines(keepends=True)
+                f["bound"] = len(f["text"]) if name == "intermediates.csv" else sum(map(len, rows[: keep + 1]))
+            real_call(self, history)
+            chain[:] = history.steps
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(io, "open", spy_open)
+        monkeypatch.setattr(cli._RunWriter, "__call__", on_accept)
+        scripted_checks(monkeypatch, lambda step, nth: step == 3 and nth == 1)
+        hist = run_to_dir(sent_given(), out)
+        monkeypatch.undo()
+        assert [(r.step, r.b) for r in hist.intermediates] == [(3, 0), (2, 1)]
+        assert sorted(files) == ["energy.csv", "intermediates.csv", "load_disp.csv"]
+        for name, f in files.items():
+            assert f["modes"][0] == "w" and set(f["modes"][1:]) == {"a"}, (name, f["modes"])
+            assert (out / name).read_text() == f["text"], name
+            # the re-solve of step 2 replaced its row: each file of the
+            # chain was cut once, at that row's start
+            rows = f["text"].splitlines(keepends=True)
+            assert f["cuts"] == ([] if name == "intermediates.csv" else [sum(map(len, rows[:3]))]), name
+
     def test_chain_rows_formatted_once(self, tmp_path, monkeypatch):
         # a back step replaces accepted rows; each writer call formats only
         # the record that enters the chain (2 numbers of load_disp.csv, 5
@@ -560,12 +638,16 @@ class TestCmdRun:
         monkeypatch.undo()
         assert hist.backtracks and hist.n_accepted == 5
         # the initial history, then one call per acceptance: steps 1 to 3,
-        # the re-solve of step 3 that ends target 4's round, steps 4 and 5
-        assert counts["calls"] == 7
-        assert counts["fmt"] == 7 * counts["calls"]
+        # the re-solve of step 3 that ends target 4's round, steps 4 and 5;
+        # then one more after the run
+        assert counts["calls"] == 8
+        # 7 records entered the chain, and the round logged 2 solves, each
+        # a row of 5 numbers of intermediates.csv
+        assert len(hist.intermediates) == 2
+        assert counts["fmt"] == 7 * 7 + 5 * 2
         fresh = tmp_path / "fresh"
         cli._RunWriter(fresh, setup.mesh, setup.program)(hist)
-        for name in ("load_disp.csv", "energy.csv"):
+        for name in ("load_disp.csv", "energy.csv", "intermediates.csv"):
             assert (tmp_path / "run" / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_directory_is_the_chain_after_every_write(self, tmp_path, monkeypatch):
@@ -587,7 +669,8 @@ class TestCmdRun:
         scripted_checks(monkeypatch, lambda step, nth: (step == 4 and nth == 1) or (step == 3 and nth == 2))
         hist = run_to_dir(sent_given(), tmp_path / "run")
         assert [(r.round_of, r.step) for r in hist.backtracks] == [(4, 3), (4, 2)]
-        assert seen == [0, 1, 2, 3, 2, 3, 4, 5]
+        # one call per acceptance, and one more after the run
+        assert seen == [0, 1, 2, 3, 2, 3, 4, 5, 5]
 
     def test_rerun_drops_earlier_snapshots(self, tmp_path):
         # a shorter run into the directory of a longer one leaves only its
@@ -928,7 +1011,7 @@ class TestCheckEnergy:
         rows[2] = rows[2][: rows[2].rindex(",")] + ",yes"
         path.write_text("\n".join(rows) + "\n")
         code, err = self.audit_of(sent_run, capsys)
-        assert code == 2 and f"cannot load run outputs: energy.csv row {rows[2]!r} has the passed flag 'yes'" in err
+        assert code == 2 and f"cannot load run outputs: energy.csv row {rows[2]!r}: passed flag 'yes'" in err
 
     def test_ascii_snapshot_refused(self, sent_run, capsys):
         # a snapshot in the legacy VTK ASCII of earlier versions is no
@@ -988,6 +1071,16 @@ class TestCheckEnergy:
         path.write_text("\n".join([header, *rows]) + "\n")
         code, err = self.audit_of(sent_run, capsys)
         assert code == 2 and "cannot load run outputs: energy.csv holds steps" in err
+
+    @pytest.mark.parametrize("name,header", [("energy.csv", "step,A,B,C,D,E,ok"), ("load_disp.csv", "s,x,y")])
+    def test_csv_header_is_the_runs(self, sent_run, capsys, name, header):
+        # a CSV whose header is not the one the run writes is unreadable
+        # output, named, even with its field count
+        path = sent_run / name
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *rows[1:]]) + "\n")
+        code, err = self.audit_of(sent_run, capsys)
+        assert code == 2 and err.startswith(f"cannot load run outputs: {name} does not start with the header ")
 
     @pytest.mark.parametrize("name", ["step_000007.vtk", "step_2.vtk"])
     def test_snapshot_outside_the_chain_exit_2(self, sent_run, capsys, name):
