@@ -9,18 +9,18 @@ processes at a time with one BLAS thread each, into
 ``pffrac check-energy`` on every directory under its own tree, and the
 change's ``check-energy`` on each parent directory too, which shows that
 the change reads everything the parent wrote, and compares each pair with
-``same_outputs.first_difference``.  The cases are the
-nine below, the last of which aborts at step 1 (exit 3), or, when
-``pffrac run`` arguments follow WORK_DIR, the one case ``given`` that they
-name.
+``same_outputs.differences``.  The cases are the ten below, the last of
+which aborts at step 1 (exit 3), or, when ``pffrac run`` arguments follow
+WORK_DIR, the one case ``given`` that they name.
 
 It prints one line per case: the comparison (``same outputs (N files)`` or
-the first file that differs), the exit codes of the two runs and of the
-two audits, parent first, and the exit code of the change's audit of the
-parent's directory.  It exits 0 when every pair has the same outputs and
-equal run and ``check-energy`` exit codes and the change's audit of the
-parent's directory exits as the parent's own, 1 otherwise, and 2 when a
-source tree holds no ``pffrac`` package.
+the number of files that differ), the exit codes of the two runs and of
+the two audits, parent first, and the exit code of the change's audit of
+the parent's directory; then, indented, one line per file that differs.
+It exits 0 when every pair has the same outputs and equal run and
+``check-energy`` exit codes and the change's audit of the parent's
+directory exits as the parent's own, 1 otherwise, and 2 when a source tree
+holds no ``pffrac`` package.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from same_outputs import compared, first_difference
+from same_outputs import compared, differences
 
 SENT_ELL = ["--preset", "sent", "--scale", "0.1", "--set", "material.ell=0.1"]
 AT1 = ["--set", "material.dissipation=AT1", "--set", "material.kappa=0.375"]
@@ -47,6 +47,10 @@ CASES = {
     # RCM is chosen on sens@0.05, scipy's dof-level RCM on lshape@0.5
     "sens-0.05-3-steps": ["--preset", "sens", "--scale", "0.05", "--steps", "3"],
     "lshape-0.5-2-steps": ["--preset", "lshape", "--scale", "0.5", "--steps", "2"],
+    # the crack runs through bend3d@0.1 at step 4 (1,183.7, 2,262.1, 2,750.7
+    # then 79.5 N): damaged 3-D states, whose displacement tangents are
+    # assembled in seven element blocks
+    "bend3d-0.1-crack-4": ["--preset", "bend3d", "--scale", "0.1", "--steps", "4", "--set", "program.dw=0.06"],
     "sent-0.2-abort-at-1": ["--preset", "sent", "--scale", "0.2", "--steps", "3", "--set", "solver.max_alt=1"],
 }
 SIDES = ("parent", "change")
@@ -85,16 +89,16 @@ def main(argv=None) -> int:
     same = True
     for case in cases:
         a, b = (out[case, side] for side in SIDES)
-        diff = first_difference(a, b)
+        found = differences(a, b)
         run_codes = [runs[case, side] for side in SIDES]
         audit_codes = [audits[case, side] for side in SIDES]
-        same &= diff is None and run_codes[0] == run_codes[1] and audit_codes[0] == audit_codes[1] == crossed[case]
-        verdict = diff or f"same outputs ({len(compared(a, b))} files)"
+        same &= not found and run_codes[0] == run_codes[1] and audit_codes[0] == audit_codes[1] == crossed[case]
+        verdict = f"{len(found)} files differ" if found else f"same outputs ({len(compared(a, b))} files)"
         codes = (
             f"run exit {run_codes[0]} {run_codes[1]}; check-energy exit {audit_codes[0]} {audit_codes[1]}; "
             f"change's check-energy of parent exit {crossed[case]}"
         )
-        print(f"{case}: {verdict}; {codes}")
+        print("\n  ".join([f"{case}: {verdict}; {codes}", *found]))
     return 0 if same else 1
 
 

@@ -193,9 +193,13 @@ def _apply_overrides(cfg: dict, overrides) -> dict:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def _snapshot_path(out_dir: Path, step: int) -> Path:
-    """The snapshot a run writes of its accepted step ``step``."""
-    return out_dir / "snapshots" / f"step_{step:06d}.vtk"
+def _snapshot_name(step: int) -> str:
+    """The name of the snapshot a run writes of its accepted step ``step``."""
+    return f"step_{step:06d}.vtk"
+
+
+def _snapshot_path(out_dir: Path, step: int) -> str:
+    return f"{out_dir}/snapshots/{_snapshot_name(step)}"
 
 
 def _snapshots(out_dir: Path) -> list:
@@ -273,7 +277,7 @@ class _RunWriter:
             keep += 1
         for rec, _ in self.chain[keep:]:
             if rec.step > history.n_accepted:
-                _snapshot_path(self.out, rec.step).unlink()
+                Path(_snapshot_path(self.out, rec.step)).unlink()
         del self.chain[keep:]
         w = self.program.w
         sum_d = self.chain[-1][1] if self.chain else 0.0
@@ -493,7 +497,8 @@ def cmd_check_energy(args) -> int:
         for step, _, b, *_ in solves:
             if not (1 <= step <= n and 0 <= b <= k_back):
                 raise ValueError(f"intermediates.csv holds a solve of step {step}, b = {b}: not in 1..{n}, 0..{k_back}")
-        outside = sorted(set(_snapshots(out_dir)) - {_snapshot_path(out_dir, step) for step in steps})
+        names = set(map(_snapshot_name, steps))
+        outside = sorted(path for path in _snapshots(out_dir) if path.name not in names)
         if outside:
             raise ValueError(f"snapshot {outside[0]} is not one the run writes of its steps 0..{info['accepted_steps']}")
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -1,19 +1,14 @@
 """Discrete energies, dissipation, and the two-sided energy inequality.
 
-All quantities are quadrature sums over the mesh (N*mm).  Two kinds of sum
-are used:
-
-- Compensated (``math.fsum``, exactly rounded) for the energies that are
-  recorded and audited: ``erg``, ``erg_from_psi``, ``grad_term``,
-  ``dis`` and so ``check_two_sided``.  The inequality compares small
-  differences of large numbers against an absolute tolerance eta, and an
-  exactly rounded sum does not depend on the element order.
-- Plain numpy reductions for the Armijo merits of the two Newton solves,
-  ``bulk_merit`` and ``functional_from_psi``.  A line search compares two
-  evaluations of the same sum, whose round-off lies far below its
-  sufficient-decrease margin, while ``math.fsum`` with its list conversion
-  costs about 30 us per sum on 480 elements, against a few us for a plain
-  sum, and a merit is evaluated for every line-search trial.
+All quantities are quadrature sums over the mesh (N*mm), each one plain
+numpy reduction (``ndarray.sum``, pairwise summation).  Every summand of
+``erg_from_psi``, ``grad_term`` and ``dis`` is >= 0, so each sum is within
+a small multiple of log2(n) unit roundoffs of the exact one, relatively
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, section
+4.2): below 1e-14 even for a million summands.  The check's differences of
+energies move by that much of the energies, far below its tolerance eta.
+``erg_from_psi`` is both a solve's recorded bulk energy and the
+displacement merit, so the two are equal bit for bit.
 
 The merits take what their caller has already evaluated of the state: the
 element energy densities of the displacement (``psi_split``), the damage
@@ -38,7 +33,6 @@ GRAD and DIS read the damage regularisation law of ``MaterialParams``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +46,6 @@ __all__ = [
     "INITIAL_REPORT",
     "erg",
     "erg_from_psi",
-    "bulk_merit",
     "grad_term",
     "dis",
     "check_two_sided",
@@ -106,21 +99,11 @@ INITIAL_REPORT = EnergyReport(
 _DISS_REL_TOL = 1e-8
 
 
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.tolist())
-
-
 def erg_from_psi(psi_p, psi_m, rw, kernels: ElementKernels) -> float:
     """Degraded bulk energy of the displacement whose element energy
     densities (``psi_split``) are given, at the damage whose
     ``degradation_weights`` are ``rw``: tensile densities weighted by ``rw``,
-    compressive ones by the measures."""
-    return _fsum(rw * psi_p + kernels.measures * psi_m)
-
-
-def bulk_merit(psi_p, psi_m, rw, kernels: ElementKernels) -> float:
-    """The displacement merit: the degraded bulk energy of ``erg_from_psi``,
-    summed plainly."""
+    compressive ones by the measures.  The displacement merit."""
     return float((rw * psi_p + kernels.measures * psi_m).sum())
 
 
@@ -134,14 +117,14 @@ def erg(u1, u2, rw, kernels: ElementKernels, p: MaterialParams) -> float:
 def grad_term(a, kernels: ElementKernels, p: MaterialParams) -> float:
     """Damage-gradient energy g * integral |grad beta|^2, g =
     ``p.grad_coeff``."""
-    return p.grad_coeff * _fsum(kernels.measures * grad_sq(kernels, a))
+    return p.grad_coeff * float((kernels.measures * grad_sq(kernels, a)).sum())
 
 
 def dis(a, kernels: ElementKernels, p: MaterialParams) -> float:
     """Dissipation state function c * integral beta^m, (c, m) =
     ``p.dissipation_law`` (AT2 quadratic, AT1 linear in beta)."""
     c, m = p.dissipation_law
-    return c * _fsum(np.einsum("eq,eq->e", kernels.wj, beta_at_qp(kernels, a) ** m))
+    return c * float((kernels.wj * beta_at_qp(kernels, a) ** m).sum())
 
 
 def functional_from_psi(

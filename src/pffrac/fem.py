@@ -18,10 +18,10 @@ adds to, and the entries below the reordered diagonal are dropped, so the
 assembled values are exactly the band that is factored, and the solve's
 residual check runs on them.  The slots are in the index dtype of the
 stored entries (int32 below 2**31 - 1).  Assembling adds blocks of
-consecutive element matrices through their slots, so the displacement
-tangent is formed one block of elements at a time and its temporaries stay
-at the size of one block (``_BLOCK_BYTES``) whatever the mesh size; the
-damage tangent, whose element matrices are small, goes as one block.
+consecutive element matrices through their slots, so both tangents, and
+the damage residual's element vectors, are formed one block of elements at
+a time and their temporaries stay at the size of one block
+(``_BLOCK_BYTES``) whatever the mesh size.
 Both patterns come from one builder, ``SparsityPattern.build``, on the
 kernels' ``NodeGraph``, and take scipy's reverse Cuthill-McKee order of
 their structure unless a candidate node order gives a strictly narrower
@@ -69,11 +69,11 @@ __all__ = [
     "reaction_force",
 ]
 
-# Bytes of the temporaries of one block of the displacement-tangent
-# assembly: the block's tangent split, material tangents and element
-# matrices, about _BLOCK_DOUBLES[dim] doubles per element.
+# Bytes of the temporaries of one block of elements in an assembly of the
+# displacement ("u") or damage ("beta") system, about
+# _BLOCK_DOUBLES[system][dim] doubles per element.
 _BLOCK_BYTES = 2 * 2**20
-_BLOCK_DOUBLES = {2: 140, 3: 470}
+_BLOCK_DOUBLES = {"u": {2: 140, 3: 470}, "beta": {2: 27, 3: 44}}
 
 
 @dataclass(frozen=True)
@@ -484,23 +484,25 @@ def residual_and_tangent_u(
     pattern = u_pattern(kernels, dofmap)  # built on first use, before the force's temporaries
     f = principal_stresses(spectrum.modes, p)
     full = _force(spectrum, f, rw, kernels, p)
-    return full[dofmap.free], pattern.assemble(_tangent_u_blocks(spectrum, f, rw, kernels, p))
+    # one block of element matrices at a time, from views of the spectrum
+    # (its directions are built by _force) and of the principal stresses
+    measures, b_u = kernels.measures, kernels.b_u
+    blocks = (
+        _element_tangents_u(spectrum.rows(e.start, e.stop), tuple(x[:, e] for x in f), rw[e], measures[e], b_u[e], p)
+        for e in _element_blocks(kernels, "u")
+    )
+    return full[dofmap.free], pattern.assemble(blocks)
 
 
-def _tangent_u_blocks(spectrum: StrainSpectrum, f, rw, kernels: ElementKernels, p: MaterialParams):
-    """Element matrices of the displacement tangent, one block of
-    ``_BLOCK_BYTES`` of temporaries at a time, from views of the state's
-    spectrum (its directions are already built by ``_force``) and of its
-    principal stresses ``f``.  Each block is formed in its own call, so its
-    temporaries are freed before the next one is formed."""
-    n_e = kernels.b_u.shape[0]
-    size = max(1, _BLOCK_BYTES // (8 * _BLOCK_DOUBLES[kernels.dim]))
-    for lo in range(0, n_e, size):
-        hi = min(lo + size, n_e)
-        block_f = tuple(x[:, lo:hi] for x in f)
-        yield _element_tangents_u(
-            spectrum.rows(lo, hi), block_f, rw[lo:hi], kernels.measures[lo:hi], kernels.b_u[lo:hi], p
-        )
+def _element_blocks(kernels: ElementKernels, system: str) -> list:
+    """Slices of consecutive elements, each of about ``_BLOCK_BYTES`` of
+    temporaries in an assembly of ``system``, none of one element unless the
+    mesh is: a one-row matrix product takes numpy's vector-matrix path and
+    rounds otherwise than the rows of the whole mesh's product."""
+    n_e = kernels.elements.shape[0]
+    size = max(2, _BLOCK_BYTES // (8 * _BLOCK_DOUBLES[system][kernels.dim]))
+    stops = [*range(size, n_e - 1, size), n_e]
+    return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
 
 
 def _element_tangents_u(spectrum: StrainSpectrum, f, rw, measures, b_u, p: MaterialParams):
@@ -530,14 +532,22 @@ def residual_and_tangent_beta(psi_p, a, fields: DamageFields, kernels: ElementKe
     """
     blk = damage_blocks(kernels)
     c, m = p.dissipation_law
-    pen_qp = np.minimum(fields.gap, 0.0) / p.eps_pen
-    s_qp = fields.dr * psi_p[:, None] + (m * c) * fields.beta ** (m - 1) + pen_qp
-    f_e = (kernels.wj * s_qp) @ kernels.shape_qp
-    f_e += (2.0 * p.grad_coeff) * np.einsum("eij,ej->ei", blk.grad, a[kernels.elements])
-    coeff_qp = 2.0 * psi_p[:, None] + (fields.gap < 0.0) / p.eps_pen + (m * (m - 1)) * c
-    k_e = (kernels.wj * coeff_qp) @ blk.mass
-    k_e += (2.0 * p.grad_coeff) * blk.grad.reshape(k_e.shape)
-    return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes), blk.pattern.assemble([k_e])
+    f_e = np.empty(kernels.elements.shape)
+
+    def element_matrices():  # each block writes its element vectors to f_e, then yields its matrices
+        for e in _element_blocks(kernels, "beta"):
+            wj, gap = kernels.wj[e], fields.gap[e]
+            pen_qp = np.minimum(gap, 0.0) / p.eps_pen
+            s_qp = fields.dr[e] * psi_p[e, None] + (m * c) * fields.beta[e] ** (m - 1) + pen_qp
+            f_e[e] = (wj * s_qp) @ kernels.shape_qp
+            f_e[e] += (2.0 * p.grad_coeff) * np.einsum("eij,ej->ei", blk.grad[e], a[kernels.elements[e]])
+            coeff_qp = 2.0 * psi_p[e, None] + (gap < 0.0) / p.eps_pen + (m * (m - 1)) * c
+            k_e = (wj * coeff_qp) @ blk.mass
+            k_e += (2.0 * p.grad_coeff) * blk.grad[e].reshape(k_e.shape)
+            yield k_e
+
+    tangent = blk.pattern.assemble(element_matrices())
+    return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes), tangent
 
 
 def reaction_force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams, load) -> float:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energetics import bulk_merit, functional_from_psi
+from .energetics import erg_from_psi, functional_from_psi
 from .fem import (
     DofMap,
     ElementKernels,
@@ -166,7 +166,7 @@ def newton_u(
     zeros on constrained dofs, ``state`` is that of the returned u + u_d,
     ``step`` the last accepted line-search step (the given one if none was)
     and ``trials`` the number of trial merits.  The merit is the degraded
-    bulk energy (``bulk_merit``); each displacement state is decomposed, and
+    bulk energy (``erg_from_psi``); each displacement state is decomposed, and
     its energy densities computed, once, for its merit, residual and
     tangent alike, and the start's merit is taken from ``state``.  Each
     tangent's factor is dropped after its solve.  A failure raises a bare
@@ -193,9 +193,9 @@ def newton_u(
         full[free] = v
         spec = strain_spectrum(kernels, full + u_d)
         psi_p, psi_m = psi_split(spec, p)
-        return bulk_merit(psi_p, psi_m, rw, kernels), (spec, psi_p, psi_m)
+        return erg_from_psi(psi_p, psi_m, rw, kernels), (spec, psi_p, psi_m)
 
-    e0 = bulk_merit(state[1], state[2], rw, kernels)
+    e0 = erg_from_psi(state[1], state[2], rw, kernels)
     trials = 0
     for k in range(1, cfg.max_newton + 1):
         r, tangent = residual_and_tangent_u(state[0], rw, kernels, p, dofmap)

@@ -7,6 +7,7 @@ from conftest import box_mesh, made_states, scripted_checks, with_dissipation
 from oracles import bulk_energy, dirichlet_partition, fresh_check
 from pffrac.cli import _apply_overrides, resolve_config
 import pffrac.driver as driver
+import pffrac.solver as solver
 from pffrac.driver import (
     BacktrackConfig,
     DirichletSpec,
@@ -20,7 +21,7 @@ from pffrac.driver import (
 from pffrac import energetics
 from pffrac.energetics import INITIAL_REPORT, dis, grad_term
 from pffrac.fem import build_kernels, degradation_weights, reaction_force, strain_spectrum
-from pffrac.material import StrainSpectrum
+from pffrac.material import StrainSpectrum, psi_split
 from pffrac.presets import load_preset
 from pffrac.solver import SolverConfig, StepFailure
 
@@ -296,6 +297,33 @@ class TestReusedDecomposition:
                 BacktrackConfig().eta,
             )
             assert rec.report == want
+
+    def test_bulk_energy_is_the_displacement_merit(self, patch, sent_params, monkeypatch):
+        # one sum gives both: each record's bulk energy is, bit for bit, the
+        # merit that the displacement solve takes of the record's state as
+        # its start
+        state = made_states(monkeypatch)
+        prog = tension_program(n_steps=4, dw=2e-4)
+        hist = run(prog, BacktrackConfig(), SolverConfig(), sent_params, patch)
+        monkeypatch.undo()
+        kern = build_kernels(patch)
+        dofmap = build_dofmap(patch, prog)
+        merits = []
+        real_merit = solver.erg_from_psi
+
+        def merit(*args):
+            merits.append(real_merit(*args))
+            return merits[-1]
+
+        monkeypatch.setattr(solver, "erg_from_psi", merit)
+        for rec in hist.steps[1:]:
+            st = state(rec)
+            assert st.a.max() > 0.0
+            spectrum = strain_spectrum(kern, st.u + st.u_d)
+            merits.clear()
+            start = (spectrum, *psi_split(spectrum, sent_params))
+            solver.newton_u(st.u, st.u_d, st.rw, kern, sent_params, SolverConfig(), dofmap, start)
+            assert np.float64(merits[0]).tobytes() == np.float64(rec.bulk_energy).tobytes()
 
     @pytest.mark.parametrize("dissipation", ["AT2", "AT1"])
     def test_initial_dissipation_is_dis_of_zero_damage(self, patch, sent_params, dissipation):

@@ -192,9 +192,11 @@ class TestCheckTwoSided:
         assert rep.delta == pytest.approx(rep.e_next - e_curr + rep.d_inc, rel=1e-12)
 
     @pytest.mark.parametrize("divisions", [[12, 10], [4, 3, 3]], ids=["2d", "3d"])
-    def test_element_order_invariant_bitwise(self, sent_params, rng, divisions):
-        # every energy of the check is summed exactly, so the same mesh with
-        # its element rows permuted gives the same report, bit for bit
+    def test_element_order_invariant(self, sent_params, rng, divisions):
+        # every energy of the check is a plain sum of nonnegative terms, so
+        # the same mesh with its element rows permuted gives the same
+        # verdicts, and every figure within 1e-12 relative (the sums move in
+        # their last bits only)
         mesh = box_mesh([1.0] * len(divisions), divisions)
         shuffled = Mesh(mesh.dim, mesh.nodes, mesh.elements[rng.permutation(mesh.n_elements)], mesh.node_sets)
         u, a, a_n = random_state(mesh, rng)
@@ -206,7 +208,10 @@ class TestCheckTwoSided:
             fresh_check(u, ud_n, a_n, u_next, ud_next, a, build_kernels(m), sent_params, 1e-5)
             for m in (mesh, shuffled)
         ]
-        assert reports[0] == reports[1]
+        got, want = (dataclasses.asdict(r) for r in reports)
+        for name in ("passed", "irreversibility_violation"):
+            assert got.pop(name) is want.pop(name)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_four_bulk_energies_per_check(self, patch, sent_params, rng, monkeypatch):
         # E, UB and LB share the bulk energies of the two states under the

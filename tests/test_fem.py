@@ -762,7 +762,7 @@ def bend3d_state():
 
 class TestBlockAssembly:
     def _block_bytes(self, n):
-        return n * 8 * fem._BLOCK_DOUBLES[3]
+        return n * 8 * fem._BLOCK_DOUBLES["u"][3]
 
     def test_blocks_match_one_block_bitwise(self, bend3d_state, monkeypatch):
         kern, dm, pat, spec, rw, p = bend3d_state
@@ -816,6 +816,69 @@ class TestBlockAssembly:
             tracemalloc.stop()
         band = 8 * (o.bandwidth + 1) * o.n
         assert peak <= band + 4 * 8 * o.rows.size + 2**18
+
+
+class TestDamageBlockAssembly:
+    @pytest.fixture(scope="class")
+    def damage_state(self, bend3d_state):
+        """bend3d@0.1's kernels and parameters and a damage state with an
+        anchor that it undercuts at some quadrature points."""
+        kern, _, _, spec, _, p = bend3d_state
+        rng = np.random.default_rng(11)
+        a_n = rng.uniform(0.0, 0.5, kern.mesh.n_nodes)
+        a = np.clip(a_n + rng.normal(0.0, 0.1, a_n.size), 0.0, 1.0)
+        psi_p, _ = psi_split(spec, p)
+        return kern, p, psi_p, a, fem.damage_fields(kern, a, a_n, p)
+
+    @staticmethod
+    def whole_mesh(kern, p, psi_p, a, fields):
+        """The damage residual and stored tangent values from whole-mesh
+        element vectors and matrices, each summed in element order."""
+        blk = damage_blocks(kern)
+        c, m = p.dissipation_law
+        s_qp = fields.dr * psi_p[:, None] + (m * c) * fields.beta ** (m - 1) + np.minimum(fields.gap, 0.0) / p.eps_pen
+        f_e = (kern.wj * s_qp) @ kern.shape_qp
+        f_e += (2.0 * p.grad_coeff) * np.einsum("eij,ej->ei", blk.grad, a[kern.elements])
+        coeff_qp = 2.0 * psi_p[:, None] + (fields.gap < 0.0) / p.eps_pen + (m * (m - 1)) * c
+        k_e = (kern.wj * coeff_qp) @ blk.mass
+        k_e += (2.0 * p.grad_coeff) * blk.grad.reshape(k_e.shape)
+        slot, n = blk.pattern.slot, blk.pattern.ordering.rows.size
+        r = np.bincount(kern.elements.ravel(), weights=f_e.ravel(), minlength=kern.mesh.n_nodes)
+        return r, np.bincount(slot, weights=k_e.ravel(), minlength=n + 1)[:-1]
+
+    def test_blocks_match_the_whole_mesh_bitwise(self, damage_state, monkeypatch):
+        # one block, blocks with a shorter last one, and blocks whose last
+        # one would hold a single element (it joins the one before: a
+        # one-row product rounds otherwise) all give the whole-mesh sums
+        kern, p, psi_p, a, fields = damage_state
+        assert (fields.gap < 0.0).any()
+        r0, k0 = self.whole_mesh(kern, p, psi_p, a, fields)
+        n_e = kern.elements.shape[0]
+        single = next(size for size in range(7, n_e) if n_e % size == 1)
+        for size in (n_e, 1000, 7, single):
+            monkeypatch.setattr(fem, "_BLOCK_BYTES", size * 8 * fem._BLOCK_DOUBLES["beta"][3])
+            blocks = fem._element_blocks(kern, "beta")
+            assert blocks[0] == slice(0, size) and blocks[-1].stop == n_e
+            assert all(e.stop - e.start > 1 for e in blocks)
+            r, k = fem.residual_and_tangent_beta(psi_p, a, fields, kern, p)
+            assert r.tobytes() == r0.tobytes()
+            assert k.values.tobytes() == k0.tobytes()
+
+    def test_peak_memory_is_one_block(self, damage_state, monkeypatch):
+        # with small blocks, one call allocates the element vectors, the
+        # stored values, the residual and one block's temporaries, not the
+        # whole mesh's coefficients and element matrices
+        kern, p, psi_p, a, fields = damage_state
+        fem.residual_and_tangent_beta(psi_p, a, fields, kern, p)  # the pattern, built on first use
+        monkeypatch.setattr(fem, "_BLOCK_BYTES", 2**16)
+        tracemalloc.start()
+        try:
+            fem.residual_and_tangent_beta(psi_p, a, fields, kern, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = damage_blocks(kern).pattern.ordering.rows.size
+        assert peak <= 8 * (kern.elements.size + 2 * stored + kern.mesh.n_nodes) + 2**16
 
 
 @pytest.mark.parametrize("dim", [2, 3])

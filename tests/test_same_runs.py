@@ -26,10 +26,12 @@ def copy_src(dest: Path) -> Path:
 
 def test_same_trees_agree_and_changed_outputs_do_not(tmp_path, monkeypatch, capsys):
     # this repo's src against itself gives the same outputs (exit 0); a
-    # copy whose CSVs print one digit less differs in load_disp.csv (exit
-    # 1), though each tree's audit of its own run, and the copy's audit of
-    # the parent's run, pass; a directory without the package is refused
-    # (exit 2)
+    # copy whose figures print one digit less differs in load_disp.csv,
+    # energy.csv and run.json's config, each named on its own line with,
+    # for a CSV, the first line and column that differ and the largest
+    # relative difference (exit 1), though each tree's audit of its own
+    # run, and the copy's audit of the parent's run, pass; a directory
+    # without the package is refused (exit 2)
     same_runs = load_script(monkeypatch)
     assert same_runs.main([str(SRC), str(SRC), str(tmp_path / "same"), *CASE]) == 0
     assert capsys.readouterr().out == (
@@ -40,9 +42,12 @@ def test_same_trees_agree_and_changed_outputs_do_not(tmp_path, monkeypatch, caps
     cli = changed / "pffrac" / "cli.py"
     cli.write_text(cli.read_text().replace('"%.17g"', '"%.16g"'))
     assert same_runs.main([str(SRC), str(changed), str(tmp_path / "changed"), *CASE]) == 1
-    assert capsys.readouterr().out == (
-        "given: load_disp.csv: differs; run exit 0 0; check-energy exit 0 0; change's check-energy of parent exit 0\n"
-    )
+    head, load_disp, energy, run_json = capsys.readouterr().out.splitlines()
+    assert head == "given: 3 files differ; run exit 0 0; check-energy exit 0 0; change's check-energy of parent exit 0"
+    for line, name in [(load_disp, "load_disp.csv"), (energy, "energy.csv")]:
+        assert line.startswith(f"  {name}: differs (first at line 3, column ")
+        assert 0.0 < float(line.rsplit(" ", 1)[1].rstrip(")")) < 1e-15
+    assert run_json == "  run.json: differs"
     assert same_runs.main([str(SRC), str(tmp_path), str(tmp_path / "none"), *CASE]) == 2
 
 
@@ -57,8 +62,8 @@ def test_change_must_audit_what_the_parent_wrote(tmp_path, monkeypatch, capsys):
     vtkio.write_text(vtkio.read_text().replace("pffrac field snapshot", "pffrac field snapshots"))
     assert same_runs.main([str(SRC), str(titled), str(tmp_path / "titled-runs"), *CASE]) == 1
     assert capsys.readouterr().out == (
-        "given: snapshots/step_000000.vtk: differs; run exit 0 0; check-energy exit 0 0; "
-        "change's check-energy of parent exit 2\n"
+        "given: 3 files differ; run exit 0 0; check-energy exit 0 0; change's check-energy of parent exit 2\n"
+        + "".join(f"  snapshots/step_{step:06d}.vtk: differs\n" for step in range(3))
     )
 
     copy = copy_src(tmp_path / "copy").resolve()  # as the script resolves its trees

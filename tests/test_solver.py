@@ -444,7 +444,7 @@ class TestAlternateMinimize:
         u_d = np.zeros(2 * mesh.n_nodes)
         u_d[1::2] = 0.04 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
         counts = {"spectrum": 0, "merit": 0}
-        real_init, real_merit = StrainSpectrum.__init__, solver.bulk_merit
+        real_init, real_merit = StrainSpectrum.__init__, solver.erg_from_psi
 
         def spectrum_init(self, voigt):
             counts["spectrum"] += 1
@@ -455,7 +455,7 @@ class TestAlternateMinimize:
             return real_merit(*args)
 
         monkeypatch.setattr(StrainSpectrum, "__init__", spectrum_init)
-        monkeypatch.setattr(solver, "bulk_merit", merit)
+        monkeypatch.setattr(solver, "erg_from_psi", merit)
         a0 = np.zeros(mesh.n_nodes)
         res = alternate(np.zeros(2 * mesh.n_nodes), a0, a0, u_d, kern, sent_params, SolverConfig(), dm)
         # each displacement solve evaluates the merit of its start once and
@@ -508,7 +508,7 @@ class TestAlternateMinimize:
         u_d[1::2] = 0.04 * np.maximum(mesh.nodes[:, 1] - 0.5, 0.0)
         a0 = np.zeros(mesh.n_nodes)
         merits = []
-        real_merit, real_newton_u = solver.bulk_merit, solver.newton_u
+        real_merit, real_newton_u = solver.erg_from_psi, solver.newton_u
 
         def merit(*args):
             merits[-1] += 1
@@ -518,7 +518,7 @@ class TestAlternateMinimize:
             kwargs["step"] = 1.0
             return real_newton_u(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "bulk_merit", merit)
+        monkeypatch.setattr(solver, "erg_from_psi", merit)
         results = []
         for newton_u in (real_newton_u, from_one):
             monkeypatch.setattr(solver, "newton_u", newton_u)
