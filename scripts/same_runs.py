@@ -9,7 +9,7 @@ processes at a time with one BLAS thread each, into
 ``pffrac check-energy`` on every directory under its own tree, and the
 change's ``check-energy`` on each parent directory too, which shows that
 the change reads everything the parent wrote, and compares each pair with
-``same_outputs.differences``.  The cases are the ten below, the last of
+``same_outputs.differences``.  The cases are the eleven below, the last of
 which aborts at step 1 (exit 3), or, when ``pffrac run`` arguments follow
 WORK_DIR, the one case ``given`` that they name.
 
@@ -49,8 +49,11 @@ CASES = {
     "lshape-0.5-2-steps": ["--preset", "lshape", "--scale", "0.5", "--steps", "2"],
     # the crack runs through bend3d@0.1 at step 4 (1,183.7, 2,262.1, 2,750.7
     # then 79.5 N): damaged 3-D states, whose displacement tangents are
-    # assembled in seven element blocks
+    # assembled in five element blocks
     "bend3d-0.1-crack-4": ["--preset", "bend3d", "--scale", "0.1", "--steps", "4", "--set", "program.dw=0.06"],
+    # damaged 2-D states whose displacement tangents span two element blocks
+    # (sent@0.1 and sent@0.2 assemble in one, and sens@0.05 stays elastic)
+    "sent-0.35-cut-52": ["--preset", "sent", "--scale", "0.35", "--steps", "52"],
     "sent-0.2-abort-at-1": ["--preset", "sent", "--scale", "0.2", "--steps", "3", "--set", "solver.max_alt=1"],
 }
 SIDES = ("parent", "change")

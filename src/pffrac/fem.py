@@ -17,11 +17,11 @@ ordering, those on or above the reordered diagonal
 adds to, and the entries below the reordered diagonal are dropped, so the
 assembled values are exactly the band that is factored, and the solve's
 residual check runs on them.  The slots are in the index dtype of the
-stored entries (int32 below 2**31 - 1).  Assembling adds blocks of
-consecutive element matrices through their slots, so both tangents, and
-the damage residual's element vectors, are formed one block of elements at
-a time and their temporaries stay at the size of one block
-(``_BLOCK_BYTES``) whatever the mesh size.
+stored entries (int32 below 2**31 - 1).  One routine assembles both
+systems: it forms their element vectors and matrices one block of
+consecutive elements at a time, so the temporaries of the residuals and
+tangents stay at the size of one block (``_BLOCK_BYTES``) whatever the
+mesh size.
 Both patterns come from one builder, ``SparsityPattern.build``, on the
 kernels' ``NodeGraph``, and take scipy's reverse Cuthill-McKee order of
 their structure unless a candidate node order gives a strictly narrower
@@ -71,9 +71,10 @@ __all__ = [
 
 # Bytes of the temporaries of one block of elements in an assembly of the
 # displacement ("u") or damage ("beta") system, about
-# _BLOCK_DOUBLES[system][dim] doubles per element.
+# _BLOCK_DOUBLES[system][dim] doubles per element (by tracemalloc: the rise
+# of one call's traced peak per element of block size).
 _BLOCK_BYTES = 2 * 2**20
-_BLOCK_DOUBLES = {"u": {2: 140, 3: 470}, "beta": {2: 27, 3: 44}}
+_BLOCK_DOUBLES = {"u": {2: 92, 3: 345}, "beta": {2: 30, 3: 48}}
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,10 @@ class ElementKernels:
     wj : (n_e, nqp)
         Quadrature weight times Jacobian determinant; rows sum to the
         element measure.
+    measures : (n_e,)
+        Element areas (2-D) or volumes (3-D), the row sums of ``wj``.
+    udofs : (n_e, nen*dim)
+        Displacement dofs of each element, in the column order of ``b_u``.
     """
 
     mesh: Mesh
@@ -305,20 +310,6 @@ def damage_fields(kernels: ElementKernels, a: np.ndarray, a_n: np.ndarray, p: Ma
     return DamageFields(beta=beta, gap=(a - a_n)[kernels.elements] @ kernels.shape_qp.T, r=r, dr=dr)
 
 
-def _nodal_sum(edofs: np.ndarray, f_e: np.ndarray, n: int) -> np.ndarray:
-    """Sum element vectors into a global vector, in element order."""
-    return np.bincount(edofs.ravel(), weights=f_e.ravel(), minlength=n)
-
-
-def _force(spectrum: StrainSpectrum, f, rw, kernels: ElementKernels, p: MaterialParams):
-    """Unconstrained internal force from the strain spectrum, its
-    ``principal_stresses`` ``f`` and the degradation weights."""
-    sig_p, sig_m = sigma_split(spectrum, f, p)
-    sig_eff = rw[:, None] * sig_p + kernels.measures[:, None] * sig_m
-    f_e = np.einsum("evd,ev->ed", kernels.b_u, sig_eff)
-    return _nodal_sum(kernels.udofs, f_e, kernels.dim * kernels.mesh.n_nodes)
-
-
 @dataclass(frozen=True)
 class NodeGraph:
     """The CSC structure of the node adjacency (column j holds the nodes
@@ -338,8 +329,7 @@ class SparsityPattern:
     entry, in ``k_e.ravel()`` order: the stored entry it adds to, or one
     past the last for entries below the reordered diagonal or on dofs left
     out, which are dropped.  The slots have the ``index_dtype`` of the
-    stored entries.  ``assemble`` adds element matrices through them block
-    by block, in element order."""
+    stored entries."""
 
     slot: np.ndarray
     ordering: BandOrdering
@@ -393,22 +383,6 @@ class SparsityPattern:
             at = np.where(free[row][:, :, None, None] & col_free, rank[row][:, :, None, None] + base[:, None], -1)
             slot[:, a] = stored[at]
         return cls(slot=slot.reshape(-1), ordering=ordering)
-
-    def assemble(self, blocks) -> UpperMatrix:
-        """Sum element matrices into the stored entries.  ``blocks`` yields
-        the matrices (m, nd, nd) of consecutive elements, from the first to
-        the last; they are added into the values in that order, so any split
-        into blocks gives the same sums, bit for bit."""
-        n_stored = self.ordering.rows.size
-        values = np.zeros(n_stored + 1)
-        lo = 0
-        for k_e in blocks:
-            hi = lo + k_e.size
-            np.add.at(values, self.slot[lo:hi], k_e.ravel())
-            lo = hi
-        if lo != self.slot.size:
-            raise ValueError(f"assembled {lo} element-matrix entries of {self.slot.size}")
-        return UpperMatrix(values[:n_stored], self.ordering)
 
 
 def _index_arrays(indptr: np.ndarray, indices: np.ndarray):
@@ -471,29 +445,6 @@ def damage_blocks(kernels: ElementKernels) -> DamageBlocks:
     return kernels.damage
 
 
-def residual_and_tangent_u(
-    spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams, dofmap: DofMap
-):
-    """Displacement residual and consistent tangent over the free dofs (zero
-    external load: Dirichlet-driven problems only), of the displacement
-    U + U_D whose ``strain_spectrum`` is ``spectrum`` at the damage whose
-    ``degradation_weights`` are ``rw``.
-
-    The tangent is an ``UpperMatrix``, SPD for damage below one and k > 0.
-    """
-    pattern = u_pattern(kernels, dofmap)  # built on first use, before the force's temporaries
-    f = principal_stresses(spectrum.modes, p)
-    full = _force(spectrum, f, rw, kernels, p)
-    # one block of element matrices at a time, from views of the spectrum
-    # (its directions are built by _force) and of the principal stresses
-    measures, b_u = kernels.measures, kernels.b_u
-    blocks = (
-        _element_tangents_u(spectrum.rows(e.start, e.stop), tuple(x[:, e] for x in f), rw[e], measures[e], b_u[e], p)
-        for e in _element_blocks(kernels, "u")
-    )
-    return full[dofmap.free], pattern.assemble(blocks)
-
-
 def _element_blocks(kernels: ElementKernels, system: str) -> list:
     """Slices of consecutive elements, each of about ``_BLOCK_BYTES`` of
     temporaries in an assembly of ``system``, none of one element unless the
@@ -505,13 +456,58 @@ def _element_blocks(kernels: ElementKernels, system: str) -> list:
     return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
 
 
-def _element_tangents_u(spectrum: StrainSpectrum, f, rw, measures, b_u, p: MaterialParams):
-    """Element matrices B^T C B of the displacement tangent, with C the
-    split tangent weighted by the degradation weights ``rw`` (tension) and
-    the element measures (compression)."""
-    cp, cm = tangent_split(spectrum, f, p)
-    c_e = rw[:, None, None] * cp + measures[:, None, None] * cm
-    return np.swapaxes(b_u, 1, 2) @ (c_e @ b_u)
+def _assemble(kernels: ElementKernels, system: str, pattern: SparsityPattern, edofs: np.ndarray, n: int, block):
+    """The residual (n,) on ``edofs`` and the ``UpperMatrix`` on ``pattern``
+    of ``system`` from ``block(e)``, the element vectors and matrices of each
+    slice e of ``_element_blocks``: the matrices are added through the slots
+    as they come, the vectors by one ``bincount``, both in element order, so
+    any split into blocks gives the same sums, bit for bit."""
+    n_stored = pattern.ordering.rows.size
+    values = np.zeros(n_stored + 1)
+    slot = pattern.slot.reshape(edofs.shape[0], -1)
+    f_e = np.empty(edofs.shape)
+    for e in _element_blocks(kernels, system):
+        f_e[e], k_e = block(e)
+        np.add.at(values, slot[e].ravel(), k_e.ravel())
+        del k_e  # not held while the next block is formed
+    r = np.bincount(edofs.ravel(), weights=f_e.ravel(), minlength=n)
+    return r, UpperMatrix(values[:n_stored], pattern.ordering)
+
+
+def _element_forces_u(spectrum: StrainSpectrum, rw, measures, b_u, p: MaterialParams):
+    """Element forces B^T sigma of the elements whose strains have the
+    spectrum ``spectrum``, sigma the split stress weighted by ``rw`` (tension)
+    and ``measures`` (compression), and their ``principal_stresses``."""
+    f = principal_stresses(spectrum.modes, p)
+    sig_p, sig_m = sigma_split(spectrum, f, p)
+    sig_eff = rw[:, None] * sig_p + measures[:, None] * sig_m
+    return np.einsum("evd,ev->ed", b_u, sig_eff), f
+
+
+def residual_and_tangent_u(
+    spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams, dofmap: DofMap
+):
+    """Displacement residual and consistent tangent over the free dofs (zero
+    external load: Dirichlet-driven problems only), of the displacement
+    U + U_D whose ``strain_spectrum`` is ``spectrum`` at the damage whose
+    ``degradation_weights`` are ``rw``.
+
+    Each element block forms its stresses, forces and matrices B^T C B (C the
+    split tangent, weighted as the stress) from views of ``spectrum``'s rows.
+    The tangent is an ``UpperMatrix``, SPD for damage below one and k > 0.
+    """
+
+    def block(e):
+        s, b_u = spectrum.rows(e.start, e.stop), kernels.b_u[e]
+        f_e, f = _element_forces_u(s, rw[e], kernels.measures[e], b_u, p)
+        cp, cm = tangent_split(s, f, p)
+        c_e = rw[e, None, None] * cp + kernels.measures[e, None, None] * cm
+        return f_e, np.swapaxes(b_u, 1, 2) @ (c_e @ b_u)
+
+    # the pattern is built on first use, before the assembly's temporaries
+    pattern, n = u_pattern(kernels, dofmap), kernels.dim * kernels.mesh.n_nodes
+    r, tangent = _assemble(kernels, "u", pattern, kernels.udofs, n, block)
+    return r[dofmap.free], tangent
 
 
 def residual_and_tangent_beta(psi_p, a, fields: DamageFields, kernels: ElementKernels, p: MaterialParams):
@@ -532,22 +528,19 @@ def residual_and_tangent_beta(psi_p, a, fields: DamageFields, kernels: ElementKe
     """
     blk = damage_blocks(kernels)
     c, m = p.dissipation_law
-    f_e = np.empty(kernels.elements.shape)
 
-    def element_matrices():  # each block writes its element vectors to f_e, then yields its matrices
-        for e in _element_blocks(kernels, "beta"):
-            wj, gap = kernels.wj[e], fields.gap[e]
-            pen_qp = np.minimum(gap, 0.0) / p.eps_pen
-            s_qp = fields.dr[e] * psi_p[e, None] + (m * c) * fields.beta[e] ** (m - 1) + pen_qp
-            f_e[e] = (wj * s_qp) @ kernels.shape_qp
-            f_e[e] += (2.0 * p.grad_coeff) * np.einsum("eij,ej->ei", blk.grad[e], a[kernels.elements[e]])
-            coeff_qp = 2.0 * psi_p[e, None] + (gap < 0.0) / p.eps_pen + (m * (m - 1)) * c
-            k_e = (wj * coeff_qp) @ blk.mass
-            k_e += (2.0 * p.grad_coeff) * blk.grad[e].reshape(k_e.shape)
-            yield k_e
+    def block(e):
+        wj, gap = kernels.wj[e], fields.gap[e]
+        pen_qp = np.minimum(gap, 0.0) / p.eps_pen
+        s_qp = fields.dr[e] * psi_p[e, None] + (m * c) * fields.beta[e] ** (m - 1) + pen_qp
+        f_e = (wj * s_qp) @ kernels.shape_qp
+        f_e += (2.0 * p.grad_coeff) * np.einsum("eij,ej->ei", blk.grad[e], a[kernels.elements[e]])
+        coeff_qp = 2.0 * psi_p[e, None] + (gap < 0.0) / p.eps_pen + (m * (m - 1)) * c
+        k_e = (wj * coeff_qp) @ blk.mass
+        k_e += (2.0 * p.grad_coeff) * blk.grad[e].reshape(k_e.shape)
+        return f_e, k_e
 
-    tangent = blk.pattern.assemble(element_matrices())
-    return _nodal_sum(kernels.elements, f_e, kernels.mesh.n_nodes), tangent
+    return _assemble(kernels, "beta", blk.pattern, kernels.elements, kernels.mesh.n_nodes, block)
 
 
 def reaction_force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams, load) -> float:
@@ -556,7 +549,10 @@ def reaction_force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: Mat
     lifting per unit w), P = sum of g_i r_i over the dofs where g is not
     zero, in ascending order.  Since r is the gradient of the bulk energy
     in the total displacement, P is d erg/dw at fixed free displacement and
-    damage.  The state is given as for ``residual_and_tangent_u``."""
-    r = _force(spectrum, principal_stresses(spectrum.modes, p), rw, kernels, p)
+    damage.  The state is given as for ``residual_and_tangent_u``.  It is the
+    one whole-mesh force pass: it runs once per solve, after the solve has
+    dropped its last factor, so its temporaries never meet a band."""
+    f_e, _ = _element_forces_u(spectrum, rw, kernels.measures, kernels.b_u, p)
+    r = np.bincount(kernels.udofs.ravel(), weights=f_e.ravel(), minlength=kernels.dim * kernels.mesh.n_nodes)
     dofs = np.flatnonzero(load)
     return float(np.sum(r[dofs] * load[dofs]))

@@ -333,9 +333,7 @@ def principal_stresses(w: np.ndarray, p: MaterialParams):
     """Principal stresses of sigma0_pm (gradients of psi0_pm) and the branch
     indicators, (fp, fm, hp, hm), mode axis first like ``w``, the principal
     strains (d, N).  ``sigma_split`` and ``tangent_split`` take them, so a
-    state whose stress and tangent are both evaluated computes them once;
-    a block of the batch takes ``x[:, lo:hi]`` of each, as
-    ``StrainSpectrum.rows`` slices the spectrum.
+    state whose stress and tangent are both evaluated computes them once.
 
     f_a^+ = lam tr(eps_+) H(w_a > 0) + 2 mu <w_a>_+ and the mirrored minus
     part with H(w_a <= 0); H at zero follows the compression-side

@@ -42,6 +42,7 @@ from pffrac.material import (
     degradation,
     principal_stresses,
     psi_split,
+    sigma_split,
     tangent_split,
 )
 from pffrac.presets import load_preset
@@ -769,9 +770,14 @@ class TestBlockAssembly:
         n_e = kern.elements.shape[0]
         monkeypatch.setattr(fem, "_BLOCK_BYTES", self._block_bytes(n_e))
         r1, k1 = fem.residual_and_tangent_u(spec, rw, kern, p, dm)
-        # the whole-mesh element matrices B^T (C B) summed by bincount, in
-        # element order
-        cp, cm = tangent_split(spec, principal_stresses(spec.modes, p), p)
+        # the whole-mesh element forces B^T sigma and matrices B^T (C B),
+        # each summed by bincount, in element order
+        f = principal_stresses(spec.modes, p)
+        sig_p, sig_m = sigma_split(spec, f, p)
+        f_e = np.einsum("evd,ev->ed", kern.b_u, rw[:, None] * sig_p + kern.measures[:, None] * sig_m)
+        force = np.bincount(kern.udofs.ravel(), weights=f_e.ravel(), minlength=dm.free.size)
+        assert r1.tobytes() == force[dm.free].tobytes()
+        cp, cm = tangent_split(spec, f, p)
         c_e = rw[:, None, None] * cp + kern.measures[:, None, None] * cm
         k_e = np.swapaxes(kern.b_u, 1, 2) @ (c_e @ kern.b_u)
         data = np.bincount(pat.slot, weights=k_e.ravel(), minlength=pat.ordering.rows.size + 1)[:-1]
@@ -784,10 +790,37 @@ class TestBlockAssembly:
             assert np.array_equal(k.values, k1.values)
             assert k.ordering is pat.ordering
 
+    def test_split_kernels_see_one_block(self, bend3d_state, monkeypatch):
+        # the principal stresses, split stresses and split tangents are
+        # formed block by block: no call sees the whole mesh's strains
+        kern, dm, pat, spec, rw, p = bend3d_state
+        monkeypatch.setattr(fem, "_BLOCK_BYTES", self._block_bytes(300))
+        seen = []
+
+        def spy(name):
+            real = getattr(fem, name)
+
+            def call(x, *args):  # the principal strains (d, N) or a spectrum
+                seen.append((name, x.shape[1] if isinstance(x, np.ndarray) else x.shape[0]))
+                return real(x, *args)
+
+            return call
+
+        names = ("principal_stresses", "sigma_split", "tangent_split")
+        for name in names:
+            monkeypatch.setattr(fem, name, spy(name))
+        fem.residual_and_tangent_u(spec, rw, kern, p, dm)
+        blocks = fem._element_blocks(kern, "u")
+        assert len(blocks) > 10
+        assert {name for name, _ in seen} == set(names)
+        assert [n for name, n in seen if name == "tangent_split"] == [e.stop - e.start for e in blocks]
+        assert max(n for _, n in seen) == max(e.stop - e.start for e in blocks)
+
     def test_peak_memory_is_one_block(self, bend3d_state, monkeypatch):
-        # with small blocks, one call allocates the data array, the
-        # whole-mesh residual (about 1.8x the data) and one block; summing
-        # whole-mesh element matrices peaks at about 12x the data
+        # with small blocks, one call holds the stored values, the element
+        # forces and one block's temporaries (about 1.0 MB here); holding a
+        # block's element matrices through the next block adds about 0.1 MB,
+        # and whole-mesh element matrices would peak at about 12x the values
         kern, dm, pat, spec, rw, p = bend3d_state
         monkeypatch.setattr(fem, "_BLOCK_BYTES", 2**18)
         tracemalloc.start()
@@ -796,9 +829,7 @@ class TestBlockAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        o = pat.ordering
-        nnz = 2 * o.rows.size - o.n  # the structure's entries: each off-diagonal pair is stored once
-        assert peak <= 3 * 8 * nnz + 2**18
+        assert peak <= 8 * (pat.ordering.rows.size + kern.udofs.size) + 2**18 + 2**16
 
     def test_peak_memory_of_one_newton_system(self, bend3d_state, monkeypatch):
         # one tangent assembled and solved: the band and a few arrays of the
