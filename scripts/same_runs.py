@@ -49,7 +49,7 @@ CASES = {
     "lshape-0.5-2-steps": ["--preset", "lshape", "--scale", "0.5", "--steps", "2"],
     # the crack runs through bend3d@0.1 at step 4 (1,183.7, 2,262.1, 2,750.7
     # then 79.5 N): damaged 3-D states, whose displacement tangents are
-    # assembled in five element blocks
+    # assembled in seven element blocks
     "bend3d-0.1-crack-4": ["--preset", "bend3d", "--scale", "0.1", "--steps", "4", "--set", "program.dw=0.06"],
     # damaged 2-D states whose displacement tangents span two element blocks
     # (sent@0.1 and sent@0.2 assemble in one, and sens@0.05 stays elastic)

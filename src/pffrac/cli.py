@@ -72,8 +72,8 @@ from pathlib import Path
 
 from . import presets
 from .driver import RunHistory, build_dofmap, run
-from .energetics import INITIAL_REPORT, StateEnergy, check_two_sided, dis, erg, grad_term
-from .fem import build_kernels, degradation_weights
+from .energetics import INITIAL_REPORT, StateEnergy, check_two_sided, dis_from_beta, erg, grad_term
+from .fem import beta_at_qp, build_kernels, weights_from_beta
 from .vtkio import grid_text, read_field_snapshot, write_field_snapshot
 
 __all__ = ["main", "cmd_run", "cmd_check_energy", "config_from_setup", "resolve_config"]
@@ -516,8 +516,10 @@ def cmd_check_energy(args) -> int:
         disp, a = read_field_snapshot(_snapshot_path(out_dir, step), mesh, grid)
         u_d = setup.program.w(step) * load
         u = disp - u_d
-        rw = degradation_weights(kernels, a, p)
-        return StateEnergy(u, u_d, rw, erg(u, u_d, rw, kernels, p), grad_term(a, kernels, p), dis(a, kernels, p))
+        beta = beta_at_qp(kernels, a)  # once, for the weights and the dissipation
+        rw, dissipation = weights_from_beta(kernels, beta, p), dis_from_beta(beta, kernels, p)
+        del beta  # not held through the strain spectrum's arrays
+        return StateEnergy(u, u_d, rw, erg(u, u_d, rw, kernels, p), grad_term(a, kernels, p), dissipation)
 
     failing = []
     w = setup.program.w

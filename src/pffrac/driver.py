@@ -20,7 +20,8 @@ state, and ``run``, which reads the program's Dirichlet data once
 (``build_dofmap``), a loop over ``advance``.
 
 Only a window of the states is held.  Since no walk-back goes below K
-steps under the highest target (``BacktrackConfig``), after an ``advance`` the later solves can read only the accepted records from
+steps under the highest target (``BacktrackConfig``), after an
+``advance`` the later solves can read only the accepted records from
 ``RunHistory.lowest_anchor`` up, the last of which is the running guess.
 Every other record, an accepted step below the window or a discarded
 solve, drops its arrays (``u``, ``u_d``, ``rw``, ``a``) in place and keeps

@@ -48,6 +48,7 @@ __all__ = [
     "erg_from_psi",
     "grad_term",
     "dis",
+    "dis_from_beta",
     "check_two_sided",
 ]
 
@@ -123,8 +124,13 @@ def grad_term(a, kernels: ElementKernels, p: MaterialParams) -> float:
 def dis(a, kernels: ElementKernels, p: MaterialParams) -> float:
     """Dissipation state function c * integral beta^m, (c, m) =
     ``p.dissipation_law`` (AT2 quadratic, AT1 linear in beta)."""
+    return dis_from_beta(beta_at_qp(kernels, a), kernels, p)
+
+
+def dis_from_beta(beta, kernels: ElementKernels, p: MaterialParams) -> float:
+    """``dis`` of the damage whose ``beta_at_qp`` is beta."""
     c, m = p.dissipation_law
-    return c * float((kernels.wj * beta_at_qp(kernels, a) ** m).sum())
+    return c * float((kernels.wj * beta**m).sum())
 
 
 def functional_from_psi(

@@ -64,17 +64,18 @@ __all__ = [
     "DamageFields",
     "damage_fields",
     "degradation_weights",
+    "weights_from_beta",
     "residual_and_tangent_u",
     "residual_and_tangent_beta",
     "reaction_force",
 ]
 
-# Bytes of the temporaries of one block of elements in an assembly of the
-# displacement ("u") or damage ("beta") system, about
-# _BLOCK_DOUBLES[system][dim] doubles per element (by tracemalloc: the rise
-# of one call's traced peak per element of block size).
+# Bytes of the temporaries of one block of elements in an assembly, at
+# _ENTRY_DOUBLES doubles per element-matrix entry: the largest rise of one
+# call's traced peak per element of block size, over its matrix's entries,
+# that tracemalloc showed (2.4-3.3 for both systems in 2-D and 3-D).
 _BLOCK_BYTES = 2 * 2**20
-_BLOCK_DOUBLES = {"u": {2: 92, 3: 345}, "beta": {2: 30, 3: 48}}
+_ENTRY_DOUBLES = 10 / 3
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,9 @@ class ElementKernels:
     measures: np.ndarray
     udofs: np.ndarray
     # assembly data built on first use: the node graph, the displacement
-    # patterns [(dofmap, pattern)], the damage pattern and constant blocks
+    # (dofmap, pattern), the damage pattern and constant blocks
     graph: "NodeGraph | None" = field(default=None, repr=False)
-    u_patterns: list = field(default_factory=list, repr=False)
+    displacement: "tuple | None" = field(default=None, repr=False)
     damage: "DamageBlocks | None" = field(default=None, repr=False)
 
     @property
@@ -276,7 +277,12 @@ def grad_sq(kernels: ElementKernels, a: np.ndarray) -> np.ndarray:
 
 def degradation_weights(kernels: ElementKernels, a: np.ndarray, p: MaterialParams):
     """Quadrature sum of w*j*R(beta) per element (weights the tensile part)."""
-    r_qp, _ = degradation(beta_at_qp(kernels, a), p)
+    return weights_from_beta(kernels, beta_at_qp(kernels, a), p)
+
+
+def weights_from_beta(kernels: ElementKernels, beta: np.ndarray, p: MaterialParams):
+    """``degradation_weights`` of the damage whose ``beta_at_qp`` is beta."""
+    r_qp, _ = degradation(beta, p)
     return _quadrature_sums(kernels, r_qp)
 
 
@@ -418,17 +424,16 @@ def u_pattern(kernels: ElementKernels, dofmap: DofMap) -> SparsityPattern:
     """Displacement-tangent pattern over the free dofs of ``dofmap``, with
     the node-level ``pseudo_peripheral_rcm`` as its candidate ordering.
 
-    Cached on the kernels per DofMap object; holding the DofMap keeps its
+    Kept on the kernels for the last DofMap object asked for (a run, the
+    audit and a path ensemble each use one); holding the DofMap keeps its
     identity from being reused by another.
     """
-    for owner, pattern in kernels.u_patterns:
-        if owner is dofmap:
-            return pattern
-    graph = node_graph(kernels)
-    candidate = pseudo_peripheral_rcm(graph.indptr, graph.indices)
-    pattern = SparsityPattern.build(graph, kernels.elements, dofmap.free.reshape(-1, kernels.dim), [candidate])
-    kernels.u_patterns.append((dofmap, pattern))
-    return pattern
+    if kernels.displacement is None or kernels.displacement[0] is not dofmap:
+        graph = node_graph(kernels)
+        candidate = pseudo_peripheral_rcm(graph.indptr, graph.indices)
+        pattern = SparsityPattern.build(graph, kernels.elements, dofmap.free.reshape(-1, kernels.dim), [candidate])
+        kernels.displacement = (dofmap, pattern)
+    return kernels.displacement[1]
 
 
 def damage_blocks(kernels: ElementKernels) -> DamageBlocks:
@@ -445,28 +450,29 @@ def damage_blocks(kernels: ElementKernels) -> DamageBlocks:
     return kernels.damage
 
 
-def _element_blocks(kernels: ElementKernels, system: str) -> list:
-    """Slices of consecutive elements, each of about ``_BLOCK_BYTES`` of
-    temporaries in an assembly of ``system``, none of one element unless the
-    mesh is: a one-row matrix product takes numpy's vector-matrix path and
-    rounds otherwise than the rows of the whole mesh's product."""
-    n_e = kernels.elements.shape[0]
-    size = max(2, _BLOCK_BYTES // (8 * _BLOCK_DOUBLES[system][kernels.dim]))
+def _element_blocks(edofs: np.ndarray) -> list:
+    """Slices of consecutive elements of the element dofs ``edofs`` (n_e,
+    width), each of about ``_BLOCK_BYTES`` of temporaries in an assembly of
+    width x width element matrices, none of one element unless the mesh is:
+    a one-row matrix product takes numpy's vector-matrix path and rounds
+    otherwise than the rows of the whole mesh's product."""
+    n_e, width = edofs.shape
+    size = max(2, int(_BLOCK_BYTES // (8 * _ENTRY_DOUBLES * width**2)))
     stops = [*range(size, n_e - 1, size), n_e]
     return [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
 
 
-def _assemble(kernels: ElementKernels, system: str, pattern: SparsityPattern, edofs: np.ndarray, n: int, block):
+def _assemble(pattern: SparsityPattern, edofs: np.ndarray, n: int, block):
     """The residual (n,) on ``edofs`` and the ``UpperMatrix`` on ``pattern``
-    of ``system`` from ``block(e)``, the element vectors and matrices of each
-    slice e of ``_element_blocks``: the matrices are added through the slots
-    as they come, the vectors by one ``bincount``, both in element order, so
-    any split into blocks gives the same sums, bit for bit."""
+    from ``block(e)``, the element vectors and matrices of each slice e of
+    ``_element_blocks``: the matrices are added through the slots as they
+    come, the vectors by one ``bincount``, both in element order, so any
+    split into blocks gives the same sums, bit for bit."""
     n_stored = pattern.ordering.rows.size
     values = np.zeros(n_stored + 1)
     slot = pattern.slot.reshape(edofs.shape[0], -1)
     f_e = np.empty(edofs.shape)
-    for e in _element_blocks(kernels, system):
+    for e in _element_blocks(edofs):
         f_e[e], k_e = block(e)
         np.add.at(values, slot[e].ravel(), k_e.ravel())
         del k_e  # not held while the next block is formed
@@ -506,7 +512,7 @@ def residual_and_tangent_u(
 
     # the pattern is built on first use, before the assembly's temporaries
     pattern, n = u_pattern(kernels, dofmap), kernels.dim * kernels.mesh.n_nodes
-    r, tangent = _assemble(kernels, "u", pattern, kernels.udofs, n, block)
+    r, tangent = _assemble(pattern, kernels.udofs, n, block)
     return r[dofmap.free], tangent
 
 
@@ -524,7 +530,8 @@ def residual_and_tangent_beta(psi_p, a, fields: DamageFields, kernels: ElementKe
     negative part); an ``UpperMatrix``.  The degradation's second derivative
     and m (m-1) c are constants, so at fixed ``psi_p`` the tangent depends on
     a only through the penalty set, the quadrature points where gap < 0;
-    no code relies on this (``solver.newton_beta`` compares the matrices).
+    no code relies on this (``solver.newton_beta`` factors the tangent of
+    every iteration that solves).
     """
     blk = damage_blocks(kernels)
     c, m = p.dissipation_law
@@ -540,7 +547,7 @@ def residual_and_tangent_beta(psi_p, a, fields: DamageFields, kernels: ElementKe
         k_e += (2.0 * p.grad_coeff) * blk.grad[e].reshape(k_e.shape)
         return f_e, k_e
 
-    return _assemble(kernels, "beta", blk.pattern, kernels.elements, kernels.mesh.n_nodes, block)
+    return _assemble(blk.pattern, kernels.elements, kernels.mesh.n_nodes, block)
 
 
 def reaction_force(spectrum: StrainSpectrum, rw, kernels: ElementKernels, p: MaterialParams, load) -> float:

@@ -16,8 +16,10 @@ matrices straight into those values, and the entries below the reordered
 diagonal are never formed.  Each factorization is then a zeroed band
 array of the ordering's precision, one scatter of the values and one
 LAPACK call.  ``factor_solve(a, b)`` factors ``a`` under ``a.ordering``
-and returns the solution with the ``BandFactor``; ``eliminate`` pins dofs
-of a tangent before its solve.  This is the only solve path.
+and returns the solution, one factorization per call: each Newton
+iteration solves one system, and no factor is kept for another;
+``eliminate`` pins dofs of a tangent before its solve.  This is the only
+solve path.
 
 ``BandFactor.solve`` is the one solve: it checks the right-hand side,
 returns zeros for b = 0 and checks the solution's residual against the
@@ -30,12 +32,10 @@ the float32 factor and corrects the solution in float64, until the
 residual meets the same bound, so what a passing solve guarantees does
 not depend on the precision.  A float32 band takes half the memory and,
 where the factor dominates a Newton iteration, less time; below the
-threshold the sweeps cost more than the cheaper factor saves.  A damage
-Newton solve reuses a kept factor while its eliminated tangent is bitwise
-that factor's matrix (``solver.newton_beta``).  A structure whose band
-would take more than ``BAND_BYTES_BUDGET`` is refused while its ordering
-is built, as soon as the bandwidth is known and before any band is
-allocated.
+threshold the sweeps cost more than the cheaper factor saves.  A
+structure whose band would take more than ``BAND_BYTES_BUDGET`` is refused
+while its ordering is built, as soon as the bandwidth is known and before
+any band is allocated.
 """
 
 from __future__ import annotations
@@ -308,9 +308,9 @@ def eliminate(mat: UpperMatrix, pinned: np.ndarray) -> None:
 @dataclass(frozen=True)
 class BandFactor:
     """The banded Cholesky factor ``band`` of ``matrix``, in the precision
-    of its ordering, which solves any number of systems with that matrix:
-    each by one ``dpbtrs`` back-solve for a float64 band, by refinement
-    sweeps of ``spbtrs`` back-solves for a float32 one."""
+    of its ordering, which ``factor_solve`` makes for its one system and
+    drops after it: the solve is one ``dpbtrs`` back-solve for a float64
+    band, refinement sweeps of ``spbtrs`` back-solves for a float32 one."""
 
     matrix: UpperMatrix
     band: np.ndarray
@@ -375,14 +375,11 @@ def _banded_factor(a: UpperMatrix) -> BandFactor:
     return BandFactor(a, c)
 
 
-def factor_solve(a: UpperMatrix, b: np.ndarray) -> tuple:
-    """Solve the SPD system a x = b by banded Cholesky under ``a.ordering``:
-    one factorization, then ``BandFactor.solve`` with its checks.
-
-    Returns x and the ``BandFactor`` of a, which solves further systems with
-    a without factoring it again.  The band is within ``BAND_BYTES_BUDGET``,
-    since its ordering was built.  A factorization breakdown raises
-    LinearSolveError ("indefinite/singular").
+def factor_solve(a: UpperMatrix, b: np.ndarray) -> np.ndarray:
+    """The x of the SPD system a x = b by banded Cholesky under
+    ``a.ordering``: one factorization, then ``BandFactor.solve`` with its
+    checks.  The factor is dropped on return, so every call factors.  The
+    band is within ``BAND_BYTES_BUDGET``, since its ordering was built.  A
+    factorization breakdown raises LinearSolveError ("indefinite/singular").
     """
-    factor = _banded_factor(a)
-    return factor.solve(b), factor
+    return _banded_factor(a).solve(b)

@@ -29,18 +29,10 @@ solve, so no whole-mesh damage field is held through a displacement solve.
 The anchor's dissipation is the caller's, evaluated where the anchor
 state is held (``driver.SolveRecord.dissipation``).
 
-Within one damage solve a factorization is reused exactly when it holds
-the system.  Every damage iteration assembles its tangent and eliminates
-its pinned dofs in place; when the stored values of that eliminated
-tangent are bit for bit those of the matrix last factored
-(``BandFactor.matrix``), the kept factor solves its system with its
-back-solves alone (``BandFactor.solve``: one on a float64 band, refinement
-sweeps on a float32 one), with the residual check on the same stored
-entries.  The key is the matrix itself, not a property of how ``fem``
-builds it, so the results are bitwise those of factoring at every
-iteration.  The factor is a local of ``newton_beta``'s loop, dropped
-before the next factorization and with the call, so at most one damage
-band is held.  A displacement solve keeps no factor past its solve.
+Each Newton iteration that solves factors its tangent once
+(``linsolve.factor_solve``) and keeps no factor past its solve, so at most
+one band is held.  A damage iteration assembles its tangent and eliminates
+its pinned dofs in place before the factorization.
 """
 
 from __future__ import annotations
@@ -200,7 +192,7 @@ def newton_u(
     for k in range(1, cfg.max_newton + 1):
         r, tangent = residual_and_tangent_u(state[0], rw, kernels, p, dofmap)
         try:
-            dx = factor_solve(tangent, -r)[0]
+            dx = factor_solve(tangent, -r)
         except LinearSolveError as exc:
             raise StepFailure(f"newton_u linear solve failed: {exc}") from exc
         slope = float(np.dot(r, dx))  # -r^T K^{-1} r <= 0 for an SPD tangent
@@ -250,14 +242,10 @@ def newton_beta(
     from the Newton system (unit rows and columns, zero right-hand side),
     and trial states follow the projection arc.  A projection arc need not
     be convex in t, so every line search starts from the full step.  The
-    solve stops when every dof is pinned.
-
-    Reuse (see the module docstring): each iteration assembles its tangent
-    (``residual_and_tangent_beta``) and eliminates its pinned dofs in
-    place, and the kept ``BandFactor`` solves the system with its
-    back-solves alone, without factoring, exactly when that eliminated
-    tangent's stored values are bitwise those of its ``matrix``.  The
-    factor is dropped with the call.
+    solve stops when every dof is pinned.  Each iteration that solves
+    assembles its tangent (``residual_and_tangent_beta``), eliminates its
+    pinned dofs in place and factors it once; the factor is dropped after
+    its solve.
     """
 
     def evaluate(v):
@@ -270,7 +258,6 @@ def newton_beta(
     a = project(a0)
     e0, fields = evaluate(a)
     trials = 0
-    factor = None  # the last factorization
     for k in range(1, cfg.max_newton + 1):
         r, tangent = residual_and_tangent_beta(psi_p, a, fields, kernels, p)
         pinned = ((a <= 0.0) & (r > 0.0)) | ((a >= 1.0) & (r < 0.0))
@@ -279,14 +266,8 @@ def newton_beta(
         if pinned.any():
             r = np.where(pinned, 0.0, r)
             eliminate(tangent, pinned)
-
-        bits = tangent.values.view(np.int64)  # not ==, which takes -0.0 for +0.0
         try:
-            if factor is not None and np.array_equal(bits, factor.matrix.values.view(np.int64)):
-                dx = factor.solve(-r)
-            else:
-                factor = None  # one band at a time
-                dx, factor = factor_solve(tangent, -r)
+            dx = factor_solve(tangent, -r)
         except LinearSolveError as exc:
             raise StepFailure(f"newton_beta linear solve failed: {exc}") from exc
         slope = float(np.dot(r, dx))

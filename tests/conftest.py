@@ -183,4 +183,4 @@ def rcm_solve(a, b):
     """The solution of ``factor_solve`` with the matrix a under scipy's
     reverse Cuthill-McKee ordering of its CSC structure."""
     k = stored(a)
-    return factor_solve(k, b)[0]
+    return factor_solve(k, b)

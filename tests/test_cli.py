@@ -1190,12 +1190,13 @@ class TestCheckEnergy:
     def test_bulk_energy_reused_between_checked_pairs(self, sent_run, monkeypatch):
         # each snapshot is one evaluated state: its lifting (from the run's
         # one load vector), bulk energy, gradient energy, degradation
-        # weights and dissipation are computed once, and a check reads two
-        # states: it decomposes only its two cross-lifting strains, so the
-        # audit costs one spectrum per snapshot plus two per step pair, one
-        # dissipation, gradient energy and set of weights per snapshot and
-        # one load vector; each report is bit for bit the one with every
-        # figure evaluated afresh
+        # weights and dissipation are computed once, the last two from one
+        # interpolation of its damage, and a check reads two states: it
+        # decomposes only its two cross-lifting strains, so the audit costs
+        # one spectrum per snapshot plus two per step pair, one damage
+        # interpolation, dissipation, gradient energy and set of weights per
+        # snapshot and one load vector; each report is bit for bit the one
+        # with every figure evaluated afresh
         calls = []
 
         def counting(real, name):
@@ -1225,21 +1226,23 @@ class TestCheckEnergy:
             del calls[n1:]  # the fresh evaluation is not the audit's
             return report
 
-        names = ("spectrum", "dis", "grad", "weights", "load")
-        dissipation = counting(energetics.dis, "dis")
+        names = ("spectrum", "beta", "dis", "grad", "weights", "load")
+        interpolation = counting(fem.beta_at_qp, "beta")
         grad = counting(energetics.grad_term, "grad")
         monkeypatch.setattr(energetics, "strain_spectrum", counting(energetics.strain_spectrum, "spectrum"))
-        monkeypatch.setattr(energetics, "dis", dissipation)
+        for module in (fem, energetics, cli):
+            monkeypatch.setattr(module, "beta_at_qp", interpolation)
+        monkeypatch.setattr(energetics, "dis", counting(energetics.dis, "dis"))
         monkeypatch.setattr(energetics, "grad_term", grad)
-        monkeypatch.setattr(cli, "dis", dissipation)
+        monkeypatch.setattr(cli, "dis_from_beta", counting(cli.dis_from_beta, "dis"))
         monkeypatch.setattr(cli, "grad_term", grad)
-        monkeypatch.setattr(cli, "degradation_weights", counting(cli.degradation_weights, "weights"))
+        monkeypatch.setattr(cli, "weights_from_beta", counting(cli.weights_from_beta, "weights"))
         monkeypatch.setattr(cli, "build_dofmap", counting(cli.build_dofmap, "load"))
         monkeypatch.setattr(cli, "read_field_snapshot", reading)
         monkeypatch.setattr(cli, "check_two_sided", checking)
         assert main(["check-energy", str(sent_run)]) == 0
-        assert per_check == [(2, 0, 0, 0, 0)] * 5
-        assert [calls.count(name) for name in names] == [16, 6, 6, 6, 1]
+        assert per_check == [(2, 0, 0, 0, 0, 0)] * 5
+        assert [calls.count(name) for name in names] == [16, 6, 6, 6, 6, 1]
 
 
 def test_patterns_are_built_in_the_first_solve(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -468,12 +469,16 @@ class TestTangents:
         # pattern's ordering
         pat = u_pattern(kern, dm_a)
         assert k1.ordering is pat.ordering and k2.ordering is pat.ordering
-        # equal but distinct DofMaps, and different ones, never share
+        # one kept pattern: an equal but distinct DofMap, and a different
+        # one, each get a pattern of their own, which replaces the kept one
         check(dm_b)
+        pat_b = u_pattern(kern, dm_b)
+        assert pat_b is not pat and kern.displacement[0] is dm_b and kern.displacement[1] is pat_b
         check(dm_c)
-        assert u_pattern(kern, dm_b) is not pat
-        assert u_pattern(kern, dm_c).ordering.n == np.count_nonzero(dm_c.free) != pat.ordering.n
-        assert [id(d) for d, _ in kern.u_patterns] == [id(dm_a), id(dm_b), id(dm_c)]
+        pat_c = u_pattern(kern, dm_c)
+        assert pat_c.ordering.n == np.count_nonzero(dm_c.free) != pat.ordering.n
+        assert kern.displacement[0] is dm_c and u_pattern(kern, dm_c) is pat_c
+        assert u_pattern(kern, dm_a) is not pat and kern.displacement[0] is dm_a
 
         psi_p, _ = psi_split(spec, p)
         gap_qp = (a - a_n)[kern.elements] @ kern.shape_qp.T
@@ -589,11 +594,11 @@ class TestBandOrdering:
     def test_factor_solve_bitwise_repeatable(self, sent_tangent):
         kern, dm, r, k = sent_tangent
         pat = u_pattern(kern, dm)
-        x = factor_solve(k, -r)[0]
-        assert np.array_equal(x, factor_solve(k, -r)[0])
+        x = factor_solve(k, -r)
+        assert np.array_equal(x, factor_solve(k, -r))
         indptr, indices, _ = element_dofs_pattern(kern.udofs, dm.free)
         fresh = BandOrdering.from_structure(indptr, indices, pat.ordering.perm)
-        assert np.array_equal(x, factor_solve(stored(dense(k), fresh), -r.copy())[0])
+        assert np.array_equal(x, factor_solve(stored(dense(k), fresh), -r.copy()))
         assert np.linalg.norm(k @ x + r) <= 1e-10 * np.linalg.norm(r)
 
     def test_one_ordering_per_pattern(self, monkeypatch):
@@ -761,14 +766,17 @@ def bend3d_state():
     return kern, dm, u_pattern(kern, dm), spec, rw, setup.params
 
 
+def block_bytes(n, edofs):
+    """A ``_BLOCK_BYTES`` whose blocks of ``edofs`` hold n elements."""
+    return math.ceil(n * 8 * fem._ENTRY_DOUBLES * edofs.shape[1] ** 2)
+
+
 class TestBlockAssembly:
-    def _block_bytes(self, n):
-        return n * 8 * fem._BLOCK_DOUBLES["u"][3]
 
     def test_blocks_match_one_block_bitwise(self, bend3d_state, monkeypatch):
         kern, dm, pat, spec, rw, p = bend3d_state
         n_e = kern.elements.shape[0]
-        monkeypatch.setattr(fem, "_BLOCK_BYTES", self._block_bytes(n_e))
+        monkeypatch.setattr(fem, "_BLOCK_BYTES", block_bytes(n_e, kern.udofs))
         r1, k1 = fem.residual_and_tangent_u(spec, rw, kern, p, dm)
         # the whole-mesh element forces B^T sigma and matrices B^T (C B),
         # each summed by bincount, in element order
@@ -784,7 +792,7 @@ class TestBlockAssembly:
         assert np.array_equal(k1.values, data)
         for size in (1000, 7):
             assert n_e % size  # a last, shorter block
-            monkeypatch.setattr(fem, "_BLOCK_BYTES", self._block_bytes(size))
+            monkeypatch.setattr(fem, "_BLOCK_BYTES", block_bytes(size, kern.udofs))
             r, k = fem.residual_and_tangent_u(spec, rw, kern, p, dm)
             assert np.array_equal(r, r1)
             assert np.array_equal(k.values, k1.values)
@@ -794,7 +802,7 @@ class TestBlockAssembly:
         # the principal stresses, split stresses and split tangents are
         # formed block by block: no call sees the whole mesh's strains
         kern, dm, pat, spec, rw, p = bend3d_state
-        monkeypatch.setattr(fem, "_BLOCK_BYTES", self._block_bytes(300))
+        monkeypatch.setattr(fem, "_BLOCK_BYTES", block_bytes(300, kern.udofs))
         seen = []
 
         def spy(name):
@@ -810,7 +818,7 @@ class TestBlockAssembly:
         for name in names:
             monkeypatch.setattr(fem, name, spy(name))
         fem.residual_and_tangent_u(spec, rw, kern, p, dm)
-        blocks = fem._element_blocks(kern, "u")
+        blocks = fem._element_blocks(kern.udofs)
         assert len(blocks) > 10
         assert {name for name, _ in seen} == set(names)
         assert [n for name, n in seen if name == "tangent_split"] == [e.stop - e.start for e in blocks]
@@ -887,8 +895,8 @@ class TestDamageBlockAssembly:
         n_e = kern.elements.shape[0]
         single = next(size for size in range(7, n_e) if n_e % size == 1)
         for size in (n_e, 1000, 7, single):
-            monkeypatch.setattr(fem, "_BLOCK_BYTES", size * 8 * fem._BLOCK_DOUBLES["beta"][3])
-            blocks = fem._element_blocks(kern, "beta")
+            monkeypatch.setattr(fem, "_BLOCK_BYTES", block_bytes(size, kern.elements))
+            blocks = fem._element_blocks(kern.elements)
             assert blocks[0] == slice(0, size) and blocks[-1].stop == n_e
             assert all(e.stop - e.start > 1 for e in blocks)
             r, k = fem.residual_and_tangent_beta(psi_p, a, fields, kern, p)

@@ -55,7 +55,7 @@ def test_structure_mismatch_raises_on_zero_rhs(rng):
     k = stored(random_sparse_spd(rng, 20, 0.2))
     with pytest.raises(LinearSolveError, match="incompatible with rhs 19"):
         factor_solve(k, np.zeros(19))
-    assert np.array_equal(factor_solve(k, np.zeros(20))[0], np.zeros(20))
+    assert np.array_equal(factor_solve(k, np.zeros(20)), np.zeros(20))
 
 
 def test_random_spd_residual_bound(rng):
@@ -87,7 +87,7 @@ def test_banded_matches_dense_solve(rng, n, density):
     b = rng.normal(size=n)
     want = np.linalg.solve(a.toarray(), b)
     k = stored(a)
-    x = factor_solve(k, b)[0]
+    x = factor_solve(k, b)
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(k @ x - a @ x).max() <= 1e-12 * np.abs(a @ x).max()  # the symmetric product
 
@@ -262,17 +262,18 @@ def displacement_ordering(structure) -> BandOrdering:
 
 
 def test_wide_band_is_float32_and_refines_to_the_bound(wide_system, rng):
-    # half the bytes of a float64 band, and every solve, of the factored
-    # system or another, meets the residual bound of a float64 solve
+    # half the bytes of a float64 band, and every solve, of one right-hand
+    # side or another, meets the residual bound of a float64 solve
     structure, k, b = wide_system
     o = displacement_ordering(structure)
     assert o.bandwidth >= linsolve._SINGLE_BANDWIDTH
     a = stored(k, o)
-    x, factor = factor_solve(a, b)
-    assert factor.band.dtype == np.float32
-    assert factor.band.nbytes == (o.bandwidth + 1) * o.n * 4
+    x = factor_solve(a, b)
+    band = linsolve._banded_factor(a).band
+    assert band.dtype == np.float32
+    assert band.nbytes == (o.bandwidth + 1) * o.n * 4
     other = rng.normal(size=o.n)
-    for rhs, sol in ((b, x), (other, factor.solve(other))):
+    for rhs, sol in ((b, x), (other, factor_solve(a, other))):
         assert np.linalg.norm(a @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
     want = np.linalg.solve(k, b)
     assert np.abs(x - want).max() <= 1e-6 * np.abs(want).max()
@@ -285,11 +286,12 @@ def test_narrow_band_is_one_dpbtrs_back_solve(patch_system):
     o = displacement_ordering(structure)
     assert o.bandwidth < linsolve._SINGLE_BANDWIDTH
     a = stored(k, o)
-    x, factor = factor_solve(a, b)
+    x = factor_solve(a, b)
     flat = np.zeros((o.bandwidth + 1) * o.n)
     flat[o.slot] = a.values
     c = sla.cholesky_banded(flat.reshape((o.bandwidth + 1, o.n), order="F"))
-    assert factor.band.dtype == np.float64 and np.array_equal(factor.band, c)
+    band = linsolve._banded_factor(a).band
+    assert band.dtype == np.float64 and np.array_equal(band, c)
     assert np.array_equal(x, sla.cho_solve_banded((c, False), b[o.perm])[o.inv])
 
 
@@ -308,7 +310,7 @@ def test_float32_factor_that_cannot_refine_raises(rng, monkeypatch, cond, reason
     monkeypatch.setattr(linsolve, "_SINGLE_BANDWIDTH", n)
     k = stored(m)
     assert k.ordering.precision == np.float64
-    x = factor_solve(k, b)[0]
+    x = factor_solve(k, b)
     assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -339,8 +341,9 @@ def check_budget_boundary(system, monkeypatch):
         band = (o.bandwidth + 1) * o.n * o.precision.itemsize
         monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band)
         built = build()
-        x, factor = factor_solve(stored(k, built), b)
-        assert factor.band.nbytes == band
+        a = stored(k, built)
+        x = factor_solve(a, b)
+        assert linsolve._banded_factor(a).band.nbytes == band
         assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
         monkeypatch.setattr(linsolve, "BAND_BYTES_BUDGET", band - 1)
         with pytest.raises(LinearSolveError, match=f"band of {band} bytes .* budget of {band - 1} bytes"):

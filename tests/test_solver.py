@@ -11,10 +11,10 @@ from conftest import (
     random_state,
     rcm_solve,
 )
-from oracles import damage_merit, projected_newton_beta, total_functional
+from oracles import damage_merit, total_functional
 from pffrac.energetics import dis
 from pffrac.fem import build_kernels, degradation_weights, strain_spectrum, u_pattern
-from pffrac import energetics, fem, linsolve, solver
+from pffrac import energetics, fem, solver
 from pffrac.material import MaterialParams, StrainSpectrum, psi_split
 from pffrac.linsolve import eliminate, factor_solve
 from pffrac.driver import BacktrackConfig, DirichletSpec, LoadProgram, run
@@ -159,7 +159,7 @@ class TestNewtonBeta:
         free = np.flatnonzero(~pinned)
         want = rcm_solve(reduced[np.ix_(free, free)], -r[free])
         eliminate(mat, pinned)
-        dx = factor_solve(mat, -np.where(pinned, 0.0, r))[0]
+        dx = factor_solve(mat, -np.where(pinned, 0.0, r))
         assert np.all(dx[pinned] == 0.0)
         assert np.abs(dx[free] - want).max() <= 1e-12 * np.abs(want).max()
         eliminated = reduced.copy()
@@ -240,43 +240,39 @@ class TestNewtonBeta:
         hist = crack_patch(sent_params)
         assert len(assembled) == sum(rec.newton_iters_beta for rec in hist.solves)
 
-    def test_factor_reused_while_its_system_repeats(self, sent_params, monkeypatch):
-        # on a run that cracks the patch, a damage solve factors its
-        # eliminated tangent only when that is not bit for bit the matrix
-        # it last factored: its solves make fewer factorizations than the
-        # loop that assembles and factors at every iteration
-        # (oracles.projected_newton_beta), and each returns what that
-        # returns, bit for bit
-        calls, factored = [], []
+    def test_one_factorization_per_solving_iteration(self, sent_params, monkeypatch):
+        # on a run that cracks the patch, every damage iteration that reaches
+        # a solve (not every dof pinned at a bound) factors the tangent it
+        # assembled, once, and no other iteration factors: no factor is kept
+        # for a later iteration, even where its tangent repeats bit for bit
+        calls = []  # per damage solve: [tangent, reaches a solve, factorizations] per iteration
         real_beta, real_factor = solver.newton_beta, solver.factor_solve
+        real_assemble = solver.residual_and_tangent_beta
 
-        def counted(a, b):
-            if factored:
-                factored[-1] += 1
-            return real_factor(a, b)
-
-        def spy(*args):
-            factored.append(0)
+        def beta(*args):
+            calls.append([])
             res = real_beta(*args)
-            calls.append(([np.copy(x) if isinstance(x, np.ndarray) else x for x in args], res, factored.pop()))
+            assert len(calls[-1]) == res[1]
             return res
 
-        monkeypatch.setattr(solver, "newton_beta", spy)
-        monkeypatch.setattr(solver, "factor_solve", counted)
-        monkeypatch.setattr(linsolve, "factor_solve", counted)
-        crack_patch(sent_params)
+        def assemble(psi_p, a, *args):
+            r, tangent = real_assemble(psi_p, a, *args)
+            pinned = ((a <= 0.0) & (r > 0.0)) | ((a >= 1.0) & (r < 0.0))
+            calls[-1].append([tangent, not pinned.all(), 0])
+            return r, tangent
 
-        with_reuse = every = 0
-        for args, res, n_factored in calls:
-            factored.append(0)
-            a, iters, merit, rw, trials = projected_newton_beta(*args)
-            assert a.tobytes() == res[0].tobytes() and (iters, merit, trials) == (res[1], res[2], res[4])
-            assert rw.tobytes() == res[3].tobytes()
-            n_every = factored.pop()
-            assert n_factored <= n_every
-            with_reuse += n_factored
-            every += n_every
-        assert with_reuse < every
+        def factor(mat, b):
+            if calls and calls[-1] and mat is calls[-1][-1][0]:
+                calls[-1][-1][2] += 1
+            return real_factor(mat, b)
+
+        monkeypatch.setattr(solver, "newton_beta", beta)
+        monkeypatch.setattr(solver, "residual_and_tangent_beta", assemble)
+        monkeypatch.setattr(solver, "factor_solve", factor)
+        crack_patch(sent_params)
+        iterations = [(reaches, n) for call in calls for _, reaches, n in call]
+        assert all(n == reaches for reaches, n in iterations)
+        assert sum(n for _, n in iterations) > len(calls) > 0
 
 
 def crack_patch(p):
